@@ -311,6 +311,47 @@ func BenchmarkWireEncode(b *testing.B) {
 	}
 }
 
+// TestFrameWriterAllocs pins the allocation-free send path of wire v2:
+// a connection's FrameWriter builds every header and metadata body in
+// the scratch it keeps, so once that has grown to the message size a
+// DATA frame, a read response with its tail chunk, a CANCEL and a read
+// request each cost nothing; the one-shot package functions cost the
+// writer they build.
+func TestFrameWriterAllocs(t *testing.T) {
+	var sink bytes.Buffer
+	fw := wire.NewFrameWriter(&sink)
+	chunk := make([]byte, 64<<10)
+	resp := &wire.Response{N: int64(len(chunk)), Data: chunk, Trace: make([]byte, 200)}
+	req := &wire.Request{Op: wire.OpRead, Path: "/bench/file", Gen: 3}
+	for i := 0; i < 16; i++ {
+		req.Extents = append(req.Extents, wire.Extent{Off: int64(i) << 16, Len: 32 << 10})
+	}
+	for _, tc := range []struct {
+		name  string
+		max   float64
+		write func() error
+	}{
+		{"FrameWriter.WriteData", 0, func() error { return fw.WriteData(7, chunk) }},
+		{"FrameWriter.WriteResponse", 0, func() error { return fw.WriteResponse(7, resp, 0) }},
+		{"FrameWriter.WriteCancel", 0, func() error { return fw.WriteCancel(7) }},
+		{"FrameWriter.WriteRequest", 0, func() error { return fw.WriteRequest(7, req) }},
+		{"WriteDataFrame", 3, func() error { return wire.WriteDataFrame(&sink, 7, chunk) }},
+		{"WriteResponseV2", 3, func() error { return wire.WriteResponseV2(&sink, 7, resp, 0) }},
+		{"WriteCancelFrame", 3, func() error { return wire.WriteCancelFrame(&sink, 7) }},
+	} {
+		sink.Grow(1 << 20)
+		got := testing.AllocsPerRun(50, func() {
+			sink.Reset()
+			if err := tc.write(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > tc.max {
+			t.Errorf("%s: %.0f allocs per message, want <= %.0f", tc.name, got, tc.max)
+		}
+	}
+}
+
 // BenchmarkServerIO measures the raw unshaped I/O server over loopback
 // TCP: the substrate floor under every figure.
 func BenchmarkServerIO(b *testing.B) {

@@ -161,40 +161,48 @@ func AblationServerCount(ctx context.Context, cfg Config, np int, ios []int) ([]
 	return out, nil
 }
 
-// AblationExactReads contrasts the paper's whole-brick access model
-// with exact-extent (data-sieving-off) reads under a linear column
-// access, quantifying how much of the linear level's penalty is
-// discarded data versus request count.
+// AblationExactReads prices the three read modes side by side under a
+// linear column access on the bandwidth-starved class 2: whole bricks
+// (the paper's access unit, fetched when a data cache keeps them — each
+// repetition starts cold, so nothing is served from it), each brick's
+// covering span (the default with no cache: data sieving) and exact
+// extents (ExactReads). It quantifies how much of the linear level's
+// penalty is discarded data versus per-extent positioning cost.
 func AblationExactReads(ctx context.Context, cfg Config, np, io int) ([]Measurement, error) {
 	cfg = cfg.WithDefaults()
 	var out []Measurement
-	for _, exact := range []bool{false, true} {
+	for _, mode := range []struct {
+		label      string
+		cacheBytes int64
+		exact      bool
+	}{
+		{"Linear, whole bricks", cfg.N * cfg.N * elemSize, false},
+		{"Linear, brick spans", 0, false},
+		{"Linear, exact extents", 0, true},
+	} {
 		c, err := cluster.Start(cluster.Config{
-			Servers:       cluster.UniformClass(io, netsim.Class1()),
+			Servers:       cluster.UniformClass(io, netsim.Class2()),
 			Dir:           caseDir(cfg.Dir),
 			RefBrickBytes: cfg.Tile * cfg.Tile * elemSize,
 		})
 		if err != nil {
 			return nil, err
 		}
-		m, err := runExactCase(ctx, cfg, c, np, exact)
+		m, err := runExactCase(ctx, cfg, c, np, mode.cacheBytes, mode.exact)
 		c.Close()
 		if err != nil {
 			return nil, err
 		}
 		m.Figure = "AblExact"
-		m.Class = "class1"
-		if exact {
-			m.Label = "Linear, exact extents"
-		} else {
-			m.Label = "Linear, whole bricks"
-		}
+		m.Class = "class2"
+		m.Label = mode.label
 		out = append(out, m)
 	}
 	return out, nil
 }
 
-func runExactCase(ctx context.Context, cfg Config, c *cluster.Cluster, np int, exact bool) (Measurement, error) {
+// runExactCase measures one read mode of AblationExactReads.
+func runExactCase(ctx context.Context, cfg Config, c *cluster.Cluster, np int, cacheBytes int64, exact bool) (Measurement, error) {
 	dims := []int64{cfg.N, cfg.N}
 	path := "/abl-exact.dat"
 	fs, err := c.NewFS(0, core.Options{Combine: true})
@@ -212,7 +220,8 @@ func runExactCase(ctx context.Context, cfg Config, c *cluster.Cluster, np int, e
 	if err := fill(ctx, c, path, dims); err != nil {
 		return Measurement{}, err
 	}
-	opts := cfg.withDispatch(core.Options{Combine: true, Stagger: true, ExactReads: exact})
+	opts := cfg.withDispatch(core.Options{Combine: true, Stagger: true})
+	opts.CacheBytes, opts.ExactReads = cacheBytes, exact
 	return measure(ctx, cfg, c, np, opts, path,
 		func(rank int) stripe.Section { return colSection(cfg.N, np, rank) }, false)
 }

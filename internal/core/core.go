@@ -37,12 +37,13 @@ type Options struct {
 	// clients do not convoy on one device (Section 4.2). Only
 	// meaningful with Combine.
 	Stagger bool
-	// ExactReads disables the paper's whole-brick access model for
-	// reads: instead of fetching each touched brick in full and
-	// discarding the unneeded part ("the second half will be
-	// discarded", Sec. 3.2), only the exact byte segments travel. The
-	// paper's behaviour (false) is the default; setting it is the
-	// data-sieving-style ablation.
+	// ExactReads makes a read move exactly the byte segments asked
+	// for, one extent per fragment. By default a read moves one
+	// contiguous range per touched brick instead: the whole brick when
+	// CacheBytes is set — the paper's access unit ("the second half
+	// will be discarded", Sec. 3.2), kept by the cache — and otherwise
+	// the covering span of the wanted segments (data sieving). Setting
+	// it is the fragments-versus-ranges ablation.
 	ExactReads bool
 	// ParallelDispatch ships an access's per-server requests
 	// concurrently instead of one at a time. The paper's client issues
@@ -67,8 +68,8 @@ type Options struct {
 	// zero value applies the server package defaults.
 	Retry server.RetryPolicy
 	// CacheBytes, when positive, enables the client-side brick data
-	// cache: whole bricks fetched by reads are kept (LRU, bounded to
-	// this many bytes) and repeated reads are served locally. The
+	// cache: reads fetch whole bricks, which are kept (LRU, bounded to
+	// this many bytes), and repeated reads are served locally. The
 	// engine's own writes invalidate overlapping bricks; there is no
 	// cross-client coherence (see DESIGN.md §9). Zero disables caching
 	// (the default — the paper's client keeps nothing).

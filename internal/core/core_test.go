@@ -248,50 +248,96 @@ func TestCombinationReducesRequests(t *testing.T) {
 	}
 }
 
-// TestWholeBrickReads verifies the paper's brick-as-access-unit model:
-// a column read of a linear file transfers whole bricks (8x the useful
-// bytes in this layout) unless ExactReads is set.
+// TestWholeBrickReads pins what each read mode moves for a column read
+// of a linear file whose bricks hold two rows each: with a data cache
+// to keep them, whole bricks (the paper's access unit, 8x the useful
+// bytes here); with no cache, each brick's covering span of the wanted
+// pieces; with ExactReads, exactly the useful bytes.
 func TestWholeBrickReads(t *testing.T) {
 	c := startCluster(t, 4)
 	ctx := ctxT(t)
 
-	prep := func(opts core.Options, path string) *core.File {
-		fs := newFS(t, c, 0, opts)
-		f, err := fs.Create(path, 1, []int64{64, 64}, core.Hint{Level: stripe.LevelLinear, BrickBytes: 64})
+	// 64x64 bytes in 128-byte bricks: a brick is two rows, so columns
+	// 8..15 are two 8-byte pieces 64 bytes apart in each of 32 bricks.
+	col := stripe.NewSection([]int64{0, 8}, []int64{64, 8})
+	const useful, span, whole = 64 * 8, 32 * (64 + 8), 64 * 64
+	for _, tc := range []struct {
+		name string
+		opts core.Options
+		want int64
+	}{
+		{"span", core.Options{}, span},
+		{"cached", core.Options{CacheBytes: 1 << 20}, whole},
+		{"exact", core.Options{ExactReads: true}, useful},
+		{"exact+cache", core.Options{ExactReads: true, CacheBytes: 1 << 20}, useful},
+	} {
+		fs := newFS(t, c, 0, tc.opts)
+		f, err := fs.Create("/"+tc.name, 1, []int64{64, 64}, core.Hint{Level: stripe.LevelLinear, BrickBytes: 128})
 		if err != nil {
 			t.Fatal(err)
 		}
-		full := stripe.FullSection([]int64{64, 64})
-		if err := f.WriteSection(ctx, full, pattern(64*64)); err != nil {
+		ref := &refFile{dims: []int64{64, 64}, elem: 1, data: pattern(64 * 64)}
+		if err := f.WriteSection(ctx, stripe.FullSection(ref.dims), ref.data); err != nil {
 			t.Fatal(err)
 		}
-		return f
+		before := f.Stats()
+		buf := make([]byte, col.Bytes(1))
+		if err := f.ReadSection(ctx, col, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, ref.extract(col)) {
+			t.Errorf("%s: column read returned wrong bytes", tc.name)
+		}
+		st := f.Stats()
+		if got := st.BytesUseful - before.BytesUseful; got != useful {
+			t.Errorf("%s: useful bytes = %d, want %d", tc.name, got, useful)
+		}
+		if got := st.BytesTransferred - before.BytesTransferred; got != tc.want {
+			t.Errorf("%s: read moved %d bytes, want %d", tc.name, got, tc.want)
+		}
+		if got := st.Requests - before.Requests; got != 32 {
+			t.Errorf("%s: read issued %d requests, want 32 (one per brick)", tc.name, got)
+		}
 	}
+}
 
-	col := stripe.NewSection([]int64{0, 0}, []int64{64, 8})
-	buf := make([]byte, col.Bytes(1))
-
-	f := prep(core.Options{}, "/whole")
-	core.ResetStats()
-	if err := f.ReadSection(ctx, col, buf); err != nil {
-		t.Fatal(err)
-	}
-	st := core.ReadStats()
-	if st.BytesUseful != 512 {
-		t.Fatalf("useful bytes = %d", st.BytesUseful)
-	}
-	if st.BytesTransferred != 64*64 {
-		t.Errorf("whole-brick read moved %d bytes, want %d (all bricks)", st.BytesTransferred, 64*64)
-	}
-
-	f = prep(core.Options{ExactReads: true}, "/exact")
-	core.ResetStats()
-	if err := f.ReadSection(ctx, col, buf); err != nil {
-		t.Fatal(err)
-	}
-	st = core.ReadStats()
-	if st.BytesTransferred != 512 {
-		t.Errorf("exact read moved %d bytes, want 512", st.BytesTransferred)
+// TestAdjacentExtentsCoalesce pins extent coalescing in every read
+// mode: eight contiguous bricks of a one-server file are adjacent slots
+// of one subfile, so a combined read of them is one extent however the
+// mode sizes each brick's range — visible from outside as the server's
+// per-extent charge, which a traced RPC span reports.
+func TestAdjacentExtentsCoalesce(t *testing.T) {
+	c := startCluster(t, 1)
+	ctx := ctxT(t)
+	for _, tc := range []struct {
+		name string
+		opts core.Options
+	}{
+		{"span", core.Options{Combine: true}},
+		{"cached", core.Options{Combine: true, CacheBytes: 1 << 20}},
+		{"exact", core.Options{Combine: true, ExactReads: true}},
+	} {
+		fs := newFS(t, c, 0, tc.opts)
+		traces := fs.EnableTracing(4)
+		f, err := fs.Create("/"+tc.name, 1, []int64{8 << 10}, core.Hint{Level: stripe.LevelLinear, BrickBytes: 1 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := pattern(8 << 10)
+		if err := f.WriteAt(ctx, data, 0); err != nil {
+			t.Fatal(err)
+		}
+		// Bricks 1..6 whole plus the tail of brick 0 and head of brick 7.
+		got := make([]byte, 7<<10)
+		if err := f.ReadAt(ctx, got, 512); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data[512:512+7<<10]) {
+			t.Errorf("%s: read returned wrong bytes", tc.name)
+		}
+		if rpc := traces.Last().Root.Children()[0]; rpc.Extents != 1 {
+			t.Errorf("%s: 8 adjacent bricks travelled as %d extents, want 1", tc.name, rpc.Extents)
+		}
 	}
 }
 

@@ -19,14 +19,15 @@ import (
 )
 
 // Stats count the engine's traffic since creation; benchmarks and
-// tests use them to verify the request-combination and whole-brick
+// tests use them to verify the request-combination and read-range
 // behaviours.
 type Stats struct {
 	// Requests is the number of network requests issued to I/O
 	// servers.
 	Requests int64
 	// BytesTransferred counts payload bytes moved over the network
-	// (including discarded parts of whole-brick reads).
+	// (including the discarded parts of whole-brick and covering-span
+	// reads).
 	BytesTransferred int64
 	// BytesUseful counts the bytes the application actually asked for.
 	BytesUseful int64
@@ -713,30 +714,62 @@ func putScratch(b []byte) {
 	scratchPool.Put(&b)
 }
 
+// fetchRange returns the byte range [lo, hi) of brick b's stored bytes
+// that a non-exact read moves. A brick travels whole only when a data
+// cache will keep it (fill); otherwise the range is the covering span
+// of the wanted segments — one contiguous request around the pieces
+// (data sieving), never more than the brick and usually far less.
+func (f *File) fetchRange(b *stripe.BrickIO, fill bool) (lo, hi int64) {
+	if fill || len(b.Segs) == 0 {
+		return 0, f.info.Geometry.BrickBytesOf(b.Brick)
+	}
+	lo, hi = b.Segs[0].BrickOff, b.Segs[0].BrickOff+b.Segs[0].Len
+	for _, seg := range b.Segs[1:] {
+		if seg.BrickOff < lo {
+			lo = seg.BrickOff
+		}
+		if end := seg.BrickOff + seg.Len; end > hi {
+			hi = end
+		}
+	}
+	return lo, hi
+}
+
 // doRequest performs one server exchange covering all bricks of r.
 // sp, when non-nil, is the trace span covering this exchange.
 func (f *File) doRequest(ctx context.Context, r *stripe.Request, buf []byte, write bool, sp *obs.Span) error {
-	g := &f.info.Geometry
-	slot := g.SlotBytes()
-	wholeBrick := !write && !f.fs.opts.ExactReads
+	slot := f.info.Geometry.SlotBytes()
+	// Writes and ExactReads ship exactly the wanted fragments; other
+	// reads ship one range per brick (see fetchRange). Whole-brick
+	// responses are eligible to fill the data cache.
+	dc := f.fs.dataCache
+	exact := write || f.fs.opts.ExactReads
+	fill := !exact && dc != nil
 
-	// Size the extent list up front: one extent per brick in
-	// whole-brick mode, at most one per segment otherwise.
 	nSegs := 0
 	for bi := range r.Bricks {
 		nSegs += len(r.Bricks[bi].Segs)
 	}
-	extCap := nSegs
-	if wholeBrick {
-		extCap = len(r.Bricks)
+	extCap := len(r.Bricks)
+	if exact {
+		extCap = nSegs
 	}
 
-	// Extents are built in brick-offset order: runs contiguous in
-	// brick storage travel as one extent even when they gather from
-	// scattered memory. Write payloads are not packed into an
-	// intermediate buffer — each memory run rides as a scatter
-	// segment that the wire layer flushes with vectored I/O.
+	// Extents are built in brick-offset order, and runs adjacent in the
+	// subfile travel as one extent — fragments gathered from scattered
+	// memory as much as neighbouring bricks' slots — so the server does
+	// one pread (and the storage model charges one PerExtent) per run.
+	// Write payloads are not packed into an intermediate buffer — each
+	// memory run rides as a scatter segment that the wire layer flushes
+	// with vectored I/O.
 	exts := make([]wire.Extent, 0, extCap)
+	addExtent := func(off, n int64) {
+		if k := len(exts); k > 0 && exts[k-1].Off+exts[k-1].Len == off {
+			exts[k-1].Len += n
+		} else {
+			exts = append(exts, wire.Extent{Off: off, Len: n})
+		}
+	}
 	var segs [][]byte
 	if write {
 		segs = make([][]byte, 0, nSegs)
@@ -749,17 +782,13 @@ func (f *File) doRequest(ctx context.Context, r *stripe.Request, buf []byte, wri
 				f.info.Path, b.Brick, f.info.Servers[r.Server])
 		}
 		base := ls * slot
-		if wholeBrick {
-			exts = append(exts, wire.Extent{Off: base, Len: g.BrickBytesOf(b.Brick)})
+		if !exact {
+			lo, hi := f.fetchRange(b, fill)
+			addExtent(base+lo, hi-lo)
 			continue
 		}
 		for _, seg := range brickOrder(b.Segs) {
-			n := len(exts)
-			if n > 0 && exts[n-1].Off+exts[n-1].Len == base+seg.BrickOff {
-				exts[n-1].Len += seg.Len
-			} else {
-				exts = append(exts, wire.Extent{Off: base + seg.BrickOff, Len: seg.Len})
-			}
+			addExtent(base+seg.BrickOff, seg.Len)
 			if write {
 				segs = append(segs, buf[seg.MemOff:seg.MemOff+seg.Len])
 			}
@@ -780,17 +809,15 @@ func (f *File) doRequest(ctx context.Context, r *stripe.Request, buf []byte, wri
 		// this trace; its span tree comes back in the response trailer.
 		req.TraceID, req.SpanID, req.Sampled = tc.TraceID, tc.SpanID, tc.Sampled
 	}
+	moved := wire.DataBytes(exts)
 	var scratch []byte
 	if !write {
-		scratch = getScratch(wire.DataBytes(exts) + wire.RespOverhead)
+		scratch = getScratch(moved + wire.RespOverhead)
 		defer putScratch(scratch)
 	}
-	// Whole-brick read responses are eligible to fill the data cache.
 	// The fill token is taken before the network exchange: an
 	// invalidation that lands between here and Put poisons the fill, so
 	// a concurrent writer can never be overwritten by stale read bytes.
-	dc := f.fs.dataCache
-	fill := !write && wholeBrick && dc != nil
 	var fillTok uint64
 	if fill {
 		fillTok = dc.Token()
@@ -801,7 +828,6 @@ func (f *File) doRequest(ctx context.Context, r *stripe.Request, buf []byte, wri
 	if err != nil {
 		return fmt.Errorf("dpfs: %s: %w", f.info.Path, err)
 	}
-	moved := wire.DataBytes(exts)
 	statRequests.Add(1)
 	statTransferred.Add(moved)
 	f.fs.reg.Counter(MetricRequests).Inc()
@@ -830,27 +856,28 @@ func (f *File) doRequest(ctx context.Context, r *stripe.Request, buf []byte, wri
 		return fmt.Errorf("dpfs: %s: server returned %d bytes, want %d", f.info.Path, len(resp.Data), moved)
 	}
 
-	// Scatter the response into the caller's buffer.
+	// Scatter the response into the caller's buffer, walking the bricks
+	// in the order their ranges were requested.
 	pos := int64(0)
 	for bi := range r.Bricks {
 		b := &r.Bricks[bi]
-		if wholeBrick {
-			blen := g.BrickBytesOf(b.Brick)
-			brickData := resp.Data[pos : pos+blen]
-			for _, seg := range b.Segs {
-				copy(buf[seg.MemOff:seg.MemOff+seg.Len], brickData[seg.BrickOff:seg.BrickOff+seg.Len])
+		if exact {
+			for _, seg := range brickOrder(b.Segs) {
+				copy(buf[seg.MemOff:seg.MemOff+seg.Len], resp.Data[pos:pos+seg.Len])
+				pos += seg.Len
 			}
-			if fill {
-				// Put copies: brickData aliases the pooled scratch.
-				dc.Put(cache.BrickKey{Path: f.info.Path, Gen: f.info.Generation, Brick: b.Brick}, brickData, fillTok)
-			}
-			pos += blen
 			continue
 		}
-		for _, seg := range brickOrder(b.Segs) {
-			copy(buf[seg.MemOff:seg.MemOff+seg.Len], resp.Data[pos:pos+seg.Len])
-			pos += seg.Len
+		lo, hi := f.fetchRange(b, fill)
+		got := resp.Data[pos : pos+hi-lo]
+		for _, seg := range b.Segs {
+			copy(buf[seg.MemOff:seg.MemOff+seg.Len], got[seg.BrickOff-lo:seg.BrickOff-lo+seg.Len])
 		}
+		if fill {
+			// Put copies: got aliases the pooled scratch.
+			dc.Put(cache.BrickKey{Path: f.info.Path, Gen: f.info.Generation, Brick: b.Brick}, got, fillTok)
+		}
+		pos += hi - lo
 	}
 	return nil
 }

@@ -31,26 +31,6 @@ const muxReadSlack = 500 * time.Millisecond
 // errClientClosed fails calls in flight when the mux shuts down.
 var errClientClosed = errors.New("dpfs: client closed")
 
-// muxBufPool recycles demux-side response accumulation buffers. The
-// reader cannot fill a caller's scratch buffer directly — a caller
-// that times out reclaims its scratch while the reader may still be
-// mid-frame — so DATA frames accumulate here and are copied into
-// scratch only at delivery, after the tag can no longer be abandoned.
-var muxBufPool sync.Pool
-
-func muxGetBuf() []byte {
-	if v := muxBufPool.Get(); v != nil {
-		return v.([]byte)[:0]
-	}
-	return nil
-}
-
-func muxPutBuf(b []byte) {
-	if cap(b) > 0 {
-		muxBufPool.Put(b[:0]) //nolint:staticcheck // slice header alloc is fine here
-	}
-}
-
 // mux multiplexes a Client's requests over a small set of wire-v2
 // connections: each request gets a tag, frames of different tags
 // interleave on one conn, and a per-conn demux reader routes response
@@ -72,11 +52,12 @@ type muxConn struct {
 	m    *mux
 	conn net.Conn
 
-	// wmu serializes frame writes. A request's REQ+DATA frames are
-	// written under one hold (the server reads payloads inline, so they
-	// must stay contiguous); CANCEL frames use TryLock and skip when the
-	// conn is busy writing.
+	// wmu serializes frame writes and guards fw. A request's REQ+DATA
+	// frames are written under one hold (the server reads payloads
+	// inline, so they must stay contiguous); CANCEL frames use TryLock
+	// and skip when the conn is busy writing.
 	wmu sync.Mutex
+	fw  *wire.FrameWriter
 
 	// inflight reserves window slots: incremented under mux.mu when a
 	// caller picks this conn, decremented (atomically, lock-free) when
@@ -94,11 +75,21 @@ type muxConn struct {
 // muxCall is one in-flight tagged request.
 type muxCall struct {
 	deadline time.Time // per-attempt deadline (zero = unbounded)
-	scratch  []byte    // caller's response buffer, filled at delivery
-	buf      []byte    // reader-owned DATA accumulation
 	resp     *wire.Response
 	err      error
 	done     chan struct{}
+
+	// data is the response payload landed so far. It starts as the
+	// caller's scratch, emptied, and the demux reader reads DATA frames
+	// straight into it. The caller takes its scratch back the moment it
+	// gives up on the call, so the reader touches data only under
+	// landing, which it takes (under muxConn.mu, while the tag is still
+	// pending) for the length of one frame body; whoever retires the tag
+	// without the reader — abandon, a conn failure — removes it from
+	// pending and then waits landing out, after which the reader can
+	// never reach data again.
+	landing sync.Mutex
+	data    []byte
 }
 
 func newMux(c *Client, window int) *mux {
@@ -124,7 +115,7 @@ func (m *mux) attempt(ctx context.Context, req *wire.Request, scratch []byte) (*
 			deadline, hasDeadline = d, true
 		}
 	}
-	call := &muxCall{scratch: scratch, done: make(chan struct{})}
+	call := &muxCall{data: scratch[:0], done: make(chan struct{})}
 	if hasDeadline {
 		call.deadline = deadline
 	}
@@ -139,7 +130,7 @@ func (m *mux) attempt(ctx context.Context, req *wire.Request, scratch []byte) (*
 	} else {
 		_ = mc.conn.SetWriteDeadline(time.Time{})
 	}
-	err = wire.WriteRequestV2(mc.conn, tag, req)
+	err = mc.fw.WriteRequest(tag, req)
 	mc.wmu.Unlock()
 	if err != nil {
 		// A partial frame write desynchronizes the stream for every tag
@@ -233,7 +224,7 @@ func (m *mux) grab(ctx context.Context) (*muxConn, error) {
 		conn.Close()
 		return nil, errClientClosed
 	}
-	mc := &muxConn{m: m, conn: conn, pending: make(map[uint32]*muxCall)}
+	mc := &muxConn{m: m, conn: conn, fw: wire.NewFrameWriter(conn), pending: make(map[uint32]*muxCall)}
 	m.conns = append(m.conns, mc)
 	mc.inflight.Add(1)
 	m.mu.Unlock()
@@ -291,25 +282,35 @@ func (mc *muxConn) register(call *muxCall) (uint32, error) {
 // abandon gives up on tag (caller timeout or context cancel). It
 // reports whether the tag was still pending: false means delivery or
 // conn failure claimed it first and the caller must take the result
-// from call.done instead — that handshake is what makes it safe for
-// the caller to reuse its scratch buffer right after a true return.
-// A best-effort CANCEL frame tells the server to stop working on the
-// tag; the demux reader discards any frames that were already in
-// flight for it.
+// from call.done instead. After a true return the demux reader is done
+// with the caller's scratch for good (see muxCall.landing), so the
+// caller may reuse it at once. A best-effort CANCEL frame tells the
+// server to stop working on the tag; the demux reader discards any
+// frames that were already in flight for it.
 func (mc *muxConn) abandon(tag uint32) bool {
 	mc.mu.Lock()
-	if _, ok := mc.pending[tag]; !ok {
+	call, ok := mc.pending[tag]
+	if !ok {
 		mc.mu.Unlock()
 		return false
 	}
 	delete(mc.pending, tag)
 	mc.transitionLocked()
+	if !call.landing.TryLock() {
+		// The reader is inside a DATA frame of this very tag. The rest
+		// of that frame is normally microseconds away; a peer that
+		// stalls mid-frame is cut off by the backstop deadline, which
+		// cannot move while mc.mu is held.
+		mc.armLocked(time.Now().Add(muxReadSlack))
+		call.landing.Lock()
+	}
+	call.landing.Unlock()
 	mc.updateDeadlineLocked()
 	mc.mu.Unlock()
 
 	if mc.wmu.TryLock() {
 		_ = mc.conn.SetWriteDeadline(time.Now().Add(time.Second))
-		_ = wire.WriteCancelFrame(mc.conn, tag)
+		_ = mc.fw.WriteCancel(tag)
 		_ = mc.conn.SetWriteDeadline(time.Time{})
 		mc.wmu.Unlock()
 	}
@@ -346,37 +347,33 @@ func (mc *muxConn) updateDeadlineLocked() {
 	if mc.dead {
 		return
 	}
-	if len(mc.pending) == 0 {
-		if !mc.armed.IsZero() {
-			_ = mc.conn.SetReadDeadline(time.Time{})
-			mc.armed = time.Time{}
-		}
-		return
-	}
 	var max time.Time
 	for _, c := range mc.pending {
 		if c.deadline.IsZero() {
-			if !mc.armed.IsZero() {
-				_ = mc.conn.SetReadDeadline(time.Time{})
-				mc.armed = time.Time{}
-			}
-			return
+			max = time.Time{}
+			break
 		}
-		if c.deadline.After(max) {
-			max = c.deadline
+		if d := c.deadline.Add(muxReadSlack); d.After(max) {
+			max = d
 		}
 	}
-	d := max.Add(muxReadSlack)
+	mc.armLocked(max)
+}
+
+// armLocked sets the conn's read deadline to d (zero clears it),
+// skipping the call when it is already armed so. Called with mc.mu
+// held.
+func (mc *muxConn) armLocked(d time.Time) {
 	if !d.Equal(mc.armed) {
 		_ = mc.conn.SetReadDeadline(d)
 		mc.armed = d
 	}
 }
 
-// readLoop is the demux reader: it owns the conn's read side, routing
-// DATA frames into per-tag accumulation buffers and RESP frames to
-// their waiting callers. Any read or framing error is a conn fault
-// that fails exactly the tags in flight on this conn.
+// readLoop is the demux reader: it owns the conn's read side, landing
+// DATA frames directly in their callers' buffers and routing RESP
+// frames to the waiting callers. Any read or framing error is a conn
+// fault that fails exactly the tags in flight on this conn.
 func (mc *muxConn) readLoop() {
 	br := bufio.NewReaderSize(mc.conn, 64<<10)
 	for {
@@ -389,27 +386,21 @@ func (mc *muxConn) readLoop() {
 		case wire.FrameData:
 			mc.mu.Lock()
 			call := mc.pending[h.Tag]
+			if call != nil {
+				call.landing.Lock()
+			}
 			mc.mu.Unlock()
 			if call == nil {
 				// Abandoned or unknown tag: drain and drop.
-				if err := wire.DiscardFrameBody(br, h); err != nil {
-					mc.fail(err)
-					return
+				err = wire.DiscardFrameBody(br, h)
+			} else {
+				var data []byte
+				if data, err = wire.ReadDataInto(br, call.data, int(h.Len)); err == nil {
+					call.data = data
 				}
-				continue
+				call.landing.Unlock()
 			}
-			if call.buf == nil {
-				call.buf = muxGetBuf()
-			}
-			off := len(call.buf)
-			need := off + int(h.Len)
-			if cap(call.buf) < need {
-				grown := make([]byte, off, need)
-				copy(grown, call.buf)
-				call.buf = grown
-			}
-			call.buf = call.buf[:need]
-			if _, err := io.ReadFull(br, call.buf[off:]); err != nil {
+			if err != nil {
 				mc.fail(err)
 				return
 			}
@@ -437,9 +428,9 @@ func (mc *muxConn) readLoop() {
 	}
 }
 
-// deliver completes tag with resp. Once the tag is removed from pending
-// (under mc.mu) the caller can no longer abandon it, so copying the
-// accumulated payload into the caller's scratch afterwards is safe.
+// deliver completes tag with resp. Only the reader lands data and only
+// the reader delivers, so the payload is complete here; closing done
+// hands it to the caller.
 func (mc *muxConn) deliver(tag uint32, resp *wire.Response, dataLen int64) {
 	mc.mu.Lock()
 	call := mc.pending[tag]
@@ -452,22 +443,13 @@ func (mc *muxConn) deliver(tag uint32, resp *wire.Response, dataLen int64) {
 	mc.updateDeadlineLocked()
 	mc.mu.Unlock()
 
+	// An error reported mid-stream abandons whatever data preceded it.
 	if resp.Err == "" {
-		switch {
-		case dataLen != int64(len(call.buf)):
-			call.err = fmt.Errorf("wire: response announced %d data bytes, received %d", dataLen, len(call.buf))
-		case len(call.buf) > 0:
-			if cap(call.scratch) >= len(call.buf) {
-				n := copy(call.scratch[:cap(call.scratch)], call.buf)
-				resp.Data = call.scratch[:n]
-				muxPutBuf(call.buf)
-			} else {
-				resp.Data = call.buf
-			}
+		if dataLen != int64(len(call.data)) {
+			call.err = fmt.Errorf("wire: response announced %d data bytes, received %d", dataLen, len(call.data))
+		} else if len(call.data) > 0 {
+			resp.Data = call.data
 		}
-	} else if call.buf != nil {
-		// An error reported mid-stream abandons whatever data preceded it.
-		muxPutBuf(call.buf)
 	}
 	call.resp = resp
 	close(call.done)
@@ -503,6 +485,11 @@ func (mc *muxConn) failQuiet(err error) bool {
 	mc.conn.Close()
 	mc.m.remove(mc)
 	for _, call := range pending {
+		// Closing the conn has thrown the reader out of any frame it
+		// was landing; wait that out before the caller gets its scratch
+		// back.
+		call.landing.Lock()
+		call.landing.Unlock() //nolint:staticcheck // empty critical section: a barrier, not a guard
 		call.err = err
 		close(call.done)
 	}

@@ -495,7 +495,7 @@ func (s *Server) handleConn(conn net.Conn) {
 // frame reader.
 func (s *Server) handleConnV2(connCtx context.Context, cancel context.CancelFunc, conn net.Conn, first byte) {
 	br := bufio.NewReaderSize(io.MultiReader(bytes.NewReader([]byte{first}), conn), 64<<10)
-	var wmu sync.Mutex // serializes response frames across tag handlers
+	out := &v2Out{fw: wire.NewFrameWriter(conn)}
 	var wg sync.WaitGroup
 	// Handlers must finish (and flush) before handleConn closes the
 	// conn; the read loop's exit cancels connCtx first so ops aborted
@@ -536,7 +536,7 @@ func (s *Server) handleConnV2(connCtx context.Context, cancel context.CancelFunc
 			wg.Add(1)
 			go func(tag uint32, req *wire.Request) {
 				defer wg.Done()
-				s.serveTagV2(reqCtx, conn, st, &wmu, tag, req)
+				s.serveTagV2(reqCtx, conn, st, out, tag, req)
 				reqCancel()
 				cmu.Lock()
 				delete(tagCancels, tag)
@@ -568,18 +568,26 @@ func (s *Server) handleConnV2(connCtx context.Context, cancel context.CancelFunc
 	}
 }
 
+// v2Out is the write side of one wire-v2 session: mu serializes
+// response frames across the session's tag handlers and guards fw.
+type v2Out struct {
+	mu sync.Mutex
+	fw *wire.FrameWriter
+}
+
 // serveTagV2 runs one tagged request and writes its response frames.
 // Read payloads stream as DATA frames chunk by chunk (the write mutex
 // is held per frame, so a large read does not block other tags'
-// responses); the RESP trailer then closes the tag — carrying the
-// error when the op failed, even mid-stream, which is why a failed
-// read no longer costs the connection.
-func (s *Server) serveTagV2(ctx context.Context, conn net.Conn, st *connState, wmu *sync.Mutex, tag uint32, req *wire.Request) {
+// responses); the RESP trailer then closes the tag — with the read's
+// last chunk riding in the same write, and carrying the error when the
+// op failed, even mid-stream, which is why a failed read no longer
+// costs the connection.
+func (s *Server) serveTagV2(ctx context.Context, conn net.Conn, st *connState, out *v2Out, tag uint32, req *wire.Request) {
 	var wErr error
 	emit := func(chunk []byte) error {
-		wmu.Lock()
-		err := wire.WriteDataFrame(conn, tag, chunk)
-		wmu.Unlock()
+		out.mu.Lock()
+		err := out.fw.WriteData(tag, chunk)
+		out.mu.Unlock()
 		if err != nil {
 			wErr = err
 		}
@@ -598,9 +606,9 @@ func (s *Server) serveTagV2(ctx context.Context, conn net.Conn, st *connState, w
 		return
 	}
 	s.attachDelta(st, resp)
-	wmu.Lock()
-	err := wire.WriteResponseV2(conn, tag, resp, streamed)
-	wmu.Unlock()
+	out.mu.Lock()
+	err := out.fw.WriteResponse(tag, resp, streamed)
+	out.mu.Unlock()
 	if req.Op == wire.OpRead && resp.Data != nil {
 		putReadBuf(resp.Data)
 	}
@@ -805,9 +813,9 @@ func (s *Server) opCopy(ctx context.Context, req *wire.Request) (*wire.Response,
 		dst = append(dst, d)
 		src = append(src, sr)
 	}
-	total := wire.DataBytes(dst)
-	if total < 0 || total > wire.MaxMessage {
-		return nil, fmt.Errorf("copy of %d bytes out of range", total)
+	total, err := checkExtents("copy", src)
+	if err != nil {
+		return nil, err
 	}
 	if err := s.checkGen(req.Path, req.Gen, false); err != nil {
 		return nil, err
@@ -830,7 +838,7 @@ func (s *Server) opCopy(ctx context.Context, req *wire.Request) (*wire.Response,
 		// Local generation bump: the source is a superseded generation
 		// of this same subfile, so the read must bypass the generation
 		// check that the entry checkGen above just advanced.
-		data, err = s.readLocal(ctx, srcPath, srcGen, src, wire.DataBytes(src))
+		data, err = s.readLocal(ctx, srcPath, srcGen, src, total)
 		if err != nil {
 			return nil, fmt.Errorf("copy local source: %w", err)
 		}
@@ -1083,10 +1091,38 @@ func (s *Server) drop(local string) {
 	s.mu.Unlock()
 }
 
-func (s *Server) opRead(ctx context.Context, req *wire.Request) (*wire.Response, error) {
-	total := wire.DataBytes(req.Extents)
+// checkExtents validates a data op's extents and returns the bytes
+// they cover. It runs before any buffer is taken or span opened, so
+// the I/O loops below need no early exits for malformed input.
+func checkExtents(op string, exts []wire.Extent) (int64, error) {
+	for _, e := range exts {
+		if e.Len < 0 || e.Off < 0 {
+			return 0, fmt.Errorf("invalid extent [%d,%d)", e.Off, e.Off+e.Len)
+		}
+	}
+	total := wire.DataBytes(exts)
 	if total < 0 || total > wire.MaxMessage {
-		return nil, fmt.Errorf("read of %d bytes out of range", total)
+		return 0, fmt.Errorf("%s of %d bytes out of range", op, total)
+	}
+	return total, nil
+}
+
+// preadFull reads len(dst) bytes of the subfile at off; bytes past EOF
+// read as zeros (hole semantics). A failure counts as a disk error.
+func (s *Server) preadFull(sf *subfile, dst []byte, off int64) error {
+	n, err := sf.f.ReadAt(dst, off)
+	if err != nil && err != io.EOF {
+		s.reg.Counter(MetricDiskErrors).Inc()
+		return err
+	}
+	clear(dst[n:])
+	return nil
+}
+
+func (s *Server) opRead(ctx context.Context, req *wire.Request) (*wire.Response, error) {
+	total, err := checkExtents("read", req.Extents)
+	if err != nil {
+		return nil, err
 	}
 	if _, err := s.cfg.Model.Delay(ctx, len(req.Extents), total); err != nil {
 		return nil, err
@@ -1101,47 +1137,36 @@ func (s *Server) opRead(ctx context.Context, req *wire.Request) (*wire.Response,
 	return &wire.Response{Data: buf, N: total}, nil
 }
 
-// readLocal reads extents of one generationed subfile into a pooled
-// buffer (return it with putReadBuf), bypassing the generation check:
-// the caller has already enforced it, or is opCopy deliberately
-// reading a superseded generation as its local copy source. A missing
-// subfile and bytes past EOF read as zeros, matching hole semantics
-// (client-side geometry guarantees the extents are within the file's
-// logical size).
+// readLocal reads extents (already validated, total bytes) of one
+// generationed subfile into a pooled buffer (return it with
+// putReadBuf), bypassing the generation check: the caller has already
+// enforced it, or is opCopy deliberately reading a superseded
+// generation as its local copy source. A missing subfile and bytes
+// past EOF read as zeros, matching hole semantics (client-side geometry
+// guarantees the extents are within the file's logical size).
 func (s *Server) readLocal(ctx context.Context, path string, gen int64, exts []wire.Extent, total int64) ([]byte, error) {
 	sf, err := s.open(subfileName(path, gen), false)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			zeros := getReadBuf(total)
-			for i := range zeros {
-				zeros[i] = 0
-			}
-			return zeros, nil
-		}
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, err
 	}
 	buf := getReadBuf(total)
+	if sf == nil {
+		clear(buf)
+		return buf, nil
+	}
+	sio := s.beginSubfileIO(ctx, "read", exts, total)
 	pos := int64(0)
-	sub := s.subfileSpan(ctx, "read", exts, total)
-	ioStart := time.Now()
 	for _, e := range exts {
-		if e.Len < 0 || e.Off < 0 {
-			return nil, fmt.Errorf("invalid extent [%d,%d)", e.Off, e.Off+e.Len)
-		}
-		n, err := sf.f.ReadAt(buf[pos:pos+e.Len], e.Off)
-		if err != nil && err != io.EOF {
-			s.reg.Counter(MetricDiskErrors).Inc()
-			return nil, err
-		}
-		for i := pos + int64(n); i < pos+e.Len; i++ {
-			buf[i] = 0
+		if err = s.preadFull(sf, buf[pos:pos+e.Len], e.Off); err != nil {
+			break
 		}
 		pos += e.Len
 	}
-	if sub != nil {
-		sub.End()
+	sio.end(s)
+	if err != nil {
+		putReadBuf(buf)
+		return nil, err
 	}
-	s.reg.Histogram(MetricSubfileIO).Record(time.Since(ioStart).Microseconds())
 	return buf, nil
 }
 
@@ -1149,13 +1174,16 @@ func (s *Server) readLocal(ctx context.Context, path string, gen int64, exts []w
 // whole payload, it reads extents through one pooled StreamChunk-sized
 // buffer and pushes each filled chunk through emit (a DATA frame), so
 // a large brick read holds O(StreamChunk) memory and other tags'
-// frames interleave between chunks. Semantics match opRead/readLocal
-// exactly — netsim delay, generation check, and zeros for a missing
-// subfile or reads past EOF.
+// frames interleave between chunks. The last chunk — for a read of up
+// to StreamChunk bytes, the only one — is not emitted but returned as
+// the response's Data (the caller returns it with putReadBuf), so it
+// leaves in the same write as the RESP trailer. Semantics match
+// opRead/readLocal exactly — netsim delay, generation check, and zeros
+// for a missing subfile or reads past EOF.
 func (s *Server) opReadStream(ctx context.Context, req *wire.Request, emit func([]byte) error) (*wire.Response, error) {
-	total := wire.DataBytes(req.Extents)
-	if total < 0 || total > wire.MaxMessage {
-		return nil, fmt.Errorf("read of %d bytes out of range", total)
+	total, err := checkExtents("read", req.Extents)
+	if err != nil {
+		return nil, err
 	}
 	if _, err := s.cfg.Model.Delay(ctx, len(req.Extents), total); err != nil {
 		return nil, err
@@ -1163,94 +1191,80 @@ func (s *Server) opReadStream(ctx context.Context, req *wire.Request, emit func(
 	if err := s.checkGen(req.Path, req.Gen, false); err != nil {
 		return nil, err
 	}
-	var sf *subfile
-	missing := false
-	if f, err := s.open(subfileName(req.Path, req.Gen), false); err == nil {
-		sf = f
-	} else if errors.Is(err, fs.ErrNotExist) {
-		missing = true // whole subfile reads as zeros (hole semantics)
-	} else {
+	// A missing subfile reads as zeros throughout (hole semantics).
+	sf, err := s.open(subfileName(req.Path, req.Gen), false)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, err
 	}
-	chunkCap := int64(wire.StreamChunk)
-	if total < chunkCap {
-		chunkCap = total
-	}
-	chunk := getReadBuf(chunkCap)
-	defer putReadBuf(chunk)
-	pend := int64(0)
-	flush := func() error {
-		if pend == 0 {
-			return nil
-		}
-		err := emit(chunk[:pend])
-		pend = 0
-		return err
-	}
-	sub := s.subfileSpan(ctx, "read", req.Extents, total)
-	ioStart := time.Now()
-	for _, e := range req.Extents {
-		if e.Len < 0 || e.Off < 0 {
-			return nil, fmt.Errorf("invalid extent [%d,%d)", e.Off, e.Off+e.Len)
-		}
-		off, rem := e.Off, e.Len
-		for rem > 0 {
-			take := rem
-			if room := chunkCap - pend; take > room {
-				take = room
-			}
-			dst := chunk[pend : pend+take]
-			if missing {
-				for i := range dst {
-					dst[i] = 0
-				}
-			} else {
-				n, err := sf.f.ReadAt(dst, off)
-				if err != nil && err != io.EOF {
-					s.reg.Counter(MetricDiskErrors).Inc()
-					return nil, err
-				}
-				for i := n; i < len(dst); i++ {
-					dst[i] = 0
-				}
-			}
-			pend += take
-			off += take
-			rem -= take
-			if pend == chunkCap {
-				if err := flush(); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	if err := flush(); err != nil {
+	chunk := getReadBuf(min(total, wire.StreamChunk))
+	sio := s.beginSubfileIO(ctx, "read", req.Extents, total)
+	pend, err := s.streamExtents(sf, req.Extents, chunk, emit)
+	sio.end(s)
+	if err != nil {
+		putReadBuf(chunk)
 		return nil, err
 	}
-	if sub != nil {
-		sub.End()
-	}
-	s.reg.Histogram(MetricSubfileIO).Record(time.Since(ioStart).Microseconds())
-	return &wire.Response{N: total}, nil
+	return &wire.Response{Data: chunk[:pend], N: total}, nil
 }
 
-// subfileSpan opens a server.subfile child span under the request's
-// span (nil when the request is untraced), covering the local I/O
-// loop that MetricSubfileIO times.
-func (s *Server) subfileSpan(ctx context.Context, op string, exts []wire.Extent, total int64) *obs.Span {
-	sp := obs.SpanFromContext(ctx)
-	if sp == nil {
-		return nil
+// streamExtents reads exts of sf (nil: all zeros) through chunk,
+// emitting it each time it fills and more follows, and returns how
+// much of chunk the unemitted tail occupies.
+func (s *Server) streamExtents(sf *subfile, exts []wire.Extent, chunk []byte, emit func([]byte) error) (pend int, err error) {
+	for _, e := range exts {
+		for off, end := e.Off, e.Off+e.Len; off < end; {
+			if pend == len(chunk) {
+				if err := emit(chunk); err != nil {
+					return 0, err
+				}
+				pend = 0
+			}
+			take := int(min(end-off, int64(len(chunk)-pend)))
+			dst := chunk[pend : pend+take]
+			if sf == nil {
+				clear(dst)
+			} else if err := s.preadFull(sf, dst, off); err != nil {
+				return 0, err
+			}
+			pend += take
+			off += int64(take)
+		}
 	}
-	sub := sp.Child("server.subfile")
-	sub.Op = op
-	sub.Extents = len(exts)
-	sub.Bytes = total
-	return sub
+	return pend, nil
+}
+
+// subfileIO covers one data op's local I/O loop: the server.subfile
+// child span under the request's span (nil when the request is
+// untraced) and the start of the time MetricSubfileIO records. Every
+// path out of the loop goes through end.
+type subfileIO struct {
+	sub   *obs.Span
+	start time.Time
+}
+
+func (s *Server) beginSubfileIO(ctx context.Context, op string, exts []wire.Extent, total int64) subfileIO {
+	var sub *obs.Span
+	if sp := obs.SpanFromContext(ctx); sp != nil {
+		sub = sp.Child("server.subfile")
+		sub.Op = op
+		sub.Extents = len(exts)
+		sub.Bytes = total
+	}
+	return subfileIO{sub: sub, start: time.Now()}
+}
+
+func (io subfileIO) end(s *Server) {
+	if io.sub != nil {
+		io.sub.End()
+	}
+	s.reg.Histogram(MetricSubfileIO).Record(time.Since(io.start).Microseconds())
 }
 
 func (s *Server) opWrite(ctx context.Context, req *wire.Request) (*wire.Response, error) {
-	total := wire.DataBytes(req.Extents)
+	total, err := checkExtents("write", req.Extents)
+	if err != nil {
+		return nil, err
+	}
 	if total != int64(len(req.Data)) {
 		return nil, fmt.Errorf("write carries %d bytes for %d bytes of extents", len(req.Data), total)
 	}
@@ -1264,23 +1278,19 @@ func (s *Server) opWrite(ctx context.Context, req *wire.Request) (*wire.Response
 	if err != nil {
 		return nil, err
 	}
+	sio := s.beginSubfileIO(ctx, "write", req.Extents, total)
 	pos := int64(0)
-	sub := s.subfileSpan(ctx, "write", req.Extents, total)
-	ioStart := time.Now()
 	for _, e := range req.Extents {
-		if e.Len < 0 || e.Off < 0 {
-			return nil, fmt.Errorf("invalid extent [%d,%d)", e.Off, e.Off+e.Len)
-		}
-		if _, err := sf.f.WriteAt(req.Data[pos:pos+e.Len], e.Off); err != nil {
+		if _, err = sf.f.WriteAt(req.Data[pos:pos+e.Len], e.Off); err != nil {
 			s.reg.Counter(MetricDiskErrors).Inc()
-			return nil, err
+			break
 		}
 		pos += e.Len
 	}
-	if sub != nil {
-		sub.End()
+	sio.end(s)
+	if err != nil {
+		return nil, err
 	}
-	s.reg.Histogram(MetricSubfileIO).Record(time.Since(ioStart).Microseconds())
 	return &wire.Response{N: total}, nil
 }
 

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 )
 
 const (
@@ -132,99 +133,128 @@ func DiscardFrameBody(r io.Reader, h FrameHeader) error {
 	return err
 }
 
-// encodeRequestMetaV2 builds the REQ frame (header + metadata body) for
-// req under tag. Body layout: u64 trace ID, u64 parent span ID, u8 op,
-// u8 reserved, u16 path length, path, u64 generation, u32 extent count,
-// 16 bytes per extent, u32 payload length. The sampled bit travels in
-// the frame header's flags.
-func encodeRequestMetaV2(tag uint32, req *Request) ([]byte, error) {
+// FrameWriter sends v2 frames on one connection. Frame headers and
+// metadata bodies are built in a scratch the writer keeps, and the
+// buffer vector is reused, so a steady-state frame costs no allocation;
+// payload bytes are referenced, never copied, and each message leaves
+// in one vectored write. A FrameWriter is not safe for concurrent use:
+// whoever holds the connection's write lock owns it.
+type FrameWriter struct {
+	w    io.Writer
+	meta []byte      // every header and metadata body of the message being built
+	vec  [][]byte    // backing array of the buffer vector, reused across messages
+	out  net.Buffers // the vector handed to WriteTo, which consumes it
+}
+
+// NewFrameWriter returns a FrameWriter sending to w.
+func NewFrameWriter(w io.Writer) *FrameWriter { return &FrameWriter{w: w} }
+
+// begin starts a message whose headers and metadata need at most n
+// bytes of scratch. Reserving up front keeps the scratch from moving
+// while the vector points into it.
+func (fw *FrameWriter) begin(n int) {
+	if cap(fw.meta) < n {
+		fw.meta = make([]byte, 0, n)
+	}
+	if fw.vec == nil {
+		fw.vec = make([][]byte, 0, 8) // a response with its tail chunk is 3 pieces
+	}
+	fw.meta = fw.meta[:0]
+	fw.vec = fw.vec[:0]
+}
+
+// flush sends the message in one vectored write.
+func (fw *FrameWriter) flush() error {
+	fw.out = fw.vec
+	_, err := fw.out.WriteTo(fw.w)
+	for i := range fw.vec {
+		fw.vec[i] = nil // drop payload references until the next message
+	}
+	return err
+}
+
+// header appends a frame header to the scratch and the vector and
+// returns it — with the scratch's spare capacity behind it, so a body
+// appended to the scratch next can leave as the same piece.
+func (fw *FrameWriter) header(h FrameHeader) []byte {
+	n := len(fw.meta)
+	fw.meta = fw.meta[:n+FrameHeaderLen]
+	putFrameHeader(fw.meta[n:], h)
+	fw.vec = append(fw.vec, fw.meta[n:])
+	return fw.meta[n:]
+}
+
+// dataFrames splits the payload slices into DATA frames of at most
+// StreamChunk bytes each and appends (header, chunk pieces...) to the
+// vector.
+func (fw *FrameWriter) dataFrames(tag uint32, segs ...[]byte) {
+	var hdr []byte // header of the frame being filled
+	room := 0
+	for _, s := range segs {
+		for len(s) > 0 {
+			if room == 0 {
+				hdr = fw.header(FrameHeader{Kind: FrameData, Tag: tag})
+				room = StreamChunk
+			}
+			take := min(len(s), room)
+			fw.vec = append(fw.vec, s[:take])
+			room -= take
+			binary.LittleEndian.PutUint32(hdr[8:12], uint32(StreamChunk-room))
+			s = s[take:]
+		}
+	}
+}
+
+// dataHeaders bounds the header scratch the DATA frames of an n-byte
+// payload need.
+func dataHeaders(n int) int { return (n/StreamChunk + 1) * FrameHeaderLen }
+
+// WriteRequest frames and sends a request under tag: one REQ frame
+// followed by the payload as contiguous DATA frames. REQ body layout:
+// u64 trace ID, u64 parent span ID, u8 op, u8 reserved, u16 path
+// length, path, u64 generation, u32 extent count, 16 bytes per extent,
+// u32 payload length. The sampled bit travels in the frame header's
+// flags.
+func (fw *FrameWriter) WriteRequest(tag uint32, req *Request) error {
 	if len(req.Path) > 0xFFFF {
-		return nil, errors.New("wire: path too long")
+		return errors.New("wire: path too long")
 	}
 	dlen := req.PayloadLen()
 	n := 8 + 8 + 1 + 1 + 2 + len(req.Path) + 8 + 4 + 16*len(req.Extents) + 4
-	buf := make([]byte, FrameHeaderLen, FrameHeaderLen+n)
+	fw.begin(FrameHeaderLen + n + dataHeaders(dlen))
 	var flags uint8
 	if req.Sampled {
 		flags |= FlagSampled
 	}
-	putFrameHeader(buf, FrameHeader{Kind: FrameReq, Flags: flags, Tag: tag, Len: uint32(n)})
-
-	var tmp [16]byte
-	binary.LittleEndian.PutUint64(tmp[:8], req.TraceID)
-	binary.LittleEndian.PutUint64(tmp[8:16], req.SpanID)
-	buf = append(buf, tmp[:16]...)
-	buf = append(buf, byte(req.Op), 0)
-	binary.LittleEndian.PutUint16(tmp[:2], uint16(len(req.Path)))
-	buf = append(buf, tmp[:2]...)
-	buf = append(buf, req.Path...)
-	binary.LittleEndian.PutUint64(tmp[:8], uint64(req.Gen))
-	buf = append(buf, tmp[:8]...)
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(req.Extents)))
-	buf = append(buf, tmp[:4]...)
+	hdr := fw.header(FrameHeader{Kind: FrameReq, Flags: flags, Tag: tag, Len: uint32(n)})
+	le := binary.LittleEndian
+	b := fw.meta
+	b = le.AppendUint64(b, req.TraceID)
+	b = le.AppendUint64(b, req.SpanID)
+	b = append(b, byte(req.Op), 0)
+	b = le.AppendUint16(b, uint16(len(req.Path)))
+	b = append(b, req.Path...)
+	b = le.AppendUint64(b, uint64(req.Gen))
+	b = le.AppendUint32(b, uint32(len(req.Extents)))
 	for _, e := range req.Extents {
-		binary.LittleEndian.PutUint64(tmp[:8], uint64(e.Off))
-		binary.LittleEndian.PutUint64(tmp[8:16], uint64(e.Len))
-		buf = append(buf, tmp[:16]...)
+		b = le.AppendUint64(b, uint64(e.Off))
+		b = le.AppendUint64(b, uint64(e.Len))
 	}
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(dlen))
-	buf = append(buf, tmp[:4]...)
-	return buf, nil
-}
-
-// appendDataFrames splits the payload slices into DATA frames of at
-// most StreamChunk bytes each and appends (header, chunk pieces...) to
-// bufs. Segment slices are referenced, never copied: the scatter
-// payload reaches the socket through one vectored write, exactly like
-// the v1 zero-copy path.
-func appendDataFrames(bufs net.Buffers, tag uint32, segs [][]byte) net.Buffers {
-	var pending [][]byte
-	var pendingLen int
-	flush := func() net.Buffers {
-		if pendingLen == 0 {
-			return bufs
-		}
-		hdr := make([]byte, FrameHeaderLen)
-		putFrameHeader(hdr, FrameHeader{Kind: FrameData, Tag: tag, Len: uint32(pendingLen)})
-		bufs = append(bufs, hdr)
-		bufs = append(bufs, pending...)
-		pending, pendingLen = nil, 0
-		return bufs
-	}
-	for _, s := range segs {
-		for len(s) > 0 {
-			room := StreamChunk - pendingLen
-			take := len(s)
-			if take > room {
-				take = room
-			}
-			pending = append(pending, s[:take])
-			pendingLen += take
-			s = s[take:]
-			if pendingLen == StreamChunk {
-				bufs = flush()
-			}
-		}
-	}
-	return flush()
-}
-
-// WriteRequestV2 frames and sends a request under tag: one REQ frame
-// followed by the payload as contiguous DATA frames, flushed in a
-// single vectored write.
-func WriteRequestV2(w io.Writer, tag uint32, req *Request) error {
-	meta, err := encodeRequestMetaV2(tag, req)
-	if err != nil {
-		return err
-	}
-	bufs := net.Buffers{meta}
+	b = le.AppendUint32(b, uint32(dlen))
+	fw.meta = b
+	fw.vec[0] = hdr[:FrameHeaderLen+n] // header and body leave as one piece
 	if req.Segments != nil {
-		bufs = appendDataFrames(bufs, tag, req.Segments)
-	} else if len(req.Data) > 0 {
-		bufs = appendDataFrames(bufs, tag, [][]byte{req.Data})
+		fw.dataFrames(tag, req.Segments...)
+	} else {
+		fw.dataFrames(tag, req.Data)
 	}
-	_, err = bufs.WriteTo(w)
-	return err
+	return fw.flush()
+}
+
+// WriteRequestV2 frames and sends one request on w. Connections that
+// send many keep a FrameWriter instead.
+func WriteRequestV2(w io.Writer, tag uint32, req *Request) error {
+	return NewFrameWriter(w).WriteRequest(tag, req)
 }
 
 // ReadRequestV2 decodes a request whose REQ frame header h was just
@@ -341,34 +371,40 @@ func ReadRequestV2(r io.Reader, h FrameHeader, alloc func(int64) []byte) (*Reque
 
 // EncodeResponseMetaV2 builds the body of a RESP frame: u16 error
 // length, error, u64 scalar, u32 total data length (the sum of the
-// DATA frames that preceded this RESP), u32 trace length, trace
-// bytes, then optionally u32 delta length and the gossip-delta bytes
-// (the section is omitted entirely when there is no delta, keeping
-// the original encoding byte-identical).
+// tag's DATA frames), u32 trace length, trace bytes, then optionally
+// u32 delta length and the gossip-delta bytes (the section is omitted
+// entirely when there is no delta, keeping the original encoding
+// byte-identical).
 func EncodeResponseMetaV2(resp *Response, dataLen int64) []byte {
+	return appendResponseMeta(make([]byte, 0, responseMetaLen(resp)), resp, dataLen)
+}
+
+// responseMetaLen is the encoded size of resp's RESP body.
+func responseMetaLen(resp *Response) int {
+	n := 2 + min(len(resp.Err), 0xFFFF) + 8 + 4 + 4 + len(resp.Trace)
+	if len(resp.Delta) > 0 {
+		n += 4 + len(resp.Delta)
+	}
+	return n
+}
+
+func appendResponseMeta(b []byte, resp *Response, dataLen int64) []byte {
 	errStr := resp.Err
 	if len(errStr) > 0xFFFF {
 		errStr = errStr[:0xFFFF]
 	}
-	n := 2 + len(errStr) + 8 + 4 + 4 + len(resp.Trace) + 4 + len(resp.Delta)
-	buf := make([]byte, 0, n)
-	var tmp [8]byte
-	binary.LittleEndian.PutUint16(tmp[:2], uint16(len(errStr)))
-	buf = append(buf, tmp[:2]...)
-	buf = append(buf, errStr...)
-	binary.LittleEndian.PutUint64(tmp[:8], uint64(resp.N))
-	buf = append(buf, tmp[:8]...)
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(dataLen))
-	buf = append(buf, tmp[:4]...)
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(resp.Trace)))
-	buf = append(buf, tmp[:4]...)
-	buf = append(buf, resp.Trace...)
+	le := binary.LittleEndian
+	b = le.AppendUint16(b, uint16(len(errStr)))
+	b = append(b, errStr...)
+	b = le.AppendUint64(b, uint64(resp.N))
+	b = le.AppendUint32(b, uint32(dataLen))
+	b = le.AppendUint32(b, uint32(len(resp.Trace)))
+	b = append(b, resp.Trace...)
 	if len(resp.Delta) > 0 {
-		binary.LittleEndian.PutUint32(tmp[:4], uint32(len(resp.Delta)))
-		buf = append(buf, tmp[:4]...)
-		buf = append(buf, resp.Delta...)
+		b = le.AppendUint32(b, uint32(len(resp.Delta)))
+		b = append(b, resp.Delta...)
 	}
-	return buf
+	return b
 }
 
 // DecodeResponseMetaV2 parses a RESP frame body. dataLen is the total
@@ -431,40 +467,53 @@ func DecodeResponseMetaV2(body []byte) (resp *Response, dataLen int64, err error
 	return resp, dataLen, nil
 }
 
-// WriteDataFrame sends one DATA frame for tag with a vectored write
-// (the chunk is referenced, not copied). Callers chunk at StreamChunk;
-// an empty chunk writes nothing.
-func WriteDataFrame(w io.Writer, tag uint32, chunk []byte) error {
+// WriteData sends one DATA frame for tag (the chunk is referenced, not
+// copied). Callers chunk at StreamChunk; an empty chunk writes nothing.
+func (fw *FrameWriter) WriteData(tag uint32, chunk []byte) error {
 	if len(chunk) == 0 {
 		return nil
 	}
-	hdr := make([]byte, FrameHeaderLen)
-	putFrameHeader(hdr, FrameHeader{Kind: FrameData, Tag: tag, Len: uint32(len(chunk))})
-	bufs := net.Buffers{hdr, chunk}
-	_, err := bufs.WriteTo(w)
-	return err
+	fw.begin(FrameHeaderLen)
+	fw.header(FrameHeader{Kind: FrameData, Tag: tag, Len: uint32(len(chunk))})
+	fw.vec = append(fw.vec, chunk)
+	return fw.flush()
 }
 
-// WriteResponseV2 frames and sends a response under tag: resp.Data (if
+// WriteResponse frames and sends a response under tag: resp.Data (if
 // any) as DATA frames, then the RESP frame whose data length covers
 // both streamed (bytes the caller already emitted as DATA frames) and
-// resp.Data.
-func WriteResponseV2(w io.Writer, tag uint32, resp *Response, streamed int64) error {
-	bufs := net.Buffers{}
-	if len(resp.Data) > 0 {
-		bufs = appendDataFrames(bufs, tag, [][]byte{resp.Data})
-	}
-	body := EncodeResponseMetaV2(resp, streamed+int64(len(resp.Data)))
-	hdr := make([]byte, FrameHeaderLen)
-	putFrameHeader(hdr, FrameHeader{Kind: FrameResp, Tag: tag, Len: uint32(len(body))})
-	bufs = append(bufs, hdr, body)
-	_, err := bufs.WriteTo(w)
-	return err
+// resp.Data — the tail of a streamed read rides with its trailer.
+func (fw *FrameWriter) WriteResponse(tag uint32, resp *Response, streamed int64) error {
+	n := responseMetaLen(resp)
+	fw.begin(dataHeaders(len(resp.Data)) + FrameHeaderLen + n)
+	fw.dataFrames(tag, resp.Data)
+	hdr := fw.header(FrameHeader{Kind: FrameResp, Tag: tag, Len: uint32(n)})
+	fw.meta = appendResponseMeta(fw.meta, resp, streamed+int64(len(resp.Data)))
+	fw.vec[len(fw.vec)-1] = hdr[:FrameHeaderLen+n] // header and body leave as one piece
+	return fw.flush()
 }
 
-// WriteCancelFrame sends a CANCEL frame for tag.
+// WriteCancel sends a CANCEL frame for tag.
+func (fw *FrameWriter) WriteCancel(tag uint32) error {
+	fw.begin(FrameHeaderLen)
+	fw.header(FrameHeader{Kind: FrameCancel, Tag: tag})
+	return fw.flush()
+}
+
+// WriteDataFrame sends one DATA frame for tag on w.
+func WriteDataFrame(w io.Writer, tag uint32, chunk []byte) error {
+	return NewFrameWriter(w).WriteData(tag, chunk)
+}
+
+// WriteResponseV2 frames and sends one response on w; see
+// FrameWriter.WriteResponse.
+func WriteResponseV2(w io.Writer, tag uint32, resp *Response, streamed int64) error {
+	return NewFrameWriter(w).WriteResponse(tag, resp, streamed)
+}
+
+// WriteCancelFrame sends a CANCEL frame for tag on w.
 func WriteCancelFrame(w io.Writer, tag uint32) error {
-	return WriteFrameHeader(w, FrameHeader{Kind: FrameCancel, Tag: tag})
+	return NewFrameWriter(w).WriteCancel(tag)
 }
 
 // ReadResponseV2Into reads DATA frames and the closing RESP frame for
@@ -488,7 +537,7 @@ func ReadResponseV2Into(r io.Reader, tag uint32, scratch []byte) (*Response, err
 			if h.Tag != tag {
 				return nil, fmt.Errorf("wire: DATA for unexpected tag %d", h.Tag)
 			}
-			data, err = readInto(r, data, int(h.Len))
+			data, err = ReadDataInto(r, data, int(h.Len))
 			if err != nil {
 				return nil, err
 			}
@@ -524,17 +573,17 @@ func ReadResponseV2Into(r io.Reader, tag uint32, scratch []byte) (*Response, err
 	}
 }
 
-// readInto appends n bytes from r to data, growing it as needed while
-// reusing its backing array (the scratch buffer) when capacity allows.
-func readInto(r io.Reader, data []byte, n int) ([]byte, error) {
+// ReadDataInto appends the n-byte body of a DATA frame from r to data,
+// landing it in data's spare capacity (the caller's scratch) and
+// allocating only when that is too small. Both v2 response readers —
+// ReadResponseV2Into and the client mux's demux reader — land payloads
+// through it.
+func ReadDataInto(r io.Reader, data []byte, n int) ([]byte, error) {
 	off := len(data)
-	if off+n <= cap(data) {
-		data = data[:off+n]
-	} else {
-		grown := make([]byte, off+n)
-		copy(grown, data)
-		data = grown
+	if off+n > MaxMessage {
+		return nil, fmt.Errorf("wire: v2 response payload exceeds %d bytes", MaxMessage)
 	}
+	data = slices.Grow(data, n)[:off+n]
 	if _, err := io.ReadFull(r, data[off:]); err != nil {
 		return nil, err
 	}

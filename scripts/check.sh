@@ -13,6 +13,8 @@
 #   7. documentation lint (godoc coverage + markdown links)
 #   8. obslint: metric names vs the frozen manifest + Prometheus
 #      exposition validity (scripts/obslint.sh)
+#   9. the benchmark module (benchmark/, its own go.mod, so the steps
+#      above do not descend into it): go vet + its -quick run as a test
 # Run from the repo root (or anywhere inside it).
 set -eu
 cd "$(dirname "$0")/.."
@@ -42,4 +44,6 @@ sh scripts/bench_smoke.sh
 sh scripts/bench_replica.sh
 sh scripts/bench_wire.sh
 sh scripts/bench_meta.sh
+echo "== benchmark module: go vet + go test =="
+(cd benchmark && go vet . && go test .)
 echo "== all checks passed =="
