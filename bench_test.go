@@ -262,6 +262,30 @@ func BenchmarkMetaDB(b *testing.B) {
 			}
 		}
 	})
+	// The same lookup the way the catalog issues it: one constant text,
+	// the key as an argument, the plan parsed once. pk-lookup above pays
+	// a parse per iteration (every text differs).
+	b.Run("prepared-lookup", func(b *testing.B) {
+		db := metadb.Memory()
+		defer db.Close()
+		s := db.Session()
+		if _, err := s.Exec(`CREATE TABLE t (id INT PRIMARY KEY, name TEXT)`); err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < 10000; i++ {
+			if _, err := s.Exec(`INSERT INTO t VALUES (?, ?)`, metadb.I(int64(i)), metadb.S(fmt.Sprint("file", i))); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := s.Exec(`SELECT name FROM t WHERE id = ?`, metadb.I(int64(i%10000)))
+			if err != nil || len(res.Rows) != 1 {
+				b.Fatalf("lookup failed: %v", err)
+			}
+		}
+	})
 }
 
 // BenchmarkCatalogOpen measures the full DPFS open path (metadata
@@ -279,6 +303,7 @@ func BenchmarkCatalogOpen(b *testing.B) {
 		b.Fatal(err)
 	}
 	f.Close()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f, err := fsys.Open("/bench-open")

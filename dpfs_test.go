@@ -181,3 +181,74 @@ func TestWrap(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAwkwardNames: file names and owners are values, never SQL text,
+// so quotes, placeholders, LIKE wildcards, backslashes, comment markers
+// and non-ASCII letters all survive Create, Chown, Stat, ReadDir, Open,
+// Rename and Remove through the networked catalog. Only what the
+// directory lists themselves reserve (',' '/' newline) is refused.
+func TestAwkwardNames(t *testing.T) {
+	c, err := cluster.Start(cluster.Config{Servers: cluster.Uniform(2), Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	client, err := dpfs.Connect(c.MetaSrv.Addr(), 0, dpfs.Options{Combine: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if err := client.Mkdir("/q'dir"); err != nil {
+		t.Fatal(err)
+	}
+	all := dpfs.FullSection([]int64{64})
+	for _, name := range []string{"it's", "''", "what?", "100%_", `back\slash`, ";--", "naïve-ü", "x' OR '1'='1"} {
+		path, moved := "/q'dir/"+name, "/q'dir/"+name+".moved"
+		data := bytes.Repeat([]byte(name), 64)[:64]
+		f, err := client.Create(path, 1, []int64{64}, dpfs.Hint{})
+		if err != nil {
+			t.Fatalf("create %q: %v", path, err)
+		}
+		if err := f.WriteSection(ctx, all, data); err != nil {
+			t.Fatalf("write %q: %v", path, err)
+		}
+		f.Close()
+		if err := client.Chown(path, name); err != nil {
+			t.Fatalf("chown %q: %v", path, err)
+		}
+		if fi, err := client.Stat(path); err != nil || fi.Path != path || fi.Owner != name {
+			t.Fatalf("stat %q = %+v, %v", path, fi, err)
+		}
+		if _, files, err := client.ReadDir("/q'dir"); err != nil || len(files) != 1 || files[0] != name {
+			t.Fatalf("readdir with %q = %v, %v", name, files, err)
+		}
+		if err := client.Rename(ctx, path, moved); err != nil {
+			t.Fatalf("rename %q: %v", path, err)
+		}
+		if _, err := client.Open(path); err == nil {
+			t.Fatalf("%q still opens after rename", path)
+		}
+		f, err = client.Open(moved)
+		if err != nil {
+			t.Fatalf("open %q: %v", moved, err)
+		}
+		got := make([]byte, 64)
+		if err := f.ReadSection(ctx, all, got); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("read %q: %v (equal %v)", moved, err, bytes.Equal(got, data))
+		}
+		f.Close()
+		if err := client.Remove(ctx, moved); err != nil {
+			t.Fatalf("remove %q: %v", moved, err)
+		}
+	}
+	for _, name := range []string{"a,b", "a\nb"} {
+		if _, err := client.Create("/q'dir/"+name, 1, []int64{64}, dpfs.Hint{}); err == nil {
+			t.Fatalf("name %q accepted", name)
+		}
+	}
+	if err := client.Rmdir("/q'dir"); err != nil {
+		t.Fatal(err)
+	}
+}

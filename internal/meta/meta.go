@@ -20,11 +20,172 @@ import (
 	"dpfs/internal/stripe"
 )
 
-// Execer runs one SQL statement; *metadb.Session and *mdbnet.Client
-// both satisfy it. Statements issued between BEGIN and COMMIT must see
+// Execer is the catalog's SQL connection: *metadb.Session,
+// *mdbnet.Client and *mdbnet.GroupClient (and *metadb.DB, whose every
+// call is a session of its own, so a transaction must fit in one Batch)
+// satisfy it. Statements issued between BEGIN and COMMIT must see
 // connection/session-scoped transaction semantics.
 type Execer interface {
-	Exec(sql string) (*metadb.Result, error)
+	// Exec runs one statement with args bound to its '?' placeholders.
+	Exec(sql string, args ...metadb.Value) (*metadb.Result, error)
+	// Batch runs statements in order, in one round trip when the
+	// connection is remote, and stops at the first that fails: it
+	// returns the results of those before it and that error. A batch of
+	// SELECTs outside a transaction reads one committed state.
+	Batch(stmts []metadb.Stmt) ([]*metadb.Result, error)
+}
+
+// The catalog's statements. Every text is a constant and every value
+// travels as an argument, so the database parses each text once and no
+// name, owner or address ever needs quoting.
+const (
+	sqlBegin    = `BEGIN`
+	sqlCommit   = `COMMIT`
+	sqlRollback = `ROLLBACK`
+
+	sqlCreateServer = `CREATE TABLE IF NOT EXISTS dpfs_server (
+		server_name TEXT PRIMARY KEY,
+		capacity INT NOT NULL,
+		performance INT NOT NULL,
+		addr TEXT NOT NULL)`
+	sqlCreateDistribution = `CREATE TABLE IF NOT EXISTS dpfs_file_distribution (
+		server TEXT NOT NULL,
+		filename TEXT NOT NULL,
+		srv_index INT NOT NULL,
+		brick_count INT NOT NULL,
+		bricklist TEXT NOT NULL,
+		gen INT NOT NULL)`
+	sqlCreateGeneration = `CREATE TABLE IF NOT EXISTS dpfs_generation (
+		id INT PRIMARY KEY,
+		next INT NOT NULL)`
+	sqlIndexDistByFile   = `CREATE INDEX IF NOT EXISTS dist_by_file ON dpfs_file_distribution (filename)`
+	sqlIndexDistByServer = `CREATE INDEX IF NOT EXISTS dist_by_server ON dpfs_file_distribution (server)`
+	sqlCreateDirectory   = `CREATE TABLE IF NOT EXISTS dpfs_directory (
+		main_dir TEXT PRIMARY KEY,
+		sub_dirs TEXT NOT NULL,
+		files TEXT NOT NULL)`
+	sqlCreateAttr = `CREATE TABLE IF NOT EXISTS dpfs_file_attr (
+		filename TEXT PRIMARY KEY,
+		owner TEXT NOT NULL,
+		permission INT NOT NULL,
+		size INT NOT NULL,
+		filelevel TEXT NOT NULL,
+		elem_size INT NOT NULL,
+		dims TEXT NOT NULL,
+		brick_bytes INT NOT NULL,
+		tile TEXT NOT NULL,
+		pattern TEXT NOT NULL,
+		grid TEXT NOT NULL,
+		placement TEXT NOT NULL,
+		slot_bytes INT NOT NULL,
+		replicas INT NOT NULL)`
+	sqlCreateHealth = `CREATE TABLE IF NOT EXISTS dpfs_server_health (
+		server_name TEXT PRIMARY KEY,
+		state TEXT NOT NULL,
+		fails INT NOT NULL)`
+	sqlSeedRoot       = `INSERT OR IGNORE INTO dpfs_directory VALUES ('/', '', '')`
+	sqlSeedGeneration = `INSERT OR IGNORE INTO dpfs_generation VALUES (0, 0)`
+
+	sqlBumpGeneration = `UPDATE dpfs_generation SET next = next + 1 WHERE id = 0`
+	sqlReadGeneration = `SELECT next FROM dpfs_generation WHERE id = 0`
+
+	sqlUpdateServer = `UPDATE dpfs_server SET capacity = ?, performance = ?, addr = ? WHERE server_name = ?`
+	sqlSeedServer   = `INSERT OR IGNORE INTO dpfs_server VALUES (?, ?, ?, ?)`
+	sqlDeleteServer = `DELETE FROM dpfs_server WHERE server_name = ?`
+	sqlListServers  = `SELECT server_name, capacity, performance, addr FROM dpfs_server ORDER BY server_name`
+	sqlReadServer   = `SELECT server_name, capacity, performance, addr FROM dpfs_server WHERE server_name = ?`
+
+	sqlSeedHealth    = `INSERT OR IGNORE INTO dpfs_server_health VALUES (?, ?, 0)`
+	sqlCountFailure  = `UPDATE dpfs_server_health SET fails = fails + 1 WHERE server_name = ?`
+	sqlMoveHealth    = `UPDATE dpfs_server_health SET state = ? WHERE server_name = ? AND state = ?`
+	sqlSetHealth     = `UPDATE dpfs_server_health SET state = ? WHERE server_name = ?`
+	sqlResetHealth   = `UPDATE dpfs_server_health SET state = ?, fails = 0 WHERE server_name = ?`
+	sqlListHealth    = `SELECT server_name, state, fails FROM dpfs_server_health ORDER BY server_name`
+	sqlInsertDir     = `INSERT INTO dpfs_directory VALUES (?, '', '')`
+	sqlDeleteDir     = `DELETE FROM dpfs_directory WHERE main_dir = ?`
+	sqlReadDir       = `SELECT sub_dirs, files FROM dpfs_directory WHERE main_dir = ?`
+	sqlSetSubDirs    = `UPDATE dpfs_directory SET sub_dirs = ? WHERE main_dir = ?`
+	sqlSetFiles      = `UPDATE dpfs_directory SET files = ? WHERE main_dir = ?`
+	sqlInsertAttr    = `INSERT INTO dpfs_file_attr VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)`
+	sqlInsertDist    = `INSERT INTO dpfs_file_distribution VALUES (?, ?, ?, ?, ?, ?)`
+	sqlReadAttr      = `SELECT owner, permission, size, filelevel, elem_size, dims, brick_bytes, tile, pattern, grid, placement, replicas FROM dpfs_file_attr WHERE filename = ?`
+	sqlReadDist      = `SELECT server, srv_index, bricklist, gen FROM dpfs_file_distribution WHERE filename = ? ORDER BY srv_index`
+	sqlReadDistHome  = `SELECT server, gen FROM dpfs_file_distribution WHERE filename = ? ORDER BY srv_index`
+	sqlDeleteAttr    = `DELETE FROM dpfs_file_attr WHERE filename = ?`
+	sqlDeleteDist    = `DELETE FROM dpfs_file_distribution WHERE filename = ?`
+	sqlRenameAttr    = `UPDATE dpfs_file_attr SET filename = ? WHERE filename = ?`
+	sqlRenameDist    = `UPDATE dpfs_file_distribution SET filename = ? WHERE filename = ?`
+	sqlListFiles     = `SELECT filename FROM dpfs_file_attr ORDER BY filename`
+	sqlSetSize       = `UPDATE dpfs_file_attr SET size = ? WHERE filename = ?`
+	sqlSetPerm       = `UPDATE dpfs_file_attr SET permission = ? WHERE filename = ?`
+	sqlSetOwner      = `UPDATE dpfs_file_attr SET owner = ? WHERE filename = ?`
+	sqlUsageByServer = `SELECT server, COUNT(*), SUM(brick_count) FROM dpfs_file_distribution GROUP BY server`
+	sqlUsedBytes     = `SELECT d.server, SUM(d.brick_count * a.slot_bytes)
+		FROM dpfs_file_distribution d
+		JOIN dpfs_file_attr a ON d.filename = a.filename
+		GROUP BY d.server`
+	sqlFilesOnServer = `SELECT d.filename, a.size, d.brick_count
+		FROM dpfs_file_distribution d
+		JOIN dpfs_file_attr a ON d.filename = a.filename
+		WHERE d.server = ? ORDER BY d.filename`
+)
+
+// q pairs a statement text with its arguments.
+func q(sql string, args ...metadb.Value) metadb.Stmt {
+	return metadb.Stmt{SQL: sql, Args: args}
+}
+
+// str and num make TEXT and INTEGER arguments.
+func str(s string) metadb.Value           { return metadb.S(s) }
+func num[T int | int64](n T) metadb.Value { return metadb.I(int64(n)) }
+
+// A catalog transaction costs one round trip per dependency step: begin
+// opens it and runs the reads its decisions depend on, commit ships
+// every write together with the COMMIT, and atomically does both at
+// once for a transaction that needs no decision in between. Whichever
+// step fails, the transaction is rolled back.
+
+// begin opens a transaction and runs reads inside it, returning their
+// results. Under the database's strict two-phase locking the first read
+// takes the exclusive lock, so what it saw still holds at commit.
+func (c *Catalog) begin(reads ...metadb.Stmt) ([]*metadb.Result, error) {
+	res, err := c.db.Batch(append([]metadb.Stmt{q(sqlBegin)}, reads...))
+	if err != nil {
+		c.rollback()
+		return nil, err
+	}
+	return res[1:], nil
+}
+
+// commit runs writes and commits the transaction begin opened.
+func (c *Catalog) commit(writes ...metadb.Stmt) error {
+	_, err := c.db.Batch(append(writes, q(sqlCommit)))
+	if err != nil {
+		c.rollback()
+	}
+	return err
+}
+
+// rollback abandons the open transaction. It is also sent when the
+// transaction may already be gone (a failed COMMIT, a connection that
+// broke and took its session along), so its own error means nothing.
+func (c *Catalog) rollback() { _, _ = c.db.Exec(sqlRollback) }
+
+// abort rolls back and returns err: for a transaction whose reads say
+// it must not proceed.
+func (c *Catalog) abort(err error) error {
+	c.rollback()
+	return err
+}
+
+// atomically runs stmts as one transaction in one round trip and
+// returns their results.
+func (c *Catalog) atomically(stmts ...metadb.Stmt) ([]*metadb.Result, error) {
+	res, err := c.begin(append(stmts, q(sqlCommit))...)
+	if err != nil {
+		return nil, err
+	}
+	return res[:len(stmts)], nil
 }
 
 // SpanSetter is the optional interface of Execers that can attach
@@ -98,79 +259,20 @@ type Catalog struct {
 // NewCatalog wraps a SQL connection.
 func NewCatalog(db Execer) *Catalog { return &Catalog{db: db} }
 
-// Init creates the four DPFS tables (idempotent) and the root
-// directory.
+// Init creates the DPFS tables, their indexes, the root directory and
+// the generation counter. Every statement is idempotent, so all of them
+// go in one round trip whether the catalog is new or not.
 func (c *Catalog) Init() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	stmts := []string{
-		`CREATE TABLE IF NOT EXISTS dpfs_server (
-			server_name TEXT PRIMARY KEY,
-			capacity INT NOT NULL,
-			performance INT NOT NULL,
-			addr TEXT NOT NULL)`,
-		`CREATE TABLE IF NOT EXISTS dpfs_file_distribution (
-			server TEXT NOT NULL,
-			filename TEXT NOT NULL,
-			srv_index INT NOT NULL,
-			brick_count INT NOT NULL,
-			bricklist TEXT NOT NULL,
-			gen INT NOT NULL)`,
-		`CREATE TABLE IF NOT EXISTS dpfs_generation (
-			id INT PRIMARY KEY,
-			next INT NOT NULL)`,
-		`CREATE INDEX IF NOT EXISTS dist_by_file ON dpfs_file_distribution (filename)`,
-		`CREATE INDEX IF NOT EXISTS dist_by_server ON dpfs_file_distribution (server)`,
-		`CREATE TABLE IF NOT EXISTS dpfs_directory (
-			main_dir TEXT PRIMARY KEY,
-			sub_dirs TEXT NOT NULL,
-			files TEXT NOT NULL)`,
-		`CREATE TABLE IF NOT EXISTS dpfs_file_attr (
-			filename TEXT PRIMARY KEY,
-			owner TEXT NOT NULL,
-			permission INT NOT NULL,
-			size INT NOT NULL,
-			filelevel TEXT NOT NULL,
-			elem_size INT NOT NULL,
-			dims TEXT NOT NULL,
-			brick_bytes INT NOT NULL,
-			tile TEXT NOT NULL,
-			pattern TEXT NOT NULL,
-			grid TEXT NOT NULL,
-			placement TEXT NOT NULL,
-			slot_bytes INT NOT NULL,
-			replicas INT NOT NULL)`,
-		`CREATE TABLE IF NOT EXISTS dpfs_server_health (
-			server_name TEXT PRIMARY KEY,
-			state TEXT NOT NULL,
-			fails INT NOT NULL)`,
-	}
-	for _, s := range stmts {
-		if _, err := c.db.Exec(s); err != nil {
-			return fmt.Errorf("meta: init: %w", err)
-		}
-	}
-	// Ensure the root directory row exists.
-	res, err := c.db.Exec(`SELECT main_dir FROM dpfs_directory WHERE main_dir = '/'`)
+	_, err := c.db.Batch([]metadb.Stmt{
+		q(sqlCreateServer), q(sqlCreateDistribution), q(sqlCreateGeneration),
+		q(sqlIndexDistByFile), q(sqlIndexDistByServer),
+		q(sqlCreateDirectory), q(sqlCreateAttr), q(sqlCreateHealth),
+		q(sqlSeedRoot), q(sqlSeedGeneration),
+	})
 	if err != nil {
-		return err
-	}
-	if len(res.Rows) == 0 {
-		_, err = c.db.Exec(`INSERT INTO dpfs_directory VALUES ('/', '', '')`)
-		if err != nil && !strings.Contains(err.Error(), "duplicate") {
-			return err
-		}
-	}
-	// Seed the generation counter.
-	res, err = c.db.Exec(`SELECT next FROM dpfs_generation WHERE id = 0`)
-	if err != nil {
-		return err
-	}
-	if len(res.Rows) == 0 {
-		_, err = c.db.Exec(`INSERT INTO dpfs_generation VALUES (0, 0)`)
-		if err != nil && !strings.Contains(err.Error(), "duplicate") {
-			return err
-		}
+		return fmt.Errorf("meta: init: %w", err)
 	}
 	return nil
 }
@@ -190,22 +292,14 @@ func (c *Catalog) NextGeneration(path string) (int64, error) {
 	_ = path // one counter per catalog; routing uses the path upstream
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var gen int64
-	err := c.inTx(func() error {
-		if _, err := c.db.Exec(`UPDATE dpfs_generation SET next = next + 1 WHERE id = 0`); err != nil {
-			return err
-		}
-		res, err := c.db.Exec(`SELECT next FROM dpfs_generation WHERE id = 0`)
-		if err != nil {
-			return err
-		}
-		if len(res.Rows) == 0 {
-			return errors.New("meta: generation counter missing (Init not run?)")
-		}
-		gen = res.Rows[0][0].Int
-		return nil
-	})
-	return gen, err
+	res, err := c.atomically(q(sqlBumpGeneration), q(sqlReadGeneration))
+	if err != nil {
+		return 0, err
+	}
+	if len(res[1].Rows) == 0 {
+		return 0, errors.New("meta: generation counter missing (Init not run?)")
+	}
+	return res[1].Rows[0][0].Int, nil
 }
 
 // --- server registry --------------------------------------------------
@@ -220,16 +314,9 @@ func (c *Catalog) RegisterServer(s ServerInfo) error {
 	if s.Performance < 1 {
 		return fmt.Errorf("meta: server %q performance must be >= 1", s.Name)
 	}
-	res, err := c.db.Exec(fmt.Sprintf(
-		`UPDATE dpfs_server SET capacity = %d, performance = %d, addr = %s WHERE server_name = %s`,
-		s.Capacity, s.Performance, quote(s.Addr), quote(s.Name)))
-	if err != nil {
-		return err
-	}
-	if res.RowsAffected == 0 {
-		_, err = c.db.Exec(fmt.Sprintf(`INSERT INTO dpfs_server VALUES (%s, %d, %d, %s)`,
-			quote(s.Name), s.Capacity, s.Performance, quote(s.Addr)))
-	}
+	_, err := c.atomically(
+		q(sqlSeedServer, str(s.Name), num(s.Capacity), num(s.Performance), str(s.Addr)),
+		q(sqlUpdateServer, num(s.Capacity), num(s.Performance), str(s.Addr), str(s.Name)))
 	return err
 }
 
@@ -239,7 +326,7 @@ func (c *Catalog) RegisterServer(s ServerInfo) error {
 func (c *Catalog) RemoveServer(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	res, err := c.db.Exec(fmt.Sprintf(`DELETE FROM dpfs_server WHERE server_name = %s`, quote(name)))
+	res, err := c.db.Exec(sqlDeleteServer, str(name))
 	if err != nil {
 		return err
 	}
@@ -253,14 +340,15 @@ func (c *Catalog) RemoveServer(name string) error {
 func (c *Catalog) Servers() ([]ServerInfo, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.serversLocked()
-}
-
-func (c *Catalog) serversLocked() ([]ServerInfo, error) {
-	res, err := c.db.Exec(`SELECT server_name, capacity, performance, addr FROM dpfs_server ORDER BY server_name`)
+	res, err := c.db.Exec(sqlListServers)
 	if err != nil {
 		return nil, err
 	}
+	return serverRows(res), nil
+}
+
+// serverRows decodes the rows of sqlListServers / sqlReadServer.
+func serverRows(res *metadb.Result) []ServerInfo {
 	out := make([]ServerInfo, 0, len(res.Rows))
 	for _, r := range res.Rows {
 		out = append(out, ServerInfo{
@@ -270,23 +358,21 @@ func (c *Catalog) serversLocked() ([]ServerInfo, error) {
 			Addr:        r[3].Str,
 		})
 	}
-	return out, nil
+	return out
 }
 
 // Server returns one server's registration.
 func (c *Catalog) Server(name string) (ServerInfo, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	res, err := c.db.Exec(fmt.Sprintf(
-		`SELECT server_name, capacity, performance, addr FROM dpfs_server WHERE server_name = %s`, quote(name)))
+	res, err := c.db.Exec(sqlReadServer, str(name))
 	if err != nil {
 		return ServerInfo{}, err
 	}
 	if len(res.Rows) == 0 {
 		return ServerInfo{}, fmt.Errorf("meta: no such server %q", name)
 	}
-	r := res.Rows[0]
-	return ServerInfo{Name: r[0].Str, Capacity: r[1].Int, Performance: int(r[2].Int), Addr: r[3].Str}, nil
+	return serverRows(res)[0], nil
 }
 
 // --- server health -----------------------------------------------------
@@ -317,26 +403,11 @@ type HealthInfo struct {
 func (c *Catalog) ReportServerFailure(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.inTx(func() error {
-		res, err := c.db.Exec(fmt.Sprintf(
-			`SELECT state, fails FROM dpfs_server_health WHERE server_name = %s`, quote(name)))
-		if err != nil {
-			return err
-		}
-		if len(res.Rows) == 0 {
-			_, err = c.db.Exec(fmt.Sprintf(`INSERT INTO dpfs_server_health VALUES (%s, %s, 1)`,
-				quote(name), quote(StateSuspect)))
-			return err
-		}
-		state := res.Rows[0][0].Str
-		if state == StateAlive {
-			state = StateSuspect
-		}
-		_, err = c.db.Exec(fmt.Sprintf(
-			`UPDATE dpfs_server_health SET state = %s, fails = %d WHERE server_name = %s`,
-			quote(state), res.Rows[0][1].Int+1, quote(name)))
-		return err
-	})
+	_, err := c.atomically(
+		q(sqlSeedHealth, str(name), str(StateAlive)),
+		q(sqlCountFailure, str(name)),
+		q(sqlMoveHealth, str(StateSuspect), str(name), str(StateAlive)))
+	return err
 }
 
 // ReportServerOK records a successful exchange with a server, resetting
@@ -355,23 +426,14 @@ func (c *Catalog) SetServerState(name, state string) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.inTx(func() error {
-		fails := ""
-		if state == StateAlive {
-			fails = ", fails = 0"
-		}
-		res, err := c.db.Exec(fmt.Sprintf(
-			`UPDATE dpfs_server_health SET state = %s%s WHERE server_name = %s`,
-			quote(state), fails, quote(name)))
-		if err != nil {
-			return err
-		}
-		if res.RowsAffected == 0 {
-			_, err = c.db.Exec(fmt.Sprintf(`INSERT INTO dpfs_server_health VALUES (%s, %s, 0)`,
-				quote(name), quote(state)))
-		}
-		return err
-	})
+	set := sqlSetHealth
+	if state == StateAlive {
+		set = sqlResetHealth
+	}
+	_, err := c.atomically(
+		q(sqlSeedHealth, str(name), str(state)),
+		q(set, str(state), str(name)))
+	return err
 }
 
 // ServerHealth lists the tracked health rows ordered by server name.
@@ -379,7 +441,7 @@ func (c *Catalog) SetServerState(name, state string) error {
 func (c *Catalog) ServerHealth() ([]HealthInfo, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	res, err := c.db.Exec(`SELECT server_name, state, fails FROM dpfs_server_health ORDER BY server_name`)
+	res, err := c.db.Exec(sqlListHealth)
 	if err != nil {
 		return nil, err
 	}
@@ -407,21 +469,20 @@ func (c *Catalog) Mkdir(path string) error {
 	if err := validName(name); err != nil {
 		return err
 	}
-	return c.inTx(func() error {
-		subs, files, err := c.readDirLocked(parent)
-		if err != nil {
-			return err
-		}
-		if contains(subs, name) || contains(files, name) {
-			return fmt.Errorf("meta: %s already exists", path)
-		}
-		if _, err := c.db.Exec(fmt.Sprintf(`INSERT INTO dpfs_directory VALUES (%s, '', '')`, quote(path))); err != nil {
-			return err
-		}
-		subs = append(subs, name)
-		sort.Strings(subs)
-		return c.writeDirList(parent, "sub_dirs", subs)
-	})
+	res, err := c.begin(q(sqlReadDir, str(parent)))
+	if err != nil {
+		return err
+	}
+	subs, files, err := dirRow(res[0], parent)
+	if err != nil {
+		return c.abort(err)
+	}
+	if contains(subs, name) || contains(files, name) {
+		return c.abort(fmt.Errorf("meta: %s already exists", path))
+	}
+	return c.commit(
+		q(sqlInsertDir, str(path)),
+		q(sqlSetSubDirs, str(joinSorted(subs, name)), str(parent)))
 }
 
 // Rmdir removes an empty directory.
@@ -436,23 +497,24 @@ func (c *Catalog) Rmdir(path string) error {
 		return errors.New("meta: cannot remove the root directory")
 	}
 	parent, name := Split(path)
-	return c.inTx(func() error {
-		subs, files, err := c.readDirLocked(path)
-		if err != nil {
-			return err
-		}
-		if len(subs) > 0 || len(files) > 0 {
-			return fmt.Errorf("meta: directory %s not empty", path)
-		}
-		if _, err := c.db.Exec(fmt.Sprintf(`DELETE FROM dpfs_directory WHERE main_dir = %s`, quote(path))); err != nil {
-			return err
-		}
-		psubs, _, err := c.readDirLocked(parent)
-		if err != nil {
-			return err
-		}
-		return c.writeDirList(parent, "sub_dirs", remove(psubs, name))
-	})
+	res, err := c.begin(q(sqlReadDir, str(path)), q(sqlReadDir, str(parent)))
+	if err != nil {
+		return err
+	}
+	subs, files, err := dirRow(res[0], path)
+	if err != nil {
+		return c.abort(err)
+	}
+	if len(subs) > 0 || len(files) > 0 {
+		return c.abort(fmt.Errorf("meta: directory %s not empty", path))
+	}
+	psubs, _, err := dirRow(res[1], parent)
+	if err != nil {
+		return c.abort(err)
+	}
+	return c.commit(
+		q(sqlDeleteDir, str(path)),
+		q(sqlSetSubDirs, str(joinList(remove(psubs, name))), str(parent)))
 }
 
 // ReadDir lists a directory's sub-directories and files, both sorted.
@@ -463,7 +525,11 @@ func (c *Catalog) ReadDir(path string) (dirs, files []string, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return c.readDirLocked(path)
+	res, err := c.db.Exec(sqlReadDir, str(path))
+	if err != nil {
+		return nil, nil, err
+	}
+	return dirRow(res, path)
 }
 
 // IsDir reports whether path names an existing directory.
@@ -474,29 +540,19 @@ func (c *Catalog) IsDir(path string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	res, err := c.db.Exec(fmt.Sprintf(`SELECT main_dir FROM dpfs_directory WHERE main_dir = %s`, quote(path)))
+	res, err := c.db.Exec(sqlReadDir, str(path))
 	if err != nil {
 		return false, err
 	}
 	return len(res.Rows) > 0, nil
 }
 
-func (c *Catalog) readDirLocked(path string) (subs, files []string, err error) {
-	res, err := c.db.Exec(fmt.Sprintf(
-		`SELECT sub_dirs, files FROM dpfs_directory WHERE main_dir = %s`, quote(path)))
-	if err != nil {
-		return nil, nil, err
-	}
+// dirRow decodes the result of sqlReadDir for path.
+func dirRow(res *metadb.Result, path string) (subs, files []string, err error) {
 	if len(res.Rows) == 0 {
 		return nil, nil, fmt.Errorf("meta: no such directory %s", path)
 	}
 	return splitList(res.Rows[0][0].Str), splitList(res.Rows[0][1].Str), nil
-}
-
-func (c *Catalog) writeDirList(path, col string, list []string) error {
-	_, err := c.db.Exec(fmt.Sprintf(`UPDATE dpfs_directory SET %s = %s WHERE main_dir = %s`,
-		col, quote(joinList(list)), quote(path)))
-	return err
 }
 
 // --- files -------------------------------------------------------------
@@ -543,36 +599,37 @@ func (c *Catalog) CreateReplicated(fi FileInfo, assign [][]int) error {
 			return fmt.Errorf("meta: brick %d has %d replicas, want %d", b, len(set), fi.Replicas)
 		}
 	}
-	return c.inTx(func() error {
-		subs, files, err := c.readDirLocked(parent)
-		if err != nil {
-			return err
-		}
-		if contains(subs, name) || contains(files, name) {
-			return fmt.Errorf("meta: %s already exists", path)
-		}
-		g := &fi.Geometry
-		if _, err := c.db.Exec(fmt.Sprintf(
-			`INSERT INTO dpfs_file_attr VALUES (%s, %s, %d, %d, %s, %d, %s, %d, %s, %s, %s, %s, %d, %d)`,
-			quote(path), quote(fi.Owner), fi.Perm, fi.Size, quote(g.Level.String()),
-			g.ElemSize, quote(joinInts(g.Dims)), g.BrickBytes, quote(joinInts(g.Tile)),
-			quote(joinPattern(g.Pattern)), quote(joinInts(g.Grid)), quote(fi.Placement),
-			g.SlotBytes(), fi.Replicas)); err != nil {
-			return err
-		}
-		lists := stripe.ReplicaLists(assign, len(fi.Servers))
-		for si, list := range lists {
-			if _, err := c.db.Exec(fmt.Sprintf(
-				`INSERT INTO dpfs_file_distribution VALUES (%s, %s, %d, %d, %s, %d)`,
-				quote(fi.Servers[si]), quote(path), si, len(list),
-				quote(stripe.FormatReplicaList(list)), fi.Generation)); err != nil {
-				return err
-			}
-		}
-		files = append(files, name)
-		sort.Strings(files)
-		return c.writeDirList(parent, "files", files)
-	})
+	res, err := c.begin(q(sqlReadDir, str(parent)))
+	if err != nil {
+		return err
+	}
+	subs, files, err := dirRow(res[0], parent)
+	if err != nil {
+		return c.abort(err)
+	}
+	if contains(subs, name) || contains(files, name) {
+		return c.abort(fmt.Errorf("meta: %s already exists", path))
+	}
+	g := &fi.Geometry
+	writes := []metadb.Stmt{q(sqlInsertAttr,
+		str(path), str(fi.Owner), num(fi.Perm), num(fi.Size), str(g.Level.String()),
+		num(g.ElemSize), str(joinInts(g.Dims)), num(g.BrickBytes), str(joinInts(g.Tile)),
+		str(joinPattern(g.Pattern)), str(joinInts(g.Grid)), str(fi.Placement),
+		num(g.SlotBytes()), num(fi.Replicas))}
+	writes = append(writes, distInserts(path, fi.Servers, stripe.ReplicaLists(assign, len(fi.Servers)), fi.Generation)...)
+	writes = append(writes, q(sqlSetFiles, str(joinSorted(files, name)), str(parent)))
+	return c.commit(writes...)
+}
+
+// distInserts builds one DPFS-FILE-DISTRIBUTION insert per server;
+// servers and lists are aligned by srv_index.
+func distInserts(path string, servers []string, lists [][]stripe.ReplicaEntry, gen int64) []metadb.Stmt {
+	out := make([]metadb.Stmt, len(lists))
+	for si, list := range lists {
+		out[si] = q(sqlInsertDist, str(servers[si]), str(path), num(si), num(len(list)),
+			str(stripe.FormatReplicaList(list)), num(gen))
+	}
+	return out
 }
 
 // LookupFile loads a file's meta data and reconstructs the brick →
@@ -595,16 +652,18 @@ func (c *Catalog) LookupReplicated(path string) (FileInfo, *stripe.ReplicaSet, e
 	if err != nil {
 		return FileInfo{}, nil, err
 	}
-	fi, err := c.statLocked(path)
+	// One read-only batch: both SELECTs see the same committed state, so
+	// the attributes and the distribution belong to one incarnation of
+	// the file even while it is being removed, re-created or repaired.
+	both, err := c.db.Batch([]metadb.Stmt{q(sqlReadAttr, str(path)), q(sqlReadDist, str(path))})
 	if err != nil {
 		return FileInfo{}, nil, err
 	}
-	res, err := c.db.Exec(fmt.Sprintf(
-		`SELECT server, srv_index, bricklist, gen FROM dpfs_file_distribution WHERE filename = %s ORDER BY srv_index`,
-		quote(path)))
+	fi, err := attrRow(both[0], path)
 	if err != nil {
 		return FileInfo{}, nil, err
 	}
+	res := both[1]
 	if len(res.Rows) == 0 {
 		return FileInfo{}, nil, fmt.Errorf("meta: file %s has no distribution rows", path)
 	}
@@ -644,24 +703,15 @@ func (c *Catalog) UpdateDistribution(path string, servers []string, lists [][]st
 	if len(servers) != len(lists) {
 		return fmt.Errorf("meta: %d servers for %d brick lists", len(servers), len(lists))
 	}
-	return c.inTx(func() error {
-		if _, err := c.statLocked(path); err != nil {
-			return err
-		}
-		if _, err := c.db.Exec(fmt.Sprintf(
-			`DELETE FROM dpfs_file_distribution WHERE filename = %s`, quote(path))); err != nil {
-			return err
-		}
-		for si, list := range lists {
-			if _, err := c.db.Exec(fmt.Sprintf(
-				`INSERT INTO dpfs_file_distribution VALUES (%s, %s, %d, %d, %s, %d)`,
-				quote(servers[si]), quote(path), si, len(list),
-				quote(stripe.FormatReplicaList(list)), gen)); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	res, err := c.begin(q(sqlReadAttr, str(path)))
+	if err != nil {
+		return err
+	}
+	if _, err := attrRow(res[0], path); err != nil {
+		return c.abort(err)
+	}
+	writes := append([]metadb.Stmt{q(sqlDeleteDist, str(path))}, distInserts(path, servers, lists, gen)...)
+	return c.commit(writes...)
 }
 
 // Files lists every file path in the catalog, sorted — the enumeration
@@ -669,7 +719,7 @@ func (c *Catalog) UpdateDistribution(path string, servers []string, lists [][]st
 func (c *Catalog) Files() ([]string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	res, err := c.db.Exec(`SELECT filename FROM dpfs_file_attr ORDER BY filename`)
+	res, err := c.db.Exec(sqlListFiles)
 	if err != nil {
 		return nil, err
 	}
@@ -692,12 +742,15 @@ func (c *Catalog) Stat(path string) (FileInfo, error) {
 }
 
 func (c *Catalog) statLocked(path string) (FileInfo, error) {
-	res, err := c.db.Exec(fmt.Sprintf(
-		`SELECT owner, permission, size, filelevel, elem_size, dims, brick_bytes, tile, pattern, grid, placement, replicas
-		 FROM dpfs_file_attr WHERE filename = %s`, quote(path)))
+	res, err := c.db.Exec(sqlReadAttr, str(path))
 	if err != nil {
 		return FileInfo{}, err
 	}
+	return attrRow(res, path)
+}
+
+// attrRow decodes the result of sqlReadAttr for path.
+func attrRow(res *metadb.Result, path string) (FileInfo, error) {
 	if len(res.Rows) == 0 {
 		return FileInfo{}, fmt.Errorf("meta: no such file %s", path)
 	}
@@ -756,34 +809,37 @@ func (c *Catalog) RemoveFile(path string) (FileInfo, error) {
 		return FileInfo{}, err
 	}
 	parent, name := Split(path)
-	var fi FileInfo
-	err = c.inTx(func() error {
-		fi, err = c.statLocked(path)
-		if err != nil {
-			return err
-		}
-		res, err := c.db.Exec(fmt.Sprintf(
-			`SELECT server, gen FROM dpfs_file_distribution WHERE filename = %s ORDER BY srv_index`, quote(path)))
-		if err != nil {
-			return err
-		}
-		for _, r := range res.Rows {
-			fi.Servers = append(fi.Servers, r[0].Str)
-			fi.Generation = r[1].Int
-		}
-		if _, err := c.db.Exec(fmt.Sprintf(`DELETE FROM dpfs_file_attr WHERE filename = %s`, quote(path))); err != nil {
-			return err
-		}
-		if _, err := c.db.Exec(fmt.Sprintf(`DELETE FROM dpfs_file_distribution WHERE filename = %s`, quote(path))); err != nil {
-			return err
-		}
-		_, files, err := c.readDirLocked(parent)
-		if err != nil {
-			return err
-		}
-		return c.writeDirList(parent, "files", remove(files, name))
-	})
-	return fi, err
+	res, err := c.begin(q(sqlReadAttr, str(path)), q(sqlReadDistHome, str(path)), q(sqlReadDir, str(parent)))
+	if err != nil {
+		return FileInfo{}, err
+	}
+	fi, err := attrRow(res[0], path)
+	if err != nil {
+		return FileInfo{}, c.abort(err)
+	}
+	fi.Servers, fi.Generation = distHome(res[1])
+	_, files, err := dirRow(res[2], parent)
+	if err != nil {
+		return FileInfo{}, c.abort(err)
+	}
+	err = c.commit(
+		q(sqlDeleteAttr, str(path)),
+		q(sqlDeleteDist, str(path)),
+		q(sqlSetFiles, str(joinList(remove(files, name))), str(parent)))
+	if err != nil {
+		return FileInfo{}, err
+	}
+	return fi, nil
+}
+
+// distHome decodes the result of sqlReadDistHome: the servers in
+// distribution order and the generation their rows carry.
+func distHome(res *metadb.Result) (servers []string, gen int64) {
+	for _, r := range res.Rows {
+		servers = append(servers, r[0].Str)
+		gen = r[1].Int
+	}
+	return servers, gen
 }
 
 // RenameFile atomically moves a file's catalog records to a new path
@@ -810,54 +866,39 @@ func (c *Catalog) RenameFile(oldPath, newPath string) (servers []string, gen int
 	if err := validName(newName); err != nil {
 		return nil, 0, err
 	}
-	err = c.inTx(func() error {
-		if _, err := c.statLocked(oldPath); err != nil {
-			return err
-		}
-		nsubs, nfiles, err := c.readDirLocked(newParent)
-		if err != nil {
-			return err
-		}
-		if contains(nsubs, newName) || contains(nfiles, newName) {
-			return fmt.Errorf("meta: %s already exists", newPath)
-		}
-		res, err := c.db.Exec(fmt.Sprintf(
-			`SELECT server, gen FROM dpfs_file_distribution WHERE filename = %s ORDER BY srv_index`, quote(oldPath)))
-		if err != nil {
-			return err
-		}
-		for _, r := range res.Rows {
-			servers = append(servers, r[0].Str)
-			gen = r[1].Int
-		}
-		if _, err := c.db.Exec(fmt.Sprintf(
-			`UPDATE dpfs_file_attr SET filename = %s WHERE filename = %s`,
-			quote(newPath), quote(oldPath))); err != nil {
-			return err
-		}
-		if _, err := c.db.Exec(fmt.Sprintf(
-			`UPDATE dpfs_file_distribution SET filename = %s WHERE filename = %s`,
-			quote(newPath), quote(oldPath))); err != nil {
-			return err
-		}
-		osubs, ofiles, err := c.readDirLocked(oldParent)
-		if err != nil {
-			return err
-		}
-		_ = osubs
-		if err := c.writeDirList(oldParent, "files", remove(ofiles, oldName)); err != nil {
-			return err
-		}
-		// Re-read in case old and new parents are the same directory.
-		_, nfiles, err = c.readDirLocked(newParent)
-		if err != nil {
-			return err
-		}
-		nfiles = append(nfiles, newName)
-		sort.Strings(nfiles)
-		return c.writeDirList(newParent, "files", nfiles)
-	})
+	res, err := c.begin(
+		q(sqlReadAttr, str(oldPath)), q(sqlReadDistHome, str(oldPath)),
+		q(sqlReadDir, str(oldParent)), q(sqlReadDir, str(newParent)))
 	if err != nil {
+		return nil, 0, err
+	}
+	if _, err := attrRow(res[0], oldPath); err != nil {
+		return nil, 0, c.abort(err)
+	}
+	servers, gen = distHome(res[1])
+	_, ofiles, err := dirRow(res[2], oldParent)
+	if err != nil {
+		return nil, 0, c.abort(err)
+	}
+	nsubs, nfiles, err := dirRow(res[3], newParent)
+	if err != nil {
+		return nil, 0, c.abort(err)
+	}
+	if contains(nsubs, newName) || contains(nfiles, newName) {
+		return nil, 0, c.abort(fmt.Errorf("meta: %s already exists", newPath))
+	}
+	writes := []metadb.Stmt{
+		q(sqlRenameAttr, str(newPath), str(oldPath)),
+		q(sqlRenameDist, str(newPath), str(oldPath)),
+	}
+	if oldParent == newParent {
+		writes = append(writes, q(sqlSetFiles, str(joinSorted(remove(ofiles, oldName), newName)), str(oldParent)))
+	} else {
+		writes = append(writes,
+			q(sqlSetFiles, str(joinList(remove(ofiles, oldName))), str(oldParent)),
+			q(sqlSetFiles, str(joinSorted(nfiles, newName)), str(newParent)))
+	}
+	if err := c.commit(writes...); err != nil {
 		return nil, 0, err
 	}
 	return servers, gen, nil
@@ -878,15 +919,11 @@ type ServerUsage struct {
 func (c *Catalog) Usage() ([]ServerUsage, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	servers, err := c.serversLocked()
+	both, err := c.db.Batch([]metadb.Stmt{q(sqlListServers), q(sqlUsageByServer)})
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.db.Exec(`SELECT server, COUNT(*), SUM(brick_count)
-		FROM dpfs_file_distribution GROUP BY server`)
-	if err != nil {
-		return nil, err
-	}
+	servers, res := serverRows(both[0]), both[1]
 	byName := make(map[string]*ServerUsage, len(servers))
 	out := make([]ServerUsage, len(servers))
 	for i, s := range servers {
@@ -914,10 +951,7 @@ func (c *Catalog) UsedBytes() (map[string]int64, error) {
 }
 
 func (c *Catalog) usedBytesLocked() (map[string]int64, error) {
-	res, err := c.db.Exec(`SELECT d.server, SUM(d.brick_count * a.slot_bytes)
-		FROM dpfs_file_distribution d
-		JOIN dpfs_file_attr a ON d.filename = a.filename
-		GROUP BY d.server`)
+	res, err := c.db.Exec(sqlUsedBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -941,11 +975,7 @@ type FileOnServer struct {
 func (c *Catalog) FilesOnServer(server string) ([]FileOnServer, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	res, err := c.db.Exec(fmt.Sprintf(
-		`SELECT d.filename, a.size, d.brick_count
-		 FROM dpfs_file_distribution d
-		 JOIN dpfs_file_attr a ON d.filename = a.filename
-		 WHERE d.server = %s ORDER BY d.filename`, quote(server)))
+	res, err := c.db.Exec(sqlFilesOnServer, str(server))
 	if err != nil {
 		return nil, err
 	}
@@ -958,7 +988,7 @@ func (c *Catalog) FilesOnServer(server string) ([]FileOnServer, error) {
 
 // SetSize updates DPFS-FILE-ATTR.size after writes extend a file.
 func (c *Catalog) SetSize(path string, size int64) error {
-	return c.setAttr(path, fmt.Sprintf("size = %d", size))
+	return c.setAttr(path, sqlSetSize, num(size))
 }
 
 // SetPerm updates DPFS-FILE-ATTR.permission (chmod).
@@ -966,7 +996,7 @@ func (c *Catalog) SetPerm(path string, perm int) error {
 	if perm < 0 || perm > 0o7777 {
 		return fmt.Errorf("meta: invalid permission %o", perm)
 	}
-	return c.setAttr(path, fmt.Sprintf("permission = %d", perm))
+	return c.setAttr(path, sqlSetPerm, num(perm))
 }
 
 // SetOwner updates DPFS-FILE-ATTR.owner (chown).
@@ -974,17 +1004,18 @@ func (c *Catalog) SetOwner(path, owner string) error {
 	if err := validName(owner); err != nil {
 		return err
 	}
-	return c.setAttr(path, "owner = "+quote(owner))
+	return c.setAttr(path, sqlSetOwner, str(owner))
 }
 
-func (c *Catalog) setAttr(path, set string) error {
+// setAttr runs one of the sqlSet* statements on a file's attr row.
+func (c *Catalog) setAttr(path, set string, v metadb.Value) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	path, err := CleanPath(path)
 	if err != nil {
 		return err
 	}
-	res, err := c.db.Exec(fmt.Sprintf(`UPDATE dpfs_file_attr SET %s WHERE filename = %s`, set, quote(path)))
+	res, err := c.db.Exec(set, v, str(path))
 	if err != nil {
 		return err
 	}
@@ -992,19 +1023,6 @@ func (c *Catalog) setAttr(path, set string) error {
 		return fmt.Errorf("meta: no such file %s", path)
 	}
 	return nil
-}
-
-// inTx runs fn inside BEGIN/COMMIT, rolling back on error.
-func (c *Catalog) inTx(fn func() error) error {
-	if _, err := c.db.Exec(`BEGIN`); err != nil {
-		return err
-	}
-	if err := fn(); err != nil {
-		_, _ = c.db.Exec(`ROLLBACK`)
-		return err
-	}
-	_, err := c.db.Exec(`COMMIT`)
-	return err
 }
 
 // --- helpers -----------------------------------------------------------
@@ -1046,13 +1064,11 @@ func validName(name string) error {
 	if name == "" {
 		return errors.New("meta: empty name")
 	}
-	if strings.ContainsAny(name, ",/'\n") {
+	if strings.ContainsAny(name, ",/\n") {
 		return fmt.Errorf("meta: name %q contains a reserved character", name)
 	}
 	return nil
 }
-
-func quote(s string) string { return metadb.S(s).String() }
 
 func splitList(s string) []string {
 	if s == "" {
@@ -1062,6 +1078,13 @@ func splitList(s string) []string {
 }
 
 func joinList(l []string) string { return strings.Join(l, ",") }
+
+// joinSorted is joinList of l with name added in sorted position.
+func joinSorted(l []string, name string) string {
+	l = append(l, name)
+	sort.Strings(l)
+	return joinList(l)
+}
 
 func joinInts(xs []int64) string {
 	parts := make([]string, len(xs))

@@ -412,7 +412,8 @@ func TestCleanPath(t *testing.T) {
 		{"relative", "", false},
 		{"", "", false},
 		{"/a,b", "", false},
-		{"/a'b", "", false},
+		{"/a\nb", "", false},
+		{"/a'b", "/a'b", true}, // values travel as arguments; nothing is quoted
 	}
 	for _, c := range cases {
 		got, err := CleanPath(c.in)

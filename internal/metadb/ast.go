@@ -3,6 +3,13 @@ package metadb
 // Statement is any parsed SQL statement.
 type Statement interface{ stmt() }
 
+// Stmt is one element of a Batch: a statement text and the arguments
+// for its '?' placeholders.
+type Stmt struct {
+	SQL  string
+	Args []Value
+}
+
 // ColumnDef is one column in a CREATE TABLE.
 type ColumnDef struct {
 	Name       string
@@ -25,11 +32,14 @@ type DropTable struct {
 	IfExists bool
 }
 
-// Insert is INSERT INTO name [(cols)] VALUES (...), (...).
+// Insert is INSERT [OR IGNORE] INTO name [(cols)] VALUES (...), (...).
+// With OR IGNORE a row that collides with an existing primary-key or
+// UNIQUE value is skipped instead of failing the statement.
 type Insert struct {
-	Table string
-	Cols  []string // nil = all columns in schema order
-	Rows  [][]Expr
+	Table    string
+	OrIgnore bool
+	Cols     []string // nil = all columns in schema order
+	Rows     [][]Expr
 }
 
 // Select is SELECT items FROM table [JOIN ...] [WHERE] [GROUP BY]
@@ -120,6 +130,12 @@ type Expr interface{ expr() }
 // Lit is a literal value.
 type Lit struct{ V Value }
 
+// Param is a '?' placeholder: the N-th (0-based, left to right) of the
+// arguments the statement is executed with. Wherever the executor
+// special-cases a literal (index probes), a bound parameter counts as
+// one.
+type Param struct{ N int }
+
 // Col is a column reference, optionally qualified with a table name or
 // alias ("t.col").
 type Col struct {
@@ -168,6 +184,7 @@ type AggExpr struct {
 }
 
 func (Lit) expr()     {}
+func (Param) expr()   {}
 func (Col) expr()     {}
 func (Unary) expr()   {}
 func (Binary) expr()  {}

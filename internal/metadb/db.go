@@ -61,7 +61,8 @@ type DB struct {
 	tables map[string]*Table
 	closed bool
 
-	reg *obs.Registry
+	reg   *obs.Registry
+	plans planCache
 
 	walMu sync.Mutex // serializes WAL appends and checkpoints (under mu)
 	wal   *walFile
@@ -177,8 +178,17 @@ func (db *DB) Session() *Session {
 
 // Exec runs one autocommitted statement on a fresh session: a
 // convenience for callers that do not need transactions.
-func (db *DB) Exec(sql string) (*Result, error) {
-	return db.Session().Exec(sql)
+func (db *DB) Exec(sql string, args ...Value) (*Result, error) {
+	return db.Session().Exec(sql, args...)
+}
+
+// Batch runs stmts with Session.Batch on a fresh session. The session
+// ends with the call, so a transaction the batch leaves open is rolled
+// back.
+func (db *DB) Batch(stmts []Stmt) ([]*Result, error) {
+	s := db.Session()
+	defer s.Abort()
+	return s.Batch(stmts)
 }
 
 // TableNames returns the current table names, sorted.
@@ -230,13 +240,64 @@ type RedoOp struct {
 // InTx reports whether the session has an open transaction.
 func (s *Session) InTx() bool { return s.tx != nil }
 
-// Exec parses and executes one SQL statement.
-func (s *Session) Exec(sql string) (*Result, error) {
-	st, err := Parse(sql)
+// Exec executes one SQL statement with args bound, in order, to its '?'
+// placeholders. The parsed form comes from the database's plan cache,
+// so a text is parsed once however often and with whatever arguments
+// it runs.
+func (s *Session) Exec(sql string, args ...Value) (*Result, error) {
+	p, err := s.db.plans.get(Stmt{SQL: sql, Args: args})
 	if err != nil {
 		return nil, err
 	}
-	return s.ExecStmt(st)
+	return s.run(p, args)
+}
+
+// Batch executes stmts in order and stops at the first that fails: it
+// returns the results of those that succeeded — so their count is the
+// index of the failing statement — and that statement's error. Nothing
+// is undone: an explicit transaction the batch opened stays open for
+// the caller to ROLLBACK. A batch made only of SELECTs outside a
+// transaction runs under one hold of the shared lock, so all of them
+// read the same committed state.
+func (s *Session) Batch(stmts []Stmt) ([]*Result, error) {
+	var planErr error // why stmts[len(plans)] cannot run, if it cannot
+	plans := make([]*plan, 0, len(stmts))
+	snapshot := s.tx == nil
+	for _, st := range stmts {
+		p, err := s.db.plans.get(st)
+		if err != nil {
+			planErr = err
+			break
+		}
+		if _, ok := p.st.(Select); !ok {
+			snapshot = false
+		}
+		plans = append(plans, p)
+	}
+	exec := s.run
+	if snapshot {
+		db := s.db
+		db.mu.RLock()
+		defer db.mu.RUnlock()
+		if db.closed {
+			return nil, errors.New("metadb: database closed")
+		}
+		exec = func(p *plan, args []Value) (*Result, error) {
+			start := time.Now()
+			res, err := db.execSelect(p.st.(Select), args)
+			db.observe(p, start)
+			return res, err
+		}
+	}
+	out := make([]*Result, 0, len(plans))
+	for i, p := range plans {
+		res, err := exec(p, stmts[i].Args)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, res)
+	}
+	return out, planErr
 }
 
 // stmtKind labels a statement for metrics.
@@ -270,17 +331,26 @@ func stmtKind(st Statement) string {
 	return "other"
 }
 
-// ExecStmt executes a parsed statement.
+// ExecStmt executes a parsed statement that has no placeholders.
 func (s *Session) ExecStmt(st Statement) (*Result, error) {
+	return s.run(newPlan(st, 0), nil)
+}
+
+// run executes a planned statement and records its metrics.
+func (s *Session) run(p *plan, args []Value) (*Result, error) {
 	start := time.Now()
-	res, err := s.execStmt(st)
-	reg := s.db.reg
-	reg.Counter(MetricQueries).Inc()
-	reg.Histogram(QueryMetric(stmtKind(st))).Record(time.Since(start).Microseconds())
+	res, err := s.execStmt(p.st, args)
+	s.db.observe(p, start)
 	return res, err
 }
 
-func (s *Session) execStmt(st Statement) (*Result, error) {
+// observe counts one executed statement and its latency.
+func (db *DB) observe(p *plan, start time.Time) {
+	db.reg.Counter(MetricQueries).Inc()
+	db.reg.Histogram(p.metric).Record(time.Since(start).Microseconds())
+}
+
+func (s *Session) execStmt(st Statement, args []Value) (*Result, error) {
 	switch st := st.(type) {
 	case Begin:
 		if s.tx != nil {
@@ -293,7 +363,7 @@ func (s *Session) execStmt(st Statement) (*Result, error) {
 	case Rollback:
 		return s.rollback()
 	case Select:
-		return s.runRead(st)
+		return s.runRead(st, args)
 	case Explain:
 		db := s.db
 		if s.tx != nil && s.tx.locked {
@@ -307,7 +377,7 @@ func (s *Session) execStmt(st Statement) (*Result, error) {
 		}
 		return db.explainSelect(st.Stmt)
 	case CreateTable, DropTable, CreateIndex, DropIndex, Insert, Update, Delete:
-		return s.runWrite(st)
+		return s.runWrite(st, args)
 	}
 	return nil, fmt.Errorf("metadb: unhandled statement %T", st)
 }
@@ -417,7 +487,7 @@ func applyUndo(db *DB, undo []undoOp) {
 // exclusive lock for the life of the transaction (strict two-phase
 // locking), so a read-modify-write transaction cannot lose its update
 // to a concurrent transaction that read the same rows.
-func (s *Session) runRead(st Select) (*Result, error) {
+func (s *Session) runRead(st Select, args []Value) (*Result, error) {
 	db := s.db
 	if s.tx != nil {
 		if !s.tx.locked {
@@ -428,20 +498,20 @@ func (s *Session) runRead(st Select) (*Result, error) {
 			}
 			s.tx.locked = true
 		}
-		return db.execSelect(st)
+		return db.execSelect(st, args)
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.closed {
 		return nil, errors.New("metadb: database closed")
 	}
-	return db.execSelect(st)
+	return db.execSelect(st, args)
 }
 
 // runWrite executes a mutating statement, acquiring the exclusive lock
 // for the life of the transaction (or just this statement when
 // autocommitting).
-func (s *Session) runWrite(st Statement) (*Result, error) {
+func (s *Session) runWrite(st Statement, args []Value) (*Result, error) {
 	db := s.db
 	auto := s.tx == nil
 	if auto {
@@ -456,7 +526,7 @@ func (s *Session) runWrite(st Statement) (*Result, error) {
 		}
 		s.tx.locked = true
 	}
-	res, err := db.execWrite(st, s.tx)
+	res, err := db.execWrite(st, s.tx, args)
 	if err != nil {
 		if auto {
 			// Autocommit statement failed: roll back its partial work.
@@ -478,7 +548,7 @@ func (s *Session) runWrite(st Statement) (*Result, error) {
 // execWrite dispatches a mutating statement; on error it undoes the
 // statement's own partial effects so explicit transactions see
 // statement atomicity. Caller holds the exclusive lock.
-func (db *DB) execWrite(st Statement, tx *txState) (*Result, error) {
+func (db *DB) execWrite(st Statement, tx *txState, args []Value) (*Result, error) {
 	undoMark := len(tx.undo)
 	redoMark := len(tx.redo)
 	var (
@@ -495,11 +565,11 @@ func (db *DB) execWrite(st Statement, tx *txState) (*Result, error) {
 	case DropIndex:
 		res, err = db.execDropIndex(st, tx)
 	case Insert:
-		res, err = db.execInsert(st, tx)
+		res, err = db.execInsert(st, tx, args)
 	case Update:
-		res, err = db.execUpdate(st, tx)
+		res, err = db.execUpdate(st, tx, args)
 	case Delete:
-		res, err = db.execDelete(st, tx)
+		res, err = db.execDelete(st, tx, args)
 	default:
 		err = fmt.Errorf("metadb: unhandled write %T", st)
 	}
@@ -589,7 +659,7 @@ func (db *DB) execDropIndex(st DropIndex, tx *txState) (*Result, error) {
 	return &Result{}, nil
 }
 
-func (db *DB) execInsert(st Insert, tx *txState) (*Result, error) {
+func (db *DB) execInsert(st Insert, tx *txState, args []Value) (*Result, error) {
 	t, err := db.table(st.Table)
 	if err != nil {
 		return nil, err
@@ -610,6 +680,7 @@ func (db *DB) execInsert(st Insert, tx *txState) (*Result, error) {
 		colPos[i] = p
 	}
 	var n int64
+	ctx := &evalCtx{args: args}
 	for _, rowExprs := range st.Rows {
 		if len(rowExprs) != len(cols) {
 			return nil, fmt.Errorf("metadb: INSERT has %d values for %d columns", len(rowExprs), len(cols))
@@ -619,14 +690,20 @@ func (db *DB) execInsert(st Insert, tx *txState) (*Result, error) {
 			vals[i] = Null()
 		}
 		for i, e := range rowExprs {
-			v, err := eval(e, nil)
+			v, err := eval(e, ctx)
 			if err != nil {
 				return nil, err
 			}
 			vals[colPos[i]] = v
 		}
-		checked, err := t.checkRow(vals, 0)
+		checked, err := t.coerceRow(vals)
 		if err != nil {
+			return nil, err
+		}
+		if err := t.conflict(checked, 0); err != nil {
+			if st.OrIgnore {
+				continue
+			}
 			return nil, err
 		}
 		rid := t.insert(checked, 0)
@@ -639,41 +716,16 @@ func (db *DB) execInsert(st Insert, tx *txState) (*Result, error) {
 
 // matchRows returns the rowids satisfying the WHERE clause, using the
 // primary-key or a secondary index for simple equality predicates.
-func (db *DB) matchRows(t *Table, where Expr) ([]int64, error) {
-	if where != nil {
-		if ci, lit, ok := eqPredicate(t, where); ok {
-			v, err := coerce(lit, t.Cols[ci].Type)
-			if err != nil {
-				return nil, nil // a mistyped probe matches nothing
-			}
-			if ci == t.pk {
-				if rid, found := t.lookupPK(v); found {
-					return []int64{rid}, nil
-				}
-				return nil, nil
-			}
-			if uidx, ok := t.uniqIdx[ci]; ok {
-				if rid, found := uidx[v]; found {
-					return []int64{rid}, nil
-				}
-				return nil, nil
-			}
-			if ix := t.indexOn(ci); ix != nil {
-				set := ix.m[v]
-				out := make([]int64, 0, len(set))
-				for rid := range set {
-					out = append(out, rid)
-				}
-				sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-				return out, nil
-			}
-		}
+func (db *DB) matchRows(t *Table, where Expr, args []Value) ([]int64, error) {
+	if ids, ok := pointLookup(t, t.Name, where, args); ok {
+		return ids, nil
 	}
 	var out []int64
+	ctx := &evalCtx{args: args}
 	for _, rid := range t.scanIDs() {
-		vals := t.rows[rid]
 		if where != nil {
-			v, err := eval(where, &evalCtx{lookup: rowEnv(t, vals)})
+			ctx.lookup = rowEnv(t, t.rows[rid])
+			v, err := eval(where, ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -684,34 +736,6 @@ func (db *DB) matchRows(t *Table, where Expr) ([]int64, error) {
 		out = append(out, rid)
 	}
 	return out, nil
-}
-
-// eqPredicate recognizes WHERE clauses of the form col = literal (or
-// literal = col) over this table.
-func eqPredicate(t *Table, where Expr) (colIdx int, lit Value, ok bool) {
-	b, isBin := where.(Binary)
-	if !isBin || b.Op != "=" {
-		return 0, Value{}, false
-	}
-	try := func(ce, le Expr) (int, Value, bool) {
-		c, ok := ce.(Col)
-		if !ok || (c.Qual != "" && c.Qual != t.Name) {
-			return 0, Value{}, false
-		}
-		l, ok := le.(Lit)
-		if !ok {
-			return 0, Value{}, false
-		}
-		ci, err := t.ColIndex(c.Name)
-		if err != nil {
-			return 0, Value{}, false
-		}
-		return ci, l.V, true
-	}
-	if ci, v, ok := try(b.L, b.R); ok {
-		return ci, v, true
-	}
-	return try(b.R, b.L)
 }
 
 func rowEnv(t *Table, vals []Value) env {
@@ -727,7 +751,7 @@ func rowEnv(t *Table, vals []Value) env {
 	}
 }
 
-func (db *DB) execUpdate(st Update, tx *txState) (*Result, error) {
+func (db *DB) execUpdate(st Update, tx *txState, args []Value) (*Result, error) {
 	t, err := db.table(st.Table)
 	if err != nil {
 		return nil, err
@@ -740,7 +764,7 @@ func (db *DB) execUpdate(st Update, tx *txState) (*Result, error) {
 		}
 		colPos[i] = p
 	}
-	rids, err := db.matchRows(t, st.Where)
+	rids, err := db.matchRows(t, st.Where, args)
 	if err != nil {
 		return nil, err
 	}
@@ -749,7 +773,7 @@ func (db *DB) execUpdate(st Update, tx *txState) (*Result, error) {
 		old := t.rows[rid]
 		vals := append([]Value(nil), old...)
 		for i, e := range st.Exprs {
-			v, err := eval(e, &evalCtx{lookup: rowEnv(t, old)})
+			v, err := eval(e, &evalCtx{args: args, lookup: rowEnv(t, old)})
 			if err != nil {
 				return nil, err
 			}
@@ -767,12 +791,12 @@ func (db *DB) execUpdate(st Update, tx *txState) (*Result, error) {
 	return &Result{RowsAffected: n}, nil
 }
 
-func (db *DB) execDelete(st Delete, tx *txState) (*Result, error) {
+func (db *DB) execDelete(st Delete, tx *txState, args []Value) (*Result, error) {
 	t, err := db.table(st.Table)
 	if err != nil {
 		return nil, err
 	}
-	rids, err := db.matchRows(t, st.Where)
+	rids, err := db.matchRows(t, st.Where, args)
 	if err != nil {
 		return nil, err
 	}

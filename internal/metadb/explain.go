@@ -24,16 +24,14 @@ func (db *DB) explainSelect(st Select) (*Result, error) {
 	// Base table access method.
 	base := refs[0]
 	access := fmt.Sprintf("SCAN %s (%d rows)", base.t.Name, len(base.t.rows))
-	if len(refs) == 1 && st.Where != nil {
-		if ci, _, ok := eqPredicateAliased(base.t, base.alias, st.Where); ok {
-			col := base.t.Cols[ci].Name
-			switch {
-			case ci == base.t.pk:
-				access = fmt.Sprintf("POINT LOOKUP %s BY PRIMARY KEY (%s)", base.t.Name, col)
-			case base.t.uniqIdx[ci] != nil:
-				access = fmt.Sprintf("POINT LOOKUP %s BY UNIQUE (%s)", base.t.Name, col)
-			case base.t.indexOn(ci) != nil:
-				access = fmt.Sprintf("INDEX LOOKUP %s BY %s (%s)", base.t.Name, base.t.indexOn(ci).name, col)
+	if len(refs) == 1 {
+		if ci, _, ok := eqPredicate(base.t, base.alias, st.Where); ok {
+			if by := base.t.probeName(ci); by != "" {
+				kind := "INDEX" // a secondary index may hold several rows per key
+				if by == "PRIMARY KEY" || by == "UNIQUE" {
+					kind = "POINT"
+				}
+				access = fmt.Sprintf("%s LOOKUP %s BY %s (%s)", kind, base.t.Name, by, base.t.Cols[ci].Name)
 			}
 		}
 	}
@@ -41,6 +39,11 @@ func (db *DB) explainSelect(st Select) (*Result, error) {
 
 	for i, j := range st.Joins {
 		t := refs[i+1].t
+		if pr := findJoinProbe(refs, i+1, j.On); pr.ok {
+			lines = append(lines, fmt.Sprintf("INDEX NESTED LOOP JOIN %s BY %s (%s) ON %s",
+				t.Name, t.probeName(pr.innerCol), t.Cols[pr.innerCol].Name, ExprString(j.On)))
+			continue
+		}
 		lines = append(lines, fmt.Sprintf("NESTED LOOP JOIN %s (%d rows) ON %s",
 			t.Name, len(t.rows), ExprString(j.On)))
 	}
@@ -99,6 +102,8 @@ func ExprString(e Expr) string {
 		return "<nil>"
 	case Lit:
 		return n.V.String()
+	case Param:
+		return "?"
 	case Col:
 		if n.Qual != "" {
 			return n.Qual + "." + n.Name

@@ -10,10 +10,12 @@ import (
 // expression evaluation.
 type env func(qual, name string) (Value, error)
 
-// evalCtx carries the evaluation environment: a row binding for column
-// references and, where aggregates are legal (SELECT items, HAVING), an
-// aggregate evaluator bound to the current group.
+// evalCtx carries the evaluation environment: the statement's bound
+// arguments, a row binding for column references and, where aggregates
+// are legal (SELECT items, HAVING), an aggregate evaluator bound to the
+// current group.
 type evalCtx struct {
+	args   []Value
 	lookup env
 	agg    func(a AggExpr) (Value, error)
 }
@@ -25,6 +27,11 @@ func eval(e Expr, ctx *evalCtx) (Value, error) {
 	switch n := e.(type) {
 	case Lit:
 		return n.V, nil
+	case Param:
+		if ctx == nil || n.N >= len(ctx.args) {
+			return Value{}, fmt.Errorf("metadb: placeholder %d has no argument", n.N+1)
+		}
+		return ctx.args[n.N], nil
 	case Col:
 		if ctx == nil || ctx.lookup == nil {
 			return Value{}, fmt.Errorf("metadb: column %q not allowed here", n.Name)

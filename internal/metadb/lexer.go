@@ -143,7 +143,7 @@ func lex(src string) ([]token, error) {
 				continue
 			}
 			switch c {
-			case '(', ')', ',', '*', '+', '-', '/', '%', '=', '<', '>', ';', '.':
+			case '(', ')', ',', '*', '+', '-', '/', '%', '=', '<', '>', ';', '.', '?':
 				toks = append(toks, token{kind: tokSymbol, text: string(c), pos: start})
 				i++
 			default:

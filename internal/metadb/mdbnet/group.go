@@ -16,17 +16,18 @@ import (
 // §13). Failover is driven by the two error classes the servers
 // produce:
 //
-//   - A NotPrimaryError rejection guarantees the statement never
-//     executed, so the client follows the redirect (or rotates to the
-//     next replica) and safely resends — unless a transaction is open,
-//     in which case the transaction is already doomed on the old
-//     primary and the error surfaces for the caller to retry whole.
-//   - A TransportError means the statement may have executed, so it is
-//     never resent (the same lost-ack COMMIT contract as Client); the
-//     client rotates its target so the *next* statement tries another
-//     replica.
+//   - A NotPrimaryError rejection is the server's gate refusing a whole
+//     request, so none of its statements executed: the client follows
+//     the redirect (or rotates to the next replica) and safely resends
+//     the batch — unless a transaction is open, in which case the
+//     transaction is already doomed on the old primary and the error
+//     surfaces for the caller to retry whole.
+//   - A TransportError means the batch may have executed, in part or
+//     whole, so it is never resent (the same lost-ack COMMIT contract
+//     as Client); the client rotates its target so the *next* request
+//     tries another replica.
 //
-// Statements are serialized, matching the one-session-per-connection
+// Requests are serialized, matching the one-session-per-connection
 // model.
 type GroupClient struct {
 	trace atomic.Pointer[obs.Span]
@@ -120,7 +121,13 @@ func (g *GroupClient) SetTraceSpan(parent *obs.Span) {
 
 // Exec sends one SQL statement to the current primary, following
 // not-primary redirects.
-func (g *GroupClient) Exec(sql string) (*metadb.Result, error) {
+func (g *GroupClient) Exec(sql string, args ...metadb.Value) (*metadb.Result, error) {
+	return first(g.Batch([]metadb.Stmt{{SQL: sql, Args: args}}))
+}
+
+// Batch sends stmts as one request (Client.Batch) to the current
+// primary, following not-primary redirects.
+func (g *GroupClient) Batch(stmts []metadb.Stmt) ([]*metadb.Result, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.closed {
@@ -136,16 +143,16 @@ func (g *GroupClient) Exec(sql string) (*metadb.Result, error) {
 				return nil, err
 			}
 		}
-		res, err := g.cli.Exec(sql)
+		res, err := g.cli.Batch(stmts)
 		if err == nil {
-			g.trackTx(sql)
+			g.trackTx(stmts)
 			return res, nil
 		}
 		lastErr = err
 		var te *TransportError
 		if errors.As(err, &te) {
 			// May have executed: never resend. Rotate so the next
-			// statement tries another replica, and abandon the
+			// request tries another replica, and abandon the
 			// connection (the server aborts any open transaction).
 			g.dropLocked()
 			g.cur = (g.cur + 1) % len(g.addrs)
@@ -153,7 +160,7 @@ func (g *GroupClient) Exec(sql string) (*metadb.Result, error) {
 		}
 		if redirect, ok := ParseNotPrimary(err.Error()); ok {
 			if g.inTx {
-				// The statement was rejected, but earlier statements of
+				// The batch was rejected, but earlier statements of
 				// this transaction ran on the deposed primary; drop the
 				// connection (aborting them there) and surface the
 				// error so the caller retries the transaction whole.
@@ -166,21 +173,25 @@ func (g *GroupClient) Exec(sql string) (*metadb.Result, error) {
 			g.retargetLocked(redirect)
 			continue
 		}
-		// An ordinary SQL error from the primary.
-		g.trackTx(sql)
-		return nil, err
+		// An ordinary SQL error from the primary: the statements before
+		// it ran, and so did it as far as transaction state goes (a
+		// failed COMMIT still ends the transaction).
+		g.trackTx(stmts[:len(res)+1]) // Client.Batch checked len(res) < len(stmts)
+		return res, err
 	}
 	return nil, fmt.Errorf("%w: no stable primary: %v", ErrNotPrimary, lastErr)
 }
 
-// trackTx follows the session's transaction state by statement
-// keyword. Caller holds g.mu.
-func (g *GroupClient) trackTx(sql string) {
-	switch sqlKeyword(sql) {
-	case "begin":
-		g.inTx = true
-	case "commit", "rollback":
-		g.inTx = false
+// trackTx follows the session's transaction state through the
+// statements that ran, by keyword. Caller holds g.mu.
+func (g *GroupClient) trackTx(ran []metadb.Stmt) {
+	for _, st := range ran {
+		switch sqlKeyword(st.SQL) {
+		case "begin":
+			g.inTx = true
+		case "commit", "rollback":
+			g.inTx = false
+		}
 	}
 }
 

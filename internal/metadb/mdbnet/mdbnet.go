@@ -3,10 +3,17 @@
 // process somewhere on the network and every client performs catalog
 // operations by sending SQL to it (Section 5).
 //
-// The protocol is one gob stream per direction. Each connection owns
-// one database session, so BEGIN/COMMIT/ROLLBACK have connection scope
-// exactly like a real database connection; a dropped connection aborts
-// its open transaction.
+// The protocol is one gob stream per direction. A request carries an
+// ordered batch of statements, each a text with the arguments for its
+// '?' placeholders; the server runs them in order on the connection's
+// session, stops at the first that fails, and answers with one
+// response: the results so far and that error (metadb.Session.Batch
+// has the exact rules, including the shared snapshot a batch of
+// SELECTs reads). One request is one round trip however many
+// statements it carries. Each connection owns one database session, so
+// BEGIN/COMMIT/ROLLBACK have connection scope exactly like a real
+// database connection; a dropped connection aborts its open
+// transaction.
 package mdbnet
 
 import (
@@ -33,26 +40,26 @@ const (
 	MetricRequestUS   = "request_us"
 )
 
-// request is one SQL statement from client to server. The trace
+// request is one batch of statements from client to server. The trace
 // fields are optional wire-propagated identity (zero TraceID means
-// untraced); gob tolerates their absence, so old and new peers
-// interoperate.
+// untraced).
 type request struct {
-	SQL     string
+	Stmts   []metadb.Stmt
 	TraceID uint64
 	SpanID  uint64
 	Sampled bool
 }
 
-// response carries a statement result or error back. Trace, when
-// non-empty, is the server's span tree in obs.EncodeSpans format so
-// the client can stitch the database's side into its own trace.
+// response carries the batch's outcome back: one result per statement
+// that succeeded and, when one failed or the gate refused the batch,
+// its error — so len(Results) is the index of the failing statement.
+// Trace, when non-empty, is the server's span tree in obs.EncodeSpans
+// format so the client can stitch the database's side into its own
+// trace.
 type response struct {
-	Cols         []string
-	Rows         [][]metadb.Value
-	RowsAffected int64
-	Err          string
-	Trace        []byte
+	Results []*metadb.Result
+	Err     string
+	Trace   []byte
 }
 
 // serverTraceCap bounds the metadata server's local trace ring.
@@ -74,12 +81,12 @@ type Server struct {
 	gate atomic.Pointer[func() error]
 }
 
-// SetGate installs a per-statement admission check: when it returns an
-// error, the statement is rejected with that error instead of reaching
-// the database. A replica group uses this to bounce SQL off followers
-// with a NotPrimaryError redirect (DESIGN.md §13); nil removes the
-// gate. Rejected statements are never executed, so clients may safely
-// resend them elsewhere.
+// SetGate installs an admission check made once per request: when it
+// returns an error, the whole batch is rejected with that error and
+// none of its statements reaches the database. A replica group uses
+// this to bounce SQL off followers with a NotPrimaryError redirect
+// (DESIGN.md §13); nil removes the gate. A rejected batch never
+// executed, so clients may safely resend it elsewhere.
 func (s *Server) SetGate(gate func() error) {
 	if gate == nil {
 		s.gate.Store(nil)
@@ -247,45 +254,12 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		st.busy = true
 		s.mu.Unlock()
-		if g := s.gate.Load(); g != nil {
-			if gerr := (*g)(); gerr != nil {
-				s.reg.Counter(MetricRequests).Inc()
-				s.reg.Counter(MetricErrors).Inc()
-				err := enc.Encode(&response{Err: gerr.Error()})
-				s.mu.Lock()
-				st.busy = false
-				drain := s.draining
-				s.mu.Unlock()
-				if err != nil || drain {
-					return
-				}
-				continue
-			}
-		}
-		var resp response
-		var sp *obs.Span
-		if req.TraceID != 0 && req.Sampled {
-			sp = obs.StartRemote("metadb.exec", obs.TraceContext{TraceID: req.TraceID, SpanID: req.SpanID, Sampled: true})
-			sp.Op = sqlKeyword(req.SQL)
-		}
-		start := time.Now()
-		res, err := sess.Exec(req.SQL)
+		resp := s.serve(sess, &req)
 		s.reg.Counter(MetricRequests).Inc()
-		s.reg.Histogram(MetricRequestUS).Record(time.Since(start).Microseconds())
-		if sp != nil {
-			sp.End()
-			s.traces.Add(&obs.Trace{Root: sp})
-			resp.Trace = obs.EncodeSpans(sp)
-		}
-		if err != nil {
+		if resp.Err != "" {
 			s.reg.Counter(MetricErrors).Inc()
-			resp.Err = err.Error()
-		} else {
-			resp.Cols = res.Cols
-			resp.Rows = res.Rows
-			resp.RowsAffected = res.RowsAffected
 		}
-		err = enc.Encode(&resp)
+		err := enc.Encode(resp)
 		s.mu.Lock()
 		st.busy = false
 		drain := s.draining
@@ -294,6 +268,34 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// serve runs one request's batch on the connection's session, unless
+// the gate refuses it, and builds the response.
+func (s *Server) serve(sess *metadb.Session, req *request) *response {
+	if g := s.gate.Load(); g != nil {
+		if err := (*g)(); err != nil {
+			return &response{Err: err.Error()}
+		}
+	}
+	var sp *obs.Span
+	if req.TraceID != 0 && req.Sampled {
+		sp = obs.StartRemote("metadb.exec", obs.TraceContext{TraceID: req.TraceID, SpanID: req.SpanID, Sampled: true})
+		sp.Op = batchLabel(req.Stmts)
+	}
+	start := time.Now()
+	results, err := sess.Batch(req.Stmts)
+	s.reg.Histogram(MetricRequestUS).Record(time.Since(start).Microseconds())
+	resp := &response{Results: results}
+	if err != nil {
+		resp.Err = err.Error()
+	}
+	if sp != nil {
+		sp.End()
+		s.traces.Add(&obs.Trace{Root: sp})
+		resp.Trace = obs.EncodeSpans(sp)
+	}
+	return resp
 }
 
 // Client is a connection to an mdbnet server. A Client owns one
@@ -371,65 +373,87 @@ func (c *Client) dropLocked() {
 	}
 }
 
-// Exec sends one SQL statement and waits for its result.
-func (c *Client) Exec(sql string) (*metadb.Result, error) {
-	req := request{SQL: sql}
+// Exec sends one SQL statement, with args for its '?' placeholders, and
+// waits for its result.
+func (c *Client) Exec(sql string, args ...metadb.Value) (*metadb.Result, error) {
+	return first(c.Batch([]metadb.Stmt{{SQL: sql, Args: args}}))
+}
+
+// first is the outcome of a one-statement batch.
+func first(res []*metadb.Result, err error) (*metadb.Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// Batch sends stmts as one request and waits for the one response: the
+// server runs them in order on this connection's session and stops at
+// the first that fails. It returns the results of the statements that
+// succeeded — their count is the failing statement's index — and that
+// statement's error; a *TransportError instead means the request may
+// or may not have run, in part or whole.
+func (c *Client) Batch(stmts []metadb.Stmt) ([]*metadb.Result, error) {
+	if len(stmts) == 0 {
+		return nil, nil
+	}
+	req := request{Stmts: stmts}
 	var sp *obs.Span
 	if parent := c.trace.Load(); parent != nil && parent.TraceID != 0 {
 		sp = parent.Child("metadb.rpc")
-		sp.Op = sqlKeyword(sql)
+		sp.Op = batchLabel(stmts)
+		defer sp.End()
 		tc := sp.Context()
 		req.TraceID, req.SpanID, req.Sampled = tc.TraceID, tc.SpanID, tc.Sampled
 	}
+	resp, err := c.roundTrip(&req)
+	if err != nil {
+		return nil, err
+	}
+	if sp != nil && len(resp.Trace) > 0 {
+		if remote, derr := obs.DecodeSpans(resp.Trace); derr == nil {
+			for _, rs := range remote {
+				sp.Adopt(rs)
+			}
+		}
+	}
+	switch n := len(resp.Results); {
+	case resp.Err != "" && n < len(stmts):
+		return resp.Results, errors.New(resp.Err)
+	case resp.Err == "" && n == len(stmts):
+		return resp.Results, nil
+	default:
+		return nil, fmt.Errorf("mdbnet: malformed response: %d results for %d statements (error %q)", n, len(stmts), resp.Err)
+	}
+}
+
+// roundTrip writes one request and reads its response, redialing first
+// if the previous exchange broke the connection.
+func (c *Client) roundTrip(req *request) (*response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		if sp != nil {
-			sp.End()
-		}
 		return nil, errors.New("mdbnet: client closed")
 	}
 	if c.conn == nil {
-		// The previous statement broke the connection; reconnect with
-		// a fresh server-side session before sending this one.
+		// The previous request broke the connection; reconnect with a
+		// fresh server-side session before sending this one.
 		conn, err := c.dial(c.addr)
 		if err != nil {
-			if sp != nil {
-				sp.End()
-			}
 			return nil, &TransportError{Op: "redial", Addr: c.addr, Err: err}
 		}
 		c.attach(conn)
 	}
 	if err := c.enc.Encode(req); err != nil {
 		c.dropLocked()
-		if sp != nil {
-			sp.End()
-		}
 		return nil, &TransportError{Op: "send", Addr: c.addr, Err: err}
 	}
 	var resp response
 	if err := c.dec.Decode(&resp); err != nil {
 		c.dropLocked()
-		if sp != nil {
-			sp.End()
-		}
 		return nil, &TransportError{Op: "receive", Addr: c.addr, Err: err}
 	}
-	if sp != nil {
-		sp.End()
-		if len(resp.Trace) > 0 {
-			if remote, derr := obs.DecodeSpans(resp.Trace); derr == nil {
-				for _, rs := range remote {
-					sp.Adopt(rs)
-				}
-			}
-		}
-	}
-	if resp.Err != "" {
-		return nil, errors.New(resp.Err)
-	}
-	return &metadb.Result{Cols: resp.Cols, Rows: resp.Rows, RowsAffected: resp.RowsAffected}, nil
+	return &resp, nil
 }
 
 // sqlKeyword returns the statement's leading keyword, lower-cased
@@ -440,6 +464,18 @@ func sqlKeyword(sql string) string {
 		return ""
 	}
 	return strings.ToLower(f[0])
+}
+
+// batchLabel labels a request's span: its first statement's keyword,
+// and how many more statements ride along ("begin+3").
+func batchLabel(stmts []metadb.Stmt) string {
+	switch len(stmts) {
+	case 0:
+		return ""
+	case 1:
+		return sqlKeyword(stmts[0].SQL)
+	}
+	return fmt.Sprintf("%s+%d", sqlKeyword(stmts[0].SQL), len(stmts)-1)
 }
 
 // Close tears the connection down (aborting any open transaction on

@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-func mustExec(t *testing.T, s *Session, sql string) *Result {
+func mustExec(t *testing.T, s *Session, sql string, args ...Value) *Result {
 	t.Helper()
-	res, err := s.Exec(sql)
+	res, err := s.Exec(sql, args...)
 	if err != nil {
 		t.Fatalf("Exec(%q): %v", sql, err)
 	}

@@ -7,27 +7,35 @@ import (
 )
 
 // Parse parses a single SQL statement (a trailing semicolon is
-// allowed).
+// allowed). Each '?' outside a string literal becomes a Param, numbered
+// left to right.
 func Parse(src string) (Statement, error) {
+	st, _, err := parse(src)
+	return st, err
+}
+
+// parse is Parse that also reports how many placeholders it numbered.
+func parse(src string) (Statement, int, error) {
 	toks, err := lex(src)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	p := &parser{toks: toks}
 	st, err := p.statement()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	p.accept(tokSymbol, ";")
 	if !p.at(tokEOF, "") {
-		return nil, fmt.Errorf("metadb: trailing input after statement: %s", p.peek())
+		return nil, 0, fmt.Errorf("metadb: trailing input after statement: %s", p.peek())
 	}
-	return st, nil
+	return st, p.nparams, nil
 }
 
 type parser struct {
-	toks []token
-	i    int
+	toks    []token
+	i       int
+	nparams int // placeholders numbered so far
 }
 
 func (p *parser) peek() token { return p.toks[p.i] }
@@ -291,10 +299,16 @@ func (p *parser) dropIndex() (Statement, error) {
 
 func (p *parser) insert() (Statement, error) {
 	p.next() // INSERT
+	st := Insert{}
+	if p.accept(tokKeyword, "OR") {
+		if t := p.next(); !strings.EqualFold(t.text, "IGNORE") {
+			return nil, fmt.Errorf("metadb: expected IGNORE, found %s", t)
+		}
+		st.OrIgnore = true
+	}
 	if _, err := p.expect(tokKeyword, "INTO"); err != nil {
 		return nil, err
 	}
-	st := Insert{}
 	name, err := p.ident()
 	if err != nil {
 		return nil, err
@@ -713,6 +727,16 @@ func (p *parser) unaryExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		// A negative number is a literal like any other: it probes an
+		// index exactly as the same value bound to a placeholder does.
+		if l, ok := x.(Lit); ok {
+			switch l.V.Kind {
+			case KindInt:
+				return Lit{I(-l.V.Int)}, nil
+			case KindFloat:
+				return Lit{F(-l.V.Float)}, nil
+			}
+		}
 		return Unary{Op: "-", X: x}, nil
 	}
 	if p.accept(tokSymbol, "+") {
@@ -800,6 +824,11 @@ func (p *parser) primary() (Expr, error) {
 		}
 		return Col{Name: t.text}, nil
 	case tokSymbol:
+		if t.text == "?" {
+			p.next()
+			p.nparams++
+			return Param{N: p.nparams - 1}, nil
+		}
 		if t.text == "(" {
 			p.next()
 			e, err := p.expr()

@@ -3,6 +3,7 @@ package metadb
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -67,67 +68,87 @@ func TestQuickGroupByAgainstReference(t *testing.T) {
 	}
 }
 
-// Property: an inner join equals the brute-force cross product filtered
-// by the ON condition.
+// Property: an inner join equals the brute-force nested loop over both
+// tables — same rows, same order — whether the joined table's key is
+// unindexed (the executor's own nested loop) or a primary key, UNIQUE
+// or secondary-indexed (the index probe), with NULL and duplicate keys
+// on both sides.
 func TestQuickJoinAgainstReference(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		s := Memory().Session()
 		defer s.db.Close()
-		if _, err := s.Exec(`CREATE TABLE a (k INT, x INT)`); err != nil {
-			return false
+		index := r.Intn(4)
+		keyDef := [...]string{"k INT", "k INT PRIMARY KEY", "k INT UNIQUE", "k INT"}[index]
+		for _, ddl := range []string{`CREATE TABLE a (k INT, x INT)`, `CREATE TABLE b (` + keyDef + `, y INT)`} {
+			if _, err := s.Exec(ddl); err != nil {
+				t.Logf("seed %d: %v", seed, err)
+				return false
+			}
 		}
-		if _, err := s.Exec(`CREATE TABLE b (k INT, y INT)`); err != nil {
-			return false
+		if index == 3 {
+			if _, err := s.Exec(`CREATE INDEX b_k ON b (k)`); err != nil {
+				return false
+			}
 		}
-		type row struct{ k, v int64 }
+		key := func() Value {
+			if r.Intn(5) == 0 {
+				return Null()
+			}
+			return I(int64(r.Intn(6)))
+		}
+		type row struct{ k, v Value }
 		var as, bs []row
-		for i := 0; i < r.Intn(20); i++ {
-			rr := row{int64(r.Intn(5)), int64(i)}
-			as = append(as, rr)
-			if _, err := s.Exec(fmt.Sprintf(`INSERT INTO a VALUES (%d, %d)`, rr.k, rr.v)); err != nil {
-				return false
-			}
+		for i := r.Intn(20); i > 0; i-- {
+			as = append(as, row{key(), I(int64(len(as)))})
 		}
-		for i := 0; i < r.Intn(20); i++ {
-			rr := row{int64(r.Intn(5)), int64(i + 100)}
-			bs = append(bs, rr)
-			if _, err := s.Exec(fmt.Sprintf(`INSERT INTO b VALUES (%d, %d)`, rr.k, rr.v)); err != nil {
-				return false
+		fresh := r.Perm(12) // distinct keys for the PRIMARY KEY / UNIQUE cases
+		for i := r.Intn(12); i > 0; i-- {
+			k := key()
+			if index == 1 || (index == 2 && !k.IsNull()) {
+				k = I(int64(fresh[len(bs)]) - 3)
 			}
+			bs = append(bs, row{k, I(int64(100 + len(bs)))})
 		}
-		var want []string
-		for _, ra := range as {
-			for _, rb := range bs {
-				if ra.k == rb.k {
-					want = append(want, fmt.Sprintf("%d|%d|%d", ra.k, ra.v, rb.v))
+		for table, rows := range map[string][]row{"a": as, "b": bs} {
+			for _, rr := range rows {
+				if _, err := s.Exec(`INSERT INTO `+table+` VALUES (?, ?)`, rr.k, rr.v); err != nil {
+					t.Logf("seed %d: %v", seed, err)
+					return false
 				}
 			}
 		}
-		sort.Strings(want)
+		var want [][]Value
+		for _, ra := range as {
+			for _, rb := range bs {
+				if !ra.k.IsNull() && !rb.k.IsNull() && ra.k.Int == rb.k.Int {
+					want = append(want, []Value{ra.k, ra.v, rb.v})
+				}
+			}
+		}
 
-		res, err := s.Exec(`SELECT a.k, a.x, b.y FROM a JOIN b ON a.k = b.k`)
+		on := [...]string{`a.k = b.k`, `b.k = a.k`, `a.k = b.k AND 1 = 1`}[r.Intn(3)]
+		res, err := s.Exec(`SELECT a.k, a.x, b.y FROM a JOIN b ON ` + on)
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		if len(res.Rows) != len(want) || (len(want) > 0 && !reflect.DeepEqual(res.Rows, want)) {
+			t.Logf("seed %d (index %d, ON %s): rows %v, want %v", seed, index, on, res.Rows, want)
+			return false
+		}
+		plan, err := s.Exec(`EXPLAIN SELECT a.k FROM a JOIN b ON ` + on)
 		if err != nil {
 			return false
 		}
-		var got []string
-		for _, r := range res.Rows {
-			got = append(got, fmt.Sprintf("%d|%d|%d", r[0].Int, r[1].Int, r[2].Int))
-		}
-		sort.Strings(got)
-		if len(got) != len(want) {
-			t.Logf("seed %d: %d join rows, want %d", seed, len(got), len(want))
+		probed := strings.HasPrefix(plan.Rows[1][0].Str, "INDEX NESTED LOOP JOIN b BY ")
+		if wantProbe := index != 0 && !strings.Contains(on, "AND"); probed != wantProbe {
+			t.Logf("seed %d (index %d, ON %s): plan %v", seed, index, on, plan.Rows)
 			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Logf("seed %d: row %d = %s, want %s", seed, i, got[i], want[i])
-				return false
-			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

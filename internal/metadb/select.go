@@ -17,16 +17,17 @@ type tableRef struct {
 // refs.
 type binding [][]Value
 
-// execSelect runs a SELECT: nested-loop joins, WHERE, optional GROUP
-// BY/HAVING with aggregates, ORDER BY and LIMIT. Caller holds at least
-// a read lock.
-func (db *DB) execSelect(st Select) (*Result, error) {
+// execSelect runs a SELECT with args bound to its placeholders:
+// nested-loop joins (index-probed where possible), WHERE, optional
+// GROUP BY/HAVING with aggregates, ORDER BY and LIMIT. Caller holds at
+// least a read lock.
+func (db *DB) execSelect(st Select, args []Value) (*Result, error) {
 	refs, err := db.resolveRefs(st)
 	if err != nil {
 		return nil, err
 	}
 
-	rows, err := db.joinRows(st, refs)
+	rows, err := db.joinRows(st, refs, args)
 	if err != nil {
 		return nil, err
 	}
@@ -51,11 +52,11 @@ func (db *DB) execSelect(st Select) (*Result, error) {
 
 	res := &Result{Cols: names}
 	if grouped {
-		if err := db.evalGrouped(st, refs, rows, items, res); err != nil {
+		if err := db.evalGrouped(st, refs, rows, items, args, res); err != nil {
 			return nil, err
 		}
 	} else {
-		if err := db.evalPlain(st, refs, rows, items, res); err != nil {
+		if err := db.evalPlain(st, refs, rows, items, args, res); err != nil {
 			return nil, err
 		}
 	}
@@ -119,51 +120,66 @@ func (db *DB) resolveRefs(st Select) ([]tableRef, error) {
 	return refs, nil
 }
 
+// resolveCol finds the tables among refs that a column reference can
+// name: n is how many do, and for n == 1 ref and ci locate the column.
+func resolveCol(refs []tableRef, c Col) (ref, ci, n int) {
+	for i, r := range refs {
+		if c.Qual != "" && c.Qual != r.alias && c.Qual != r.t.Name {
+			continue
+		}
+		if idx, ok := r.t.colIdx[c.Name]; ok {
+			ref, ci = i, idx
+			n++
+		}
+	}
+	return ref, ci, n
+}
+
 // bindEnv resolves column references against the first bound tables of
 // a (possibly partial) binding.
 func bindEnv(refs []tableRef, b binding, bound int) env {
 	return func(qual, name string) (Value, error) {
-		found := -1
-		var out Value
-		for i := 0; i < bound; i++ {
-			r := refs[i]
-			if qual != "" && qual != r.alias && qual != r.t.Name {
-				continue
-			}
-			ci, ok := r.t.colIdx[name]
-			if !ok {
-				continue
-			}
-			if found >= 0 {
-				return Value{}, fmt.Errorf("metadb: ambiguous column %q", name)
-			}
-			found = i
-			out = b[i][ci]
-		}
-		if found < 0 {
-			if qual != "" {
-				return Value{}, fmt.Errorf("metadb: no column %s.%s", qual, name)
-			}
+		ref, ci, n := resolveCol(refs[:bound], Col{Qual: qual, Name: name})
+		switch {
+		case n > 1:
+			return Value{}, fmt.Errorf("metadb: ambiguous column %q", name)
+		case n == 0 && qual != "":
+			return Value{}, fmt.Errorf("metadb: no column %s.%s", qual, name)
+		case n == 0:
 			return Value{}, fmt.Errorf("metadb: no column %q", name)
 		}
-		return out, nil
+		return b[ref][ci], nil
 	}
 }
 
 // joinRows produces all bindings satisfying the join conditions and
-// the WHERE clause. The base table uses index/PK lookups when the
-// WHERE clause is a simple equality and there are no joins.
-func (db *DB) joinRows(st Select, refs []tableRef) ([]binding, error) {
+// the WHERE clause. Candidate rows come from an index where one
+// applies (pruneBase for the base table, joinProbe for a joined one)
+// and from a scan otherwise; ON and WHERE are evaluated on every
+// candidate either way, so the indexes only prune.
+func (db *DB) joinRows(st Select, refs []tableRef, args []Value) ([]binding, error) {
 	var out []binding
 
-	baseIDs := db.pruneBase(st, refs)
+	baseIDs := pruneBase(st, refs, args)
+	var (
+		probes []joinProbe // per joined table (index 0 unused)
+		scans  [][]int64   // a joined table's scan order, built once
+	)
+	if len(refs) > 1 {
+		probes, scans = make([]joinProbe, len(refs)), make([][]int64, len(refs))
+		for level := 1; level < len(refs); level++ {
+			probes[level] = findJoinProbe(refs, level, st.Joins[level-1].On)
+		}
+	}
 
 	cur := make(binding, len(refs))
+	ctx := &evalCtx{args: args}
 	var walk func(level int) error
 	walk = func(level int) error {
 		if level == len(refs) {
 			if st.Where != nil {
-				v, err := eval(st.Where, &evalCtx{lookup: bindEnv(refs, cur, len(refs))})
+				ctx.lookup = bindEnv(refs, cur, len(refs))
+				v, err := eval(st.Where, ctx)
 				if err != nil {
 					return err
 				}
@@ -177,18 +193,24 @@ func (db *DB) joinRows(st Select, refs []tableRef) ([]binding, error) {
 			return nil
 		}
 		t := refs[level].t
-		var ids []int64
-		if level == 0 {
-			ids = baseIDs
-		} else {
-			ids = t.scanIDs()
+		ids := baseIDs
+		if level > 0 {
+			if pr := probes[level]; pr.ok {
+				ids, _ = t.probe(pr.innerCol, cur[pr.outer][pr.outerCol])
+			} else {
+				if scans[level] == nil {
+					scans[level] = t.scanIDs()
+				}
+				ids = scans[level]
+			}
 		}
 		for _, rid := range ids {
 			cur[level] = t.rows[rid]
 			if level > 0 {
 				on := st.Joins[level-1].On
 				if on != nil {
-					v, err := eval(on, &evalCtx{lookup: bindEnv(refs, cur, level+1)})
+					ctx.lookup = bindEnv(refs, cur, level+1)
+					v, err := eval(on, ctx)
 					if err != nil {
 						return err
 					}
@@ -209,70 +231,106 @@ func (db *DB) joinRows(st Select, refs []tableRef) ([]binding, error) {
 	return out, nil
 }
 
-// pruneBase returns the candidate rowids of the base table: an
-// index/PK point lookup when the query is single-table with a simple
-// equality WHERE (the WHERE is still re-evaluated per row afterwards,
-// so pruning is purely an optimization), otherwise a full scan.
-func (db *DB) pruneBase(st Select, refs []tableRef) []int64 {
-	t := refs[0].t
-	if len(refs) == 1 && st.Where != nil {
-		if ci, lit, ok := eqPredicateAliased(t, refs[0].alias, st.Where); ok {
-			if v, err := coerce(lit, t.Cols[ci].Type); err == nil {
-				if ci == t.pk {
-					if rid, found := t.lookupPK(v); found {
-						return []int64{rid}
-					}
-					return nil
-				}
-				if uidx, ok := t.uniqIdx[ci]; ok {
-					if rid, found := uidx[v]; found {
-						return []int64{rid}
-					}
-					return nil
-				}
-				if ix := t.indexOn(ci); ix != nil {
-					set := ix.m[v]
-					out := make([]int64, 0, len(set))
-					for rid := range set {
-						out = append(out, rid)
-					}
-					sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-					return out
-				}
-			} else {
-				return nil // mistyped probe matches nothing
-			}
-		}
-	}
-	return t.scanIDs()
+// joinProbe says how to find a joined table's candidate rows for one
+// outer binding without scanning it: look the value of column outerCol
+// of the already-bound table outer up in the index on innerCol.
+type joinProbe struct {
+	ok              bool
+	outer, outerCol int
+	innerCol        int
 }
 
-// eqPredicateAliased is eqPredicate with an extra accepted qualifier
-// (the FROM-clause alias).
-func eqPredicateAliased(t *Table, alias string, where Expr) (colIdx int, lit Value, ok bool) {
-	b, isBin := where.(Binary)
+// findJoinProbe recognizes a join condition "x.a = y.b" where one side
+// is a primary-key, UNIQUE or secondary-indexed column of the table
+// joined at level and the other a column of exactly one earlier table.
+// Both columns must have the same non-REAL type: stored values then
+// compare equal exactly when they are the same index key, which is what
+// makes the probe agree with evaluating ON (a mixed-type ON is an
+// error or a numeric comparison, and the nested loop reports either).
+func findJoinProbe(refs []tableRef, level int, on Expr) joinProbe {
+	b, ok := on.(Binary)
+	if !ok || b.Op != "=" {
+		return joinProbe{}
+	}
+	l, lok := b.L.(Col)
+	r, rok := b.R.(Col)
+	if !lok || !rok {
+		return joinProbe{}
+	}
+	lref, lci, ln := resolveCol(refs[:level+1], l)
+	rref, rci, rn := resolveCol(refs[:level+1], r)
+	if ln != 1 || rn != 1 {
+		return joinProbe{}
+	}
+	if lref == level {
+		lref, lci, rref, rci = rref, rci, lref, lci
+	}
+	// Now (rref, rci) should be the joined table's side.
+	if rref != level || lref == level {
+		return joinProbe{}
+	}
+	inner, kind := refs[level].t, refs[level].t.Cols[rci].Type
+	if kind == KindFloat || refs[lref].t.Cols[lci].Type != kind || inner.probeName(rci) == "" {
+		return joinProbe{}
+	}
+	return joinProbe{ok: true, outer: lref, outerCol: lci, innerCol: rci}
+}
+
+// eqPredicate recognizes e as "col = constant" (either way round) over
+// table t, where col may be qualified by the table's name or alias and
+// a constant is a literal or a placeholder. It is the one place that
+// decides what an index may be probed with.
+func eqPredicate(t *Table, alias string, e Expr) (ci int, constant Expr, ok bool) {
+	b, isBin := e.(Binary)
 	if !isBin || b.Op != "=" {
-		return 0, Value{}, false
+		return 0, nil, false
 	}
-	try := func(ce, le Expr) (int, Value, bool) {
-		c, ok := ce.(Col)
-		if !ok || (c.Qual != "" && c.Qual != t.Name && c.Qual != alias) {
-			return 0, Value{}, false
+	for _, side := range [2][2]Expr{{b.L, b.R}, {b.R, b.L}} {
+		c, isCol := side[0].(Col)
+		if !isCol || (c.Qual != "" && c.Qual != t.Name && c.Qual != alias) {
+			continue
 		}
-		l, ok := le.(Lit)
-		if !ok {
-			return 0, Value{}, false
+		switch side[1].(type) {
+		case Lit, Param:
+		default:
+			continue
 		}
-		ci, err := t.ColIndex(c.Name)
-		if err != nil {
-			return 0, Value{}, false
+		if ci, found := t.colIdx[c.Name]; found {
+			return ci, side[1], true
 		}
-		return ci, l.V, true
 	}
-	if ci, v, ok := try(b.L, b.R); ok {
-		return ci, v, true
+	return 0, nil, false
+}
+
+// pointLookup returns the rows of t that an index says satisfy where;
+// ok is false when where is not an eqPredicate over an indexed column
+// and the caller must scan.
+func pointLookup(t *Table, alias string, where Expr, args []Value) (ids []int64, ok bool) {
+	ci, constant, isEq := eqPredicate(t, alias, where)
+	if !isEq {
+		return nil, false
 	}
-	return try(b.R, b.L)
+	v, err := eval(constant, &evalCtx{args: args})
+	if err != nil {
+		return nil, false // the scan reports a placeholder without argument
+	}
+	if v, err = coerce(v, t.Cols[ci].Type); err != nil {
+		return nil, true // a mistyped probe matches nothing
+	}
+	return t.probe(ci, v)
+}
+
+// pruneBase returns the candidate rowids of the base table: an index
+// point lookup when the query is single-table with a simple equality
+// WHERE (the WHERE is still re-evaluated per row afterwards, so pruning
+// is purely an optimization), otherwise a full scan.
+func pruneBase(st Select, refs []tableRef, args []Value) []int64 {
+	if len(refs) == 1 {
+		if ids, ok := pointLookup(refs[0].t, refs[0].alias, st.Where, args); ok {
+			return ids
+		}
+	}
+	return refs[0].t.scanIDs()
 }
 
 // expandItems expands * into per-column references and derives output
@@ -311,14 +369,14 @@ func expandItems(items []SelectItem, refs []tableRef) ([]Expr, []string, error) 
 }
 
 // evalPlain evaluates items per row, then sorts.
-func (db *DB) evalPlain(st Select, refs []tableRef, rows []binding, items []Expr, res *Result) error {
+func (db *DB) evalPlain(st Select, refs []tableRef, rows []binding, items []Expr, args []Value, res *Result) error {
 	type sortedRow struct {
 		out  []Value
 		keys []Value
 	}
 	srows := make([]sortedRow, 0, len(rows))
 	for _, b := range rows {
-		ctx := &evalCtx{lookup: bindEnv(refs, b, len(refs))}
+		ctx := &evalCtx{args: args, lookup: bindEnv(refs, b, len(refs))}
 		out := make([]Value, len(items))
 		for i, e := range items {
 			v, err := eval(e, ctx)
@@ -345,7 +403,7 @@ func (db *DB) evalPlain(st Select, refs []tableRef, rows []binding, items []Expr
 
 // evalGrouped buckets rows by the GROUP BY keys (one global bucket if
 // none), applies HAVING, and evaluates items with aggregate support.
-func (db *DB) evalGrouped(st Select, refs []tableRef, rows []binding, items []Expr, res *Result) error {
+func (db *DB) evalGrouped(st Select, refs []tableRef, rows []binding, items []Expr, args []Value, res *Result) error {
 	type bucket struct {
 		key  string
 		rows []binding
@@ -355,7 +413,7 @@ func (db *DB) evalGrouped(st Select, refs []tableRef, rows []binding, items []Ex
 	for _, b := range rows {
 		key := ""
 		if len(st.GroupBy) > 0 {
-			ctx := &evalCtx{lookup: bindEnv(refs, b, len(refs))}
+			ctx := &evalCtx{args: args, lookup: bindEnv(refs, b, len(refs))}
 			var sb strings.Builder
 			for _, ge := range st.GroupBy {
 				v, err := eval(ge, ctx)
@@ -386,7 +444,7 @@ func (db *DB) evalGrouped(st Select, refs []tableRef, rows []binding, items []Ex
 	}
 	var srows []sortedRow
 	for _, bk := range buckets {
-		ctx := &evalCtx{agg: func(a AggExpr) (Value, error) { return db.aggregate(a, refs, bk.rows) }}
+		ctx := &evalCtx{args: args, agg: func(a AggExpr) (Value, error) { return db.aggregate(a, refs, bk.rows, args) }}
 		if len(bk.rows) > 0 {
 			ctx.lookup = bindEnv(refs, bk.rows[0], len(refs))
 		}
@@ -424,7 +482,7 @@ func (db *DB) evalGrouped(st Select, refs []tableRef, rows []binding, items []Ex
 }
 
 // aggregate computes one aggregate over a bucket.
-func (db *DB) aggregate(a AggExpr, refs []tableRef, rows []binding) (Value, error) {
+func (db *DB) aggregate(a AggExpr, refs []tableRef, rows []binding, args []Value) (Value, error) {
 	if a.Star {
 		if a.Fn != "COUNT" {
 			return Value{}, fmt.Errorf("metadb: %s(*) is not valid", a.Fn)
@@ -440,7 +498,7 @@ func (db *DB) aggregate(a AggExpr, refs []tableRef, rows []binding) (Value, erro
 		first = true
 	)
 	for _, b := range rows {
-		v, err := eval(a.X, &evalCtx{lookup: bindEnv(refs, b, len(refs))})
+		v, err := eval(a.X, &evalCtx{args: args, lookup: bindEnv(refs, b, len(refs))})
 		if err != nil {
 			return Value{}, err
 		}

@@ -134,6 +134,18 @@ func (t *Table) ColIndex(name string) (int, error) {
 // (NOT NULL, PK/UNIQUE). excludeRow is skipped during uniqueness checks
 // (used when updating a row in place).
 func (t *Table) checkRow(vals []Value, excludeRow int64) ([]Value, error) {
+	out, err := t.coerceRow(vals)
+	if err != nil {
+		return nil, err
+	}
+	if err := t.conflict(out, excludeRow); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// coerceRow coerces values to column types and enforces NOT NULL.
+func (t *Table) coerceRow(vals []Value) ([]Value, error) {
 	if len(vals) != len(t.Cols) {
 		return nil, fmt.Errorf("metadb: table %q has %d columns, got %d values", t.Name, len(t.Cols), len(vals))
 	}
@@ -148,21 +160,27 @@ func (t *Table) checkRow(vals []Value, excludeRow int64) ([]Value, error) {
 		}
 		out[i] = v
 	}
+	return out, nil
+}
+
+// conflict reports the PK/UNIQUE value a coerced row shares with a row
+// other than excludeRow.
+func (t *Table) conflict(vals []Value, excludeRow int64) error {
 	if t.pk >= 0 {
-		if rid, ok := t.pkIdx[out[t.pk]]; ok && rid != excludeRow {
-			return nil, fmt.Errorf("metadb: duplicate primary key %s in table %q", out[t.pk], t.Name)
+		if rid, ok := t.pkIdx[vals[t.pk]]; ok && rid != excludeRow {
+			return fmt.Errorf("metadb: duplicate primary key %s in table %q", vals[t.pk], t.Name)
 		}
 	}
 	for ci, idx := range t.uniqIdx {
-		v := out[ci]
+		v := vals[ci]
 		if v.IsNull() {
 			continue
 		}
 		if rid, ok := idx[v]; ok && rid != excludeRow {
-			return nil, fmt.Errorf("metadb: duplicate value %s for unique column %q", v, t.Cols[ci].Name)
+			return fmt.Errorf("metadb: duplicate value %s for unique column %q", v, t.Cols[ci].Name)
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // insert adds a validated row and returns its rowid. When rid > 0 the
@@ -246,37 +264,47 @@ func (t *Table) scanIDs() []int64 {
 	return ids
 }
 
-// lookupPK returns the rowid holding the given primary-key value.
-func (t *Table) lookupPK(v Value) (int64, bool) {
-	if t.pk < 0 {
-		return 0, false
+// probe returns, in rowid order, the rows whose column ci equals v when
+// the column is the primary key, UNIQUE or covered by a secondary
+// index; ok is false when it is none of those and the caller must
+// scan. v must already have the column's type; NULL matches nothing.
+func (t *Table) probe(ci int, v Value) (ids []int64, ok bool) {
+	unique := t.uniqIdx[ci]
+	if ci == t.pk {
+		unique = t.pkIdx
 	}
-	rid, ok := t.pkIdx[v]
-	return rid, ok
+	if unique != nil {
+		if rid, found := unique[v]; found {
+			return []int64{rid}, true
+		}
+		return nil, true
+	}
+	ix := t.indexOn(ci)
+	if ix == nil {
+		return nil, false
+	}
+	set := ix.m[v]
+	ids = make([]int64, 0, len(set))
+	for rid := range set {
+		ids = append(ids, rid)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids, true
 }
 
-// pkEquality recognizes WHERE clauses of the form pkcol = literal (or
-// literal = pkcol) so point lookups skip the scan.
-func (t *Table) pkEquality(where Expr) (Value, bool) {
-	if t.pk < 0 {
-		return Value{}, false
+// probeName names the index probe would use on column ci ("" when the
+// column has none).
+func (t *Table) probeName(ci int) string {
+	switch {
+	case ci == t.pk:
+		return "PRIMARY KEY"
+	case t.uniqIdx[ci] != nil:
+		return "UNIQUE"
 	}
-	b, ok := where.(Binary)
-	if !ok || b.Op != "=" {
-		return Value{}, false
+	if ix := t.indexOn(ci); ix != nil {
+		return ix.name
 	}
-	pkName := t.Cols[t.pk].Name
-	if c, ok := b.L.(Col); ok && c.Name == pkName {
-		if l, ok := b.R.(Lit); ok {
-			return l.V, true
-		}
-	}
-	if c, ok := b.R.(Col); ok && c.Name == pkName {
-		if l, ok := b.L.(Lit); ok {
-			return l.V, true
-		}
-	}
-	return Value{}, false
+	return ""
 }
 
 // clone deep-copies the table (used to undo DROP TABLE).
