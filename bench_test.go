@@ -129,10 +129,10 @@ func BenchmarkAblationServerCount(b *testing.B) {
 	runAblation(b, "servers")
 }
 
-// BenchmarkAblationExactReads contrasts whole-brick fetching with
-// exact extents.
-func BenchmarkAblationExactReads(b *testing.B) {
-	runAblation(b, "exact")
+// BenchmarkAblationSieve contrasts whole-brick fetching with
+// server-side sieving of exactly the wanted bytes.
+func BenchmarkAblationSieve(b *testing.B) {
+	runAblation(b, "sieve")
 }
 
 // BenchmarkAblationCollective contrasts independent with two-phase

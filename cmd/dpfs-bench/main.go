@@ -43,7 +43,7 @@ type jsonRow struct {
 
 func main() {
 	fig := flag.Int("fig", 0, "figure to regenerate (11-14; 0 = all)")
-	ablation := flag.String("ablation", "", "run an ablation instead: stagger, shape, servers, exact, collective, parallel, cache, replica, wire, meta, or all")
+	ablation := flag.String("ablation", "", "run an ablation instead: stagger, shape, servers, sieve, collective, parallel, cache, replica, wire, meta, or all")
 	n := flag.Int64("n", 512, "array edge in elements (paper: 32768)")
 	tile := flag.Int64("tile", 0, "multidim tile edge (default n/8; paper: 256)")
 	reps := flag.Int("reps", 3, "repetitions per bar (median reported)")

@@ -78,7 +78,7 @@ const (
 // Client-engine types. See internal/core for field documentation.
 type (
 	// Options tune the client engine (request combination, staggered
-	// scheduling, exact reads).
+	// scheduling, dispatch, caches).
 	Options = core.Options
 	// Hint is the DPFS-API hint structure conveyed at file creation.
 	Hint = core.Hint

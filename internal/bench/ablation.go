@@ -161,24 +161,22 @@ func AblationServerCount(ctx context.Context, cfg Config, np int, ios []int) ([]
 	return out, nil
 }
 
-// AblationExactReads prices the three read modes side by side under a
-// linear column access on the bandwidth-starved class 2: whole bricks
-// (the paper's access unit, fetched when a data cache keeps them — each
-// repetition starts cold, so nothing is served from it), each brick's
-// covering span (the default with no cache: data sieving) and exact
-// extents (ExactReads). It quantifies how much of the linear level's
-// penalty is discarded data versus per-extent positioning cost.
-func AblationExactReads(ctx context.Context, cfg Config, np, io int) ([]Measurement, error) {
+// AblationSieve prices the two units a read can move under a linear
+// column access on the bandwidth-starved class 2: whole bricks (the
+// paper's access unit, fetched when a data cache keeps them — each
+// repetition starts cold, so nothing is served from it) and exactly
+// the wanted bytes (the default with no cache: the servers sweep each
+// brick's covering span and sieve it). Requests and positionings are
+// the same in both rows, so the difference is the discarded data.
+func AblationSieve(ctx context.Context, cfg Config, np, io int) ([]Measurement, error) {
 	cfg = cfg.WithDefaults()
 	var out []Measurement
 	for _, mode := range []struct {
 		label      string
 		cacheBytes int64
-		exact      bool
 	}{
-		{"Linear, whole bricks", cfg.N * cfg.N * elemSize, false},
-		{"Linear, brick spans", 0, false},
-		{"Linear, exact extents", 0, true},
+		{"Linear, whole bricks", cfg.N * cfg.N * elemSize},
+		{"Linear, sieved", 0},
 	} {
 		c, err := cluster.Start(cluster.Config{
 			Servers:       cluster.UniformClass(io, netsim.Class2()),
@@ -188,12 +186,12 @@ func AblationExactReads(ctx context.Context, cfg Config, np, io int) ([]Measurem
 		if err != nil {
 			return nil, err
 		}
-		m, err := runExactCase(ctx, cfg, c, np, mode.cacheBytes, mode.exact)
+		m, err := runSieveCase(ctx, cfg, c, np, mode.cacheBytes)
 		c.Close()
 		if err != nil {
 			return nil, err
 		}
-		m.Figure = "AblExact"
+		m.Figure = "AblSieve"
 		m.Class = "class2"
 		m.Label = mode.label
 		out = append(out, m)
@@ -201,10 +199,10 @@ func AblationExactReads(ctx context.Context, cfg Config, np, io int) ([]Measurem
 	return out, nil
 }
 
-// runExactCase measures one read mode of AblationExactReads.
-func runExactCase(ctx context.Context, cfg Config, c *cluster.Cluster, np int, cacheBytes int64, exact bool) (Measurement, error) {
+// runSieveCase measures one row of AblationSieve.
+func runSieveCase(ctx context.Context, cfg Config, c *cluster.Cluster, np int, cacheBytes int64) (Measurement, error) {
 	dims := []int64{cfg.N, cfg.N}
-	path := "/abl-exact.dat"
+	path := "/abl-sieve.dat"
 	fs, err := c.NewFS(0, core.Options{Combine: true})
 	if err != nil {
 		return Measurement{}, err
@@ -221,7 +219,7 @@ func runExactCase(ctx context.Context, cfg Config, c *cluster.Cluster, np int, c
 		return Measurement{}, err
 	}
 	opts := cfg.withDispatch(core.Options{Combine: true, Stagger: true})
-	opts.CacheBytes, opts.ExactReads = cacheBytes, exact
+	opts.CacheBytes = cacheBytes
 	return measure(ctx, cfg, c, np, opts, path,
 		func(rank int) stripe.Section { return colSection(cfg.N, np, rank) }, false)
 }
@@ -1009,8 +1007,8 @@ func Ablation(ctx context.Context, cfg Config, name string) ([]Measurement, erro
 		return AblationBrickShape(ctx, cfg, 8, 4)
 	case "servers":
 		return AblationServerCount(ctx, cfg, 8, nil)
-	case "exact":
-		return AblationExactReads(ctx, cfg, 8, 4)
+	case "sieve":
+		return AblationSieve(ctx, cfg, 8, 4)
 	case "collective":
 		return AblationCollective(ctx, cfg, 8, 4)
 	case "parallel":
@@ -1024,10 +1022,10 @@ func Ablation(ctx context.Context, cfg Config, name string) ([]Measurement, erro
 	case "meta":
 		return AblationMeta(ctx, cfg, 16, 2)
 	}
-	return nil, fmt.Errorf("bench: unknown ablation %q (stagger, shape, servers, exact, collective, parallel, cache, replica, wire, meta)", name)
+	return nil, fmt.Errorf("bench: unknown ablation %q (stagger, shape, servers, sieve, collective, parallel, cache, replica, wire, meta)", name)
 }
 
 // AblationNames lists the available ablations.
 func AblationNames() []string {
-	return []string{"stagger", "shape", "servers", "exact", "collective", "parallel", "cache", "replica", "wire", "meta"}
+	return []string{"stagger", "shape", "servers", "sieve", "collective", "parallel", "cache", "replica", "wire", "meta"}
 }

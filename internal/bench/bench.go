@@ -116,7 +116,7 @@ type Measurement struct {
 	MBps     float64
 	Elapsed  time.Duration
 	Requests int64
-	MovedMB  float64 // bytes transferred (incl. discarded brick parts)
+	MovedMB  float64 // bytes transferred (incl. discarded parts of whole bricks)
 	UsefulMB float64
 	// Per-request latency percentiles across all ranks of the phase,
 	// from the ranks' shared metric registry.
@@ -327,7 +327,11 @@ func fill(ctx context.Context, c *cluster.Cluster, path string, dims []int64) er
 // FileLevels regenerates one storage class of Fig. 11 (np=8, io=4) or
 // Fig. 12 (np=16, io=8): the six bars Linear / Combined Linear /
 // Multi-dim / Combined Multi-dim / Array / Combined Array under a
-// (*, BLOCK) read of an N x N array.
+// (*, BLOCK) read of an N x N array. The figures are the paper's
+// claims about the paper's client, whose access unit is the whole
+// brick, so unless cfg sizes a cache itself every engine gets one the
+// size of the file — with one, reads fetch whole bricks, and since each
+// repetition builds fresh engines nothing is ever served from it.
 func FileLevels(ctx context.Context, cfg Config, figure string, np, io int, class netsim.Params) ([]Measurement, error) {
 	cfg = cfg.WithDefaults()
 	var out []Measurement
@@ -345,6 +349,14 @@ func FileLevels(ctx context.Context, cfg Config, figure string, np, io int, clas
 // RunLevelCase builds a fresh uniform-class cluster and measures one
 // bar of a file-level figure.
 func RunLevelCase(ctx context.Context, cfg Config, np, io int, class netsim.Params, lc LevelCase) (Measurement, error) {
+	return runLevelCase(ctx, cfg, np, io, class, lc, true)
+}
+
+// runLevelCase is RunLevelCase with the access unit open: wholeBricks
+// is the figures' (see FileLevels); without it the engines run as cfg
+// has them, which is how the traffic test measures the same access
+// through the engine's own default.
+func runLevelCase(ctx context.Context, cfg Config, np, io int, class netsim.Params, lc LevelCase, wholeBricks bool) (Measurement, error) {
 	cfg = cfg.WithDefaults()
 	c, err := cluster.Start(cluster.Config{
 		Servers:       cluster.UniformClass(io, class),
@@ -354,17 +366,7 @@ func RunLevelCase(ctx context.Context, cfg Config, np, io int, class netsim.Para
 	if err != nil {
 		return Measurement{}, err
 	}
-	m, err := runLevelCase(ctx, cfg, c, lc, np)
-	c.Close()
-	if err != nil {
-		return Measurement{}, err
-	}
-	m.Class = class.Name
-	m.Label = lc.Label
-	return m, nil
-}
-
-func runLevelCase(ctx context.Context, cfg Config, c *cluster.Cluster, lc LevelCase, np int) (Measurement, error) {
+	defer c.Close()
 	dims := []int64{cfg.N, cfg.N}
 	path := "/bench.dat"
 	fs, err := c.NewFS(0, core.Options{Combine: true})
@@ -382,8 +384,17 @@ func runLevelCase(ctx context.Context, cfg Config, c *cluster.Cluster, lc LevelC
 		return Measurement{}, err
 	}
 	opts := cfg.withDispatch(core.Options{Combine: lc.Combine, Stagger: lc.Combine})
-	return measure(ctx, cfg, c, np, opts, path,
+	if wholeBricks && opts.CacheBytes == 0 {
+		opts.CacheBytes = cfg.N * cfg.N * elemSize
+	}
+	m, err := measure(ctx, cfg, c, np, opts, path,
 		func(rank int) stripe.Section { return colSection(cfg.N, np, rank) }, false)
+	if err != nil {
+		return Measurement{}, err
+	}
+	m.Class = class.Name
+	m.Label = lc.Label
+	return m, nil
 }
 
 // AlgoCase is one bar group of Figs. 13/14.

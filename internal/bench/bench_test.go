@@ -112,19 +112,15 @@ func TestFig11TrafficShape(t *testing.T) {
 	}
 	m := byLabel(ms)
 
-	// Linear touches every brick of the file and, with no cache to keep
-	// whole bricks, moves each brick's covering span of the column
-	// block: all of its rows but the last, plus the block's share of
-	// that one — 7.125x the useful bytes here (whole bricks: np = 8x).
-	// Multidim and array move exactly the useful bytes.
-	rows := cfg.Tile * cfg.Tile / cfg.N // rows per linear brick
-	span := float64((rows-1)*np+1) / float64(rows)
-	if span < 7 {
-		t.Fatalf("covering span is %.3fx useful; the shape claim needs >= 7x", span)
-	}
-	if got := m["Linear"].MovedMB / m["Linear"].UsefulMB; got != span {
-		t.Errorf("linear moved %.2f MB for %.2f useful (%.3fx), want the covering spans, %.3fx",
-			m["Linear"].MovedMB, m["Linear"].UsefulMB, got, span)
+	// Linear touches every brick of the file and, fetching it whole as
+	// the paper's client does, moves np = 8x the useful bytes: each
+	// processor wants an eighth of every row. Multidim and array move
+	// exactly the useful bytes.
+	for _, label := range []string{"Linear", "Combined Linear"} {
+		if got := m[label].MovedMB / m[label].UsefulMB; got != np {
+			t.Errorf("%s moved %.2f MB for %.2f useful (%.3fx), want whole bricks, %dx",
+				label, m[label].MovedMB, m[label].UsefulMB, got, np)
+		}
 	}
 	if m["Multi-dim"].MovedMB != m["Multi-dim"].UsefulMB {
 		t.Errorf("multidim moved %.2f MB for %.2f useful", m["Multi-dim"].MovedMB, m["Multi-dim"].UsefulMB)
@@ -143,6 +139,20 @@ func TestFig11TrafficShape(t *testing.T) {
 	}
 	if m["Array"].Requests != 8 {
 		t.Errorf("array requests = %d, want 8 (one chunk per proc)", m["Array"].Requests)
+	}
+
+	// The engine's own default — no cache, so the servers sieve each
+	// brick's span — makes the same requests for the same access and
+	// moves exactly the useful bytes.
+	for _, lc := range LevelCases()[:2] {
+		got, err := runLevelCase(ctx, cfg, np, 4, netsim.Params{}, lc, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.MovedMB != got.UsefulMB || got.Requests != m[lc.Label].Requests {
+			t.Errorf("%s, sieved: %d requests moved %.2f MB for %.2f useful, want %d requests and no more than useful",
+				lc.Label, got.Requests, got.MovedMB, got.UsefulMB, m[lc.Label].Requests)
+		}
 	}
 }
 

@@ -37,14 +37,6 @@ type Options struct {
 	// clients do not convoy on one device (Section 4.2). Only
 	// meaningful with Combine.
 	Stagger bool
-	// ExactReads makes a read move exactly the byte segments asked
-	// for, one extent per fragment. By default a read moves one
-	// contiguous range per touched brick instead: the whole brick when
-	// CacheBytes is set — the paper's access unit ("the second half
-	// will be discarded", Sec. 3.2), kept by the cache — and otherwise
-	// the covering span of the wanted segments (data sieving). Setting
-	// it is the fragments-versus-ranges ablation.
-	ExactReads bool
 	// ParallelDispatch ships an access's per-server requests
 	// concurrently instead of one at a time. The paper's client issues
 	// its combined requests sequentially ("each compute process issues
@@ -68,11 +60,16 @@ type Options struct {
 	// zero value applies the server package defaults.
 	Retry server.RetryPolicy
 	// CacheBytes, when positive, enables the client-side brick data
-	// cache: reads fetch whole bricks, which are kept (LRU, bounded to
-	// this many bytes), and repeated reads are served locally. The
-	// engine's own writes invalidate overlapping bricks; there is no
-	// cross-client coherence (see DESIGN.md §9). Zero disables caching
-	// (the default — the paper's client keeps nothing).
+	// cache: reads fetch whole bricks — the paper's access unit ("the
+	// second half will be discarded", Sec. 3.2) — which are kept (LRU,
+	// bounded to this many bytes), and repeated reads are served
+	// locally. The engine's own writes invalidate overlapping bricks;
+	// there is no cross-client coherence (see DESIGN.md §9). Zero
+	// disables caching (the default — the paper's client keeps
+	// nothing): a read then asks each server for one range per touched
+	// brick, the covering span of the wanted pieces, and where they
+	// leave holes in it a selection has the server sieve them out, so
+	// exactly the wanted bytes come back (DESIGN.md §6).
 	CacheBytes int64
 	// MetaTTL, when positive, enables the client-side metadata cache:
 	// Open and Stat serve file attributes, distribution rows and server

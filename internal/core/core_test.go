@@ -13,6 +13,7 @@ import (
 	"dpfs/internal/core"
 	"dpfs/internal/datatype"
 	"dpfs/internal/netsim"
+	"dpfs/internal/server"
 	"dpfs/internal/stripe"
 )
 
@@ -248,11 +249,12 @@ func TestCombinationReducesRequests(t *testing.T) {
 	}
 }
 
-// TestWholeBrickReads pins what each read mode moves for a column read
-// of a linear file whose bricks hold two rows each: with a data cache
-// to keep them, whole bricks (the paper's access unit, 8x the useful
-// bytes here); with no cache, each brick's covering span of the wanted
-// pieces; with ExactReads, exactly the useful bytes.
+// TestWholeBrickReads pins what a column read of a linear file whose
+// bricks hold two rows each moves: with a data cache to keep them,
+// whole bricks (the paper's access unit, 8x the useful bytes here);
+// with no cache, exactly the useful bytes — each brick's covering span
+// is swept by its server and sieved there. One request per brick
+// either way.
 func TestWholeBrickReads(t *testing.T) {
 	c := startCluster(t, 4)
 	ctx := ctxT(t)
@@ -262,14 +264,13 @@ func TestWholeBrickReads(t *testing.T) {
 	col := stripe.NewSection([]int64{0, 8}, []int64{64, 8})
 	const useful, span, whole = 64 * 8, 32 * (64 + 8), 64 * 64
 	for _, tc := range []struct {
-		name string
-		opts core.Options
-		want int64
+		name  string
+		opts  core.Options
+		want  int64 // bytes the read moves
+		swept int64 // bytes the servers read from their subfiles
 	}{
-		{"span", core.Options{}, span},
-		{"cached", core.Options{CacheBytes: 1 << 20}, whole},
-		{"exact", core.Options{ExactReads: true}, useful},
-		{"exact+cache", core.Options{ExactReads: true, CacheBytes: 1 << 20}, useful},
+		{"uncached", core.Options{}, useful, span},
+		{"cached", core.Options{CacheBytes: 1 << 20}, whole, whole},
 	} {
 		fs := newFS(t, c, 0, tc.opts)
 		f, err := fs.Create("/"+tc.name, 1, []int64{64, 64}, core.Hint{Level: stripe.LevelLinear, BrickBytes: 128})
@@ -280,7 +281,7 @@ func TestWholeBrickReads(t *testing.T) {
 		if err := f.WriteSection(ctx, stripe.FullSection(ref.dims), ref.data); err != nil {
 			t.Fatal(err)
 		}
-		before := f.Stats()
+		before, sweptBefore := f.Stats(), subfileBytesRead(c)
 		buf := make([]byte, col.Bytes(1))
 		if err := f.ReadSection(ctx, col, buf); err != nil {
 			t.Fatal(err)
@@ -298,14 +299,30 @@ func TestWholeBrickReads(t *testing.T) {
 		if got := st.Requests - before.Requests; got != 32 {
 			t.Errorf("%s: read issued %d requests, want 32 (one per brick)", tc.name, got)
 		}
+		if got := subfileBytesRead(c) - sweptBefore; got != tc.swept {
+			t.Errorf("%s: servers read %d subfile bytes, want %d", tc.name, got, tc.swept)
+		}
 	}
 }
 
-// TestAdjacentExtentsCoalesce pins extent coalescing in every read
-// mode: eight contiguous bricks of a one-server file are adjacent slots
-// of one subfile, so a combined read of them is one extent however the
-// mode sizes each brick's range — visible from outside as the server's
-// per-extent charge, which a traced RPC span reports.
+// subfileBytesRead sums subfile_bytes_read_total over the cluster's
+// I/O servers.
+func subfileBytesRead(c *cluster.Cluster) int64 {
+	var n int64
+	for _, srv := range c.IOServers {
+		n += srv.Metrics().Counter(server.MetricSubfileBytesRead).Value()
+	}
+	return n
+}
+
+// TestAdjacentExtentsCoalesce pins how many extents a combined read
+// travels as — visible from outside as the server's per-extent charge,
+// which a traced RPC span reports. Eight contiguous bricks of a
+// one-server file are adjacent slots of one subfile, so reading them is
+// one extent however each brick's range is sized. A column read is one
+// extent per brick touched: each span carries its own selection, so it
+// neither merges with its neighbour nor falls apart into one extent per
+// fragment.
 func TestAdjacentExtentsCoalesce(t *testing.T) {
 	c := startCluster(t, 1)
 	ctx := ctxT(t)
@@ -313,9 +330,8 @@ func TestAdjacentExtentsCoalesce(t *testing.T) {
 		name string
 		opts core.Options
 	}{
-		{"span", core.Options{Combine: true}},
+		{"uncached", core.Options{Combine: true}},
 		{"cached", core.Options{Combine: true, CacheBytes: 1 << 20}},
-		{"exact", core.Options{Combine: true, ExactReads: true}},
 	} {
 		fs := newFS(t, c, 0, tc.opts)
 		traces := fs.EnableTracing(4)
@@ -337,6 +353,45 @@ func TestAdjacentExtentsCoalesce(t *testing.T) {
 		}
 		if rpc := traces.Last().Root.Children()[0]; rpc.Extents != 1 {
 			t.Errorf("%s: 8 adjacent bricks travelled as %d extents, want 1", tc.name, rpc.Extents)
+		}
+	}
+
+	// The benchmark's column-class2 access: a 64-column block of a
+	// 512x512 float64 file in 32 KiB (eight-row) bricks on four servers
+	// is eight 512-byte pieces in each of 64 bricks, 16 bricks to a
+	// server, and the last piece of one brick's span is not adjacent to
+	// the first of the next.
+	c = startCluster(t, 4)
+	fs := newFS(t, c, 0, core.Options{Combine: true})
+	traces := fs.EnableTracing(4)
+	dims := []int64{512, 512}
+	f, err := fs.Create("/column", 8, dims, core.Hint{Level: stripe.LevelLinear, BrickBytes: 32 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := &refFile{dims: dims, elem: 8, data: pattern(512 * 512 * 8)}
+	if err := f.WriteSection(ctx, stripe.FullSection(dims), ref.data); err != nil {
+		t.Fatal(err)
+	}
+	col := stripe.NewSection([]int64{0, 64}, []int64{512, 64})
+	got := make([]byte, col.Bytes(8))
+	if err := f.ReadSection(ctx, col, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, ref.extract(col)) {
+		t.Error("column: read returned wrong bytes")
+	}
+	rpcs := traces.Last().Root.Children()
+	if len(rpcs) != 4 {
+		t.Fatalf("column: %d requests, want 4", len(rpcs))
+	}
+	for _, rpc := range rpcs {
+		if rpc.Extents != 16 || rpc.Bytes != col.Bytes(8)/4 {
+			t.Errorf("column: 16 bricks travelled as %d extents moving %d bytes, want 16 and %d", rpc.Extents, rpc.Bytes, col.Bytes(8)/4)
+		}
+		// The server saw the same 16: that count is its positioning charge.
+		if srv := rpc.Children(); len(srv) != 1 || srv[0].Name != "server.request" || srv[0].Extents != 16 {
+			t.Errorf("column: server-side request span = %+v, want 16 extents", srv)
 		}
 	}
 }

@@ -25,9 +25,12 @@ type Stats struct {
 	// Requests is the number of network requests issued to I/O
 	// servers.
 	Requests int64
-	// BytesTransferred counts payload bytes moved over the network
-	// (including the discarded parts of whole-brick and covering-span
-	// reads).
+	// BytesTransferred counts the data payload bytes moved over the
+	// network: what writes carried out and what read responses brought
+	// back, the discarded parts of whole-brick (cache fill) reads and of
+	// unsieved spans included. The selections that narrow a read are
+	// request metadata, not counted here; they show only in the
+	// servers' bytes_in_total.
 	BytesTransferred int64
 	// BytesUseful counts the bytes the application actually asked for.
 	BytesUseful int64
@@ -335,7 +338,7 @@ func (f *File) execute(ctx context.Context, plan []stripe.BrickIO, buf []byte, w
 // serveFromCache copies cached whole bricks of a read plan into buf
 // and returns the plan's remainder (bricks that must travel). The
 // cache stores only whole bricks, so a hit serves every segment of its
-// brick regardless of read mode.
+// brick.
 func (f *File) serveFromCache(plan []stripe.BrickIO, buf []byte) []stripe.BrickIO {
 	dc := f.fs.dataCache
 	g := &f.info.Geometry
@@ -715,10 +718,12 @@ func putScratch(b []byte) {
 }
 
 // fetchRange returns the byte range [lo, hi) of brick b's stored bytes
-// that a non-exact read moves. A brick travels whole only when a data
-// cache will keep it (fill); otherwise the range is the covering span
-// of the wanted segments — one contiguous request around the pieces
-// (data sieving), never more than the brick and usually far less.
+// that a read asks the server for. A brick travels whole only when a
+// data cache will keep it (fill); otherwise the range is the covering
+// span of the wanted segments — one contiguous request around the
+// pieces, never more than the brick and usually far less — and where
+// the pieces leave holes in it a selection has the server ship only
+// them (see doRequest).
 func (f *File) fetchRange(b *stripe.BrickIO, fill bool) (lo, hi int64) {
 	if fill || len(b.Segs) == 0 {
 		return 0, f.info.Geometry.BrickBytesOf(b.Brick)
@@ -735,45 +740,68 @@ func (f *File) fetchRange(b *stripe.BrickIO, fill bool) (lo, hi int64) {
 	return lo, hi
 }
 
+// fetched is what one brick's extent of a read brings back: n bytes —
+// the brick's stored bytes from lo on, or, when the extent carried a
+// selection, exactly the wanted pieces in brick order.
+type fetched struct {
+	lo, n  int64
+	sieved bool
+}
+
 // doRequest performs one server exchange covering all bricks of r.
 // sp, when non-nil, is the trace span covering this exchange.
 func (f *File) doRequest(ctx context.Context, r *stripe.Request, buf []byte, write bool, sp *obs.Span) error {
 	slot := f.info.Geometry.SlotBytes()
-	// Writes and ExactReads ship exactly the wanted fragments; other
-	// reads ship one range per brick (see fetchRange). Whole-brick
-	// responses are eligible to fill the data cache.
+	// A write ships exactly the wanted fragments. A read asks for one
+	// range per brick (see fetchRange): the whole brick when a data
+	// cache will keep it, else the covering span of the wanted pieces,
+	// narrowed by a selection to just those pieces when they do not
+	// fill it — the server sweeps the span once and sieves, so the
+	// holes cost neither positionings nor link.
 	dc := f.fs.dataCache
-	exact := write || f.fs.opts.ExactReads
-	fill := !exact && dc != nil
+	fill := !write && dc != nil
 
-	nSegs := 0
-	for bi := range r.Bricks {
-		nSegs += len(r.Bricks[bi].Segs)
-	}
 	extCap := len(r.Bricks)
-	if exact {
-		extCap = nSegs
+	var segs [][]byte
+	if write {
+		extCap = 0
+		for bi := range r.Bricks {
+			extCap += len(r.Bricks[bi].Segs)
+		}
+		segs = make([][]byte, 0, extCap)
 	}
 
 	// Extents are built in brick-offset order, and runs adjacent in the
 	// subfile travel as one extent — fragments gathered from scattered
 	// memory as much as neighbouring bricks' slots — so the server does
 	// one pread (and the storage model charges one PerExtent) per run.
-	// Write payloads are not packed into an intermediate buffer — each
-	// memory run rides as a scatter segment that the wire layer flushes
-	// with vectored I/O.
+	// A sieved extent stands alone: its selection is relative to its own
+	// span, and one extent per brick is what the model charges either
+	// way. Write payloads are not packed into an intermediate buffer —
+	// each memory run rides as a scatter segment that the wire layer
+	// flushes with vectored I/O.
 	exts := make([]wire.Extent, 0, extCap)
+	sieved := false // the last extent carries a selection
 	addExtent := func(off, n int64) {
-		if k := len(exts); k > 0 && exts[k-1].Off+exts[k-1].Len == off {
+		if k := len(exts); k > 0 && !sieved && exts[k-1].Off+exts[k-1].Len == off {
 			exts[k-1].Len += n
 		} else {
 			exts = append(exts, wire.Extent{Off: off, Len: n})
 		}
+		sieved = false
 	}
-	var segs [][]byte
-	if write {
-		segs = make([][]byte, 0, nSegs)
-	}
+	var (
+		// got is, per brick of a read, what its extent returns. One
+		// element keeps a one-brick read off the heap; no more than one,
+		// because under parallel dispatch this frame sits on a fresh
+		// goroutine's small stack and a larger array here made every
+		// dispatch pay for growing it.
+		one   [1]fetched
+		got   = one[:0]
+		sel   []byte // the read's selections, encoded
+		wruns []wire.Run
+		moved int64
+	)
 	for bi := range r.Bricks {
 		b := &r.Bricks[bi]
 		ls := f.rs.SlotOn(b.Brick, r.Server)
@@ -782,17 +810,34 @@ func (f *File) doRequest(ctx context.Context, r *stripe.Request, buf []byte, wri
 				f.info.Path, b.Brick, f.info.Servers[r.Server])
 		}
 		base := ls * slot
-		if !exact {
-			lo, hi := f.fetchRange(b, fill)
-			addExtent(base+lo, hi-lo)
+		if write {
+			for _, seg := range brickOrder(b.Segs) {
+				addExtent(base+seg.BrickOff, seg.Len)
+				segs = append(segs, buf[seg.MemOff:seg.MemOff+seg.Len])
+				moved += seg.Len
+			}
 			continue
 		}
-		for _, seg := range brickOrder(b.Segs) {
-			addExtent(base+seg.BrickOff, seg.Len)
-			if write {
-				segs = append(segs, buf[seg.MemOff:seg.MemOff+seg.Len])
-			}
+		lo, hi := f.fetchRange(b, fill)
+		g := fetched{lo: lo, n: hi - lo}
+		var runs []stripe.Run
+		if !fill {
+			runs = stripe.Runs(brickOrder(b.Segs), lo, hi)
 		}
+		if runs == nil {
+			addExtent(base+lo, hi-lo)
+		} else {
+			wruns = wruns[:0]
+			for _, run := range runs {
+				wruns = append(wruns, wire.Run(run))
+			}
+			exts = append(exts, wire.Extent{Off: base + lo, Len: hi - lo})
+			sel = wire.AppendSelection(sel, len(exts)-1, wruns)
+			sieved = true
+			g.n, g.sieved = b.Bytes(), true
+		}
+		got = append(got, g)
+		moved += g.n
 	}
 
 	op := wire.OpRead
@@ -803,13 +848,12 @@ func (f *File) doRequest(ctx context.Context, r *stripe.Request, buf []byte, wri
 	if err != nil {
 		return err
 	}
-	req := &wire.Request{Op: op, Path: f.info.Path, Gen: f.info.Generation, Extents: exts, Segments: segs}
+	req := &wire.Request{Op: op, Path: f.info.Path, Gen: f.info.Generation, Extents: exts, Data: sel, Segments: segs}
 	if tc := sp.Context(); tc.TraceID != 0 {
 		// Propagate trace identity so the server's handler spans join
 		// this trace; its span tree comes back in the response trailer.
 		req.TraceID, req.SpanID, req.Sampled = tc.TraceID, tc.SpanID, tc.Sampled
 	}
-	moved := wire.DataBytes(exts)
 	var scratch []byte
 	if !write {
 		scratch = getScratch(moved + wire.RespOverhead)
@@ -858,26 +902,25 @@ func (f *File) doRequest(ctx context.Context, r *stripe.Request, buf []byte, wri
 
 	// Scatter the response into the caller's buffer, walking the bricks
 	// in the order their ranges were requested.
-	pos := int64(0)
+	data := resp.Data
 	for bi := range r.Bricks {
-		b := &r.Bricks[bi]
-		if exact {
+		b, g := &r.Bricks[bi], got[bi]
+		part := data[:g.n]
+		data = data[g.n:]
+		if g.sieved {
 			for _, seg := range brickOrder(b.Segs) {
-				copy(buf[seg.MemOff:seg.MemOff+seg.Len], resp.Data[pos:pos+seg.Len])
-				pos += seg.Len
+				copy(buf[seg.MemOff:seg.MemOff+seg.Len], part[:seg.Len])
+				part = part[seg.Len:]
 			}
 			continue
 		}
-		lo, hi := f.fetchRange(b, fill)
-		got := resp.Data[pos : pos+hi-lo]
 		for _, seg := range b.Segs {
-			copy(buf[seg.MemOff:seg.MemOff+seg.Len], got[seg.BrickOff-lo:seg.BrickOff-lo+seg.Len])
+			copy(buf[seg.MemOff:seg.MemOff+seg.Len], part[seg.BrickOff-g.lo:seg.BrickOff-g.lo+seg.Len])
 		}
 		if fill {
-			// Put copies: got aliases the pooled scratch.
-			dc.Put(cache.BrickKey{Path: f.info.Path, Gen: f.info.Generation, Brick: b.Brick}, got, fillTok)
+			// Put copies: part aliases the pooled scratch.
+			dc.Put(cache.BrickKey{Path: f.info.Path, Gen: f.info.Generation, Brick: b.Brick}, part, fillTok)
 		}
-		pos += hi - lo
 	}
 	return nil
 }

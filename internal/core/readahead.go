@@ -19,7 +19,7 @@ import (
 // of the following bricks. Called only after a successful read.
 func (f *File) triggerReadahead(plan []stripe.BrickIO) {
 	fs := f.fs
-	if fs.opts.Readahead <= 0 || fs.dataCache == nil || fs.opts.ExactReads || len(plan) == 0 {
+	if fs.opts.Readahead <= 0 || fs.dataCache == nil || len(plan) == 0 {
 		return
 	}
 	lo, hi := plan[0].Brick, plan[0].Brick

@@ -7,16 +7,21 @@ import (
 	"testing"
 
 	"dpfs/internal/core"
+	"dpfs/internal/datatype"
 	"dpfs/internal/stripe"
 )
 
-// TestReadModesByteIdentical is the equivalence quickcheck of the three
-// read modes: for random sections of a file of each level, an engine
-// with no cache (covering spans), one with a data cache (whole-brick
-// fills, then hits) and one with ExactReads must all return the bytes
-// of an in-memory reference. With R=2 the preferred server is then
-// killed and the same sections are read again, so every mode's extents
-// are also rebuilt against the backup replicas' slots.
+// TestReadModesByteIdentical is the equivalence quickcheck of the read
+// paths: for random sections of a file of each level (2-D and 3-D) and
+// random irregular typed views of the linear one, an engine with no
+// cache over wire v1 with the sequential sweep, one over the v2 mux
+// with parallel dispatch (both ask for brick spans narrowed by
+// selections, so the servers sieve through their buffered and their
+// streamed form) and one with a data cache (whole-brick fills, then
+// hits) must all return the bytes of an in-memory reference. With R=2
+// the preferred server is then killed and the same accesses are made
+// again, so every mode's extents and selections are also rebuilt
+// against the backup replicas' slots.
 func TestReadModesByteIdentical(t *testing.T) {
 	levels := []struct {
 		name string
@@ -26,15 +31,17 @@ func TestReadModesByteIdentical(t *testing.T) {
 	}{
 		{"linear", 2, []int64{48, 40}, core.Hint{Level: stripe.LevelLinear, BrickBytes: 200}},
 		{"multidim", 4, []int64{40, 36}, core.Hint{Level: stripe.LevelMultidim, Tile: []int64{8, 8}}},
+		{"multidim3", 2, []int64{12, 10, 14}, core.Hint{Level: stripe.LevelMultidim, Tile: []int64{4, 5, 6}}},
 		{"array", 1, []int64{30, 30}, core.Hint{Level: stripe.LevelArray, Pattern: []stripe.Dist{stripe.DistBlock, stripe.DistBlock}, Grid: []int64{3, 2}}},
 	}
+	const linear = 0 // the level typed views read
 	modes := []struct {
 		name string
 		opts core.Options
 	}{
-		{"span", core.Options{Combine: true, Stagger: true, ParallelDispatch: true}},
+		{"sieve v1 sequential", core.Options{Combine: true, Stagger: true}},
+		{"sieve v2 parallel", core.Options{Combine: true, Stagger: true, ParallelDispatch: true, WireV2: true}},
 		{"cached", core.Options{Combine: true, CacheBytes: 1 << 20}},
-		{"exact", core.Options{Combine: true, ExactReads: true}},
 	}
 	for _, replicas := range []int{1, 2} {
 		t.Run(fmt.Sprintf("R%d", replicas), func(t *testing.T) {
@@ -89,6 +96,23 @@ func TestReadModesByteIdentical(t *testing.T) {
 							}
 						}
 					}
+					// An irregular view: pieces of any length, adjacent or
+					// far apart, and every third time out of order and
+					// overlapping, which no selection describes.
+					view := randIndexed(rng, int64(len(refs[linear].data)), iter%3 == 2)
+					var want []byte
+					for _, s := range datatype.Segments(view) {
+						want = append(want, refs[linear].data[s.Off:s.Off+s.Len]...)
+					}
+					for mi, m := range modes {
+						got := make([]byte, len(want))
+						if err := files[mi][linear].ReadAtTyped(ctx, 0, view, datatype.Bytes(len(want)), got); err != nil {
+							t.Fatalf("%s: typed/%s %+v: %v", when, m.name, view, err)
+						}
+						if !bytes.Equal(got, want) {
+							t.Fatalf("%s: typed/%s %+v: wrong bytes", when, m.name, view)
+						}
+					}
 				}
 			}
 			check("all servers up", 12)
@@ -105,4 +129,28 @@ func TestReadModesByteIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// randIndexed builds an indexed byte view of a size-byte file: blocks of
+// 1..60 bytes separated by gaps of 0 to 150, ascending unless tangled,
+// which puts every third block after its successor and stretches that
+// successor one byte into it.
+func randIndexed(r *rand.Rand, size int64, tangled bool) datatype.Indexed {
+	ix := datatype.Indexed{Elem: datatype.Bytes(1)}
+	for off := int64(r.Intn(100)); ; {
+		n := 1 + int64(r.Intn(60))
+		if off+n > size {
+			break
+		}
+		ix.Displs = append(ix.Displs, off)
+		ix.BlockLens = append(ix.BlockLens, n)
+		off += n + int64(r.Intn(4))*50
+	}
+	if tangled {
+		for i := 0; i+1 < len(ix.Displs); i += 3 {
+			ix.Displs[i], ix.Displs[i+1] = ix.Displs[i+1], ix.Displs[i]
+			ix.BlockLens[i], ix.BlockLens[i+1] = ix.BlockLens[i+1], ix.Displs[i]-ix.Displs[i+1]+1
+		}
+	}
+	return ix
 }

@@ -127,7 +127,7 @@ func TestStressRandomOps(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(int64(w)*7919 + 13))
-			opts := core.Options{Combine: w%2 == 0, Stagger: w%2 == 0, ExactReads: w%3 == 0}
+			opts := core.Options{Combine: w%2 == 0, Stagger: w%2 == 0}
 			fs, err := c.NewFS(w, opts)
 			if err != nil {
 				errs <- err

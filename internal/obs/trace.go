@@ -22,6 +22,10 @@ import (
 // points at the span one level up (possibly in another process). A
 // TraceID of zero means the span is untraced (local-only, never
 // propagated).
+//
+// Bytes is what the step passed on. Swept, set by a server.subfile read
+// span, is what it took from the subfile to do so: more than Bytes when
+// the read was sieved.
 type Span struct {
 	TraceID  uint64        `json:"trace_id,omitempty"`
 	SpanID   uint64        `json:"span_id,omitempty"`
@@ -33,6 +37,7 @@ type Span struct {
 	Bricks   int           `json:"bricks,omitempty"`
 	Extents  int           `json:"extents,omitempty"`
 	Bytes    int64         `json:"bytes,omitempty"`
+	Swept    int64         `json:"swept,omitempty"`
 	Start    time.Time     `json:"start"`
 	Duration time.Duration `json:"duration"`
 
@@ -200,6 +205,9 @@ func (t *Trace) String() string {
 		if s.Bytes > 0 {
 			fmt.Fprintf(&sb, " bytes=%d", s.Bytes)
 		}
+		if s.Swept > 0 {
+			fmt.Fprintf(&sb, " swept=%d", s.Swept)
+		}
 		fmt.Fprintf(&sb, " dur=%v\n", s.Duration.Round(time.Microsecond))
 		for _, c := range s.Children() {
 			walk(c, depth+1)
@@ -287,24 +295,26 @@ func (l *TraceLog) ByTraceID(id uint64) *Trace {
 	return nil
 }
 
-// Span trailer wire format (version 1): servers return their local
+// Span trailer wire format (version 2): servers return their local
 // span tree to the caller inside the response frame so the client can
 // stitch a cross-process trace without scraping every daemon.
 //
-//	u8  version (1)
+//	u8  version (2)
 //	u16 span count
 //	per span:
 //	  u64 traceID, u64 spanID, u64 parentID
-//	  i64 start unix-nanos, i64 duration nanos, i64 bytes
+//	  i64 start unix-nanos, i64 duration nanos, i64 bytes, i64 swept
 //	  u32 bricks, u32 extents
 //	  u8-len name, u8-len op, u16-len path, u8-len server
 //
-// All integers little-endian. Encoding truncates long strings and
+// All integers little-endian. Version 1 lacked swept; a peer of the
+// other version fails to decode the trailer and so, tracing being
+// best-effort, merely goes without the remote spans. Encoding truncates long strings and
 // caps the span count; decoding is strict about its own framing but
 // callers treat any decode error as "no remote spans" — tracing is
 // best-effort and must never fail a request.
 const (
-	spanTrailerVersion = 1
+	spanTrailerVersion = 2
 	maxTrailerSpans    = 512
 )
 
@@ -342,6 +352,7 @@ func EncodeSpans(root *Span) []byte {
 		b = binary.LittleEndian.AppendUint64(b, uint64(s.Start.UnixNano()))
 		b = binary.LittleEndian.AppendUint64(b, uint64(s.Duration))
 		b = binary.LittleEndian.AppendUint64(b, uint64(s.Bytes))
+		b = binary.LittleEndian.AppendUint64(b, uint64(s.Swept))
 		b = binary.LittleEndian.AppendUint32(b, uint32(s.Bricks))
 		b = binary.LittleEndian.AppendUint32(b, uint32(s.Extents))
 		str8(s.Name)
@@ -385,7 +396,7 @@ func DecodeSpans(data []byte) ([]*Span, error) {
 	}
 	spans := make([]*Span, 0, n)
 	for i := 0; i < n; i++ {
-		if !need(8*6 + 4*2) {
+		if !need(8*7 + 4*2) {
 			return nil, errBadTrailer
 		}
 		s := &Span{}
@@ -395,6 +406,7 @@ func DecodeSpans(data []byte) ([]*Span, error) {
 		s.Start = time.Unix(0, int64(u64()))
 		s.Duration = time.Duration(u64())
 		s.Bytes = int64(u64())
+		s.Swept = int64(u64())
 		s.Bricks = int(u32())
 		s.Extents = int(u32())
 		str8 := func() (string, bool) {

@@ -53,6 +53,7 @@ func TestEncodeDecodeSpans(t *testing.T) {
 	sub := root.Child("server.subfile")
 	sub.Extents = 3
 	sub.Bytes = 4096
+	sub.Swept = 29184
 	sub.End()
 	root.End()
 
@@ -73,7 +74,7 @@ func TestEncodeDecodeSpans(t *testing.T) {
 		t.Fatalf("timing lost: %+v", got)
 	}
 	kids := got.Children()
-	if len(kids) != 1 || kids[0].Name != "server.subfile" || kids[0].Extents != 3 || kids[0].Bytes != 4096 {
+	if len(kids) != 1 || kids[0].Name != "server.subfile" || kids[0].Extents != 3 || kids[0].Bytes != 4096 || kids[0].Swept != 29184 {
 		t.Fatalf("children = %+v", kids)
 	}
 	if kids[0].ParentID != got.SpanID || kids[0].TraceID != 7 {

@@ -71,6 +71,9 @@ const (
 	// MetricGossipDeltasSent counts gossip table deltas piggybacked on
 	// outgoing responses (DESIGN.md §14).
 	MetricGossipDeltasSent = "gossip_deltas_sent_total"
+	// MetricSubfileBytesRead counts the bytes reads took from subfiles,
+	// shipped or sieved away alike; bytes_out_total counts the shipped.
+	MetricSubfileBytesRead = "subfile_bytes_read_total"
 )
 
 // OpMetric names the handler latency histogram for an op.
@@ -761,14 +764,21 @@ func (s *Server) dispatchEmit(ctx context.Context, req *wire.Request, emit func(
 }
 
 func (s *Server) serve(ctx context.Context, req *wire.Request, emit func([]byte) error) (*wire.Response, error) {
+	if len(req.Data) > 0 {
+		// Only these read their payload. Elsewhere one is a client's
+		// mistake — a selection sent with the wrong op, say — and is
+		// refused, not ignored.
+		switch req.Op {
+		case wire.OpRead, wire.OpWrite, wire.OpRename, wire.OpCopy:
+		default:
+			return nil, fmt.Errorf("%v takes no payload, got %d bytes", req.Op, len(req.Data))
+		}
+	}
 	switch req.Op {
 	case wire.OpPing:
 		return &wire.Response{}, nil
 	case wire.OpRead:
-		if emit != nil {
-			return s.opReadStream(ctx, req, emit)
-		}
-		return s.opRead(ctx, req)
+		return s.opRead(ctx, req, emit)
 	case wire.OpWrite:
 		return s.opWrite(ctx, req)
 	case wire.OpRemove:
@@ -838,7 +848,7 @@ func (s *Server) opCopy(ctx context.Context, req *wire.Request) (*wire.Response,
 		// Local generation bump: the source is a superseded generation
 		// of this same subfile, so the read must bypass the generation
 		// check that the entry checkGen above just advanced.
-		data, err = s.readLocal(ctx, srcPath, srcGen, src, total)
+		data, err = s.readExtents(ctx, srcPath, srcGen, src, nil, total, nil)
 		if err != nil {
 			return nil, fmt.Errorf("copy local source: %w", err)
 		}
@@ -1107,20 +1117,32 @@ func checkExtents(op string, exts []wire.Extent) (int64, error) {
 	return total, nil
 }
 
-// preadFull reads len(dst) bytes of the subfile at off; bytes past EOF
-// read as zeros (hole semantics). A failure counts as a disk error.
-func (s *Server) preadFull(sf *subfile, dst []byte, off int64) error {
+// preadFull reads len(dst) bytes of the subfile at off and returns how
+// many the file held; bytes past EOF read as zeros (hole semantics). A
+// failure counts as a disk error.
+func (s *Server) preadFull(sf *subfile, dst []byte, off int64) (int, error) {
 	n, err := sf.f.ReadAt(dst, off)
 	if err != nil && err != io.EOF {
 		s.reg.Counter(MetricDiskErrors).Inc()
-		return err
+		return n, err
 	}
 	clear(dst[n:])
-	return nil
+	return n, nil
 }
 
-func (s *Server) opRead(ctx context.Context, req *wire.Request) (*wire.Response, error) {
-	total, err := checkExtents("read", req.Extents)
+// opRead serves a read. With a sink (wire v2) the payload streams as
+// DATA frames and only the last chunk — for a read of up to
+// StreamChunk bytes, the only one — is returned as the response's Data,
+// so it leaves in the same write as the RESP trailer; without one
+// (wire v1) the whole payload is. Either way the caller returns Data
+// with putReadBuf. The storage model is charged one positioning per
+// extent and the bytes shipped: a sieved extent is still one positioned
+// sweep of the device, and what it skips never reaches the link.
+func (s *Server) opRead(ctx context.Context, req *wire.Request, emit func([]byte) error) (*wire.Response, error) {
+	if _, err := checkExtents("read", req.Extents); err != nil {
+		return nil, err
+	}
+	sels, total, err := wire.ParseSelections(req.Data, req.Extents)
 	if err != nil {
 		return nil, err
 	}
@@ -1130,107 +1152,169 @@ func (s *Server) opRead(ctx context.Context, req *wire.Request) (*wire.Response,
 	if err := s.checkGen(req.Path, req.Gen, false); err != nil {
 		return nil, err
 	}
-	buf, err := s.readLocal(ctx, req.Path, req.Gen, req.Extents, total)
+	tail, err := s.readExtents(ctx, req.Path, req.Gen, req.Extents, sels, total, emit)
 	if err != nil {
 		return nil, err
 	}
-	return &wire.Response{Data: buf, N: total}, nil
+	return &wire.Response{Data: tail, N: total}, nil
 }
 
-// readLocal reads extents (already validated, total bytes) of one
-// generationed subfile into a pooled buffer (return it with
-// putReadBuf), bypassing the generation check: the caller has already
-// enforced it, or is opCopy deliberately reading a superseded
-// generation as its local copy source. A missing subfile and bytes
-// past EOF read as zeros, matching hole semantics (client-side geometry
-// guarantees the extents are within the file's logical size).
-func (s *Server) readLocal(ctx context.Context, path string, gen int64, exts []wire.Extent, total int64) ([]byte, error) {
+// readExtents reads exts (already validated; total bytes once narrowed
+// by sels) of one generationed subfile, bypassing the generation check:
+// the caller has already enforced it, or is opCopy deliberately reading
+// a superseded generation as its local copy source. The bytes pass
+// through one pooled buffer (return it with putReadBuf): with a sink it
+// holds at most StreamChunk, is emitted each time it fills and more
+// follows, and comes back holding the unemitted tail; without one it
+// holds everything. A missing subfile and bytes past EOF read as zeros,
+// matching hole semantics (client-side geometry guarantees the extents
+// are within the file's logical size).
+func (s *Server) readExtents(ctx context.Context, path string, gen int64, exts []wire.Extent, sels []wire.Selection, total int64, emit func([]byte) error) ([]byte, error) {
 	sf, err := s.open(subfileName(path, gen), false)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, err
 	}
-	buf := getReadBuf(total)
-	if sf == nil {
-		clear(buf)
-		return buf, nil
+	size := total
+	if emit != nil {
+		size = min(total, wire.StreamChunk)
 	}
+	out := readSink{chunk: getReadBuf(size)}
 	sio := s.beginSubfileIO(ctx, "read", exts, total)
-	pos := int64(0)
-	for _, e := range exts {
-		if err = s.preadFull(sf, buf[pos:pos+e.Len], e.Off); err != nil {
-			break
+	var swept int64
+	if sf == nil {
+		err = out.zeros(total, emit)
+	} else {
+		swept, err = s.streamExtents(sf, exts, sels, &out, emit)
+	}
+	if sio.sub != nil {
+		sio.sub.Swept = swept
+	}
+	sio.end(s)
+	s.reg.Counter(MetricSubfileBytesRead).Add(swept)
+	if err != nil {
+		putReadBuf(out.chunk)
+		return nil, err
+	}
+	return out.chunk[:out.pend], nil
+}
+
+// readSink is where a read's extent loop puts its bytes: chunk fills
+// from the front and is emitted each time it is full and more follows,
+// so what remains at the end is the unemitted tail chunk[:pend]. The
+// sink function is handed to each method rather than kept here: held
+// in a struct it would escape, and every read would allocate its
+// caller's closures.
+type readSink struct {
+	chunk []byte
+	pend  int
+}
+
+// room returns the free part of chunk, emitting a full one first; the
+// caller advances pend by what it fills.
+func (o *readSink) room(emit func([]byte) error) ([]byte, error) {
+	if o.pend == len(o.chunk) {
+		if err := emit(o.chunk); err != nil {
+			return nil, err
 		}
-		pos += e.Len
+		o.pend = 0
 	}
-	sio.end(s)
-	if err != nil {
-		putReadBuf(buf)
-		return nil, err
-	}
-	return buf, nil
+	return o.chunk[o.pend:], nil
 }
 
-// opReadStream is the wire-v2 read path: instead of buffering the
-// whole payload, it reads extents through one pooled StreamChunk-sized
-// buffer and pushes each filled chunk through emit (a DATA frame), so
-// a large brick read holds O(StreamChunk) memory and other tags'
-// frames interleave between chunks. The last chunk — for a read of up
-// to StreamChunk bytes, the only one — is not emitted but returned as
-// the response's Data (the caller returns it with putReadBuf), so it
-// leaves in the same write as the RESP trailer. Semantics match
-// opRead/readLocal exactly — netsim delay, generation check, and zeros
-// for a missing subfile or reads past EOF.
-func (s *Server) opReadStream(ctx context.Context, req *wire.Request, emit func([]byte) error) (*wire.Response, error) {
-	total, err := checkExtents("read", req.Extents)
-	if err != nil {
-		return nil, err
+// write copies src in.
+func (o *readSink) write(src []byte, emit func([]byte) error) error {
+	for len(src) > 0 {
+		dst, err := o.room(emit)
+		if err != nil {
+			return err
+		}
+		n := copy(dst, src)
+		o.pend += n
+		src = src[n:]
 	}
-	if _, err := s.cfg.Model.Delay(ctx, len(req.Extents), total); err != nil {
-		return nil, err
-	}
-	if err := s.checkGen(req.Path, req.Gen, false); err != nil {
-		return nil, err
-	}
-	// A missing subfile reads as zeros throughout (hole semantics).
-	sf, err := s.open(subfileName(req.Path, req.Gen), false)
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return nil, err
-	}
-	chunk := getReadBuf(min(total, wire.StreamChunk))
-	sio := s.beginSubfileIO(ctx, "read", req.Extents, total)
-	pend, err := s.streamExtents(sf, req.Extents, chunk, emit)
-	sio.end(s)
-	if err != nil {
-		putReadBuf(chunk)
-		return nil, err
-	}
-	return &wire.Response{Data: chunk[:pend], N: total}, nil
+	return nil
 }
 
-// streamExtents reads exts of sf (nil: all zeros) through chunk,
-// emitting it each time it fills and more follows, and returns how
-// much of chunk the unemitted tail occupies.
-func (s *Server) streamExtents(sf *subfile, exts []wire.Extent, chunk []byte, emit func([]byte) error) (pend int, err error) {
-	for _, e := range exts {
-		for off, end := e.Off, e.Off+e.Len; off < end; {
-			if pend == len(chunk) {
-				if err := emit(chunk); err != nil {
-					return 0, err
+// zeros puts n zero bytes in: the chunk is cleared once and emitted as
+// often as it takes.
+func (o *readSink) zeros(n int64, emit func([]byte) error) error {
+	clear(o.chunk)
+	for ; n > int64(len(o.chunk)); n -= int64(len(o.chunk)) {
+		if err := emit(o.chunk); err != nil {
+			return err
+		}
+	}
+	o.pend = int(n)
+	return nil
+}
+
+// streamExtents is the one extent loop of every read: it moves exts of
+// sf into out and returns how many bytes it read from the subfile. A
+// plain extent is read straight into out's chunk. An extent narrowed by
+// a selection is sieved: its whole range is read, exactly as if it were
+// plain, through a pooled window of at most StreamChunk, and only the
+// selected pieces are copied on — so memory stays O(StreamChunk)
+// whatever the range or the selection says.
+func (s *Server) streamExtents(sf *subfile, exts []wire.Extent, sels []wire.Selection, out *readSink, emit func([]byte) error) (swept int64, err error) {
+	var win []byte
+	if len(sels) > 0 {
+		var widest int64
+		for _, sel := range sels {
+			widest = max(widest, exts[sel.Extent].Len)
+		}
+		win = getReadBuf(min(widest, wire.StreamChunk))
+		defer putReadBuf(win)
+	}
+	for i, e := range exts {
+		if len(sels) == 0 || sels[0].Extent != i {
+			for off, end := e.Off, e.Off+e.Len; off < end; {
+				dst, err := out.room(emit)
+				if err != nil {
+					return swept, err
 				}
-				pend = 0
+				dst = dst[:min(end-off, int64(len(dst)))]
+				n, err := s.preadFull(sf, dst, off)
+				swept += int64(n)
+				if err != nil {
+					return swept, err
+				}
+				out.pend += len(dst)
+				off += int64(len(dst))
 			}
-			take := int(min(end-off, int64(len(chunk)-pend)))
-			dst := chunk[pend : pend+take]
-			if sf == nil {
-				clear(dst)
-			} else if err := s.preadFull(sf, dst, off); err != nil {
-				return 0, err
+			continue
+		}
+		runs := sels[0].Runs
+		sels = sels[1:]
+		ri, pi := 0, int64(0) // the piece being gathered: its run, its index in it
+		for wlo := int64(0); wlo < e.Len; wlo += int64(len(win)) {
+			w := win[:min(int64(len(win)), e.Len-wlo)]
+			n, err := s.preadFull(sf, w, e.Off+wlo)
+			swept += int64(n)
+			if err != nil {
+				return swept, err
 			}
-			pend += take
-			off += int64(take)
+			for whi := wlo + int64(len(w)); ri < len(runs); {
+				r := runs[ri]
+				lo := r.Off + pi*r.Stride
+				hi := lo + r.Len
+				if lo >= whi {
+					break
+				}
+				// A piece straddling the window's end is finished from
+				// the next window.
+				if err := out.write(w[max(lo, wlo)-wlo:min(hi, whi)-wlo], emit); err != nil {
+					return swept, err
+				}
+				if hi > whi {
+					break
+				}
+				if pi++; pi == r.Count {
+					ri, pi = ri+1, 0
+				}
+			}
 		}
 	}
-	return pend, nil
+	return swept, nil
 }
 
 // subfileIO covers one data op's local I/O loop: the server.subfile

@@ -7,9 +7,12 @@ import (
 	"testing/quick"
 )
 
-// randomGeometry draws a small random geometry of any level.
-func randomGeometry(r *rand.Rand) *Geometry {
-	nd := 1 + r.Intn(3)
+// randomGeometry draws a small random geometry of any level, of one to
+// three dimensions.
+func randomGeometry(r *rand.Rand) *Geometry { return randomGeometryND(r, 1+r.Intn(3)) }
+
+// randomGeometryND draws a small random nd-dimensional geometry.
+func randomGeometryND(r *rand.Rand, nd int) *Geometry {
 	dims := make([]int64, nd)
 	for d := range dims {
 		dims[d] = 1 + int64(r.Intn(12))

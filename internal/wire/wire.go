@@ -7,8 +7,10 @@
 // payload length, and the payload. Requests name an operation, a
 // subfile path, the file's distribution generation and a list of byte
 // extents; WRITE requests carry the concatenated extent data, READ
-// responses return it. A combined request (Section 4.2) is simply one
-// message whose extent list covers many bricks.
+// responses return it — all of it, or the strided pieces a selection in
+// the READ request picks out of each extent (selection.go). A combined
+// request (Section 4.2) is simply one message whose extent list covers
+// many bricks.
 package wire
 
 import (
@@ -27,7 +29,8 @@ type Op uint8
 const (
 	// OpPing checks liveness.
 	OpPing Op = iota + 1
-	// OpRead returns the bytes of each extent of a subfile.
+	// OpRead returns the bytes of each extent of a subfile, or of the
+	// pieces a Selection in the payload picks out of it.
 	OpRead
 	// OpWrite stores the carried bytes at each extent of a subfile.
 	OpWrite
@@ -102,7 +105,9 @@ type Request struct {
 	Extents []Extent
 	// Data carries the concatenated payload of all extents for
 	// OpWrite; its length must equal the sum of extent lengths. For
-	// OpTruncate, Extents[0].Len holds the new size.
+	// OpRead it carries the selections that narrow extents to strided
+	// pieces (AppendSelection), empty when every extent is wanted
+	// whole. For OpTruncate, Extents[0].Len holds the new size.
 	Data []byte
 	// Segments, when non-nil, carries the OpWrite payload as a
 	// scatter list instead of Data: WriteRequest flushes the pieces

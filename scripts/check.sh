@@ -7,13 +7,15 @@
 #   5. seeded chaos suite under -race (fault injection e2e), plus a
 #      3-seed DPFS_CHAOS_SWEEP including the replica-failover,
 #      metashard, metarepl and gossip modes
-#   6. dispatch + replica + wire + meta bench smokes
+#   6. ten seconds of FuzzSelection: arbitrary read selections against
+#      the server's extent loop (its seed corpus already ran in tier-1)
+#   7. dispatch + replica + wire + meta bench smokes
 #      (BENCH_dispatch.json, BENCH_replica.json, BENCH_wire.json,
 #      BENCH_meta.json)
-#   7. documentation lint (godoc coverage + markdown links)
-#   8. obslint: metric names vs the frozen manifest + Prometheus
+#   8. documentation lint (godoc coverage + markdown links)
+#   9. obslint: metric names vs the frozen manifest + Prometheus
 #      exposition validity (scripts/obslint.sh)
-#   9. the benchmark module (benchmark/, its own go.mod, so the steps
+#  10. the benchmark module (benchmark/, its own go.mod, so the steps
 #      above do not descend into it): go vet + its -quick run as a test
 # Run from the repo root (or anywhere inside it).
 set -eu
@@ -40,6 +42,8 @@ go test -race ./...
 echo "== chaos: seeded fault-injection suite (-race) =="
 go test -race -count=1 -run Chaos .
 DPFS_CHAOS_SWEEP=3 go test -race -count=1 -run Chaos ./internal/fault
+echo "== fuzz: FuzzSelection, 10s =="
+go test -run '^$' -fuzz FuzzSelection -fuzztime 10s ./internal/server
 sh scripts/bench_smoke.sh
 sh scripts/bench_replica.sh
 sh scripts/bench_wire.sh
