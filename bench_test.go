@@ -141,8 +141,9 @@ func BenchmarkAblationCollective(b *testing.B) {
 	runAblation(b, "collective")
 }
 
-// BenchmarkDispatch contrasts the paper's sequential per-server sweep
-// with parallel dispatch on class-1 shaped servers
+// BenchmarkDispatch contrasts the paper's one-request-at-a-time sweep
+// (MaxInflight 1) with one request per server at once on class-1
+// shaped servers
 // (scripts/bench_smoke.sh runs this one as the quick regression gate).
 func BenchmarkDispatch(b *testing.B) {
 	runAblation(b, "parallel")
@@ -327,16 +328,20 @@ func BenchmarkWireEncode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if err := wire.WriteRequest(&buf, req); err != nil {
+		if err := wire.WriteRequestV2(&buf, 1, req); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := wire.ReadRequest(&buf); err != nil {
+		h, err := wire.ReadFrameHeader(&buf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := wire.ReadRequestV2(&buf, h, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// TestFrameWriterAllocs pins the allocation-free send path of wire v2:
+// TestFrameWriterAllocs pins the allocation-free send path:
 // a connection's FrameWriter builds every header and metadata body in
 // the scratch it keeps, so once that has grown to the message size a
 // DATA frame, a read response with its tail chunk, a CANCEL and a read

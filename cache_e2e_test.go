@@ -17,7 +17,7 @@ import (
 // cache, metadata cache and readahead all on.
 func cacheOpts() dpfs.Options {
 	return dpfs.Options{
-		Combine: true, Stagger: true, ParallelDispatch: true,
+		Combine: true, Stagger: true,
 		CacheBytes: 64 << 20, MetaTTL: time.Minute, Readahead: 2,
 	}
 }

@@ -38,25 +38,22 @@ type jsonRow struct {
 	P50US     int64   `json:"p50_us"`
 	P95US     int64   `json:"p95_us"`
 	P99US     int64   `json:"p99_us"`
-	Conns     int64   `json:"conns"`
 }
 
 func main() {
 	fig := flag.Int("fig", 0, "figure to regenerate (11-14; 0 = all)")
-	ablation := flag.String("ablation", "", "run an ablation instead: stagger, shape, servers, sieve, collective, parallel, cache, replica, wire, meta, or all")
+	ablation := flag.String("ablation", "", "run an ablation instead: stagger, shape, servers, sieve, collective, parallel, cache, replica, meta, or all")
 	n := flag.Int64("n", 512, "array edge in elements (paper: 32768)")
 	tile := flag.Int64("tile", 0, "multidim tile edge (default n/8; paper: 256)")
 	reps := flag.Int("reps", 3, "repetitions per bar (median reported)")
 	dir := flag.String("dir", "", "scratch directory (default: a temp dir)")
 	csvOut := flag.Bool("csv", false, "emit CSV instead of aligned text")
 	jsonOut := flag.Bool("json", false, "emit a JSON array instead of aligned text")
-	parallel := flag.Bool("parallel", false, "dispatch each access's per-server requests concurrently")
 	faultSpec := flag.String("fault-spec", "", "fault schedule for measured traffic, e.g. 'drop:prob=0.02;delay:prob=0.05,ms=2' (see internal/fault)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for probabilistic fault rules (deterministic per seed)")
 	cacheMB := flag.Int64("cache-mb", 0, "client data-cache budget in MiB for measured engines (0 = cache off)")
 	metaTTL := flag.Duration("meta-ttl", 0, "client metadata-cache TTL for measured engines (0 = cache off)")
 	readahead := flag.Int("readahead", 0, "sequential readahead depth in bricks (needs -cache-mb)")
-	wireV2 := flag.Bool("wire-v2", false, "use the tagged-frame wire protocol for measured engines")
 	version := flag.Bool("version", false, "print build information and exit")
 	flag.Parse()
 
@@ -74,9 +71,8 @@ func main() {
 		}
 		defer os.RemoveAll(scratch)
 	}
-	cfg := bench.Config{N: *n, Tile: *tile, Dir: scratch, Reps: *reps, Parallel: *parallel,
-		CacheBytes: *cacheMB << 20, MetaTTL: *metaTTL, Readahead: *readahead,
-		WireV2: *wireV2}
+	cfg := bench.Config{N: *n, Tile: *tile, Dir: scratch, Reps: *reps,
+		CacheBytes: *cacheMB << 20, MetaTTL: *metaTTL, Readahead: *readahead}
 	if *faultSpec != "" {
 		inj, err := fault.Parse(*faultSpec, *faultSeed)
 		if err != nil {
@@ -99,14 +95,12 @@ func main() {
 					MBps: m.MBps, ElapsedUS: m.Elapsed.Microseconds(),
 					Requests: m.Requests, MovedMB: m.MovedMB, UsefulMB: m.UsefulMB,
 					P50US: m.Lat50.Microseconds(), P95US: m.Lat95.Microseconds(), P99US: m.Lat99.Microseconds(),
-					Conns: m.Conns,
 				})
 			case *csvOut:
-				fmt.Printf("%s,%s,%s,%.3f,%d,%d,%.3f,%.3f,%d,%d,%d,%d\n",
+				fmt.Printf("%s,%s,%s,%.3f,%d,%d,%.3f,%.3f,%d,%d,%d\n",
 					m.Figure, m.Class, m.Label, m.MBps, m.Elapsed.Microseconds(),
 					m.Requests, m.MovedMB, m.UsefulMB,
-					m.Lat50.Microseconds(), m.Lat95.Microseconds(), m.Lat99.Microseconds(),
-					m.Conns)
+					m.Lat50.Microseconds(), m.Lat95.Microseconds(), m.Lat99.Microseconds())
 			default:
 				fmt.Println(m)
 			}
@@ -128,7 +122,7 @@ func main() {
 		fmt.Println(string(out))
 	}
 	if *csvOut && !*jsonOut {
-		fmt.Println("figure,class,variant,mbps,elapsed_us,requests,moved_mb,useful_mb,p50_us,p95_us,p99_us,conns")
+		fmt.Println("figure,class,variant,mbps,elapsed_us,requests,moved_mb,useful_mb,p50_us,p95_us,p99_us")
 	}
 
 	if *ablation != "" {

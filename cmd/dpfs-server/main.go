@@ -51,7 +51,6 @@ func main() {
 	faultSeed := flag.Int64("fault-seed", 1, "seed for probabilistic fault rules (deterministic per seed)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown bound: in-flight requests get this long to finish on SIGTERM/SIGINT")
 	slowMS := flag.Int64("slow-request-ms", 0, "log requests slower than this to the event log (with their trace when traced; 0 = off)")
-	wireV2 := flag.Bool("wire-v2", false, "speak the tagged-frame wire protocol on outbound repair pulls (inbound is auto-detected per connection)")
 	gossipOn := flag.Bool("gossip", false, "run the gossip health plane on the data port: membership and health spread peer-to-peer and RPC responses piggyback server-table deltas (DESIGN.md §14)")
 	gossipInterval := flag.Duration("gossip-interval", time.Second, "gossip round period")
 	gossipFanout := flag.Int("gossip-fanout", 0, "gossip exchange fan-out per round (0 derives it from the registered server count)")
@@ -96,7 +95,6 @@ func main() {
 	srv, err := server.New(server.Config{
 		Root: *root, Model: model, Name: *name,
 		SlowRequest: time.Duration(*slowMS) * time.Millisecond,
-		WireV2:      *wireV2,
 	}, lis)
 	if err != nil {
 		fatal(err)

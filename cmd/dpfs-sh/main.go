@@ -41,7 +41,6 @@ func main() {
 	trace := flag.Bool("trace", false, "record distributed request traces (see the trace command)")
 	traceSample := flag.Float64("trace-sample", 1.0, "fraction of traced requests that propagate trace context to the servers")
 	slowMS := flag.Int64("slow-request-ms", 0, "log requests slower than this to the event log with their full trace (0 = off)")
-	wireV2 := flag.Bool("wire-v2", false, "use the tagged-frame wire protocol (multiplexed conns, streamed payloads)")
 	version := flag.Bool("version", false, "print build information and exit")
 	flag.Parse()
 
@@ -56,8 +55,7 @@ func main() {
 	}
 	client, err := dpfs.ConnectGroups(groups, *rank, dpfs.Options{Combine: true, Stagger: true,
 		CacheBytes: *cacheMB << 20, MetaTTL: *metaTTL, Readahead: *readahead,
-		TraceSample: *traceSample, SlowRequest: time.Duration(*slowMS) * time.Millisecond,
-		WireV2: *wireV2})
+		TraceSample: *traceSample, SlowRequest: time.Duration(*slowMS) * time.Millisecond})
 	if err != nil {
 		fatal(err)
 	}

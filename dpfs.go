@@ -349,7 +349,6 @@ func (c *Client) Repair(ctx context.Context) (*RepairReport, error) {
 		Dial:    opts.Dial,
 		Retry:   opts.Retry,
 		Metrics: c.fs.Metrics(),
-		WireV2:  opts.WireV2,
 	})
 	defer r.Close()
 	return r.Run(ctx)

@@ -17,39 +17,39 @@ import (
 // TestChaosE2E runs the full public-API stack — Connect through the
 // network metadata server, np=4 clients over io=4 servers — under a
 // seeded fault schedule of connection drops, latency spikes and torn
-// frames, in both dispatch modes. Every roundtrip must be byte-exact
+// frames, one request at a time, overlapped, and cached. Every
+// roundtrip must be byte-exact
 // and a fault-free verification pass must see the same bytes: the
 // chaos has to be invisible above the client library, exactly what
 // DPFS's idle-workstation substrate (Section 1) demands.
 func TestChaosE2E(t *testing.T) {
 	for _, mode := range []struct {
-		name     string
-		parallel bool
-		cached   bool
-		wireV2   bool
-		seed     int64
+		name        string
+		maxInflight int
+		cached      bool
+		seed        int64
 	}{
-		{"sequential", false, false, false, 11},
-		{"parallel", true, false, false, 12},
-		{"cached", true, true, false, 13},
-		{"wirev2", true, false, true, 14},
+		{"sequential", 1, false, 11},
+		{"parallel", 0, false, 12},
+		{"cached", 0, true, 13},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			runChaosE2E(t, mode.parallel, mode.cached, mode.wireV2, mode.seed)
+			runChaosE2E(t, mode.maxInflight, mode.cached, mode.seed)
 		})
 	}
 }
 
-func runChaosE2E(t *testing.T, parallel, cached, wireV2 bool, seed int64) {
+func runChaosE2E(t *testing.T, maxInflight int, cached bool, seed int64) {
 	const (
 		np     = 4
 		size   = 16 * 4096
 		rounds = 3
 	)
 	// The flag-form spec, so this also exercises the -fault-spec path
-	// end to end. The nth rules guarantee deterministic firings; the
-	// prob rules add seed-dependent background noise.
-	inj, err := fault.Parse("partial:nth=17; drop:nth=29; drop:prob=0.02; delay:prob=0.05,ms=2", seed)
+	// end to end. The nth rules guarantee a failed send on every conn
+	// that lives that long (see chaosRules in internal/fault for why the
+	// pair); the prob rules add seed-dependent background noise.
+	inj, err := fault.Parse("partial:nth=18; drop:nth=19; drop:prob=0.02; delay:prob=0.05,ms=2", seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +65,8 @@ func runChaosE2E(t *testing.T, parallel, cached, wireV2 bool, seed int64) {
 	defer cancel()
 
 	opts := dpfs.Options{
-		Combine: true, Stagger: true, ParallelDispatch: parallel,
-		WireV2: wireV2,
-		Dial:   inj.DialContext,
+		Combine: true, Stagger: true, MaxInflight: maxInflight,
+		Dial: inj.DialContext,
 		Retry: server.RetryPolicy{MaxRetries: 8, RequestTimeout: 5 * time.Second,
 			BackoffBase: time.Millisecond, BackoffMax: 10 * time.Millisecond},
 	}

@@ -10,8 +10,6 @@ import (
 	"dpfs/internal/collective"
 	"dpfs/internal/core"
 	"dpfs/internal/netsim"
-	"dpfs/internal/obs"
-	"dpfs/internal/server"
 	"dpfs/internal/stripe"
 )
 
@@ -365,18 +363,18 @@ func measureCollective(ctx context.Context, c *cluster.Cluster, cfg Config, np i
 
 // AblationParallel isolates the client's dispatch loop: a combined
 // multidim row read where every rank's combined requests cover all
-// servers, shipped sequentially (the paper's model) versus in
-// parallel. Staggering is off in both variants — its scheduling effect
-// has its own ablation, and disabling it here makes the sequential
-// convoy deterministic: all np ranks sweep the servers in the same
-// order, so the sweep drains in (np+S-1) service times, while parallel
-// dispatch keeps every device queue full and drains in np. At np=S=4
-// that is a 7:4 (1.75x) aggregate bandwidth gap on the class-1 shaped
-// cluster.
+// servers, shipped one at a time (the paper's model, MaxInflight 1)
+// versus one per server at once (the engine's default, MaxInflight 0).
+// Staggering is off in both variants — its scheduling effect has its
+// own ablation, and disabling it here makes the one-at-a-time convoy
+// deterministic: all np ranks sweep the servers in the same order, so
+// the sweep drains in (np+S-1) service times, while overlapped dispatch
+// keeps every device queue full and drains in np. At np=S=4 that is a
+// 7:4 (1.75x) aggregate bandwidth gap on the class-1 shaped cluster.
 func AblationParallel(ctx context.Context, cfg Config, np, io int) ([]Measurement, error) {
 	cfg = cfg.WithDefaults()
 	var out []Measurement
-	for _, par := range []bool{false, true} {
+	for _, inflight := range []int{1, 0} {
 		c, err := cluster.Start(cluster.Config{
 			Servers:       cluster.UniformClass(io, netsim.Class1()),
 			Dir:           caseDir(cfg.Dir),
@@ -385,26 +383,20 @@ func AblationParallel(ctx context.Context, cfg Config, np, io int) ([]Measuremen
 		if err != nil {
 			return nil, err
 		}
-		runCfg := cfg
-		runCfg.Parallel = par
-		m, err := runParallelCase(ctx, runCfg, c, np)
+		m, err := runParallelCase(ctx, cfg, c, np, inflight)
 		c.Close()
 		if err != nil {
 			return nil, err
 		}
 		m.Figure = "AblParallel"
 		m.Class = "class1"
-		if par {
-			m.Label = "Parallel dispatch"
-		} else {
-			m.Label = "Sequential dispatch"
-		}
+		m.Label = fmt.Sprintf("MaxInflight %d", inflight)
 		out = append(out, m)
 	}
 	return out, nil
 }
 
-func runParallelCase(ctx context.Context, cfg Config, c *cluster.Cluster, np int) (Measurement, error) {
+func runParallelCase(ctx context.Context, cfg Config, c *cluster.Cluster, np, inflight int) (Measurement, error) {
 	dims := []int64{cfg.N, cfg.N}
 	path := "/abl-parallel.dat"
 	fs, err := c.NewFS(0, core.Options{Combine: true})
@@ -423,6 +415,7 @@ func runParallelCase(ctx context.Context, cfg Config, c *cluster.Cluster, np int
 		return Measurement{}, err
 	}
 	opts := cfg.withDispatch(core.Options{Combine: true})
+	opts.MaxInflight = inflight // the one variable of this ablation
 	return measure(ctx, cfg, c, np, opts, path,
 		func(rank int) stripe.Section { return rowSection(cfg.N, np, rank) }, false)
 }
@@ -715,148 +708,6 @@ func runReplicaCase(ctx context.Context, cfg Config, c *cluster.Cluster, np, rep
 	return out, nil
 }
 
-// AblationWire compares the two wire protocols under client fan-in:
-// ONE shared engine carries np concurrent readers, so every request
-// competes for the same transport — the v1 per-exchange connection
-// pool against the v2 tagged-frame mux. Besides bandwidth and tail
-// latency, each bar reports Conns, the TCP connections the measured
-// phase opened across all servers (Σ conns_total deltas): the pool
-// scales conns with concurrency, the mux holds a handful per server
-// and multiplexes tags over them.
-func AblationWire(ctx context.Context, cfg Config, np, io int) ([]Measurement, error) {
-	cfg = cfg.WithDefaults()
-	var out []Measurement
-	for _, v2 := range []bool{false, true} {
-		// Shaped servers (class1) give each request real service time,
-		// so the 64 readers' exchanges overlap — the conn-held contrast
-		// between pool and mux needs in-flight requests, which native
-		// in-process servers answer too fast to accumulate.
-		c, err := cluster.Start(cluster.Config{
-			Servers:       cluster.UniformClass(io, netsim.Class1()),
-			Dir:           caseDir(cfg.Dir),
-			RefBrickBytes: cfg.Tile * cfg.Tile * elemSize,
-			WireV2:        v2,
-		})
-		if err != nil {
-			return nil, err
-		}
-		runCfg := cfg
-		runCfg.WireV2 = v2
-		runCfg.Parallel = true
-		m, err := runWireCase(ctx, runCfg, c, np)
-		c.Close()
-		if err != nil {
-			return nil, err
-		}
-		m.Figure = "AblWire"
-		m.Class = "class1"
-		if v2 {
-			m.Label = "v2 mux"
-		} else {
-			m.Label = "v1 pool"
-		}
-		out = append(out, m)
-	}
-	return out, nil
-}
-
-func runWireCase(ctx context.Context, cfg Config, c *cluster.Cluster, np int) (Measurement, error) {
-	dims := []int64{cfg.N, cfg.N}
-	path := "/abl-wire.dat"
-	fs0, err := c.NewFS(0, core.Options{Combine: true})
-	if err != nil {
-		return Measurement{}, err
-	}
-	f, err := fs0.Create(path, elemSize, dims,
-		core.Hint{Level: stripe.LevelMultidim, Tile: []int64{cfg.Tile, cfg.Tile}})
-	if err != nil {
-		fs0.Close()
-		return Measurement{}, err
-	}
-	f.Close()
-	fs0.Close()
-	if err := fill(ctx, c, path, dims); err != nil {
-		return Measurement{}, err
-	}
-
-	connsTotal := func() int64 {
-		var n int64
-		for _, srv := range c.IOServers {
-			n += srv.Metrics().Counter(server.MetricConnsTotal).Value()
-		}
-		return n
-	}
-
-	opts := cfg.withDispatch(core.Options{Combine: true})
-	runs := make([]Measurement, 0, cfg.Reps)
-	for rep := 0; rep < cfg.Reps; rep++ {
-		// One engine for all np readers: the fan-in rides one client
-		// per server, which is exactly what the two transports handle
-		// differently.
-		reg := obs.NewRegistry()
-		fs, err := c.NewFS(0, opts)
-		if err != nil {
-			return Measurement{}, err
-		}
-		fs.SetMetrics(reg)
-		files := make([]*core.File, np)
-		bufs := make([][]byte, np)
-		var useful int64
-		for p := 0; p < np; p++ {
-			ff, err := fs.Open(path)
-			if err != nil {
-				fs.Close()
-				return Measurement{}, err
-			}
-			files[p] = ff
-			sec := rowSection(cfg.N, np, p)
-			bufs[p] = make([]byte, sec.Bytes(ff.Geometry().ElemSize))
-			useful += int64(len(bufs[p]))
-		}
-
-		base := connsTotal()
-		start := time.Now()
-		var wg sync.WaitGroup
-		errs := make(chan error, np)
-		for p := 0; p < np; p++ {
-			wg.Add(1)
-			go func(rank int) {
-				defer wg.Done()
-				if err := files[rank].ReadSection(ctx, rowSection(cfg.N, np, rank), bufs[rank]); err != nil {
-					errs <- err
-				}
-			}(p)
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		conns := connsTotal() - base
-		for p := 0; p < np; p++ {
-			files[p].Close()
-		}
-		fs.Close()
-		close(errs)
-		for err := range errs {
-			return Measurement{}, err
-		}
-
-		snap := reg.Snapshot()
-		lat := snap.Histograms[core.MetricRequestLatency]
-		runs = append(runs, Measurement{
-			Elapsed:  elapsed,
-			MBps:     float64(useful) / (1 << 20) / elapsed.Seconds(),
-			Requests: snap.Counters[core.MetricRequests],
-			MovedMB:  float64(snap.Counters[core.MetricBytesMoved]) / (1 << 20),
-			UsefulMB: float64(useful) / (1 << 20),
-			Lat50:    time.Duration(lat.P50) * time.Microsecond,
-			Lat95:    time.Duration(lat.P95) * time.Microsecond,
-			Lat99:    time.Duration(lat.P99) * time.Microsecond,
-			Conns:    conns,
-		})
-	}
-	sortMeasurements(runs)
-	return runs[len(runs)/2], nil
-}
-
 // AblationMeta isolates the two metadata scale levers: WAL group
 // commit (one fsync per batch of concurrent committers instead of one
 // per transaction) and path-hash catalog sharding (independent commit
@@ -1017,15 +868,13 @@ func Ablation(ctx context.Context, cfg Config, name string) ([]Measurement, erro
 		return AblationCache(ctx, cfg, 4, 4)
 	case "replica":
 		return AblationReplica(ctx, cfg, 4, 4)
-	case "wire":
-		return AblationWire(ctx, cfg, 64, 4)
 	case "meta":
 		return AblationMeta(ctx, cfg, 16, 2)
 	}
-	return nil, fmt.Errorf("bench: unknown ablation %q (stagger, shape, servers, sieve, collective, parallel, cache, replica, wire, meta)", name)
+	return nil, fmt.Errorf("bench: unknown ablation %q (stagger, shape, servers, sieve, collective, parallel, cache, replica, meta)", name)
 }
 
 // AblationNames lists the available ablations.
 func AblationNames() []string {
-	return []string{"stagger", "shape", "servers", "sieve", "collective", "parallel", "cache", "replica", "wire", "meta"}
+	return []string{"stagger", "shape", "servers", "sieve", "collective", "parallel", "cache", "replica", "meta"}
 }

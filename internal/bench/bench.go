@@ -42,10 +42,6 @@ type Config struct {
 	// Reps repeats each measurement and reports the median (default
 	// 3), damping host scheduling noise.
 	Reps int
-	// Parallel dispatches each access's per-server requests
-	// concurrently (core.Options.ParallelDispatch) instead of the
-	// paper's sequential sweep.
-	Parallel bool
 	// Fault, when non-nil, injects the configured fault schedule into
 	// every measured engine's server connections (setup/fill traffic
 	// stays fault-free). Pair it with a Retry policy that can absorb
@@ -63,21 +59,20 @@ type Config struct {
 	// Readahead is the sequential prefetch depth in bricks
 	// (core.Options.Readahead); it needs CacheBytes > 0 to take effect.
 	Readahead int
-	// WireV2 runs every measured engine on the tagged-frame wire
-	// protocol (core.Options.WireV2): multiplexed connections,
-	// streamed payloads.
-	WireV2 bool
 }
 
-// withDispatch applies the configured dispatch mode, cache settings,
-// and any fault schedule to a measurement's engine options.
+// withDispatch applies the paper's issue order, the cache settings and
+// any fault schedule to a measurement's engine options. Every measured
+// engine of the figures and ablations goes through here, and here alone
+// the paper-faithful baseline is set: "each compute process issues its
+// requests one at a time" (Sec. 4.2) is MaxInflight 1 of the engine's
+// one dispatch loop.
 func (c Config) withDispatch(opts core.Options) core.Options {
-	opts.ParallelDispatch = c.Parallel
+	opts.MaxInflight = 1
 	opts.Retry = c.Retry
 	opts.CacheBytes = c.CacheBytes
 	opts.MetaTTL = c.MetaTTL
 	opts.Readahead = c.Readahead
-	opts.WireV2 = c.WireV2
 	if c.Fault != nil {
 		opts.Dial = c.Fault.DialContext
 	}
@@ -121,10 +116,6 @@ type Measurement struct {
 	// Per-request latency percentiles across all ranks of the phase,
 	// from the ranks' shared metric registry.
 	Lat50, Lat95, Lat99 time.Duration
-	// Conns is the number of TCP connections the measured phase opened
-	// across all servers (Σ conns_total deltas). Only the wire
-	// ablation fills it; other figures leave it zero.
-	Conns int64
 }
 
 // String renders one row.

@@ -238,13 +238,13 @@ func TestAblationShapes(t *testing.T) {
 		m := byLabel(ms)
 		return m["Collective (two-phase)"].MBps, m["Independent"].MBps, nil
 	})
-	retryRatio(t, "parallel dispatch beats the sequential sweep", 1.5, func() (float64, float64, error) {
+	retryRatio(t, "one request per server at once beats one at a time", 1.5, func() (float64, float64, error) {
 		ms, err := AblationParallel(ctx, cfg, 4, 4)
 		if err != nil {
 			return 0, 0, err
 		}
 		m := byLabel(ms)
-		return m["Parallel dispatch"].MBps, m["Sequential dispatch"].MBps, nil
+		return m["MaxInflight 0"].MBps, m["MaxInflight 1"].MBps, nil
 	})
 }
 
@@ -268,7 +268,7 @@ func TestFigureDispatch(t *testing.T) {
 	if _, err := Ablation(ctx, cfg, "nosuch"); err == nil {
 		t.Fatal("unknown ablation should be rejected")
 	}
-	if len(AblationNames()) != 10 {
+	if len(AblationNames()) != 9 {
 		t.Fatalf("ablations = %v", AblationNames())
 	}
 	// Measurement renders.

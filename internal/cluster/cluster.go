@@ -55,10 +55,6 @@ type Config struct {
 	// normalized against the fastest. Defaults to 512 KiB, the
 	// 256x256 float64 tile of Section 8.
 	RefBrickBytes int64
-	// WireV2 makes the servers' own outbound traffic (repair pulls)
-	// speak the tagged-frame wire protocol. Inbound needs no switch:
-	// every server auto-detects the protocol per connection.
-	WireV2 bool
 	// MetaShards is the number of catalog shards to run (each its own
 	// metadata database behind its own TCP server, with paths hash-
 	// routed across them by meta.ShardRouter). 0 or 1 runs the single
@@ -203,7 +199,7 @@ func Start(cfg Config) (*Cluster, error) {
 		if spec.Class != (netsim.Params{}) {
 			model = netsim.New(spec.Class)
 		}
-		srv, err := server.Listen(server.Config{Root: root, Model: model, Name: name, WireV2: cfg.WireV2}, "")
+		srv, err := server.Listen(server.Config{Root: root, Model: model, Name: name}, "")
 		if err != nil {
 			c.Close()
 			return nil, err

@@ -32,7 +32,7 @@ func TestCollectiveParallelDispatch(t *testing.T) {
 
 	files := make([]*core.File, np)
 	for r := 0; r < np; r++ {
-		fs, err := c.NewFS(r, core.Options{Combine: true, Stagger: true, ParallelDispatch: true})
+		fs, err := c.NewFS(r, core.Options{Combine: true, Stagger: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,30 +25,26 @@ import (
 	"dpfs/internal/wire"
 )
 
-// Options tune the client engine. The zero value reproduces the
-// paper's "general approach" (per-brick requests, no combination); the
-// evaluation's "Combined" bars set Combine and Stagger.
+// Options tune the client engine. The zero value sends the paper's
+// "general approach" requests (one per brick, no combination), one per
+// server at a time; the evaluation's "Combined" bars set Combine and
+// Stagger, and every bar sets MaxInflight 1.
 type Options struct {
 	// Combine groups all bricks of an access that live on the same
-	// server into one request and issues the per-server requests in
-	// parallel (Section 4.2).
+	// server into one request (Section 4.2).
 	Combine bool
 	// Stagger starts rank r's server sweep at server r mod S so
 	// clients do not convoy on one device (Section 4.2). Only
 	// meaningful with Combine.
 	Stagger bool
-	// ParallelDispatch ships an access's per-server requests
-	// concurrently instead of one at a time. The paper's client issues
-	// its combined requests sequentially ("each compute process issues
-	// its requests one at a time", Sec. 4.2) — that remains the
-	// default; parallel dispatch overlaps the independent server
-	// exchanges, hiding per-request network and handler latency.
-	// Requests still launch in Stagger order, the first error wins,
-	// and context cancellation stops the remaining exchanges.
-	ParallelDispatch bool
 	// MaxInflight caps how many server exchanges of one access may be
-	// in flight at once under ParallelDispatch. Zero means one per
-	// server of the file.
+	// in flight at once. Zero means one per server of the file: the
+	// independent server exchanges overlap, hiding per-request network
+	// and handler latency. One is the paper's client, which "issues its
+	// requests one at a time" (Sec. 4.2) — the evaluation figures set
+	// it (internal/bench). Whatever the bound, requests launch in
+	// Stagger order, the first error wins, and context cancellation
+	// stops the remaining exchanges.
 	MaxInflight int
 	// Owner names the creating user in DPFS-FILE-ATTR.
 	Owner string
@@ -81,8 +77,8 @@ type Options struct {
 	MetaTTL time.Duration
 	// Readahead, when positive (and CacheBytes is set), prefetches up
 	// to this many bricks ahead of a detected sequential brick-access
-	// pattern, using the parallel dispatch path in the background so
-	// the next read finds its bricks already cached.
+	// pattern, through the same dispatch loop in the background so the
+	// next read finds its bricks already cached.
 	Readahead int
 	// TraceSample is the fraction of requests that get wire-propagated
 	// trace identity when tracing is enabled (EnableTracing). Values
@@ -98,13 +94,6 @@ type Options struct {
 	// writes, retry exhaustion, breaker transitions, slow requests).
 	// Nil uses the process-default log.
 	Events *obs.EventLog
-	// WireV2 switches every I/O client this engine creates to the
-	// tagged-frame wire protocol: one multiplexed connection per
-	// server carries many outstanding requests, brick payloads stream
-	// as chunked DATA frames, and cancellation travels as a CANCEL
-	// frame instead of killing the connection (DESIGN.md §11). Default
-	// off — the v1 one-exchange-per-conn protocol.
-	WireV2 bool
 }
 
 // Client-engine metric names (in the engine's obs.Registry). Latency
@@ -115,7 +104,8 @@ const (
 	MetricBytesUseful    = "client_bytes_useful_total"
 	MetricRequestLatency = "client_request_latency_us"
 	// MetricInflight gauges how many server exchanges the engine has
-	// in flight right now (only ever above 1 with ParallelDispatch).
+	// in flight right now: per access never more than
+	// Options.MaxInflight, summed over concurrent accesses.
 	MetricInflight = "client_inflight"
 	// MetricFailovers counts reads redirected to a backup replica after
 	// the preferred replica's server failed at the transport level.
@@ -299,7 +289,7 @@ func (fs *FS) Rank() int { return fs.rank }
 // Options returns the engine options.
 func (fs *FS) Options() Options { return fs.opts }
 
-// Close cancels in-flight readahead and drops all pooled server
+// Close cancels in-flight readahead and drops all server
 // connections.
 func (fs *FS) Close() error {
 	fs.raCancel()
@@ -352,20 +342,12 @@ func (fs *FS) client(name string) (*server.Client, error) {
 		return c, nil
 	}
 	fs.addrs[name] = addr
-	// Size the idle-connection pool to the dispatch fan-out so a
-	// parallel burst's connections are kept, not redialed every access.
-	idle := server.DefaultMaxIdleConns
-	if n := fs.opts.MaxInflight; n > idle {
-		idle = n
-	}
 	c := server.NewClientWith(addr, server.ClientConfig{
-		MaxIdleConns: idle,
-		Dial:         fs.opts.Dial,
-		Retry:        fs.opts.Retry,
-		Metrics:      fs.reg,
-		Events:       fs.events,
-		WireV2:       fs.opts.WireV2,
-		OnDelta:      fs.ApplyDelta,
+		Dial:    fs.opts.Dial,
+		Retry:   fs.opts.Retry,
+		Metrics: fs.reg,
+		Events:  fs.events,
+		OnDelta: fs.ApplyDelta,
 	})
 	fs.clients[name] = c
 	return c, nil

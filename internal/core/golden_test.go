@@ -41,8 +41,8 @@ func (l *sentLog) take() string {
 // TestPlainReadRequestGolden pins the bytes a read that wants all of
 // its span puts on the wire — a few KiB inside one brick, and a run of
 // whole bricks — to what the engine sent before reads could carry
-// selections, on both protocols: such a read carries none, so servers,
-// repair pulls and recorded requests of either vintage interoperate.
+// selections: such a read carries none, so servers, repair pulls and
+// recorded requests of either vintage interoperate.
 func TestPlainReadRequestGolden(t *testing.T) {
 	c := startCluster(t, 1)
 	ctx := ctxT(t)
@@ -57,40 +57,32 @@ func TestPlainReadRequestGolden(t *testing.T) {
 	f.Close()
 
 	// Recorded from the parent commit of the change that added
-	// selections. v1: magic d9, version, op READ, body length; path,
-	// generation 1, one extent, an empty payload. v2: one REQ frame
-	// under the mux's first two tags, no DATA frame behind it.
-	golden := map[bool][2]string{
-		false: {
-			"d90102002900000007002f676f6c64656e0100000000000000010000000020010000000000001000000000000000000000",
-			"d90102002900000007002f676f6c64656e0100000000000000010000000000010000000000000002000000000000000000",
-		},
-		true: {
-			"da020100010000003b00000000000000000000000000000000000000020007002f676f6c64656e0100000000000000010000000020010000000000001000000000000000000000",
-			"da020100020000003b00000000000000000000000000000000000000020007002f676f6c64656e0100000000000000010000000000010000000000000002000000000000000000",
-		},
+	// selections: one REQ frame under the mux's first two tags — path,
+	// generation 1, one extent, an empty payload — and no DATA frame
+	// behind it.
+	golden := [2]string{
+		"da020100010000003b00000000000000000000000000000000000000020007002f676f6c64656e0100000000000000010000000020010000000000001000000000000000000000",
+		"da020100020000003b00000000000000000000000000000000000000020007002f676f6c64656e0100000000000000010000000000010000000000000002000000000000000000",
 	}
-	for _, v2 := range []bool{false, true} {
-		log := &sentLog{}
-		fs := newFS(t, c, 1, core.Options{Combine: true, WireV2: v2,
-			Dial: func(ctx context.Context, addr string) (net.Conn, error) {
-				var d net.Dialer
-				conn, err := d.DialContext(ctx, "tcp", addr)
-				return sentConn{conn, log}, err
-			}})
-		f, err := fs.Open("/golden")
-		if err != nil {
+	log := &sentLog{}
+	fs := newFS(t, c, 1, core.Options{Combine: true,
+		Dial: func(ctx context.Context, addr string) (net.Conn, error) {
+			var d net.Dialer
+			conn, err := d.DialContext(ctx, "tcp", addr)
+			return sentConn{conn, log}, err
+		}})
+	f, err = fs.Open("/golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for i, rd := range []struct{ off, n int64 }{{64<<10 + 8192, 4096}, {64 << 10, 128 << 10}} {
+		log.take()
+		if err := f.ReadAt(ctx, make([]byte, rd.n), rd.off); err != nil {
 			t.Fatal(err)
 		}
-		for i, rd := range []struct{ off, n int64 }{{64<<10 + 8192, 4096}, {64 << 10, 128 << 10}} {
-			log.take()
-			if err := f.ReadAt(ctx, make([]byte, rd.n), rd.off); err != nil {
-				t.Fatal(err)
-			}
-			if got := log.take(); got != golden[v2][i] {
-				t.Errorf("wire v2=%v, read of %d at %d sent\n%s\nwant\n%s", v2, rd.n, rd.off, got, golden[v2][i])
-			}
+		if got := log.take(); got != golden[i] {
+			t.Errorf("read of %d at %d sent\n%s\nwant\n%s", rd.n, rd.off, got, golden[i])
 		}
-		f.Close()
 	}
 }

@@ -234,16 +234,15 @@ func (f *File) ExecutePlan(ctx context.Context, plan []stripe.BrickIO, buf []byt
 	return f.execute(ctx, plan, buf, write)
 }
 
-// execute ships a plan to the servers. By default each compute process
-// issues its requests one at a time, exactly as in the paper: the
-// general approach sends one request per brick in brick order;
-// combination groups all of a server's bricks into one request and
-// (with Stagger) starts the sweep at server rank mod S so concurrent
-// clients do not convoy on the same device (Section 4.2). With
-// Options.ParallelDispatch the per-server requests instead launch
-// concurrently (still in Stagger order, bounded by MaxInflight),
-// overlapping the independent server exchanges; the sequential mode
-// remains the paper-faithful baseline.
+// execute ships a plan to the servers. The general approach sends one
+// request per brick in brick order; combination groups all of a
+// server's bricks into one request and (with Stagger) starts the sweep
+// at server rank mod S so concurrent clients do not convoy on the same
+// device (Section 4.2). The requests go through the engine's one
+// dispatch loop (dispatch): launched in that order, at most
+// Options.MaxInflight in flight — one per server by default, which
+// overlaps the independent server exchanges; 1 is the paper's "each
+// compute process issues its requests one at a time".
 func (f *File) execute(ctx context.Context, plan []stripe.BrickIO, buf []byte, write bool) error {
 	if len(plan) == 0 {
 		return nil
@@ -300,11 +299,7 @@ func (f *File) execute(ctx context.Context, plan []stripe.BrickIO, buf []byte, w
 			} else {
 				reqs = stripe.PerBrick(plan, f.assign)
 			}
-			if opts.ParallelDispatch && len(reqs) > 1 {
-				err = f.dispatchParallel(ctx, reqs, buf, write, opName, root)
-			} else {
-				err = f.dispatchSequential(ctx, reqs, buf, write, opName, root)
-			}
+			err = f.dispatch(ctx, reqs, buf, write, opName, root, nil)
 		}
 	}
 	if root != nil {
@@ -370,88 +365,103 @@ func (f *File) rpcSpan(root *obs.Span, r *stripe.Request, opName string) *obs.Sp
 	return sp
 }
 
-// dispatchSequential is the paper's execution model: one server
-// exchange at a time, stopping at the first error.
-func (f *File) dispatchSequential(ctx context.Context, reqs []stripe.Request, buf []byte, write bool, opName string, root *obs.Span) error {
+// dispatch is the engine's one dispatch loop. It launches reqs in
+// their (possibly staggered) order with at most Options.MaxInflight
+// exchanges in flight — zero means one per server of the file — in one
+// of two modes. With errs nil it is fail-fast (plain reads and writes,
+// readahead): the first error cancels the exchanges still in flight,
+// nothing more is launched, and that error is returned; so is the
+// caller's cancellation when it kept a request from launching — an
+// access that skipped a request never returns nil. With errs non-nil
+// (len(reqs)) it runs everything: every request is launched whatever
+// the others did and its outcome recorded in errs, parallel to reqs —
+// replicated writes need every replica's verdict to tell a degraded
+// write from a lost brick — and the return is nil.
+//
+// When only one exchange can be in flight — MaxInflight 1, the paper's
+// issue order, or an access of one request — the loop runs on the
+// caller's goroutine: no goroutine, channel or derived context.
+// Otherwise each exchange runs on its own goroutine and reports back
+// on a channel; spans are created at launch, so span order is launch
+// order. Requests of one plan cover disjoint bricks, so concurrent
+// scatters into buf touch disjoint regions.
+func (f *File) dispatch(ctx context.Context, reqs []stripe.Request, buf []byte, write bool, opName string, root *obs.Span, errs []error) error {
+	limit := f.fs.opts.MaxInflight
+	if limit <= 0 {
+		limit = len(f.info.Servers)
+	}
+	limit = max(1, min(limit, len(reqs)))
+	failFast := errs == nil
 	gauge := f.fs.reg.Gauge(MetricInflight)
-	for i := range reqs {
-		sp := f.rpcSpan(root, &reqs[i], opName)
-		gauge.Inc()
-		err := f.doExchange(ctx, &reqs[i], buf, write, sp)
-		gauge.Dec()
-		if sp != nil {
-			sp.End()
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
-// dispatchParallel overlaps the per-server exchanges of one access:
-// each request runs in its own goroutine, at most max in flight.
-// Launch order follows the (possibly staggered) request order — slots
-// are acquired in order, so under a tight MaxInflight the sweep still
-// starts at rank mod S. The first error wins and cancels the
-// remaining exchanges. Requests of one plan cover disjoint bricks, so
-// the concurrent scatters into buf touch disjoint regions.
-func (f *File) dispatchParallel(ctx context.Context, reqs []stripe.Request, buf []byte, write bool, opName string, root *obs.Span) error {
-	max := f.fs.opts.MaxInflight
-	if max <= 0 {
-		max = len(f.info.Servers)
-	}
-	if max > len(reqs) {
-		max = len(reqs)
-	}
-	if max < 1 {
-		max = 1
+	if limit == 1 {
+		for i := range reqs {
+			if failFast {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
+			sp := f.rpcSpan(root, &reqs[i], opName)
+			gauge.Inc()
+			err := f.doExchange(ctx, &reqs[i], buf, write, sp)
+			gauge.Dec()
+			if sp != nil {
+				sp.End()
+			}
+			if !failFast {
+				errs[i] = err
+			} else if err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	sem := make(chan struct{}, max)
-	gauge := f.fs.reg.Gauge(MetricInflight)
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-launch:
-	for i := range reqs {
-		select {
-		case sem <- struct{}{}:
-		case <-cctx.Done():
-			break launch // error or caller cancellation: stop launching
+	type outcome struct {
+		i   int
+		err error
+	}
+	done := make(chan outcome, limit) // at most limit are in flight: a finished exchange never blocks here
+	inflight := 0
+	var first error // why a fail-fast loop stopped launching
+	collect := func() {
+		o := <-done
+		inflight--
+		if !failFast {
+			errs[o.i] = o.err
+		} else if o.err != nil && first == nil {
+			first = o.err
+			cancel()
 		}
-		sp := f.rpcSpan(root, &reqs[i], opName) // created here: span order = launch order
+	}
+	for i := range reqs {
+		for inflight == limit {
+			collect()
+		}
+		if failFast && first == nil {
+			first = ctx.Err()
+		}
+		if first != nil {
+			break
+		}
+		sp := f.rpcSpan(root, &reqs[i], opName)
 		gauge.Inc()
-		wg.Add(1)
-		go func(r *stripe.Request, sp *obs.Span) {
-			defer wg.Done()
-			defer gauge.Dec()
-			defer func() { <-sem }()
-			err := f.doExchange(cctx, r, buf, write, sp)
+		inflight++
+		go func() {
+			err := f.doExchange(cctx, &reqs[i], buf, write, sp)
 			if sp != nil {
 				sp.End()
 			}
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-					cancel()
-				}
-				mu.Unlock()
-			}
-		}(&reqs[i], sp)
+			gauge.Dec()
+			done <- outcome{i, err}
+		}()
 	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if firstErr == nil && ctx.Err() != nil {
-		return ctx.Err()
+	for inflight > 0 {
+		collect()
 	}
-	return firstErr
+	return first
 }
 
 // transportFailure reports whether err is a transport-class failure
@@ -568,15 +578,14 @@ func traceIDOf(sp *obs.Span) uint64 {
 
 // writeReplicated fans a write access out to every replica rank: rank
 // k's bricks are grouped into per-server requests exactly like the
-// primary copy's, and all ranks' requests run through the configured
-// sequential or parallel dispatch without stopping at the first
-// failure. A brick's write succeeds when at least one replica accepted
-// it; transport failures on other replicas degrade the write (counted
-// in client_degraded_writes and reported to the health table) instead
-// of failing it. Application errors — which every replica would repeat
-// — and bricks with zero surviving copies fail the access; the caller
-// invalidates the cache either way, so a partially landed write can
-// never be served stale.
+// primary copy's, and all ranks' requests run through the dispatch loop
+// in its run-everything mode. A brick's write succeeds when at least
+// one replica accepted it; transport failures on other replicas degrade
+// the write (counted in client_degraded_writes and reported to the
+// health table) instead of failing it. Application errors — which every
+// replica would repeat — and bricks with zero surviving copies fail the
+// access; the caller invalidates the cache either way, so a partially
+// landed write can never be served stale.
 func (f *File) writeReplicated(ctx context.Context, plan []stripe.BrickIO, buf []byte, opName string, root *obs.Span) error {
 	opts := f.fs.opts
 	var reqs []stripe.Request
@@ -594,11 +603,7 @@ func (f *File) writeReplicated(ctx context.Context, plan []stripe.BrickIO, buf [
 	}
 
 	errs := make([]error, len(reqs))
-	if opts.ParallelDispatch && len(reqs) > 1 {
-		f.dispatchCollectParallel(ctx, reqs, buf, opName, root, errs)
-	} else {
-		f.dispatchCollectSequential(ctx, reqs, buf, opName, root, errs)
-	}
+	f.dispatch(ctx, reqs, buf, true, opName, root, errs)
 
 	okCopies := make(map[int]int, len(plan))
 	var appErr, transErr error
@@ -641,59 +646,6 @@ func (f *File) writeReplicated(ctx context.Context, plan []stripe.BrickIO, buf [
 		})
 	}
 	return nil
-}
-
-// dispatchCollectSequential runs every request to completion in order,
-// recording each outcome in errs (parallel to reqs) instead of
-// stopping at the first error — replicated writes need every replica's
-// verdict to tell a degraded write from a lost brick.
-func (f *File) dispatchCollectSequential(ctx context.Context, reqs []stripe.Request, buf []byte, opName string, root *obs.Span, errs []error) {
-	gauge := f.fs.reg.Gauge(MetricInflight)
-	for i := range reqs {
-		sp := f.rpcSpan(root, &reqs[i], opName)
-		gauge.Inc()
-		errs[i] = f.doRequest(ctx, &reqs[i], buf, true, sp)
-		gauge.Dec()
-		if sp != nil {
-			sp.End()
-		}
-	}
-}
-
-// dispatchCollectParallel is dispatchCollectSequential's concurrent
-// form: requests launch in order bounded by MaxInflight, all run to
-// completion, and no error cancels the rest (a replica that can still
-// accept the write must get the chance to).
-func (f *File) dispatchCollectParallel(ctx context.Context, reqs []stripe.Request, buf []byte, opName string, root *obs.Span, errs []error) {
-	max := f.fs.opts.MaxInflight
-	if max <= 0 {
-		max = len(f.info.Servers)
-	}
-	if max > len(reqs) {
-		max = len(reqs)
-	}
-	if max < 1 {
-		max = 1
-	}
-	sem := make(chan struct{}, max)
-	gauge := f.fs.reg.Gauge(MetricInflight)
-	var wg sync.WaitGroup
-	for i := range reqs {
-		sem <- struct{}{}
-		sp := f.rpcSpan(root, &reqs[i], opName)
-		gauge.Inc()
-		wg.Add(1)
-		go func(i int, sp *obs.Span) {
-			defer wg.Done()
-			defer gauge.Dec()
-			defer func() { <-sem }()
-			errs[i] = f.doRequest(ctx, &reqs[i], buf, true, sp)
-			if sp != nil {
-				sp.End()
-			}
-		}(i, sp)
-	}
-	wg.Wait()
 }
 
 // scratchPool recycles response scratch buffers across read exchanges
@@ -793,9 +745,9 @@ func (f *File) doRequest(ctx context.Context, r *stripe.Request, buf []byte, wri
 	var (
 		// got is, per brick of a read, what its extent returns. One
 		// element keeps a one-brick read off the heap; no more than one,
-		// because under parallel dispatch this frame sits on a fresh
-		// goroutine's small stack and a larger array here made every
-		// dispatch pay for growing it.
+		// because with several exchanges in flight this frame sits on a
+		// fresh goroutine's small stack and a larger array here made
+		// every dispatch pay for growing it.
 		one   [1]fetched
 		got   = one[:0]
 		sel   []byte // the read's selections, encoded
@@ -851,12 +803,12 @@ func (f *File) doRequest(ctx context.Context, r *stripe.Request, buf []byte, wri
 	req := &wire.Request{Op: op, Path: f.info.Path, Gen: f.info.Generation, Extents: exts, Data: sel, Segments: segs}
 	if tc := sp.Context(); tc.TraceID != 0 {
 		// Propagate trace identity so the server's handler spans join
-		// this trace; its span tree comes back in the response trailer.
+		// this trace; its span tree comes back in the RESP frame.
 		req.TraceID, req.SpanID, req.Sampled = tc.TraceID, tc.SpanID, tc.Sampled
 	}
 	var scratch []byte
 	if !write {
-		scratch = getScratch(moved + wire.RespOverhead)
+		scratch = getScratch(moved)
 		defer putScratch(scratch)
 	}
 	// The fill token is taken before the network exchange: an

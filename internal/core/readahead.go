@@ -101,7 +101,7 @@ func (f *File) prefetch(start, end int) {
 		root.Bricks = len(plan)
 	}
 	// Prefetch errors are intentionally dropped; see package comment.
-	err := f.dispatchParallel(fs.raCtx, reqs, nil, false, "readahead", root)
+	err := f.dispatch(fs.raCtx, reqs, nil, false, "readahead", root, nil)
 	if root != nil {
 		root.End()
 		fs.traces.Add(&obs.Trace{Root: root})

@@ -14,10 +14,9 @@ import (
 // TestReadModesByteIdentical is the equivalence quickcheck of the read
 // paths: for random sections of a file of each level (2-D and 3-D) and
 // random irregular typed views of the linear one, an engine with no
-// cache over wire v1 with the sequential sweep, one over the v2 mux
-// with parallel dispatch (both ask for brick spans narrowed by
-// selections, so the servers sieve through their buffered and their
-// streamed form) and one with a data cache (whole-brick fills, then
+// cache issuing its requests one at a time, one issuing them one per
+// server at once (both ask for brick spans narrowed by selections, so
+// the servers sieve) and one with a data cache (whole-brick fills, then
 // hits) must all return the bytes of an in-memory reference. With R=2
 // the preferred server is then killed and the same accesses are made
 // again, so every mode's extents and selections are also rebuilt
@@ -39,8 +38,8 @@ func TestReadModesByteIdentical(t *testing.T) {
 		name string
 		opts core.Options
 	}{
-		{"sieve v1 sequential", core.Options{Combine: true, Stagger: true}},
-		{"sieve v2 parallel", core.Options{Combine: true, Stagger: true, ParallelDispatch: true, WireV2: true}},
+		{"sieve one at a time", core.Options{Combine: true, Stagger: true, MaxInflight: 1}},
+		{"sieve overlapped", core.Options{Combine: true, Stagger: true}},
 		{"cached", core.Options{Combine: true, CacheBytes: 1 << 20}},
 	}
 	for _, replicas := range []int{1, 2} {

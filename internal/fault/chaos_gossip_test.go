@@ -67,19 +67,11 @@ func waitGossip(t *testing.T, timeout time.Duration, cond func() bool, what stri
 // before the degraded round runs. Every byte is still checked against
 // the fault-free truth, and the returned registry carries the clients'
 // piggybacked-delta counters.
-func runGossipChaosWorkload(t *testing.T, c *cluster.Cluster, inj *fault.Injector, np int, parallel, cached, wireV2 bool) *obs.Registry {
+func runGossipChaosWorkload(t *testing.T, c *cluster.Cluster, inj *fault.Injector, np int, parallel, cached bool) *obs.Registry {
 	t.Helper()
 	ctx := context.Background()
 	reg := obs.NewRegistry()
-	opts := core.Options{
-		Combine: true, Stagger: true, ParallelDispatch: parallel,
-		Dial: inj.DialContext, Retry: chaosRetry(), WireV2: wireV2,
-	}
-	if cached {
-		opts.CacheBytes = 64 << 20
-		opts.MetaTTL = time.Minute
-		opts.Readahead = 2
-	}
+	opts := chaosOptions(inj, parallel, cached)
 
 	const path = "/chaos-gossip.dat"
 	fs0, err := c.NewFS(0, opts)
@@ -224,7 +216,7 @@ func TestChaosGossip(t *testing.T) {
 	inj := fault.New(13, chaosRules()...)
 	events := obs.NewEventLog(512)
 	c := startGossipChaosCluster(t, 4, inj, 13, events)
-	reg := runGossipChaosWorkload(t, c, inj, 4, true, false, false)
+	reg := runGossipChaosWorkload(t, c, inj, 4, true, false)
 	if inj.Total() == 0 {
 		t.Fatal("the fault schedule never fired")
 	}

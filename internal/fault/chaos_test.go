@@ -46,16 +46,24 @@ func chaosRetry() server.RetryPolicy {
 
 // chaosRules is the standard storm: probabilistic drops and latency
 // spikes everywhere, plus deterministic nth-op faults that guarantee
-// the schedule fires (and with it, client retries) on every run. The
-// nth values must exceed the conn ops of any single exchange (a
-// combined request is a handful of vectored writes plus the response
-// reads): a retry runs on a fresh conn whose op counter restarts, so
-// an nth within one exchange's span would re-fire identically on
-// every attempt and no retry budget could ever escape it.
+// the schedule fires (and with it, client retries) on every run. A
+// muxed conn's ops are the pieces of each vectored send (through the
+// injector's wrapper every piece is a Write: REQ, DATA header, each
+// segment) and the demux reader's buffered reads, one per response —
+// and that read is posted while the conn is idle, where a fault evicts
+// the conn but fails no request. A send always has its tag registered,
+// so the pair below pins the retry: if a conn's 18th op is a send it is
+// torn (it is, in this workload's usual send-send-send-read rhythm); if
+// not it was the reader's, two reads are not posted back to back while
+// responses fit the reader's buffer, so the 19th is a send and the drop
+// lands on it. The nth values must exceed the conn ops of
+// any single exchange: a retry runs on a fresh conn whose op counter
+// restarts, so an nth within one exchange's span would re-fire
+// identically on every attempt and no retry budget could ever escape it.
 func chaosRules() []fault.Rule {
 	return []fault.Rule{
-		{Kind: fault.KindPartial, Nth: 17},
-		{Kind: fault.KindDrop, Nth: 29},
+		{Kind: fault.KindPartial, Nth: 18},
+		{Kind: fault.KindDrop, Nth: 19},
 		{Kind: fault.KindDrop, Prob: 0.02},
 		{Kind: fault.KindDelay, Prob: 0.05, Delay: 2 * time.Millisecond},
 	}
@@ -74,6 +82,28 @@ func startChaosCluster(t *testing.T, io int, inj *fault.Injector) *cluster.Clust
 		inj.SetLabel(srv.Addr(), c.Specs[i].Name)
 	}
 	return c
+}
+
+// chaosOptions are the storm engines' options: the paper's one request
+// at a time, or (parallel) the engine's default of one per server;
+// cached turns the client caches on.
+func chaosOptions(inj *fault.Injector, parallel, cached bool) core.Options {
+	opts := core.Options{
+		Combine: true, Stagger: true,
+		Dial: inj.DialContext, Retry: chaosRetry(),
+	}
+	if !parallel {
+		opts.MaxInflight = 1
+	}
+	if cached {
+		// The client caches must be invisible under the storm: fills
+		// race retries, write invalidations race prefetches, and the
+		// workloads' byte-equality assertions must hold unchanged.
+		opts.CacheBytes = 64 << 20
+		opts.MetaTTL = time.Minute
+		opts.Readahead = 2
+	}
+	return opts
 }
 
 // colSection is rank r's (*, BLOCK) slice of the chaosN x chaosN array.
@@ -95,22 +125,11 @@ func rankBytes(rank, n int) []byte {
 // sections, concurrently), reads it back under the same fault schedule,
 // and asserts both phases are byte-identical to the fault-free truth.
 // It returns the engines' shared registry for counter assertions.
-func runChaosWorkload(t *testing.T, c *cluster.Cluster, inj *fault.Injector, np int, parallel, cached, wireV2 bool) *obs.Registry {
+func runChaosWorkload(t *testing.T, c *cluster.Cluster, inj *fault.Injector, np int, parallel, cached bool) *obs.Registry {
 	t.Helper()
 	ctx := context.Background()
 	reg := obs.NewRegistry()
-	opts := core.Options{
-		Combine: true, Stagger: true, ParallelDispatch: parallel,
-		Dial: inj.DialContext, Retry: chaosRetry(), WireV2: wireV2,
-	}
-	if cached {
-		// The client caches must be invisible under the storm: fills
-		// race retries, write invalidations race prefetches, and the
-		// byte-equality assertions below must hold unchanged.
-		opts.CacheBytes = 64 << 20
-		opts.MetaTTL = time.Minute
-		opts.Readahead = 2
-	}
+	opts := chaosOptions(inj, parallel, cached)
 
 	path := fmt.Sprintf("/chaos-%v.dat", parallel)
 	fs0, err := c.NewFS(0, opts)
@@ -128,7 +147,7 @@ func runChaosWorkload(t *testing.T, c *cluster.Cluster, inj *fault.Injector, np 
 	fs0.Close()
 
 	// Faulty write phase: every rank through its own engine, at once,
-	// in row chunks. Chunking keeps each rank's pooled connection busy
+	// in row chunks. Chunking keeps each rank's connections busy
 	// across many exchanges, so its op counter walks through the
 	// deterministic nth-fault schedule.
 	const chunks = 8
@@ -229,12 +248,12 @@ func runChaosWorkload(t *testing.T, c *cluster.Cluster, inj *fault.Injector, np 
 	return reg
 }
 
-// TestChaosSequential runs the storm against the paper's sequential
-// per-server dispatch.
+// TestChaosSequential runs the storm against the paper's issue order,
+// one request at a time.
 func TestChaosSequential(t *testing.T) {
 	inj := fault.New(1, chaosRules()...)
 	c := startChaosCluster(t, 4, inj)
-	reg := runChaosWorkload(t, c, inj, 4, false, false, false)
+	reg := runChaosWorkload(t, c, inj, 4, false, false)
 	if inj.Total() == 0 {
 		t.Fatal("the fault schedule never fired")
 	}
@@ -242,7 +261,7 @@ func TestChaosSequential(t *testing.T) {
 		t.Fatal("client_retries = 0, want > 0 under the storm")
 	}
 	if got := reg.Counter(server.MetricConnEvictions).Value(); got == 0 {
-		t.Fatal("conn_evictions = 0, want > 0 (drops poison pooled conns)")
+		t.Fatal("conn_evictions = 0, want > 0 (a dropped conn must be noticed)")
 	}
 	t.Logf("faults injected: %v; retries=%d evictions=%d", inj.Counts(),
 		reg.Counter(server.MetricClientRetries).Value(),
@@ -250,17 +269,25 @@ func TestChaosSequential(t *testing.T) {
 }
 
 // TestChaosParallelDispatch runs the same storm with each access's
-// per-server exchanges in flight concurrently.
+// per-server exchanges in flight concurrently. A conn fault fails every
+// tag multiplexed on the conn at once, and the retry ladder re-issues
+// them on fresh conns.
 func TestChaosParallelDispatch(t *testing.T) {
 	inj := fault.New(2, chaosRules()...)
 	c := startChaosCluster(t, 4, inj)
-	reg := runChaosWorkload(t, c, inj, 4, true, false, false)
+	reg := runChaosWorkload(t, c, inj, 4, true, false)
 	if inj.Total() == 0 {
 		t.Fatal("the fault schedule never fired")
 	}
 	if got := reg.Counter(server.MetricClientRetries).Value(); got == 0 {
 		t.Fatal("client_retries = 0, want > 0 under the storm")
 	}
+	if got := reg.Counter(server.MetricConnEvictions).Value(); got == 0 {
+		t.Fatal("conn_evictions = 0, want > 0 (a dropped muxed conn must be noticed)")
+	}
+	t.Logf("faults injected: %v; retries=%d evictions=%d", inj.Counts(),
+		reg.Counter(server.MetricClientRetries).Value(),
+		reg.Counter(server.MetricConnEvictions).Value())
 }
 
 // TestChaosCached runs the storm with the client caches on (data
@@ -270,7 +297,7 @@ func TestChaosParallelDispatch(t *testing.T) {
 func TestChaosCached(t *testing.T) {
 	inj := fault.New(5, chaosRules()...)
 	c := startChaosCluster(t, 4, inj)
-	reg := runChaosWorkload(t, c, inj, 4, true, true, false)
+	reg := runChaosWorkload(t, c, inj, 4, true, true)
 	if inj.Total() == 0 {
 		t.Fatal("the fault schedule never fired")
 	}
@@ -279,63 +306,16 @@ func TestChaosCached(t *testing.T) {
 	}
 }
 
-// TestChaosWireV2 runs the storm over the tagged-frame transport:
-// dropped and delayed muxed conns fail every tag in flight on them,
-// the retry ladder re-issues those requests on fresh conns, and the
-// workload's byte-equality assertions must hold exactly as under v1.
-// A conn fault here is strictly worse than in v1 — one kill can fail
-// many multiplexed requests at once — which is exactly why it rides
-// the same schedule.
-func TestChaosWireV2(t *testing.T) {
-	inj := fault.New(1, chaosRules()...)
-	c := startChaosCluster(t, 4, inj)
-	reg := runChaosWorkload(t, c, inj, 4, true, false, true)
-	if inj.Total() == 0 {
-		t.Fatal("the fault schedule never fired")
-	}
-	// Every dropped conn is a mux eviction. Retries only accrue when a
-	// drop lands while tags are in flight (an idle mux conn dies
-	// unnoticed), so unlike the v1 tests they are logged, not asserted.
-	if got := reg.Counter(server.MetricConnEvictions).Value(); got == 0 {
-		t.Fatal("conn_evictions = 0, want > 0 (a dropped muxed conn must be noticed)")
-	}
-	t.Logf("faults injected: %v; retries=%d evictions=%d", inj.Counts(),
-		reg.Counter(server.MetricClientRetries).Value(),
-		reg.Counter(server.MetricConnEvictions).Value())
-}
-
-// TestChaosReplicaWireV2 is the replica-failover storm (R=2, one
-// server killed mid-workload) on the tagged-frame transport.
-func TestChaosReplicaWireV2(t *testing.T) {
-	inj := fault.New(8, chaosRules()...)
-	c := startChaosCluster(t, 4, inj)
-	reg := runReplicaChaosWorkload(t, c, inj, 4, true, false, true)
-	if inj.Total() == 0 {
-		t.Fatal("the fault schedule never fired")
-	}
-	if got := reg.Counter(core.MetricFailovers).Value(); got == 0 {
-		t.Fatal("client_failovers = 0, want > 0 with a dead preferred replica")
-	}
-}
-
 // runReplicaChaosWorkload drives an R=2 file through the storm plus a
 // mid-workload server kill: one healthy write/read round, then one of
 // the io servers dies and a second round runs degraded — writes land
 // on one replica short, reads fail over to the surviving copy — with
 // every byte still checked against the fault-free truth.
-func runReplicaChaosWorkload(t *testing.T, c *cluster.Cluster, inj *fault.Injector, np int, parallel, cached, wireV2 bool) *obs.Registry {
+func runReplicaChaosWorkload(t *testing.T, c *cluster.Cluster, inj *fault.Injector, np int, parallel, cached bool) *obs.Registry {
 	t.Helper()
 	ctx := context.Background()
 	reg := obs.NewRegistry()
-	opts := core.Options{
-		Combine: true, Stagger: true, ParallelDispatch: parallel,
-		Dial: inj.DialContext, Retry: chaosRetry(), WireV2: wireV2,
-	}
-	if cached {
-		opts.CacheBytes = 64 << 20
-		opts.MetaTTL = time.Minute
-		opts.Readahead = 2
-	}
+	opts := chaosOptions(inj, parallel, cached)
 
 	const path = "/chaos-replica.dat"
 	fs0, err := c.NewFS(0, opts)
@@ -470,7 +450,7 @@ func runReplicaChaosWorkload(t *testing.T, c *cluster.Cluster, inj *fault.Inject
 func TestChaosReplicaFailover(t *testing.T) {
 	inj := fault.New(6, chaosRules()...)
 	c := startChaosCluster(t, 4, inj)
-	reg := runReplicaChaosWorkload(t, c, inj, 4, true, false, false)
+	reg := runReplicaChaosWorkload(t, c, inj, 4, true, false)
 	if inj.Total() == 0 {
 		t.Fatal("the fault schedule never fired")
 	}
@@ -490,16 +470,17 @@ func TestChaosReplicaFailover(t *testing.T) {
 // see faults.
 func TestChaosPerServerRule(t *testing.T) {
 	inj := fault.New(3,
-		fault.Rule{Kind: fault.KindDrop, Nth: 19, Label: "io1"},
+		fault.Rule{Kind: fault.KindPartial, Nth: 19, Label: "io1"},
+		fault.Rule{Kind: fault.KindDrop, Nth: 20, Label: "io1"}, // lands on a send if op 19 was a read; see chaosRules
 		fault.Rule{Kind: fault.KindDelay, Prob: 0.2, Delay: time.Millisecond, Label: "io1"},
 	)
 	c := startChaosCluster(t, 4, inj)
-	reg := runChaosWorkload(t, c, inj, 4, false, false, false)
+	reg := runChaosWorkload(t, c, inj, 4, false, false)
 	if inj.Total() == 0 {
 		t.Fatal("the per-server schedule never fired")
 	}
 	if got := reg.Counter(server.MetricClientRetries).Value(); got == 0 {
-		t.Fatal("client_retries = 0, want > 0 (io1 drops every 7th op)")
+		t.Fatal("client_retries = 0, want > 0 (io1 fails a send every 19 or 20 ops)")
 	}
 }
 
@@ -976,12 +957,12 @@ func TestChaosSweep(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			inj := fault.New(seed, chaosRules()...)
 			c := startChaosCluster(t, 4, inj)
-			runChaosWorkload(t, c, inj, 4, seed%2 == 0, seed%3 != 0, seed%2 == 1)
+			runChaosWorkload(t, c, inj, 4, seed%2 == 0, seed%3 != 0)
 		})
 		t.Run(fmt.Sprintf("seed%d-replica", seed), func(t *testing.T) {
 			inj := fault.New(seed+1000, chaosRules()...)
 			c := startChaosCluster(t, 4, inj)
-			runReplicaChaosWorkload(t, c, inj, 4, seed%2 == 0, seed%3 == 0, seed%2 == 1)
+			runReplicaChaosWorkload(t, c, inj, 4, seed%2 == 0, seed%3 == 0)
 		})
 		t.Run(fmt.Sprintf("seed%d-metashard", seed), func(t *testing.T) {
 			inj := fault.New(seed+2000, chaosRules()...)
@@ -998,7 +979,7 @@ func TestChaosSweep(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d-gossip", seed), func(t *testing.T) {
 			inj := fault.New(seed+6000, chaosRules()...)
 			c := startGossipChaosCluster(t, 4, inj, seed+7000, obs.NewEventLog(256))
-			runGossipChaosWorkload(t, c, inj, 4, seed%2 == 0, seed%3 == 0, seed%2 == 1)
+			runGossipChaosWorkload(t, c, inj, 4, seed%2 == 0, seed%3 == 0)
 		})
 	}
 }

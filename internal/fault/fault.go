@@ -3,7 +3,7 @@
 // of the paper), a substrate where servers stall, connections drop and
 // links flake as a matter of course; this package makes those failures
 // reproducible so the client's recovery machinery (retries, breakers,
-// pooled-connection eviction — see internal/server) can be tested
+// connection eviction — see internal/server) can be tested
 // against a scheduled storm instead of waiting for a real one.
 //
 // An Injector holds an ordered rule list and a seeded PRNG. Wrapping a

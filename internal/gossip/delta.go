@@ -21,12 +21,10 @@ import (
 // all little-endian. Decoding is strict — any truncation, length
 // overrun or unknown state yields an error — but callers treat a
 // failed decode as "no delta": a damaged piggyback must never fail
-// the RPC that carried it (the same best-effort contract as the v1
-// trace trailer).
+// the RPC that carried it (the same best-effort contract as the
+// response's span trailer).
 
-// DeltaMagic is the 4-byte marker opening an encoded delta. The v1
-// response footer also ends with it so the decoder can find the
-// boundary from the tail of the frame.
+// DeltaMagic is the 4-byte marker opening an encoded delta.
 var DeltaMagic = [4]byte{'D', 'P', 'g', 'd'}
 
 // deltaVersion is the current delta encoding version.

@@ -11,9 +11,9 @@ import (
 )
 
 // Magic is the first byte of a gossip connection. The I/O server's
-// accept loop sniffs it alongside the v1 (0xD9) and v2 (0xDA) wire
-// magics and hands matching connections to the gossip node, so the
-// health plane rides the existing data port.
+// accept loop sniffs it alongside the frame magic (0xDA) and hands
+// matching connections to the gossip node, so the health plane rides
+// the existing data port.
 const Magic = 0xDB
 
 // maxWireMessage bounds one gob-encoded gossip message on the wire;

@@ -92,9 +92,6 @@ type Options struct {
 	// (plan, commit, cleanup) as structured cluster events. Nil uses
 	// the process-default log.
 	Events *obs.EventLog
-	// WireV2 switches the copy-traffic clients to the tagged-frame
-	// wire protocol (DESIGN.md §11). Default off.
-	WireV2 bool
 	// Gossip, when non-nil, arms the two-witness rule: a failed central
 	// probe escalates a server to dead only if the gossip plane also
 	// reports it suspect (with at least Witnesses distinct observers)
@@ -180,7 +177,7 @@ func (r *Runner) client(addr string) *server.Client {
 	if c, ok := r.clients[addr]; ok {
 		return c
 	}
-	c := server.NewClientWith(addr, server.ClientConfig{Dial: r.opts.Dial, Retry: r.opts.Retry, WireV2: r.opts.WireV2})
+	c := server.NewClientWith(addr, server.ClientConfig{Dial: r.opts.Dial, Retry: r.opts.Retry})
 	r.clients[addr] = c
 	return c
 }
@@ -206,10 +203,7 @@ func (r *Runner) ping(ctx context.Context, addr string) error {
 	if dl, ok := ctx.Deadline(); ok {
 		_ = conn.SetDeadline(dl)
 	}
-	if err := wire.WriteRequest(conn, &wire.Request{Op: wire.OpPing}); err != nil {
-		return err
-	}
-	resp, err := wire.ReadResponse(conn)
+	resp, err := wire.Exchange(conn, &wire.Request{Op: wire.OpPing})
 	if err != nil {
 		return err
 	}

@@ -13,7 +13,10 @@ import (
 	"dpfs/internal/obs"
 )
 
-// breakerStorm opens a client's breaker with `drops` dropped conns,
+// breakerStorm opens a client's breaker with `drops` failed sends (a
+// write fault, not a drop: a drop can land on the demux reader's idle
+// read, where it fails no request; a send always has its tag
+// registered, so each fault costs exactly one attempt and its conn),
 // then hammers the half-open window from many goroutines until every
 // one of them gets a successful request through. Run under -race: the
 // interleaving of breakerAllow/breakerResult is the test. It returns
@@ -24,7 +27,7 @@ import (
 func breakerStorm(t *testing.T, seed int64, threshold, drops int) (*obs.Registry, int64) {
 	t.Helper()
 	s := newTestServer(t)
-	inj := fault.New(seed, fault.Rule{Kind: fault.KindDrop, Nth: 1, Count: int64(drops)})
+	inj := fault.New(seed, fault.Rule{Kind: fault.KindWriteErr, Nth: 1, Count: int64(drops)})
 	reg := obs.NewRegistry()
 	c := NewClientWith(s.Addr(), ClientConfig{
 		Dial: inj.DialContext, Metrics: reg,

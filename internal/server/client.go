@@ -13,18 +13,20 @@ import (
 	"dpfs/internal/wire"
 )
 
-// Client is a pooled connection to one DPFS I/O server. Concurrent
-// requests each use their own TCP connection (mirroring the paper's
-// server spawning a handler per request); idle connections are reused.
+// Client talks to one DPFS I/O server. Concurrent requests multiplex
+// as tagged frames over a small set of TCP connections (see mux.go; the
+// server runs one handler per tag, mirroring the paper's server spawning
+// a handler per request).
 //
 // The client survives the flaky substrate DPFS targets (idle
 // workstation disks on shared links, Section 1 of the paper): each RPC
 // gets a per-attempt deadline and a bounded number of retries with
-// exponential backoff + jitter, failed connections are evicted instead
-// of pooled, pooled connections are liveness-checked before reuse, and
-// a per-server breaker fails fast once a server has been failing
-// consecutively, so a dead server degrades throughput instead of
-// convoying every caller on full timeout ladders. Retrying a DPFS
+// exponential backoff + jitter, a connection that fails is retired with
+// exactly the tags in flight on it — one the peer closed mid-idle by
+// its demux reader, before any request can pick it — and a per-server
+// breaker fails fast once a server has been failing consecutively, so
+// a dead server degrades throughput instead of convoying every caller
+// on full timeout ladders. Retrying a DPFS
 // exchange is safe: every wire op is an idempotent replay (reads and
 // extent writes are absolute-offset, remove/rename/truncate tolerate
 // re-application).
@@ -43,35 +45,23 @@ import (
 // generation counter (meta.Catalog.NextGeneration).
 type Client struct {
 	addr    string
-	maxIdle int
 	dial    DialFunc
 	retry   RetryPolicy
 	reg     *obs.Registry
 	events  *obs.EventLog
 	onDelta func([]byte)
 
-	mu     sync.Mutex
-	idle   []idleConn
-	closed bool
-
 	// Breaker state (guarded by mu): fails counts consecutive failed
 	// attempts; once it reaches the threshold the breaker is open and
 	// requests fail fast until openUntil, when one half-open probe may
 	// go through.
+	mu        sync.Mutex
 	fails     int
 	openUntil time.Time
 	probing   bool
 
-	// mux, when non-nil, replaces the pooled one-exchange-per-conn
-	// transport with the wire-v2 tagged-frame multiplexer (see mux.go);
-	// the retry/breaker ladder above is shared by both transports.
+	// mux is the transport: the tagged-frame multiplexer (see mux.go).
 	mux *mux
-}
-
-// idleConn is a pooled connection and the instant it went idle.
-type idleConn struct {
-	c     net.Conn
-	since time.Time
 }
 
 // DialFunc opens a transport connection to a server address. The
@@ -79,32 +69,26 @@ type idleConn struct {
 // fault-injecting dialer (internal/fault).
 type DialFunc func(ctx context.Context, addr string) (net.Conn, error)
 
-// DefaultMaxIdleConns is the idle-connection bound used when
-// ClientConfig does not specify one.
-const DefaultMaxIdleConns = 16
-
 // Client recovery metric names. These live in the registry passed via
 // ClientConfig.Metrics (the client engine shares its own), so recovery
 // is visible in /metrics next to the traffic counters.
 const (
 	// MetricClientRetries counts re-attempted exchanges.
 	MetricClientRetries = "client_retries_total"
-	// MetricConnEvictions counts connections discarded as poisoned
-	// (failed mid-exchange, failed the liveness probe, or idled past
-	// the age cap).
+	// MetricConnEvictions counts connections retired on a fault: a
+	// failed write, a framing error, or a read error the demux reader
+	// hit — with requests in flight or, when the peer closed an idle
+	// conn, with none.
 	MetricConnEvictions = "conn_evictions_total"
 	// MetricServerUnhealthy counts breaker openings.
 	MetricServerUnhealthy = "server_unhealthy_total"
 	// MetricClientConnsIdle gauges connections currently held open but
-	// carrying no request — pooled conns (wire v1) or muxed conns with
-	// an empty pending set (wire v2) — summed over the servers sharing
-	// the registry.
+	// carrying no request (muxed conns with an empty pending set),
+	// summed over the servers sharing the registry.
 	MetricClientConnsIdle = "client_conns_idle"
 	// MetricClientConnsActive gauges connections currently carrying at
-	// least one in-flight request. Under wire v1 every concurrent
-	// request holds its own conn; under wire v2 a whole dispatch burst
-	// can ride one active conn — the pair of gauges is the direct
-	// observable of that difference.
+	// least one in-flight request; a whole dispatch burst can ride one
+	// active conn.
 	MetricClientConnsActive = "client_conns_active"
 )
 
@@ -161,17 +145,6 @@ type RetryPolicy struct {
 	// BreakerCooldown is how long an open breaker fails fast before
 	// letting one half-open probe through (default 250ms).
 	BreakerCooldown time.Duration
-	// ProbeIdle liveness-checks a pooled connection that has been idle
-	// at least this long before reusing it (default 1s; negative
-	// disables probing). The probe is a one-byte read under a short
-	// deadline: a healthy idle conn times out quietly, a conn killed
-	// mid-idle reports EOF/reset and is evicted instead of failing the
-	// next RPC.
-	ProbeIdle time.Duration
-	// MaxIdleAge discards pooled connections that have been idle
-	// longer than this without probing (default 2m; negative disables
-	// the cap).
-	MaxIdleAge time.Duration
 }
 
 // Default retry policy values.
@@ -181,14 +154,7 @@ const (
 	DefaultBackoffMax       = 100 * time.Millisecond
 	DefaultBreakerThreshold = 16
 	DefaultBreakerCooldown  = 250 * time.Millisecond
-	DefaultProbeIdle        = time.Second
-	DefaultMaxIdleAge       = 2 * time.Minute
 )
-
-// probeWindow is the read deadline of the pooled-conn liveness probe:
-// long enough for a delivered FIN/RST to surface, short enough to be
-// invisible next to a network round trip.
-const probeWindow = time.Millisecond
 
 // withDefaults resolves the policy's zero values.
 func (p RetryPolicy) withDefaults() RetryPolicy {
@@ -213,18 +179,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.BreakerCooldown == 0 {
 		p.BreakerCooldown = DefaultBreakerCooldown
 	}
-	switch {
-	case p.ProbeIdle == 0:
-		p.ProbeIdle = DefaultProbeIdle
-	case p.ProbeIdle < 0:
-		p.ProbeIdle = 0 // disabled
-	}
-	switch {
-	case p.MaxIdleAge == 0:
-		p.MaxIdleAge = DefaultMaxIdleAge
-	case p.MaxIdleAge < 0:
-		p.MaxIdleAge = 0 // disabled
-	}
 	if p.RequestTimeout < 0 {
 		p.RequestTimeout = 0
 	}
@@ -233,15 +187,10 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 
 // ClientConfig tunes a Client.
 type ClientConfig struct {
-	// MaxIdleConns bounds pooled idle connections per server (default
-	// DefaultMaxIdleConns). Raise it to at least the expected dispatch
-	// fan-out so a concurrent burst does not thrash dials when the
-	// burst's connections come back to the pool.
-	MaxIdleConns int
 	// Dial overrides the transport dialer (fault injection, tests).
 	Dial DialFunc
-	// Retry tunes timeouts, retries, the liveness probe and the
-	// breaker; the zero value applies the documented defaults.
+	// Retry tunes timeouts, retries and the breaker; the zero value
+	// applies the documented defaults.
 	Retry RetryPolicy
 	// Metrics receives the recovery counters (client_retries_total,
 	// conn_evictions_total, server_unhealthy_total). Nil gets a
@@ -250,16 +199,9 @@ type ClientConfig struct {
 	// Events receives breaker transitions and retry exhaustion as
 	// structured cluster events. Nil uses the process-default log.
 	Events *obs.EventLog
-	// WireV2 switches the client from the v1 one-exchange-per-conn pool
-	// to the v2 tagged-frame mux: many outstanding requests multiplex
-	// over a small set of connections, payloads stream as chunked DATA
-	// frames, and timeouts abandon a tag with a CANCEL frame instead of
-	// killing the conn. Requires a server that speaks wire v2 (servers
-	// sniff the protocol version per conn, so mixed fleets work).
-	WireV2 bool
 	// MuxWindow bounds in-flight requests per muxed conn (default
 	// DefaultMuxWindow); a new conn is dialed only when every existing
-	// one is at the window. Only meaningful with WireV2.
+	// one is at the window.
 	MuxWindow int
 	// OnDelta, when non-nil, receives the raw gossip server-table
 	// delta piggybacked on a response (wire.Response.Delta) before the
@@ -275,9 +217,6 @@ func NewClient(addr string) *Client { return NewClientWith(addr, ClientConfig{})
 
 // NewClientWith creates a lazy client with explicit configuration.
 func NewClientWith(addr string, cfg ClientConfig) *Client {
-	if cfg.MaxIdleConns <= 0 {
-		cfg.MaxIdleConns = DefaultMaxIdleConns
-	}
 	if cfg.Dial == nil {
 		cfg.Dial = func(ctx context.Context, addr string) (net.Conn, error) {
 			var d net.Dialer
@@ -292,16 +231,13 @@ func NewClientWith(addr string, cfg ClientConfig) *Client {
 	}
 	c := &Client{
 		addr:    addr,
-		maxIdle: cfg.MaxIdleConns,
 		dial:    cfg.Dial,
 		retry:   cfg.Retry.withDefaults(),
 		reg:     cfg.Metrics,
 		events:  cfg.Events,
 		onDelta: cfg.OnDelta,
 	}
-	if cfg.WireV2 {
-		c.mux = newMux(c, cfg.MuxWindow)
-	}
+	c.mux = newMux(c, cfg.MuxWindow)
 	return c
 }
 
@@ -317,11 +253,11 @@ func (c *Client) Do(ctx context.Context, req *wire.Request) (*wire.Response, err
 	return c.do(ctx, req, nil)
 }
 
-// DoScratch is Do with a caller-supplied response-body buffer: when
-// scratch is large enough (expected data + wire.RespOverhead) the
-// response's Data aliases it instead of a fresh allocation, so the
-// caller must consume Data before reusing scratch. This is the
-// allocation-free read path; see wire.ReadResponseInto.
+// DoScratch is Do with a caller-supplied response-data buffer: when
+// scratch is large enough for the expected data the demux reader lands
+// it there and the response's Data aliases it instead of a fresh
+// allocation, so the caller must consume Data before reusing scratch.
+// This is the allocation-free read path; see wire.ReadDataInto.
 func (c *Client) DoScratch(ctx context.Context, req *wire.Request, scratch []byte) (*wire.Response, error) {
 	return c.do(ctx, req, scratch)
 }
@@ -339,7 +275,7 @@ func (c *Client) do(ctx context.Context, req *wire.Request, scratch []byte) (*wi
 		if err != nil {
 			return nil, fmt.Errorf("dpfs server %s: %w", c.addr, err)
 		}
-		resp, err := c.attempt(ctx, req, scratch)
+		resp, err := c.mux.attempt(ctx, req, scratch)
 		if err == nil {
 			c.breakerResult(probe, true)
 			if len(resp.Delta) > 0 && c.onDelta != nil {
@@ -371,47 +307,6 @@ func (c *Client) do(ctx context.Context, req *wire.Request, scratch []byte) (*wi
 			return nil, lastErr
 		}
 	}
-}
-
-// attempt performs a single exchange: checkout (or dial), send,
-// receive, return to pool. Any transport failure evicts the conn.
-// With WireV2 the exchange rides the tagged-frame mux instead.
-func (c *Client) attempt(ctx context.Context, req *wire.Request, scratch []byte) (*wire.Response, error) {
-	if c.mux != nil {
-		return c.mux.attempt(ctx, req, scratch)
-	}
-	conn, err := c.get(ctx)
-	if err != nil {
-		return nil, err
-	}
-	deadline, hasDeadline := ctx.Deadline()
-	if t := c.retry.RequestTimeout; t > 0 {
-		if d := time.Now().Add(t); !hasDeadline || d.Before(deadline) {
-			deadline, hasDeadline = d, true
-		}
-	}
-	if hasDeadline {
-		_ = conn.SetDeadline(deadline)
-	}
-	if err := wire.WriteRequest(conn, req); err != nil {
-		c.reg.Gauge(MetricClientConnsActive).Add(-1)
-		c.evict(conn)
-		return nil, fmt.Errorf("dpfs server %s: send: %w", c.addr, err)
-	}
-	resp, err := wire.ReadResponseInto(conn, scratch)
-	if err != nil {
-		c.reg.Gauge(MetricClientConnsActive).Add(-1)
-		c.evict(conn)
-		return nil, fmt.Errorf("dpfs server %s: receive: %w", c.addr, err)
-	}
-	// Clear the deadline before pooling so an idle connection never
-	// sits armed with an expired deadline (conns only carry a deadline
-	// while a request with one is in flight).
-	if hasDeadline {
-		_ = conn.SetDeadline(time.Time{})
-	}
-	c.put(conn)
-	return resp, nil
 }
 
 // backoff sleeps the jittered exponential delay before retry number
@@ -491,101 +386,9 @@ func (c *Client) Ping(ctx context.Context) error {
 	return err
 }
 
-// get returns a live connection: a pooled one that passes the age cap
-// and liveness probe, or a fresh dial.
-func (c *Client) get(ctx context.Context) (net.Conn, error) {
-	for {
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return nil, errors.New("dpfs: client closed")
-		}
-		n := len(c.idle)
-		if n == 0 {
-			c.mu.Unlock()
-			break
-		}
-		ic := c.idle[n-1]
-		c.idle = c.idle[:n-1]
-		c.mu.Unlock()
-		c.reg.Gauge(MetricClientConnsIdle).Add(-1)
-		idle := time.Since(ic.since)
-		if c.retry.MaxIdleAge > 0 && idle > c.retry.MaxIdleAge {
-			c.evict(ic.c)
-			continue
-		}
-		if c.retry.ProbeIdle > 0 && idle >= c.retry.ProbeIdle && !probeAlive(ic.c) {
-			c.evict(ic.c)
-			continue
-		}
-		// Defensive: a pooled conn must never carry a stale read or
-		// write deadline into the next exchange.
-		_ = ic.c.SetDeadline(time.Time{})
-		c.reg.Gauge(MetricClientConnsActive).Inc()
-		return ic.c, nil
-	}
-	conn, err := c.dial(ctx, c.addr)
-	if err != nil {
-		return nil, fmt.Errorf("dpfs server %s: dial: %w", c.addr, err)
-	}
-	c.reg.Gauge(MetricClientConnsActive).Inc()
-	return conn, nil
-}
-
-// probeAlive liveness-checks an idle connection with a one-byte read
-// under a short deadline. No request is in flight, so a healthy conn
-// has nothing to deliver and times out; readable data means a poisoned
-// stream (a stray response fragment) and an immediate error means the
-// peer closed it mid-idle.
-func probeAlive(conn net.Conn) bool {
-	if err := conn.SetReadDeadline(time.Now().Add(probeWindow)); err != nil {
-		return false
-	}
-	var b [1]byte
-	n, err := conn.Read(b[:])
-	if n > 0 {
-		return false
-	}
-	var ne net.Error
-	if !errors.As(err, &ne) || !ne.Timeout() {
-		return false
-	}
-	return conn.SetReadDeadline(time.Time{}) == nil
-}
-
-// evict closes a connection that must not be reused.
-func (c *Client) evict(conn net.Conn) {
-	conn.Close()
-	c.reg.Counter(MetricConnEvictions).Inc()
-}
-
-func (c *Client) put(conn net.Conn) {
-	c.reg.Gauge(MetricClientConnsActive).Add(-1)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed || len(c.idle) >= c.maxIdle {
-		conn.Close()
-		return
-	}
-	c.idle = append(c.idle, idleConn{c: conn, since: time.Now()})
-	c.reg.Gauge(MetricClientConnsIdle).Inc()
-}
-
-// Close drops all pooled connections and shuts down the mux.
+// Close fails every call in flight and closes the client's
+// connections.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	c.closed = true
-	dropped := len(c.idle)
-	for _, ic := range c.idle {
-		ic.c.Close()
-	}
-	c.idle = nil
-	c.mu.Unlock()
-	if dropped > 0 {
-		c.reg.Gauge(MetricClientConnsIdle).Add(-int64(dropped))
-	}
-	if c.mux != nil {
-		c.mux.Close()
-	}
+	c.mux.Close()
 	return nil
 }

@@ -25,13 +25,18 @@ func newTestServer(t *testing.T) *Server {
 }
 
 // TestRetryRecoversFromDrops injects a deterministic schedule of
-// connection drops and asserts the client retries through all of them
-// with no caller-visible failure.
+// connections dropped mid-send and asserts the client retries through
+// all of them with no caller-visible failure.
 func TestRetryRecoversFromDrops(t *testing.T) {
 	s := newTestServer(t)
-	// Every 5th conn op drops the connection; each exchange is ~3 ops
-	// (send, header read, body read), so drops land regularly.
-	inj := fault.New(7, fault.Rule{Kind: fault.KindDrop, Nth: 5})
+	// A conn's 4th op tears the frame it is sending and drops the conn.
+	// An exchange is one vectored send and one buffered read, and the
+	// demux reader's next read is already posted when the next send
+	// goes out, so op 4 is every conn's second send: each conn carries
+	// one request and fails the next, whose tag is registered — a drop
+	// that could land on the reader's idle read instead would fail no
+	// request and make the retry count below a matter of timing.
+	inj := fault.New(7, fault.Rule{Kind: fault.KindPartial, Nth: 4})
 	reg := obs.NewRegistry()
 	c := NewClientWith(s.Addr(), ClientConfig{
 		Dial:    inj.DialContext,
@@ -148,8 +153,9 @@ func TestContextCancelStopsRetries(t *testing.T) {
 func TestBreakerFailsFastAndRecovers(t *testing.T) {
 	s := newTestServer(t)
 	const threshold = 3
-	// Exactly `threshold` drops, then the link heals.
-	inj := fault.New(3, fault.Rule{Kind: fault.KindDrop, Nth: 1, Count: threshold})
+	// Exactly `threshold` failed sends (each costs its attempt and its
+	// conn; see breakerStorm), then the link heals.
+	inj := fault.New(3, fault.Rule{Kind: fault.KindWriteErr, Nth: 1, Count: threshold})
 	reg := obs.NewRegistry()
 	c := NewClientWith(s.Addr(), ClientConfig{
 		Dial:    inj.DialContext,
@@ -184,17 +190,16 @@ func TestBreakerFailsFastAndRecovers(t *testing.T) {
 	}
 }
 
-// TestIdleProbeEvictsDeadConn pools a connection whose peer closes it
-// mid-idle; the liveness probe must evict it at checkout instead of
-// burning a retry on the next RPC.
-func TestIdleProbeEvictsDeadConn(t *testing.T) {
+// reapingServer answers one request per connection, then — a peer (or
+// a middlebox) reaping idle conns — drops it 10ms later: closed cleanly,
+// or reset.
+func reapingServer(t *testing.T, reset bool) string {
+	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lis.Close()
-	// A server that answers exactly one request per connection, then
-	// closes it 10ms later (a peer reaping idle conns).
+	t.Cleanup(func() { lis.Close() })
 	go func() {
 		for {
 			conn, err := lis.Accept()
@@ -202,75 +207,77 @@ func TestIdleProbeEvictsDeadConn(t *testing.T) {
 				return
 			}
 			go func(conn net.Conn) {
-				if _, err := wire.ReadRequest(conn); err == nil {
-					_ = wire.WriteResponse(conn, &wire.Response{})
+				if h, err := wire.ReadFrameHeader(conn); err == nil {
+					if _, err := wire.ReadRequestV2(conn, h, nil); err == nil {
+						_ = wire.WriteResponseV2(conn, h.Tag, &wire.Response{}, 0)
+					}
 				}
 				time.Sleep(10 * time.Millisecond)
+				if reset {
+					_ = conn.(*net.TCPConn).SetLinger(0)
+				}
 				conn.Close()
 			}(conn)
 		}
 	}()
+	return lis.Addr().String()
+}
 
+// pingAcrossReap pings, idles while the peer reaps the conn, and pings
+// again: the demux reader must have retired the dead conn by then —
+// exactly one eviction — so the second RPC dials fresh instead of
+// burning a retry on it.
+func pingAcrossReap(t *testing.T, addr string) {
+	t.Helper()
 	reg := obs.NewRegistry()
-	c := NewClientWith(lis.Addr().String(), ClientConfig{
-		Metrics: reg,
-		Retry:   RetryPolicy{ProbeIdle: 5 * time.Millisecond},
-	})
+	c := NewClientWith(addr, ClientConfig{Metrics: reg})
 	defer c.Close()
 	ctx := context.Background()
 	if err := c.Ping(ctx); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(40 * time.Millisecond) // peer reaps the pooled conn
+	time.Sleep(40 * time.Millisecond) // peer reaps the idle conn
 	if err := c.Ping(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Counter(MetricConnEvictions).Value(); got == 0 {
-		t.Fatal("conn_evictions = 0, want the probe to evict the dead conn")
+	if got := reg.Counter(MetricConnEvictions).Value(); got != 1 {
+		t.Fatalf("conn_evictions = %d, want 1 (the reader retires the dead conn)", got)
 	}
 	if got := reg.Counter(MetricClientRetries).Value(); got != 0 {
-		t.Fatalf("client_retries = %d, want 0 (probe should catch it before the RPC)", got)
+		t.Fatalf("client_retries = %d, want 0 (retired before the RPC could pick it)", got)
+	}
+	if idle := reg.Gauge(MetricClientConnsIdle).Value(); idle != 1 {
+		t.Fatalf("client_conns_idle = %d, want 1 (the fresh conn only)", idle)
 	}
 }
 
-// TestIdleAgeCapEvicts discards conns that idled past MaxIdleAge even
-// without probing.
+// TestIdleProbeEvictsDeadConn: a muxed conn whose peer closes it
+// mid-idle. (No probe does this any more; the demux reader's blocked
+// read does.)
+func TestIdleProbeEvictsDeadConn(t *testing.T) {
+	pingAcrossReap(t, reapingServer(t, false))
+}
+
+// TestIdleAgeCapEvicts: the same when the idle conn is reset rather
+// than closed — what the pool's idle-age cap guarded against by
+// discarding old conns unseen; the reader sees the reset itself, so
+// there is no cap.
 func TestIdleAgeCapEvicts(t *testing.T) {
+	pingAcrossReap(t, reapingServer(t, true))
+}
+
+// TestHealthyIdleConnIsReused: an idle stretch alone retires nothing
+// (no false positives).
+func TestHealthyIdleConnIsReused(t *testing.T) {
 	s := newTestServer(t)
 	reg := obs.NewRegistry()
-	c := NewClientWith(s.Addr(), ClientConfig{
-		Metrics: reg,
-		Retry:   RetryPolicy{ProbeIdle: -1, MaxIdleAge: 5 * time.Millisecond},
-	})
+	c := NewClientWith(s.Addr(), ClientConfig{Metrics: reg})
 	defer c.Close()
 	ctx := context.Background()
 	if err := c.Ping(ctx); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond)
-	if err := c.Ping(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter(MetricConnEvictions).Value(); got != 1 {
-		t.Fatalf("conn_evictions = %d, want 1 (age cap)", got)
-	}
-}
-
-// TestHealthyIdleConnIsReused: the probe must not evict a healthy
-// pooled conn (no false positives).
-func TestHealthyIdleConnIsReused(t *testing.T) {
-	s := newTestServer(t)
-	reg := obs.NewRegistry()
-	c := NewClientWith(s.Addr(), ClientConfig{
-		Metrics: reg,
-		Retry:   RetryPolicy{ProbeIdle: 5 * time.Millisecond},
-	})
-	defer c.Close()
-	ctx := context.Background()
-	if err := c.Ping(ctx); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(20 * time.Millisecond) // idle long enough to trigger the probe
 	if err := c.Ping(ctx); err != nil {
 		t.Fatal(err)
 	}

@@ -155,32 +155,3 @@ func TestCopyValidation(t *testing.T) {
 		t.Fatal("mismatched pair lengths accepted, want error")
 	}
 }
-
-// TestCopyPullFromPeerWireV2: the same pull form with the destination
-// configured for wire v2 — its outbound fetch to the source rides
-// tagged frames (the source auto-detects the protocol per conn).
-func TestCopyPullFromPeerWireV2(t *testing.T) {
-	src, srcCli := startServer(t, nil)
-	dst, err := Listen(Config{Root: t.TempDir(), Name: "test-io-v2", WireV2: true}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dstCli := NewClient(dst.Addr())
-	t.Cleanup(func() {
-		dstCli.Close()
-		dst.Close()
-	})
-
-	srcData := bytes.Repeat([]byte{0x5A}, 8192)
-	writeAt(t, srcCli, "f.dat", 2, 0, srcData)
-	if _, err := dstCli.Do(ctxT(t), &wire.Request{
-		Op: wire.OpCopy, Path: "f.dat", Gen: 2,
-		Extents: []wire.Extent{{Off: 0, Len: 8192}, {Off: 0, Len: 8192}},
-		Data:    []byte(wire.FormatCopySource(src.Addr(), "f.dat", 2)),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := readAt(t, dstCli, "f.dat", 2, 0, 8192); !bytes.Equal(got, srcData) {
-		t.Fatal("brick pulled over wire v2 diverges from the source")
-	}
-}

@@ -1,9 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -13,15 +16,32 @@ import (
 
 // TestShutdownDrainsInflight: a request occupying the simulated device
 // when Shutdown begins must run to completion and get its response
-// before the server exits — the graceful half of the SIGTERM path.
+// before the server exits — the graceful half of the SIGTERM path. In
+// the second case a new request arrives on the same conn mid-drain: it
+// is refused, the conn drops — its caller sees a transport-class error,
+// so it retries or fails over — but only behind the claimed write's
+// flush, which the refusal must not cancel.
 func TestShutdownDrainsInflight(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		refusal bool
+	}{
+		{"claimed work finishes", false},
+		{"a refusal on the same conn spares claimed work", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testShutdownDrainsInflight(t, tc.refusal) })
+	}
+}
+
+func testShutdownDrainsInflight(t *testing.T, refusal bool) {
 	// 1 MiB/s: a 512 KiB write reserves ~0.5s of device time.
 	model := netsim.New(netsim.Params{Bandwidth: 1 << 20})
 	srv, err := Listen(Config{Root: t.TempDir(), Model: model, Name: "drain"}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli := NewClient(srv.Addr())
+	// No retries: each call's own first outcome is what is asserted.
+	cli := NewClientWith(srv.Addr(), ClientConfig{Retry: RetryPolicy{MaxRetries: -1}})
 	defer cli.Close()
 
 	data := make([]byte, 512<<10)
@@ -36,7 +56,9 @@ func TestShutdownDrainsInflight(t *testing.T) {
 		})
 		done <- err
 	}()
-	time.Sleep(100 * time.Millisecond) // let the write reach the device
+	waitFor(t, "the server to claim the write", func() bool {
+		return srv.Metrics().Counter(MetricRequests).Value() == 1
+	})
 	if srv.Draining() {
 		t.Fatal("draining before Shutdown was called")
 	}
@@ -47,14 +69,15 @@ func TestShutdownDrainsInflight(t *testing.T) {
 	go func() { shErr <- srv.Shutdown(ctx) }()
 
 	// Mid-drain the server must report itself draining.
-	for i := 0; !srv.Draining(); i++ {
-		if i > 100 {
-			t.Fatal("server never entered the draining state")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitFor(t, "the draining state", srv.Draining)
 	if st := srv.Health().Status; st != "draining" {
 		t.Fatalf("mid-drain health = %q, want draining", st)
+	}
+	if refusal {
+		err := cli.Ping(context.Background()) // rides the write's conn
+		if err == nil || IsServerError(err) {
+			t.Fatalf("ping mid-drain = %v, want a transport-class error", err)
+		}
 	}
 
 	if err := <-shErr; err != nil {
@@ -62,6 +85,9 @@ func TestShutdownDrainsInflight(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("in-flight write during drain: %v", err)
+	}
+	if got, err := os.ReadFile(filepath.Join(srv.cfg.Root, "drain.dat")); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("drained write not on disk intact (%d bytes, %v)", len(got), err)
 	}
 	if conn, err := net.Dial("tcp", srv.Addr()); err == nil {
 		conn.Close()
@@ -94,13 +120,9 @@ func TestShutdownDeadlineForces(t *testing.T) {
 	// Wait until the server has actually claimed the write (dispatch
 	// bumps requests_total on entry) — a fixed sleep races with loaded
 	// machines, and a Shutdown before the claim drains gracefully.
-	claimDeadline := time.Now().Add(10 * time.Second)
-	for srv.Metrics().Counter(MetricRequests).Value() == 0 {
-		if time.Now().After(claimDeadline) {
-			t.Fatal("write never reached the server")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitFor(t, "the server to claim the write", func() bool {
+		return srv.Metrics().Counter(MetricRequests).Value() == 1
+	})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
@@ -118,7 +140,7 @@ func TestShutdownDeadlineForces(t *testing.T) {
 }
 
 // TestShutdownIdle: with nothing in flight, Shutdown closes idle
-// pooled connections immediately and returns nil.
+// connections immediately and returns nil.
 func TestShutdownIdle(t *testing.T) {
 	srv, err := Listen(Config{Root: t.TempDir(), Name: "idle"}, "")
 	if err != nil {

@@ -15,7 +15,7 @@ import (
 	"dpfs/internal/wire"
 )
 
-// scriptedV2 is a wire-v2 stub whose answer to the n-th request
+// scriptedV2 is a frame-protocol stub whose answer to the n-th request
 // (counting from 1, over all conns) is written by a script, frame by
 // frame, so tests can stall, truncate or falsify a response at any
 // byte. CANCEL and unknown frames are skipped.
@@ -96,8 +96,7 @@ func TestMuxAbandonMidFrame(t *testing.T) {
 		_ = wire.WriteResponseV2(conn, tag, &wire.Response{N: n, Data: fillByte(n, 0xBB)}, 0)
 	})
 	cli := NewClientWith(st.addr, ClientConfig{
-		WireV2: true,
-		Retry:  RetryPolicy{MaxRetries: -1, BreakerThreshold: -1},
+		Retry: RetryPolicy{MaxRetries: -1, BreakerThreshold: -1},
 	})
 	defer cli.Close()
 	ctx := ctxT(t)
@@ -153,8 +152,7 @@ func TestMuxAbandonWedgedFrame(t *testing.T) {
 		<-release
 	})
 	cli := NewClientWith(st.addr, ClientConfig{
-		WireV2: true,
-		Retry:  RetryPolicy{MaxRetries: -1, BreakerThreshold: -1, RequestTimeout: 20 * time.Millisecond},
+		Retry: RetryPolicy{MaxRetries: -1, BreakerThreshold: -1, RequestTimeout: 20 * time.Millisecond},
 	})
 	defer cli.Close()
 	start := time.Now()
@@ -228,8 +226,7 @@ func TestMuxLandingRobustness(t *testing.T) {
 				tc.script(conn, tag)
 			})
 			cli := NewClientWith(st.addr, ClientConfig{
-				WireV2: true,
-				Retry:  RetryPolicy{MaxRetries: -1, BreakerThreshold: -1},
+				Retry: RetryPolicy{MaxRetries: -1, BreakerThreshold: -1},
 			})
 			defer cli.Close()
 			ctx := ctxT(t)
@@ -318,7 +315,7 @@ func TestReadTailRidesTrailer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli := NewClientWith(srv.Addr(), ClientConfig{WireV2: true})
+	cli := NewClientWith(srv.Addr(), ClientConfig{})
 	t.Cleanup(func() {
 		cli.Close()
 		srv.Close()

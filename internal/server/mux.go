@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,11 +32,13 @@ const muxReadSlack = 500 * time.Millisecond
 // errClientClosed fails calls in flight when the mux shuts down.
 var errClientClosed = errors.New("dpfs: client closed")
 
-// mux multiplexes a Client's requests over a small set of wire-v2
+// mux multiplexes a Client's requests over a small set of
 // connections: each request gets a tag, frames of different tags
 // interleave on one conn, and a per-conn demux reader routes response
-// frames back to waiting callers. It replaces the v1
-// one-exchange-per-conn pool when ClientConfig.WireV2 is set.
+// frames back to waiting callers. The reader's blocked read is also the
+// liveness check of an idle conn: when the peer closes or resets it the
+// read fails, the conn is retired (one conn_evictions_total) and the
+// next request dials fresh.
 type mux struct {
 	c      *Client
 	window int
@@ -47,7 +50,7 @@ type mux struct {
 	dialDone chan struct{} // closed when the in-flight dial finishes
 }
 
-// muxConn is one wire-v2 connection and its demultiplexing state.
+// muxConn is one connection and its demultiplexing state.
 type muxConn struct {
 	m    *mux
 	conn net.Conn
@@ -156,7 +159,7 @@ func (m *mux) attempt(ctx context.Context, req *wire.Request, scratch []byte) (*
 		<-call.done // delivery or conn death won the race; take its result
 	case <-timeout:
 		if mc.abandon(tag) {
-			return nil, fmt.Errorf("dpfs server %s: receive: request timed out", m.c.addr)
+			return nil, fmt.Errorf("dpfs server %s: receive: %w", m.c.addr, os.ErrDeadlineExceeded)
 		}
 		<-call.done
 	}
@@ -341,8 +344,7 @@ func (mc *muxConn) transitionLocked() {
 // pending call is unbounded. Crucially, the deadline is CLEARED the
 // moment the pending set empties — an idle muxed conn must never sit
 // armed with a stale deadline, or the reader would wrongly kill it on
-// the next quiet stretch (the mux mirror of the pooled-conn
-// stale-deadline fix; see Client.get). Called with mc.mu held.
+// the next quiet stretch. Called with mc.mu held.
 func (mc *muxConn) updateDeadlineLocked() {
 	if mc.dead {
 		return
@@ -455,7 +457,7 @@ func (mc *muxConn) deliver(tag uint32, resp *wire.Response, dataLen int64) {
 	close(call.done)
 }
 
-// fail kills the conn and fails every pending tag with err — the v2
+// fail kills the conn and fails every pending tag with err — the
 // fault boundary: a conn fault takes down exactly the requests
 // multiplexed onto that conn, nothing else. Idempotent.
 func (mc *muxConn) fail(err error) {

@@ -13,14 +13,14 @@ import (
 	"dpfs/internal/wire"
 )
 
-// startServerV2 starts a real server and a wire-v2 mux client.
+// startServerV2 starts a real server and a client of the given
+// configuration.
 func startServerV2(t *testing.T, cfg ClientConfig) (*Server, *Client) {
 	t.Helper()
 	srv, err := Listen(Config{Root: t.TempDir(), Name: "test-io"}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.WireV2 = true
 	cli := NewClientWith(srv.Addr(), cfg)
 	t.Cleanup(func() {
 		cli.Close()
@@ -90,7 +90,7 @@ func TestMuxSegmentsRoundtrip(t *testing.T) {
 
 // TestMuxFanInSharesConns is the mux's reason to exist: a 64-request
 // concurrent burst must ride a handful of connections (ceil(64/window)
-// plus dial-timing slack), not one conn per request like the v1 pool.
+// plus dial-timing slack), not one conn per request.
 func TestMuxFanInSharesConns(t *testing.T) {
 	srv, cli := startServerV2(t, ClientConfig{MuxWindow: 16})
 	ctx := ctxT(t)
@@ -124,8 +124,7 @@ func TestMuxFanInSharesConns(t *testing.T) {
 }
 
 // TestMuxIdleConnSurvivesOldDeadline is the stale-deadline regression
-// for the demux reader (the mux mirror of PR 2's pooled-conn fix): the
-// conn read deadline armed for a request must be CLEARED when the
+// for the demux reader: the conn read deadline armed for a request must be CLEARED when the
 // pending set empties, so a muxed conn idling past the old deadline is
 // not killed and the next request reuses it instead of redialing.
 func TestMuxIdleConnSurvivesOldDeadline(t *testing.T) {
@@ -205,6 +204,35 @@ func TestServerV2SkipsUnknownFrames(t *testing.T) {
 	}
 }
 
+// TestRetiredMagicIsClosed: a conn opening with the retired
+// one-exchange-per-conn protocol's magic (0xD9) — a complete PING in
+// that framing — is closed without a response, and its handler is gone.
+func TestRetiredMagicIsClosed(t *testing.T) {
+	srv, _ := startServerV2(t, ClientConfig{})
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	ping := []byte{0xD9, 1, byte(wire.OpPing), 0, 18, 0, 0, 0} // header, then an 18-byte body
+	ping = append(ping, make([]byte, 18)...)                   // no path, gen 0, no extents, no data
+	if _, err := conn.Write(ping); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	// A close with the request unread may reach us as a reset: either
+	// way not one byte comes back.
+	if b, _ := io.ReadAll(conn); len(b) != 0 {
+		t.Fatalf("server answered the retired protocol with %d bytes, want a bare close", len(b))
+	}
+	waitFor(t, "the refused conn's handler to exit", func() bool {
+		return srv.Metrics().Gauge(MetricActiveConns).Value() == 0
+	})
+	if got := srv.Metrics().Counter(MetricRequests).Value(); got != 0 {
+		t.Fatalf("requests_total = %d, want 0", got)
+	}
+}
+
 // TestServerV2CancelFrame checks that a CANCEL frame cancels the
 // in-flight tag's context server-side without costing the connection:
 // the canceled op's RESP reports a context error, and the next request
@@ -238,7 +266,7 @@ func TestServerV2CancelFrame(t *testing.T) {
 	}
 }
 
-// stubV2Server implements just enough wire v2 to script fault
+// stubV2Server implements just enough of the protocol to script fault
 // scenarios: requests whose Path is "hang" are accepted and never
 // answered; everything else gets an immediate RESP. Hung conns can be
 // killed to simulate a mid-exchange conn fault.
@@ -327,7 +355,7 @@ func (st *stubV2Server) connCount() int {
 	return st.conns
 }
 
-// TestMuxConnFaultFailsOnlyItsTags pins the v2 fault boundary: killing
+// TestMuxConnFaultFailsOnlyItsTags pins the fault boundary: killing
 // one muxed conn mid-exchange fails exactly the tags in flight on that
 // conn; requests on other conns of the same client are untouched, and
 // the client recovers on a fresh conn afterwards. MuxWindow 1 forces
@@ -336,7 +364,6 @@ func (st *stubV2Server) connCount() int {
 func TestMuxConnFaultFailsOnlyItsTags(t *testing.T) {
 	st := newStubV2Server(t)
 	cli := NewClientWith(st.lis.Addr().String(), ClientConfig{
-		WireV2:    true,
 		MuxWindow: 1,
 		Retry:     RetryPolicy{MaxRetries: -1, BreakerThreshold: -1},
 	})
@@ -349,19 +376,11 @@ func TestMuxConnFaultFailsOnlyItsTags(t *testing.T) {
 		hangErr <- err
 	}()
 	// Wait until the stub holds the hung tag (its conn is pinned).
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	waitFor(t, "the stub to hold the hang request", func() bool {
 		st.mu.Lock()
-		n := len(st.hung)
-		st.mu.Unlock()
-		if n == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("stub never saw the hang request")
-		}
-		time.Sleep(time.Millisecond)
-	}
+		defer st.mu.Unlock()
+		return len(st.hung) == 1
+	})
 
 	// A second request rides a second conn (window 1) and succeeds while
 	// the first tag is still in flight on the faulted-to-be conn.
@@ -395,8 +414,7 @@ func TestMuxConnFaultFailsOnlyItsTags(t *testing.T) {
 func TestMuxAbandonSendsCancel(t *testing.T) {
 	st := newStubV2Server(t)
 	cli := NewClientWith(st.lis.Addr().String(), ClientConfig{
-		WireV2: true,
-		Retry:  RetryPolicy{MaxRetries: -1, BreakerThreshold: -1},
+		Retry: RetryPolicy{MaxRetries: -1, BreakerThreshold: -1},
 	})
 	defer cli.Close()
 
@@ -406,19 +424,11 @@ func TestMuxAbandonSendsCancel(t *testing.T) {
 		_, err := cli.Do(ctx, &wire.Request{Op: wire.OpStat, Path: "hang"})
 		done <- err
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	waitFor(t, "the stub to hold the hang request", func() bool {
 		st.mu.Lock()
-		n := len(st.hung)
-		st.mu.Unlock()
-		if n == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("stub never saw the hang request")
-		}
-		time.Sleep(time.Millisecond)
-	}
+		defer st.mu.Unlock()
+		return len(st.hung) == 1
+	})
 	cancel()
 	err := <-done
 	if err == nil || IsServerError(err) {

@@ -51,8 +51,9 @@ func encodeSelections(sels []wire.Selection) []byte {
 	return b
 }
 
-// readBothForms runs req through the server's buffered (v1) and
-// streamed (v2) forms and returns each form's response and payload.
+// readBothForms runs req through the server's buffered form (no sink:
+// what a local copy source reads through) and its streamed form (every
+// request off the wire) and returns each form's response and payload.
 func readBothForms(t testing.TB, srv *Server, req *wire.Request) (resps [2]*wire.Response, data [2][]byte) {
 	t.Helper()
 	for form, stream := range []bool{false, true} {
@@ -178,17 +179,15 @@ func TestSievedReads(t *testing.T) {
 				t.Errorf("model charged %v for the two reads, want %v: a positioning per extent and the bytes shipped", got, want)
 			}
 
-			// And over real connections of both protocols.
-			for _, v2 := range []bool{false, true} {
-				c := NewClientWith(srv.Addr(), ClientConfig{WireV2: v2})
-				resp, err := c.Do(ctxT(t), &wire.Request{Op: wire.OpRead, Path: tc.path, Extents: tc.exts, Data: req.Data})
-				c.Close()
-				if err != nil {
-					t.Fatalf("wire v2=%v: %v", v2, err)
-				}
-				if !bytes.Equal(resp.Data, want) {
-					t.Errorf("wire v2=%v: %d bytes back, differing from the %d selected", v2, len(resp.Data), len(want))
-				}
+			// And over a real connection.
+			c := NewClient(srv.Addr())
+			resp, err := c.Do(ctxT(t), &wire.Request{Op: wire.OpRead, Path: tc.path, Extents: tc.exts, Data: req.Data})
+			c.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(resp.Data, want) {
+				t.Errorf("over the wire: %d bytes back, differing from the %d selected", len(resp.Data), len(want))
 			}
 		})
 	}
@@ -341,7 +340,7 @@ func FuzzSelection(f *testing.F) {
 	for i := range file {
 		file[i] = byte(i*11 + i>>8)
 	}
-	if resp := srv.dispatch(context.Background(), &wire.Request{Op: wire.OpWrite, Path: "f", Extents: []wire.Extent{{Off: 0, Len: int64(len(file))}}, Data: file}); resp.Err != "" {
+	if resp, _ := srv.dispatchEmit(context.Background(), &wire.Request{Op: wire.OpWrite, Path: "f", Extents: []wire.Extent{{Off: 0, Len: int64(len(file))}}, Data: file}, nil); resp.Err != "" {
 		f.Fatal(resp.Err)
 	}
 

@@ -1,10 +1,10 @@
 // Package server implements the DPFS I/O server of Section 2: a
 // process on a storage machine that accepts brick requests over TCP and
 // performs the actual I/O through the local file system API, storing
-// each DPFS file's local bricks as one subfile. Requests from different
-// connections are serviced concurrently (one goroutine per connection);
-// an optional netsim.Model shapes service time to emulate the paper's
-// heterogeneous storage classes.
+// each DPFS file's local bricks as one subfile. Requests are serviced
+// concurrently (one goroutine per connection reading frames, one per
+// request in flight on it); an optional netsim.Model shapes service time
+// to emulate the paper's heterogeneous storage classes.
 package server
 
 import (
@@ -46,11 +46,6 @@ type Config struct {
 	// request's span tree, when sampled) for any request whose handling
 	// exceeds the threshold.
 	SlowRequest time.Duration
-	// WireV2 makes this server's own outbound connections (repair
-	// OpCopy pulls from peer servers) speak wire v2. Inbound protocol
-	// handling needs no flag: the server sniffs each connection's first
-	// byte and serves whichever wire version the client opened with.
-	WireV2 bool
 }
 
 // Server metric names (in the server's obs.Registry). Latency
@@ -110,12 +105,10 @@ type Server struct {
 	cancel context.CancelFunc
 }
 
-// connState tracks what Shutdown drains: busy marks a v1 connection
-// mid-request, inflight counts a v2 connection's outstanding tags.
-// Connections with neither finish (and flush) their claimed work; idle
-// ones are closed immediately.
+// connState tracks what Shutdown drains: inflight counts a
+// connection's claimed tags. A connection with any finishes (and
+// flushes) its claimed work; idle ones are closed immediately.
 type connState struct {
-	busy     bool
 	inflight int
 	// gossipVer is the gossip-table version this connection last saw:
 	// each client conn receives each membership change exactly once,
@@ -241,7 +234,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.closed = true
 	s.draining = true
 	for c, st := range s.conns {
-		if !st.busy && st.inflight == 0 {
+		if st.inflight == 0 {
 			c.Close()
 		}
 	}
@@ -398,11 +391,6 @@ func (s *Server) handleConn(conn net.Conn) {
 	defer s.wg.Done()
 	s.reg.Counter(MetricConnsTotal).Inc()
 	s.reg.Gauge(MetricActiveConns).Inc()
-	// connCtx scopes every op of this connection: it dies with the
-	// server, and (while an op is in flight on a shaped server) with
-	// the peer — see watchPeer (v1) and the frame read loop (v2).
-	connCtx, cancel := context.WithCancel(s.ctx)
-	defer cancel()
 	defer func() {
 		s.reg.Gauge(MetricActiveConns).Dec()
 		s.mu.Lock()
@@ -410,94 +398,39 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
-	// Version sniff: the first byte of a connection is the protocol
-	// magic — 0xD9 opens a v1 one-exchange-at-a-time session, 0xDA a
-	// v2 tagged-frame session, 0xDB one gossip exchange. All three
-	// share one port, so mixed fleets, rolling -wire-v2 flips and the
-	// gossip health plane need no extra listeners or coordination.
+	// The first byte of a connection is the protocol magic: 0xDA opens
+	// a tagged-frame session, 0xDB one gossip exchange — the data path
+	// and the gossip health plane share one port. Anything else (the
+	// retired 0xD9 protocol included) is closed without a response.
 	var first [1]byte
 	if _, err := io.ReadFull(conn, first[:]); err != nil {
 		return
 	}
-	if first[0] == wire.Magic2 {
-		s.handleConnV2(connCtx, cancel, conn, first[0])
-		return
-	}
-	if first[0] == gossip.Magic {
+	switch first[0] {
+	case wire.Magic2:
+		s.handleConnV2(conn)
+	case gossip.Magic:
 		if g := s.gossip.Load(); g != nil {
 			gossip.ServeConn(conn, g)
-		}
-		return
-	}
-	// v1 reads stay unbuffered past the replayed sniff byte: watchPeer
-	// probes the raw conn mid-op, which a read-ahead buffer would break.
-	rd := io.MultiReader(bytes.NewReader(first[:]), conn)
-	for {
-		req, err := wire.ReadRequest(rd)
-		if err != nil {
-			return // disconnect or framing error
-		}
-		// Claim the request against a concurrent drain: once draining,
-		// new requests are refused (the connection drops and the client
-		// retries or fails over); requests claimed before the drain run
-		// to completion and their responses flush.
-		s.mu.Lock()
-		if s.draining {
-			s.mu.Unlock()
-			return
-		}
-		st := s.conns[conn]
-		if st == nil {
-			s.mu.Unlock()
-			return
-		}
-		st.busy = true
-		s.mu.Unlock()
-		var resp *wire.Response
-		poisoned := false
-		if s.cfg.Model != nil {
-			// Shaped servers hold the simulated device for the op's
-			// whole service time; watch the peer so a client that
-			// gave up (timeout, retry elsewhere) releases the device
-			// instead of leaving it busy.
-			reqCtx, reqCancel := context.WithCancel(connCtx)
-			stop := s.watchPeer(conn, reqCancel)
-			resp = s.dispatch(reqCtx, req)
-			poisoned = stop()
-			reqCancel()
-		} else {
-			resp = s.dispatch(connCtx, req)
-		}
-		s.attachDelta(st, resp)
-		err = wire.WriteResponse(conn, resp)
-		if req.Op == wire.OpRead && resp.Data != nil {
-			// Read responses carry a pooled buffer; it is ours again
-			// once the frame is flushed (or failed).
-			putReadBuf(resp.Data)
-		}
-		s.mu.Lock()
-		st.busy = false
-		drain := s.draining
-		s.mu.Unlock()
-		if err != nil || poisoned || drain {
-			return
 		}
 	}
 }
 
-// handleConnV2 serves a wire-v2 tagged-frame session: the read loop
-// decodes frames, each REQ frame spawns a handler goroutine for its
-// tag, and responses are written back in completion order — frames of
-// different tags interleave on the wire as subfile I/O completes, so
-// one connection carries a whole dispatch burst. CANCEL frames cancel
-// the named tag's context (the v2 replacement for both the v1
-// conn-kill cancellation path and most of watchPeer's job: a client
-// that gives up on a tag says so without giving up the conn; a peer
-// that disconnects entirely still ends connCtx via the read loop's
-// exit). first is the already-sniffed magic byte, replayed into the
-// frame reader.
-func (s *Server) handleConnV2(connCtx context.Context, cancel context.CancelFunc, conn net.Conn, first byte) {
-	br := bufio.NewReaderSize(io.MultiReader(bytes.NewReader([]byte{first}), conn), 64<<10)
+// handleConnV2 serves a tagged-frame session: the read loop decodes
+// frames, each REQ frame spawns a handler goroutine for its tag, and
+// responses are written back in completion order — frames of different
+// tags interleave on the wire as subfile I/O completes, so one
+// connection carries a whole dispatch burst. CANCEL frames cancel the
+// named tag's context (a client that gives up on a tag says so without
+// giving up the conn; a peer that disconnects entirely ends connCtx via
+// the read loop's exit, so a shaped server's device is released either
+// way). The already-sniffed magic byte is replayed into the frame
+// reader.
+func (s *Server) handleConnV2(conn net.Conn) {
+	// connCtx scopes every op of this connection: it dies with the
+	// server and with the peer.
+	connCtx, cancel := context.WithCancel(s.ctx)
+	br := bufio.NewReaderSize(io.MultiReader(bytes.NewReader([]byte{wire.Magic2}), conn), 64<<10)
 	out := &v2Out{fw: wire.NewFrameWriter(conn)}
 	var wg sync.WaitGroup
 	// Handlers must finish (and flush) before handleConn closes the
@@ -518,9 +451,9 @@ func (s *Server) handleConnV2(connCtx context.Context, cancel context.CancelFunc
 			if err != nil {
 				return
 			}
-			// Claim the tag against a concurrent drain, mirroring the v1
-			// busy flag: refused claims drop the conn (clients retry or
-			// fail over), claimed tags run to completion and flush.
+			// Claim the tag against a concurrent drain: claimed tags run
+			// to completion and flush, a refused claim drops the conn
+			// (its client retries or fails over).
 			s.mu.Lock()
 			st := s.conns[conn]
 			if s.draining || st == nil {
@@ -528,6 +461,10 @@ func (s *Server) handleConnV2(connCtx context.Context, cancel context.CancelFunc
 				if req.Data != nil {
 					putReadBuf(req.Data)
 				}
+				// Unlike a disconnect, a refusal must not cancel the
+				// tags this conn already claimed: stop reading and wait
+				// them out; the conn closes behind their last flush.
+				wg.Wait()
 				return
 			}
 			st.inflight++
@@ -571,7 +508,7 @@ func (s *Server) handleConnV2(connCtx context.Context, cancel context.CancelFunc
 	}
 }
 
-// v2Out is the write side of one wire-v2 session: mu serializes
+// v2Out is the write side of one frame session: mu serializes
 // response frames across the session's tag handlers and guards fw.
 type v2Out struct {
 	mu sync.Mutex
@@ -634,47 +571,9 @@ func (s *Server) releaseV2(conn net.Conn, st *connState) {
 	}
 }
 
-// watchPeer watches conn for disconnection while one op is in flight.
-// It exists only for wire v1 sessions on shaped servers — under v2 the
-// read loop stays open concurrently with ops, so peer disconnection
-// surfaces there and per-op cancellation arrives as CANCEL frames.
-// The v1 protocol is strictly request/response — the client sends
-// nothing until it has our reply — so any readability mid-op means the
-// peer closed or reset the connection, and the op's context is
-// cancelled.
-// The returned stop function unblocks the watcher and reports whether
-// the stream is poisoned (unexpected bytes arrived mid-op, so the
-// connection must be dropped after the in-flight response). Call it
-// BEFORE writing the response, or the watcher could swallow the first
-// byte of the next request.
-func (s *Server) watchPeer(conn net.Conn, cancel context.CancelFunc) (stop func() (poisoned bool)) {
-	done := make(chan struct{})
-	var sawData bool
-	go func() {
-		defer close(done)
-		var b [1]byte
-		n, err := conn.Read(b[:])
-		if n > 0 {
-			sawData = true
-			return
-		}
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			return // stop() poked the deadline: the op finished first
-		}
-		cancel() // peer closed/reset mid-op: free the device
-	}()
-	return func() bool {
-		_ = conn.SetReadDeadline(time.Now()) // unblock the watcher
-		<-done
-		_ = conn.SetReadDeadline(time.Time{})
-		return sawData
-	}
-}
-
 // readBufPool recycles read-path extent buffers across requests:
-// opRead draws from it and handleConn returns the buffer after the
-// response frame is flushed, so steady-state reads allocate nothing
+// opRead draws from it and serveTagV2 returns the buffer after the
+// response frames are flushed, so steady-state reads allocate nothing
 // per request.
 var readBufPool sync.Pool
 
@@ -695,15 +594,10 @@ func putReadBuf(b []byte) {
 	readBufPool.Put(&b)
 }
 
-func (s *Server) dispatch(ctx context.Context, req *wire.Request) *wire.Response {
-	resp, _ := s.dispatchEmit(ctx, req, nil)
-	return resp
-}
-
-// dispatchEmit is dispatch with an optional streaming sink: when emit
-// is non-nil, read payloads are pushed through it as chunks instead of
-// being buffered into the response, and the returned streamed count is
-// what went through (the caller folds it into its RESP trailer).
+// dispatchEmit runs one request, with an optional streaming sink: when
+// emit is non-nil, read payloads are pushed through it as chunks instead
+// of being buffered into the response, and the returned streamed count
+// is what went through (the caller folds it into its RESP trailer).
 // Metrics, spans and slow-request accounting cover streamed bytes the
 // same as buffered ones.
 func (s *Server) dispatchEmit(ctx context.Context, req *wire.Request, emit func([]byte) error) (*wire.Response, int64) {
@@ -900,21 +794,7 @@ func (s *Server) pullFrom(ctx context.Context, addr, path string, gen int64, ext
 		tc := rpc.Context()
 		preq.TraceID, preq.SpanID, preq.Sampled = tc.TraceID, tc.SpanID, tc.Sampled
 	}
-	var resp *wire.Response
-	if s.cfg.WireV2 {
-		// Streamed pull: the peer's DATA frames arrive chunk by chunk
-		// instead of one fully-buffered response body.
-		const pullTag = 1
-		if err := wire.WriteRequestV2(conn, pullTag, preq); err != nil {
-			return nil, err
-		}
-		resp, err = wire.ReadResponseV2Into(conn, pullTag, nil)
-	} else {
-		if err := wire.WriteRequest(conn, preq); err != nil {
-			return nil, err
-		}
-		resp, err = wire.ReadResponse(conn)
-	}
+	resp, err := wire.Exchange(conn, preq)
 	if rpc != nil {
 		rpc.End()
 		if err == nil && len(resp.Trace) > 0 {
@@ -1130,12 +1010,12 @@ func (s *Server) preadFull(sf *subfile, dst []byte, off int64) (int, error) {
 	return n, nil
 }
 
-// opRead serves a read. With a sink (wire v2) the payload streams as
-// DATA frames and only the last chunk — for a read of up to
-// StreamChunk bytes, the only one — is returned as the response's Data,
-// so it leaves in the same write as the RESP trailer; without one
-// (wire v1) the whole payload is. Either way the caller returns Data
-// with putReadBuf. The storage model is charged one positioning per
+// opRead serves a read. With a sink (every request off the wire) the
+// payload streams as DATA frames and only the last chunk — for a read of
+// up to StreamChunk bytes, the only one — is returned as the response's
+// Data, so it leaves in the same write as the RESP trailer; without one
+// the whole payload is. Either way the caller returns Data with
+// putReadBuf. The storage model is charged one positioning per
 // extent and the bytes shipped: a sieved extent is still one positioned
 // sweep of the device, and what it skips never reaches the link.
 func (s *Server) opRead(ctx context.Context, req *wire.Request, emit func([]byte) error) (*wire.Response, error) {

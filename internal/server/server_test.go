@@ -274,30 +274,33 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestConnectionPoolReuse: sequential requests ride one connection.
 func TestConnectionPoolReuse(t *testing.T) {
-	_, cli := startServer(t, nil)
+	srv, cli := startServer(t, nil)
 	ctx := ctxT(t)
 	for i := 0; i < 50; i++ {
 		if err := cli.Ping(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cli.mu.Lock()
-	idle := len(cli.idle)
-	cli.mu.Unlock()
-	if idle != 1 {
-		t.Errorf("sequential pings left %d idle conns, want 1 (reuse)", idle)
+	if conns := srv.Metrics().Counter(MetricConnsTotal).Value(); conns != 1 {
+		t.Errorf("sequential pings opened %d conns, want 1 (reuse)", conns)
+	}
+	if idle := cli.Metrics().Gauge(MetricClientConnsIdle).Value(); idle != 1 {
+		t.Errorf("sequential pings left %d idle conns, want 1", idle)
 	}
 }
 
+// TestClientConfigMaxIdleConns: what bounds the conns a client is left
+// holding after a burst is ClientConfig.MuxWindow — a conn is dialed
+// only when every existing one is at the window — so 8 concurrent
+// requests at window 4 leave at most 2.
 func TestClientConfigMaxIdleConns(t *testing.T) {
 	srv, _ := startServer(t, nil)
-	cli := NewClientWith(srv.Addr(), ClientConfig{MaxIdleConns: 2})
+	cli := NewClientWith(srv.Addr(), ClientConfig{MuxWindow: 4})
 	defer cli.Close()
 	ctx := ctxT(t)
 
-	// Burst of concurrent requests, then check the pool respects the
-	// configured bound.
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -309,37 +312,35 @@ func TestClientConfigMaxIdleConns(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	cli.mu.Lock()
-	idle := len(cli.idle)
-	cli.mu.Unlock()
-	if idle > 2 {
-		t.Errorf("pool holds %d idle conns, configured max 2", idle)
+	if idle := cli.Metrics().Gauge(MetricClientConnsIdle).Value(); idle < 1 || idle > 2 {
+		t.Errorf("client holds %d idle conns after the burst, want 1 or 2", idle)
 	}
 
-	if def := NewClient(srv.Addr()); def.maxIdle != DefaultMaxIdleConns {
-		t.Errorf("NewClient maxIdle = %d, want %d", def.maxIdle, DefaultMaxIdleConns)
+	def := NewClient(srv.Addr())
+	defer def.Close()
+	if def.mux.window != DefaultMuxWindow {
+		t.Errorf("NewClient window = %d, want %d", def.mux.window, DefaultMuxWindow)
 	}
 }
 
-// A pooled connection must not keep the previous request's deadline:
-// after a deadline-bearing request completes and its deadline passes, a
-// later deadline-free request reusing the conn must still succeed.
+// A connection must not keep a finished request's deadline: after a
+// request under a context deadline completes and the deadline (plus the
+// demux reader's slack) passes, a later deadline-free request must find
+// the conn alive and reuse it. (TestMuxIdleConnSurvivesOldDeadline is
+// the same for RetryPolicy.RequestTimeout.)
 func TestPooledConnDeadlineCleared(t *testing.T) {
-	_, cli := startServer(t, nil)
-	dctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	srv, cli := startServer(t, nil)
+	dctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	if err := cli.Ping(dctx); err != nil {
 		t.Fatal(err)
 	}
 	cancel()
-	time.Sleep(400 * time.Millisecond) // let the old deadline expire
-	cli.mu.Lock()
-	pooled := len(cli.idle)
-	cli.mu.Unlock()
-	if pooled != 1 {
-		t.Fatalf("expected the conn back in the pool, have %d", pooled)
-	}
+	time.Sleep(100*time.Millisecond + muxReadSlack + 100*time.Millisecond) // let the old deadline expire
 	if err := cli.Ping(context.Background()); err != nil {
 		t.Fatalf("reused conn failed after old deadline expired: %v", err)
+	}
+	if conns := srv.Metrics().Counter(MetricConnsTotal).Value(); conns != 1 {
+		t.Fatalf("server saw %d conns, want 1 (the idle conn survives its old deadline)", conns)
 	}
 }
 

@@ -1,20 +1,18 @@
-// Wire protocol v2: tagged frames. Where v1 is strict one-exchange-
-// per-connection request/response, v2 multiplexes many outstanding
-// requests over one connection by prefixing every message with a small
-// frame header carrying (kind, flags, tag, length). A request is a REQ
-// frame (metadata: trace context, op, path, generation, extents,
-// payload length) followed by its payload as contiguous DATA frames; a
-// response is any number of DATA frames followed by a RESP frame that
-// closes the tag (the trailer position lets the server stream brick
-// bytes as subfile I/O completes and still report an error discovered
+// Tagged frames: many outstanding requests multiplex over one
+// connection by prefixing every message with a small frame header
+// carrying (kind, flags, tag, length). A request is a REQ frame
+// (metadata: trace context, op, path, generation, extents, payload
+// length) followed by its payload as contiguous DATA frames; a response
+// is any number of DATA frames followed by a RESP frame that closes the
+// tag (the trailer position lets the server stream brick bytes as
+// subfile I/O completes and still report an error discovered
 // mid-stream). Cancellation is a CANCEL frame naming the tag — the
-// connection survives, unlike v1's conn-kill. Trace context rides in
-// fixed frame fields (the flags byte and the first 16 bytes of the REQ
-// body) instead of v1's best-effort payload trailer.
+// connection survives. Trace context rides in fixed frame fields (the
+// flags byte and the first 16 bytes of the REQ body).
 //
-// Both versions share one port: a server sniffs the first byte of a
-// connection (v1 magic 0xD9 vs v2 magic 0xDA) and speaks whichever
-// protocol the client opened with. See DESIGN.md "Wire protocol v2".
+// The port is shared with gossip: a server sniffs the first byte of a
+// connection (frame magic 0xDA vs gossip magic 0xDB) and closes
+// anything else. See DESIGN.md "Wire protocol".
 package wire
 
 import (
@@ -27,8 +25,9 @@ import (
 )
 
 const (
-	// Magic2 is the first byte of every v2 frame. It differs from the
-	// v1 magic so a server can version-sniff a connection's first byte.
+	// Magic2 is the first byte of every frame; servers sniff it on a
+	// connection's first byte. (0xD9 was the retired one-exchange-per-
+	// conn protocol and is refused.)
 	Magic2   = 0xDA
 	version2 = 2
 	// FrameHeaderLen is the fixed size of a v2 frame header: magic,
@@ -80,13 +79,6 @@ func putFrameHeader(b []byte, h FrameHeader) {
 	b[3] = h.Flags
 	binary.LittleEndian.PutUint32(b[4:8], h.Tag)
 	binary.LittleEndian.PutUint32(b[8:12], h.Len)
-}
-
-// AppendFrameHeader appends an encoded frame header to dst.
-func AppendFrameHeader(dst []byte, h FrameHeader) []byte {
-	var b [FrameHeaderLen]byte
-	putFrameHeader(b[:], h)
-	return append(dst, b[:]...)
 }
 
 // WriteFrameHeader writes one encoded frame header.
@@ -319,6 +311,11 @@ func ReadRequestV2(r io.Reader, h FrameHeader, alloc func(int64) []byte) (*Reque
 	if ne > 1<<24 {
 		return nil, fmt.Errorf("wire: %d extents exceeds limit", ne)
 	}
+	if ne > (len(body)-p)/16 {
+		// Refused before the slice is made: a count is four bytes, the
+		// slice it asks for up to 256 MiB.
+		return nil, errors.New("wire: truncated v2 request")
+	}
 	req.Extents = make([]Extent, ne)
 	for i := 0; i < ne; i++ {
 		b, err = get(16)
@@ -517,9 +514,9 @@ func WriteCancelFrame(w io.Writer, tag uint32) error {
 }
 
 // ReadResponseV2Into reads DATA frames and the closing RESP frame for
-// tag from a connection carrying exactly one exchange (pull paths and
+// tag from a connection carrying exactly one exchange (Exchange and
 // tests; the client mux demultiplexes interleaved tags itself). Data
-// accumulates into scratch when it fits, like ReadResponseInto.
+// accumulates into scratch when it fits, and then aliases it.
 // Unknown frame kinds are skipped; a frame for a different tag is a
 // protocol error here, since nothing else can be in flight.
 func ReadResponseV2Into(r io.Reader, tag uint32, scratch []byte) (*Response, error) {
@@ -573,9 +570,21 @@ func ReadResponseV2Into(r io.Reader, tag uint32, scratch []byte) (*Response, err
 	}
 }
 
+// Exchange performs one request/response exchange on a connection
+// dedicated to it, under a fixed tag: what a caller that must see the
+// peer as it is right now (a repair pull, a liveness probe) does
+// instead of going through a Client's mux, retries and breaker.
+func Exchange(conn io.ReadWriter, req *Request) (*Response, error) {
+	const tag = 1
+	if err := WriteRequestV2(conn, tag, req); err != nil {
+		return nil, err
+	}
+	return ReadResponseV2Into(conn, tag, nil)
+}
+
 // ReadDataInto appends the n-byte body of a DATA frame from r to data,
 // landing it in data's spare capacity (the caller's scratch) and
-// allocating only when that is too small. Both v2 response readers —
+// allocating only when that is too small. Both response readers —
 // ReadResponseV2Into and the client mux's demux reader — land payloads
 // through it.
 func ReadDataInto(r io.Reader, data []byte, n int) ([]byte, error) {

@@ -12,11 +12,11 @@ import (
 	"dpfs/internal/cluster"
 )
 
-// TestParallelDispatchE2E drives the public API with parallel dispatch
-// enabled: several clients connect through the network metadata server
+// TestParallelDispatchE2E drives the public API with the default,
+// overlapped dispatch: several clients connect through the network metadata server
 // and hammer their own files concurrently; every roundtrip must be
 // byte-exact. Run under -race this covers the full stack — public
-// wrapper, engine fan-out, pooled wire clients, servers.
+// wrapper, engine fan-out, muxed wire clients, servers.
 func TestParallelDispatchE2E(t *testing.T) {
 	const np = 4
 	const size = 16 * 4096
@@ -31,7 +31,7 @@ func TestParallelDispatchE2E(t *testing.T) {
 	clients := make([]*dpfs.Client, np)
 	for r := 0; r < np; r++ {
 		clients[r], err = dpfs.Connect(c.MetaSrv.Addr(), r, dpfs.Options{
-			Combine: true, Stagger: true, ParallelDispatch: true,
+			Combine: true, Stagger: true,
 		})
 		if err != nil {
 			t.Fatal(err)

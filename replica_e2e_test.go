@@ -26,21 +26,21 @@ import (
 // failover.
 func TestReplicaFailoverE2E(t *testing.T) {
 	for _, mode := range []struct {
-		name     string
-		parallel bool
-		cached   bool
+		name        string
+		maxInflight int
+		cached      bool
 	}{
-		{"sequential", false, false},
-		{"parallel", true, false},
-		{"cached", true, true},
+		{"sequential", 1, false},
+		{"parallel", 0, false},
+		{"cached", 0, true},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			runReplicaFailoverE2E(t, mode.parallel, mode.cached)
+			runReplicaFailoverE2E(t, mode.maxInflight, mode.cached)
 		})
 	}
 }
 
-func runReplicaFailoverE2E(t *testing.T, parallel, cached bool) {
+func runReplicaFailoverE2E(t *testing.T, maxInflight int, cached bool) {
 	const (
 		np     = 4
 		size   = 16 * 4096
@@ -55,7 +55,7 @@ func runReplicaFailoverE2E(t *testing.T, parallel, cached bool) {
 	defer cancel()
 
 	opts := dpfs.Options{
-		Combine: true, Stagger: true, ParallelDispatch: parallel,
+		Combine: true, Stagger: true, MaxInflight: maxInflight,
 		Retry: server.RetryPolicy{MaxRetries: 2, RequestTimeout: 5 * time.Second,
 			BackoffBase: time.Millisecond, BackoffMax: 10 * time.Millisecond},
 	}

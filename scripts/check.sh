@@ -9,9 +9,8 @@
 #      metashard, metarepl and gossip modes
 #   6. ten seconds of FuzzSelection: arbitrary read selections against
 #      the server's extent loop (its seed corpus already ran in tier-1)
-#   7. dispatch + replica + wire + meta bench smokes
-#      (BENCH_dispatch.json, BENCH_replica.json, BENCH_wire.json,
-#      BENCH_meta.json)
+#   7. dispatch + replica + meta bench smokes
+#      (BENCH_dispatch.json, BENCH_replica.json, BENCH_meta.json)
 #   8. documentation lint (godoc coverage + markdown links)
 #   9. obslint: metric names vs the frozen manifest + Prometheus
 #      exposition validity (scripts/obslint.sh)
@@ -46,7 +45,6 @@ echo "== fuzz: FuzzSelection, 10s =="
 go test -run '^$' -fuzz FuzzSelection -fuzztime 10s ./internal/server
 sh scripts/bench_smoke.sh
 sh scripts/bench_replica.sh
-sh scripts/bench_wire.sh
 sh scripts/bench_meta.sh
 echo "== benchmark module: go vet + go test =="
 (cd benchmark && go vet . && go test .)
