@@ -9,7 +9,9 @@
 // the paper's access unit (what an engine with a data cache fetches),
 // and the way an engine without one reads it — the servers sieve each
 // brick, so only the columns travel, though every brick is still
-// visited.
+// visited. The last row writes the same columns back: a write is the
+// sieved read run backwards, the servers scattering the pieces into
+// each brick.
 package main
 
 import (
@@ -28,7 +30,7 @@ import (
 const (
 	n    = 1024 // array edge (elements, float64)
 	tile = 128  // multidim tile edge
-	np   = 8    // reading processes
+	np   = 8    // processes, each with its block of columns
 )
 
 func main() {
@@ -84,7 +86,7 @@ func main() {
 		f.Close()
 	}
 
-	fmt.Printf("array: %dx%d float64 (%d MiB), brick %d KiB, %d processes reading (*, BLOCK)\n\n",
+	fmt.Printf("array: %dx%d float64 (%d MiB), brick %d KiB, %d processes on (*, BLOCK) column blocks\n\n",
 		n, n, (n*n*8)>>20, (tile*tile*8)>>10, np)
 	fmt.Printf("%-14s %10s %12s %12s %10s %10s\n",
 		"layout", "requests", "moved KiB", "useful KiB", "waste", "elapsed")
@@ -93,12 +95,14 @@ func main() {
 		label string
 		path  string
 		cache int64 // a (cold) data cache makes the engine fetch whole bricks
+		write bool
 	}{
-		{"linear, whole", "/linear.dat", n * n * 8},
-		{"linear, sieved", "/linear.dat", 0},
-		{"multidim", "/multidim.dat", 0},
+		{"linear, whole", "/linear.dat", n * n * 8, false},
+		{"linear, sieved", "/linear.dat", 0, false},
+		{"multidim", "/multidim.dat", 0, false},
+		{"linear, write", "/linear.dat", 0, true},
 	} {
-		reqs, moved, useful, elapsed := readColumns(ctx, clu, row.path, row.cache)
+		reqs, moved, useful, elapsed := moveColumns(ctx, clu, row.path, row.cache, row.write)
 		fmt.Printf("%-14s %10d %12d %12d %9.1fx %10v\n",
 			row.label, reqs, moved>>10, useful>>10,
 			float64(moved)/float64(useful), elapsed.Round(time.Millisecond))
@@ -107,11 +111,13 @@ func main() {
 	fmt.Println("\nmultidimensional striping touches only the tiles the columns cross;")
 	fmt.Println("linear striping fetches every brick of the file and, in the paper's whole-brick")
 	fmt.Println("unit, discards most of it; sieved at the servers only the columns travel, but")
-	fmt.Println("every brick is still visited.")
+	fmt.Println("every brick is still visited. Written back, the columns travel the same way:")
+	fmt.Println("one extent per brick and the pieces alone, scattered at the servers.")
 }
 
-// readColumns has np goroutines each read its (*, BLOCK) column slice.
-func readColumns(ctx context.Context, clu *cluster.Cluster, path string, cacheBytes int64) (reqs, moved, useful int64, elapsed time.Duration) {
+// moveColumns has np goroutines each read, or write, its (*, BLOCK)
+// column slice.
+func moveColumns(ctx context.Context, clu *cluster.Cluster, path string, cacheBytes int64, write bool) (reqs, moved, useful int64, elapsed time.Duration) {
 	dpfs.ResetStats()
 	start := time.Now()
 	done := make(chan error, np)
@@ -132,7 +138,11 @@ func readColumns(ctx context.Context, clu *cluster.Cluster, path string, cacheBy
 			w := int64(n / np)
 			sec := dpfs.NewSection([]int64{0, int64(rank) * w}, []int64{n, w})
 			buf := make([]byte, sec.Bytes(8))
-			done <- f.ReadSection(ctx, sec, buf)
+			if write {
+				done <- f.WriteSection(ctx, sec, buf)
+			} else {
+				done <- f.ReadSection(ctx, sec, buf)
+			}
 		}(r)
 	}
 	for i := 0; i < np; i++ {

@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -222,14 +223,25 @@ func runSieveCase(ctx context.Context, cfg Config, c *cluster.Cluster, np int, c
 		func(rank int) stripe.Section { return colSection(cfg.N, np, rank) }, false)
 }
 
+// The three ways the collective ablation writes a rank's interleaved
+// rows.
+const (
+	collPerRow   = "Independent"            // one WriteSection per row
+	collTyped    = "Independent typed"      // one access for all of a rank's rows
+	collTwoPhase = "Collective (two-phase)" // one WriteAll per row
+)
+
 // AblationCollective contrasts independent I/O with two-phase
 // collective I/O (internal/collective, the paper's MPI-IO future-work
 // layer) under an interleaved (CYCLIC, *) row write, the pattern where
-// per-rank requests fragment worst.
+// per-rank requests fragment worst. Independent I/O is measured twice:
+// naively, one call per row, and as one noncontiguous access per rank —
+// what a strided file type selects — which the engine folds into one
+// selection-bearing request per server.
 func AblationCollective(ctx context.Context, cfg Config, np, io int) ([]Measurement, error) {
 	cfg = cfg.WithDefaults()
 	var out []Measurement
-	for _, coll := range []bool{false, true} {
+	for _, mode := range []string{collPerRow, collTyped, collTwoPhase} {
 		c, err := cluster.Start(cluster.Config{
 			Servers:       cluster.UniformClass(io, netsim.Class1()),
 			Dir:           caseDir(cfg.Dir),
@@ -238,24 +250,20 @@ func AblationCollective(ctx context.Context, cfg Config, np, io int) ([]Measurem
 		if err != nil {
 			return nil, err
 		}
-		m, err := runCollectiveCase(ctx, cfg, c, np, coll)
+		m, err := runCollectiveCase(ctx, cfg, c, np, mode)
 		c.Close()
 		if err != nil {
 			return nil, err
 		}
 		m.Figure = "AblColl"
 		m.Class = "class1"
-		if coll {
-			m.Label = "Collective (two-phase)"
-		} else {
-			m.Label = "Independent"
-		}
+		m.Label = mode
 		out = append(out, m)
 	}
 	return out, nil
 }
 
-func runCollectiveCase(ctx context.Context, cfg Config, c *cluster.Cluster, np int, coll bool) (Measurement, error) {
+func runCollectiveCase(ctx context.Context, cfg Config, c *cluster.Cluster, np int, mode string) (Measurement, error) {
 	dims := []int64{cfg.N, cfg.N}
 	path := "/abl-coll.dat"
 	admin, err := c.NewFS(0, core.Options{Combine: true})
@@ -272,7 +280,7 @@ func runCollectiveCase(ctx context.Context, cfg Config, c *cluster.Cluster, np i
 
 	runs := make([]Measurement, 0, cfg.Reps)
 	for rep := 0; rep < cfg.Reps; rep++ {
-		m, err := measureCollective(ctx, c, cfg, np, path, coll)
+		m, err := measureCollective(ctx, c, cfg, np, path, mode)
 		if err != nil {
 			return Measurement{}, err
 		}
@@ -282,10 +290,41 @@ func runCollectiveCase(ctx context.Context, cfg Config, c *cluster.Cluster, np i
 	return runs[len(runs)/2], nil
 }
 
+// cyclicRowsPlan plans one access to all of rank's (CYCLIC, *) rows —
+// row round*np+rank of every round — the way a strided file type over
+// them would: the rows' plans merged brick by brick, against a packed
+// buffer holding the rows in order. (The engine's typed calls take a
+// rectangular section, or a file type on a linear file only.)
+func cyclicRowsPlan(g *stripe.Geometry, np, rank, rounds int) ([]stripe.BrickIO, error) {
+	n := g.Dims[1]
+	var plan []stripe.BrickIO
+	at := make(map[int]int) // brick -> its index in plan
+	for round := 0; round < rounds; round++ {
+		rows, err := g.PlanSection(stripe.NewSection([]int64{int64(round*np + rank), 0}, []int64{1, n}))
+		if err != nil {
+			return nil, err
+		}
+		for _, bio := range rows {
+			i, ok := at[bio.Brick]
+			if !ok {
+				i = len(plan)
+				at[bio.Brick] = i
+				plan = append(plan, stripe.BrickIO{Brick: bio.Brick})
+			}
+			for _, seg := range bio.Segs {
+				seg.MemOff += int64(round) * n * g.ElemSize
+				plan[i].Segs = append(plan[i].Segs, seg)
+			}
+		}
+	}
+	sort.Slice(plan, func(i, j int) bool { return plan[i].Brick < plan[j].Brick })
+	return plan, nil
+}
+
 // measureCollective has every rank write rowsPerRank interleaved
-// single rows ((CYCLIC, *)), independently or through a collective
-// group.
-func measureCollective(ctx context.Context, c *cluster.Cluster, cfg Config, np int, path string, coll bool) (Measurement, error) {
+// single rows ((CYCLIC, *)): independently row by row, independently
+// in one access, or row by row through a collective group.
+func measureCollective(ctx context.Context, c *cluster.Cluster, cfg Config, np int, path, mode string) (Measurement, error) {
 	files := make([]*core.File, np)
 	fss := make([]*core.FS, np)
 	for r := 0; r < np; r++ {
@@ -327,12 +366,22 @@ func measureCollective(ctx context.Context, c *cluster.Cluster, cfg Config, np i
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
+			if mode == collTyped {
+				plan, err := cyclicRowsPlan(files[rank].Geometry(), np, rank, rounds)
+				if err == nil {
+					err = files[rank].ExecutePlan(ctx, plan, make([]byte, int64(rounds)*rowBytes), true)
+				}
+				if err != nil {
+					errs <- err
+				}
+				return
+			}
 			buf := append([]byte(nil), data...)
 			for round := 0; round < rounds; round++ {
 				row := int64(round*np + rank)
 				sec := stripe.NewSection([]int64{row, 0}, []int64{1, cfg.N})
 				var err error
-				if coll {
+				if mode == collTwoPhase {
 					err = g.WriteAll(ctx, rank, files[rank], sec, buf)
 				} else {
 					err = files[rank].WriteSection(ctx, sec, buf)

@@ -1,11 +1,15 @@
 package bench
 
 import (
+	"bytes"
 	"context"
 	"testing"
 	"time"
 
+	"dpfs/internal/cluster"
+	"dpfs/internal/core"
 	"dpfs/internal/netsim"
+	"dpfs/internal/stripe"
 )
 
 // These tests assert the *shape* of the paper's evaluation — who wins
@@ -274,5 +278,58 @@ func TestFigureDispatch(t *testing.T) {
 	// Measurement renders.
 	if s := ms[0].String(); s == "" {
 		t.Fatal("empty measurement string")
+	}
+}
+
+// TestCyclicRowsPlan: the one-access form of a rank's interleaved rows
+// (the collective ablation's "Independent typed" case) writes each row
+// where row-by-row writes would, and travels as one request per server.
+func TestCyclicRowsPlan(t *testing.T) {
+	const n, tile, np, io = 64, 16, 4, 2
+	c, err := cluster.Start(cluster.Config{Servers: cluster.Uniform(io), Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := ctxT(t)
+	fs, err := c.NewFS(0, core.Options{Combine: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	f, err := fs.Create("/cyclic", elemSize, []int64{n, n}, core.Hint{Level: stripe.LevelMultidim, Tile: []int64{tile, tile}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rounds := n / np
+	rowBytes := n * elemSize
+	bufs := make([][]byte, np)
+	for rank := range bufs {
+		bufs[rank] = make([]byte, rounds*rowBytes)
+		for i := range bufs[rank] {
+			bufs[rank][i] = byte(i*7 + rank*31 + i>>8)
+		}
+		plan, err := cyclicRowsPlan(f.Geometry(), np, rank, rounds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := fs.Stats().Requests
+		if err := f.ExecutePlan(ctx, plan, bufs[rank], true); err != nil {
+			t.Fatal(err)
+		}
+		if got := fs.Stats().Requests - before; got != io {
+			t.Errorf("rank %d: %d requests, want one per server (%d)", rank, got, io)
+		}
+	}
+	for row := 0; row < n; row++ {
+		got := make([]byte, rowBytes)
+		if err := f.ReadSection(ctx, stripe.NewSection([]int64{int64(row), 0}, []int64{1, n}), got); err != nil {
+			t.Fatal(err)
+		}
+		rank, round := row%np, row/np
+		if !bytes.Equal(got, bufs[rank][round*rowBytes:(round+1)*rowBytes]) {
+			t.Fatalf("row %d differs from rank %d's round %d", row, rank, round)
+		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"dpfs/internal/core"
 	"dpfs/internal/datatype"
 	"dpfs/internal/netsim"
+	"dpfs/internal/obs"
 	"dpfs/internal/server"
 	"dpfs/internal/stripe"
 )
@@ -315,14 +316,14 @@ func subfileBytesRead(c *cluster.Cluster) int64 {
 	return n
 }
 
-// TestAdjacentExtentsCoalesce pins how many extents a combined read
+// TestAdjacentExtentsCoalesce pins how many extents a combined access
 // travels as — visible from outside as the server's per-extent charge,
 // which a traced RPC span reports. Eight contiguous bricks of a
 // one-server file are adjacent slots of one subfile, so reading them is
-// one extent however each brick's range is sized. A column read is one
-// extent per brick touched: each span carries its own selection, so it
-// neither merges with its neighbour nor falls apart into one extent per
-// fragment.
+// one extent however each brick's range is sized. A column access, read
+// or write, is one extent per brick touched: each span carries its own
+// selection, so it neither merges with its neighbour nor falls apart
+// into one extent per fragment.
 func TestAdjacentExtentsCoalesce(t *testing.T) {
 	c := startCluster(t, 1)
 	ctx := ctxT(t)
@@ -374,25 +375,40 @@ func TestAdjacentExtentsCoalesce(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := stripe.NewSection([]int64{0, 64}, []int64{512, 64})
+	fresh := pattern(col.Bytes(8) + 1)[1:]
+	if err := f.WriteSection(ctx, col, fresh); err != nil {
+		t.Fatal(err)
+	}
+	ref.embedSection(col, fresh)
+	wrpcs := traces.Last().Root.Children()
 	got := make([]byte, col.Bytes(8))
 	if err := f.ReadSection(ctx, col, got); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, ref.extract(col)) {
+	if !bytes.Equal(got, fresh) {
 		t.Error("column: read returned wrong bytes")
 	}
-	rpcs := traces.Last().Root.Children()
-	if len(rpcs) != 4 {
-		t.Fatalf("column: %d requests, want 4", len(rpcs))
+	for op, rpcs := range map[string][]*obs.Span{"write": wrpcs, "read": traces.Last().Root.Children()} {
+		if len(rpcs) != 4 {
+			t.Fatalf("column %s: %d requests, want 4", op, len(rpcs))
+		}
+		for _, rpc := range rpcs {
+			if rpc.Op != op || rpc.Extents != 16 || rpc.Bytes != col.Bytes(8)/4 {
+				t.Errorf("column %s: 16 bricks travelled as a %s of %d extents moving %d bytes, want 16 and %d", op, rpc.Op, rpc.Extents, rpc.Bytes, col.Bytes(8)/4)
+			}
+			// The server saw the same 16: that count is its positioning charge.
+			if srv := rpc.Children(); len(srv) != 1 || srv[0].Name != "server.request" || srv[0].Extents != 16 {
+				t.Errorf("column %s: server-side request span = %+v, want 16 extents", op, srv)
+			}
+		}
 	}
-	for _, rpc := range rpcs {
-		if rpc.Extents != 16 || rpc.Bytes != col.Bytes(8)/4 {
-			t.Errorf("column: 16 bricks travelled as %d extents moving %d bytes, want 16 and %d", rpc.Extents, rpc.Bytes, col.Bytes(8)/4)
-		}
-		// The server saw the same 16: that count is its positioning charge.
-		if srv := rpc.Children(); len(srv) != 1 || srv[0].Name != "server.request" || srv[0].Extents != 16 {
-			t.Errorf("column: server-side request span = %+v, want 16 extents", srv)
-		}
+	// The write left everything around the column alone.
+	all := make([]byte, len(ref.data))
+	if err := f.ReadSection(ctx, stripe.FullSection(dims), all); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(all, ref.data) {
+		t.Error("column: the file differs from the reference after the column write")
 	}
 }
 

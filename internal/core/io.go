@@ -28,9 +28,9 @@ type Stats struct {
 	// BytesTransferred counts the data payload bytes moved over the
 	// network: what writes carried out and what read responses brought
 	// back, the discarded parts of whole-brick (cache fill) reads and of
-	// unsieved spans included. The selections that narrow a read are
-	// request metadata, not counted here; they show only in the
-	// servers' bytes_in_total.
+	// unsieved spans included. The selections that narrow a read or a
+	// write are request metadata, not counted here (nor in the
+	// servers' bytes_in_total, which counts payloads).
 	BytesTransferred int64
 	// BytesUseful counts the bytes the application actually asked for.
 	BytesUseful int64
@@ -669,14 +669,13 @@ func putScratch(b []byte) {
 	scratchPool.Put(&b)
 }
 
-// fetchRange returns the byte range [lo, hi) of brick b's stored bytes
-// that a read asks the server for. A brick travels whole only when a
-// data cache will keep it (fill); otherwise the range is the covering
-// span of the wanted segments — one contiguous request around the
-// pieces, never more than the brick and usually far less — and where
-// the pieces leave holes in it a selection has the server ship only
-// them (see doRequest).
-func (f *File) fetchRange(b *stripe.BrickIO, fill bool) (lo, hi int64) {
+// spanOf returns the byte range [lo, hi) of brick b's stored bytes that
+// its extent covers. A brick travels whole only when a data cache will
+// keep it (fill); otherwise the range is the covering span of the
+// wanted segments — one contiguous extent around the pieces, never more
+// than the brick and usually far less — and where the pieces leave
+// holes in it a selection has only them travel (see doRequest).
+func (f *File) spanOf(b *stripe.BrickIO, fill bool) (lo, hi int64) {
 	if fill || len(b.Segs) == 0 {
 		return 0, f.info.Geometry.BrickBytesOf(b.Brick)
 	}
@@ -704,35 +703,25 @@ type fetched struct {
 // sp, when non-nil, is the trace span covering this exchange.
 func (f *File) doRequest(ctx context.Context, r *stripe.Request, buf []byte, write bool, sp *obs.Span) error {
 	slot := f.info.Geometry.SlotBytes()
-	// A write ships exactly the wanted fragments. A read asks for one
-	// range per brick (see fetchRange): the whole brick when a data
-	// cache will keep it, else the covering span of the wanted pieces,
-	// narrowed by a selection to just those pieces when they do not
-	// fill it — the server sweeps the span once and sieves, so the
+	// Either direction moves one extent per brick (see spanOf): the whole
+	// brick when a data cache will keep what a read brings, else the
+	// covering span of the wanted pieces, narrowed by a selection to just
+	// those pieces when they do not fill it. A read's server sweeps the
+	// span once and sieves, a write's scatters the pieces into it, so the
 	// holes cost neither positionings nor link.
 	dc := f.fs.dataCache
 	fill := !write && dc != nil
 
-	extCap := len(r.Bricks)
-	var segs [][]byte
-	if write {
-		extCap = 0
-		for bi := range r.Bricks {
-			extCap += len(r.Bricks[bi].Segs)
-		}
-		segs = make([][]byte, 0, extCap)
-	}
-
 	// Extents are built in brick-offset order, and runs adjacent in the
 	// subfile travel as one extent — fragments gathered from scattered
 	// memory as much as neighbouring bricks' slots — so the server does
-	// one pread (and the storage model charges one PerExtent) per run.
-	// A sieved extent stands alone: its selection is relative to its own
-	// span, and one extent per brick is what the model charges either
-	// way. Write payloads are not packed into an intermediate buffer —
-	// each memory run rides as a scatter segment that the wire layer
-	// flushes with vectored I/O.
-	exts := make([]wire.Extent, 0, extCap)
+	// one pread or pwrite (and the storage model charges one PerExtent)
+	// per run. A sieved extent stands alone: its selection is relative to
+	// its own span, and one extent per brick is what the model charges
+	// either way. Write payloads are not packed into an intermediate
+	// buffer — each memory run rides as a scatter segment that the wire
+	// layer flushes with vectored I/O.
+	exts := make([]wire.Extent, 0, len(r.Bricks))
 	sieved := false // the last extent carries a selection
 	addExtent := func(off, n int64) {
 		if k := len(exts); k > 0 && !sieved && exts[k-1].Off+exts[k-1].Len == off {
@@ -750,10 +739,18 @@ func (f *File) doRequest(ctx context.Context, r *stripe.Request, buf []byte, wri
 		// every dispatch pay for growing it.
 		one   [1]fetched
 		got   = one[:0]
-		sel   []byte // the read's selections, encoded
+		segs  [][]byte // a write's payload: the pieces, brick by brick in brick order
+		sel   []byte   // the selections, encoded
 		wruns []wire.Run
 		moved int64
 	)
+	if write {
+		n := 0
+		for bi := range r.Bricks {
+			n += len(r.Bricks[bi].Segs)
+		}
+		segs = make([][]byte, 0, n)
+	}
 	for bi := range r.Bricks {
 		b := &r.Bricks[bi]
 		ls := f.rs.SlotOn(b.Brick, r.Server)
@@ -762,23 +759,30 @@ func (f *File) doRequest(ctx context.Context, r *stripe.Request, buf []byte, wri
 				f.info.Path, b.Brick, f.info.Servers[r.Server])
 		}
 		base := ls * slot
-		if write {
-			for _, seg := range brickOrder(b.Segs) {
-				addExtent(base+seg.BrickOff, seg.Len)
-				segs = append(segs, buf[seg.MemOff:seg.MemOff+seg.Len])
-				moved += seg.Len
-			}
-			continue
+		if write && len(b.Segs) == 0 {
+			continue // nothing to send: not the whole brick a read of it would ask for
 		}
-		lo, hi := f.fetchRange(b, fill)
-		g := fetched{lo: lo, n: hi - lo}
+		lo, hi := f.spanOf(b, fill)
+		n, sieve := hi-lo, false // what the brick's extent moves
+		ordered := b.Segs
 		var runs []stripe.Run
+		overlap := false
 		if !fill {
-			runs = stripe.Runs(brickOrder(b.Segs), lo, hi)
+			ordered = brickOrder(b.Segs)
+			runs, overlap = stripe.Runs(ordered, lo, hi)
 		}
-		if runs == nil {
+		switch {
+		case write && overlap:
+			// Pieces that share bytes (a tangled view) have no selection,
+			// and the caller holds no bytes for the span around them: they
+			// go one extent each, in brick order.
+			for _, seg := range ordered {
+				addExtent(base+seg.BrickOff, seg.Len)
+			}
+			n = b.Bytes()
+		case runs == nil:
 			addExtent(base+lo, hi-lo)
-		} else {
+		default:
 			wruns = wruns[:0]
 			for _, run := range runs {
 				wruns = append(wruns, wire.Run(run))
@@ -786,10 +790,16 @@ func (f *File) doRequest(ctx context.Context, r *stripe.Request, buf []byte, wri
 			exts = append(exts, wire.Extent{Off: base + lo, Len: hi - lo})
 			sel = wire.AppendSelection(sel, len(exts)-1, wruns)
 			sieved = true
-			g.n, g.sieved = b.Bytes(), true
+			n, sieve = b.Bytes(), true
 		}
-		got = append(got, g)
-		moved += g.n
+		if write {
+			for _, seg := range ordered {
+				segs = append(segs, buf[seg.MemOff:seg.MemOff+seg.Len])
+			}
+		} else {
+			got = append(got, fetched{lo: lo, n: n, sieved: sieve})
+		}
+		moved += n
 	}
 
 	op := wire.OpRead
@@ -800,7 +810,7 @@ func (f *File) doRequest(ctx context.Context, r *stripe.Request, buf []byte, wri
 	if err != nil {
 		return err
 	}
-	req := &wire.Request{Op: op, Path: f.info.Path, Gen: f.info.Generation, Extents: exts, Data: sel, Segments: segs}
+	req := &wire.Request{Op: op, Path: f.info.Path, Gen: f.info.Generation, Extents: exts, Sel: sel, Segments: segs}
 	if tc := sp.Context(); tc.TraceID != 0 {
 		// Propagate trace identity so the server's handler spans join
 		// this trace; its span tree comes back in the RESP frame.

@@ -11,16 +11,19 @@ import (
 	"dpfs/internal/stripe"
 )
 
-// TestReadModesByteIdentical is the equivalence quickcheck of the read
+// TestReadModesByteIdentical is the equivalence quickcheck of the data
 // paths: for random sections of a file of each level (2-D and 3-D) and
 // random irregular typed views of the linear one, an engine with no
 // cache issuing its requests one at a time, one issuing them one per
-// server at once (both ask for brick spans narrowed by selections, so
-// the servers sieve) and one with a data cache (whole-brick fills, then
-// hits) must all return the bytes of an in-memory reference. With R=2
-// the preferred server is then killed and the same accesses are made
-// again, so every mode's extents and selections are also rebuilt
-// against the backup replicas' slots.
+// server at once (both move brick spans narrowed by selections, so the
+// servers sieve reads and scatter writes) and one with a data cache
+// (whole-brick fills, then hits) must all return the bytes of an
+// in-memory reference — which every round first rewrites, section by
+// section and view by view, through one of the three engines in turn.
+// With R=2 the preferred server is then killed and the same accesses
+// are made again, so every mode's extents and selections are also
+// rebuilt against the backup replicas' slots, and the writes land
+// degraded on the surviving copy alone.
 func TestReadModesByteIdentical(t *testing.T) {
 	levels := []struct {
 		name string
@@ -80,8 +83,54 @@ func TestReadModesByteIdentical(t *testing.T) {
 					files[mi] = append(files[mi], f)
 				}
 			}
+			// write runs one write through the round's engine. The cached
+			// engine must see every write to keep its bricks honest, so
+			// when it is another's turn the cached one first writes other
+			// bytes to the same place: what is read back is the turn's
+			// write alone.
+			const cached = 2
+			write := func(turn, n int, do func(mi int, data []byte) error) []byte {
+				who := []int{cached, turn}
+				if turn == cached {
+					who = who[1:]
+				}
+				var data []byte
+				for _, mi := range who {
+					data = make([]byte, n)
+					rng.Read(data)
+					if err := do(mi, data); err != nil {
+						t.Fatalf("%s write: %v", modes[mi].name, err)
+					}
+				}
+				return data
+			}
 			check := func(when string, iters int) {
 				for iter := 0; iter < iters; iter++ {
+					turn := iter % len(modes)
+					for li, lv := range levels {
+						sec := randSection(rng, lv.dims)
+						refs[li].embedSection(sec, write(turn, int(sec.Bytes(lv.elem)), func(mi int, data []byte) error {
+							return files[mi][li].WriteSection(ctx, sec, data)
+						}))
+					}
+					// A typed write, every fourth time (so through each
+					// engine in turn) of a tangled view. Where its pieces
+					// overlap they carry the same bytes, cut from one image
+					// of the file: which of two such pieces lands last is
+					// not defined.
+					wview := randIndexed(rng, int64(len(refs[linear].data)), iter%4 == 1)
+					wsegs := datatype.Segments(wview)
+					img := write(turn, len(refs[linear].data), func(mi int, img []byte) error {
+						var mem []byte
+						for _, s := range wsegs {
+							mem = append(mem, img[s.Off:s.Off+s.Len]...)
+						}
+						return files[mi][linear].WriteAtTyped(ctx, 0, wview, datatype.Bytes(len(mem)), mem)
+					})
+					for _, s := range wsegs {
+						copy(refs[linear].data[s.Off:s.Off+s.Len], img[s.Off:s.Off+s.Len])
+					}
+
 					for li, lv := range levels {
 						sec := randSection(rng, lv.dims)
 						want := refs[li].extract(sec)
@@ -123,6 +172,9 @@ func TestReadModesByteIdentical(t *testing.T) {
 				for mi, m := range modes {
 					if engines[mi].Metrics().Counter(core.MetricFailovers).Value() == 0 {
 						t.Errorf("%s engine never failed over: the killed server was not exercised", m.name)
+					}
+					if engines[mi].Metrics().Counter(core.MetricDegradedWrites).Value() == 0 {
+						t.Errorf("%s engine never wrote degraded: the killed server was not exercised", m.name)
 					}
 				}
 			}

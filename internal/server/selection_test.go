@@ -42,7 +42,7 @@ func sieveRef(file []byte, exts []wire.Extent, sels []wire.Selection) (shipped [
 	return shipped, swept
 }
 
-// encodeSelections is the payload a client sends for sels.
+// encodeSelections is the selection section a client sends for sels.
 func encodeSelections(sels []wire.Selection) []byte {
 	var b []byte
 	for _, s := range sels {
@@ -146,7 +146,7 @@ func TestSievedReads(t *testing.T) {
 			}
 			want, wantSwept := sieveRef(src, tc.exts, tc.sels)
 			root := obs.NewRootSpan("client.request")
-			req := &wire.Request{Op: wire.OpRead, Path: tc.path, Extents: tc.exts, Data: encodeSelections(tc.sels),
+			req := &wire.Request{Op: wire.OpRead, Path: tc.path, Extents: tc.exts, Sel: encodeSelections(tc.sels),
 				TraceID: root.TraceID, SpanID: root.SpanID, Sampled: true}
 			busy0, _ := model.Stats()
 			swept0 := srv.Metrics().Counter(MetricSubfileBytesRead).Value()
@@ -181,7 +181,7 @@ func TestSievedReads(t *testing.T) {
 
 			// And over a real connection.
 			c := NewClient(srv.Addr())
-			resp, err := c.Do(ctxT(t), &wire.Request{Op: wire.OpRead, Path: tc.path, Extents: tc.exts, Data: req.Data})
+			resp, err := c.Do(ctxT(t), &wire.Request{Op: wire.OpRead, Path: tc.path, Extents: tc.exts, Sel: req.Sel})
 			c.Close()
 			if err != nil {
 				t.Fatal(err)
@@ -204,80 +204,126 @@ func rawSelection(ext, nruns uint32, fields ...uint64) []byte {
 	return b
 }
 
-// TestSelectionRefused: a malformed selection, or a payload on an op
-// that takes none, is an error returned before the storage model is
-// charged, subfile I/O is timed or a server.subfile span is opened.
+// TestSelectionRefused: a malformed selection or extent, a write whose
+// payload is not what its selections count, or a payload or selection
+// on an op that takes none, is an error returned before the storage
+// model is charged, subfile I/O is timed, a server.subfile span is
+// opened or a byte is written. Rows without ops run as a READ and as a
+// WRITE: the two parse a selection the same way.
 func TestSelectionRefused(t *testing.T) {
 	model := netsim.New(netsim.Params{Name: "t", PerExtent: time.Microsecond})
 	srv, cli := startServer(t, model)
 	writeAt(t, cli, "f", 0, 0, fillByte(8192, 5))
 	exts := []wire.Extent{{Off: 0, Len: 1000}, {Off: 4096, Len: 1000}}
-	good := rawSelection(0, 1, 0, 10, 100, 10)
+	good := rawSelection(0, 1, 0, 10, 100, 10) // 100 of the first extent's bytes: 1100 travel
 	neg := func(v int64) uint64 { return uint64(v) }
+	dataOps := []wire.Op{wire.OpRead, wire.OpWrite}
+	only := func(op wire.Op) []wire.Op { return []wire.Op{op} }
 
 	for _, tc := range []struct {
-		name    string
-		op      wire.Op
-		payload []byte
-		want    string
+		name string
+		ops  []wire.Op // nil: both data ops
+		exts []wire.Extent
+		sel  []byte
+		data []byte
+		want string
 	}{
-		{"truncated header", wire.OpRead, good[:5], "truncated selection"},
-		{"truncated run", wire.OpRead, good[:len(good)-1], "runs in"},
-		{"run count beyond the payload", wire.OpRead, rawSelection(0, 2, 0, 10, 100, 10), "runs in"},
-		{"no runs", wire.OpRead, rawSelection(0, 0), "runs in"},
-		{"trailing bytes", wire.OpRead, append(append([]byte(nil), good...), 1, 2, 3), "truncated selection"},
-		{"extent out of range", wire.OpRead, rawSelection(2, 1, 0, 10, 100, 10), "names extent"},
-		{"extent named twice", wire.OpRead, append(append([]byte(nil), good...), good...), "names extent"},
-		{"extents out of order", wire.OpRead, append(rawSelection(1, 1, 0, 10, 100, 10), good...), "names extent"},
-		{"run leaving its span", wire.OpRead, rawSelection(0, 1, 0, 10, 100, 11), "invalid run"},
-		{"piece leaving its span", wire.OpRead, rawSelection(0, 1, 995, 10, 10, 1), "invalid run"},
-		{"piece longer than its span", wire.OpRead, rawSelection(0, 1, 0, 1001, 1001, 1), "invalid run"},
-		{"stride below len", wire.OpRead, rawSelection(0, 1, 0, 10, 9, 2), "invalid run"},
-		{"zero len", wire.OpRead, rawSelection(0, 1, 0, 0, 10, 2), "invalid run"},
-		{"zero count", wire.OpRead, rawSelection(0, 1, 0, 10, 10, 0), "invalid run"},
-		{"negative offset", wire.OpRead, rawSelection(0, 1, neg(-8), 10, 10, 1), "invalid run"},
-		{"negative stride", wire.OpRead, rawSelection(0, 1, 0, 10, neg(-100), 2), "invalid run"},
-		{"overlapping runs", wire.OpRead, rawSelection(0, 2, 0, 10, 100, 5, 405, 10, 10, 1), "invalid run"},
-		{"descending runs", wire.OpRead, rawSelection(0, 2, 500, 10, 10, 1, 0, 10, 10, 1), "invalid run"},
-		{"count x len overflowing", wire.OpRead, rawSelection(0, 1, 0, 4, 4, 1<<62), "invalid run"},
-		{"count x stride overflowing", wire.OpRead, rawSelection(0, 1, 0, 1, math.MaxInt64, math.MaxInt64), "invalid run"},
-		{"a payload on STAT", wire.OpStat, good, "takes no payload"},
-		{"a payload on REMOVE", wire.OpRemove, good, "takes no payload"},
-		{"a payload on TRUNCATE", wire.OpTruncate, good, "takes no payload"},
-		{"a payload on PING", wire.OpPing, good, "takes no payload"},
+		{name: "truncated header", sel: good[:5], want: "truncated selection"},
+		{name: "truncated run", sel: good[:len(good)-1], want: "runs in"},
+		{name: "run count beyond the payload", sel: rawSelection(0, 2, 0, 10, 100, 10), want: "runs in"},
+		{name: "no runs", sel: rawSelection(0, 0), want: "runs in"},
+		{name: "trailing bytes", sel: append(append([]byte(nil), good...), 1, 2, 3), want: "truncated selection"},
+		{name: "extent out of range", sel: rawSelection(2, 1, 0, 10, 100, 10), want: "names extent"},
+		{name: "extent named twice", sel: append(append([]byte(nil), good...), good...), want: "names extent"},
+		{name: "extents out of order", sel: append(rawSelection(1, 1, 0, 10, 100, 10), good...), want: "names extent"},
+		{name: "run leaving its span", sel: rawSelection(0, 1, 0, 10, 100, 11), want: "invalid run"},
+		{name: "piece leaving its span", sel: rawSelection(0, 1, 995, 10, 10, 1), want: "invalid run"},
+		{name: "piece longer than its span", sel: rawSelection(0, 1, 0, 1001, 1001, 1), want: "invalid run"},
+		{name: "stride below len", sel: rawSelection(0, 1, 0, 10, 9, 2), want: "invalid run"},
+		{name: "zero len", sel: rawSelection(0, 1, 0, 0, 10, 2), want: "invalid run"},
+		{name: "zero count", sel: rawSelection(0, 1, 0, 10, 10, 0), want: "invalid run"},
+		{name: "negative offset", sel: rawSelection(0, 1, neg(-8), 10, 10, 1), want: "invalid run"},
+		{name: "negative stride", sel: rawSelection(0, 1, 0, 10, neg(-100), 2), want: "invalid run"},
+		{name: "overlapping runs", sel: rawSelection(0, 2, 0, 10, 100, 5, 405, 10, 10, 1), want: "invalid run"},
+		{name: "descending runs", sel: rawSelection(0, 2, 500, 10, 10, 1, 0, 10, 10, 1), want: "invalid run"},
+		{name: "count x len overflowing", sel: rawSelection(0, 1, 0, 4, 4, 1<<62), want: "invalid run"},
+		{name: "count x stride overflowing", sel: rawSelection(0, 1, 0, 1, math.MaxInt64, math.MaxInt64), want: "invalid run"},
+		// The disk would refuse this one with EINVAL, and a disk error
+		// marks the server degraded until it restarts.
+		{name: "extent end overflowing", exts: []wire.Extent{{Off: math.MaxInt64 - 2, Len: 4}}, data: fillByte(4, 9), want: "invalid extent"},
+		{name: "extent end overflowing under a selection", exts: []wire.Extent{{Off: math.MaxInt64 - 2, Len: 4}},
+			sel: rawSelection(0, 1, 0, 1, 2, 2), data: fillByte(2, 9), want: "invalid extent"},
+		{name: "a write payload short of its selection", ops: only(wire.OpWrite), sel: good, data: fillByte(1099, 9), want: "write carries"},
+		{name: "a write payload long for its selection", ops: only(wire.OpWrite), sel: good, data: fillByte(1101, 9), want: "write carries"},
+		{name: "a write payload sized for the unselected extents", ops: only(wire.OpWrite), sel: good, data: fillByte(2000, 9), want: "write carries"},
+		{name: "a payload on READ", ops: only(wire.OpRead), data: good, want: "takes no payload"},
+		{name: "a payload on STAT", ops: only(wire.OpStat), data: good, want: "takes no payload"},
+		{name: "a payload on REMOVE", ops: only(wire.OpRemove), data: good, want: "takes no payload"},
+		{name: "a payload on TRUNCATE", ops: only(wire.OpTruncate), data: good, want: "takes no payload"},
+		{name: "a payload on PING", ops: only(wire.OpPing), data: good, want: "takes no payload"},
+		{name: "a selection on any other op", sel: good, want: "takes no selection",
+			ops: []wire.Op{wire.OpPing, wire.OpRemove, wire.OpStat, wire.OpUsage, wire.OpTruncate, wire.OpRename, wire.OpCopy}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			root := obs.NewRootSpan("client.request")
-			req := &wire.Request{Op: tc.op, Path: "f", Extents: exts, Data: tc.payload,
-				TraceID: root.TraceID, SpanID: root.SpanID, Sampled: true}
-			if tc.op == wire.OpTruncate {
-				req.Extents = exts[:1]
+			ops := tc.ops
+			if ops == nil {
+				ops = dataOps
 			}
-			busy0, reqs0 := model.Stats()
-			io0 := srv.Metrics().Snapshot().Histograms[MetricSubfileIO].Count
-			resps, data := readBothForms(t, srv, req)
-			for form, resp := range resps {
-				if !strings.Contains(resp.Err, tc.want) {
-					t.Errorf("form %d: answered %q, want an error with %q", form, resp.Err, tc.want)
+			for _, op := range ops {
+				root := obs.NewRootSpan("client.request")
+				req := &wire.Request{Op: op, Path: "f", Extents: exts, Sel: tc.sel, Data: tc.data,
+					TraceID: root.TraceID, SpanID: root.SpanID, Sampled: true}
+				switch {
+				case tc.exts != nil:
+					req.Extents = tc.exts
+				case op == wire.OpTruncate:
+					req.Extents = exts[:1]
 				}
-				if len(data[form]) != 0 {
-					t.Errorf("form %d: a refused request shipped %d bytes", form, len(data[form]))
+				if op == wire.OpRead && tc.ops == nil {
+					req.Data = nil // a row for both ops carries its payload on the WRITE alone
 				}
-				if spans, err := obs.DecodeSpans(resp.Trace); err != nil || len(spans) != 1 || len(spans[0].Children()) != 0 {
-					t.Errorf("form %d: a refused request opened child spans: %v, %v", form, spans, err)
+				switch op {
+				case wire.OpRename:
+					req.Data = []byte("g")
+				case wire.OpCopy:
+					req.Data = wire.FormatCopySource("", "f", 0)
 				}
-			}
-			if busy, reqs := model.Stats(); busy != busy0 || reqs != reqs0 {
-				t.Errorf("a refused request was charged to the model (%v, %d requests)", busy-busy0, reqs-reqs0)
-			}
-			if got := srv.Metrics().Snapshot().Histograms[MetricSubfileIO].Count; got != io0 {
-				t.Errorf("a refused request recorded %d subfile_io_us samples", got-io0)
+				busy0, reqs0 := model.Stats()
+				io0 := srv.Metrics().Snapshot().Histograms[MetricSubfileIO].Count
+				resps, data := readBothForms(t, srv, req)
+				for form, resp := range resps {
+					if !strings.Contains(resp.Err, tc.want) {
+						t.Errorf("%v, form %d: answered %q, want an error with %q", op, form, resp.Err, tc.want)
+					}
+					if len(data[form]) != 0 {
+						t.Errorf("%v, form %d: a refused request shipped %d bytes", op, form, len(data[form]))
+					}
+					if spans, err := obs.DecodeSpans(resp.Trace); err != nil || len(spans) != 1 || len(spans[0].Children()) != 0 {
+						t.Errorf("%v, form %d: a refused request opened child spans: %v, %v", op, form, spans, err)
+					}
+				}
+				if busy, reqs := model.Stats(); busy != busy0 || reqs != reqs0 {
+					t.Errorf("%v: a refused request was charged to the model (%v, %d requests)", op, busy-busy0, reqs-reqs0)
+				}
+				if got := srv.Metrics().Snapshot().Histograms[MetricSubfileIO].Count; got != io0 {
+					t.Errorf("%v: a refused request recorded %d subfile_io_us samples", op, got-io0)
+				}
 			}
 		})
 	}
-	// The file the refused REMOVE and TRUNCATE named is untouched.
-	if got := readAt(t, cli, "f", 0, 0, 8192); !bytes.Equal(got, fillByte(8192, 5)) {
+	// The file every refused request named is untouched — no piece of a
+	// refused WRITE landed, nothing was removed, cut or renamed — and
+	// none of them got as far as the disk.
+	if got := readAt(t, cli, "f", 0, 0, 8193); !bytes.Equal(got, append(fillByte(8192, 5), 0)) {
 		t.Error("a refused request changed the subfile")
+	}
+	if resp, err := cli.Do(ctxT(t), &wire.Request{Op: wire.OpStat, Path: "f"}); err != nil {
+		t.Error(err)
+	} else if resp.N != 8192 {
+		t.Errorf("the subfile is %d bytes after the refused requests, want 8192", resp.N)
+	}
+	if n := srv.Metrics().Counter(MetricDiskErrors).Value(); n != 0 || srv.Health().Status != "ok" {
+		t.Errorf("refused requests left disk_errors_total = %d, health %q; want 0 and ok", n, srv.Health().Status)
 	}
 }
 
@@ -296,7 +342,7 @@ func TestSievedReadCancelledMidStream(t *testing.T) {
 	writeAt(t, cli, "f", 0, 0, file)
 	exts := []wire.Extent{{Off: 0, Len: 3 * chunk}}
 	sels := []wire.Selection{{Extent: 0, Runs: []wire.Run{{Off: 5, Len: 5000, Stride: 5001, Count: 150}}}}
-	req := &wire.Request{Op: wire.OpRead, Path: "f", Extents: exts, Data: encodeSelections(sels)}
+	req := &wire.Request{Op: wire.OpRead, Path: "f", Extents: exts, Sel: encodeSelections(sels)}
 
 	gone := errors.New("peer gone")
 	io0 := srv.Metrics().Snapshot().Histograms[MetricSubfileIO].Count
@@ -324,7 +370,7 @@ func TestSievedReadCancelledMidStream(t *testing.T) {
 	}
 }
 
-// FuzzSelection feeds the read path arbitrary selection payloads over
+// FuzzSelection feeds the read path arbitrary selection sections over
 // two extents of arbitrary placement. Whatever arrives, both forms of
 // the extent loop agree; a refusal ships nothing; and an accepted
 // selection ships exactly what the reference sieve selects — never
@@ -357,7 +403,7 @@ func FuzzSelection(f *testing.F) {
 			{Off: int64(off0) % (3 * chunk), Len: int64(len0) % (3 * chunk)},
 			{Off: int64(off1) % (3 * chunk), Len: int64(len1) % (3 * chunk)},
 		}
-		req := &wire.Request{Op: wire.OpRead, Path: "f", Extents: exts, Data: payload}
+		req := &wire.Request{Op: wire.OpRead, Path: "f", Extents: exts, Sel: payload}
 		resps, data := readBothForms(t, srv, req)
 		if resps[0].Err != resps[1].Err || !bytes.Equal(data[0], data[1]) {
 			t.Fatalf("the two forms disagree: %q with %d bytes, %q with %d", resps[0].Err, len(data[0]), resps[1].Err, len(data[1]))

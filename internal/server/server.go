@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -658,15 +659,18 @@ func (s *Server) dispatchEmit(ctx context.Context, req *wire.Request, emit func(
 }
 
 func (s *Server) serve(ctx context.Context, req *wire.Request, emit func([]byte) error) (*wire.Response, error) {
+	// Only some ops read a payload, and only the data ops a selection.
+	// Elsewhere one is a client's mistake — a selection sent with the
+	// wrong op, say — and is refused, not ignored.
 	if len(req.Data) > 0 {
-		// Only these read their payload. Elsewhere one is a client's
-		// mistake — a selection sent with the wrong op, say — and is
-		// refused, not ignored.
 		switch req.Op {
-		case wire.OpRead, wire.OpWrite, wire.OpRename, wire.OpCopy:
+		case wire.OpWrite, wire.OpRename, wire.OpCopy:
 		default:
 			return nil, fmt.Errorf("%v takes no payload, got %d bytes", req.Op, len(req.Data))
 		}
+	}
+	if len(req.Sel) > 0 && req.Op != wire.OpRead && req.Op != wire.OpWrite {
+		return nil, fmt.Errorf("%v takes no selection, got %d bytes", req.Op, len(req.Sel))
 	}
 	switch req.Op {
 	case wire.OpPing:
@@ -986,8 +990,11 @@ func (s *Server) drop(local string) {
 // the I/O loops below need no early exits for malformed input.
 func checkExtents(op string, exts []wire.Extent) (int64, error) {
 	for _, e := range exts {
-		if e.Len < 0 || e.Off < 0 {
-			return 0, fmt.Errorf("invalid extent [%d,%d)", e.Off, e.Off+e.Len)
+		// An end past MaxInt64 is refused here, not found by the disk
+		// (a failed pwrite marks the server degraded): every offset the
+		// loops compute inside an extent then fits too.
+		if e.Len < 0 || e.Off < 0 || e.Off > math.MaxInt64-e.Len {
+			return 0, fmt.Errorf("invalid extent at %d of %d bytes", e.Off, e.Len)
 		}
 	}
 	total := wire.DataBytes(exts)
@@ -1022,7 +1029,7 @@ func (s *Server) opRead(ctx context.Context, req *wire.Request, emit func([]byte
 	if _, err := checkExtents("read", req.Extents); err != nil {
 		return nil, err
 	}
-	sels, total, err := wire.ParseSelections(req.Data, req.Extents)
+	sels, total, err := wire.ParseSelections(req.Sel, req.Extents)
 	if err != nil {
 		return nil, err
 	}
@@ -1224,8 +1231,16 @@ func (io subfileIO) end(s *Server) {
 	s.reg.Histogram(MetricSubfileIO).Record(time.Since(io.start).Microseconds())
 }
 
+// opWrite serves a write: the mirror of opRead. The payload holds the
+// bytes of each extent in order, of its selected pieces only where a
+// selection narrows it, and everything about the request is checked
+// before the first byte lands. The storage model is charged as for a
+// read: one positioning per extent and the bytes shipped.
 func (s *Server) opWrite(ctx context.Context, req *wire.Request) (*wire.Response, error) {
-	total, err := checkExtents("write", req.Extents)
+	if _, err := checkExtents("write", req.Extents); err != nil {
+		return nil, err
+	}
+	sels, total, err := wire.ParseSelections(req.Sel, req.Extents)
 	if err != nil {
 		return nil, err
 	}
@@ -1243,19 +1258,47 @@ func (s *Server) opWrite(ctx context.Context, req *wire.Request) (*wire.Response
 		return nil, err
 	}
 	sio := s.beginSubfileIO(ctx, "write", req.Extents, total)
-	pos := int64(0)
-	for _, e := range req.Extents {
-		if _, err = sf.f.WriteAt(req.Data[pos:pos+e.Len], e.Off); err != nil {
-			s.reg.Counter(MetricDiskErrors).Inc()
-			break
-		}
-		pos += e.Len
-	}
+	err = s.scatterExtents(sf, req.Extents, sels, req.Data)
 	sio.end(s)
 	if err != nil {
 		return nil, err
 	}
 	return &wire.Response{N: total}, nil
+}
+
+// scatterExtents is the one extent loop of every write: it stores data,
+// the bytes of exts narrowed by sels in order, into sf. A plain extent
+// is one pwrite; a narrowed one is a pwrite per selected piece straight
+// out of data, and the bytes between the pieces are never read or
+// written — so writers of interleaved pieces of one span (ranks writing
+// neighbouring columns of a brick) need no lock between them, which a
+// read-modify-write of the span would.
+func (s *Server) scatterExtents(sf *subfile, exts []wire.Extent, sels []wire.Selection, data []byte) error {
+	put := func(off, n int64) error {
+		_, err := sf.f.WriteAt(data[:n], off)
+		if err != nil {
+			s.reg.Counter(MetricDiskErrors).Inc()
+		}
+		data = data[n:]
+		return err
+	}
+	for i, e := range exts {
+		if len(sels) == 0 || sels[0].Extent != i {
+			if err := put(e.Off, e.Len); err != nil {
+				return err
+			}
+			continue
+		}
+		for _, r := range sels[0].Runs {
+			for k := int64(0); k < r.Count; k++ {
+				if err := put(e.Off+r.Off+k*r.Stride, r.Len); err != nil {
+					return err
+				}
+			}
+		}
+		sels = sels[1:]
+	}
+	return nil
 }
 
 func (s *Server) opRemove(req *wire.Request) (*wire.Response, error) {

@@ -16,11 +16,12 @@ type Run struct {
 // ascending and disjoint, and expanding them in order visits the bytes
 // in brick order.
 //
-// Runs returns nil when there is nothing to select: the pieces fill the
-// range, or they overlap and so have no such description (the range
-// itself is then what a read moves).
-func Runs(segs []Segment, lo, hi int64) []Run {
-	var runs []Run
+// Runs returns no runs in two cases, and says which. With overlap false
+// there is nothing to select: the pieces fill the range, which travels
+// as it is. With overlap true two pieces share bytes and so have no
+// such description: a read moves the range whole and picks the pieces
+// out of it, a write has to send them one by one.
+func Runs(segs []Segment, lo, hi int64) (runs []Run, overlap bool) {
 	var pOff, pLen int64 // the merged piece being grown; pLen 0 is none
 	fold := func() {
 		if k := len(runs); k > 0 && runs[k-1].Len == pLen {
@@ -43,15 +44,15 @@ func Runs(segs []Segment, lo, hi int64) []Run {
 		case off == pOff+pLen:
 			pLen += s.Len
 		case off < pOff+pLen:
-			return nil
+			return nil, true
 		default:
 			fold()
 			pOff, pLen = off, s.Len
 		}
 	}
 	if pLen == 0 || len(runs) == 0 && pLen == hi-lo {
-		return nil
+		return nil, false
 	}
 	fold()
-	return runs
+	return runs, false
 }

@@ -38,12 +38,15 @@ func checkRuns(b *BrickIO) (int, string) {
 	sorted := append([]Segment(nil), b.Segs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].BrickOff < sorted[j].BrickOff })
 	want, lo, hi, overlap := mergedPieces(sorted)
-	runs := Runs(sorted, lo, hi)
+	runs, tangled := Runs(sorted, lo, hi)
+	if tangled != overlap {
+		return len(runs), "overlap misreported"
+	}
 	if overlap || len(want) == 1 {
-		// Nothing to select: overlapping pieces have no strided form,
-		// and one merged piece is the range [lo, hi) itself.
+		// No selection: overlapping pieces have no strided form, and
+		// one merged piece is the range [lo, hi) itself.
 		if runs != nil {
-			return len(runs), "runs for a range that needs no selection"
+			return len(runs), "runs for a range that has no selection"
 		}
 		return 0, ""
 	}
@@ -149,26 +152,31 @@ func TestQuickRunsOfExtentLists(t *testing.T) {
 func TestRunsFolding(t *testing.T) {
 	seg := func(off, n int64) Segment { return Segment{BrickOff: off, Len: n} }
 	for _, tc := range []struct {
-		name   string
-		segs   []Segment
-		lo, hi int64
-		want   []Run
+		name    string
+		segs    []Segment
+		lo, hi  int64
+		want    []Run
+		overlap bool
 	}{
 		{"column of a row-major brick", []Segment{seg(64, 8), seg(128, 8), seg(192, 8), seg(256, 8)}, 64, 264,
-			[]Run{{Off: 0, Len: 8, Stride: 64, Count: 4}}},
+			[]Run{{Off: 0, Len: 8, Stride: 64, Count: 4}}, false},
 		{"adjacent pieces merge before folding", []Segment{seg(0, 8), seg(100, 4), seg(104, 4), seg(200, 8)}, 0, 208,
-			[]Run{{Off: 0, Len: 8, Stride: 100, Count: 3}}},
+			[]Run{{Off: 0, Len: 8, Stride: 100, Count: 3}}, false},
 		{"a ragged head and tail are their own runs", []Segment{seg(10, 3), seg(20, 8), seg(40, 8), seg(60, 5)}, 10, 65,
-			[]Run{{Off: 0, Len: 3, Stride: 3, Count: 1}, {Off: 10, Len: 8, Stride: 20, Count: 2}, {Off: 50, Len: 5, Stride: 5, Count: 1}}},
+			[]Run{{Off: 0, Len: 3, Stride: 3, Count: 1}, {Off: 10, Len: 8, Stride: 20, Count: 2}, {Off: 50, Len: 5, Stride: 5, Count: 1}}, false},
 		{"a broken stride starts a new run", []Segment{seg(0, 4), seg(10, 4), seg(20, 4), seg(35, 4)}, 0, 39,
-			[]Run{{Off: 0, Len: 4, Stride: 10, Count: 3}, {Off: 35, Len: 4, Stride: 4, Count: 1}}},
-		{"a filled range selects nothing", []Segment{seg(32, 16), seg(48, 16)}, 32, 64, nil},
+			[]Run{{Off: 0, Len: 4, Stride: 10, Count: 3}, {Off: 35, Len: 4, Stride: 4, Count: 1}}, false},
+		{"a filled range selects nothing", []Segment{seg(32, 16), seg(48, 16)}, 32, 64, nil, false},
 		{"one piece inside a wider range is selected", []Segment{seg(32, 16)}, 0, 64,
-			[]Run{{Off: 32, Len: 16, Stride: 16, Count: 1}}},
-		{"overlapping pieces select nothing", []Segment{seg(0, 10), seg(5, 10), seg(40, 4)}, 0, 44, nil},
-		{"no pieces select nothing", nil, 0, 64, nil},
+			[]Run{{Off: 32, Len: 16, Stride: 16, Count: 1}}, false},
+		{"overlapping pieces have no selection, and say so", []Segment{seg(0, 10), seg(5, 10), seg(40, 4)}, 0, 44, nil, true},
+		{"a piece repeated overlaps itself", []Segment{seg(8, 4), seg(8, 4)}, 8, 12, nil, true},
+		{"no pieces select nothing", nil, 0, 64, nil, false},
 	} {
-		got := Runs(tc.segs, tc.lo, tc.hi)
+		got, overlap := Runs(tc.segs, tc.lo, tc.hi)
+		if overlap != tc.overlap {
+			t.Errorf("%s: overlap reported %v, want %v", tc.name, overlap, tc.overlap)
+		}
 		if len(got) != len(tc.want) {
 			t.Errorf("%s: runs %+v, want %+v", tc.name, got, tc.want)
 			continue

@@ -2,7 +2,7 @@
 // connection by prefixing every message with a small frame header
 // carrying (kind, flags, tag, length). A request is a REQ frame
 // (metadata: trace context, op, path, generation, extents, payload
-// length) followed by its payload as contiguous DATA frames; a response
+// length, selections) followed by its payload as contiguous DATA frames; a response
 // is any number of DATA frames followed by a RESP frame that closes the
 // tag (the trailer position lets the server stream brick bytes as
 // subfile I/O completes and still report an error discovered
@@ -205,14 +205,19 @@ func dataHeaders(n int) int { return (n/StreamChunk + 1) * FrameHeaderLen }
 // followed by the payload as contiguous DATA frames. REQ body layout:
 // u64 trace ID, u64 parent span ID, u8 op, u8 reserved, u16 path
 // length, path, u64 generation, u32 extent count, 16 bytes per extent,
-// u32 payload length. The sampled bit travels in the frame header's
-// flags.
+// u32 payload length, then optionally u32 selection length and the
+// selection bytes (the section is omitted entirely when there is no
+// selection, so a request without one is encoded as it always was). The
+// sampled bit travels in the frame header's flags.
 func (fw *FrameWriter) WriteRequest(tag uint32, req *Request) error {
 	if len(req.Path) > 0xFFFF {
 		return errors.New("wire: path too long")
 	}
 	dlen := req.PayloadLen()
 	n := 8 + 8 + 1 + 1 + 2 + len(req.Path) + 8 + 4 + 16*len(req.Extents) + 4
+	if len(req.Sel) > 0 {
+		n += 4 + len(req.Sel)
+	}
 	fw.begin(FrameHeaderLen + n + dataHeaders(dlen))
 	var flags uint8
 	if req.Sampled {
@@ -233,6 +238,10 @@ func (fw *FrameWriter) WriteRequest(tag uint32, req *Request) error {
 		b = le.AppendUint64(b, uint64(e.Len))
 	}
 	b = le.AppendUint32(b, uint32(dlen))
+	if len(req.Sel) > 0 {
+		b = le.AppendUint32(b, uint32(len(req.Sel)))
+		b = append(b, req.Sel...)
+	}
 	fw.meta = b
 	fw.vec[0] = hdr[:FrameHeaderLen+n] // header and body leave as one piece
 	if req.Segments != nil {
@@ -334,7 +343,16 @@ func ReadRequestV2(r io.Reader, h FrameHeader, alloc func(int64) []byte) (*Reque
 		return nil, fmt.Errorf("wire: v2 payload of %d bytes exceeds limit", dlen)
 	}
 	if p != len(body) {
-		return nil, errors.New("wire: trailing bytes in v2 request metadata")
+		// The selection section: its length, which is never zero (an
+		// empty selection is no section), then exactly that many bytes.
+		b, err = get(4)
+		if err != nil {
+			return nil, err
+		}
+		if slen := int(binary.LittleEndian.Uint32(b)); slen == 0 || slen != len(body)-p {
+			return nil, fmt.Errorf("wire: selection section of %d bytes in the %d left of v2 request metadata", slen, len(body)-p)
+		}
+		req.Sel = body[p:]
 	}
 	if dlen == 0 {
 		return req, nil

@@ -71,7 +71,7 @@ func TestRequestV2Roundtrip(t *testing.T) {
 }
 
 // normalizeRequest maps a sender-side request to the form a receiver
-// sees: Segments collapse into Data, empty Data is nil.
+// sees: Segments collapse into Data, empty Data and Sel are nil.
 func normalizeRequest(req *Request) *Request {
 	out := *req
 	if req.Segments != nil {
@@ -84,6 +84,9 @@ func normalizeRequest(req *Request) *Request {
 	}
 	if len(out.Data) == 0 {
 		out.Data = nil
+	}
+	if len(out.Sel) == 0 {
+		out.Sel = nil
 	}
 	if out.Extents == nil {
 		out.Extents = []Extent{}
@@ -200,6 +203,11 @@ func randomRequest(rng *rand.Rand) *Request {
 		} else if len(data) > 0 {
 			req.Data = data
 		}
+	}
+	if rng.Intn(3) == 0 {
+		// The codec carries the section opaquely, empty as absent.
+		req.Sel = make([]byte, rng.Intn(200))
+		rng.Read(req.Sel)
 	}
 	if rng.Intn(2) == 0 {
 		req.TraceID = rng.Uint64() | 1

@@ -24,13 +24,15 @@ func readReqBody(body []byte) (*Request, error) {
 }
 
 // TestRequestEveryPrefixTruncation feeds the decoder every proper
-// prefix of a scatter-form, untraced write (its twin below cuts a
-// packed, traced one): each must produce an error, never a short-read
-// panic or a silently truncated request.
+// prefix of a scatter-form, untraced write whose first extent a
+// selection narrows (its twin below cuts a packed, traced one without):
+// each must produce an error, never a short-read panic or a silently
+// truncated request.
 func TestRequestEveryPrefixTruncation(t *testing.T) {
 	full := encodeRequestV2(t, 3, &Request{
 		Op: OpWrite, Path: "/sub/file",
-		Extents:  []Extent{{Off: 0, Len: 2}, {Off: 100, Len: 4}, {Off: 900, Len: 2}},
+		Extents:  []Extent{{Off: 0, Len: 12}, {Off: 100, Len: 4}, {Off: 900, Len: 2}},
+		Sel:      AppendSelection(nil, 0, []Run{{Off: 0, Len: 1, Stride: 10, Count: 2}}),
 		Segments: [][]byte{[]byte("12"), []byte("3456"), nil, []byte("78")},
 	})
 	for cut := 0; cut < len(full); cut++ {
@@ -403,17 +405,20 @@ func TestCorruptFrameHeaders(t *testing.T) {
 // TestCorruptRequestV2Frames mutates v2 request encodings. The frame
 // layout is FrameHeaderLen of header, then: 16 bytes trace context,
 // op byte + reserved, u16 path length, path, u64 gen, u32 extent
-// count, extents, u32 payload length, then DATA frames.
+// count, extents, u32 payload length, u32 selection length, selection,
+// then DATA frames.
 func TestCorruptRequestV2Frames(t *testing.T) {
 	base := &Request{
 		Op: OpWrite, Path: "/s", Gen: 3,
-		Extents: []Extent{{Off: 8, Len: 4}},
+		Extents: []Extent{{Off: 8, Len: 6}},
+		Sel:     AppendSelection(nil, 0, []Run{{Off: 0, Len: 2, Stride: 4, Count: 2}}),
 		Data:    []byte("abcd"),
 	}
 	pathLenOff := FrameHeaderLen + 16 + 2
 	extCountOff := pathLenOff + 2 + len(base.Path) + 8
 	payloadLenOff := extCountOff + 4 + 16*len(base.Extents)
-	dataFrameOff := payloadLenOff + 4 // header of the first DATA frame
+	selLenOff := payloadLenOff + 4
+	dataFrameOff := selLenOff + 4 + len(base.Sel) // header of the first DATA frame
 
 	cases := []struct {
 		name   string
@@ -433,6 +438,20 @@ func TestCorruptRequestV2Frames(t *testing.T) {
 		}},
 		{"payload larger than DATA frames deliver", func(b []byte) {
 			binary.LittleEndian.PutUint32(b[payloadLenOff:], 1<<20)
+		}},
+		{"metadata ending inside the selection length", func(b []byte) {
+			binary.LittleEndian.PutUint32(b[8:12], uint32(selLenOff+2-FrameHeaderLen))
+		}},
+		{"selection length beyond body", func(b []byte) {
+			binary.LittleEndian.PutUint32(b[selLenOff:], uint32(len(base.Sel)+1))
+		}},
+		{"trailing bytes after the selection", func(b []byte) {
+			binary.LittleEndian.PutUint32(b[selLenOff:], uint32(len(base.Sel)-1))
+		}},
+		{"selection section of no bytes", func(b []byte) {
+			// An empty selection is sent as no section; a section
+			// announcing none has the selection's bytes trailing it.
+			binary.LittleEndian.PutUint32(b[selLenOff:], 0)
 		}},
 		{"zero-length DATA frame", func(b []byte) {
 			binary.LittleEndian.PutUint32(b[dataFrameOff+8:], 0)
@@ -541,6 +560,8 @@ func FuzzReadRequestV2(f *testing.F) {
 		Extents: []Extent{{Off: 4, Len: 2}, {Off: 32, Len: 2}}, Data: []byte("wxyz")}))
 	f.Add(encodeRequestV2(f, 4, &Request{Op: OpRead, Path: "/t", Extents: []Extent{{Off: 0, Len: 8}},
 		TraceID: 0x0123456789abcdef, SpanID: 0xfedcba9876543210, Sampled: true}))
+	f.Add(encodeRequestV2(f, 5, &Request{Op: OpWrite, Path: "/c", Extents: []Extent{{Off: 0, Len: 12}},
+		Sel: AppendSelection(nil, 0, []Run{{Off: 0, Len: 2, Stride: 10, Count: 2}}), Data: []byte("wxyz")}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := readRequestV2(data)
 		if err != nil {
@@ -551,7 +572,7 @@ func FuzzReadRequestV2(f *testing.F) {
 			t.Fatalf("re-encoded accepted request rejected: %v", err)
 		}
 		if req.Op != again.Op || req.Path != again.Path || req.Gen != again.Gen ||
-			!reflect.DeepEqual(req.Extents, again.Extents) || !bytes.Equal(req.Data, again.Data) {
+			!reflect.DeepEqual(req.Extents, again.Extents) || !bytes.Equal(req.Data, again.Data) || !bytes.Equal(req.Sel, again.Sel) {
 			t.Fatalf("roundtrip mismatch: %+v vs %+v", req, again)
 		}
 		if req.TraceID != again.TraceID || req.SpanID != again.SpanID || req.Sampled != again.Sampled {

@@ -12,23 +12,25 @@ type Run struct {
 	Off, Len, Stride, Count int64
 }
 
-// Selection narrows extent number Extent of a READ request to the
-// pieces of Runs: the server still reads the whole extent from the
-// subfile but returns only those pieces, in order (server-side data
-// sieving). An extent without a selection is returned whole.
+// Selection narrows extent number Extent of a READ or WRITE request to
+// the pieces of Runs, and only those pieces travel, in order. For a
+// read the server still sweeps the whole extent from the subfile and
+// returns the pieces (server-side data sieving); for a write it stores
+// each piece where it belongs and touches nothing between them. An
+// extent without a selection moves whole.
 type Selection struct {
 	Extent int
 	Runs   []Run
 }
 
-// Selections travel as the READ request's payload (Request.Data), a
-// sequence of entries in ascending extent order:
+// Selections travel in the request's metadata (Request.Sel), a sequence
+// of entries in ascending extent order:
 //
 //	u32 extent index, u32 run count (>= 1), then per run
 //	u64 off, u64 len, u64 stride, u64 count
 //
-// All integers little-endian. A READ with an empty payload selects
-// nothing: every extent is returned whole.
+// All integers little-endian. A request without any selects nothing:
+// every extent moves whole.
 const (
 	selHeaderLen = 4 + 4
 	selRunLen    = 4 * 8
@@ -48,14 +50,15 @@ func AppendSelection(dst []byte, ext int, runs []Run) []byte {
 	return dst
 }
 
-// ParseSelections decodes a READ request's payload against its extents
-// (already checked non-negative) and returns the selections together
-// with the bytes the response carries: the selected bytes of narrowed
-// extents plus the whole of the others. Every run must lie inside its
-// extent with stride >= len >= 1, and runs must ascend without
-// overlapping — so an extent never yields more bytes than it holds —
-// and anything else, a truncated or trailing entry included, is an
-// error.
+// ParseSelections decodes a request's selections against its extents
+// (already checked non-negative) and returns them together with the
+// bytes that travel — a read's response, a write's payload: the
+// selected bytes of narrowed extents plus the whole of the others.
+// Every run must lie inside its extent with stride >= len >= 1, and
+// runs must ascend without overlapping — so an extent never yields more
+// bytes than it holds, and no two pieces of a write land on the same
+// byte — and anything else, a truncated or trailing entry included, is
+// an error.
 func ParseSelections(data []byte, exts []Extent) ([]Selection, int64, error) {
 	total := DataBytes(exts)
 	if len(data) == 0 {

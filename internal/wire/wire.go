@@ -6,11 +6,11 @@
 // Messages travel as tagged frames (frame.go), many outstanding
 // requests multiplexed over one connection. Requests name an operation,
 // a subfile path, the file's distribution generation and a list of byte
-// extents; WRITE requests carry the concatenated extent data, READ
-// responses return it — all of it, or the strided pieces a selection in
-// the READ request picks out of each extent (selection.go). A combined
-// request (Section 4.2) is simply one message whose extent list covers
-// many bricks.
+// extents; WRITE requests carry the extent data, READ responses return
+// it — all of each extent, or the strided pieces a selection in the
+// request picks out of it (selection.go), in either direction. A
+// combined request (Section 4.2) is simply one message whose extent
+// list covers many bricks.
 package wire
 
 import (
@@ -27,9 +27,10 @@ const (
 	// OpPing checks liveness.
 	OpPing Op = iota + 1
 	// OpRead returns the bytes of each extent of a subfile, or of the
-	// pieces a Selection in the payload picks out of it.
+	// pieces a Selection (Request.Sel) picks out of it.
 	OpRead
-	// OpWrite stores the carried bytes at each extent of a subfile.
+	// OpWrite stores the carried bytes at each extent of a subfile, or
+	// at the pieces a Selection (Request.Sel) picks out of it.
 	OpWrite
 	// OpRemove deletes a subfile.
 	OpRemove
@@ -100,19 +101,23 @@ type Request struct {
 	// wire behavior, still used by raw tools and tests).
 	Gen     int64
 	Extents []Extent
-	// Data carries the concatenated payload of all extents for
-	// OpWrite; its length must equal the sum of extent lengths. For
-	// OpRead it carries the selections that narrow extents to strided
-	// pieces (AppendSelection), empty when every extent is wanted
-	// whole. For OpTruncate, Extents[0].Len holds the new size.
+	// Data carries the payload of OpWrite: the bytes of every extent
+	// in order — of its selected pieces only, where Sel narrows it —
+	// so its length must equal what ParseSelections counts. OpRead
+	// carries none. For OpTruncate, Extents[0].Len holds the new size.
 	Data []byte
 	// Segments, when non-nil, carries the OpWrite payload as a
 	// scatter list instead of Data: FrameWriter.WriteRequest flushes the
 	// pieces with vectored I/O (net.Buffers / writev) so the sender never
 	// packs them into one intermediate buffer. The concatenation of
-	// the segments must equal the sum of extent lengths. Senders set
-	// exactly one of Data and Segments; receivers always see Data.
+	// the segments is what Data would hold. Senders set exactly one of
+	// Data and Segments; receivers always see Data.
 	Segments [][]byte
+	// Sel carries the selections that narrow extents of an OpRead or
+	// OpWrite to strided pieces (AppendSelection), empty when every
+	// extent moves whole. It is request metadata — a section of the
+	// REQ frame's body, not payload.
+	Sel []byte
 
 	// TraceID, SpanID and Sampled are the wire-propagated trace
 	// context, carried in fixed fields of the REQ frame so the server

@@ -32,6 +32,9 @@ func TestRequestRoundtrip(t *testing.T) {
 		{Op: OpStat, Path: "zz"},
 		{Op: OpUsage},
 		{Op: OpTruncate, Path: "t", Extents: []Extent{{0, 4096}}},
+		{Op: OpRead, Path: "col", Extents: []Extent{{512, 29184}}, Sel: AppendSelection(nil, 0, []Run{{0, 512, 4096, 8}})},
+		{Op: OpWrite, Path: "col", Extents: []Extent{{0, 12}}, Sel: AppendSelection(nil, 0, []Run{{0, 2, 10, 2}}), Data: []byte{1, 2, 3, 4}},
+		{Op: OpStat, Path: "zz"}, // nothing of the selection before it is left in the writer
 	}
 	var buf bytes.Buffer
 	fw := NewFrameWriter(&buf)
