@@ -39,9 +39,7 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7700", "TCP listen address")
 	dir := flag.String("dir", "", "durable storage directory (empty = in-memory)")
-	sync := flag.Bool("sync", false, "fsync the write-ahead log on every commit")
-	groupCommit := flag.Bool("group-commit", true, "with -sync, batch concurrent commits into shared fsyncs (same durability, one fsync per batch)")
-	groupWait := flag.Duration("group-commit-wait", 0, "how long a group-commit leader lingers for followers before fsyncing (0 = fsync immediately; batches still form while an fsync is in flight)")
+	sync := flag.Bool("sync", false, "acknowledge no commit before a write-ahead-log fsync covers it (concurrent commits share fsyncs)")
 	replFactor := flag.Int("repl-factor", 1, "run the catalog as an N-way replica group in this process; replica 0 serves -addr, the rest print their addresses at startup")
 	replAck := flag.String("repl-ack", "majority", "replication acknowledgement quorum: majority or all")
 	debugAddr := flag.String("debug-addr", "", "HTTP address for /metrics, /healthz and /debug/vars (default: disabled)")
@@ -63,10 +61,7 @@ func main() {
 		fatal(fmt.Errorf("unknown -repl-ack %q (want majority or all)", *replAck))
 	}
 
-	dbOpts := metadb.Options{
-		Dir: *dir, Sync: *sync,
-		GroupCommit: *groupCommit, GroupCommitWait: *groupWait,
-	}
+	dbOpts := metadb.Options{Dir: *dir, Sync: *sync}
 	if *replFactor > 1 {
 		runGroup(*replFactor, ack, *addr, dbOpts, *debugAddr, *drainTimeout)
 		return

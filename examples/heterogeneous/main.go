@@ -93,11 +93,11 @@ func runPlacement(ctx context.Context, clu *cluster.Cluster, name string, placem
 		log.Fatal(err)
 	}
 	// Count the brick split from the catalog's own records.
-	_, assign, err := admin.Catalog().LookupFile(path)
+	_, rs, err := admin.Catalog().LookupReplicated(path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	lists := stripe.BrickLists(assign, io)
+	lists := stripe.BrickLists(rs.Primary(), io)
 	for s, l := range lists {
 		if s < io/2 {
 			fast += len(l)

@@ -757,49 +757,42 @@ func runReplicaCase(ctx context.Context, cfg Config, c *cluster.Cluster, np, rep
 	return out, nil
 }
 
-// AblationMeta isolates the two metadata scale levers: WAL group
-// commit (one fsync per batch of concurrent committers instead of one
-// per transaction) and path-hash catalog sharding (independent commit
-// pipelines). The workload is open-heavy — np clients concurrently
-// create small files, and each create costs two durable catalog
-// transactions (generation allocation plus the create itself) and
-// negligible data I/O. Every variant runs with Sync on and a modeled
-// per-fsync device cost (cluster.Config.MetaSyncDelay), so the
-// contrast is deterministic across host filesystems: group commit
-// amortizes that cost over whole batches, and a second shard doubles
-// the number of fsync pipelines. The shard rows keep group commit off
-// so routing itself carries the scaling. A final row replicates the
-// shard three ways with majority acknowledgement, pricing the
-// durability upgrade of DESIGN.md §13 on the same workload. MBps
-// abuses the field to carry creates per second, as runCacheOpens does
-// for opens.
+// AblationMeta prices the durable metadata commit pipeline: one
+// catalog shard, path-hash sharding over two (independent commit
+// pipelines), and one shard replicated three ways with majority
+// acknowledgement (the durability upgrade of DESIGN.md §13). The
+// workload is open-heavy — np clients concurrently create small
+// files, and each create costs two durable catalog transactions
+// (generation allocation plus the create itself) and negligible data
+// I/O. Every variant runs with Sync on and a modeled per-fsync device
+// cost (cluster.Config.MetaSyncDelay), so the contrast is deterministic
+// across host filesystems; concurrent committers share fsyncs (the
+// WAL's one commit path, DESIGN.md §12), which is why a second shard
+// buys little here. MBps abuses the field to carry creates per second,
+// as runCacheOpens does for opens.
 func AblationMeta(ctx context.Context, cfg Config, np, io int) ([]Measurement, error) {
 	cfg = cfg.WithDefaults()
 	cases := []struct {
 		label    string
 		shards   int
-		group    bool
 		replicas int
 	}{
-		{"1 shard fsync/txn", 1, false, 1},
-		{"1 shard group-commit", 1, true, 1},
-		{"2 shards fsync/txn", 2, false, 1},
-		{"2 shards group-commit", 2, true, 1},
+		{"1 shard", 1, 1},
+		{"2 shards", 2, 1},
 		// The replication tax: every create additionally waits for a
 		// majority of the R=3 group to hold it durably (DESIGN.md §13).
-		{"1 shard R=3 majority-ack", 1, true, 3},
+		{"1 shard R=3 majority-ack", 1, 3},
 	}
 	var out []Measurement
 	for _, cs := range cases {
 		c, err := cluster.Start(cluster.Config{
-			Servers:         cluster.Uniform(io),
-			Dir:             caseDir(cfg.Dir),
-			DurableMeta:     true,
-			MetaSync:        true,
-			MetaSyncDelay:   4 * time.Millisecond,
-			MetaShards:      cs.shards,
-			MetaGroupCommit: cs.group,
-			MetaReplicas:    cs.replicas,
+			Servers:       cluster.Uniform(io),
+			Dir:           caseDir(cfg.Dir),
+			DurableMeta:   true,
+			MetaSync:      true,
+			MetaSyncDelay: 4 * time.Millisecond,
+			MetaShards:    cs.shards,
+			MetaReplicas:  cs.replicas,
 		})
 		if err != nil {
 			return nil, err

@@ -60,11 +60,9 @@ type Config struct {
 	// routed across them by meta.ShardRouter). 0 or 1 runs the single
 	// catalog exactly as before.
 	MetaShards int
-	// MetaSync fsyncs every shard's WAL on commit (needs DurableMeta).
+	// MetaSync makes every shard's commits wait for a WAL fsync
+	// (metadb.Options.Sync; needs DurableMeta).
 	MetaSync bool
-	// MetaGroupCommit batches those fsyncs across concurrent
-	// committers (metadb.Options.GroupCommit).
-	MetaGroupCommit bool
 	// MetaSyncDelay models the metadata device's per-fsync cost
 	// (metadb.Options.SyncDelay); benchmarks use it for a
 	// deterministic disk model.
@@ -293,9 +291,8 @@ func (c *Cluster) KillServer(i int) error {
 // clusters and use meta<i>r<j> per replica otherwise.
 func (c *Cluster) metaDBOptions(i, j, shards, replicas int) metadb.Options {
 	opts := metadb.Options{
-		Sync:        c.cfg.MetaSync,
-		GroupCommit: c.cfg.MetaGroupCommit,
-		SyncDelay:   c.cfg.MetaSyncDelay,
+		Sync:      c.cfg.MetaSync,
+		SyncDelay: c.cfg.MetaSyncDelay,
 	}
 	if c.cfg.DurableMeta {
 		switch {

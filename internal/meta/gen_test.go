@@ -61,11 +61,11 @@ func TestGenerationRoundtrip(t *testing.T) {
 	}
 	fi.Generation = gen
 	assign, _ := stripe.RoundRobin{}.Assign(fi.Geometry.NumBricks(), len(fi.Servers))
-	if err := c.CreateFile(fi, assign); err != nil {
+	if err := createFile(c, fi, assign); err != nil {
 		t.Fatal(err)
 	}
 
-	got, _, err := c.LookupFile("/f")
+	got, _, err := lookupFile(c, "/f")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func TestLookupNeverTorn(t *testing.T) {
 		fi := testFileInfo(path)
 		fi.Generation = gen
 		fi.Geometry.Tile = shapes[gen%2]
-		return writer.CreateFile(fi, stripe4(fi))
+		return createFile(writer, fi, stripe4(fi))
 	}
 
 	done := make(chan struct{})

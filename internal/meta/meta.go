@@ -557,22 +557,10 @@ func dirRow(res *metadb.Result, path string) (subs, files []string, err error) {
 
 // --- files -------------------------------------------------------------
 
-// CreateFile atomically records a new unreplicated file: its
-// DPFS-FILE-ATTR row, one DPFS-FILE-DISTRIBUTION row per server, and
-// the parent directory update. assign maps brick id to an index into
-// fi.Servers.
-func (c *Catalog) CreateFile(fi FileInfo, assign []int) error {
-	rep := make([][]int, len(assign))
-	for b, s := range assign {
-		rep[b] = []int{s}
-	}
-	fi.Replicas = 1
-	return c.CreateReplicated(fi, rep)
-}
-
 // CreateReplicated atomically records a new file whose bricks carry
-// fi.Replicas replicas each; assign maps [brick][rank] to an index into
-// fi.Servers. CreateFile is the replicas == 1 special case.
+// fi.Replicas replicas each — its DPFS-FILE-ATTR row, one
+// DPFS-FILE-DISTRIBUTION row per server, and the parent directory
+// update; assign maps [brick][rank] to an index into fi.Servers.
 func (c *Catalog) CreateReplicated(fi FileInfo, assign [][]int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -630,17 +618,6 @@ func distInserts(path string, servers []string, lists [][]stripe.ReplicaEntry, g
 			str(stripe.FormatReplicaList(list)), num(gen))
 	}
 	return out
-}
-
-// LookupFile loads a file's meta data and reconstructs the brick →
-// server assignment of replica rank 0 (the preferred copies) from the
-// stored brick lists. Replica-aware callers use LookupReplicated.
-func (c *Catalog) LookupFile(path string) (FileInfo, []int, error) {
-	fi, rs, err := c.LookupReplicated(path)
-	if err != nil {
-		return FileInfo{}, nil, err
-	}
-	return fi, rs.Primary(), nil
 }
 
 // LookupReplicated loads a file's meta data and reconstructs the full

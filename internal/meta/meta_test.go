@@ -46,6 +46,27 @@ func newRemoteCatalog(t *testing.T) *Catalog {
 	return c
 }
 
+// createFile records fi as an unreplicated file; assign maps brick id
+// to an index into fi.Servers.
+func createFile(c Router, fi FileInfo, assign []int) error {
+	rep := make([][]int, len(assign))
+	for b, s := range assign {
+		rep[b] = []int{s}
+	}
+	fi.Replicas = 1
+	return c.CreateReplicated(fi, rep)
+}
+
+// lookupFile loads a file and the brick → server assignment of its
+// rank-0 replicas.
+func lookupFile(c Router, path string) (FileInfo, []int, error) {
+	fi, rs, err := c.LookupReplicated(path)
+	if err != nil {
+		return FileInfo{}, nil, err
+	}
+	return fi, rs.Primary(), nil
+}
+
 func testFileInfo(path string) FileInfo {
 	return FileInfo{
 		Path:  path,
@@ -219,11 +240,11 @@ func TestCatalogFigure10(t *testing.T) {
 			if fi.Geometry.NumBricks() != 32 {
 				t.Fatalf("geometry has %d bricks", fi.Geometry.NumBricks())
 			}
-			if err := c.CreateFile(fi, assign); err != nil {
+			if err := createFile(c, fi, assign); err != nil {
 				t.Fatal(err)
 			}
 
-			got, gotAssign, err := c.LookupFile("/home/xhshen/dpfs.test")
+			got, gotAssign, err := lookupFile(c, "/home/xhshen/dpfs.test")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,10 +263,10 @@ func TestCatalogFigure10(t *testing.T) {
 				}
 			}
 			lists := stripe.BrickLists(gotAssign, 4)
-			if stripe.FormatBrickList(lists[0]) != "0,2,6,8,12,14,18,20,24,26,30" {
+			if fmt.Sprint(lists[0]) != "[0 2 6 8 12 14 18 20 24 26 30]" {
 				t.Fatalf("server 0 bricklist = %v", lists[0])
 			}
-			if stripe.FormatBrickList(lists[1]) != "4,10,16,22,28" {
+			if fmt.Sprint(lists[1]) != "[4 10 16 22 28]" {
 				t.Fatalf("server 1 bricklist = %v", lists[1])
 			}
 
@@ -266,32 +287,32 @@ func TestCreateFileErrors(t *testing.T) {
 	fi := testFileInfo("/f")
 	assign, _ := stripe.RoundRobin{}.Assign(fi.Geometry.NumBricks(), len(fi.Servers))
 
-	if err := c.CreateFile(fi, assign); err != nil {
+	if err := createFile(c, fi, assign); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CreateFile(fi, assign); err == nil {
+	if err := createFile(c, fi, assign); err == nil {
 		t.Fatal("duplicate create should fail")
 	}
 	bad := fi
 	bad.Path = "/missing/f"
-	if err := c.CreateFile(bad, assign); err == nil {
+	if err := createFile(c, bad, assign); err == nil {
 		t.Fatal("create in missing dir should fail")
 	}
 	bad = fi
 	bad.Path = "relative"
-	if err := c.CreateFile(bad, assign); err == nil {
+	if err := createFile(c, bad, assign); err == nil {
 		t.Fatal("relative path should fail")
 	}
 	bad = fi
 	bad.Path = "/g"
 	bad.Servers = nil
-	if err := c.CreateFile(bad, assign); err == nil {
+	if err := createFile(c, bad, assign); err == nil {
 		t.Fatal("no servers should fail")
 	}
 	bad = fi
 	bad.Path = "/g"
 	bad.Geometry.Tile = nil
-	if err := c.CreateFile(bad, assign); err == nil {
+	if err := createFile(c, bad, assign); err == nil {
 		t.Fatal("invalid geometry should fail")
 	}
 
@@ -305,7 +326,7 @@ func TestCreateFileErrors(t *testing.T) {
 	}
 	bad = fi
 	bad.Path = "/d"
-	if err := c.CreateFile(bad, assign); err == nil {
+	if err := createFile(c, bad, assign); err == nil {
 		t.Fatal("file over directory should fail")
 	}
 }
@@ -314,7 +335,7 @@ func TestRemoveFile(t *testing.T) {
 	c := newCatalog(t)
 	fi := testFileInfo("/f")
 	assign, _ := stripe.RoundRobin{}.Assign(fi.Geometry.NumBricks(), len(fi.Servers))
-	if err := c.CreateFile(fi, assign); err != nil {
+	if err := createFile(c, fi, assign); err != nil {
 		t.Fatal(err)
 	}
 	removed, err := c.RemoveFile("/f")
@@ -327,7 +348,7 @@ func TestRemoveFile(t *testing.T) {
 	if _, err := c.Stat("/f"); err == nil {
 		t.Fatal("removed file still stats")
 	}
-	if _, _, err := c.LookupFile("/f"); err == nil {
+	if _, _, err := lookupFile(c, "/f"); err == nil {
 		t.Fatal("removed file still opens")
 	}
 	_, files, _ := c.ReadDir("/")
@@ -343,7 +364,7 @@ func TestSetSize(t *testing.T) {
 	c := newCatalog(t)
 	fi := testFileInfo("/f")
 	assign, _ := stripe.RoundRobin{}.Assign(fi.Geometry.NumBricks(), len(fi.Servers))
-	if err := c.CreateFile(fi, assign); err != nil {
+	if err := createFile(c, fi, assign); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.SetSize("/f", 12345); err != nil {
@@ -377,10 +398,10 @@ func TestAllLevelsRoundtripThroughCatalog(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.CreateFile(fi, assign); err != nil {
+		if err := createFile(c, fi, assign); err != nil {
 			t.Fatal(err)
 		}
-		got, gotAssign, err := c.LookupFile(path)
+		got, gotAssign, err := lookupFile(c, path)
 		if err != nil {
 			t.Fatal(err)
 		}

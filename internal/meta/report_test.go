@@ -16,7 +16,7 @@ func TestRenameFile(t *testing.T) {
 	}
 	fi := testFileInfo("/a/old")
 	assign, _ := stripe.RoundRobin{}.Assign(fi.Geometry.NumBricks(), len(fi.Servers))
-	if err := c.CreateFile(fi, assign); err != nil {
+	if err := createFile(c, fi, assign); err != nil {
 		t.Fatal(err)
 	}
 
@@ -33,7 +33,7 @@ func TestRenameFile(t *testing.T) {
 	if _, err := c.Stat("/a/old"); err == nil {
 		t.Fatal("old path still stats")
 	}
-	got, gotAssign, err := c.LookupFile("/b/new")
+	got, gotAssign, err := lookupFile(c, "/b/new")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestRenameFile(t *testing.T) {
 		t.Fatal("rename into missing directory should fail")
 	}
 	fi2 := testFileInfo("/b/other")
-	if err := c.CreateFile(fi2, assign); err != nil {
+	if err := createFile(c, fi2, assign); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := c.RenameFile("/b/renamed", "/b/other"); err == nil {
@@ -108,7 +108,7 @@ func TestUsageAndFilesOnServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CreateFile(fi, assign); err != nil {
+	if err := createFile(c, fi, assign); err != nil {
 		t.Fatal(err)
 	}
 	// File 2: 8 bricks round-robin on fast only.
@@ -117,7 +117,7 @@ func TestUsageAndFilesOnServer(t *testing.T) {
 	fi2.Geometry.Tile = []int64{128, 256} // 8 bricks
 	fi2.Servers = []string{"fast"}
 	assign2, _ := stripe.RoundRobin{}.Assign(8, 1)
-	if err := c.CreateFile(fi2, assign2); err != nil {
+	if err := createFile(c, fi2, assign2); err != nil {
 		t.Fatal(err)
 	}
 

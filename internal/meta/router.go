@@ -44,9 +44,7 @@ type Router interface {
 	ReadDir(path string) (dirs, files []string, err error)
 	IsDir(path string) (bool, error)
 
-	CreateFile(fi FileInfo, assign []int) error
 	CreateReplicated(fi FileInfo, assign [][]int) error
-	LookupFile(path string) (FileInfo, []int, error)
 	LookupReplicated(path string) (FileInfo, *stripe.ReplicaSet, error)
 	UpdateDistribution(path string, servers []string, lists [][]stripe.ReplicaEntry, gen int64) error
 	Files() ([]string, error)
@@ -311,19 +309,9 @@ func (r *ShardRouter) IsDir(path string) (bool, error) {
 	return r.shard(path).IsDir(path)
 }
 
-// CreateFile records the file on its home shard.
-func (r *ShardRouter) CreateFile(fi FileInfo, assign []int) error {
-	return r.shard(fi.Path).CreateFile(fi, assign)
-}
-
 // CreateReplicated records the file on its home shard.
 func (r *ShardRouter) CreateReplicated(fi FileInfo, assign [][]int) error {
 	return r.shard(fi.Path).CreateReplicated(fi, assign)
-}
-
-// LookupFile loads the file from its home shard.
-func (r *ShardRouter) LookupFile(path string) (FileInfo, []int, error) {
-	return r.shard(path).LookupFile(path)
 }
 
 // LookupReplicated loads the file from its home shard.

@@ -116,7 +116,7 @@ func statementFixture(t *testing.T) *metadb.DB {
 		t.Fatal(err)
 	}
 	fi.Generation = gen
-	if err := c.CreateFile(fi, stripe4(fi)); err != nil {
+	if err := createFile(c, fi, stripe4(fi)); err != nil {
 		t.Fatal(err)
 	}
 	return db
@@ -280,7 +280,7 @@ func TestQuickStatementsMatchLiteralSQL(t *testing.T) {
 	pool := []metadb.Value{
 		str("/"), str("/d"), str("/d/f"), str("s0"), str("s1"), str("s3"), str("f"), str("d"),
 		str(StateAlive), str(StateSuspect), str("0,1,2"), str(""),
-		num(0), num(1), num(2), num(-1), num(-7), num(int64(1) << 40), metadb.F(2.5), metadb.Null(),
+		num(0), num(1), num(2), num(-1), num(-7), num(int64(1) << 40), metadb.Null(),
 		str("it's"), str("''"), str("a?b"), str("%"), str(`\`), str(";--"), str("naïve/ü"), str("x' OR '1'='1"),
 	}
 	r := rand.New(rand.NewSource(1))

@@ -16,7 +16,6 @@ type ColumnDef struct {
 	Type       Kind
 	PrimaryKey bool
 	NotNull    bool
-	Unique     bool
 }
 
 // CreateTable is CREATE TABLE [IF NOT EXISTS] name (cols...).
@@ -26,15 +25,9 @@ type CreateTable struct {
 	Cols        []ColumnDef
 }
 
-// DropTable is DROP TABLE [IF EXISTS] name.
-type DropTable struct {
-	Name     string
-	IfExists bool
-}
-
 // Insert is INSERT [OR IGNORE] INTO name [(cols)] VALUES (...), (...).
-// With OR IGNORE a row that collides with an existing primary-key or
-// UNIQUE value is skipped instead of failing the statement.
+// With OR IGNORE a row that collides with an existing primary key is
+// skipped instead of failing the statement.
 type Insert struct {
 	Table    string
 	OrIgnore bool
@@ -43,21 +36,20 @@ type Insert struct {
 }
 
 // Select is SELECT items FROM table [JOIN ...] [WHERE] [GROUP BY]
-// [HAVING] [ORDER BY] [LIMIT].
+// [ORDER BY]. GROUP BY takes column references; ORDER BY, which sorts
+// ascending, column references and 1-based output positions (integer
+// literals).
 type Select struct {
-	Distinct bool
-	Items    []SelectItem
-	Table    string
-	Alias    string
-	Joins    []Join
-	Where    Expr
-	GroupBy  []Expr
-	Having   Expr
-	OrderBy  []OrderKey
-	Limit    *int64
+	Items   []SelectItem
+	Table   string
+	Alias   string
+	Joins   []Join
+	Where   Expr
+	GroupBy []Expr
+	OrderBy []Expr
 }
 
-// Join is one INNER JOIN clause.
+// Join is one JOIN clause.
 type Join struct {
 	Table string
 	Alias string
@@ -72,25 +64,11 @@ type CreateIndex struct {
 	IfNotExists bool
 }
 
-// DropIndex is DROP INDEX [IF EXISTS] name ON table.
-type DropIndex struct {
-	Name     string
-	Table    string
-	IfExists bool
-}
-
 // SelectItem is one output column: either a star or an expression
-// (which may contain aggregates) with an optional alias.
+// (which may contain aggregates).
 type SelectItem struct {
-	Star  bool
-	Expr  Expr
-	Alias string
-}
-
-// OrderKey is one ORDER BY key.
-type OrderKey struct {
+	Star bool
 	Expr Expr
-	Desc bool
 }
 
 // Update is UPDATE t SET col=expr,... [WHERE].
@@ -113,9 +91,7 @@ type Commit struct{}
 type Rollback struct{}
 
 func (CreateTable) stmt() {}
-func (DropTable) stmt()   {}
 func (CreateIndex) stmt() {}
-func (DropIndex) stmt()   {}
 func (Insert) stmt()      {}
 func (Select) stmt()      {}
 func (Update) stmt()      {}
@@ -143,52 +119,21 @@ type Col struct {
 	Name string
 }
 
-// Unary is -x or NOT x.
-type Unary struct {
-	Op string // "-", "NOT"
-	X  Expr
-}
-
 // Binary is a binary operator application.
 type Binary struct {
-	Op   string // + - * / % = != < <= > >= AND OR LIKE ||
+	Op   string // + * = AND
 	L, R Expr
 }
 
-// IsNull is x IS [NOT] NULL.
-type IsNull struct {
-	X   Expr
-	Not bool
-}
-
-// InList is x [NOT] IN (v1, v2, ...).
-type InList struct {
-	X    Expr
-	Not  bool
-	List []Expr
-}
-
-// Call is a scalar function call (LENGTH, UPPER, LOWER, ABS, ...).
-type Call struct {
-	Name string
-	Args []Expr
-}
-
-// AggExpr is an aggregate function application: COUNT(*), COUNT(x),
-// SUM(x), MIN(x), MAX(x), AVG(x). Aggregates are legal in SELECT items
-// and HAVING clauses.
+// AggExpr is an aggregate function application, COUNT(*) or SUM(x).
+// Aggregates are legal in SELECT items.
 type AggExpr struct {
-	Fn   string // COUNT, SUM, MIN, MAX, AVG
-	Star bool   // COUNT(*)
-	X    Expr
+	Fn string // COUNT, SUM
+	X  Expr   // nil for COUNT(*)
 }
 
 func (Lit) expr()     {}
 func (Param) expr()   {}
 func (Col) expr()     {}
-func (Unary) expr()   {}
 func (Binary) expr()  {}
-func (IsNull) expr()  {}
-func (InList) expr()  {}
-func (Call) expr()    {}
 func (AggExpr) expr() {}

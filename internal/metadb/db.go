@@ -24,26 +24,18 @@ type Result struct {
 type Options struct {
 	// Dir is the durable storage directory; empty means in-memory only.
 	Dir string
-	// Sync fsyncs the WAL on every commit.
+	// Sync makes every commit wait for a WAL fsync (or a snapshot) that
+	// covers it before it is acknowledged. Committers append their
+	// records under the write lock, so WAL order stays commit order,
+	// then wait outside it: one of them leads each fsync and everyone
+	// who appended before it started rides along (group commit), so
+	// there are never more fsyncs than commits and a lone committer
+	// pays exactly one each.
 	Sync bool
 	// CheckpointBytes triggers an automatic snapshot + WAL truncation
 	// once the WAL grows past this size. Zero uses a default of 4 MiB;
 	// negative disables automatic checkpoints.
 	CheckpointBytes int64
-	// GroupCommit batches commit fsyncs: committers append their WAL
-	// records under the write lock (so WAL order stays commit order),
-	// then wait outside it for a shared fsync that covers their record.
-	// One committer leads each fsync; everyone appended before it
-	// started rides along. Durability is unchanged — a commit is not
-	// acknowledged until an fsync (or snapshot) covers it. Only
-	// meaningful together with Sync.
-	GroupCommit bool
-	// GroupCommitWait is how long a group-commit leader lingers for
-	// followers before issuing the shared fsync. Zero means no added
-	// wait: batches still form naturally from commits that arrive
-	// while an earlier fsync is in flight. Small values (hundreds of
-	// microseconds) trade a little latency for larger batches.
-	GroupCommitWait time.Duration
 	// SyncDelay models the storage device's per-fsync cost by sleeping
 	// that long before every WAL fsync. It exists for benchmarks and
 	// tests that need a deterministic device model independent of the
@@ -92,8 +84,7 @@ const (
 	MetricWALCheckpoints = "wal_checkpoints_total"
 	// MetricWALGroupCommits counts fsyncs that covered more than one
 	// commit (true group commits). MetricWALBatchSize is the
-	// dimensionless histogram of commits covered per group-commit
-	// fsync.
+	// dimensionless histogram of commits covered per commit fsync.
 	MetricWALGroupCommits = "wal_group_commits_total"
 	MetricWALBatchSize    = "wal_batch_size"
 )
@@ -114,8 +105,6 @@ func Open(opts Options) (*DB, error) {
 			return nil, err
 		}
 		w.reg = db.reg
-		w.group = opts.GroupCommit && opts.Sync
-		w.groupWait = opts.GroupCommitWait
 		w.syncDelay = opts.SyncDelay
 		db.wal = w
 		if err := db.recover(); err != nil {
@@ -217,23 +206,21 @@ type txState struct {
 }
 
 type undoOp struct {
-	kind  string // "insert", "delete", "update", "create", "drop", "createindex", "dropindex"
+	kind  string // "insert", "delete", "update", "create", "createindex"
 	table string
 	rowid int64
 	vals  []Value // pre-image for delete/update
-	tbl   *Table  // saved table for drop
-	index string  // index name for createindex/dropindex
-	col   string  // indexed column for dropindex undo
+	index string  // index name for createindex
 }
 
 // RedoOp is one durable mutation in a WAL commit record.
 type RedoOp struct {
-	Kind  string // "insert", "delete", "update", "create", "drop", "createindex", "dropindex"
+	Kind  string // "insert", "delete", "update", "create", "createindex"
 	Table string
 	RowID int64
 	Vals  []Value
 	Cols  []ColumnDef
-	Index string // index name for createindex/dropindex
+	Index string // index name for createindex
 	Col   string // indexed column for createindex
 }
 
@@ -315,12 +302,8 @@ func stmtKind(st Statement) string {
 		return "explain"
 	case CreateTable:
 		return "createtable"
-	case DropTable:
-		return "droptable"
 	case CreateIndex:
 		return "createindex"
-	case DropIndex:
-		return "dropindex"
 	case Insert:
 		return "insert"
 	case Update:
@@ -376,7 +359,7 @@ func (s *Session) execStmt(st Statement, args []Value) (*Result, error) {
 			return nil, errors.New("metadb: database closed")
 		}
 		return db.explainSelect(st.Stmt)
-	case CreateTable, DropTable, CreateIndex, DropIndex, Insert, Update, Delete:
+	case CreateTable, CreateIndex, Insert, Update, Delete:
 		return s.runWrite(st, args)
 	}
 	return nil, fmt.Errorf("metadb: unhandled statement %T", st)
@@ -415,9 +398,9 @@ func (s *Session) commit() (*Result, error) {
 	}
 	s.db.mu.Unlock()
 	if wait > 0 {
-		// Group commit: the record is appended (in commit order) but
-		// not yet fsynced. Wait outside the write lock for a shared
-		// fsync — or a snapshot — to cover it.
+		// The record is appended (in commit order) but not yet
+		// fsynced. Wait outside the write lock for a shared fsync — or
+		// a snapshot — to cover it.
 		if err := s.db.wal.waitDurable(wait); err != nil {
 			// The shared fsync failed after the lock was released. The
 			// transaction is applied in memory and later transactions
@@ -468,15 +451,9 @@ func applyUndo(db *DB, undo []undoOp) {
 			}
 		case "create": // undo create: drop
 			delete(db.tables, op.table)
-		case "drop": // undo drop: restore the saved table
-			db.tables[op.table] = op.tbl
 		case "createindex":
 			if t := db.tables[op.table]; t != nil {
 				t.dropIndex(op.index)
-			}
-		case "dropindex":
-			if t := db.tables[op.table]; t != nil {
-				_ = t.createIndex(op.index, op.col)
 			}
 		}
 	}
@@ -558,12 +535,8 @@ func (db *DB) execWrite(st Statement, tx *txState, args []Value) (*Result, error
 	switch st := st.(type) {
 	case CreateTable:
 		res, err = db.execCreate(st, tx)
-	case DropTable:
-		res, err = db.execDrop(st, tx)
 	case CreateIndex:
 		res, err = db.execCreateIndex(st, tx)
-	case DropIndex:
-		res, err = db.execDropIndex(st, tx)
 	case Insert:
 		res, err = db.execInsert(st, tx, args)
 	case Update:
@@ -607,20 +580,6 @@ func (db *DB) execCreate(st CreateTable, tx *txState) (*Result, error) {
 	return &Result{}, nil
 }
 
-func (db *DB) execDrop(st DropTable, tx *txState) (*Result, error) {
-	t, exists := db.tables[st.Name]
-	if !exists {
-		if st.IfExists {
-			return &Result{}, nil
-		}
-		return nil, fmt.Errorf("metadb: no such table %q", st.Name)
-	}
-	delete(db.tables, st.Name)
-	tx.undo = append(tx.undo, undoOp{kind: "drop", table: st.Name, tbl: t})
-	tx.redo = append(tx.redo, RedoOp{Kind: "drop", Table: st.Name})
-	return &Result{}, nil
-}
-
 func (db *DB) execCreateIndex(st CreateIndex, tx *txState) (*Result, error) {
 	t, err := db.table(st.Table)
 	if err != nil {
@@ -637,25 +596,6 @@ func (db *DB) execCreateIndex(st CreateIndex, tx *txState) (*Result, error) {
 	}
 	tx.undo = append(tx.undo, undoOp{kind: "createindex", table: st.Table, index: st.Name})
 	tx.redo = append(tx.redo, RedoOp{Kind: "createindex", Table: st.Table, Index: st.Name, Col: st.Col})
-	return &Result{}, nil
-}
-
-func (db *DB) execDropIndex(st DropIndex, tx *txState) (*Result, error) {
-	t, err := db.table(st.Table)
-	if err != nil {
-		return nil, err
-	}
-	ix, exists := t.secondary[st.Name]
-	if !exists {
-		if st.IfExists {
-			return &Result{}, nil
-		}
-		return nil, fmt.Errorf("metadb: no index %q on table %q", st.Name, st.Table)
-	}
-	col := t.Cols[ix.col].Name
-	t.dropIndex(st.Name)
-	tx.undo = append(tx.undo, undoOp{kind: "dropindex", table: st.Table, index: st.Name, col: col})
-	tx.redo = append(tx.redo, RedoOp{Kind: "dropindex", Table: st.Table, Index: st.Name})
 	return &Result{}, nil
 }
 

@@ -28,7 +28,7 @@ func (db *DB) explainSelect(st Select) (*Result, error) {
 		if ci, _, ok := eqPredicate(base.t, base.alias, st.Where); ok {
 			if by := base.t.probeName(ci); by != "" {
 				kind := "INDEX" // a secondary index may hold several rows per key
-				if by == "PRIMARY KEY" || by == "UNIQUE" {
+				if by == "PRIMARY KEY" {
 					kind = "POINT"
 				}
 				access = fmt.Sprintf("%s LOOKUP %s BY %s (%s)", kind, base.t.Name, by, base.t.Cols[ci].Name)
@@ -51,11 +51,7 @@ func (db *DB) explainSelect(st Select) (*Result, error) {
 		lines = append(lines, "FILTER "+ExprString(st.Where))
 	}
 	if len(st.GroupBy) > 0 {
-		keys := make([]string, len(st.GroupBy))
-		for i, g := range st.GroupBy {
-			keys[i] = ExprString(g)
-		}
-		lines = append(lines, "GROUP BY "+strings.Join(keys, ", "))
+		lines = append(lines, "GROUP BY "+exprList(st.GroupBy))
 	} else {
 		agg := false
 		for _, it := range st.Items {
@@ -67,24 +63,8 @@ func (db *DB) explainSelect(st Select) (*Result, error) {
 			lines = append(lines, "AGGREGATE (single group)")
 		}
 	}
-	if st.Having != nil {
-		lines = append(lines, "HAVING "+ExprString(st.Having))
-	}
 	if len(st.OrderBy) > 0 {
-		keys := make([]string, len(st.OrderBy))
-		for i, k := range st.OrderBy {
-			keys[i] = ExprString(k.Expr)
-			if k.Desc {
-				keys[i] += " DESC"
-			}
-		}
-		lines = append(lines, "SORT BY "+strings.Join(keys, ", "))
-	}
-	if st.Distinct {
-		lines = append(lines, "DISTINCT")
-	}
-	if st.Limit != nil {
-		lines = append(lines, fmt.Sprintf("LIMIT %d", *st.Limit))
+		lines = append(lines, "SORT BY "+exprList(st.OrderBy))
 	}
 
 	res := &Result{Cols: []string{"plan"}}
@@ -92,6 +72,14 @@ func (db *DB) explainSelect(st Select) (*Result, error) {
 		res.Rows = append(res.Rows, []Value{S(l)})
 	}
 	return res, nil
+}
+
+func exprList(list []Expr) string {
+	keys := make([]string, len(list))
+	for i, e := range list {
+		keys[i] = ExprString(e)
+	}
+	return strings.Join(keys, ", ")
 }
 
 // ExprString renders an expression roughly as SQL (used by EXPLAIN and
@@ -109,36 +97,10 @@ func ExprString(e Expr) string {
 			return n.Qual + "." + n.Name
 		}
 		return n.Name
-	case Unary:
-		if n.Op == "NOT" {
-			return "NOT " + ExprString(n.X)
-		}
-		return n.Op + ExprString(n.X)
 	case Binary:
 		return "(" + ExprString(n.L) + " " + n.Op + " " + ExprString(n.R) + ")"
-	case IsNull:
-		if n.Not {
-			return ExprString(n.X) + " IS NOT NULL"
-		}
-		return ExprString(n.X) + " IS NULL"
-	case InList:
-		items := make([]string, len(n.List))
-		for i, x := range n.List {
-			items[i] = ExprString(x)
-		}
-		op := " IN ("
-		if n.Not {
-			op = " NOT IN ("
-		}
-		return ExprString(n.X) + op + strings.Join(items, ", ") + ")"
-	case Call:
-		args := make([]string, len(n.Args))
-		for i, a := range n.Args {
-			args[i] = ExprString(a)
-		}
-		return n.Name + "(" + strings.Join(args, ", ") + ")"
 	case AggExpr:
-		if n.Star {
+		if n.X == nil {
 			return n.Fn + "(*)"
 		}
 		return n.Fn + "(" + ExprString(n.X) + ")"

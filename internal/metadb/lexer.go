@@ -13,7 +13,6 @@ const (
 	tokIdent
 	tokKeyword
 	tokInt
-	tokFloat
 	tokString
 	tokSymbol // punctuation and operators
 )
@@ -34,14 +33,11 @@ func (t token) String() string {
 var keywords = map[string]bool{
 	"SELECT": true, "FROM": true, "WHERE": true, "INSERT": true, "INTO": true,
 	"VALUES": true, "UPDATE": true, "SET": true, "DELETE": true, "CREATE": true,
-	"TABLE": true, "DROP": true, "IF": true, "EXISTS": true, "NOT": true,
-	"NULL": true, "PRIMARY": true, "KEY": true, "AND": true, "OR": true,
-	"ORDER": true, "BY": true, "ASC": true, "DESC": true, "LIMIT": true,
-	"BEGIN": true, "COMMIT": true, "ROLLBACK": true, "LIKE": true, "IN": true,
-	"IS": true, "AS": true, "DISTINCT": true, "COUNT": true, "SUM": true,
-	"MIN": true, "MAX": true, "AVG": true, "UNIQUE": true, "DEFAULT": true,
-	"TRANSACTION": true, "GROUP": true, "HAVING": true, "JOIN": true,
-	"INNER": true, "ON": true, "INDEX": true, "EXPLAIN": true,
+	"TABLE": true, "IF": true, "EXISTS": true, "NOT": true, "NULL": true,
+	"PRIMARY": true, "KEY": true, "AND": true, "OR": true, "ORDER": true,
+	"BY": true, "BEGIN": true, "COMMIT": true, "ROLLBACK": true, "COUNT": true,
+	"SUM": true, "GROUP": true, "JOIN": true, "ON": true, "INDEX": true,
+	"EXPLAIN": true,
 }
 
 // lex tokenizes a SQL statement. It returns a descriptive error with
@@ -80,34 +76,12 @@ func lex(src string) ([]token, error) {
 				i++
 			}
 			toks = append(toks, token{kind: tokString, text: sb.String(), pos: start})
-		case c >= '0' && c <= '9' || (c == '.' && i+1 < n && src[i+1] >= '0' && src[i+1] <= '9'):
+		case c >= '0' && c <= '9':
 			start := i
-			isFloat := false
-			for i < n && (src[i] >= '0' && src[i] <= '9') {
+			for i < n && src[i] >= '0' && src[i] <= '9' {
 				i++
 			}
-			if i < n && src[i] == '.' {
-				isFloat = true
-				i++
-				for i < n && (src[i] >= '0' && src[i] <= '9') {
-					i++
-				}
-			}
-			if i < n && (src[i] == 'e' || src[i] == 'E') {
-				isFloat = true
-				i++
-				if i < n && (src[i] == '+' || src[i] == '-') {
-					i++
-				}
-				for i < n && (src[i] >= '0' && src[i] <= '9') {
-					i++
-				}
-			}
-			kind := tokInt
-			if isFloat {
-				kind = tokFloat
-			}
-			toks = append(toks, token{kind: kind, text: src[start:i], pos: start})
+			toks = append(toks, token{kind: tokInt, text: src[start:i], pos: start})
 		case isIdentStart(rune(c)):
 			start := i
 			for i < n && isIdentPart(rune(src[i])) {
@@ -120,31 +94,10 @@ func lex(src string) ([]token, error) {
 			} else {
 				toks = append(toks, token{kind: tokIdent, text: word, pos: start})
 			}
-		case c == '"': // quoted identifier
-			start := i
-			i++
-			j := strings.IndexByte(src[i:], '"')
-			if j < 0 {
-				return nil, fmt.Errorf("metadb: unterminated quoted identifier at byte %d", start)
-			}
-			toks = append(toks, token{kind: tokIdent, text: src[i : i+j], pos: start})
-			i += j + 1
 		default:
-			start := i
-			// Multi-char operators first.
-			two := ""
-			if i+1 < n {
-				two = src[i : i+2]
-			}
-			switch two {
-			case "<=", ">=", "!=", "<>", "||":
-				toks = append(toks, token{kind: tokSymbol, text: two, pos: start})
-				i += 2
-				continue
-			}
 			switch c {
-			case '(', ')', ',', '*', '+', '-', '/', '%', '=', '<', '>', ';', '.', '?':
-				toks = append(toks, token{kind: tokSymbol, text: string(c), pos: start})
+			case '(', ')', ',', '*', '+', '-', '=', '.', '?':
+				toks = append(toks, token{kind: tokSymbol, text: string(c), pos: i})
 				i++
 			default:
 				return nil, fmt.Errorf("metadb: unexpected character %q at byte %d", c, i)

@@ -41,11 +41,11 @@ func TestCreateInsertSelect(t *testing.T) {
 		t.Fatalf("RowsAffected = %d", res.RowsAffected)
 	}
 
-	res = mustExec(t, s, `SELECT name, capacity FROM servers ORDER BY capacity DESC`)
+	res = mustExec(t, s, `SELECT name, capacity FROM servers ORDER BY capacity`)
 	if len(res.Rows) != 3 {
 		t.Fatalf("got %d rows", len(res.Rows))
 	}
-	if res.Rows[0][0].Str != "ccn0" || res.Rows[1][0].Str != "moorea" || res.Rows[2][0].Str != "aruba" {
+	if res.Rows[0][0].Str != "aruba" || res.Rows[1][0].Str != "moorea" || res.Rows[2][0].Str != "ccn0" {
 		t.Fatalf("order wrong: %v", res.Rows)
 	}
 	// Unset column is NULL.
@@ -54,43 +54,33 @@ func TestCreateInsertSelect(t *testing.T) {
 		t.Fatalf("expected NULL performance, got %v", v)
 	}
 	// SELECT * expansion.
-	res = mustExec(t, s, `SELECT * FROM servers LIMIT 2`)
+	res = mustExec(t, s, `SELECT * FROM servers`)
 	if len(res.Cols) != 3 || res.Cols[0] != "name" {
 		t.Fatalf("star cols = %v", res.Cols)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("limit ignored: %d rows", len(res.Rows))
 	}
 }
 
 func TestWhereAndExpressions(t *testing.T) {
 	s := newTestDB(t)
-	mustExec(t, s, `CREATE TABLE t (id INT PRIMARY KEY, x INT, s TEXT, f REAL)`)
+	mustExec(t, s, `CREATE TABLE t (id INT PRIMARY KEY, x INT, s TEXT)`)
 	for i := 1; i <= 10; i++ {
-		mustExec(t, s, fmt.Sprintf(`INSERT INTO t VALUES (%d, %d, 'row%d', %d.5)`, i, i*i, i, i))
+		mustExec(t, s, fmt.Sprintf(`INSERT INTO t VALUES (%d, %d, 'row%d')`, i, i*i, i))
 	}
 	cases := []struct {
 		where string
 		want  int
 	}{
-		{`x > 50`, 3},
-		{`x >= 49 AND x <= 81`, 3},
-		{`id = 3 OR id = 7`, 2},
-		{`NOT (id < 9)`, 2},
-		{`s LIKE 'row1%'`, 2}, // row1, row10
-		{`s LIKE '_ow2'`, 1},
-		{`s NOT LIKE 'row%'`, 0},
-		{`id IN (2, 4, 6)`, 3},
-		{`id NOT IN (1,2,3,4,5,6,7,8,9)`, 1},
-		{`f < 3`, 2},
-		{`id % 2 = 0`, 5},
+		{`x = 49`, 1},
+		{`x = 50`, 0},
+		{`id = 7 AND x = 49`, 1},
+		{`id = 7 AND x = 50`, 0},
+		{`s = 'row10'`, 1},
 		{`(id + 1) * 2 = 6`, 1},
-		{`-id = -4`, 1},
-		{`s || 'x' = 'row5x'`, 1},
-		{`LENGTH(s) = 5`, 1}, // row10
-		{`UPPER(s) = 'ROW2'`, 1},
-		{`LOWER('ROW3') = s`, 1},
-		{`ABS(0 - id) = 6`, 1},
+		{`id + 1 * 2 = 6`, 1}, // * binds tighter: id = 4
+		{`id * id = x`, 10},
+		{`-4 + id = 0`, 1},
+		{`1`, 10},
+		{`0`, 0},
 	}
 	for _, c := range cases {
 		res := mustExec(t, s, `SELECT id FROM t WHERE `+c.where)
@@ -105,32 +95,20 @@ func TestNullSemantics(t *testing.T) {
 	mustExec(t, s, `CREATE TABLE t (id INT PRIMARY KEY, x INT)`)
 	mustExec(t, s, `INSERT INTO t VALUES (1, 10), (2, NULL), (3, 30)`)
 
-	if res := mustExec(t, s, `SELECT id FROM t WHERE x > 5`); len(res.Rows) != 2 {
-		t.Errorf("NULL should not match x > 5: %d rows", len(res.Rows))
-	}
-	if res := mustExec(t, s, `SELECT id FROM t WHERE x IS NULL`); len(res.Rows) != 1 {
-		t.Errorf("IS NULL: %d rows", len(res.Rows))
-	}
-	if res := mustExec(t, s, `SELECT id FROM t WHERE x IS NOT NULL`); len(res.Rows) != 2 {
-		t.Errorf("IS NOT NULL: %d rows", len(res.Rows))
+	if res := mustExec(t, s, `SELECT id FROM t WHERE x + 1 = 11`); len(res.Rows) != 1 {
+		t.Errorf("NULL should not match x + 1 = 11: %d rows", len(res.Rows))
 	}
 	// NULL = NULL is NULL, not true.
 	if res := mustExec(t, s, `SELECT id FROM t WHERE x = NULL`); len(res.Rows) != 0 {
 		t.Errorf("x = NULL matched %d rows", len(res.Rows))
 	}
-	// Kleene logic: NULL OR true = true, NULL AND false = false.
-	if v := cell(t, s, `SELECT COUNT(*) FROM t WHERE x > 1000 OR 1 = 1`); v.Int != 3 {
-		t.Errorf("NULL OR true: %v", v)
-	}
-	if res := mustExec(t, s, `SELECT id FROM t WHERE x > 1000 AND 1 = 0`); len(res.Rows) != 0 {
-		t.Errorf("NULL AND false matched")
-	}
-	// COALESCE picks first non-null.
-	if v := cell(t, s, `SELECT COALESCE(x, -1) FROM t WHERE id = 2`); v.Int != -1 {
-		t.Errorf("COALESCE = %v", v)
+	// Kleene logic: NULL AND false = false, NULL AND true = NULL.
+	res := mustExec(t, s, `SELECT id, x = 1000 AND 1 = 0, x = 1000 AND 1 = 1, 1 = 0 AND x = 1000 FROM t WHERE id = 2`)
+	if row := res.Rows[0]; row[1] != B(false) || !row[2].IsNull() || row[3] != B(false) {
+		t.Errorf("NULL AND false, NULL AND true, false AND NULL = %v", row[1:])
 	}
 	// NULLs sort first.
-	res := mustExec(t, s, `SELECT id FROM t ORDER BY x ASC`)
+	res = mustExec(t, s, `SELECT id FROM t ORDER BY x`)
 	if res.Rows[0][0].Int != 2 {
 		t.Errorf("NULL should sort first: %v", res.Rows)
 	}
@@ -141,16 +119,18 @@ func TestUpdateDelete(t *testing.T) {
 	mustExec(t, s, `CREATE TABLE t (id INT PRIMARY KEY, x INT)`)
 	mustExec(t, s, `INSERT INTO t VALUES (1, 1), (2, 2), (3, 3), (4, 4)`)
 
-	res := mustExec(t, s, `UPDATE t SET x = x * 10 WHERE id > 2`)
-	if res.RowsAffected != 2 {
+	mustExec(t, s, `UPDATE t SET x = x * 10 WHERE id = 3`)
+	res := mustExec(t, s, `UPDATE t SET x = x * 10 WHERE id = 4`)
+	if res.RowsAffected != 1 {
 		t.Fatalf("update affected %d", res.RowsAffected)
 	}
 	if v := cell(t, s, `SELECT x FROM t WHERE id = 4`); v.Int != 40 {
 		t.Fatalf("x = %v", v)
 	}
 
-	res = mustExec(t, s, `DELETE FROM t WHERE x >= 30`)
-	if res.RowsAffected != 2 {
+	mustExec(t, s, `DELETE FROM t WHERE x = 30`)
+	res = mustExec(t, s, `DELETE FROM t WHERE x = 40`)
+	if res.RowsAffected != 1 {
 		t.Fatalf("delete affected %d", res.RowsAffected)
 	}
 	if v := cell(t, s, `SELECT COUNT(*) FROM t`); v.Int != 2 {
@@ -170,14 +150,11 @@ func TestUpdateDelete(t *testing.T) {
 
 func TestConstraints(t *testing.T) {
 	s := newTestDB(t)
-	mustExec(t, s, `CREATE TABLE t (id INT PRIMARY KEY, email TEXT UNIQUE, name TEXT NOT NULL)`)
+	mustExec(t, s, `CREATE TABLE t (id INT PRIMARY KEY, email TEXT, name TEXT NOT NULL)`)
 	mustExec(t, s, `INSERT INTO t VALUES (1, 'a@x', 'alice')`)
 
 	if _, err := s.Exec(`INSERT INTO t VALUES (1, 'b@x', 'bob')`); err == nil {
 		t.Error("duplicate pk should fail")
-	}
-	if _, err := s.Exec(`INSERT INTO t VALUES (2, 'a@x', 'bob')`); err == nil {
-		t.Error("duplicate unique should fail")
 	}
 	if _, err := s.Exec(`INSERT INTO t VALUES (3, 'c@x', NULL)`); err == nil {
 		t.Error("NOT NULL violation should fail")
@@ -185,17 +162,16 @@ func TestConstraints(t *testing.T) {
 	if _, err := s.Exec(`INSERT INTO t VALUES (NULL, 'd@x', 'dan')`); err == nil {
 		t.Error("NULL pk should fail")
 	}
-	// NULL unique values are allowed repeatedly.
 	mustExec(t, s, `INSERT INTO t VALUES (5, NULL, 'eve'), (6, NULL, 'fay')`)
 	// Update into a duplicate must fail and leave the row unchanged.
-	if _, err := s.Exec(`UPDATE t SET email = 'a@x' WHERE id = 5`); err == nil {
-		t.Error("update to duplicate unique should fail")
+	if _, err := s.Exec(`UPDATE t SET id = 1 WHERE id = 5`); err == nil {
+		t.Error("update to duplicate pk should fail")
 	}
-	if v := cell(t, s, `SELECT email FROM t WHERE id = 5`); !v.IsNull() {
+	if v := cell(t, s, `SELECT name FROM t WHERE id = 5`); v.Str != "eve" {
 		t.Errorf("failed update leaked: %v", v)
 	}
 	// Updating a row to its own value is fine.
-	mustExec(t, s, `UPDATE t SET email = 'a@x' WHERE id = 1`)
+	mustExec(t, s, `UPDATE t SET id = 1 WHERE id = 1`)
 	// Type mismatch.
 	if _, err := s.Exec(`INSERT INTO t VALUES (7, 'g@x', 42)`); err == nil {
 		t.Error("int into TEXT column should fail")
@@ -204,37 +180,38 @@ func TestConstraints(t *testing.T) {
 
 func TestTypeCoercion(t *testing.T) {
 	s := newTestDB(t)
-	mustExec(t, s, `CREATE TABLE t (id INT PRIMARY KEY, f REAL)`)
-	// Int literal into REAL widens; exact float into INT narrows.
-	mustExec(t, s, `INSERT INTO t VALUES (1, 2), (2.0, 3.5)`)
-	if v := cell(t, s, `SELECT f FROM t WHERE id = 1`); v.Kind != KindFloat || v.Float != 2 {
-		t.Errorf("widened value = %v", v)
+	mustExec(t, s, `CREATE TABLE t (id INT PRIMARY KEY, n INTEGER, s TEXT)`)
+	// A value is stored only in a column of its own type; NULL fits any.
+	mustExec(t, s, `INSERT INTO t VALUES (1, 2, 'two'), (2, NULL, NULL)`)
+	for _, sql := range []string{
+		`INSERT INTO t VALUES (3, 'three', 'three')`,
+		`INSERT INTO t VALUES ('4', 4, 'four')`,
+		`UPDATE t SET s = 2 WHERE id = 1`,
+	} {
+		if _, err := s.Exec(sql); err == nil {
+			t.Errorf("Exec(%q) should fail", sql)
+		}
 	}
-	if _, err := s.Exec(`INSERT INTO t VALUES (3.7, 1.0)`); err == nil {
-		t.Error("non-integral float into INT should fail")
+	if _, err := s.Exec(`INSERT INTO t VALUES (?, ?, ?)`, I(5), Value{Kind: 2}, S("five")); err == nil {
+		t.Error("a value of the retired REAL kind should not be storable")
 	}
 }
 
 func TestAggregates(t *testing.T) {
 	s := newTestDB(t)
-	mustExec(t, s, `CREATE TABLE t (id INT PRIMARY KEY, x INT, f REAL)`)
-	mustExec(t, s, `INSERT INTO t VALUES (1, 4, 1.5), (2, NULL, 2.5), (3, 2, NULL), (4, 6, 4.0)`)
+	mustExec(t, s, `CREATE TABLE t (id INT PRIMARY KEY, x INT, grp INT)`)
+	mustExec(t, s, `INSERT INTO t VALUES (1, 4, 0), (2, NULL, 0), (3, 2, 1), (4, 6, 1)`)
 
-	res := mustExec(t, s, `SELECT COUNT(*), COUNT(x), SUM(x), MIN(x), MAX(x), AVG(x) FROM t`)
-	row := res.Rows[0]
-	wants := []Value{I(4), I(3), I(12), I(2), I(6), F(4)}
-	for i, w := range wants {
-		if Compare(row[i], w) != 0 {
-			t.Errorf("agg %s = %v, want %v", res.Cols[i], row[i], w)
-		}
+	res := mustExec(t, s, `SELECT COUNT(*), SUM(x) FROM t`)
+	if row := res.Rows[0]; row[0] != I(4) || row[1] != I(12) {
+		t.Errorf("COUNT(*), SUM(x) = %v, want 4, 12", row)
 	}
-	if v := cell(t, s, `SELECT SUM(f) FROM t WHERE id > 2`); v.Kind != KindFloat || v.Float != 4.0 {
-		t.Errorf("sum(f) = %v", v)
+	if res.Cols[0] != "COUNT" || res.Cols[1] != "SUM" {
+		t.Errorf("cols = %v", res.Cols)
 	}
 	// Aggregates over empty sets.
-	res = mustExec(t, s, `SELECT COUNT(*), SUM(x), MIN(x), AVG(x) FROM t WHERE id > 100`)
-	row = res.Rows[0]
-	if row[0].Int != 0 || !row[1].IsNull() || !row[2].IsNull() || !row[3].IsNull() {
+	res = mustExec(t, s, `SELECT COUNT(*), SUM(x) FROM t WHERE id = 100`)
+	if row := res.Rows[0]; row[0].Int != 0 || !row[1].IsNull() {
 		t.Errorf("empty aggregates = %v", row)
 	}
 	// Mixing aggregates and plain columns without GROUP BY evaluates
@@ -243,10 +220,8 @@ func TestAggregates(t *testing.T) {
 	if len(res.Rows) != 1 || res.Rows[0][0].Int != 1 || res.Rows[0][1].Int != 4 {
 		t.Errorf("mixed select = %v", res.Rows)
 	}
-	// Aliases.
-	res = mustExec(t, s, `SELECT COUNT(*) AS n FROM t`)
-	if res.Cols[0] != "n" {
-		t.Errorf("alias = %v", res.Cols)
+	if _, err := s.Exec(`SELECT SUM(id) FROM t WHERE SUM(id) = 1`); err == nil {
+		t.Error("an aggregate in WHERE should fail")
 	}
 }
 
@@ -382,30 +357,6 @@ func TestConcurrentWriters(t *testing.T) {
 	}
 }
 
-func TestDropTable(t *testing.T) {
-	s := newTestDB(t)
-	mustExec(t, s, `CREATE TABLE t (id INT)`)
-	mustExec(t, s, `DROP TABLE t`)
-	if _, err := s.Exec(`SELECT * FROM t`); err == nil {
-		t.Fatal("dropped table still queryable")
-	}
-	if _, err := s.Exec(`DROP TABLE t`); err == nil {
-		t.Fatal("dropping missing table should fail")
-	}
-	mustExec(t, s, `DROP TABLE IF EXISTS t`)
-	mustExec(t, s, `CREATE TABLE IF NOT EXISTS u (id INT)`)
-	mustExec(t, s, `CREATE TABLE IF NOT EXISTS u (id INT)`)
-
-	// Rollback of a drop restores data.
-	mustExec(t, s, `INSERT INTO u VALUES (7)`)
-	mustExec(t, s, `BEGIN`)
-	mustExec(t, s, `DROP TABLE u`)
-	mustExec(t, s, `ROLLBACK`)
-	if v := cell(t, s, `SELECT id FROM u`); v.Int != 7 {
-		t.Fatalf("drop rollback lost data: %v", v)
-	}
-}
-
 func TestParserErrors(t *testing.T) {
 	s := newTestDB(t)
 	bad := []string{
@@ -421,7 +372,6 @@ func TestParserErrors(t *testing.T) {
 		`UPDATE t x = 1`,
 		`DELETE t`,
 		`SELECT * FROM t WHERE`,
-		`SELECT * FROM t LIMIT x`,
 		`SELECT * FROM t ORDER x`,
 		`SELECT 'unterminated FROM t`,
 		"SELECT \x01 FROM t",
@@ -443,15 +393,9 @@ func TestRuntimeErrors(t *testing.T) {
 	bad := []string{
 		`SELECT nosuch FROM t`,
 		`SELECT * FROM nosuch`,
-		`SELECT id / 0 FROM t`,
-		`SELECT id % 0 FROM t`,
 		`SELECT id + s FROM t`,
-		`SELECT -s FROM t`,
-		`SELECT id || s FROM t`,
-		`SELECT s LIKE 5 FROM t`,
-		`SELECT LENGTH(id) FROM t`,
-		`SELECT LENGTH(s, s) FROM t`,
-		`SELECT NOSUCHFN(s) FROM t`,
+		`SELECT s * s FROM t`,
+		`SELECT SUM(s) FROM t`,
 		`SELECT id = s FROM t`,
 		`INSERT INTO t (nosuch) VALUES (1)`,
 		`INSERT INTO t (id) VALUES (1, 2)`,
@@ -467,46 +411,12 @@ func TestRuntimeErrors(t *testing.T) {
 	}
 }
 
-func TestLikeMatch(t *testing.T) {
-	cases := []struct {
-		pat, s string
-		want   bool
-	}{
-		{"abc", "abc", true},
-		{"abc", "abd", false},
-		{"a%", "abc", true},
-		{"%c", "abc", true},
-		{"%b%", "abc", true},
-		{"a_c", "abc", true},
-		{"a_c", "abbc", false},
-		{"%", "", true},
-		{"_", "", false},
-		{"a%b%c", "aXbYc", true},
-		{"a%b%c", "acb", false},
-		{"%%", "x", true},
-		{"", "", true},
-		{"", "x", false},
-		{"/home/%", "/home/user/f", true},
-	}
-	for _, c := range cases {
-		if got := likeMatch(c.pat, c.s); got != c.want {
-			t.Errorf("likeMatch(%q, %q) = %v, want %v", c.pat, c.s, got, c.want)
-		}
-	}
-}
-
 func TestValueHelpers(t *testing.T) {
-	if Null().String() != "NULL" || I(5).String() != "5" || F(1.5).String() != "1.5" {
+	if Null().String() != "NULL" || I(5).String() != "5" || I(-5).String() != "-5" {
 		t.Error("String renders wrong")
 	}
 	if S("it's").String() != "'it''s'" {
 		t.Errorf("quote escape = %s", S("it's").String())
-	}
-	if S("abc").Text() != "abc" || I(7).Text() != "7" {
-		t.Error("Text renders wrong")
-	}
-	if Compare(I(2), F(2.0)) != 0 {
-		t.Error("int/float equality")
 	}
 	if Compare(Null(), I(0)) >= 0 {
 		t.Error("NULL should sort before numbers")
@@ -532,8 +442,8 @@ func TestOrderByMultipleKeys(t *testing.T) {
 	s := newTestDB(t)
 	mustExec(t, s, `CREATE TABLE t (a INT, b INT)`)
 	mustExec(t, s, `INSERT INTO t VALUES (1, 2), (1, 1), (2, 9), (0, 5)`)
-	res := mustExec(t, s, `SELECT a, b FROM t ORDER BY a ASC, b DESC`)
-	want := [][2]int64{{0, 5}, {1, 2}, {1, 1}, {2, 9}}
+	res := mustExec(t, s, `SELECT a, b FROM t ORDER BY a, b`)
+	want := [][2]int64{{0, 5}, {1, 1}, {1, 2}, {2, 9}}
 	for i, w := range want {
 		if res.Rows[i][0].Int != w[0] || res.Rows[i][1].Int != w[1] {
 			t.Fatalf("row %d = %v, want %v", i, res.Rows[i], w)
@@ -543,11 +453,11 @@ func TestOrderByMultipleKeys(t *testing.T) {
 
 func TestQuotedIdentAndComments(t *testing.T) {
 	s := newTestDB(t)
-	mustExec(t, s, `CREATE TABLE "select_t" (id INT) -- trailing comment`)
+	mustExec(t, s, `CREATE TABLE select_t (id INT) -- trailing comment`)
 	mustExec(t, s, `INSERT INTO select_t VALUES (1)
 -- a comment line
 `)
-	if v := cell(t, s, `SELECT COUNT(*) FROM "select_t"`); v.Int != 1 {
+	if v := cell(t, s, `SELECT COUNT(*) FROM select_t -- 'unterminated`); v.Int != 1 {
 		t.Fatalf("count = %v", v)
 	}
 }
@@ -580,6 +490,10 @@ func TestTableNames(t *testing.T) {
 	s := db.Session()
 	mustExec(t, s, `CREATE TABLE zz (a INT)`)
 	mustExec(t, s, `CREATE TABLE aa (a INT)`)
+	mustExec(t, s, `CREATE TABLE IF NOT EXISTS aa (other TEXT)`) // exists: left alone
+	if _, err := s.Exec(`CREATE TABLE aa (a INT)`); err == nil {
+		t.Fatal("creating an existing table should fail")
+	}
 	names := db.TableNames()
 	if len(names) != 2 || names[0] != "aa" || names[1] != "zz" {
 		t.Fatalf("names = %v", names)

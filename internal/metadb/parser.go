@@ -6,9 +6,8 @@ import (
 	"strings"
 )
 
-// Parse parses a single SQL statement (a trailing semicolon is
-// allowed). Each '?' outside a string literal becomes a Param, numbered
-// left to right.
+// Parse parses a single SQL statement. Each '?' outside a string
+// literal becomes a Param, numbered left to right.
 func Parse(src string) (Statement, error) {
 	st, _, err := parse(src)
 	return st, err
@@ -25,7 +24,6 @@ func parse(src string) (Statement, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	p.accept(tokSymbol, ";")
 	if !p.at(tokEOF, "") {
 		return nil, 0, fmt.Errorf("metadb: trailing input after statement: %s", p.peek())
 	}
@@ -98,11 +96,6 @@ func (p *parser) statement() (Statement, error) {
 			return p.createIndex()
 		}
 		return p.createTable()
-	case "DROP":
-		if p.toks[p.i+1].text == "INDEX" {
-			return p.dropIndex()
-		}
-		return p.dropTable()
 	case "INSERT":
 		return p.insert()
 	case "SELECT":
@@ -124,7 +117,6 @@ func (p *parser) statement() (Statement, error) {
 		return p.deleteStmt()
 	case "BEGIN":
 		p.next()
-		p.accept(tokKeyword, "TRANSACTION")
 		return Begin{}, nil
 	case "COMMIT":
 		p.next()
@@ -173,15 +165,6 @@ func (p *parser) createTable() (Statement, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Optional length like VARCHAR(64): parsed and ignored.
-		if p.accept(tokSymbol, "(") {
-			if _, err := p.expect(tokInt, ""); err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(tokSymbol, ")"); err != nil {
-				return nil, err
-			}
-		}
 		for {
 			switch {
 			case p.accept(tokKeyword, "PRIMARY"):
@@ -195,8 +178,6 @@ func (p *parser) createTable() (Statement, error) {
 					return nil, err
 				}
 				col.NotNull = true
-			case p.accept(tokKeyword, "UNIQUE"):
-				col.Unique = true
 			default:
 				goto colDone
 			}
@@ -211,26 +192,6 @@ func (p *parser) createTable() (Statement, error) {
 	if _, err := p.expect(tokSymbol, ")"); err != nil {
 		return nil, err
 	}
-	return st, nil
-}
-
-func (p *parser) dropTable() (Statement, error) {
-	p.next() // DROP
-	if _, err := p.expect(tokKeyword, "TABLE"); err != nil {
-		return nil, err
-	}
-	st := DropTable{}
-	if p.accept(tokKeyword, "IF") {
-		if _, err := p.expect(tokKeyword, "EXISTS"); err != nil {
-			return nil, err
-		}
-		st.IfExists = true
-	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	st.Name = name
 	return st, nil
 }
 
@@ -267,31 +228,6 @@ func (p *parser) createIndex() (Statement, error) {
 		return nil, err
 	}
 	if _, err := p.expect(tokSymbol, ")"); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
-func (p *parser) dropIndex() (Statement, error) {
-	p.next() // DROP
-	p.next() // INDEX
-	st := DropIndex{}
-	if p.accept(tokKeyword, "IF") {
-		if _, err := p.expect(tokKeyword, "EXISTS"); err != nil {
-			return nil, err
-		}
-		st.IfExists = true
-	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	st.Name = name
-	if _, err := p.expect(tokKeyword, "ON"); err != nil {
-		return nil, err
-	}
-	st.Table, err = p.ident()
-	if err != nil {
 		return nil, err
 	}
 	return st, nil
@@ -364,9 +300,6 @@ func (p *parser) insert() (Statement, error) {
 func (p *parser) selectStmt() (Statement, error) {
 	p.next() // SELECT
 	st := Select{}
-	if p.accept(tokKeyword, "DISTINCT") {
-		st.Distinct = true
-	}
 	for {
 		item, err := p.selectItem()
 		if err != nil {
@@ -387,14 +320,7 @@ func (p *parser) selectStmt() (Statement, error) {
 	}
 	st.Table = name
 	st.Alias = p.maybeAlias()
-	for {
-		if p.accept(tokKeyword, "INNER") {
-			if _, err := p.expect(tokKeyword, "JOIN"); err != nil {
-				return nil, err
-			}
-		} else if !p.accept(tokKeyword, "JOIN") {
-			break
-		}
+	for p.accept(tokKeyword, "JOIN") {
 		var j Join
 		j.Table, err = p.ident()
 		if err != nil {
@@ -417,61 +343,44 @@ func (p *parser) selectStmt() (Statement, error) {
 		}
 	}
 	if p.accept(tokKeyword, "GROUP") {
-		if _, err := p.expect(tokKeyword, "BY"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			st.GroupBy = append(st.GroupBy, e)
-			if p.accept(tokSymbol, ",") {
-				continue
-			}
-			break
-		}
-	}
-	if p.accept(tokKeyword, "HAVING") {
-		st.Having, err = p.expr()
-		if err != nil {
+		if st.GroupBy, err = p.byList(p.column); err != nil {
 			return nil, err
 		}
 	}
 	if p.accept(tokKeyword, "ORDER") {
-		if _, err := p.expect(tokKeyword, "BY"); err != nil {
+		if st.OrderBy, err = p.byList(p.orderKey); err != nil {
 			return nil, err
 		}
-		for {
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			key := OrderKey{Expr: e}
-			if p.accept(tokKeyword, "DESC") {
-				key.Desc = true
-			} else {
-				p.accept(tokKeyword, "ASC")
-			}
-			st.OrderBy = append(st.OrderBy, key)
-			if p.accept(tokSymbol, ",") {
-				continue
-			}
-			break
-		}
-	}
-	if p.accept(tokKeyword, "LIMIT") {
-		t, err := p.expect(tokInt, "")
-		if err != nil {
-			return nil, err
-		}
-		n, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
-			return nil, err
-		}
-		st.Limit = &n
 	}
 	return st, nil
+}
+
+// byList parses "BY item, item, ...", the tail of GROUP and ORDER.
+func (p *parser) byList(item func() (Expr, error)) ([]Expr, error) {
+	if _, err := p.expect(tokKeyword, "BY"); err != nil {
+		return nil, err
+	}
+	var list []Expr
+	for {
+		e, err := item()
+		if err != nil {
+			return nil, err
+		}
+		list = append(list, e)
+		if !p.accept(tokSymbol, ",") {
+			return list, nil
+		}
+	}
+}
+
+// orderKey parses one ORDER BY key: a column or a 1-based output
+// position.
+func (p *parser) orderKey() (Expr, error) {
+	if t := p.peek(); t.kind == tokInt {
+		p.next()
+		return intLit(t.text)
+	}
+	return p.column()
 }
 
 func (p *parser) selectItem() (SelectItem, error) {
@@ -479,18 +388,11 @@ func (p *parser) selectItem() (SelectItem, error) {
 		return SelectItem{Star: true}, nil
 	}
 	e, err := p.expr()
-	if err != nil {
-		return SelectItem{}, err
-	}
-	return SelectItem{Expr: e, Alias: p.maybeAlias()}, nil
+	return SelectItem{Expr: e}, err
 }
 
+// maybeAlias parses the optional alias after a table name.
 func (p *parser) maybeAlias() string {
-	if p.accept(tokKeyword, "AS") {
-		if p.at(tokIdent, "") {
-			return p.next().text
-		}
-	}
 	if p.at(tokIdent, "") {
 		return p.next().text
 	}
@@ -558,31 +460,14 @@ func (p *parser) deleteStmt() (Statement, error) {
 
 // --- expression parsing (precedence climbing) ------------------------
 
-// expr parses OR-level expressions.
-func (p *parser) expr() (Expr, error) { return p.orExpr() }
-
-func (p *parser) orExpr() (Expr, error) {
-	l, err := p.andExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.accept(tokKeyword, "OR") {
-		r, err := p.andExpr()
-		if err != nil {
-			return nil, err
-		}
-		l = Binary{Op: "OR", L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *parser) andExpr() (Expr, error) {
-	l, err := p.notExpr()
+// expr parses AND-level expressions.
+func (p *parser) expr() (Expr, error) {
+	l, err := p.cmpExpr()
 	if err != nil {
 		return nil, err
 	}
 	for p.accept(tokKeyword, "AND") {
-		r, err := p.notExpr()
+		r, err := p.cmpExpr()
 		if err != nil {
 			return nil, err
 		}
@@ -591,82 +476,17 @@ func (p *parser) andExpr() (Expr, error) {
 	return l, nil
 }
 
-func (p *parser) notExpr() (Expr, error) {
-	if p.accept(tokKeyword, "NOT") {
-		x, err := p.notExpr()
-		if err != nil {
-			return nil, err
-		}
-		return Unary{Op: "NOT", X: x}, nil
-	}
-	return p.cmpExpr()
-}
-
 func (p *parser) cmpExpr() (Expr, error) {
 	l, err := p.addExpr()
 	if err != nil {
 		return nil, err
 	}
-	// IS [NOT] NULL
-	if p.accept(tokKeyword, "IS") {
-		not := p.accept(tokKeyword, "NOT")
-		if _, err := p.expect(tokKeyword, "NULL"); err != nil {
-			return nil, err
-		}
-		return IsNull{X: l, Not: not}, nil
-	}
-	// [NOT] IN / [NOT] LIKE
-	not := false
-	if p.at(tokKeyword, "NOT") && (p.toks[p.i+1].text == "IN" || p.toks[p.i+1].text == "LIKE") {
-		p.next()
-		not = true
-	}
-	if p.accept(tokKeyword, "IN") {
-		if _, err := p.expect(tokSymbol, "("); err != nil {
-			return nil, err
-		}
-		var list []Expr
-		for {
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			list = append(list, e)
-			if p.accept(tokSymbol, ",") {
-				continue
-			}
-			break
-		}
-		if _, err := p.expect(tokSymbol, ")"); err != nil {
-			return nil, err
-		}
-		return InList{X: l, Not: not, List: list}, nil
-	}
-	if p.accept(tokKeyword, "LIKE") {
+	if p.accept(tokSymbol, "=") {
 		r, err := p.addExpr()
 		if err != nil {
 			return nil, err
 		}
-		var e Expr = Binary{Op: "LIKE", L: l, R: r}
-		if not {
-			e = Unary{Op: "NOT", X: e}
-		}
-		return e, nil
-	}
-	if not {
-		return nil, fmt.Errorf("metadb: dangling NOT near %s", p.peek())
-	}
-	for _, op := range []string{"=", "!=", "<>", "<=", ">=", "<", ">"} {
-		if p.accept(tokSymbol, op) {
-			r, err := p.addExpr()
-			if err != nil {
-				return nil, err
-			}
-			if op == "<>" {
-				op = "!="
-			}
-			return Binary{Op: op, L: l, R: r}, nil
-		}
+		return Binary{Op: "=", L: l, R: r}, nil
 	}
 	return l, nil
 }
@@ -676,73 +496,39 @@ func (p *parser) addExpr() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for {
-		var op string
-		switch {
-		case p.accept(tokSymbol, "+"):
-			op = "+"
-		case p.accept(tokSymbol, "-"):
-			op = "-"
-		case p.accept(tokSymbol, "||"):
-			op = "||"
-		default:
-			return l, nil
-		}
+	for p.accept(tokSymbol, "+") {
 		r, err := p.mulExpr()
 		if err != nil {
 			return nil, err
 		}
-		l = Binary{Op: op, L: l, R: r}
+		l = Binary{Op: "+", L: l, R: r}
 	}
+	return l, nil
 }
 
 func (p *parser) mulExpr() (Expr, error) {
-	l, err := p.unaryExpr()
+	l, err := p.primary()
 	if err != nil {
 		return nil, err
 	}
-	for {
-		var op string
-		switch {
-		case p.accept(tokSymbol, "*"):
-			op = "*"
-		case p.accept(tokSymbol, "/"):
-			op = "/"
-		case p.accept(tokSymbol, "%"):
-			op = "%"
-		default:
-			return l, nil
-		}
-		r, err := p.unaryExpr()
+	for p.accept(tokSymbol, "*") {
+		r, err := p.primary()
 		if err != nil {
 			return nil, err
 		}
-		l = Binary{Op: op, L: l, R: r}
+		l = Binary{Op: "*", L: l, R: r}
 	}
+	return l, nil
 }
 
-func (p *parser) unaryExpr() (Expr, error) {
-	if p.accept(tokSymbol, "-") {
-		x, err := p.unaryExpr()
-		if err != nil {
-			return nil, err
-		}
-		// A negative number is a literal like any other: it probes an
-		// index exactly as the same value bound to a placeholder does.
-		if l, ok := x.(Lit); ok {
-			switch l.V.Kind {
-			case KindInt:
-				return Lit{I(-l.V.Int)}, nil
-			case KindFloat:
-				return Lit{F(-l.V.Float)}, nil
-			}
-		}
-		return Unary{Op: "-", X: x}, nil
+// column parses a column reference, "col" or "table.col".
+func (p *parser) column() (Expr, error) {
+	name, err := p.ident()
+	if err != nil || !p.accept(tokSymbol, ".") {
+		return Col{Name: name}, err
 	}
-	if p.accept(tokSymbol, "+") {
-		return p.unaryExpr()
-	}
-	return p.primary()
+	col, err := p.ident()
+	return Col{Qual: name, Name: col}, err
 }
 
 func (p *parser) primary() (Expr, error) {
@@ -750,18 +536,7 @@ func (p *parser) primary() (Expr, error) {
 	switch t.kind {
 	case tokInt:
 		p.next()
-		v, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("metadb: bad integer literal %q", t.text)
-		}
-		return Lit{I(v)}, nil
-	case tokFloat:
-		p.next()
-		v, err := strconv.ParseFloat(t.text, 64)
-		if err != nil {
-			return nil, fmt.Errorf("metadb: bad float literal %q", t.text)
-		}
-		return Lit{F(v)}, nil
+		return intLit(t.text)
 	case tokString:
 		p.next()
 		return Lit{S(t.text)}, nil
@@ -770,14 +545,16 @@ func (p *parser) primary() (Expr, error) {
 		case "NULL":
 			p.next()
 			return Lit{Null()}, nil
-		case "COUNT", "SUM", "MIN", "MAX", "AVG":
+		case "COUNT", "SUM":
 			p.next()
 			if _, err := p.expect(tokSymbol, "("); err != nil {
 				return nil, err
 			}
 			agg := AggExpr{Fn: t.text}
-			if t.text == "COUNT" && p.accept(tokSymbol, "*") {
-				agg.Star = true
+			if t.text == "COUNT" {
+				if _, err := p.expect(tokSymbol, "*"); err != nil {
+					return nil, err
+				}
 			} else {
 				x, err := p.expr()
 				if err != nil {
@@ -791,45 +568,21 @@ func (p *parser) primary() (Expr, error) {
 			return agg, nil
 		}
 	case tokIdent:
-		p.next()
-		// Function call?
-		if p.accept(tokSymbol, "(") {
-			fn := strings.ToUpper(t.text)
-			var args []Expr
-			if !p.at(tokSymbol, ")") {
-				for {
-					e, err := p.expr()
-					if err != nil {
-						return nil, err
-					}
-					args = append(args, e)
-					if p.accept(tokSymbol, ",") {
-						continue
-					}
-					break
-				}
-			}
-			if _, err := p.expect(tokSymbol, ")"); err != nil {
-				return nil, err
-			}
-			return Call{Name: fn, Args: args}, nil
-		}
-		// Optional table qualifier t.col.
-		if p.accept(tokSymbol, ".") {
-			col, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			return Col{Qual: t.text, Name: col}, nil
-		}
-		return Col{Name: t.text}, nil
+		return p.column()
 	case tokSymbol:
-		if t.text == "?" {
+		switch t.text {
+		case "?":
 			p.next()
 			p.nparams++
 			return Param{N: p.nparams - 1}, nil
-		}
-		if t.text == "(" {
+		case "-": // a negative integer literal; there is no subtraction
+			p.next()
+			n, err := p.expect(tokInt, "")
+			if err != nil {
+				return nil, err
+			}
+			return intLit("-" + n.text)
+		case "(":
 			p.next()
 			e, err := p.expr()
 			if err != nil {
@@ -842,4 +595,12 @@ func (p *parser) primary() (Expr, error) {
 		}
 	}
 	return nil, fmt.Errorf("metadb: unexpected %s in expression", t)
+}
+
+func intLit(text string) (Expr, error) {
+	v, err := strconv.ParseInt(text, 10, 64)
+	if err != nil {
+		return nil, fmt.Errorf("metadb: bad integer literal %q", text)
+	}
+	return Lit{I(v)}, nil
 }

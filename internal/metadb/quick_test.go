@@ -70,23 +70,23 @@ func TestQuickGroupByAgainstReference(t *testing.T) {
 
 // Property: an inner join equals the brute-force nested loop over both
 // tables — same rows, same order — whether the joined table's key is
-// unindexed (the executor's own nested loop) or a primary key, UNIQUE
-// or secondary-indexed (the index probe), with NULL and duplicate keys
-// on both sides.
+// unindexed (the executor's own nested loop) or a primary key or
+// secondary-indexed (the index probe), with NULL and duplicate keys on
+// both sides.
 func TestQuickJoinAgainstReference(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		s := Memory().Session()
 		defer s.db.Close()
-		index := r.Intn(4)
-		keyDef := [...]string{"k INT", "k INT PRIMARY KEY", "k INT UNIQUE", "k INT"}[index]
+		index := r.Intn(3)
+		keyDef := [...]string{"k INT", "k INT PRIMARY KEY", "k INT"}[index]
 		for _, ddl := range []string{`CREATE TABLE a (k INT, x INT)`, `CREATE TABLE b (` + keyDef + `, y INT)`} {
 			if _, err := s.Exec(ddl); err != nil {
 				t.Logf("seed %d: %v", seed, err)
 				return false
 			}
 		}
-		if index == 3 {
+		if index == 2 {
 			if _, err := s.Exec(`CREATE INDEX b_k ON b (k)`); err != nil {
 				return false
 			}
@@ -102,10 +102,10 @@ func TestQuickJoinAgainstReference(t *testing.T) {
 		for i := r.Intn(20); i > 0; i-- {
 			as = append(as, row{key(), I(int64(len(as)))})
 		}
-		fresh := r.Perm(12) // distinct keys for the PRIMARY KEY / UNIQUE cases
+		fresh := r.Perm(12) // distinct keys for the PRIMARY KEY case
 		for i := r.Intn(12); i > 0; i-- {
 			k := key()
-			if index == 1 || (index == 2 && !k.IsNull()) {
+			if index == 1 {
 				k = I(int64(fresh[len(bs)]) - 3)
 			}
 			bs = append(bs, row{k, I(int64(100 + len(bs)))})

@@ -212,7 +212,7 @@ func (e *ErrStaleEpoch) Error() string {
 // ApplyShipped applies one shipped commit record on a follower: the
 // redo ops mutate the tables and the record lands in the follower's
 // own WAL, so follower durability works exactly like primary
-// durability. The returned wait target is the group-commit watermark —
+// durability. The returned wait target is the WAL's fsync watermark —
 // pass it to WaitWAL before acknowledging the record (0 means the
 // append is already as durable as Options demand). A seq that is not
 // exactly ReplState()+1 fails with *ErrSeqGap.
@@ -246,16 +246,14 @@ func (db *DB) ApplyShipped(streamEpoch, seq, epoch int64, ops []RedoOp) (int64, 
 	}
 	db.walMu.Lock()
 	defer db.walMu.Unlock()
-	if err := db.wal.append(commitRecord{Seq: seq, Epoch: epoch, Ops: ops}); err != nil {
+	wait, err := db.wal.append(commitRecord{Seq: seq, Epoch: epoch, Ops: ops})
+	if err != nil {
 		return 0, err
 	}
 	if db.opts.CheckpointBytes > 0 && db.wal.size > db.opts.CheckpointBytes {
 		return 0, db.snapshotLocked()
 	}
-	if db.wal.group {
-		return db.wal.target(), nil
-	}
-	return 0, nil
+	return wait, nil
 }
 
 // WaitWAL blocks until the WAL is durable up to the given wait target

@@ -19,8 +19,8 @@ type binding [][]Value
 
 // execSelect runs a SELECT with args bound to its placeholders:
 // nested-loop joins (index-probed where possible), WHERE, optional
-// GROUP BY/HAVING with aggregates, ORDER BY and LIMIT. Caller holds at
-// least a read lock.
+// GROUP BY with aggregates and ORDER BY. Caller holds at least a read
+// lock.
 func (db *DB) execSelect(st Select, args []Value) (*Result, error) {
 	refs, err := db.resolveRefs(st)
 	if err != nil {
@@ -46,10 +46,6 @@ func (db *DB) execSelect(st Select, args []Value) (*Result, error) {
 			}
 		}
 	}
-	if !grouped && st.Having != nil {
-		return nil, errors.New("metadb: HAVING requires aggregation or GROUP BY")
-	}
-
 	res := &Result{Cols: names}
 	if grouped {
 		if err := db.evalGrouped(st, refs, rows, items, args, res); err != nil {
@@ -60,34 +56,7 @@ func (db *DB) execSelect(st Select, args []Value) (*Result, error) {
 			return nil, err
 		}
 	}
-	if st.Distinct {
-		res.Rows = dedupeRows(res.Rows)
-	}
-	if st.Limit != nil && int64(len(res.Rows)) > *st.Limit {
-		res.Rows = res.Rows[:*st.Limit]
-	}
 	return res, nil
-}
-
-// dedupeRows drops duplicate output rows, keeping first occurrences
-// (so an ORDER BY sort is preserved).
-func dedupeRows(rows [][]Value) [][]Value {
-	seen := make(map[string]bool, len(rows))
-	out := rows[:0]
-	for _, r := range rows {
-		var sb strings.Builder
-		for _, v := range r {
-			sb.WriteString(v.String())
-			sb.WriteByte('\x00')
-		}
-		k := sb.String()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, r)
-	}
-	return out
 }
 
 // resolveRefs looks up the FROM table and all join tables.
@@ -241,12 +210,12 @@ type joinProbe struct {
 }
 
 // findJoinProbe recognizes a join condition "x.a = y.b" where one side
-// is a primary-key, UNIQUE or secondary-indexed column of the table
-// joined at level and the other a column of exactly one earlier table.
-// Both columns must have the same non-REAL type: stored values then
-// compare equal exactly when they are the same index key, which is what
-// makes the probe agree with evaluating ON (a mixed-type ON is an
-// error or a numeric comparison, and the nested loop reports either).
+// is a primary-key or secondary-indexed column of the table joined at
+// level and the other a column of exactly one earlier table. Both
+// columns must have the same type: stored values then compare equal
+// exactly when they are the same index key, which is what makes the
+// probe agree with evaluating ON (a mixed-type ON is an error, and the
+// nested loop reports it).
 func findJoinProbe(refs []tableRef, level int, on Expr) joinProbe {
 	b, ok := on.(Binary)
 	if !ok || b.Op != "=" {
@@ -269,8 +238,8 @@ func findJoinProbe(refs []tableRef, level int, on Expr) joinProbe {
 	if rref != level || lref == level {
 		return joinProbe{}
 	}
-	inner, kind := refs[level].t, refs[level].t.Cols[rci].Type
-	if kind == KindFloat || refs[lref].t.Cols[lci].Type != kind || inner.probeName(rci) == "" {
+	inner := refs[level].t
+	if refs[lref].t.Cols[lci].Type != inner.Cols[rci].Type || inner.probeName(rci) == "" {
 		return joinProbe{}
 	}
 	return joinProbe{ok: true, outer: lref, outerCol: lci, innerCol: rci}
@@ -348,16 +317,14 @@ func expandItems(items []SelectItem, refs []tableRef) ([]Expr, []string, error) 
 			}
 			continue
 		}
-		name := it.Alias
-		if name == "" {
-			switch e := it.Expr.(type) {
-			case Col:
-				name = e.Name
-			case AggExpr:
-				name = e.Fn
-			default:
-				name = fmt.Sprintf("col%d", len(exprs)+1)
-			}
+		var name string
+		switch e := it.Expr.(type) {
+		case Col:
+			name = e.Name
+		case AggExpr:
+			name = e.Fn
+		default:
+			name = fmt.Sprintf("col%d", len(exprs)+1)
 		}
 		exprs = append(exprs, it.Expr)
 		names = append(names, name)
@@ -368,135 +335,123 @@ func expandItems(items []SelectItem, refs []tableRef) ([]Expr, []string, error) 
 	return exprs, names, nil
 }
 
-// evalPlain evaluates items per row, then sorts.
-func (db *DB) evalPlain(st Select, refs []tableRef, rows []binding, items []Expr, args []Value, res *Result) error {
-	type sortedRow struct {
-		out  []Value
-		keys []Value
-	}
-	srows := make([]sortedRow, 0, len(rows))
-	for _, b := range rows {
-		ctx := &evalCtx{args: args, lookup: bindEnv(refs, b, len(refs))}
-		out := make([]Value, len(items))
-		for i, e := range items {
-			v, err := eval(e, ctx)
-			if err != nil {
-				return err
-			}
-			out[i] = v
-		}
-		keys, err := orderKeys(st.OrderBy, ctx, out, res.Cols)
+// outRows collects a SELECT's output rows with their ORDER BY keys.
+type outRows struct {
+	orderBy []Expr
+	rows    []outRow
+}
+
+type outRow struct{ out, keys []Value }
+
+// add evaluates items and the ORDER BY keys against ctx and appends the
+// row.
+func (o *outRows) add(items []Expr, ctx *evalCtx) error {
+	r := outRow{out: make([]Value, len(items)), keys: make([]Value, len(o.orderBy))}
+	for i, e := range items {
+		v, err := eval(e, ctx)
 		if err != nil {
 			return err
 		}
-		srows = append(srows, sortedRow{out: out, keys: keys})
+		r.out[i] = v
 	}
-	sortByKeys(st.OrderBy, func(i, j int) bool { return lessKeys(st.OrderBy, srows[i].keys, srows[j].keys) },
-		len(srows), func(less func(i, j int) bool) {
-			sort.SliceStable(srows, less)
+	for i, k := range o.orderBy {
+		if pos, ok := k.(Lit); ok { // ORDER BY 2: an output position
+			if pos.V.Int < 1 || pos.V.Int > int64(len(r.out)) {
+				return fmt.Errorf("metadb: ORDER BY position %d out of range", pos.V.Int)
+			}
+			r.keys[i] = r.out[pos.V.Int-1]
+			continue
+		}
+		v, err := eval(k, ctx)
+		if err != nil {
+			return err
+		}
+		r.keys[i] = v
+	}
+	o.rows = append(o.rows, r)
+	return nil
+}
+
+// into sorts the rows by their keys, ascending and stable, and moves
+// them into res.
+func (o *outRows) into(res *Result) {
+	if len(o.orderBy) > 0 {
+		sort.SliceStable(o.rows, func(i, j int) bool {
+			for k := range o.orderBy {
+				if c := Compare(o.rows[i].keys[k], o.rows[j].keys[k]); c != 0 {
+					return c < 0
+				}
+			}
+			return false
 		})
-	for _, r := range srows {
+	}
+	for _, r := range o.rows {
 		res.Rows = append(res.Rows, r.out)
 	}
+}
+
+// evalPlain evaluates items per row, then sorts.
+func (db *DB) evalPlain(st Select, refs []tableRef, rows []binding, items []Expr, args []Value, res *Result) error {
+	o := outRows{orderBy: st.OrderBy, rows: make([]outRow, 0, len(rows))}
+	for _, b := range rows {
+		if err := o.add(items, &evalCtx{args: args, lookup: bindEnv(refs, b, len(refs))}); err != nil {
+			return err
+		}
+	}
+	o.into(res)
 	return nil
 }
 
 // evalGrouped buckets rows by the GROUP BY keys (one global bucket if
-// none), applies HAVING, and evaluates items with aggregate support.
+// none) and evaluates items with aggregate support.
 func (db *DB) evalGrouped(st Select, refs []tableRef, rows []binding, items []Expr, args []Value, res *Result) error {
-	type bucket struct {
-		key  string
-		rows []binding
-	}
-	var buckets []*bucket
-	index := map[string]*bucket{}
+	var buckets [][]binding
+	index := map[string]int{} // group key -> its bucket
 	for _, b := range rows {
-		key := ""
-		if len(st.GroupBy) > 0 {
-			ctx := &evalCtx{args: args, lookup: bindEnv(refs, b, len(refs))}
-			var sb strings.Builder
-			for _, ge := range st.GroupBy {
-				v, err := eval(ge, ctx)
-				if err != nil {
-					return err
-				}
-				sb.WriteString(v.String())
-				sb.WriteByte('\x00')
+		ctx := &evalCtx{args: args, lookup: bindEnv(refs, b, len(refs))}
+		var key strings.Builder
+		for _, c := range st.GroupBy {
+			v, err := eval(c, ctx)
+			if err != nil {
+				return err
 			}
-			key = sb.String()
+			key.WriteString(v.String())
+			key.WriteByte('\x00')
 		}
-		bk, ok := index[key]
+		i, ok := index[key.String()]
 		if !ok {
-			bk = &bucket{key: key}
-			index[key] = bk
-			buckets = append(buckets, bk)
+			i = len(buckets)
+			index[key.String()] = i
+			buckets = append(buckets, nil)
 		}
-		bk.rows = append(bk.rows, b)
+		buckets[i] = append(buckets[i], b)
 	}
 	// An ungrouped aggregate over zero rows still yields one row.
 	if len(buckets) == 0 && len(st.GroupBy) == 0 {
-		buckets = append(buckets, &bucket{})
+		buckets = append(buckets, nil)
 	}
 
-	type sortedRow struct {
-		out  []Value
-		keys []Value
-	}
-	var srows []sortedRow
-	for _, bk := range buckets {
-		ctx := &evalCtx{args: args, agg: func(a AggExpr) (Value, error) { return db.aggregate(a, refs, bk.rows, args) }}
-		if len(bk.rows) > 0 {
-			ctx.lookup = bindEnv(refs, bk.rows[0], len(refs))
+	o := outRows{orderBy: st.OrderBy}
+	for _, group := range buckets {
+		ctx := &evalCtx{args: args, agg: func(a AggExpr) (Value, error) { return aggregate(a, refs, group, args) }}
+		if len(group) > 0 {
+			ctx.lookup = bindEnv(refs, group[0], len(refs))
 		}
-		if st.Having != nil {
-			v, err := eval(st.Having, ctx)
-			if err != nil {
-				return err
-			}
-			if v.IsNull() || !v.Truth() {
-				continue
-			}
-		}
-		out := make([]Value, len(items))
-		for i, e := range items {
-			v, err := eval(e, ctx)
-			if err != nil {
-				return err
-			}
-			out[i] = v
-		}
-		keys, err := orderKeys(st.OrderBy, ctx, out, res.Cols)
-		if err != nil {
+		if err := o.add(items, ctx); err != nil {
 			return err
 		}
-		srows = append(srows, sortedRow{out: out, keys: keys})
 	}
-	sortByKeys(st.OrderBy, func(i, j int) bool { return lessKeys(st.OrderBy, srows[i].keys, srows[j].keys) },
-		len(srows), func(less func(i, j int) bool) {
-			sort.SliceStable(srows, less)
-		})
-	for _, r := range srows {
-		res.Rows = append(res.Rows, r.out)
-	}
+	o.into(res)
 	return nil
 }
 
-// aggregate computes one aggregate over a bucket.
-func (db *DB) aggregate(a AggExpr, refs []tableRef, rows []binding, args []Value) (Value, error) {
-	if a.Star {
-		if a.Fn != "COUNT" {
-			return Value{}, fmt.Errorf("metadb: %s(*) is not valid", a.Fn)
-		}
+// aggregate computes COUNT(*) or SUM(x) over a bucket; SUM skips NULLs
+// and is NULL over none.
+func aggregate(a AggExpr, refs []tableRef, rows []binding, args []Value) (Value, error) {
+	if a.X == nil {
 		return I(int64(len(rows))), nil
 	}
-	var (
-		count int64
-		sumF  float64
-		sumI  int64
-		allI  = true
-		best  Value
-		first = true
-	)
+	var sum, count int64
 	for _, b := range rows {
 		v, err := eval(a.X, &evalCtx{args: args, lookup: bindEnv(refs, b, len(refs))})
 		if err != nil {
@@ -505,126 +460,14 @@ func (db *DB) aggregate(a AggExpr, refs []tableRef, rows []binding, args []Value
 		if v.IsNull() {
 			continue
 		}
+		if v.Kind != KindInt {
+			return Value{}, fmt.Errorf("metadb: %s requires numeric values", a.Fn)
+		}
+		sum += v.Int
 		count++
-		switch a.Fn {
-		case "SUM", "AVG":
-			f, ok := v.AsFloat()
-			if !ok {
-				return Value{}, fmt.Errorf("metadb: %s requires numeric values", a.Fn)
-			}
-			sumF += f
-			if v.Kind == KindInt {
-				sumI += v.Int
-			} else {
-				allI = false
-			}
-		case "MIN":
-			if first || Compare(v, best) < 0 {
-				best = v
-			}
-		case "MAX":
-			if first || Compare(v, best) > 0 {
-				best = v
-			}
-		}
-		first = false
 	}
-	switch a.Fn {
-	case "COUNT":
-		return I(count), nil
-	case "SUM":
-		if count == 0 {
-			return Null(), nil
-		}
-		if allI {
-			return I(sumI), nil
-		}
-		return F(sumF), nil
-	case "AVG":
-		if count == 0 {
-			return Null(), nil
-		}
-		return F(sumF / float64(count)), nil
-	case "MIN", "MAX":
-		if count == 0 {
-			return Null(), nil
-		}
-		return best, nil
+	if count == 0 {
+		return Null(), nil
 	}
-	return Value{}, fmt.Errorf("metadb: unknown aggregate %q", a.Fn)
-}
-
-// orderKeys evaluates ORDER BY keys for one output row. Keys may be
-// arbitrary expressions, an output column name, or a 1-based output
-// position.
-func orderKeys(keys []OrderKey, ctx *evalCtx, out []Value, names []string) ([]Value, error) {
-	if len(keys) == 0 {
-		return nil, nil
-	}
-	vals := make([]Value, len(keys))
-	for i, k := range keys {
-		// ORDER BY 2 — output position.
-		if lit, ok := k.Expr.(Lit); ok && lit.V.Kind == KindInt {
-			pos := int(lit.V.Int)
-			if pos < 1 || pos > len(out) {
-				return nil, fmt.Errorf("metadb: ORDER BY position %d out of range", pos)
-			}
-			vals[i] = out[pos-1]
-			continue
-		}
-		// ORDER BY alias — output column name takes priority when the
-		// expression is a bare, unqualified name matching an output.
-		if c, ok := k.Expr.(Col); ok && c.Qual == "" {
-			if j := indexOfName(names, c.Name); j >= 0 {
-				// Prefer the row column when it resolves (plain
-				// selects); fall back to the output column (grouped
-				// selects where the alias names an aggregate).
-				if ctx.lookup != nil {
-					if v, err := ctx.lookup("", c.Name); err == nil {
-						vals[i] = v
-						continue
-					}
-				}
-				vals[i] = out[j]
-				continue
-			}
-		}
-		v, err := eval(k.Expr, ctx)
-		if err != nil {
-			return nil, err
-		}
-		vals[i] = v
-	}
-	return vals, nil
-}
-
-func indexOfName(names []string, name string) int {
-	for i, n := range names {
-		if n == name {
-			return i
-		}
-	}
-	return -1
-}
-
-func lessKeys(keys []OrderKey, a, b []Value) bool {
-	for k := range keys {
-		c := Compare(a[k], b[k])
-		if c == 0 {
-			continue
-		}
-		if keys[k].Desc {
-			return c > 0
-		}
-		return c < 0
-	}
-	return false
-}
-
-// sortByKeys applies the sort only when ORDER BY is present.
-func sortByKeys(keys []OrderKey, less func(i, j int) bool, n int, do func(func(i, j int) bool)) {
-	if len(keys) == 0 || n < 2 {
-		return
-	}
-	do(less)
+	return I(sum), nil
 }

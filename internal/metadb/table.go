@@ -7,16 +7,15 @@ import (
 
 // Table is an in-memory relation: a schema, rows addressed by a
 // monotonically increasing rowid (which also gives stable scan order),
-// hash indexes on the primary key and UNIQUE columns, and optional
-// non-unique secondary indexes (CREATE INDEX).
+// a hash index on the primary key, and optional non-unique secondary
+// indexes (CREATE INDEX).
 type Table struct {
 	Name      string
 	Cols      []ColumnDef
 	colIdx    map[string]int
 	rows      map[int64][]Value
-	pk        int                     // index of the primary-key column, -1 if none
-	pkIdx     map[Value]int64         // pk value -> rowid
-	uniqIdx   map[int]map[Value]int64 // column index -> value -> rowid
+	pk        int             // index of the primary-key column, -1 if none
+	pkIdx     map[Value]int64 // pk value -> rowid
 	secondary map[string]*secondaryIndex
 	nextRow   int64
 }
@@ -72,14 +71,8 @@ func (t *Table) createIndex(name, col string) error {
 	return nil
 }
 
-// dropIndex removes a secondary index.
-func (t *Table) dropIndex(name string) bool {
-	if _, ok := t.secondary[name]; !ok {
-		return false
-	}
-	delete(t.secondary, name)
-	return true
-}
+// dropIndex removes a secondary index (the undo of createIndex).
+func (t *Table) dropIndex(name string) { delete(t.secondary, name) }
 
 // indexOn returns a secondary index covering the column, if any.
 func (t *Table) indexOn(col int) *secondaryIndex {
@@ -99,7 +92,6 @@ func NewTable(name string, cols []ColumnDef) (*Table, error) {
 		colIdx:  make(map[string]int, len(cols)),
 		rows:    make(map[int64][]Value),
 		pk:      -1,
-		uniqIdx: make(map[int]map[Value]int64),
 		nextRow: 1,
 	}
 	for i, c := range cols {
@@ -113,9 +105,6 @@ func NewTable(name string, cols []ColumnDef) (*Table, error) {
 			}
 			t.pk = i
 			t.pkIdx = make(map[Value]int64)
-		}
-		if c.Unique && !c.PrimaryKey {
-			t.uniqIdx[i] = make(map[Value]int64)
 		}
 	}
 	return t, nil
@@ -131,8 +120,8 @@ func (t *Table) ColIndex(name string) (int, error) {
 }
 
 // checkRow coerces values to column types and validates constraints
-// (NOT NULL, PK/UNIQUE). excludeRow is skipped during uniqueness checks
-// (used when updating a row in place).
+// (NOT NULL, primary key). excludeRow is skipped during the uniqueness
+// check (used when updating a row in place).
 func (t *Table) checkRow(vals []Value, excludeRow int64) ([]Value, error) {
 	out, err := t.coerceRow(vals)
 	if err != nil {
@@ -163,21 +152,12 @@ func (t *Table) coerceRow(vals []Value) ([]Value, error) {
 	return out, nil
 }
 
-// conflict reports the PK/UNIQUE value a coerced row shares with a row
+// conflict reports the primary key a coerced row shares with a row
 // other than excludeRow.
 func (t *Table) conflict(vals []Value, excludeRow int64) error {
 	if t.pk >= 0 {
 		if rid, ok := t.pkIdx[vals[t.pk]]; ok && rid != excludeRow {
 			return fmt.Errorf("metadb: duplicate primary key %s in table %q", vals[t.pk], t.Name)
-		}
-	}
-	for ci, idx := range t.uniqIdx {
-		v := vals[ci]
-		if v.IsNull() {
-			continue
-		}
-		if rid, ok := idx[v]; ok && rid != excludeRow {
-			return fmt.Errorf("metadb: duplicate value %s for unique column %q", v, t.Cols[ci].Name)
 		}
 	}
 	return nil
@@ -196,11 +176,6 @@ func (t *Table) insert(vals []Value, rid int64) int64 {
 	if t.pk >= 0 {
 		t.pkIdx[vals[t.pk]] = rid
 	}
-	for ci, idx := range t.uniqIdx {
-		if !vals[ci].IsNull() {
-			idx[vals[ci]] = rid
-		}
-	}
 	for _, ix := range t.secondary {
 		ix.add(vals[ix.col], rid)
 	}
@@ -217,11 +192,6 @@ func (t *Table) delete(rid int64) ([]Value, bool) {
 	if t.pk >= 0 {
 		delete(t.pkIdx, vals[t.pk])
 	}
-	for ci, idx := range t.uniqIdx {
-		if !vals[ci].IsNull() {
-			delete(idx, vals[ci])
-		}
-	}
 	for _, ix := range t.secondary {
 		ix.remove(vals[ix.col], rid)
 	}
@@ -237,14 +207,6 @@ func (t *Table) update(rid int64, vals []Value) ([]Value, bool) {
 	if t.pk >= 0 {
 		delete(t.pkIdx, old[t.pk])
 		t.pkIdx[vals[t.pk]] = rid
-	}
-	for ci, idx := range t.uniqIdx {
-		if !old[ci].IsNull() {
-			delete(idx, old[ci])
-		}
-		if !vals[ci].IsNull() {
-			idx[vals[ci]] = rid
-		}
 	}
 	for _, ix := range t.secondary {
 		ix.remove(old[ix.col], rid)
@@ -265,16 +227,12 @@ func (t *Table) scanIDs() []int64 {
 }
 
 // probe returns, in rowid order, the rows whose column ci equals v when
-// the column is the primary key, UNIQUE or covered by a secondary
-// index; ok is false when it is none of those and the caller must
-// scan. v must already have the column's type; NULL matches nothing.
+// the column is the primary key or covered by a secondary index; ok is
+// false when it is neither and the caller must scan. v must already
+// have the column's type; NULL matches nothing.
 func (t *Table) probe(ci int, v Value) (ids []int64, ok bool) {
-	unique := t.uniqIdx[ci]
 	if ci == t.pk {
-		unique = t.pkIdx
-	}
-	if unique != nil {
-		if rid, found := unique[v]; found {
+		if rid, found := t.pkIdx[v]; found {
 			return []int64{rid}, true
 		}
 		return nil, true
@@ -295,61 +253,11 @@ func (t *Table) probe(ci int, v Value) (ids []int64, ok bool) {
 // probeName names the index probe would use on column ci ("" when the
 // column has none).
 func (t *Table) probeName(ci int) string {
-	switch {
-	case ci == t.pk:
+	if ci == t.pk {
 		return "PRIMARY KEY"
-	case t.uniqIdx[ci] != nil:
-		return "UNIQUE"
 	}
 	if ix := t.indexOn(ci); ix != nil {
 		return ix.name
 	}
 	return ""
-}
-
-// clone deep-copies the table (used to undo DROP TABLE).
-func (t *Table) clone() *Table {
-	nt := &Table{
-		Name:    t.Name,
-		Cols:    append([]ColumnDef(nil), t.Cols...),
-		colIdx:  make(map[string]int, len(t.colIdx)),
-		rows:    make(map[int64][]Value, len(t.rows)),
-		pk:      t.pk,
-		uniqIdx: make(map[int]map[Value]int64, len(t.uniqIdx)),
-		nextRow: t.nextRow,
-	}
-	for k, v := range t.colIdx {
-		nt.colIdx[k] = v
-	}
-	if t.pkIdx != nil {
-		nt.pkIdx = make(map[Value]int64, len(t.pkIdx))
-		for k, v := range t.pkIdx {
-			nt.pkIdx[k] = v
-		}
-	}
-	for ci, idx := range t.uniqIdx {
-		ni := make(map[Value]int64, len(idx))
-		for k, v := range idx {
-			ni[k] = v
-		}
-		nt.uniqIdx[ci] = ni
-	}
-	for id, vals := range t.rows {
-		nt.rows[id] = append([]Value(nil), vals...)
-	}
-	for name, ix := range t.secondary {
-		if nt.secondary == nil {
-			nt.secondary = make(map[string]*secondaryIndex)
-		}
-		nix := &secondaryIndex{name: ix.name, col: ix.col, m: make(map[Value]map[int64]struct{}, len(ix.m))}
-		for v, set := range ix.m {
-			ns := make(map[int64]struct{}, len(set))
-			for rid := range set {
-				ns[rid] = struct{}{}
-			}
-			nix.m[v] = ns
-		}
-		nt.secondary[name] = nix
-	}
-	return nt
 }

@@ -1,10 +1,12 @@
 // Package metadb is a small embedded relational database engine used as
 // the DPFS meta-data repository. The paper stores DPFS meta data in
 // POSTGRES and accesses it with standard SQL (Section 5); this package
-// is the from-scratch substitute: a SQL subset (CREATE/DROP TABLE,
-// INSERT, SELECT with WHERE/ORDER BY/LIMIT and whole-table aggregates,
-// UPDATE, DELETE), transactions (BEGIN/COMMIT/ROLLBACK) with undo
-// logging, and durable storage via a write-ahead log plus snapshot
+// is the from-scratch substitute. Its SQL is the dialect the catalog of
+// internal/meta speaks and nothing else: CREATE TABLE/INDEX, INSERT,
+// SELECT with JOIN/WHERE/GROUP BY/ORDER BY and COUNT(*)/SUM, UPDATE and
+// DELETE over INTEGER and TEXT columns, '?' parameters, and EXPLAIN
+// SELECT. Around it sit transactions (BEGIN/COMMIT/ROLLBACK) with undo
+// logging and durable storage via a write-ahead log plus snapshot
 // checkpoints. A TCP front end lives in the mdbnet subpackage.
 package metadb
 
@@ -22,10 +24,9 @@ const (
 	KindNull Kind = iota
 	// KindInt is a 64-bit signed integer.
 	KindInt
-	// KindFloat is a 64-bit float.
-	KindFloat
-	// KindText is a string.
-	KindText
+	// KindText is a string. The numbers are on disk and on the wire; 2
+	// was REAL.
+	KindText Kind = 3
 )
 
 // String names the kind like the SQL type keywords do.
@@ -35,8 +36,6 @@ func (k Kind) String() string {
 		return "NULL"
 	case KindInt:
 		return "INTEGER"
-	case KindFloat:
-		return "REAL"
 	case KindText:
 		return "TEXT"
 	}
@@ -45,17 +44,15 @@ func (k Kind) String() string {
 
 // Value is a SQL runtime value.
 type Value struct {
-	Kind  Kind
-	Int   int64
-	Float float64
-	Str   string
+	Kind Kind
+	Int  int64
+	Str  string
 }
 
-// Null, I, F and S are value constructors.
-func Null() Value       { return Value{Kind: KindNull} }
-func I(v int64) Value   { return Value{Kind: KindInt, Int: v} }
-func F(v float64) Value { return Value{Kind: KindFloat, Float: v} }
-func S(v string) Value  { return Value{Kind: KindText, Str: v} }
+// Null, I and S are value constructors.
+func Null() Value      { return Value{Kind: KindNull} }
+func I(v int64) Value  { return Value{Kind: KindInt, Int: v} }
+func S(v string) Value { return Value{Kind: KindText, Str: v} }
 func B(v bool) Value {
 	if v {
 		return I(1)
@@ -73,23 +70,10 @@ func (v Value) Truth() bool {
 	switch v.Kind {
 	case KindInt:
 		return v.Int != 0
-	case KindFloat:
-		return v.Float != 0
 	case KindText:
 		return v.Str != ""
 	}
 	return false
-}
-
-// AsFloat coerces a numeric value to float64.
-func (v Value) AsFloat() (float64, bool) {
-	switch v.Kind {
-	case KindInt:
-		return float64(v.Int), true
-	case KindFloat:
-		return v.Float, true
-	}
-	return 0, false
 }
 
 // String renders the value as SQL literal text.
@@ -99,102 +83,52 @@ func (v Value) String() string {
 		return "NULL"
 	case KindInt:
 		return strconv.FormatInt(v.Int, 10)
-	case KindFloat:
-		return strconv.FormatFloat(v.Float, 'g', -1, 64)
 	case KindText:
 		return "'" + strings.ReplaceAll(v.Str, "'", "''") + "'"
 	}
 	return "?"
 }
 
-// Text returns the value rendered as plain (unquoted) text, the way a
-// client displays result cells.
-func (v Value) Text() string {
-	if v.Kind == KindText {
-		return v.Str
-	}
-	return v.String()
-}
-
-// Compare orders two values: NULL sorts before everything; numbers
-// compare numerically across int/float; text compares bytewise.
-// Comparing text with numbers orders numbers first (deterministic, like
-// SQLite's type ordering).
+// Compare orders two values: NULL sorts before everything, then
+// integers, then text (bytewise).
 func Compare(a, b Value) int {
-	ra, rb := typeRank(a), typeRank(b)
-	if ra != rb {
-		if ra < rb {
+	if a.Kind != b.Kind {
+		if a.Kind < b.Kind {
 			return -1
 		}
 		return 1
 	}
 	switch a.Kind {
-	case KindNull:
-		return 0
-	case KindText:
-		return strings.Compare(a.Str, b.Str)
-	default: // numeric
-		fa, _ := a.AsFloat()
-		fb, _ := b.AsFloat()
-		// Exact path for int/int to avoid float rounding on big ints.
-		if a.Kind == KindInt && b.Kind == KindInt {
-			switch {
-			case a.Int < b.Int:
-				return -1
-			case a.Int > b.Int:
-				return 1
-			}
-			return 0
-		}
+	case KindInt:
 		switch {
-		case fa < fb:
+		case a.Int < b.Int:
 			return -1
-		case fa > fb:
+		case a.Int > b.Int:
 			return 1
 		}
 		return 0
+	case KindText:
+		return strings.Compare(a.Str, b.Str)
 	}
+	return 0
 }
-
-func typeRank(v Value) int {
-	switch v.Kind {
-	case KindNull:
-		return 0
-	case KindInt, KindFloat:
-		return 1
-	default:
-		return 2
-	}
-}
-
-// Equal reports SQL equality (used by =; NULL = NULL is handled by the
-// evaluator, which yields NULL before calling this).
-func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
 // ParseType maps a SQL column type keyword to a Kind.
 func ParseType(name string) (Kind, error) {
 	switch strings.ToUpper(name) {
-	case "INT", "INTEGER", "BIGINT", "SMALLINT":
+	case "INT", "INTEGER":
 		return KindInt, nil
-	case "REAL", "FLOAT", "DOUBLE":
-		return KindFloat, nil
-	case "TEXT", "VARCHAR", "CHAR", "STRING":
+	case "TEXT":
 		return KindText, nil
 	}
 	return 0, fmt.Errorf("metadb: unknown column type %q", name)
 }
 
-// coerce converts v for storage into a column of kind k; ints widen to
-// floats, everything else must match (or be NULL).
+// coerce checks v for storage into a column of kind k: it must have
+// that kind or be NULL.
 func coerce(v Value, k Kind) (Value, error) {
 	if v.IsNull() || v.Kind == k {
 		return v, nil
-	}
-	if k == KindFloat && v.Kind == KindInt {
-		return F(float64(v.Int)), nil
-	}
-	if k == KindInt && v.Kind == KindFloat && v.Float == float64(int64(v.Float)) {
-		return I(int64(v.Float)), nil
 	}
 	return Value{}, fmt.Errorf("metadb: cannot store %s value %s in %s column", v.Kind, v, k)
 }

@@ -39,8 +39,8 @@ type commitRecord struct {
 type snapshotRecord struct {
 	// Seq/Epoch of the last commit record the snapshot covers, so the
 	// replicated-log position survives WAL truncation.
-	Seq   int64
-	Epoch int64
+	Seq    int64
+	Epoch  int64
 	Tables []tableDump
 }
 
@@ -66,13 +66,11 @@ type walFile struct {
 
 	reg *obs.Registry // owning DB's registry; nil only in unit tests
 
-	// Group-commit state. appended and durable are monotonic byte
-	// sequence numbers: unlike size they never rewind when a
-	// checkpoint resets the file, so a waiter's target stays
-	// meaningful across resets (a reset marks everything appended so
-	// far durable, because the snapshot supersedes it).
-	group     bool
-	groupWait time.Duration
+	// Commit-fsync state, used when sync is set. appended and durable
+	// are monotonic byte sequence numbers: unlike size they never
+	// rewind when a checkpoint resets the file, so a waiter's target
+	// stays meaningful across resets (a reset marks everything
+	// appended so far durable, because the snapshot supersedes it).
 	syncDelay time.Duration
 	gcMu      sync.Mutex
 	gcCond    *sync.Cond // lazily created; guards the fields below
@@ -102,46 +100,41 @@ func openWAL(dir string, sync bool) (*walFile, error) {
 
 func (w *walFile) close() error { return w.f.Close() }
 
-// append writes one commit record at the end of the WAL.
-func (w *walFile) append(rec commitRecord) error {
+// append writes one commit record at the end of the WAL; the caller
+// holds walMu. It never fsyncs. With sync set the returned wait target
+// is the sequence number the caller must pass to waitDurable, outside
+// the database write lock, before acknowledging the commit: committers
+// that appended while an fsync was in flight then share the next one.
+// Without sync it is 0, nothing to wait for.
+func (w *walFile) append(rec commitRecord) (wait int64, err error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
-		return fmt.Errorf("metadb: encode wal record: %w", err)
+		return 0, fmt.Errorf("metadb: encode wal record: %w", err)
 	}
 	var hdr [8]byte
 	binary.LittleEndian.PutUint64(hdr[:], uint64(buf.Len()))
 	if _, err := w.f.Seek(w.size, io.SeekStart); err != nil {
-		return err
+		return 0, err
 	}
 	if _, err := w.f.Write(hdr[:]); err != nil {
-		return err
+		return 0, err
 	}
 	if _, err := w.f.Write(buf.Bytes()); err != nil {
-		return err
+		return 0, err
 	}
 	w.size += 8 + int64(buf.Len())
 	if w.reg != nil {
 		w.reg.Counter(MetricWALAppends).Inc()
 		w.reg.Counter(MetricWALBytes).Add(8 + int64(buf.Len()))
 	}
-	if w.group {
-		// Group commit: record the append and leave the fsync to the
-		// shared waitDurable path, outside the database write lock.
-		w.gcMu.Lock()
-		w.appended += 8 + int64(buf.Len())
-		w.pending++
-		w.gcMu.Unlock()
-		return nil
+	if !w.sync {
+		return 0, nil
 	}
-	if w.sync {
-		if err := w.fsync(); err != nil {
-			return err
-		}
-		if w.reg != nil {
-			w.reg.Counter(MetricWALFsyncs).Inc()
-		}
-	}
-	return nil
+	w.gcMu.Lock()
+	defer w.gcMu.Unlock()
+	w.appended += 8 + int64(buf.Len())
+	w.pending++
+	return w.appended, nil
 }
 
 // fsync flushes the WAL file, first paying the modeled device cost
@@ -151,15 +144,6 @@ func (w *walFile) fsync() error {
 		time.Sleep(w.syncDelay)
 	}
 	return w.f.Sync()
-}
-
-// target returns the monotonic byte sequence number a group-commit
-// waiter must see durable. Caller holds walMu (so appended reflects
-// the caller's own record).
-func (w *walFile) target() int64 {
-	w.gcMu.Lock()
-	defer w.gcMu.Unlock()
-	return w.appended
 }
 
 // waitDurable blocks until an fsync or snapshot covers the given
@@ -182,14 +166,9 @@ func (w *walFile) waitDurable(target int64) error {
 			w.gcCond.Wait()
 			continue
 		}
-		// Become the leader: optionally linger for followers, then
-		// fsync everything appended so far in one call.
+		// Become the leader: fsync everything appended so far in one
+		// call.
 		w.syncing = true
-		if w.groupWait > 0 {
-			w.gcMu.Unlock()
-			time.Sleep(w.groupWait)
-			w.gcMu.Lock()
-		}
 		end := w.appended
 		batch := w.pending
 		w.pending = 0
@@ -256,41 +235,38 @@ func (w *walFile) replay(apply func(commitRecord) error) error {
 	return nil
 }
 
-// reset truncates the WAL to empty (after a snapshot). In group mode
-// everything appended so far becomes durable — the freshly synced
-// snapshot supersedes the discarded records — so pending waiters are
-// released.
+// reset truncates the WAL to empty (after a snapshot). Everything
+// appended so far becomes durable — the freshly synced snapshot
+// supersedes the discarded records — so pending waiters are released.
 func (w *walFile) reset() error {
 	if err := w.f.Truncate(0); err != nil {
 		return err
 	}
 	w.size = 0
-	if w.group {
-		w.gcMu.Lock()
-		w.durable = w.appended
-		w.pending = 0
-		w.syncErr = nil
-		w.errUpTo = 0
-		if w.gcCond != nil {
-			w.gcCond.Broadcast()
-		}
-		w.gcMu.Unlock()
+	w.gcMu.Lock()
+	w.durable = w.appended
+	w.pending = 0
+	w.syncErr = nil
+	w.errUpTo = 0
+	if w.gcCond != nil {
+		w.gcCond.Broadcast()
 	}
+	w.gcMu.Unlock()
 	if w.sync {
 		return w.f.Sync()
 	}
 	return nil
 }
 
-// logCommit durably records a committed transaction's redo ops and
+// logCommit records a committed transaction's redo ops in the WAL and
 // triggers an automatic checkpoint when the WAL has grown large.
-// Caller holds db.mu exclusively. The first return is the group-commit
-// wait target: when > 0 the caller must pass it to wal.waitDurable
-// after releasing db.mu — the record is appended here (keeping WAL
-// order equal to commit order) but not yet fsynced. The second return
-// is the commit's replicated-log sequence number (0 for empty
-// commits): logCommit advances it under db.mu so log order, WAL order
-// and commit order all agree.
+// Caller holds db.mu exclusively. The first return is the wait target
+// of walFile.append: when > 0 the caller must pass it to
+// wal.waitDurable after releasing db.mu — the record is appended here
+// (keeping WAL order equal to commit order) but not yet fsynced. The
+// second return is the commit's replicated-log sequence number (0 for
+// empty commits): logCommit advances it under db.mu so log order, WAL
+// order and commit order all agree.
 func (db *DB) logCommit(redo []RedoOp) (int64, int64, error) {
 	if len(redo) == 0 {
 		return 0, 0, nil
@@ -303,20 +279,18 @@ func (db *DB) logCommit(redo []RedoOp) (int64, int64, error) {
 	}
 	db.walMu.Lock()
 	defer db.walMu.Unlock()
-	if err := db.wal.append(commitRecord{Seq: seq, Epoch: db.replEpoch, Ops: redo}); err != nil {
+	wait, err := db.wal.append(commitRecord{Seq: seq, Epoch: db.replEpoch, Ops: redo})
+	if err != nil {
 		return 0, 0, err
 	}
 	db.replSeq = seq
 	db.replLastEpoch = db.replEpoch
 	if db.opts.CheckpointBytes > 0 && db.wal.size > db.opts.CheckpointBytes {
-		// The snapshot makes every appended record durable, so group
+		// The snapshot makes every appended record durable, so
 		// committers have nothing to wait for.
 		return 0, seq, db.snapshotLocked()
 	}
-	if db.wal.group {
-		return db.wal.target(), seq, nil
-	}
-	return 0, seq, nil
+	return wait, seq, nil
 }
 
 // checkpointLocked snapshots under db.mu.
@@ -456,8 +430,6 @@ func (db *DB) applyRedo(ops []RedoOp) error {
 				return err
 			}
 			db.tables[op.Table] = t
-		case "drop":
-			delete(db.tables, op.Table)
 		case "insert":
 			t, err := db.table(op.Table)
 			if err != nil {
@@ -484,12 +456,6 @@ func (db *DB) applyRedo(ops []RedoOp) error {
 			if err := t.createIndex(op.Index, op.Col); err != nil {
 				return err
 			}
-		case "dropindex":
-			t, err := db.table(op.Table)
-			if err != nil {
-				return err
-			}
-			t.dropIndex(op.Index)
 		default:
 			return fmt.Errorf("metadb: unknown redo op %q", op.Kind)
 		}

@@ -23,7 +23,7 @@ func seedGroupWAL(t *testing.T, committers, inserts int) []byte {
 	dir := t.TempDir()
 	db, err := Open(Options{
 		Dir: dir, Sync: true,
-		GroupCommit: true, SyncDelay: 2 * time.Millisecond,
+		SyncDelay: 2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func TestWALGroupCommitEquivalence(t *testing.T) {
 		// Batched: concurrent sessions over a sync group-commit DB,
 		// crashed without Close so recovery replays the batched WAL.
 		dir := t.TempDir()
-		db, err := Open(Options{Dir: dir, Sync: true, GroupCommit: true, SyncDelay: time.Millisecond})
+		db, err := Open(Options{Dir: dir, Sync: true, SyncDelay: time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -155,23 +155,6 @@ func TestAutoCheckpoint(t *testing.T) {
 	}
 }
 
-func TestDropTablePersists(t *testing.T) {
-	dir := t.TempDir()
-	db := openDir(t, dir)
-	s := db.Session()
-	mustExec(t, s, `CREATE TABLE a (x INT)`)
-	mustExec(t, s, `CREATE TABLE b (x INT)`)
-	mustExec(t, s, `DROP TABLE a`)
-	db.Close()
-
-	db2 := openDir(t, dir)
-	defer db2.Close()
-	names := db2.TableNames()
-	if len(names) != 1 || names[0] != "b" {
-		t.Fatalf("recovered tables = %v", names)
-	}
-}
-
 func TestSyncMode(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(Options{Dir: dir, Sync: true})

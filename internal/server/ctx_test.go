@@ -55,7 +55,7 @@ func TestAbandonedRequestFreesDevice(t *testing.T) {
 			// the dead request's 2s reservation.
 			start := time.Now()
 			if tc.keepConn {
-				if err := wire.WriteCancelFrame(conn, 1); err != nil {
+				if err := wire.NewFrameWriter(conn).WriteCancel(1); err != nil {
 					t.Fatal(err)
 				}
 				if resp, err := wire.ReadResponseV2Into(conn, 1, nil); err != nil || resp.Err == "" {

@@ -65,9 +65,12 @@ func newScriptedV2(t *testing.T, script func(n int, conn net.Conn, tag uint32, r
 	return st
 }
 
-// dataHeader writes the header of a DATA frame announcing n body bytes.
+// dataHeader writes the header of a DATA frame announcing n body bytes,
+// and none of the body.
 func dataHeader(conn net.Conn, tag uint32, n int) {
-	_ = wire.WriteFrameHeader(conn, wire.FrameHeader{Kind: wire.FrameData, Tag: tag, Len: uint32(n)})
+	var frame bytes.Buffer
+	_ = wire.NewFrameWriter(&frame).WriteData(tag, make([]byte, n))
+	_, _ = conn.Write(frame.Bytes()[:wire.FrameHeaderLen])
 }
 
 func fillByte(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
@@ -186,28 +189,28 @@ func TestMuxLandingRobustness(t *testing.T) {
 			_ = wire.WriteResponseV2(conn, tag, &wire.Response{N: n, Data: want}, 0)
 		}, n + wire.RespOverhead, "", true},
 		{"wrong-tag DATA interleaved", func(conn net.Conn, tag uint32) {
-			_ = wire.WriteDataFrame(conn, tag, want[:100])
-			_ = wire.WriteDataFrame(conn, tag+77, fillByte(500, 0xEE)) // nobody's: dropped
+			_ = wire.NewFrameWriter(conn).WriteData(tag, want[:100])
+			_ = wire.NewFrameWriter(conn).WriteData(tag+77, fillByte(500, 0xEE)) // nobody's: dropped
 			_ = wire.WriteResponseV2(conn, tag, &wire.Response{N: n, Data: want[100:]}, 100)
 		}, n + wire.RespOverhead, "", true},
 		{"scratch too small", func(conn net.Conn, tag uint32) {
-			_ = wire.WriteDataFrame(conn, tag, want[:n/2])
+			_ = wire.NewFrameWriter(conn).WriteData(tag, want[:n/2])
 			_ = wire.WriteResponseV2(conn, tag, &wire.Response{N: n, Data: want[n/2:]}, n/2)
 		}, 100, "", true},
 		{"no scratch", func(conn net.Conn, tag uint32) {
 			_ = wire.WriteResponseV2(conn, tag, &wire.Response{N: n, Data: want}, 0)
 		}, 0, "", true},
 		{"DATA overruns the trailer's count", func(conn net.Conn, tag uint32) {
-			_ = wire.WriteDataFrame(conn, tag, want)
-			_ = wire.WriteDataFrame(conn, tag, want) // twice what RESP announces
+			_ = wire.NewFrameWriter(conn).WriteData(tag, want)
+			_ = wire.NewFrameWriter(conn).WriteData(tag, want) // twice what RESP announces
 			_ = wire.WriteResponseV2(conn, tag, &wire.Response{N: n}, n)
 		}, n + wire.RespOverhead, "announced", true},
 		{"DATA short of the trailer's count", func(conn net.Conn, tag uint32) {
-			_ = wire.WriteDataFrame(conn, tag, want[:10])
+			_ = wire.NewFrameWriter(conn).WriteData(tag, want[:10])
 			_ = wire.WriteResponseV2(conn, tag, &wire.Response{N: n}, n)
 		}, n + wire.RespOverhead, "announced", true},
 		{"error trailer after DATA", func(conn net.Conn, tag uint32) {
-			_ = wire.WriteDataFrame(conn, tag, want[:10])
+			_ = wire.NewFrameWriter(conn).WriteData(tag, want[:10])
 			_ = wire.WriteResponseV2(conn, tag, &wire.Response{Err: "disk gone"}, 10)
 		}, n + wire.RespOverhead, "disk gone", true},
 		{"DATA frame cut short by a close", func(conn net.Conn, tag uint32) {

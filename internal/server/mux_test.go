@@ -182,13 +182,15 @@ func TestServerV2SkipsUnknownFrames(t *testing.T) {
 	}
 	defer conn.Close()
 
-	if err := wire.WriteFrameHeader(conn, wire.FrameHeader{Kind: wire.FrameKind(0x66), Tag: 12, Len: 7}); err != nil {
+	var unknown bytes.Buffer // a frame of a kind no version of the protocol has
+	if err := wire.NewFrameWriter(&unknown).WriteData(12, []byte("ignored")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Write([]byte("ignored")); err != nil {
+	unknown.Bytes()[2] = 0x66 // the header's kind byte
+	if _, err := conn.Write(unknown.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.WriteCancelFrame(conn, 424242); err != nil {
+	if err := wire.NewFrameWriter(conn).WriteCancel(424242); err != nil {
 		t.Fatal(err)
 	}
 	if err := wire.WriteRequestV2(conn, 7, &wire.Request{Op: wire.OpPing}); err != nil {
@@ -249,7 +251,7 @@ func TestServerV2CancelFrame(t *testing.T) {
 	if err := wire.WriteRequestV2(conn, 3, &wire.Request{Op: wire.OpPing}); err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.WriteCancelFrame(conn, 3); err != nil {
+	if err := wire.NewFrameWriter(conn).WriteCancel(3); err != nil {
 		t.Fatal(err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))

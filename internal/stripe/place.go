@@ -3,8 +3,6 @@ package stripe
 import (
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 )
 
 // Placement assigns bricks to I/O servers when a file is created.
@@ -91,75 +89,4 @@ func BrickLists(assign []int, numServers int) [][]int {
 		lists[s] = append(lists[s], b)
 	}
 	return lists
-}
-
-// LocalIndex builds, from a brick→server assignment, the map from brick
-// id to its position within its server's bricklist. Brick b of a file
-// is stored at byte offset LocalIndex[b]*SlotBytes in its server's
-// subfile.
-func LocalIndex(assign []int) []int64 {
-	next := make(map[int]int64)
-	out := make([]int64, len(assign))
-	for b, s := range assign {
-		out[b] = next[s]
-		next[s]++
-	}
-	return out
-}
-
-// FormatBrickList renders a brick list the way Fig. 10 stores it in the
-// catalog: comma-separated brick ids ("0,2,6,8,...").
-func FormatBrickList(bricks []int) string {
-	var sb strings.Builder
-	for i, b := range bricks {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(strconv.Itoa(b))
-	}
-	return sb.String()
-}
-
-// ParseBrickList parses the catalog representation produced by
-// FormatBrickList.
-func ParseBrickList(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("stripe: bad brick list entry %q: %w", p, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// AssignmentFromLists reconstructs the brick→server assignment from
-// per-server brick lists, validating that every brick in [0,numBricks)
-// appears exactly once.
-func AssignmentFromLists(lists [][]int, numBricks int) ([]int, error) {
-	out := make([]int, numBricks)
-	seen := make([]bool, numBricks)
-	for s, list := range lists {
-		for _, b := range list {
-			if b < 0 || b >= numBricks {
-				return nil, fmt.Errorf("stripe: brick %d out of range [0,%d)", b, numBricks)
-			}
-			if seen[b] {
-				return nil, fmt.Errorf("stripe: brick %d assigned twice", b)
-			}
-			seen[b] = true
-			out[b] = s
-		}
-	}
-	for b, ok := range seen {
-		if !ok {
-			return nil, fmt.Errorf("stripe: brick %d unassigned", b)
-		}
-	}
-	return out, nil
 }

@@ -312,8 +312,9 @@ func TestQuickCombinePreservesBricks(t *testing.T) {
 	}
 }
 
-// Property: BrickLists / AssignmentFromLists are inverses for any
-// placement, and LocalIndex is dense per server.
+// Property: BrickLists and ReplicaSetFromLists are inverses for any
+// placement of an unreplicated file, and its slots are dense per
+// server.
 func TestQuickListsInverse(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -331,21 +332,19 @@ func TestQuickListsInverse(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		lists := BrickLists(assign, ns)
-		back, err := AssignmentFromLists(lists, nb)
+		rs, err := ReplicaSetFromLists(rank0(BrickLists(assign, ns)), nb, 1)
 		if err != nil {
 			return false
 		}
-		for i := range assign {
-			if assign[i] != back[i] {
+		for i, back := range rs.Primary() {
+			if assign[i] != back {
 				return false
 			}
 		}
-		idx := LocalIndex(assign)
 		// Per server, local indices must be 0,1,2,... in brick order.
 		next := make([]int64, ns)
 		for b, s := range assign {
-			if idx[b] != next[s] {
+			if rs.Local[b][0] != next[s] {
 				return false
 			}
 			next[s]++

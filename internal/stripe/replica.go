@@ -106,10 +106,10 @@ func ReplicaLists(assign [][]int, numServers int) [][]ReplicaEntry {
 }
 
 // FormatReplicaList renders a server's replica brick list for the
-// catalog. Rank-0-only lists (unreplicated files) use the plain
-// FormatBrickList form ("0,2,6") so replication factor 1 stays
-// byte-identical with the pre-replication catalog; mixed-rank lists
-// annotate each entry as brick:rank ("0:0,3:1,6:0").
+// catalog. Rank-0-only lists (unreplicated files) are the plain
+// comma-separated brick ids of Fig. 10 ("0,2,6"), so replication factor
+// 1 stays byte-identical with the pre-replication catalog; mixed-rank
+// lists annotate each entry as brick:rank ("0:0,3:1,6:0").
 func FormatReplicaList(entries []ReplicaEntry) string {
 	plain := true
 	for _, e := range entries {
@@ -233,7 +233,7 @@ func (rs *ReplicaSet) Replicas() int {
 }
 
 // Primary returns the rank-0 brick→server assignment, the shape the
-// unreplicated planner APIs (Combine, PerBrick, LocalIndex) consume.
+// unreplicated planner APIs (Combine, PerBrick) consume.
 func (rs *ReplicaSet) Primary() []int {
 	out := make([]int, len(rs.Servers))
 	for b, set := range rs.Servers {

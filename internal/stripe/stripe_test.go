@@ -408,53 +408,68 @@ func TestWholeBricks(t *testing.T) {
 	}
 }
 
+// rank0 writes per-server brick lists as the replica lists of an
+// unreplicated file: every entry rank 0.
+func rank0(lists [][]int) [][]ReplicaEntry {
+	out := make([][]ReplicaEntry, len(lists))
+	for s, list := range lists {
+		for _, b := range list {
+			out[s] = append(out[s], ReplicaEntry{Brick: b})
+		}
+	}
+	return out
+}
+
+// An unreplicated file's row is the paper's plain brick list (Fig. 10).
 func TestBrickListRoundtrip(t *testing.T) {
-	in := []int{0, 2, 6, 8, 12}
-	s := FormatBrickList(in)
+	in := rank0([][]int{{0, 2, 6, 8, 12}})[0]
+	s := FormatReplicaList(in)
 	if s != "0,2,6,8,12" {
-		t.Errorf("FormatBrickList = %q", s)
+		t.Errorf("FormatReplicaList = %q", s)
 	}
-	out, err := ParseBrickList(s)
+	out, err := ParseReplicaList(s)
 	if err != nil || fmt.Sprint(out) != fmt.Sprint(in) {
-		t.Errorf("ParseBrickList(%q) = %v, %v", s, out, err)
+		t.Errorf("ParseReplicaList(%q) = %v, %v", s, out, err)
 	}
-	if out, err := ParseBrickList(""); err != nil || len(out) != 0 {
-		t.Errorf("ParseBrickList(empty) = %v, %v", out, err)
+	if out, err := ParseReplicaList(""); err != nil || len(out) != 0 {
+		t.Errorf("ParseReplicaList(empty) = %v, %v", out, err)
 	}
-	if _, err := ParseBrickList("1,x,3"); err == nil {
-		t.Error("ParseBrickList with junk should fail")
+	if _, err := ParseReplicaList("1,x,3"); err == nil {
+		t.Error("ParseReplicaList with junk should fail")
 	}
 }
 
 func TestAssignmentFromLists(t *testing.T) {
 	assign, _ := Greedy{Perf: []int{1, 2, 1, 2}}.Assign(32, 4)
-	lists := BrickLists(assign, 4)
-	back, err := AssignmentFromLists(lists, 32)
+	rs, err := ReplicaSetFromLists(rank0(BrickLists(assign, 4)), 32, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for b := range assign {
-		if back[b] != assign[b] {
-			t.Fatalf("brick %d: reconstructed %d != original %d", b, back[b], assign[b])
+	for b, back := range rs.Primary() {
+		if back != assign[b] {
+			t.Fatalf("brick %d: reconstructed %d != original %d", b, back, assign[b])
 		}
 	}
-	if _, err := AssignmentFromLists([][]int{{0, 1}}, 3); err == nil {
+	if _, err := ReplicaSetFromLists(rank0([][]int{{0, 1}}), 3, 1); err == nil {
 		t.Error("missing brick should fail")
 	}
-	if _, err := AssignmentFromLists([][]int{{0, 0, 1}}, 2); err == nil {
+	if _, err := ReplicaSetFromLists(rank0([][]int{{0, 0, 1}}), 2, 1); err == nil {
 		t.Error("duplicate brick should fail")
 	}
-	if _, err := AssignmentFromLists([][]int{{0, 7}}, 2); err == nil {
+	if _, err := ReplicaSetFromLists(rank0([][]int{{0, 7}}), 2, 1); err == nil {
 		t.Error("out-of-range brick should fail")
 	}
 }
 
 func TestLocalIndex(t *testing.T) {
 	assign := []int{0, 1, 0, 1, 0}
-	idx := LocalIndex(assign)
-	want := []int64{0, 0, 1, 1, 2}
-	if fmt.Sprint(idx) != fmt.Sprint(want) {
-		t.Errorf("LocalIndex = %v, want %v", idx, want)
+	rs, err := ReplicaSetFromLists(rank0(BrickLists(assign, 2)), len(assign), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]int64{{0}, {0}, {1}, {1}, {2}}
+	if fmt.Sprint(rs.Local) != fmt.Sprint(want) {
+		t.Errorf("Local = %v, want %v", rs.Local, want)
 	}
 }
 

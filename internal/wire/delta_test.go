@@ -133,7 +133,7 @@ func TestResponseDeltaBestEffortV2(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			body := append(EncodeResponseMetaV2(resp, 0), tc.extra...)
+			body := append(appendResponseMeta(nil, resp, 0), tc.extra...)
 			got, _, err := DecodeResponseMetaV2(body)
 			if err != nil {
 				t.Fatalf("trailing bytes failed the response: %v", err)
@@ -148,7 +148,7 @@ func TestResponseDeltaBestEffortV2(t *testing.T) {
 	}
 
 	t.Run("truncation inside the delta still errors", func(t *testing.T) {
-		full := EncodeResponseMetaV2(&Response{N: 7, Delta: deltaBytes()}, 0)
+		full := appendResponseMeta(nil, &Response{N: 7, Delta: deltaBytes()}, 0)
 		// Cutting the body mid-delta invalidates the section (length no
 		// longer matches) but must not fail the decode.
 		got, _, err := DecodeResponseMetaV2(full[:len(full)-3])

@@ -81,14 +81,6 @@ func putFrameHeader(b []byte, h FrameHeader) {
 	binary.LittleEndian.PutUint32(b[8:12], h.Len)
 }
 
-// WriteFrameHeader writes one encoded frame header.
-func WriteFrameHeader(w io.Writer, h FrameHeader) error {
-	var b [FrameHeaderLen]byte
-	putFrameHeader(b[:], h)
-	_, err := w.Write(b[:])
-	return err
-}
-
 // ReadFrameHeader reads and validates one v2 frame header. A header
 // whose magic, version or length is wrong is a framing error: the
 // stream has lost sync (or the peer speaks another protocol) and the
@@ -384,16 +376,6 @@ func ReadRequestV2(r io.Reader, h FrameHeader, alloc func(int64) []byte) (*Reque
 	return req, nil
 }
 
-// EncodeResponseMetaV2 builds the body of a RESP frame: u16 error
-// length, error, u64 scalar, u32 total data length (the sum of the
-// tag's DATA frames), u32 trace length, trace bytes, then optionally
-// u32 delta length and the gossip-delta bytes (the section is omitted
-// entirely when there is no delta, keeping the original encoding
-// byte-identical).
-func EncodeResponseMetaV2(resp *Response, dataLen int64) []byte {
-	return appendResponseMeta(make([]byte, 0, responseMetaLen(resp)), resp, dataLen)
-}
-
 // responseMetaLen is the encoded size of resp's RESP body.
 func responseMetaLen(resp *Response) int {
 	n := 2 + min(len(resp.Err), 0xFFFF) + 8 + 4 + 4 + len(resp.Trace)
@@ -403,6 +385,12 @@ func responseMetaLen(resp *Response) int {
 	return n
 }
 
+// appendResponseMeta appends the body of a RESP frame: u16 error
+// length, error, u64 scalar, u32 total data length (the sum of the
+// tag's DATA frames), u32 trace length, trace bytes, then optionally
+// u32 delta length and the gossip-delta bytes (the section is omitted
+// entirely when there is no delta, keeping the original encoding
+// byte-identical).
 func appendResponseMeta(b []byte, resp *Response, dataLen int64) []byte {
 	errStr := resp.Err
 	if len(errStr) > 0xFFFF {
@@ -515,20 +503,10 @@ func (fw *FrameWriter) WriteCancel(tag uint32) error {
 	return fw.flush()
 }
 
-// WriteDataFrame sends one DATA frame for tag on w.
-func WriteDataFrame(w io.Writer, tag uint32, chunk []byte) error {
-	return NewFrameWriter(w).WriteData(tag, chunk)
-}
-
 // WriteResponseV2 frames and sends one response on w; see
 // FrameWriter.WriteResponse.
 func WriteResponseV2(w io.Writer, tag uint32, resp *Response, streamed int64) error {
 	return NewFrameWriter(w).WriteResponse(tag, resp, streamed)
-}
-
-// WriteCancelFrame sends a CANCEL frame for tag on w.
-func WriteCancelFrame(w io.Writer, tag uint32) error {
-	return NewFrameWriter(w).WriteCancel(tag)
 }
 
 // ReadResponseV2Into reads DATA frames and the closing RESP frame for

@@ -2,10 +2,20 @@ package wire
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"reflect"
 	"testing"
 )
+
+// writeFrameHeader writes one encoded frame header, whatever its kind
+// and announced length.
+func writeFrameHeader(w io.Writer, h FrameHeader) error {
+	var b [FrameHeaderLen]byte
+	putFrameHeader(b[:], h)
+	_, err := w.Write(b[:])
+	return err
+}
 
 func TestFrameHeaderRoundtrip(t *testing.T) {
 	cases := []FrameHeader{
@@ -17,7 +27,7 @@ func TestFrameHeaderRoundtrip(t *testing.T) {
 	}
 	for _, h := range cases {
 		var buf bytes.Buffer
-		if err := WriteFrameHeader(&buf, h); err != nil {
+		if err := writeFrameHeader(&buf, h); err != nil {
 			t.Fatalf("write %+v: %v", h, err)
 		}
 		if buf.Len() != FrameHeaderLen {
@@ -137,7 +147,7 @@ func TestResponseV2StreamedTrailer(t *testing.T) {
 	chunks := [][]byte{[]byte("first-"), []byte("second-"), []byte("third")}
 	var total int64
 	for _, c := range chunks {
-		if err := WriteDataFrame(&buf, 3, c); err != nil {
+		if err := NewFrameWriter(&buf).WriteData(3, c); err != nil {
 			t.Fatal(err)
 		}
 		total += int64(len(c))
@@ -159,7 +169,7 @@ func TestResponseV2StreamedTrailer(t *testing.T) {
 // a failed read costs its tag, not the connection.
 func TestResponseV2MidStreamError(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteDataFrame(&buf, 3, []byte("partial")); err != nil {
+	if err := NewFrameWriter(&buf).WriteData(3, []byte("partial")); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteResponseV2(&buf, 3, &Response{Err: "disk gone"}, 7); err != nil {

@@ -263,19 +263,19 @@ func FuzzReadRequest(f *testing.F) {
 // FuzzReadResponse is the response-side mirror: arbitrary bytes at the
 // RESP metadata decoder.
 func FuzzReadResponse(f *testing.F) {
-	f.Add(EncodeResponseMetaV2(&Response{}, 0))
-	f.Add(EncodeResponseMetaV2(&Response{Err: "subfile missing"}, 0))
-	f.Add(EncodeResponseMetaV2(&Response{N: 1 << 40}, 4))
-	f.Add(EncodeResponseMetaV2(&Response{Trace: []byte{1, 0, 0, 9, 9}}, 1))
-	f.Add(EncodeResponseMetaV2(&Response{Delta: []byte("DPgd-delta")}, 1))
-	f.Add(EncodeResponseMetaV2(&Response{Trace: []byte{7}, Delta: []byte("DPgd!")}, 0))
+	f.Add(appendResponseMeta(nil, &Response{}, 0))
+	f.Add(appendResponseMeta(nil, &Response{Err: "subfile missing"}, 0))
+	f.Add(appendResponseMeta(nil, &Response{N: 1 << 40}, 4))
+	f.Add(appendResponseMeta(nil, &Response{Trace: []byte{1, 0, 0, 9, 9}}, 1))
+	f.Add(appendResponseMeta(nil, &Response{Delta: []byte("DPgd-delta")}, 1))
+	f.Add(appendResponseMeta(nil, &Response{Trace: []byte{7}, Delta: []byte("DPgd!")}, 0))
 	f.Add(bytes.Repeat([]byte{0xFF}, 32))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		resp, dataLen, err := DecodeResponseMetaV2(body)
 		if err != nil {
 			return
 		}
-		again, dataLen2, err := DecodeResponseMetaV2(EncodeResponseMetaV2(resp, dataLen))
+		again, dataLen2, err := DecodeResponseMetaV2(appendResponseMeta(nil, resp, dataLen))
 		if err != nil {
 			t.Fatalf("re-encoded accepted response rejected: %v", err)
 		}
@@ -317,7 +317,7 @@ func readRequestV2(raw []byte) (*Request, error) {
 // every proper prefix: each must error, never hang or panic.
 func TestFrameHeaderEveryPrefixTruncation(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrameHeader(&buf, FrameHeader{Kind: FrameData, Tag: 3, Len: 64}); err != nil {
+	if err := writeFrameHeader(&buf, FrameHeader{Kind: FrameData, Tag: 3, Len: 64}); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -386,7 +386,7 @@ func TestCorruptFrameHeaders(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer
-			if err := WriteFrameHeader(&buf, FrameHeader{Kind: FrameData, Tag: 5, Len: 9}); err != nil {
+			if err := writeFrameHeader(&buf, FrameHeader{Kind: FrameData, Tag: 5, Len: 9}); err != nil {
 				t.Fatal(err)
 			}
 			b := buf.Bytes()
@@ -482,19 +482,19 @@ func TestCorruptRequestV2Frames(t *testing.T) {
 // DATA frames are skipped without failing the in-flight exchange.
 func TestResponseV2UnknownFramesSkipped(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteDataFrame(&buf, 4, []byte("he")); err != nil {
+	if err := NewFrameWriter(&buf).WriteData(4, []byte("he")); err != nil {
 		t.Fatal(err)
 	}
 	// Interleave an unknown kind with a body, and a CANCEL for some
 	// other tag — both must be ignored.
-	if err := WriteFrameHeader(&buf, FrameHeader{Kind: FrameKind(0x77), Tag: 4, Len: 5}); err != nil {
+	if err := writeFrameHeader(&buf, FrameHeader{Kind: FrameKind(0x77), Tag: 4, Len: 5}); err != nil {
 		t.Fatal(err)
 	}
 	buf.WriteString("junk!")
-	if err := WriteCancelFrame(&buf, 9999); err != nil {
+	if err := NewFrameWriter(&buf).WriteCancel(9999); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteDataFrame(&buf, 4, []byte("llo")); err != nil {
+	if err := NewFrameWriter(&buf).WriteData(4, []byte("llo")); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteResponseV2(&buf, 4, &Response{N: 5}, 5); err != nil {
@@ -514,7 +514,7 @@ func TestResponseV2UnknownFramesSkipped(t *testing.T) {
 // surface as an error rather than silently corrupting the response.
 func TestResponseV2GarbageBetweenFrames(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteDataFrame(&buf, 4, []byte("he")); err != nil {
+	if err := NewFrameWriter(&buf).WriteData(4, []byte("he")); err != nil {
 		t.Fatal(err)
 	}
 	buf.Write([]byte{0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0A, 0x0B})
@@ -530,7 +530,7 @@ func TestResponseV2GarbageBetweenFrames(t *testing.T) {
 // never panic; accepted headers re-encode identically.
 func FuzzReadFrameHeader(f *testing.F) {
 	var seed bytes.Buffer
-	_ = WriteFrameHeader(&seed, FrameHeader{Kind: FrameReq, Flags: FlagSampled, Tag: 1, Len: 10})
+	_ = writeFrameHeader(&seed, FrameHeader{Kind: FrameReq, Flags: FlagSampled, Tag: 1, Len: 10})
 	f.Add(seed.Bytes())
 	f.Add([]byte{Magic2, version2, byte(FrameCancel), 0, 1, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{Magic2, version2, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})
@@ -540,7 +540,7 @@ func FuzzReadFrameHeader(f *testing.F) {
 			return
 		}
 		var buf bytes.Buffer
-		if err := WriteFrameHeader(&buf, h); err != nil {
+		if err := writeFrameHeader(&buf, h); err != nil {
 			t.Fatal(err)
 		}
 		again, err := ReadFrameHeader(&buf)

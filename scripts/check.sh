@@ -7,11 +7,13 @@
 #   5. seeded chaos suite under -race (fault injection e2e), plus a
 #      3-seed DPFS_CHAOS_SWEEP including the replica-failover,
 #      metashard, metarepl and gossip modes
-#   6. ten seconds each of FuzzSelection and FuzzScatterWrite: arbitrary
-#      selections (and, for writes, payloads) against the server's read
-#      and write extent loops (their seed corpora already ran in tier-1)
-#   7. dispatch + replica + meta bench smokes
-#      (BENCH_dispatch.json, BENCH_replica.json, BENCH_meta.json)
+#   6. ten seconds each of FuzzSelection and FuzzScatterWrite (arbitrary
+#      selections and, for writes, payloads against the server's read
+#      and write extent loops) and of FuzzParse (arbitrary statement
+#      text against metadb's parser, which reads it off the network);
+#      their seed corpora already ran in tier-1
+#   7. dispatch + replica bench smokes
+#      (BENCH_dispatch.json, BENCH_replica.json)
 #   8. documentation lint (godoc coverage + markdown links)
 #   9. obslint: metric names vs the frozen manifest + Prometheus
 #      exposition validity (scripts/obslint.sh)
@@ -42,12 +44,12 @@ go test -race ./...
 echo "== chaos: seeded fault-injection suite (-race) =="
 go test -race -count=1 -run Chaos .
 DPFS_CHAOS_SWEEP=3 go test -race -count=1 -run Chaos ./internal/fault
-echo "== fuzz: FuzzSelection, FuzzScatterWrite, 10s each =="
+echo "== fuzz: FuzzSelection, FuzzScatterWrite, FuzzParse, 10s each =="
 go test -run '^$' -fuzz '^FuzzSelection$' -fuzztime 10s ./internal/server
 go test -run '^$' -fuzz '^FuzzScatterWrite$' -fuzztime 10s ./internal/server
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/meta
 sh scripts/bench_smoke.sh
 sh scripts/bench_replica.sh
-sh scripts/bench_meta.sh
 echo "== benchmark module: go vet + go test =="
 (cd benchmark && go vet . && go test .)
 echo "== all checks passed =="
