@@ -16,7 +16,6 @@ import (
 
 	"dpfs/internal/bench"
 	"dpfs/internal/core"
-	"dpfs/internal/datatype"
 	"dpfs/internal/metadb"
 	"dpfs/internal/netsim"
 	"dpfs/internal/server"
@@ -206,21 +205,6 @@ func BenchmarkGreedyAssign(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := g.Assign(16384, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDatatypePack measures derived-datatype packing of a strided
-// column out of a 1 MiB matrix.
-func BenchmarkDatatypePack(b *testing.B) {
-	t := datatype.Subarray{ElemSize: 8, Dims: []int64{512, 256}, Start: []int64{0, 0}, Count: []int64{512, 32}}
-	mem := make([]byte, t.Extent())
-	out := make([]byte, t.Size())
-	b.SetBytes(t.Size())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := datatype.PackInto(t, mem, out); err != nil {
 			b.Fatal(err)
 		}
 	}

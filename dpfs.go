@@ -33,6 +33,7 @@ import (
 	"strings"
 
 	"dpfs/internal/core"
+	"dpfs/internal/datatype"
 	"dpfs/internal/meta"
 	"dpfs/internal/metadb/mdbnet"
 	"dpfs/internal/repair"
@@ -55,6 +56,26 @@ type (
 	RoundRobin = stripe.RoundRobin
 	// Greedy is the load-balancing placement of Fig. 8.
 	Greedy = stripe.Greedy
+)
+
+// Re-exported derived datatypes (the MPI-style types of Section 6), the
+// file and memory types of File.WriteAtTyped and File.ReadAtTyped. See
+// internal/datatype for details.
+type (
+	// Datatype describes a (possibly non-contiguous) byte layout.
+	Datatype = datatype.Type
+	// Bytes is one run of n bytes.
+	Bytes = datatype.Bytes
+	// Contiguous is Count consecutive instances of Elem.
+	Contiguous = datatype.Contiguous
+	// Vector is Count blocks of BlockLen elements, Stride elements apart.
+	Vector = datatype.Vector
+	// Indexed is blocks of varying lengths at varying displacements.
+	Indexed = datatype.Indexed
+	// Subarray selects a hyper-rectangle of a row-major array.
+	Subarray = datatype.Subarray
+	// Struct is fields of any types at explicit byte displacements.
+	Struct = datatype.Struct
 )
 
 // File levels.

@@ -91,6 +91,19 @@ func TestPublicAPI(t *testing.T) {
 			t.Fatalf("column row %d mismatch", r)
 		}
 	}
+	// The same columns in one typed read through the re-exported
+	// datatypes: a subarray file type into every other 256 bytes.
+	view := dpfs.Subarray{ElemSize: 8, Dims: []int64{128, 128}, Start: []int64{0, 96}, Count: []int64{128, 32}}
+	var strided dpfs.Datatype = dpfs.Vector{Count: 128, BlockLen: 32 * 8, Stride: 64 * 8, Elem: dpfs.Bytes(1)}
+	typed := make([]byte, strided.Extent())
+	if err := f.ReadAtTyped(ctx, 0, view, strided, typed); err != nil {
+		t.Fatal(err)
+	}
+	for r := int64(0); r < 128; r++ {
+		if !bytes.Equal(typed[r*64*8:r*64*8+32*8], buf[r*32*8:(r+1)*32*8]) {
+			t.Fatalf("typed column row %d mismatch", r)
+		}
+	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -3,13 +3,13 @@ package bench
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
 	"dpfs/internal/cluster"
 	"dpfs/internal/collective"
 	"dpfs/internal/core"
+	"dpfs/internal/datatype"
 	"dpfs/internal/netsim"
 	"dpfs/internal/stripe"
 )
@@ -227,7 +227,7 @@ func runSieveCase(ctx context.Context, cfg Config, c *cluster.Cluster, np int, c
 // rows.
 const (
 	collPerRow   = "Independent"            // one WriteSection per row
-	collTyped    = "Independent typed"      // one access for all of a rank's rows
+	collTyped    = "Independent typed"      // one WriteAtTyped for all of a rank's rows
 	collTwoPhase = "Collective (two-phase)" // one WriteAll per row
 )
 
@@ -235,8 +235,8 @@ const (
 // collective I/O (internal/collective, the paper's MPI-IO future-work
 // layer) under an interleaved (CYCLIC, *) row write, the pattern where
 // per-rank requests fragment worst. Independent I/O is measured twice:
-// naively, one call per row, and as one noncontiguous access per rank —
-// what a strided file type selects — which the engine folds into one
+// naively, one call per row, and as one WriteAtTyped per rank with a
+// vector file type over its rows, which the engine folds into one
 // selection-bearing request per server.
 func AblationCollective(ctx context.Context, cfg Config, np, io int) ([]Measurement, error) {
 	cfg = cfg.WithDefaults()
@@ -290,35 +290,13 @@ func runCollectiveCase(ctx context.Context, cfg Config, c *cluster.Cluster, np i
 	return runs[len(runs)/2], nil
 }
 
-// cyclicRowsPlan plans one access to all of rank's (CYCLIC, *) rows —
-// row round*np+rank of every round — the way a strided file type over
-// them would: the rows' plans merged brick by brick, against a packed
-// buffer holding the rows in order. (The engine's typed calls take a
-// rectangular section, or a file type on a linear file only.)
-func cyclicRowsPlan(g *stripe.Geometry, np, rank, rounds int) ([]stripe.BrickIO, error) {
-	n := g.Dims[1]
-	var plan []stripe.BrickIO
-	at := make(map[int]int) // brick -> its index in plan
-	for round := 0; round < rounds; round++ {
-		rows, err := g.PlanSection(stripe.NewSection([]int64{int64(round*np + rank), 0}, []int64{1, n}))
-		if err != nil {
-			return nil, err
-		}
-		for _, bio := range rows {
-			i, ok := at[bio.Brick]
-			if !ok {
-				i = len(plan)
-				at[bio.Brick] = i
-				plan = append(plan, stripe.BrickIO{Brick: bio.Brick})
-			}
-			for _, seg := range bio.Segs {
-				seg.MemOff += int64(round) * n * g.ElemSize
-				plan[i].Segs = append(plan[i].Segs, seg)
-			}
-		}
-	}
-	sort.Slice(plan, func(i, j int) bool { return plan[i].Brick < plan[j].Brick })
-	return plan, nil
+// cyclicRows returns the file and memory types of one access to all of
+// a rank's (CYCLIC, *) rows, round*np+rank of every round, offset by the
+// rank's first row: the rows strided np apart in the file, packed in
+// memory.
+func cyclicRows(np, rounds int, rowBytes int64) (ftype, mtype datatype.Type) {
+	return datatype.Vector{Count: int64(rounds), BlockLen: 1, Stride: int64(np), Elem: datatype.Bytes(rowBytes)},
+		datatype.Bytes(int64(rounds) * rowBytes)
 }
 
 // measureCollective has every rank write rowsPerRank interleaved
@@ -367,11 +345,8 @@ func measureCollective(ctx context.Context, c *cluster.Cluster, cfg Config, np i
 		go func(rank int) {
 			defer wg.Done()
 			if mode == collTyped {
-				plan, err := cyclicRowsPlan(files[rank].Geometry(), np, rank, rounds)
-				if err == nil {
-					err = files[rank].ExecutePlan(ctx, plan, make([]byte, int64(rounds)*rowBytes), true)
-				}
-				if err != nil {
+				ftype, mtype := cyclicRows(np, rounds, rowBytes)
+				if err := files[rank].WriteAtTyped(ctx, int64(rank)*rowBytes, ftype, mtype, make([]byte, mtype.Size())); err != nil {
 					errs <- err
 				}
 				return

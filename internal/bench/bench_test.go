@@ -282,8 +282,9 @@ func TestFigureDispatch(t *testing.T) {
 }
 
 // TestCyclicRowsPlan: the one-access form of a rank's interleaved rows
-// (the collective ablation's "Independent typed" case) writes each row
-// where row-by-row writes would, and travels as one request per server.
+// (the collective ablation's "Independent typed" case, one WriteAtTyped
+// with a vector file type) writes each row where row-by-row writes
+// would, and travels as one request per server.
 func TestCyclicRowsPlan(t *testing.T) {
 	const n, tile, np, io = 64, 16, 4, 2
 	c, err := cluster.Start(cluster.Config{Servers: cluster.Uniform(io), Dir: t.TempDir()})
@@ -310,12 +311,9 @@ func TestCyclicRowsPlan(t *testing.T) {
 		for i := range bufs[rank] {
 			bufs[rank][i] = byte(i*7 + rank*31 + i>>8)
 		}
-		plan, err := cyclicRowsPlan(f.Geometry(), np, rank, rounds)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ftype, mtype := cyclicRows(np, rounds, int64(rowBytes))
 		before := fs.Stats().Requests
-		if err := f.ExecutePlan(ctx, plan, bufs[rank], true); err != nil {
+		if err := f.WriteAtTyped(ctx, int64(rank*rowBytes), ftype, mtype, bufs[rank]); err != nil {
 			t.Fatal(err)
 		}
 		if got := fs.Stats().Requests - before; got != io {

@@ -5,6 +5,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -418,37 +420,57 @@ func TestTypedIO(t *testing.T) {
 	ctx := ctxT(t)
 
 	// An 8x8 byte matrix in client memory; write its 4x4 center block
-	// into a 4x4 DPFS file using a subarray datatype.
-	f, err := fs.Create("/typed", 1, []int64{4, 4}, core.Hint{Level: stripe.LevelMultidim, Tile: []int64{2, 2}})
+	// into the 4x4 top-right corner of an 8x8 multidim file: a subarray
+	// file type against a subarray memory type.
+	f, err := fs.Create("/typed", 1, []int64{8, 8}, core.Hint{Level: stripe.LevelMultidim, Tile: []int64{2, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mem := pattern(64)
 	sub := datatype.Subarray{ElemSize: 1, Dims: []int64{8, 8}, Start: []int64{2, 2}, Count: []int64{4, 4}}
-	full := stripe.FullSection([]int64{4, 4})
-	if err := f.WriteTyped(ctx, full, sub, mem); err != nil {
+	corner := datatype.Subarray{ElemSize: 1, Dims: []int64{8, 8}, Start: []int64{0, 4}, Count: []int64{4, 4}}
+	if err := f.WriteAtTyped(ctx, 0, corner, sub, mem); err != nil {
 		t.Fatal(err)
+	}
+	// The same bytes through the section call.
+	got := make([]byte, 16)
+	if err := f.ReadSection(ctx, stripe.NewSection([]int64{0, 4}, []int64{4, 4}), got); err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if r, col := 2+i/4, 2+i%4; got[i] != mem[r*8+col] {
+			t.Fatalf("section read of the typed write differs at (%d,%d)", r, col)
+		}
 	}
 
-	// Read back into a different memory layout (vector with stride).
+	// Read back into the same place of a fresh matrix; nothing else of
+	// it is touched.
 	out := make([]byte, 64)
-	if err := f.ReadTyped(ctx, full, sub, out); err != nil {
+	if err := f.ReadAtTyped(ctx, 0, corner, sub, out); err != nil {
 		t.Fatal(err)
 	}
-	for r := 2; r < 6; r++ {
-		for col := 2; col < 6; col++ {
-			if out[r*8+col] != mem[r*8+col] {
+	for r := 0; r < 8; r++ {
+		for col := 0; col < 8; col++ {
+			want := byte(0)
+			if r >= 2 && r < 6 && col >= 2 && col < 6 {
+				want = mem[r*8+col]
+			}
+			if out[r*8+col] != want {
 				t.Fatalf("typed roundtrip mismatch at (%d,%d)", r, col)
 			}
 		}
 	}
 	// Size mismatch errors.
 	bad := datatype.Bytes(3)
-	if err := f.WriteTyped(ctx, full, bad, mem); err == nil {
+	if err := f.WriteAtTyped(ctx, 0, corner, bad, mem); err == nil {
 		t.Fatal("datatype size mismatch accepted")
 	}
-	if err := f.ReadTyped(ctx, full, bad, out); err == nil {
+	if err := f.ReadAtTyped(ctx, 0, corner, bad, out); err == nil {
 		t.Fatal("datatype size mismatch accepted")
+	}
+	// A memory type reaching past the buffer.
+	if err := f.ReadAtTyped(ctx, 0, corner, sub, out[:40]); err == nil {
+		t.Fatal("memory type past the end of the buffer accepted")
 	}
 }
 
@@ -828,16 +850,110 @@ func TestTypedFileViews(t *testing.T) {
 		}
 	}
 
-	// Errors: size mismatch, non-linear file.
+	// Errors: size mismatch, a view past the end of the file.
 	if err := f.WriteAtTyped(ctx, 0, datatype.Bytes(8), datatype.Bytes(4), mem); err == nil {
 		t.Fatal("size mismatch accepted")
 	}
-	md, err := fs.Create("/view-md", 8, []int64{8, 8}, core.Hint{Level: stripe.LevelMultidim, Tile: []int64{4, 4}})
+	if err := f.ReadAtTyped(ctx, 12<<10, fview, mview, out); err == nil {
+		t.Fatal("view past the end of the file accepted")
+	}
+
+	// The same strided view on a multidim file: 8 KiB blocks of its
+	// logical byte space, which cut across its 4 KiB tiles.
+	md, err := fs.Create("/view-md", 8, []int64{32, 64}, core.Hint{Level: stripe.LevelMultidim, Tile: []int64{8, 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := md.WriteAtTyped(ctx, 0, datatype.Bytes(8), datatype.Bytes(8), mem); err == nil {
-		t.Fatal("typed view on multidim file accepted")
+	full := pattern(16 << 10)
+	if err := md.WriteAt(ctx, full, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := md.WriteAtTyped(ctx, 512, fview, mtype, mem); err != nil {
+		t.Fatal(err)
+	}
+	for blk := 0; blk < 4; blk++ {
+		copy(full[512+blk*2048:], mem[blk*1024:(blk+1)*1024])
+	}
+	got := make([]byte, 16<<10)
+	if err := md.ReadAt(ctx, got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, full) {
+		t.Fatal("typed view on a multidim file: the file differs from the reference")
+	}
+	out = make([]byte, 8<<10)
+	if err := md.ReadAtTyped(ctx, 512, fview, mview, out); err != nil {
+		t.Fatal(err)
+	}
+	for blk := 0; blk < 4; blk++ {
+		if !bytes.Equal(out[blk*2048:blk*2048+1024], mem[blk*1024:(blk+1)*1024]) {
+			t.Fatalf("multidim: scattered block %d mismatch", blk)
+		}
+	}
+}
+
+// TestTypedAccessAllocs: a typed access moves its bytes straight
+// between the servers and the caller's buffer. A 1 MiB view of every
+// other 4 KiB row, read into and written from every other 4 KiB of a
+// 2 MiB buffer, allocates far less than the 1 MiB it moves, on a linear
+// file and on a multidim one whose tiles cut each row in four (the
+// allocations of the process's in-memory servers included). What it
+// does allocate is the plan: some hundred bytes per piece.
+func TestTypedAccessAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops buffers at random")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	c := startCluster(t, 2)
+	fs := newFS(t, c, 0, core.Options{Combine: true})
+	ctx := ctxT(t)
+	const rows, row = 512, 4 << 10
+	ftype := datatype.Vector{Count: rows / 2, BlockLen: 1, Stride: 2, Elem: datatype.Bytes(row)}
+	mtype := datatype.Vector{Count: rows / 2, BlockLen: row, Stride: 2 * row, Elem: datatype.Bytes(1)}
+	mem := pattern(rows * row)
+	payload := ftype.Size()
+	for _, hint := range []core.Hint{
+		{Level: stripe.LevelLinear, BrickBytes: 64 << 10},
+		{Level: stripe.LevelMultidim, Tile: []int64{64, 1 << 10}},
+	} {
+		f, err := fs.Create("/allocs-"+hint.Level.String(), 1, []int64{rows, row}, hint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range []struct {
+			name string
+			do   func() error
+		}{
+			{"write", func() error { return f.WriteAtTyped(ctx, 0, ftype, mtype, mem) }},
+			{"read", func() error { return f.ReadAtTyped(ctx, 0, ftype, mtype, mem) }},
+		} {
+			// The first access fills the pools its buffers come from, and
+			// with the collector off nothing empties them; the least of
+			// the accesses after it is the access's own cost.
+			least := uint64(1 << 62)
+			for i := 0; i < 6; i++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				if err := op.do(); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				if i > 0 {
+					least = min(least, after.TotalAlloc-before.TotalAlloc)
+				}
+			}
+			if least > uint64(payload/4) {
+				t.Errorf("%v %s of a %d-byte view allocated %d bytes, want under a quarter of it", hint.Level, op.name, payload, least)
+			}
+			t.Logf("%v %s: %d bytes allocated for %d moved", hint.Level, op.name, least, payload)
+		}
+		got := make([]byte, payload)
+		if err := f.ReadAt(ctx, got[:row], 2*row); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got[:row], mem[2*row:3*row]) {
+			t.Fatalf("%v: row 2 differs from the memory type's second block", hint.Level)
+		}
 	}
 }
 

@@ -76,150 +76,97 @@ func ResetStats() {
 // WriteSection writes the packed section data into the file region sec.
 // data holds sec's elements in row-major order of the section.
 func (f *File) WriteSection(ctx context.Context, sec stripe.Section, data []byte) error {
-	if f.closed {
-		return fmt.Errorf("dpfs: %s: file closed", f.info.Path)
-	}
-	g := &f.info.Geometry
-	if want := sec.Bytes(g.ElemSize); int64(len(data)) != want {
-		return fmt.Errorf("dpfs: %s: section %v needs %d bytes, buffer has %d", f.info.Path, sec, want, len(data))
-	}
-	plan, err := g.PlanSection(sec)
-	if err != nil {
-		return err
-	}
-	return f.execute(ctx, plan, data, true)
+	return f.access(ctx, 0, f.subarray(sec), datatype.Bytes(len(data)), data, true)
 }
 
 // ReadSection reads the file region sec into buf (packed row-major
 // order of the section).
 func (f *File) ReadSection(ctx context.Context, sec stripe.Section, buf []byte) error {
-	if f.closed {
-		return fmt.Errorf("dpfs: %s: file closed", f.info.Path)
-	}
-	g := &f.info.Geometry
-	if want := sec.Bytes(g.ElemSize); int64(len(buf)) != want {
-		return fmt.Errorf("dpfs: %s: section %v needs %d bytes, buffer has %d", f.info.Path, sec, want, len(buf))
-	}
-	plan, err := g.PlanSection(sec)
-	if err != nil {
-		return err
-	}
-	return f.execute(ctx, plan, buf, false)
+	return f.access(ctx, 0, f.subarray(sec), datatype.Bytes(len(buf)), buf, false)
 }
 
-// WriteAt writes p at byte offset off of a linear file (DPFS-Write
-// with a contiguous datatype).
+// WriteAt writes p at byte offset off of the file's logical byte space
+// — the array row-major, on every level (DPFS-Write with a contiguous
+// datatype).
 func (f *File) WriteAt(ctx context.Context, p []byte, off int64) error {
-	if f.closed {
-		return fmt.Errorf("dpfs: %s: file closed", f.info.Path)
-	}
-	plan, err := f.info.Geometry.PlanExtents([]stripe.Extent{{Off: off, Len: int64(len(p))}})
-	if err != nil {
-		return err
-	}
-	return f.execute(ctx, plan, p, true)
+	return f.access(ctx, off, datatype.Bytes(len(p)), datatype.Bytes(len(p)), p, true)
 }
 
-// ReadAt reads len(p) bytes at byte offset off of a linear file.
+// ReadAt reads len(p) bytes at byte offset off of the file's logical
+// byte space.
 func (f *File) ReadAt(ctx context.Context, p []byte, off int64) error {
+	return f.access(ctx, off, datatype.Bytes(len(p)), datatype.Bytes(len(p)), p, false)
+}
+
+// WriteAtTyped is the full MPI-IO-style call (DPFS-Write with derived
+// datatypes, Section 6), on every file level: ftype selects the file
+// region, as bytes of its logical byte space counted from offset off —
+// the analogue of an MPI file view, a section being a Subarray over the
+// file's dims — and mtype selects the bytes of mem that go there. Both
+// types must select the same number of bytes; the i-th byte of the one
+// pairs with the i-th byte of the other.
+func (f *File) WriteAtTyped(ctx context.Context, off int64, ftype, mtype datatype.Type, mem []byte) error {
+	return f.access(ctx, off, ftype, mtype, mem, true)
+}
+
+// ReadAtTyped reads the file region ftype selects at off into the bytes
+// of mem that mtype selects.
+func (f *File) ReadAtTyped(ctx context.Context, off int64, ftype, mtype datatype.Type, mem []byte) error {
+	return f.access(ctx, off, ftype, mtype, mem, false)
+}
+
+// subarray is the file type of section sec.
+func (f *File) subarray(sec stripe.Section) datatype.Subarray {
+	g := &f.info.Geometry
+	return datatype.Subarray{ElemSize: g.ElemSize, Dims: g.Dims, Start: sec.Start, Count: sec.Count}
+}
+
+// access is every read and write: the bytes ftype selects of the file,
+// from logical byte off on, move to or from the bytes mtype selects of
+// buf, paired in the two types' orders. The types, the buffer and the
+// file runs are all checked before anything is planned, so a malformed
+// access is an error with no I/O. The plan points straight into buf:
+// nothing is packed or unpacked.
+func (f *File) access(ctx context.Context, off int64, ftype, mtype datatype.Type, buf []byte, write bool) error {
 	if f.closed {
 		return fmt.Errorf("dpfs: %s: file closed", f.info.Path)
 	}
-	plan, err := f.info.Geometry.PlanExtents([]stripe.Extent{{Off: off, Len: int64(len(p))}})
-	if err != nil {
-		return err
+	if err := datatype.Validate(ftype); err != nil {
+		return fmt.Errorf("dpfs: %s: file type: %w", f.info.Path, err)
 	}
-	return f.execute(ctx, plan, p, false)
-}
-
-// WriteTyped gathers non-contiguous data described by the derived
-// datatype t from mem and writes it into the file region sec
-// (DPFS-Write with an MPI-style derived datatype, Section 6).
-func (f *File) WriteTyped(ctx context.Context, sec stripe.Section, t datatype.Type, mem []byte) error {
-	want := sec.Bytes(f.info.Geometry.ElemSize)
-	if t.Size() != want {
-		return fmt.Errorf("dpfs: %s: datatype selects %d bytes, section %v needs %d",
-			f.info.Path, t.Size(), sec, want)
-	}
-	packed, err := datatype.Pack(t, mem)
-	if err != nil {
-		return err
-	}
-	return f.WriteSection(ctx, sec, packed)
-}
-
-// ReadTyped reads the file region sec and scatters it into mem
-// following the derived datatype t.
-func (f *File) ReadTyped(ctx context.Context, sec stripe.Section, t datatype.Type, mem []byte) error {
-	want := sec.Bytes(f.info.Geometry.ElemSize)
-	if t.Size() != want {
-		return fmt.Errorf("dpfs: %s: datatype selects %d bytes, section %v needs %d",
-			f.info.Path, t.Size(), sec, want)
-	}
-	packed := make([]byte, want)
-	if err := f.ReadSection(ctx, sec, packed); err != nil {
-		return err
-	}
-	return datatype.Unpack(t, packed, mem)
-}
-
-// WriteAtTyped is the full MPI-IO-style call for linear files: mtype
-// selects the (possibly non-contiguous) bytes in client memory, ftype
-// selects the (possibly non-contiguous) file region starting at byte
-// offset off — the analogue of an MPI file view. Both types must
-// select the same number of bytes.
-func (f *File) WriteAtTyped(ctx context.Context, off int64, ftype datatype.Type, mtype datatype.Type, mem []byte) error {
-	exts, err := f.viewExtents(off, ftype, mtype)
-	if err != nil {
-		return err
-	}
-	packed, err := datatype.Pack(mtype, mem)
-	if err != nil {
-		return err
-	}
-	plan, err := f.info.Geometry.PlanExtents(exts)
-	if err != nil {
-		return err
-	}
-	return f.execute(ctx, plan, packed, true)
-}
-
-// ReadAtTyped reads the file region selected by ftype at off and
-// scatters it into mem following mtype.
-func (f *File) ReadAtTyped(ctx context.Context, off int64, ftype datatype.Type, mtype datatype.Type, mem []byte) error {
-	exts, err := f.viewExtents(off, ftype, mtype)
-	if err != nil {
-		return err
-	}
-	packed := make([]byte, ftype.Size())
-	plan, err := f.info.Geometry.PlanExtents(exts)
-	if err != nil {
-		return err
-	}
-	if err := f.execute(ctx, plan, packed, false); err != nil {
-		return err
-	}
-	return datatype.Unpack(mtype, packed, mem)
-}
-
-func (f *File) viewExtents(off int64, ftype, mtype datatype.Type) ([]stripe.Extent, error) {
-	if f.closed {
-		return nil, fmt.Errorf("dpfs: %s: file closed", f.info.Path)
-	}
-	if f.info.Geometry.Level != stripe.LevelLinear {
-		return nil, fmt.Errorf("dpfs: %s: typed file views require a linear file, have %v",
-			f.info.Path, f.info.Geometry.Level)
+	if err := datatype.Validate(mtype); err != nil {
+		return fmt.Errorf("dpfs: %s: memory type: %w", f.info.Path, err)
 	}
 	if ftype.Size() != mtype.Size() {
-		return nil, fmt.Errorf("dpfs: %s: file type selects %d bytes, memory type %d",
-			f.info.Path, ftype.Size(), mtype.Size())
+		return fmt.Errorf("dpfs: %s: the file type selects %d bytes, the memory type %d", f.info.Path, ftype.Size(), mtype.Size())
 	}
-	segs := datatype.Segments(ftype)
-	exts := make([]stripe.Extent, len(segs))
+	if mtype.Extent() > int64(len(buf)) {
+		return fmt.Errorf("dpfs: %s: the memory type spans %d bytes, the buffer has %d", f.info.Path, mtype.Extent(), len(buf))
+	}
+	// A byte range, the common case, lists itself, and a run of bytes in
+	// memory is the packed buffer that nil stands for.
+	file, mem := []stripe.Extent{{Off: off, Len: ftype.Size()}}, []stripe.Extent(nil)
+	if _, ok := ftype.(datatype.Bytes); !ok {
+		file = runs(ftype, off)
+	}
+	if _, ok := mtype.(datatype.Bytes); !ok {
+		mem = runs(mtype, 0)
+	}
+	plan, err := f.info.Geometry.Plan(file, mem)
+	if err != nil {
+		return fmt.Errorf("dpfs: %s: %w", f.info.Path, err)
+	}
+	return f.execute(ctx, plan, buf, write)
+}
+
+// runs lists the runs t selects, shifted by off.
+func runs(t datatype.Type, off int64) []stripe.Extent {
+	segs := datatype.Segments(t)
+	out := make([]stripe.Extent, len(segs))
 	for i, s := range segs {
-		exts[i] = stripe.Extent{Off: off + s.Off, Len: s.Len}
+		out[i] = stripe.Extent{Off: off + s.Off, Len: s.Len}
 	}
-	return exts, nil
+	return out
 }
 
 // ExecutePlan ships a raw brick plan against the file: every segment
@@ -960,52 +907,14 @@ func (fs *FS) Export(ctx context.Context, w io.Writer, path string) error {
 		return err
 	}
 	defer f.Close()
-	g := &f.info.Geometry
-
-	if g.Level == stripe.LevelLinear && len(g.Dims) == 1 {
-		buf := make([]byte, importChunk)
-		size := g.Size()
-		var off int64
-		for off < size {
-			n := int64(importChunk)
-			if rem := size - off; rem < n {
-				n = rem
-			}
-			if err := f.ReadAt(ctx, buf[:n], off); err != nil {
-				return err
-			}
-			if _, err := w.Write(buf[:n]); err != nil {
-				return fmt.Errorf("dpfs: export %s: %w", path, err)
-			}
-			off += n
-		}
-		return nil
-	}
-
-	// Array-shaped files: stream row-block sections in row-major
-	// order.
-	rows := g.Dims[0]
-	rowBytes := g.Size() / rows
-	step := rows
-	if rowBytes > 0 {
-		step = importChunk / rowBytes
-		if step < 1 {
-			step = 1
-		}
-	}
-	for r0 := int64(0); r0 < rows; r0 += step {
-		n := step
-		if rem := rows - r0; rem < n {
-			n = rem
-		}
-		sec := stripe.FullSection(g.Dims)
-		sec.Start[0] = r0
-		sec.Count[0] = n
-		buf := make([]byte, sec.Bytes(g.ElemSize))
-		if err := f.ReadSection(ctx, sec, buf); err != nil {
+	buf := make([]byte, importChunk)
+	size := f.info.Geometry.Size()
+	for off := int64(0); off < size; off += importChunk {
+		n := min(importChunk, size-off)
+		if err := f.ReadAt(ctx, buf[:n], off); err != nil {
 			return err
 		}
-		if _, err := w.Write(buf); err != nil {
+		if _, err := w.Write(buf[:n]); err != nil {
 			return fmt.Errorf("dpfs: export %s: %w", path, err)
 		}
 	}

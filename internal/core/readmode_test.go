@@ -13,7 +13,8 @@ import (
 
 // TestReadModesByteIdentical is the equivalence quickcheck of the data
 // paths: for random sections of a file of each level (2-D and 3-D) and
-// random irregular typed views of the linear one, an engine with no
+// random irregular typed views of each file's row-major byte stream,
+// moved through a strided memory type, an engine with no
 // cache issuing its requests one at a time, one issuing them one per
 // server at once (both move brick spans narrowed by selections, so the
 // servers sieve reads and scatter writes) and one with a data cache
@@ -36,7 +37,6 @@ func TestReadModesByteIdentical(t *testing.T) {
 		{"multidim3", 2, []int64{12, 10, 14}, core.Hint{Level: stripe.LevelMultidim, Tile: []int64{4, 5, 6}}},
 		{"array", 1, []int64{30, 30}, core.Hint{Level: stripe.LevelArray, Pattern: []stripe.Dist{stripe.DistBlock, stripe.DistBlock}, Grid: []int64{3, 2}}},
 	}
-	const linear = 0 // the level typed views read
 	modes := []struct {
 		name string
 		opts core.Options
@@ -113,22 +113,24 @@ func TestReadModesByteIdentical(t *testing.T) {
 							return files[mi][li].WriteSection(ctx, sec, data)
 						}))
 					}
-					// A typed write, every fourth time (so through each
-					// engine in turn) of a tangled view. Where its pieces
-					// overlap they carry the same bytes, cut from one image
-					// of the file: which of two such pieces lands last is
-					// not defined.
-					wview := randIndexed(rng, int64(len(refs[linear].data)), iter%4 == 1)
-					wsegs := datatype.Segments(wview)
-					img := write(turn, len(refs[linear].data), func(mi int, img []byte) error {
-						var mem []byte
+					// A typed write on every level, from a strided memory type, every
+					// fourth time (so through each engine in turn) of a tangled view. Where
+					// its pieces overlap they carry the same bytes, cut from one image of
+					// the file: which of two such pieces lands last is not defined.
+					for li, ref := range refs {
+						wview := randIndexed(rng, int64(len(ref.data)), iter%4 == 1)
+						wsegs := datatype.Segments(wview)
+						mtype := stridedMem(wview.Size())
+						img := write(turn, len(ref.data), func(mi int, img []byte) error {
+							var packed []byte
+							for _, s := range wsegs {
+								packed = append(packed, img[s.Off:s.Off+s.Len]...)
+							}
+							return files[mi][li].WriteAtTyped(ctx, 0, wview, mtype, scatter(mtype, packed))
+						})
 						for _, s := range wsegs {
-							mem = append(mem, img[s.Off:s.Off+s.Len]...)
+							copy(ref.data[s.Off:s.Off+s.Len], img[s.Off:s.Off+s.Len])
 						}
-						return files[mi][linear].WriteAtTyped(ctx, 0, wview, datatype.Bytes(len(mem)), mem)
-					})
-					for _, s := range wsegs {
-						copy(refs[linear].data[s.Off:s.Off+s.Len], img[s.Off:s.Off+s.Len])
 					}
 
 					for li, lv := range levels {
@@ -144,21 +146,24 @@ func TestReadModesByteIdentical(t *testing.T) {
 							}
 						}
 					}
-					// An irregular view: pieces of any length, adjacent or
-					// far apart, and every third time out of order and
-					// overlapping, which no selection describes.
-					view := randIndexed(rng, int64(len(refs[linear].data)), iter%3 == 2)
-					var want []byte
-					for _, s := range datatype.Segments(view) {
-						want = append(want, refs[linear].data[s.Off:s.Off+s.Len]...)
-					}
-					for mi, m := range modes {
-						got := make([]byte, len(want))
-						if err := files[mi][linear].ReadAtTyped(ctx, 0, view, datatype.Bytes(len(want)), got); err != nil {
-							t.Fatalf("%s: typed/%s %+v: %v", when, m.name, view, err)
+					// An irregular view on every level: pieces of any length, adjacent or
+					// far apart, and every third time out of order and overlapping, which
+					// no selection describes, read into a strided memory type.
+					for li, lv := range levels {
+						view := randIndexed(rng, int64(len(refs[li].data)), iter%3 == 2)
+						var want []byte
+						for _, s := range datatype.Segments(view) {
+							want = append(want, refs[li].data[s.Off:s.Off+s.Len]...)
 						}
-						if !bytes.Equal(got, want) {
-							t.Fatalf("%s: typed/%s %+v: wrong bytes", when, m.name, view)
+						mtype := stridedMem(view.Size())
+						for mi, m := range modes {
+							got := make([]byte, mtype.Extent())
+							if err := files[mi][li].ReadAtTyped(ctx, 0, view, mtype, got); err != nil {
+								t.Fatalf("%s: typed %s/%s %+v: %v", when, lv.name, m.name, view, err)
+							}
+							if !bytes.Equal(gather(mtype, got), want) {
+								t.Fatalf("%s: typed %s/%s %+v: wrong bytes", when, lv.name, m.name, view)
+							}
 						}
 					}
 				}
@@ -204,4 +209,29 @@ func randIndexed(r *rand.Rand, size int64, tangled bool) datatype.Indexed {
 		}
 	}
 	return ix
+}
+
+// stridedMem is a memory type selecting n bytes: runs of 8 bytes 13
+// apart, then the rest 5 bytes further on.
+func stridedMem(n int64) datatype.Type {
+	v := datatype.Vector{Count: n / 8, BlockLen: 8, Stride: 13, Elem: datatype.Bytes(1)}
+	return datatype.Struct{Displs: []int64{0, v.Extent() + 5}, Types: []datatype.Type{v, datatype.Bytes(n % 8)}}
+}
+
+// scatter lays packed out in a fresh buffer where t selects.
+func scatter(t datatype.Type, packed []byte) []byte {
+	mem := make([]byte, t.Extent())
+	for _, s := range datatype.Segments(t) {
+		packed = packed[copy(mem[s.Off:s.Off+s.Len], packed):]
+	}
+	return mem
+}
+
+// gather collects the bytes t selects of mem, in the type's order.
+func gather(t datatype.Type, mem []byte) []byte {
+	var out []byte
+	for _, s := range datatype.Segments(t) {
+		out = append(out, mem[s.Off:s.Off+s.Len]...)
+	}
+	return out
 }

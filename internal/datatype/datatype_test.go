@@ -15,21 +15,33 @@ func seq(n int) []byte {
 	return out
 }
 
+// pack gathers the bytes t selects out of mem, in the type's order.
+func pack(t Type, mem []byte) []byte {
+	var out []byte
+	for _, s := range Segments(t) {
+		out = append(out, mem[s.Off:s.Off+s.Len]...)
+	}
+	return out
+}
+
+// unpack scatters packed into mem where t selects.
+func unpack(t Type, packed, mem []byte) {
+	for _, s := range Segments(t) {
+		packed = packed[copy(mem[s.Off:s.Off+s.Len], packed):]
+	}
+}
+
 func TestBytes(t *testing.T) {
 	b := Bytes(8)
 	if b.Size() != 8 || b.Extent() != 8 {
 		t.Fatalf("size/extent = %d/%d", b.Size(), b.Extent())
 	}
 	mem := seq(8)
-	packed, err := Pack(b, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(packed, mem) {
+	if !bytes.Equal(pack(b, mem), mem) {
 		t.Fatal("bytes pack should be identity")
 	}
-	if !Contig(b) {
-		t.Error("Bytes should be contiguous")
+	if segs := Segments(b); len(segs) != 1 || segs[0] != (Segment{0, 8}) {
+		t.Errorf("Bytes should be one run, have %v", segs)
 	}
 	if segs := Segments(Bytes(0)); len(segs) != 0 {
 		t.Errorf("zero-length type has %d segments", len(segs))
@@ -40,9 +52,6 @@ func TestContiguous(t *testing.T) {
 	c := Contiguous{Count: 3, Elem: Bytes(4)}
 	if c.Size() != 12 || c.Extent() != 12 {
 		t.Fatalf("size/extent = %d/%d", c.Size(), c.Extent())
-	}
-	if !Contig(c) {
-		t.Error("contiguous of bytes should be contiguous")
 	}
 	segs := Segments(c)
 	if len(segs) != 1 || segs[0] != (Segment{0, 12}) {
@@ -60,23 +69,18 @@ func TestVector(t *testing.T) {
 	if v.Extent() != 10 {
 		t.Fatalf("extent = %d", v.Extent())
 	}
-	if Contig(v) {
-		t.Error("strided vector must not be contiguous")
+	if segs := Segments(v); len(segs) != 3 {
+		t.Errorf("strided vector is %d runs, want 3", len(segs))
 	}
 	mem := seq(10)
-	packed, err := Pack(v, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
+	packed := pack(v, mem)
 	want := []byte{0, 1, 4, 5, 8, 9}
 	if !bytes.Equal(packed, want) {
 		t.Fatalf("packed = %v, want %v", packed, want)
 	}
 
 	out := make([]byte, 10)
-	if err := Unpack(v, packed, out); err != nil {
-		t.Fatal(err)
-	}
+	unpack(v, packed, out)
 	wantOut := []byte{0, 1, 0, 0, 4, 5, 0, 0, 8, 9}
 	if !bytes.Equal(out, wantOut) {
 		t.Fatalf("unpacked = %v, want %v", out, wantOut)
@@ -92,11 +96,7 @@ func TestVectorOfVectors(t *testing.T) {
 	// contiguous count of 1; then two such columns via Struct.
 	col := Vector{Count: 4, BlockLen: 1, Stride: 4, Elem: Bytes(1)}
 	twoCols := Struct{Displs: []int64{0, 1}, Types: []Type{col, col}}
-	mem := seq(16)
-	packed, err := Pack(twoCols, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
+	packed := pack(twoCols, seq(16))
 	want := []byte{0, 4, 8, 12, 1, 5, 9, 13}
 	if !bytes.Equal(packed, want) {
 		t.Fatalf("packed = %v, want %v", packed, want)
@@ -114,11 +114,7 @@ func TestIndexed(t *testing.T) {
 	if ix.Extent() != 10 {
 		t.Fatalf("extent = %d", ix.Extent())
 	}
-	mem := seq(10)
-	packed, err := Pack(ix, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
+	packed := pack(ix, seq(10))
 	want := []byte{0, 1, 4, 7, 8, 9}
 	if !bytes.Equal(packed, want) {
 		t.Fatalf("packed = %v, want %v", packed, want)
@@ -128,17 +124,13 @@ func TestIndexed(t *testing.T) {
 func TestSubarray(t *testing.T) {
 	// 4x4 matrix of 2-byte elements; select rows 1-2, cols 1-2.
 	s := Subarray{ElemSize: 2, Dims: []int64{4, 4}, Start: []int64{1, 1}, Count: []int64{2, 2}}
-	if err := s.Validate(); err != nil {
+	if err := Validate(s); err != nil {
 		t.Fatal(err)
 	}
 	if s.Size() != 8 || s.Extent() != 32 {
 		t.Fatalf("size/extent = %d/%d", s.Size(), s.Extent())
 	}
-	mem := seq(32)
-	packed, err := Pack(s, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
+	packed := pack(s, seq(32))
 	// Element (r,c) starts at (r*4+c)*2.
 	want := []byte{10, 11, 12, 13, 18, 19, 20, 21}
 	if !bytes.Equal(packed, want) {
@@ -147,8 +139,8 @@ func TestSubarray(t *testing.T) {
 
 	// Full-array subarray is contiguous.
 	full := Subarray{ElemSize: 2, Dims: []int64{4, 4}, Start: []int64{0, 0}, Count: []int64{4, 4}}
-	if !Contig(full) {
-		t.Error("full subarray should be contiguous")
+	if segs := Segments(full); len(segs) != 1 || segs[0] != (Segment{0, 32}) {
+		t.Errorf("full subarray should be one run, have %v", segs)
 	}
 }
 
@@ -162,54 +154,32 @@ func TestSubarrayValidate(t *testing.T) {
 		{ElemSize: 1, Dims: []int64{4}, Start: []int64{2}, Count: []int64{3}},
 	}
 	for i, s := range bad {
-		if err := s.Validate(); err == nil {
+		if err := Validate(s); err == nil {
 			t.Errorf("case %d should fail validation", i)
 		}
 	}
 }
 
-func TestPackErrors(t *testing.T) {
-	v := Vector{Count: 2, BlockLen: 1, Stride: 4, Elem: Bytes(1)}
-	if err := PackInto(v, seq(10), make([]byte, 1)); err == nil {
-		t.Error("short output buffer should fail")
-	}
-	if err := PackInto(v, seq(2), make([]byte, 10)); err == nil {
-		t.Error("short memory buffer should fail")
-	}
-	if err := Unpack(v, seq(1), make([]byte, 10)); err == nil {
-		t.Error("short input should fail")
-	}
-	if err := Unpack(v, seq(4), make([]byte, 2)); err == nil {
-		t.Error("short memory should fail")
-	}
-}
-
-// Property: pack followed by unpack into a zeroed buffer, then pack
-// again, reproduces the first packed buffer (pack∘unpack is identity on
-// the packed domain) for random compositions.
+// Property: random compositions validate, and gathering their bytes,
+// scattering them into a zeroed buffer and gathering again reproduces
+// the first gather (the runs a type lists address its bytes alone).
 func TestQuickPackUnpackIdentity(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		typ := randomType(r, 2)
-		mem := make([]byte, typ.Extent())
-		r.Read(mem)
-		p1, err := Pack(typ, mem)
-		if err != nil {
+		if err := Validate(typ); err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
+		mem := make([]byte, typ.Extent())
+		r.Read(mem)
+		p1 := pack(typ, mem)
 		if int64(len(p1)) != typ.Size() {
 			return false
 		}
 		scratch := make([]byte, typ.Extent())
-		if err := Unpack(typ, p1, scratch); err != nil {
-			return false
-		}
-		p2, err := Pack(typ, scratch)
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(p1, p2)
+		unpack(typ, p1, scratch)
+		return bytes.Equal(p1, pack(typ, scratch))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -345,27 +345,16 @@ func (sh *Shell) copyWithin(ctx context.Context, src, dst string) (string, error
 	}
 	defer dstF.Close()
 
-	rows := g.Dims[0]
-	rowBytes := g.Size() / rows
-	step := rows
-	if rowBytes > 0 {
-		if step = (1 << 20) / rowBytes; step < 1 {
-			step = 1
-		}
-	}
-	for r0 := int64(0); r0 < rows; r0 += step {
-		n := step
-		if rem := rows - r0; rem < n {
-			n = rem
-		}
-		sec := stripe.FullSection(g.Dims)
-		sec.Start[0] = r0
-		sec.Count[0] = n
-		buf := make([]byte, sec.Bytes(g.ElemSize))
-		if err := srcF.ReadSection(ctx, sec, buf); err != nil {
+	// Both files are the same array, so 1 MiB ranges of its row-major
+	// byte stream copy it on any level.
+	size := g.Size()
+	buf := make([]byte, min(size, 1<<20))
+	for off := int64(0); off < size; off += int64(len(buf)) {
+		chunk := buf[:min(int64(len(buf)), size-off)]
+		if err := srcF.ReadAt(ctx, chunk, off); err != nil {
 			return "", err
 		}
-		if err := dstF.WriteSection(ctx, sec, buf); err != nil {
+		if err := dstF.WriteAt(ctx, chunk, off); err != nil {
 			return "", err
 		}
 	}

@@ -1,16 +1,17 @@
 package stripe
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Segment describes one contiguous byte run to move between a brick's
-// storage and the caller's packed buffer.
+// storage and the caller's buffer.
 type Segment struct {
 	// BrickOff is the byte offset within the brick's stored bytes.
 	BrickOff int64
-	// MemOff is the byte offset within the caller's packed buffer.
+	// MemOff is the byte offset within the caller's buffer.
 	MemOff int64
 	// Len is the run length in bytes.
 	Len int64
@@ -33,16 +34,16 @@ func (b *BrickIO) Bytes() int64 {
 	return n
 }
 
-// Extent is a contiguous byte range of a linear file.
+// Extent is a contiguous byte run: of a file's logical byte space, or of
+// a caller's buffer.
 type Extent struct {
 	Off int64
 	Len int64
 }
 
-// PlanSection computes, for an access to the given array section, the
-// bricks touched and the byte segments within each. It supports all
-// three file levels; for linear files the array is assumed stored
-// row-major in the byte stream.
+// PlanSection plans an access to the array section sec through a packed
+// buffer holding its elements in row-major order of the section: one
+// file run per row of the section along the last dimension.
 func (g *Geometry) PlanSection(sec Section) ([]BrickIO, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -50,241 +51,274 @@ func (g *Geometry) PlanSection(sec Section) ([]BrickIO, error) {
 	if err := sec.Validate(g.Dims); err != nil {
 		return nil, err
 	}
-	switch g.Level {
-	case LevelLinear:
-		return g.planLinearSection(sec)
-	case LevelMultidim:
-		return g.planTiledSection(sec, multidimTiles{g})
-	case LevelArray:
-		return g.planTiledSection(sec, arrayChunks{g})
-	}
-	return nil, fmt.Errorf("stripe: unknown level %d", g.Level)
+	var p planner
+	p.init(g, nil)
+	nd := len(g.Dims)
+	abs := make([]int64, nd)
+	iterOuter(sec.Count, func(pos []int64) {
+		for d := range abs {
+			abs[d] = sec.Start[d] + pos[d]
+		}
+		p.put(rowMajorOffset(abs, g.Dims)*g.ElemSize, sec.Count[nd-1]*g.ElemSize)
+	})
+	return p.finish(), nil
 }
 
-// PlanExtents computes the bricks touched by a raw byte access to a
-// linear file. MemOff values index the concatenation of the extents in
-// order.
-func (g *Geometry) PlanExtents(exts []Extent) ([]BrickIO, error) {
+// PlanExtents plans a byte access: the file's extents, in order, through
+// one packed buffer.
+func (g *Geometry) PlanExtents(exts []Extent) ([]BrickIO, error) { return g.Plan(exts, nil) }
+
+// Plan is the planner behind every access, on every level. file lists
+// runs of the file's logical byte space — the array stored row-major,
+// whatever the level stores it as — and mem the runs of the caller's
+// buffer they move to or from. The two are consumed in step, so the
+// i-th byte of the file runs pairs with the i-th byte of the memory
+// runs, and both must hold the same number of bytes; nil mem is the
+// packed buffer [0, n). Each piece is cut where it leaves a brick: at
+// brick edges on a linear file, at row ends and brick edges along the
+// last dimension on the tiled levels. The plan lists the bricks touched
+// in ascending order, each brick's segments in ascending MemOff order
+// with neighbours adjacent in both spaces merged, so an access plans the
+// same however its runs are cut.
+func (g *Geometry) Plan(file, mem []Extent) ([]BrickIO, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
+	size := g.Size()
+	var n int64
+	for _, e := range file {
+		if e.Off < 0 || e.Len < 0 || e.Len > size-e.Off {
+			return nil, fmt.Errorf("stripe: extent [%d,%d) outside file of %d bytes", e.Off, e.Off+e.Len, size)
+		}
+		n += e.Len
+	}
+	var m int64
+	for _, e := range mem {
+		if e.Off < 0 || e.Len < 0 || e.Len > n-m {
+			return nil, fmt.Errorf("stripe: memory run [%d,%d) is negative or past the file runs' %d bytes", e.Off, e.Off+e.Len, n)
+		}
+		m += e.Len
+	}
+	if mem != nil && m != n {
+		return nil, fmt.Errorf("stripe: memory runs hold %d bytes, file runs %d", m, n)
+	}
+	var p planner
+	p.init(g, mem)
+	for _, e := range file {
+		p.put(e.Off, e.Len)
+	}
+	return p.finish(), nil
+}
+
+// planner accumulates a plan's segments brick by brick.
+type planner struct {
+	g      *Geometry
+	bricks []BrickIO
+	at     map[int]int // brick id -> index in bricks, once there are several
+	// recent caches at for the bricks placed last, by id modulo its
+	// size: consecutive rows cross the same few bricks over and over.
+	recent [8]struct{ id, i int }
+
+	// The tiled levels. Per dimension: the bricks' extent and count, and
+	// for the row (along the last dimension) the last piece fell in, the
+	// brick it lies in and its offset inside that brick.
+	ext, cnt, brick, rel []int64
+	// That row's logical byte range, the id of its first brick and its
+	// row index inside the bricks it crosses.
+	rowOff, rowEnd, rowBrick, rowInner int64
+
+	// The piece placed last and its brick (-1: none yet).
+	last      Segment
+	lastBrick int
+
+	// The memory runs (nil: the packed buffer), the one in use and how
+	// many of its bytes are taken.
+	mem   []Extent
+	run   int
+	taken int64
+}
+
+func (p *planner) init(g *Geometry, mem []Extent) {
+	p.g, p.lastBrick, p.mem = g, -1, mem
+	for i := range p.recent {
+		p.recent[i].id = -1
+	}
 	if g.Level != LevelLinear {
-		return nil, fmt.Errorf("stripe: PlanExtents requires a linear file, have %v", g.Level)
-	}
-	sz := g.Size()
-	pl := newPlanner()
-	mem := int64(0)
-	for _, e := range exts {
-		if e.Off < 0 || e.Len < 0 || e.Off+e.Len > sz {
-			return nil, fmt.Errorf("stripe: extent [%d,%d) outside file of %d bytes", e.Off, e.Off+e.Len, sz)
+		nd := len(g.Dims)
+		v := make([]int64, 4*nd)
+		p.ext, p.cnt, p.brick, p.rel = v[:nd], v[nd:2*nd], v[2*nd:3*nd], v[3*nd:]
+		for d := range g.Dims {
+			p.ext[d], p.cnt[d] = g.tiling(d)
 		}
-		g.splitRun(pl, e.Off, mem, e.Len)
-		mem += e.Len
+		p.seekRow(0)
 	}
-	return pl.finish(), nil
 }
 
-// planLinearSection maps an array section onto a linear (row-major
-// flattened) file: every run along the last dimension is a contiguous
-// byte range, split across brick boundaries.
-func (g *Geometry) planLinearSection(sec Section) ([]BrickIO, error) {
-	pl := newPlanner()
-	nd := len(g.Dims)
-	runBytes := sec.Count[nd-1] * g.ElemSize
-	mem := int64(0)
-	abs := make([]int64, nd)
-	err := iterOuter(sec.Count, func(pos []int64) error {
-		for d := 0; d < nd; d++ {
-			abs[d] = sec.Start[d] + pos[d]
-		}
-		fileOff := rowMajorOffset(abs, g.Dims) * g.ElemSize
-		g.splitRun(pl, fileOff, mem, runBytes)
-		mem += runBytes
-		return nil
-	})
-	if err != nil {
-		return nil, err
+// put places the file run [off, off+n), paired with the next n bytes of
+// memory.
+func (p *planner) put(off, n int64) {
+	if p.mem == nil {
+		p.place(off, p.taken, n)
+		p.taken += n
+		return
 	}
-	return pl.finish(), nil
-}
-
-// splitRun splits the contiguous file range [fileOff, fileOff+n) across
-// linear bricks and records the pieces.
-func (g *Geometry) splitRun(pl *planner, fileOff, memOff, n int64) {
 	for n > 0 {
-		b := fileOff / g.BrickBytes
-		inOff := fileOff - b*g.BrickBytes
-		take := min64(n, g.BrickBytes-inOff)
-		pl.add(int(b), Segment{BrickOff: inOff, MemOff: memOff, Len: take})
-		fileOff += take
-		memOff += take
-		n -= take
-	}
-}
-
-// tileSource abstracts "the file is covered by disjoint rectangular
-// bricks": multidim tiles (uniform shape, full-tile storage layout) and
-// array chunks (HPF blocks, actual-shape storage layout).
-type tileSource interface {
-	// overlapping returns the brick ids whose extent intersects the
-	// section, in ascending order.
-	overlapping(sec Section) []int
-	// extent returns brick b's origin in the array and the shape used
-	// for its in-brick storage layout, plus the shape actually stored
-	// (clip of layout shape against the array); for multidim tiles
-	// layout is the full tile shape even at edges.
-	extent(b int) (origin, layout, clipped []int64)
-}
-
-type multidimTiles struct{ g *Geometry }
-
-func (m multidimTiles) overlapping(sec Section) []int {
-	g := m.g
-	grid := g.tileGrid()
-	nd := len(g.Dims)
-	lo := make([]int64, nd)
-	cnt := make([]int64, nd)
-	for d := 0; d < nd; d++ {
-		lo[d] = sec.Start[d] / g.Tile[d]
-		hi := (sec.Start[d] + sec.Count[d] - 1) / g.Tile[d]
-		cnt[d] = hi - lo[d] + 1
-	}
-	var ids []int
-	pos := make([]int64, nd)
-	for {
-		id := int64(0)
-		for d := 0; d < nd; d++ {
-			id = id*grid[d] + lo[d] + pos[d]
+		for p.taken == p.mem[p.run].Len {
+			p.run, p.taken = p.run+1, 0
 		}
-		ids = append(ids, int(id))
-		d := nd - 1
-		for d >= 0 {
-			pos[d]++
-			if pos[d] < cnt[d] {
-				break
+		k := min(n, p.mem[p.run].Len-p.taken)
+		p.place(off, p.mem[p.run].Off+p.taken, k)
+		off, n, p.taken = off+k, n-k, p.taken+k
+	}
+}
+
+// place adds the piece [off, off+n) of the logical byte space, bound for
+// the caller's buffer at mem, cut where it leaves a brick.
+func (p *planner) place(off, mem, n int64) {
+	g := p.g
+	if g.Level == LevelLinear {
+		for n > 0 {
+			b := off / g.BrickBytes
+			boff := off - b*g.BrickBytes
+			k := min(n, g.BrickBytes-boff)
+			p.add(int(b), Segment{BrickOff: boff, MemOff: mem, Len: k})
+			off, mem, n = off+k, mem+k, n-k
+		}
+		return
+	}
+	last := len(g.Dims) - 1
+	es := g.ElemSize
+	rowBytes, extBytes := g.Dims[last]*es, p.ext[last]*es
+	for n > 0 {
+		switch {
+		case off >= p.rowOff && off < p.rowEnd:
+		case off >= p.rowEnd && off-p.rowEnd < rowBytes:
+			p.nextRow()
+		default:
+			p.seekRow(off / rowBytes)
+		}
+		col := off - p.rowOff
+		for bc := col / extBytes; n > 0 && col < rowBytes; bc++ {
+			origin := bc * extBytes
+			lay := p.ext[last]
+			if g.Level == LevelArray {
+				// A chunk stores its own clipped shape, a tile its full one.
+				lay = min(lay, g.Dims[last]-bc*p.ext[last])
 			}
-			pos[d] = 0
-			d--
+			k := min(n, min(origin+extBytes, rowBytes)-col)
+			p.add(int(p.rowBrick+bc), Segment{BrickOff: p.rowInner*lay*es + col - origin, MemOff: mem, Len: k})
+			col, mem, n = col+k, mem+k, n-k
 		}
-		if d < 0 {
+		off = p.rowOff + col
+	}
+}
+
+// seekRow points the row cache at row r of the file, its index over all
+// but the last dimension.
+func (p *planner) seekRow(r int64) {
+	g := p.g
+	last := len(g.Dims) - 1
+	rowBytes := g.Dims[last] * g.ElemSize
+	p.rowOff, p.rowEnd = r*rowBytes, (r+1)*rowBytes
+	for d := last - 1; d >= 0; d-- {
+		c := r % g.Dims[d]
+		r /= g.Dims[d]
+		p.brick[d], p.rel[d] = c/p.ext[d], c%p.ext[d]
+	}
+	p.rowIDs()
+}
+
+// nextRow steps the row cache on to the following row.
+func (p *planner) nextRow() {
+	g := p.g
+	d := len(g.Dims) - 2
+	p.rowOff, p.rowEnd = p.rowEnd, 2*p.rowEnd-p.rowOff
+	if d >= 0 && p.rel[d]+1 < p.ext[d] && p.brick[d]*p.ext[d]+p.rel[d]+1 < g.Dims[d] {
+		// One row further into the same bricks.
+		p.rel[d]++
+		p.rowInner++
+		return
+	}
+	for ; d >= 0; d-- {
+		if p.rel[d]++; p.rel[d] == p.ext[d] {
+			p.brick[d], p.rel[d] = p.brick[d]+1, 0
+		}
+		if p.brick[d]*p.ext[d]+p.rel[d] < g.Dims[d] {
 			break
 		}
+		p.brick[d], p.rel[d] = 0, 0
 	}
-	sort.Ints(ids)
-	return ids
+	p.rowIDs()
 }
 
-func (m multidimTiles) extent(b int) (origin, layout, clipped []int64) {
-	g := m.g
-	grid := g.tileGrid()
-	nd := len(g.Dims)
-	coord := make([]int64, nd)
-	rem := int64(b)
-	for d := nd - 1; d >= 0; d-- {
-		coord[d] = rem % grid[d]
-		rem /= grid[d]
-	}
-	origin = make([]int64, nd)
-	layout = make([]int64, nd)
-	clipped = make([]int64, nd)
-	for d := 0; d < nd; d++ {
-		origin[d] = coord[d] * g.Tile[d]
-		layout[d] = g.Tile[d]
-		end := min64(origin[d]+g.Tile[d], g.Dims[d])
-		clipped[d] = end - origin[d]
-	}
-	return origin, layout, clipped
-}
-
-type arrayChunks struct{ g *Geometry }
-
-func (a arrayChunks) overlapping(sec Section) []int {
-	g := a.g
-	nd := len(g.Dims)
-	lo := make([]int64, nd)
-	cnt := make([]int64, nd)
-	counts := make([]int64, nd)
-	for d := 0; d < nd; d++ {
-		counts[d] = g.chunkCount(d)
-		blk := ceilDiv(g.Dims[d], counts[d])
-		lo[d] = sec.Start[d] / blk
-		hi := (sec.Start[d] + sec.Count[d] - 1) / blk
-		cnt[d] = hi - lo[d] + 1
-	}
-	var ids []int
-	pos := make([]int64, nd)
-	for {
-		id := int64(0)
-		for d := 0; d < nd; d++ {
-			id = id*counts[d] + lo[d] + pos[d]
+// rowIDs derives the cached row's first brick and its row inside it.
+func (p *planner) rowIDs() {
+	g := p.g
+	last := len(g.Dims) - 1
+	var id, inner int64
+	for d := 0; d < last; d++ {
+		lay := p.ext[d]
+		if g.Level == LevelArray {
+			lay = min(lay, g.Dims[d]-p.brick[d]*p.ext[d])
 		}
-		ids = append(ids, int(id))
-		d := nd - 1
-		for d >= 0 {
-			pos[d]++
-			if pos[d] < cnt[d] {
-				break
-			}
-			pos[d] = 0
-			d--
-		}
-		if d < 0 {
-			break
-		}
+		id = id*p.cnt[d] + p.brick[d]
+		inner = inner*lay + p.rel[d]
 	}
-	sort.Ints(ids)
-	return ids
+	p.rowBrick, p.rowInner = id*p.cnt[last], inner
 }
 
-func (a arrayChunks) extent(b int) (origin, layout, clipped []int64) {
-	origin, shape := a.g.chunkExtent(b)
-	return origin, shape, shape
+// add places one piece. A piece continuing the last one in both spaces
+// extends it; the last piece joins its brick only once another comes.
+func (p *planner) add(brick int, s Segment) {
+	if brick == p.lastBrick && s.MemOff == p.last.MemOff+p.last.Len && s.BrickOff == p.last.BrickOff+p.last.Len {
+		p.last.Len += s.Len
+		return
+	}
+	p.flush()
+	p.lastBrick, p.last = brick, s
 }
 
-// planTiledSection enumerates, for each brick overlapping the section,
-// the contiguous runs (along the last dimension) of the intersection,
-// with offsets in both brick storage space and the packed section
-// buffer.
-func (g *Geometry) planTiledSection(sec Section, src tileSource) ([]BrickIO, error) {
-	nd := len(g.Dims)
-	var out []BrickIO
-	relBrick := make([]int64, nd)
-	relMem := make([]int64, nd)
-	for _, b := range src.overlapping(sec) {
-		origin, layout, _ := src.extent(b)
-		iStart, iCount, ok := intersect(sec.Start, sec.Count, origin, layoutClip(origin, layout, g.Dims))
+// flush appends the last piece to its brick's segments.
+func (p *planner) flush() {
+	brick := p.lastBrick
+	if brick < 0 {
+		return
+	}
+	c := &p.recent[uint(brick)%uint(len(p.recent))]
+	if c.id != brick {
+		i, ok := p.at[brick]
 		if !ok {
-			continue
-		}
-		bio := BrickIO{Brick: b}
-		runBytes := iCount[nd-1] * g.ElemSize
-		err := iterOuter(iCount, func(pos []int64) error {
-			for d := 0; d < nd; d++ {
-				abs := iStart[d] + pos[d]
-				relBrick[d] = abs - origin[d]
-				relMem[d] = abs - sec.Start[d]
+			i = len(p.bricks)
+			p.bricks = append(p.bricks, BrickIO{Brick: brick})
+			if i == 1 {
+				// A lone brick never leaves recent; the map starts with two.
+				p.at = map[int]int{p.bricks[0].Brick: 0}
 			}
-			bio.Segs = append(bio.Segs, Segment{
-				BrickOff: rowMajorOffset(relBrick, layout) * g.ElemSize,
-				MemOff:   rowMajorOffset(relMem, sec.Count) * g.ElemSize,
-				Len:      runBytes,
-			})
-			return nil
-		})
-		if err != nil {
-			return nil, err
+			if i > 0 {
+				p.at[brick] = i
+			}
 		}
-		sort.Slice(bio.Segs, func(i, j int) bool { return bio.Segs[i].MemOff < bio.Segs[j].MemOff })
-		bio.Segs = coalesce(bio.Segs)
-		out = append(out, bio)
+		c.id, c.i = brick, i
 	}
-	return out, nil
+	p.bricks[c.i].Segs = append(p.bricks[c.i].Segs, p.last)
+}
+
+// finish orders the plan and merges each brick's neighbours.
+func (p *planner) finish() []BrickIO {
+	p.flush()
+	byMem := func(a, b Segment) int { return cmp.Compare(a.MemOff, b.MemOff) }
+	for i, b := range p.bricks {
+		if !slices.IsSortedFunc(b.Segs, byMem) {
+			slices.SortFunc(b.Segs, byMem)
+		}
+		p.bricks[i].Segs = coalesce(b.Segs)
+	}
+	slices.SortFunc(p.bricks, func(a, b BrickIO) int { return a.Brick - b.Brick })
+	return p.bricks
 }
 
 // coalesce merges segments that are contiguous in both brick storage
-// and the packed buffer. Whole-chunk array accesses collapse to a
-// single segment; tile rows spanning a full tile width merge likewise.
-// Segs must be sorted by MemOff.
+// and the caller's buffer. Segs must be sorted by MemOff.
 func coalesce(segs []Segment) []Segment {
 	if len(segs) < 2 {
 		return segs
@@ -298,42 +332,5 @@ func coalesce(segs []Segment) []Segment {
 		}
 		out = append(out, s)
 	}
-	return out
-}
-
-// layoutClip clips a brick layout shape at origin against the array
-// dims, yielding the count of valid elements per dimension.
-func layoutClip(origin, layout, dims []int64) []int64 {
-	out := make([]int64, len(layout))
-	for d := range layout {
-		out[d] = min64(layout[d], dims[d]-origin[d])
-	}
-	return out
-}
-
-// planner accumulates segments per brick id.
-type planner struct {
-	byBrick map[int]*BrickIO
-}
-
-func newPlanner() *planner { return &planner{byBrick: make(map[int]*BrickIO)} }
-
-func (p *planner) add(brick int, s Segment) {
-	b, ok := p.byBrick[brick]
-	if !ok {
-		b = &BrickIO{Brick: brick}
-		p.byBrick[brick] = b
-	}
-	b.Segs = append(b.Segs, s)
-}
-
-func (p *planner) finish() []BrickIO {
-	out := make([]BrickIO, 0, len(p.byBrick))
-	for _, b := range p.byBrick {
-		sort.Slice(b.Segs, func(i, j int) bool { return b.Segs[i].MemOff < b.Segs[j].MemOff })
-		b.Segs = coalesce(b.Segs)
-		out = append(out, *b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Brick < out[j].Brick })
 	return out
 }

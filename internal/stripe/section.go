@@ -61,52 +61,15 @@ func (s Section) String() string {
 	return out + ")"
 }
 
-// intersect returns the intersection of [aStart,aStart+aCount) and
-// [bStart,bStart+bCount) per dimension, and whether it is non-empty.
-func intersect(aStart, aCount, bStart, bCount []int64) (start, count []int64, ok bool) {
-	nd := len(aStart)
-	start = make([]int64, nd)
-	count = make([]int64, nd)
-	for d := 0; d < nd; d++ {
-		lo := max64(aStart[d], bStart[d])
-		hi := min64(aStart[d]+aCount[d], bStart[d]+bCount[d])
-		if hi <= lo {
-			return nil, nil, false
-		}
-		start[d] = lo
-		count[d] = hi - lo
-	}
-	return start, count, true
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // iterOuter invokes f for every position of the outer (all but last)
 // dimensions of count, in row-major order. pos has len(count) entries;
 // pos[len-1] is always 0 and f is expected to treat the last dimension
 // as a contiguous run. The pos slice is reused between calls.
-func iterOuter(count []int64, f func(pos []int64) error) error {
+func iterOuter(count []int64, f func(pos []int64)) {
 	nd := len(count)
 	pos := make([]int64, nd)
-	if nd == 1 {
-		return f(pos)
-	}
 	for {
-		if err := f(pos); err != nil {
-			return err
-		}
+		f(pos)
 		// Odometer increment over dims [0, nd-2].
 		d := nd - 2
 		for d >= 0 {
@@ -118,7 +81,7 @@ func iterOuter(count []int64, f func(pos []int64) error) error {
 			d--
 		}
 		if d < 0 {
-			return nil
+			return
 		}
 	}
 }

@@ -5,10 +5,11 @@
 // combination / scheduling optimization of Section 4.2.
 //
 // The package is pure computation: given a file geometry and an access
-// region it produces the exact set of bricks touched, and for every
-// brick the byte segments to move between brick storage and the
-// caller's packed buffer. Network and disk I/O live elsewhere
-// (internal/core, internal/server).
+// — runs of the file's logical byte space paired with runs of the
+// caller's buffer — it produces the exact set of bricks touched, and for
+// every brick the byte segments to move between brick storage and the
+// caller's buffer. Network and disk I/O live elsewhere (internal/core,
+// internal/server).
 package stripe
 
 import (
@@ -179,16 +180,11 @@ func (g *Geometry) NumBricks() int {
 	switch g.Level {
 	case LevelLinear:
 		return int(ceilDiv(g.Size(), g.BrickBytes))
-	case LevelMultidim:
+	case LevelMultidim, LevelArray:
 		n := int64(1)
 		for d := range g.Dims {
-			n *= ceilDiv(g.Dims[d], g.Tile[d])
-		}
-		return int(n)
-	case LevelArray:
-		n := int64(1)
-		for d := range g.Dims {
-			n *= g.chunkCount(d)
+			_, count := g.tiling(d)
+			n *= count
 		}
 		return int(n)
 	}
@@ -203,16 +199,11 @@ func (g *Geometry) SlotBytes() int64 {
 	switch g.Level {
 	case LevelLinear:
 		return g.BrickBytes
-	case LevelMultidim:
-		n := g.ElemSize
-		for _, t := range g.Tile {
-			n *= t
-		}
-		return n
-	case LevelArray:
+	case LevelMultidim, LevelArray:
 		n := g.ElemSize
 		for d := range g.Dims {
-			n *= ceilDiv(g.Dims[d], g.chunkCount(d))
+			extent, _ := g.tiling(d)
+			n *= extent
 		}
 		return n
 	}
@@ -235,48 +226,39 @@ func (g *Geometry) BrickBytesOf(b int) int64 {
 		// even edge bricks occupy a full slot (with padding holes).
 		return g.SlotBytes()
 	case LevelArray:
-		origin, shape := g.chunkExtent(b)
-		_ = origin
-		n := g.ElemSize
-		for _, s := range shape {
-			n *= s
-		}
-		return n
+		_, shape := g.chunkExtent(b)
+		return g.ElemSize * prod(shape)
 	}
 	return 0
 }
 
-// chunkCount returns the number of chunks along dimension d for an
-// array-level file.
-func (g *Geometry) chunkCount(d int) int64 {
-	if g.Pattern[d] == DistBlock {
-		return g.Grid[d]
+// tiling returns, for dimension d of a multidim or array file, the
+// extent of its bricks along d in elements and how many bricks cover
+// it: tiles of the hinted shape, or the HPF distribution's blocks of
+// ceil(n/p) elements (one block for an undistributed dimension).
+func (g *Geometry) tiling(d int) (extent, count int64) {
+	if g.Level == LevelMultidim {
+		return g.Tile[d], ceilDiv(g.Dims[d], g.Tile[d])
 	}
-	return 1
+	count = 1
+	if g.Pattern[d] == DistBlock {
+		count = g.Grid[d]
+	}
+	return ceilDiv(g.Dims[d], count), count
 }
 
 // chunkExtent returns the origin and shape (in elements) of array-level
 // brick b.
 func (g *Geometry) chunkExtent(b int) (origin, shape []int64) {
 	nd := len(g.Dims)
-	coord := make([]int64, nd)
-	rem := int64(b)
-	for d := nd - 1; d >= 0; d-- {
-		c := g.chunkCount(d)
-		coord[d] = rem % c
-		rem /= c
-	}
 	origin = make([]int64, nd)
 	shape = make([]int64, nd)
-	for d := 0; d < nd; d++ {
-		c := g.chunkCount(d)
-		blk := ceilDiv(g.Dims[d], c)
-		origin[d] = coord[d] * blk
-		end := origin[d] + blk
-		if end > g.Dims[d] {
-			end = g.Dims[d]
-		}
-		shape[d] = end - origin[d]
+	rem := int64(b)
+	for d := nd - 1; d >= 0; d-- {
+		extent, count := g.tiling(d)
+		origin[d] = rem % count * extent
+		rem /= count
+		shape[d] = min(origin[d]+extent, g.Dims[d]) - origin[d]
 	}
 	return origin, shape
 }
@@ -297,16 +279,6 @@ func (g *Geometry) ChunkSection(b int) (Section, error) {
 	}
 	origin, shape := g.chunkExtent(b)
 	return Section{Start: origin, Count: shape}, nil
-}
-
-// tileGrid returns the number of tiles along each dimension for a
-// multidim file.
-func (g *Geometry) tileGrid() []int64 {
-	grid := make([]int64, len(g.Dims))
-	for d := range g.Dims {
-		grid[d] = ceilDiv(g.Dims[d], g.Tile[d])
-	}
-	return grid
 }
 
 func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }

@@ -3,6 +3,7 @@ package stripe
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -64,14 +65,13 @@ func extractSection(full []byte, dims []int64, sec Section, elemSize int64) []by
 	runBytes := sec.Count[nd-1] * elemSize
 	mem := int64(0)
 	abs := make([]int64, nd)
-	_ = iterOuter(sec.Count, func(pos []int64) error {
+	iterOuter(sec.Count, func(pos []int64) {
 		for d := 0; d < nd; d++ {
 			abs[d] = sec.Start[d] + pos[d]
 		}
 		off := rowMajorOffset(abs, dims) * elemSize
 		copy(out[mem:mem+runBytes], full[off:off+runBytes])
 		mem += runBytes
-		return nil
 	})
 	return out
 }
@@ -506,9 +506,19 @@ func TestPlanSectionErrors(t *testing.T) {
 	if _, err := bad.PlanSection(NewSection([]int64{0}, []int64{8})); err == nil {
 		t.Error("bad level should fail")
 	}
-	md := &Geometry{Level: LevelMultidim, ElemSize: 1, Dims: []int64{8}, Tile: []int64{2}}
-	if _, err := md.PlanExtents([]Extent{{0, 4}}); err == nil {
-		t.Error("PlanExtents on non-linear file should fail")
+	// A byte range of a tiled file plans like the section it covers.
+	md := &Geometry{Level: LevelMultidim, ElemSize: 1, Dims: []int64{2, 8}, Tile: []int64{2, 3}}
+	got, err := md.PlanExtents([]Extent{{6, 4}})
+	if err != nil {
+		t.Fatalf("PlanExtents on a multidim file: %v", err)
+	}
+	// Bytes 6-7 end row 0 in tile 2; bytes 8-9 start row 1 in tile 0.
+	want := []BrickIO{{Brick: 0, Segs: []Segment{{BrickOff: 3, MemOff: 2, Len: 2}}}, {Brick: 2, Segs: []Segment{{BrickOff: 0, MemOff: 0, Len: 2}}}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("PlanExtents on a multidim file = %+v, want %+v", got, want)
+	}
+	if _, err := md.PlanExtents([]Extent{{12, 5}}); err == nil {
+		t.Error("extent past the end of a multidim file should fail")
 	}
 	if _, err := g.PlanExtents([]Extent{{Off: 4, Len: 10}}); err == nil {
 		t.Error("extent past EOF should fail")
