@@ -90,7 +90,7 @@ var catalogStatements = []struct {
 // statementFixture is a database holding a small catalog with at least
 // one row in every table: servers s0..s3 (s0 with a health row),
 // directory /d and the four-server file /d/f.
-func statementFixture(t *testing.T) *metadb.DB {
+func statementFixture(t testing.TB) *metadb.DB {
 	t.Helper()
 	db := metadb.Memory()
 	t.Cleanup(func() { db.Close() })

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dpfs/internal/metadb"
+	"dpfs/internal/wire"
 )
 
 func st(sql string, args ...metadb.Value) metadb.Stmt { return metadb.Stmt{SQL: sql, Args: args} }
@@ -295,4 +296,77 @@ type deafConn struct{ net.Conn }
 
 func (c deafConn) Read([]byte) (int, error) {
 	return 0, errors.New("deaf connection")
+}
+
+// TestClientRefusesBadResponse: a response under another tag, of
+// another kind or with a body that does not decode is a transport
+// error, and the client drops the connection: the next statement
+// arrives on a fresh one.
+func TestClientRefusesBadResponse(t *testing.T) {
+	good := metadb.AppendString(metadb.AppendResults(nil, []*metadb.Result{{}}), "")
+	good = metadb.AppendBytes(good, nil)
+	for _, tc := range []struct {
+		name  string
+		reply func(h wire.FrameHeader) (wire.FrameHeader, []byte)
+	}{
+		{"tag", func(h wire.FrameHeader) (wire.FrameHeader, []byte) {
+			return wire.FrameHeader{Kind: wire.FrameSQLResult, Tag: h.Tag + 1}, good
+		}},
+		{"kind", func(h wire.FrameHeader) (wire.FrameHeader, []byte) {
+			return wire.FrameHeader{Kind: wire.FrameRepl, Tag: h.Tag}, good
+		}},
+		{"body", func(h wire.FrameHeader) (wire.FrameHeader, []byte) {
+			return wire.FrameHeader{Kind: wire.FrameSQLResult, Tag: h.Tag}, good[:len(good)-1]
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lis, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lis.Close()
+			conns := make(chan int, 2)
+			go func() {
+				for i := 0; ; i++ {
+					conn, err := lis.Accept()
+					if err != nil {
+						return
+					}
+					go func(i int, conn net.Conn) {
+						defer conn.Close()
+						fw := wire.NewFrameWriter(conn)
+						for {
+							h, _, err := readFrame(conn, wire.FrameSQL, nil)
+							if err != nil {
+								return
+							}
+							conns <- i
+							rh, body := tc.reply(h)
+							if i > 0 {
+								rh, body = wire.FrameHeader{Kind: wire.FrameSQLResult, Tag: h.Tag}, good
+							}
+							if fw.WriteFrame(rh, body) != nil {
+								return
+							}
+						}
+					}(i, conn)
+				}
+			}()
+			c, err := Dial(lis.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			var te *TransportError
+			if _, err := c.Exec(`BEGIN`); !errors.As(err, &te) {
+				t.Fatalf("bad response: %v, want a *TransportError", err)
+			}
+			if _, err := c.Exec(`BEGIN`); err != nil {
+				t.Fatalf("after a bad response: %v", err)
+			}
+			if first, second := <-conns, <-conns; first != 0 || second != 1 {
+				t.Fatalf("statements arrived on connections %d and %d, want 0 then 1", first, second)
+			}
+		})
+	}
 }

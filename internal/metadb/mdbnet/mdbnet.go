@@ -3,25 +3,31 @@
 // process somewhere on the network and every client performs catalog
 // operations by sending SQL to it (Section 5).
 //
-// The protocol is one gob stream per direction. A request carries an
-// ordered batch of statements, each a text with the arguments for its
-// '?' placeholders; the server runs them in order on the connection's
-// session, stops at the first that fails, and answers with one
-// response: the results so far and that error (metadb.Session.Batch
-// has the exact rules, including the shared snapshot a batch of
-// SELECTs reads). One request is one round trip however many
-// statements it carries. Each connection owns one database session, so
-// BEGIN/COMMIT/ROLLBACK have connection scope exactly like a real
-// database connection; a dropped connection aborts its open
-// transaction.
+// The protocol is internal/wire's tagged frames with bodies in
+// internal/metadb's catalog codec. A request is one FrameSQL carrying
+// an ordered batch of statements, each a text with the arguments for
+// its '?' placeholders; the server runs them in order on the
+// connection's session, stops at the first that fails, and answers
+// with one FrameSQLResult under the same tag: the results so far and
+// that error (metadb.Session.Batch has the exact rules, including the
+// shared snapshot a batch of SELECTs reads). One request is one round
+// trip however many statements it carries. Each connection owns one
+// database session, so BEGIN/COMMIT/ROLLBACK have connection scope
+// exactly like a real database connection; a dropped connection aborts
+// its open transaction. A frame the server cannot read — another
+// protocol, another kind, an undecodable body — drops the connection
+// with nothing executed.
 package mdbnet
 
 import (
+	"bufio"
+	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -29,6 +35,7 @@ import (
 
 	"dpfs/internal/metadb"
 	"dpfs/internal/obs"
+	"dpfs/internal/wire"
 )
 
 // Metadata network server metric names. Latencies are microseconds.
@@ -42,7 +49,7 @@ const (
 
 // request is one batch of statements from client to server. The trace
 // fields are optional wire-propagated identity (zero TraceID means
-// untraced).
+// untraced); they ride in the frame's trace prefix and flags.
 type request struct {
 	Stmts   []metadb.Stmt
 	TraceID uint64
@@ -60,6 +67,58 @@ type response struct {
 	Results []*metadb.Result
 	Err     string
 	Trace   []byte
+}
+
+// writeRequest sends req as one FrameSQL under tag, building its body
+// in buf, and returns buf for reuse.
+func writeRequest(fw *wire.FrameWriter, buf []byte, tag uint32, req *request) ([]byte, error) {
+	buf, flags := wire.AppendTrace(buf[:0], req.TraceID, req.SpanID, req.Sampled)
+	buf = metadb.AppendStmts(buf, req.Stmts)
+	return buf, fw.WriteFrame(wire.FrameHeader{Kind: wire.FrameSQL, Flags: flags, Tag: tag}, buf)
+}
+
+// writeResponse sends resp as one FrameSQLResult under tag, building
+// its body in buf, and returns buf for reuse.
+func writeResponse(fw *wire.FrameWriter, buf []byte, tag uint32, resp *response) ([]byte, error) {
+	buf = metadb.AppendResults(buf[:0], resp.Results)
+	buf = metadb.AppendString(buf, resp.Err)
+	buf = metadb.AppendBytes(buf, resp.Trace)
+	return buf, fw.WriteFrame(wire.FrameHeader{Kind: wire.FrameSQLResult, Tag: tag}, buf)
+}
+
+// readFrame reads the next frame, which must be of kind want, into buf
+// (grown as needed) and returns its header and body.
+func readFrame(r io.Reader, want wire.FrameKind, buf []byte) (wire.FrameHeader, []byte, error) {
+	h, err := wire.ReadFrameHeader(r)
+	if err != nil {
+		return h, buf, err
+	}
+	if h.Kind != want {
+		return h, buf, fmt.Errorf("mdbnet: frame kind %d, want %d", h.Kind, want)
+	}
+	buf = slices.Grow(buf[:0], int(h.Len))[:h.Len]
+	_, err = io.ReadFull(r, buf)
+	return h, buf, err
+}
+
+// decodeRequest decodes the body of a FrameSQL.
+func decodeRequest(h wire.FrameHeader, body []byte) (*request, error) {
+	req := &request{}
+	var err error
+	if req.TraceID, req.SpanID, req.Sampled, body, err = wire.ParseTrace(h, body); err != nil {
+		return nil, err
+	}
+	d := metadb.NewDecoder(body)
+	req.Stmts = d.Stmts()
+	return req, d.Finish()
+}
+
+// decodeResponse decodes the body of a FrameSQLResult. Nothing in the
+// response aliases body.
+func decodeResponse(body []byte) (*response, error) {
+	d := metadb.NewDecoder(body)
+	resp := &response{Results: d.Results(), Err: d.Text(), Trace: bytes.Clone(d.Bytes())}
+	return resp, d.Finish()
 }
 
 // serverTraceCap bounds the metadata server's local trace ring.
@@ -239,11 +298,17 @@ func (s *Server) handle(conn net.Conn) {
 	sess := s.db.Session()
 	defer sess.Abort() // a dropped connection abandons its transaction
 
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
+	br := bufio.NewReader(conn)
+	fw := wire.NewFrameWriter(conn)
+	var buf []byte // each request's body, then its response's
 	for {
-		var req request
-		if err := dec.Decode(&req); err != nil {
+		h, body, err := readFrame(br, wire.FrameSQL, buf)
+		buf = body
+		if err != nil {
+			return
+		}
+		req, err := decodeRequest(h, body)
+		if err != nil {
 			return
 		}
 		s.mu.Lock()
@@ -254,12 +319,12 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		st.busy = true
 		s.mu.Unlock()
-		resp := s.serve(sess, &req)
+		resp := s.serve(sess, req)
 		s.reg.Counter(MetricRequests).Inc()
 		if resp.Err != "" {
 			s.reg.Counter(MetricErrors).Inc()
 		}
-		err := enc.Encode(resp)
+		buf, err = writeResponse(fw, buf, h.Tag, resp)
 		s.mu.Lock()
 		st.busy = false
 		drain := s.draining
@@ -311,10 +376,17 @@ type Client struct {
 	addr string
 	dial DialFunc
 
-	mu     sync.Mutex
-	conn   net.Conn // nil while broken (between a failure and the next redial)
-	enc    *gob.Encoder
-	dec    *gob.Decoder
+	mu  sync.Mutex // serializes round trips and guards the fields below it
+	br  *bufio.Reader
+	fw  *wire.FrameWriter
+	tag uint32 // the last request's
+	buf []byte // a request's body, then its response's
+
+	// cmu guards conn and closed. It is never held across I/O, so Close
+	// does not wait for a statement in flight: it closes the connection
+	// under it, and the statement fails with a *TransportError.
+	cmu    sync.Mutex
+	conn   net.Conn // nil while broken; set with mu and cmu both held
 	closed bool
 }
 
@@ -357,16 +429,32 @@ func DialWith(addr string, dial DialFunc) (*Client, error) {
 	return c, nil
 }
 
-// attach installs a fresh transport connection.
-func (c *Client) attach(conn net.Conn) {
+var errClientClosed = errors.New("mdbnet: client closed")
+
+// attach installs a fresh transport connection, unless the client was
+// closed meanwhile. Caller holds c.mu.
+func (c *Client) attach(conn net.Conn) error {
+	c.cmu.Lock()
+	defer c.cmu.Unlock()
+	if c.closed {
+		conn.Close()
+		return errClientClosed
+	}
 	c.conn = conn
-	c.enc = gob.NewEncoder(conn)
-	c.dec = gob.NewDecoder(conn)
+	if c.br == nil {
+		c.br = bufio.NewReader(conn)
+	} else {
+		c.br.Reset(conn)
+	}
+	c.fw = wire.NewFrameWriter(conn)
+	return nil
 }
 
-// dropLocked discards a broken connection so the next Exec redials.
-// Caller holds c.mu.
-func (c *Client) dropLocked() {
+// drop discards a broken connection so the next Exec redials. Caller
+// holds c.mu.
+func (c *Client) drop() {
+	c.cmu.Lock()
+	defer c.cmu.Unlock()
 	if c.conn != nil {
 		c.conn.Close()
 		c.conn = nil
@@ -432,28 +520,43 @@ func (c *Client) Batch(stmts []metadb.Stmt) ([]*metadb.Result, error) {
 func (c *Client) roundTrip(req *request) (*response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return nil, errors.New("mdbnet: client closed")
+	c.cmu.Lock()
+	conn, closed := c.conn, c.closed
+	c.cmu.Unlock()
+	if closed {
+		return nil, errClientClosed
 	}
-	if c.conn == nil {
+	if conn == nil {
 		// The previous request broke the connection; reconnect with a
 		// fresh server-side session before sending this one.
 		conn, err := c.dial(c.addr)
 		if err != nil {
 			return nil, &TransportError{Op: "redial", Addr: c.addr, Err: err}
 		}
-		c.attach(conn)
+		if err := c.attach(conn); err != nil {
+			return nil, err
+		}
 	}
-	if err := c.enc.Encode(req); err != nil {
-		c.dropLocked()
+	c.tag++
+	var err error
+	if c.buf, err = writeRequest(c.fw, c.buf, c.tag, req); err != nil {
+		c.drop()
 		return nil, &TransportError{Op: "send", Addr: c.addr, Err: err}
 	}
-	var resp response
-	if err := c.dec.Decode(&resp); err != nil {
-		c.dropLocked()
+	h, body, err := readFrame(c.br, wire.FrameSQLResult, c.buf)
+	c.buf = body
+	var resp *response
+	if err == nil && h.Tag != c.tag {
+		err = fmt.Errorf("mdbnet: response for tag %d, want %d", h.Tag, c.tag)
+	}
+	if err == nil {
+		resp, err = decodeResponse(body)
+	}
+	if err != nil {
+		c.drop()
 		return nil, &TransportError{Op: "receive", Addr: c.addr, Err: err}
 	}
-	return &resp, nil
+	return resp, nil
 }
 
 // sqlKeyword returns the statement's leading keyword, lower-cased
@@ -481,8 +584,8 @@ func batchLabel(stmts []metadb.Stmt) string {
 // Close tears the connection down (aborting any open transaction on
 // the server side) and disables reconnects.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.cmu.Lock()
+	defer c.cmu.Unlock()
 	if c.closed {
 		return nil
 	}

@@ -2,7 +2,11 @@ package mdbnet
 
 import (
 	"context"
+	"encoding/gob"
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -271,4 +275,129 @@ func TestShutdownDrains(t *testing.T) {
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatalf("double shutdown: %v", err)
 	}
+}
+
+// TestClientCloseInterruptsStatement: Close does not wait for a
+// statement the server never answers. It cuts the connection at once,
+// and the stuck statement fails as a transport error.
+func TestClientCloseInterruptsStatement(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	got := make(chan net.Conn, 1)
+	go func() {
+		conn, err := lis.Accept()
+		if err != nil {
+			return
+		}
+		got <- conn
+		io.Copy(io.Discard, conn) // read everything, answer nothing
+	}()
+	c, err := Dial(lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if conn := <-got; conn != nil {
+			conn.Close()
+		}
+	}()
+	execErr := make(chan error, 1)
+	go func() {
+		_, err := c.Exec(`SELECT 1 FROM t`)
+		execErr <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let the statement reach its read
+	closed := make(chan error, 1)
+	go func() { closed <- c.Close() }()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close blocked behind the unanswered statement")
+	}
+	select {
+	case err := <-execErr:
+		var te *TransportError
+		if !errors.As(err, &te) {
+			t.Fatalf("stuck Exec returned %v, want a *TransportError", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Exec still stuck after Close")
+	}
+}
+
+// parentRequest is the gob request of the catalog protocol before it
+// moved onto frames.
+type parentRequest struct {
+	Stmts   []metadb.Stmt
+	TraceID uint64
+	SpanID  uint64
+	Sampled bool
+}
+
+// TestParentGobClientsRefused: a client of the gob-era protocol, on the
+// catalog port or the replication port, has its connection closed
+// after one frame-header read, and nothing it sent takes effect.
+func TestParentGobClientsRefused(t *testing.T) {
+	// gobExchange sends msg gob-encoded on a fresh connection to addr
+	// and requires the connection to end without an answer.
+	gobExchange := func(t *testing.T, addr string, msg any) {
+		t.Helper()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(2 * time.Second))
+		if err := gob.NewEncoder(conn).Encode(msg); err != nil {
+			return // closed under the encoder's second write
+		}
+		var reply parentRequest // any struct: no reply may decode
+		err = gob.NewDecoder(conn).Decode(&reply)
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Fatal("the server left the gob client hanging")
+		}
+		if err == nil {
+			t.Fatal("the server answered a gob request")
+		}
+	}
+
+	t.Run("catalog", func(t *testing.T) {
+		srv, db := startServer(t)
+		gobExchange(t, srv.Addr(), parentRequest{Stmts: []metadb.Stmt{{SQL: `CREATE TABLE t (x INT)`}}})
+		if n := requests(srv); n != 0 {
+			t.Fatalf("%d requests served", n)
+		}
+		if names := db.TableNames(); len(names) != 0 {
+			t.Fatalf("tables %v exist", names)
+		}
+		// The port still serves framed clients.
+		if _, err := dial(t, srv).Exec(`CREATE TABLE t (x INT)`); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("replication", func(t *testing.T) {
+		lis, err := ListenRepl("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer lis.Close()
+		recvd := make(chan error, 1)
+		go func() {
+			conn, err := lis.Accept()
+			if err != nil {
+				recvd <- err
+				return
+			}
+			defer conn.Close() // what a replica does when Recv fails
+			_, err = conn.Recv()
+			recvd <- err
+		}()
+		gobExchange(t, lis.Addr(), ReplMsg{Kind: ReplHello, From: 1, Epoch: 1})
+		if err := <-recvd; err == nil {
+			t.Fatal("a gob hello was received as a message")
+		}
+	})
 }

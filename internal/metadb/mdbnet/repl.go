@@ -1,7 +1,8 @@
 package mdbnet
 
 import (
-	"encoding/gob"
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -10,14 +11,17 @@ import (
 	"time"
 
 	"dpfs/internal/metadb"
+	"dpfs/internal/wire"
 )
 
 // This file is the wire side of metadata replication (DESIGN.md §13):
-// a second, long-lived gob protocol replica-group members speak to
-// each other, next to the SQL protocol clients speak. One ReplMsg
-// grammar carries everything — the shipping stream (hello, snapshot,
-// record, heartbeat, ack) and elections (vote-req, vote) — so the
-// whole group protocol is visible in one type.
+// the long-lived protocol replica-group members speak to each other on
+// their replication port, next to the SQL protocol clients speak. Each
+// message is one wire.FrameRepl whose body is the ReplMsg in the
+// catalog codec. One ReplMsg grammar carries everything — the shipping
+// stream (hello, snapshot, record, heartbeat, ack) and elections
+// (vote-req, vote) — so the whole group protocol is visible in one
+// type.
 
 // ReplMsg kinds.
 const (
@@ -58,14 +62,51 @@ type ReplMsg struct {
 	Err       string
 }
 
-// ReplConn is one replication-protocol connection: gob-framed ReplMsg
-// in both directions. Send is safe for concurrent use; Recv must stay
-// on one goroutine.
+// AppendTo appends m's frame body: the scalar fields, the redo
+// operations and the snapshot, in the catalog codec.
+func (m *ReplMsg) AppendTo(b []byte) []byte {
+	b = metadb.AppendString(b, m.Kind)
+	b = binary.AppendVarint(b, int64(m.From))
+	b = binary.AppendVarint(b, m.Epoch)
+	b = binary.AppendVarint(b, m.Seq)
+	b = binary.AppendVarint(b, m.LastEpoch)
+	b = metadb.AppendRedoOps(b, m.Ops)
+	b = metadb.AppendBytes(b, m.Snap)
+	b = metadb.AppendBool(b, m.Ok)
+	return metadb.AppendString(b, m.Err)
+}
+
+// DecodeReplMsg decodes a frame body AppendTo wrote. The message's
+// Snap aliases body.
+func DecodeReplMsg(body []byte) (*ReplMsg, error) {
+	d := metadb.NewDecoder(body)
+	m := &ReplMsg{
+		Kind:      d.Text(),
+		From:      int(d.Int()),
+		Epoch:     d.Int(),
+		Seq:       d.Int(),
+		LastEpoch: d.Int(),
+		Ops:       d.RedoOps(),
+		Snap:      d.Bytes(),
+		Ok:        d.Bool(),
+		Err:       d.Text(),
+	}
+	if err := d.Finish(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// ReplConn is one replication-protocol connection: one FrameRepl per
+// ReplMsg in both directions. Send is safe for concurrent use; Recv
+// must stay on one goroutine.
 type ReplConn struct {
 	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-	wmu  sync.Mutex
+	br   *bufio.Reader
+
+	wmu sync.Mutex // guards fw and buf
+	fw  *wire.FrameWriter
+	buf []byte
 }
 
 // DialRepl opens a replication connection to a group member's
@@ -84,23 +125,29 @@ func DialRepl(addr string, dial DialFunc) (*ReplConn, error) {
 }
 
 func newReplConn(conn net.Conn) *ReplConn {
-	return &ReplConn{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
+	return &ReplConn{conn: conn, br: bufio.NewReader(conn), fw: wire.NewFrameWriter(conn)}
 }
 
 // Send writes one message.
 func (c *ReplConn) Send(m *ReplMsg) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	return c.enc.Encode(m)
+	c.buf = m.AppendTo(c.buf[:0])
+	err := c.fw.WriteFrame(wire.FrameHeader{Kind: wire.FrameRepl}, c.buf)
+	if cap(c.buf) > 1<<20 {
+		c.buf = nil // do not hold a snapshot's worth of buffer
+	}
+	return err
 }
 
-// Recv reads the next message.
+// Recv reads the next message. A frame of another protocol or kind,
+// or one that does not decode, is an error.
 func (c *ReplConn) Recv() (*ReplMsg, error) {
-	var m ReplMsg
-	if err := c.dec.Decode(&m); err != nil {
+	_, body, err := readFrame(c.br, wire.FrameRepl, nil)
+	if err != nil {
 		return nil, err
 	}
-	return &m, nil
+	return DecodeReplMsg(body)
 }
 
 // Close tears the connection down.

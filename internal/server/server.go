@@ -409,7 +409,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 	switch first[0] {
 	case wire.Magic2:
-		s.handleConnV2(conn)
+		s.handleFrames(conn)
 	case gossip.Magic:
 		if g := s.gossip.Load(); g != nil {
 			gossip.ServeConn(conn, g)
@@ -417,7 +417,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 }
 
-// handleConnV2 serves a tagged-frame session: the read loop decodes
+// handleFrames serves a tagged-frame session: the read loop decodes
 // frames, each REQ frame spawns a handler goroutine for its tag, and
 // responses are written back in completion order — frames of different
 // tags interleave on the wire as subfile I/O completes, so one
@@ -427,12 +427,12 @@ func (s *Server) handleConn(conn net.Conn) {
 // the read loop's exit, so a shaped server's device is released either
 // way). The already-sniffed magic byte is replayed into the frame
 // reader.
-func (s *Server) handleConnV2(conn net.Conn) {
+func (s *Server) handleFrames(conn net.Conn) {
 	// connCtx scopes every op of this connection: it dies with the
 	// server and with the peer.
 	connCtx, cancel := context.WithCancel(s.ctx)
 	br := bufio.NewReaderSize(io.MultiReader(bytes.NewReader([]byte{wire.Magic2}), conn), 64<<10)
-	out := &v2Out{fw: wire.NewFrameWriter(conn)}
+	out := &frameOut{fw: wire.NewFrameWriter(conn)}
 	var wg sync.WaitGroup
 	// Handlers must finish (and flush) before handleConn closes the
 	// conn; the read loop's exit cancels connCtx first so ops aborted
@@ -477,12 +477,12 @@ func (s *Server) handleConnV2(conn net.Conn) {
 			wg.Add(1)
 			go func(tag uint32, req *wire.Request) {
 				defer wg.Done()
-				s.serveTagV2(reqCtx, conn, st, out, tag, req)
+				s.serveTag(reqCtx, conn, st, out, tag, req)
 				reqCancel()
 				cmu.Lock()
 				delete(tagCancels, tag)
 				cmu.Unlock()
-				s.releaseV2(conn, st)
+				s.release(conn, st)
 			}(h.Tag, req)
 		case wire.FrameCancel:
 			// Cancel the tag's in-flight op; a CANCEL for an unknown
@@ -509,21 +509,21 @@ func (s *Server) handleConnV2(conn net.Conn) {
 	}
 }
 
-// v2Out is the write side of one frame session: mu serializes
+// frameOut is the write side of one frame session: mu serializes
 // response frames across the session's tag handlers and guards fw.
-type v2Out struct {
+type frameOut struct {
 	mu sync.Mutex
 	fw *wire.FrameWriter
 }
 
-// serveTagV2 runs one tagged request and writes its response frames.
+// serveTag runs one tagged request and writes its response frames.
 // Read payloads stream as DATA frames chunk by chunk (the write mutex
 // is held per frame, so a large read does not block other tags'
 // responses); the RESP trailer then closes the tag — with the read's
 // last chunk riding in the same write, and carrying the error when the
 // op failed, even mid-stream, which is why a failed read no longer
 // costs the connection.
-func (s *Server) serveTagV2(ctx context.Context, conn net.Conn, st *connState, out *v2Out, tag uint32, req *wire.Request) {
+func (s *Server) serveTag(ctx context.Context, conn net.Conn, st *connState, out *frameOut, tag uint32, req *wire.Request) {
 	var wErr error
 	emit := func(chunk []byte) error {
 		out.mu.Lock()
@@ -558,11 +558,11 @@ func (s *Server) serveTagV2(ctx context.Context, conn net.Conn, st *connState, o
 	}
 }
 
-// releaseV2 returns a tag's drain claim. The read loop can be blocked
+// release returns a tag's drain claim. The read loop can be blocked
 // in a frame read and so cannot poll the drain flag; the last handler
 // to finish on a draining conn closes it, which both unblocks that
 // read and signals the client.
-func (s *Server) releaseV2(conn net.Conn, st *connState) {
+func (s *Server) release(conn net.Conn, st *connState) {
 	s.mu.Lock()
 	st.inflight--
 	drainClose := s.draining && st.inflight == 0
@@ -573,7 +573,7 @@ func (s *Server) releaseV2(conn net.Conn, st *connState) {
 }
 
 // readBufPool recycles read-path extent buffers across requests:
-// opRead draws from it and serveTagV2 returns the buffer after the
+// opRead draws from it and serveTag returns the buffer after the
 // response frames are flushed, so steady-state reads allocate nothing
 // per request.
 var readBufPool sync.Pool

@@ -58,10 +58,55 @@ const (
 	// FrameCancel abandons a tag. It has no body; a receiver that does
 	// not know the tag ignores it.
 	FrameCancel FrameKind = 4
+
+	// The catalog's frames (internal/metadb/mdbnet), on the metadata
+	// server's ports. Their bodies are internal/metadb's catalog codec.
+
+	// FrameSQL carries one batch of statements: the trace prefix, then
+	// the statements.
+	FrameSQL FrameKind = 5
+	// FrameSQLResult answers the FrameSQL of the same tag: the results,
+	// the error text and the server's span tree.
+	FrameSQLResult FrameKind = 6
+	// FrameRepl carries one replication message between the members of
+	// a metadata replica group.
+	FrameRepl FrameKind = 7
 )
 
-// FlagSampled on a REQ frame marks the carried trace context sampled.
+// FlagSampled on a REQ or SQL frame marks the carried trace context
+// sampled.
 const FlagSampled = 0x01
+
+// TracePrefixLen is the size of the trace context a REQ or SQL frame
+// body opens with: u64 trace ID, u64 parent span ID. The sampled bit
+// rides in the header's flags.
+const TracePrefixLen = 16
+
+// AppendTrace appends the trace prefix to b and returns the header
+// flags that go with it.
+func AppendTrace(b []byte, traceID, spanID uint64, sampled bool) ([]byte, uint8) {
+	b = binary.LittleEndian.AppendUint64(b, traceID)
+	b = binary.LittleEndian.AppendUint64(b, spanID)
+	if sampled {
+		return b, FlagSampled
+	}
+	return b, 0
+}
+
+// ParseTrace splits the trace prefix off the body of the frame h
+// heads. A zero trace ID means untraced: span ID and sampled then read
+// as zero whatever was sent.
+func ParseTrace(h FrameHeader, body []byte) (traceID, spanID uint64, sampled bool, rest []byte, err error) {
+	if len(body) < TracePrefixLen {
+		return 0, 0, false, nil, errors.New("wire: frame body shorter than its trace prefix")
+	}
+	traceID = binary.LittleEndian.Uint64(body[:8])
+	if traceID != 0 {
+		spanID = binary.LittleEndian.Uint64(body[8:16])
+		sampled = h.Flags&FlagSampled != 0
+	}
+	return traceID, spanID, sampled, body[TracePrefixLen:], nil
+}
 
 // FrameHeader is the decoded v2 frame header.
 type FrameHeader struct {
@@ -211,15 +256,10 @@ func (fw *FrameWriter) WriteRequest(tag uint32, req *Request) error {
 		n += 4 + len(req.Sel)
 	}
 	fw.begin(FrameHeaderLen + n + dataHeaders(dlen))
-	var flags uint8
-	if req.Sampled {
-		flags |= FlagSampled
-	}
-	hdr := fw.header(FrameHeader{Kind: FrameReq, Flags: flags, Tag: tag, Len: uint32(n)})
+	hdr := fw.header(FrameHeader{Kind: FrameReq, Tag: tag, Len: uint32(n)})
 	le := binary.LittleEndian
-	b := fw.meta
-	b = le.AppendUint64(b, req.TraceID)
-	b = le.AppendUint64(b, req.SpanID)
+	b, flags := AppendTrace(fw.meta, req.TraceID, req.SpanID, req.Sampled)
+	hdr[3] = flags // the header's flags byte
 	b = append(b, byte(req.Op), 0)
 	b = le.AppendUint16(b, uint16(len(req.Path)))
 	b = append(b, req.Path...)
@@ -264,6 +304,11 @@ func ReadRequestV2(r io.Reader, h FrameHeader, alloc func(int64) []byte) (*Reque
 		return nil, err
 	}
 	req := &Request{}
+	var err error
+	req.TraceID, req.SpanID, req.Sampled, body, err = ParseTrace(h, body)
+	if err != nil {
+		return nil, err
+	}
 	p := 0
 	get := func(k int) ([]byte, error) {
 		if p+k > len(body) {
@@ -273,18 +318,7 @@ func ReadRequestV2(r io.Reader, h FrameHeader, alloc func(int64) []byte) (*Reque
 		p += k
 		return b, nil
 	}
-	b, err := get(16)
-	if err != nil {
-		return nil, err
-	}
-	req.TraceID = binary.LittleEndian.Uint64(b[:8])
-	req.SpanID = binary.LittleEndian.Uint64(b[8:16])
-	if req.TraceID != 0 {
-		req.Sampled = h.Flags&FlagSampled != 0
-	} else {
-		req.SpanID = 0
-	}
-	b, err = get(2)
+	b, err := get(2)
 	if err != nil {
 		return nil, err
 	}
@@ -470,16 +504,27 @@ func DecodeResponseMetaV2(body []byte) (resp *Response, dataLen int64, err error
 	return resp, dataLen, nil
 }
 
+// WriteFrame sends one frame of kind, flags and tag around a body the
+// caller built. Header and body leave in one vectored write; the body
+// is referenced, not copied, and h.Len is ignored.
+func (fw *FrameWriter) WriteFrame(h FrameHeader, body []byte) error {
+	if len(body) > MaxMessage {
+		return fmt.Errorf("wire: frame body of %d bytes exceeds limit", len(body))
+	}
+	h.Len = uint32(len(body))
+	fw.begin(FrameHeaderLen)
+	fw.header(h)
+	fw.vec = append(fw.vec, body)
+	return fw.flush()
+}
+
 // WriteData sends one DATA frame for tag (the chunk is referenced, not
 // copied). Callers chunk at StreamChunk; an empty chunk writes nothing.
 func (fw *FrameWriter) WriteData(tag uint32, chunk []byte) error {
 	if len(chunk) == 0 {
 		return nil
 	}
-	fw.begin(FrameHeaderLen)
-	fw.header(FrameHeader{Kind: FrameData, Tag: tag, Len: uint32(len(chunk))})
-	fw.vec = append(fw.vec, chunk)
-	return fw.flush()
+	return fw.WriteFrame(FrameHeader{Kind: FrameData, Tag: tag}, chunk)
 }
 
 // WriteResponse frames and sends a response under tag: resp.Data (if
@@ -498,9 +543,7 @@ func (fw *FrameWriter) WriteResponse(tag uint32, resp *Response, streamed int64)
 
 // WriteCancel sends a CANCEL frame for tag.
 func (fw *FrameWriter) WriteCancel(tag uint32) error {
-	fw.begin(FrameHeaderLen)
-	fw.header(FrameHeader{Kind: FrameCancel, Tag: tag})
-	return fw.flush()
+	return fw.WriteFrame(FrameHeader{Kind: FrameCancel, Tag: tag}, nil)
 }
 
 // WriteResponseV2 frames and sends one response on w; see

@@ -260,3 +260,48 @@ func TestRequestV2ScratchAlloc(t *testing.T) {
 		t.Fatalf("got %q", got.Data)
 	}
 }
+
+// TestWriteFrame: a caller-built body leaves behind its header in one
+// write, its trace prefix reads back as a REQ's does (a zero trace ID
+// clears the rest), and a steady-state frame allocates nothing.
+func TestWriteFrame(t *testing.T) {
+	for _, tc := range []struct {
+		trace, span uint64
+		sampled     bool
+	}{{7, 9, true}, {7, 9, false}, {0, 9, true}} {
+		body, flags := AppendTrace(nil, tc.trace, tc.span, tc.sampled)
+		body = append(body, "statements"...)
+		var buf bytes.Buffer
+		if err := NewFrameWriter(&buf).WriteFrame(FrameHeader{Kind: FrameSQL, Flags: flags, Tag: 3, Len: 999}, body); err != nil {
+			t.Fatal(err)
+		}
+		h, err := ReadFrameHeader(&buf)
+		if err != nil || h.Kind != FrameSQL || h.Tag != 3 || int(h.Len) != len(body) || buf.Len() != len(body) {
+			t.Fatalf("header %+v (%v), %d body bytes follow, want %d", h, err, buf.Len(), len(body))
+		}
+		trace, span, sampled, rest, err := ParseTrace(h, buf.Bytes())
+		wantSpan, wantSampled := tc.span, tc.sampled
+		if tc.trace == 0 {
+			wantSpan, wantSampled = 0, false
+		}
+		if err != nil || trace != tc.trace || span != wantSpan || sampled != wantSampled || string(rest) != "statements" {
+			t.Fatalf("%+v: trace %d span %d sampled %v rest %q (%v)", tc, trace, span, sampled, rest, err)
+		}
+	}
+	if _, _, _, _, err := ParseTrace(FrameHeader{}, make([]byte, TracePrefixLen-1)); err == nil {
+		t.Fatal("a body shorter than the trace prefix parsed")
+	}
+
+	var buf bytes.Buffer
+	buf.Grow(1 << 10)
+	fw := NewFrameWriter(&buf)
+	body := make([]byte, 100)
+	if n := testing.AllocsPerRun(100, func() {
+		buf.Reset()
+		if err := fw.WriteFrame(FrameHeader{Kind: FrameRepl}, body); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("WriteFrame allocates %.1f times per frame", n)
+	}
+}

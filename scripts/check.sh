@@ -10,10 +10,12 @@
 #   6. ten seconds each of FuzzSelection and FuzzScatterWrite (arbitrary
 #      selections and, for writes, payloads against the server's read
 #      and write extent loops), of FuzzParse (arbitrary statement text
-#      against metadb's parser, which reads it off the network) and of
-#      FuzzPlan (arbitrary geometries of every level and arbitrary file
-#      and memory runs against the client's one planner); their seed
-#      corpora already ran in tier-1
+#      against metadb's parser, which reads it off the network), of
+#      FuzzCatalogCodec (arbitrary frame bodies against the catalog
+#      codec's decoders, which mdbnet's SQL and replication ports run
+#      on what they read) and of FuzzPlan (arbitrary geometries of
+#      every level and arbitrary file and memory runs against the
+#      client's one planner); their seed corpora already ran in tier-1
 #   7. dispatch + replica bench smokes
 #      (BENCH_dispatch.json, BENCH_replica.json)
 #   8. documentation lint (godoc coverage + markdown links)
@@ -46,10 +48,11 @@ go test -race ./...
 echo "== chaos: seeded fault-injection suite (-race) =="
 go test -race -count=1 -run Chaos .
 DPFS_CHAOS_SWEEP=3 go test -race -count=1 -run Chaos ./internal/fault
-echo "== fuzz: FuzzSelection, FuzzScatterWrite, FuzzParse, FuzzPlan, 10s each =="
+echo "== fuzz: FuzzSelection, FuzzScatterWrite, FuzzParse, FuzzCatalogCodec, FuzzPlan, 10s each =="
 go test -run '^$' -fuzz '^FuzzSelection$' -fuzztime 10s ./internal/server
 go test -run '^$' -fuzz '^FuzzScatterWrite$' -fuzztime 10s ./internal/server
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/meta
+go test -run '^$' -fuzz '^FuzzCatalogCodec$' -fuzztime 10s ./internal/meta
 go test -run '^$' -fuzz '^FuzzPlan$' -fuzztime 10s ./internal/stripe
 sh scripts/bench_smoke.sh
 sh scripts/bench_replica.sh
