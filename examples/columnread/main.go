@@ -111,8 +111,9 @@ func main() {
 	fmt.Println("\nmultidimensional striping touches only the tiles the columns cross;")
 	fmt.Println("linear striping fetches every brick of the file and, in the paper's whole-brick")
 	fmt.Println("unit, discards most of it; sieved at the servers only the columns travel, but")
-	fmt.Println("every brick is still visited. Written back, the columns travel the same way:")
-	fmt.Println("one extent per brick and the pieces alone, scattered at the servers.")
+	fmt.Println("every brick is still visited, in one sweep per server across its neighbouring")
+	fmt.Println("slots. Written back, the columns travel the same way: the pieces alone,")
+	fmt.Println("scattered at the servers, one extent per server request.")
 }
 
 // moveColumns has np goroutines each read, or write, its (*, BLOCK)

@@ -9,6 +9,7 @@ import (
 	"dpfs/internal/cluster"
 	"dpfs/internal/core"
 	"dpfs/internal/netsim"
+	"dpfs/internal/server"
 	"dpfs/internal/stripe"
 )
 
@@ -219,13 +220,21 @@ func TestAblationShapes(t *testing.T) {
 		m := byLabel(ms)
 		return m["Combined+Stagger"].MBps, m["Combined, no stagger"].MBps, nil
 	})
-	retryRatio(t, "square tile beats row tile under column access", 1.2, func() (float64, float64, error) {
+	// Under column access the square tile beats the row tile on what the
+	// servers sweep, not on modelled time: a rank's row-tile spans on a
+	// server sit in neighbouring slots and join into one positioned
+	// sweep, and the storage model does not price the four times as many
+	// bytes it crosses (ROADMAP item 4), so the row tile's MB/s now
+	// matches the square tile's. TestShapeAblationSweep pins that cost
+	// exactly. The column tile fits the access but spreads it over four
+	// times the requests, which the model does price.
+	retryRatio(t, "square tile beats column tile under column access", 1.2, func() (float64, float64, error) {
 		ms, err := AblationBrickShape(ctx, cfg, 8, 4)
 		if err != nil {
 			return 0, 0, err
 		}
 		m := byLabel(ms)
-		return m["square tile"].MBps, m["row tile"].MBps, nil
+		return m["square tile"].MBps, m["column tile"].MBps, nil
 	})
 	retryRatio(t, "more servers scale bandwidth", 1.5, func() (float64, float64, error) {
 		ms, err := AblationServerCount(ctx, cfg, 8, []int{1, 4})
@@ -250,6 +259,58 @@ func TestAblationShapes(t *testing.T) {
 		m := byLabel(ms)
 		return m["MaxInflight 0"].MBps, m["MaxInflight 1"].MBps, nil
 	})
+}
+
+// TestShapeAblationSweep: under column access the square tile beats
+// the row tile on the bytes the servers sweep, a cost the storage model
+// does not price (ROADMAP item 4) and so no MB/s ratio shows. The shape
+// ablation's eight ranks each read 32 columns of a 256x256 float64
+// array on four servers. In 32x32 tiles a rank's columns are one column
+// of bricks, read whole, all on one server: one request each, and the
+// servers sweep exactly the 512 KiB wanted. In 8x128 tiles they are a
+// quarter of each of 32 bricks, 16 to a server in neighbouring slots:
+// two requests each, and each request is one extent from the first
+// 256-byte piece of slot 0 to the last of slot 15, 15 x 8 KiB + 7 KiB +
+// 256 bytes, so the servers sweep 3.98 times what is wanted. Both move
+// exactly the wanted bytes.
+func TestShapeAblationSweep(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.Reps = 1
+	ctx := ctxT(t)
+	const wanted = 256 * 256 * 8
+	for _, tc := range []struct {
+		label           string
+		tile            []int64 // AblationBrickShape's at N = 256
+		requests, swept int64
+	}{
+		{"square tile", []int64{32, 32}, 8, wanted},
+		{"row tile", []int64{8, 128}, 16, 16 * (15*8<<10 + 7<<10 + 256)},
+	} {
+		c, err := cluster.Start(cluster.Config{Servers: cluster.UniformClass(4, netsim.Params{}), Dir: caseDir(cfg.Dir)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := subfileBytesRead(c)
+		m, err := runShapeCase(ctx, cfg, c, 8, tc.tile)
+		swept := subfileBytesRead(c) - before
+		c.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.label, err)
+		}
+		if m.UsefulMB != float64(wanted)/(1<<20) || m.MovedMB != m.UsefulMB || m.Requests != tc.requests || swept != tc.swept {
+			t.Errorf("%s: %d requests moved %.2f MB for %.2f wanted and swept %d bytes; want %d requests, %.2f MB and %d bytes",
+				tc.label, m.Requests, m.MovedMB, m.UsefulMB, swept, tc.requests, float64(wanted)/(1<<20), tc.swept)
+		}
+	}
+}
+
+// subfileBytesRead sums the bytes c's servers have read from subfiles.
+func subfileBytesRead(c *cluster.Cluster) int64 {
+	var n int64
+	for _, srv := range c.IOServers {
+		n += srv.Metrics().Counter(server.MetricSubfileBytesRead).Value()
+	}
+	return n
 }
 
 // TestFigureDispatch covers the Figure() entry points and unknown

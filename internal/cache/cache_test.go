@@ -87,8 +87,8 @@ func TestMetaMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMeta(time.Minute, reg)
 	m.PutFile(meta.FileInfo{Path: "/x"}, nil)
-	m.GetFile("/x")    // hit
-	m.GetFile("/y")    // miss
+	m.GetFile("/x") // hit
+	m.GetFile("/y") // miss
 	m.InvalidateFile("/x")
 	m.InvalidateFile("/x") // no-op: already gone
 	if got := reg.Counter(MetricMetaHits).Value(); got != 1 {

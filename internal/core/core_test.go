@@ -323,9 +323,11 @@ func subfileBytesRead(c *cluster.Cluster) int64 {
 // which a traced RPC span reports. Eight contiguous bricks of a
 // one-server file are adjacent slots of one subfile, so reading them is
 // one extent however each brick's range is sized. A column access, read
-// or write, is one extent per brick touched: each span carries its own
-// selection, so it neither merges with its neighbour nor falls apart
-// into one extent per fragment.
+// or write, is one extent per server: its bricks sit in consecutive
+// slots, and the gap between two neighbouring spans is no wider than the
+// holes each span already sweeps, so the spans join into one extent
+// with one selection — and the servers sweep exactly those spans and
+// gaps, no more.
 func TestAdjacentExtentsCoalesce(t *testing.T) {
 	c := startCluster(t, 1)
 	ctx := ctxT(t)
@@ -361,9 +363,11 @@ func TestAdjacentExtentsCoalesce(t *testing.T) {
 
 	// The benchmark's column-class2 access: a 64-column block of a
 	// 512x512 float64 file in 32 KiB (eight-row) bricks on four servers
-	// is eight 512-byte pieces in each of 64 bricks, 16 bricks to a
-	// server, and the last piece of one brick's span is not adjacent to
-	// the first of the next.
+	// is eight 512-byte pieces 4 KiB apart in each of 64 bricks, 16
+	// bricks to a server in slots 0-15. A brick's span is 7 rows and a
+	// piece (29 184 bytes), and the 3 584-byte gap to the next slot's
+	// span is as wide as the holes inside it: each server sweeps one
+	// extent from the first piece of slot 0 to the last of slot 15.
 	c = startCluster(t, 4)
 	fs := newFS(t, c, 0, core.Options{Combine: true})
 	traces := fs.EnableTracing(4)
@@ -384,23 +388,28 @@ func TestAdjacentExtentsCoalesce(t *testing.T) {
 	ref.embedSection(col, fresh)
 	wrpcs := traces.Last().Root.Children()
 	got := make([]byte, col.Bytes(8))
+	sweptBefore := subfileBytesRead(c)
 	if err := f.ReadSection(ctx, col, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, fresh) {
 		t.Error("column: read returned wrong bytes")
 	}
+	const sweep = 15*(32<<10) + 7*4096 + 512 // slot 0's first piece to slot 15's last
+	if swept := subfileBytesRead(c) - sweptBefore; swept != 4*sweep {
+		t.Errorf("column read: servers swept %d subfile bytes, want 4 x %d", swept, sweep)
+	}
 	for op, rpcs := range map[string][]*obs.Span{"write": wrpcs, "read": traces.Last().Root.Children()} {
 		if len(rpcs) != 4 {
 			t.Fatalf("column %s: %d requests, want 4", op, len(rpcs))
 		}
 		for _, rpc := range rpcs {
-			if rpc.Op != op || rpc.Extents != 16 || rpc.Bytes != col.Bytes(8)/4 {
-				t.Errorf("column %s: 16 bricks travelled as a %s of %d extents moving %d bytes, want 16 and %d", op, rpc.Op, rpc.Extents, rpc.Bytes, col.Bytes(8)/4)
+			if rpc.Op != op || rpc.Extents != 1 || rpc.Bytes != col.Bytes(8)/4 {
+				t.Errorf("column %s: 16 bricks travelled as a %s of %d extents moving %d bytes, want 1 and %d", op, rpc.Op, rpc.Extents, rpc.Bytes, col.Bytes(8)/4)
 			}
-			// The server saw the same 16: that count is its positioning charge.
-			if srv := rpc.Children(); len(srv) != 1 || srv[0].Name != "server.request" || srv[0].Extents != 16 {
-				t.Errorf("column %s: server-side request span = %+v, want 16 extents", op, srv)
+			// The server saw the same one: that count is its positioning charge.
+			if srv := rpc.Children(); len(srv) != 1 || srv[0].Name != "server.request" || srv[0].Extents != 1 {
+				t.Errorf("column %s: server-side request span = %+v, want 1 extent", op, srv)
 			}
 		}
 	}

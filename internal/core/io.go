@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -616,138 +615,34 @@ func putScratch(b []byte) {
 	scratchPool.Put(&b)
 }
 
-// spanOf returns the byte range [lo, hi) of brick b's stored bytes that
-// its extent covers. A brick travels whole only when a data cache will
-// keep it (fill); otherwise the range is the covering span of the
-// wanted segments — one contiguous extent around the pieces, never more
-// than the brick and usually far less — and where the pieces leave
-// holes in it a selection has only them travel (see doRequest).
-func (f *File) spanOf(b *stripe.BrickIO, fill bool) (lo, hi int64) {
-	if fill || len(b.Segs) == 0 {
-		return 0, f.info.Geometry.BrickBytesOf(b.Brick)
-	}
-	lo, hi = b.Segs[0].BrickOff, b.Segs[0].BrickOff+b.Segs[0].Len
-	for _, seg := range b.Segs[1:] {
-		if seg.BrickOff < lo {
-			lo = seg.BrickOff
-		}
-		if end := seg.BrickOff + seg.Len; end > hi {
-			hi = end
-		}
-	}
-	return lo, hi
-}
-
-// fetched is what one brick's extent of a read brings back: n bytes —
-// the brick's stored bytes from lo on, or, when the extent carried a
-// selection, exactly the wanted pieces in brick order.
-type fetched struct {
-	lo, n  int64
-	sieved bool
-}
-
-// doRequest performs one server exchange covering all bricks of r.
-// sp, when non-nil, is the trace span covering this exchange.
+// doRequest performs one server exchange covering all bricks of r, laid
+// out by layExtents. sp, when non-nil, is the trace span covering this
+// exchange.
 func (f *File) doRequest(ctx context.Context, r *stripe.Request, buf []byte, write bool, sp *obs.Span) error {
-	slot := f.info.Geometry.SlotBytes()
-	// Either direction moves one extent per brick (see spanOf): the whole
-	// brick when a data cache will keep what a read brings, else the
-	// covering span of the wanted pieces, narrowed by a selection to just
-	// those pieces when they do not fill it. A read's server sweeps the
-	// span once and sieves, a write's scatters the pieces into it, so the
-	// holes cost neither positionings nor link.
 	dc := f.fs.dataCache
 	fill := !write && dc != nil
-
-	// Extents are built in brick-offset order, and runs adjacent in the
-	// subfile travel as one extent — fragments gathered from scattered
-	// memory as much as neighbouring bricks' slots — so the server does
-	// one pread or pwrite (and the storage model charges one PerExtent)
-	// per run. A sieved extent stands alone: its selection is relative to
-	// its own span, and one extent per brick is what the model charges
-	// either way. Write payloads are not packed into an intermediate
-	// buffer — each memory run rides as a scatter segment that the wire
-	// layer flushes with vectored I/O.
-	exts := make([]wire.Extent, 0, len(r.Bricks))
-	sieved := false // the last extent carries a selection
-	addExtent := func(off, n int64) {
-		if k := len(exts); k > 0 && !sieved && exts[k-1].Off+exts[k-1].Len == off {
-			exts[k-1].Len += n
-		} else {
-			exts = append(exts, wire.Extent{Off: off, Len: n})
-		}
-		sieved = false
-	}
+	// One element of each keeps a one-brick request's slot and read entry
+	// off the heap; no more than one, because with several exchanges in
+	// flight this frame sits on a fresh goroutine's small stack and a
+	// larger array here made every dispatch pay for growing it.
 	var (
-		// got is, per brick of a read, what its extent returns. One
-		// element keeps a one-brick read off the heap; no more than one,
-		// because with several exchanges in flight this frame sits on a
-		// fresh goroutine's small stack and a larger array here made
-		// every dispatch pay for growing it.
-		one   [1]fetched
-		got   = one[:0]
-		segs  [][]byte // a write's payload: the pieces, brick by brick in brick order
-		sel   []byte   // the selections, encoded
-		wruns []wire.Run
-		moved int64
+		oneSlot [1]int64
+		oneGot  [1]fetched
 	)
-	if write {
-		n := 0
-		for bi := range r.Bricks {
-			n += len(r.Bricks[bi].Segs)
-		}
-		segs = make([][]byte, 0, n)
+	slots := oneSlot[:0]
+	if len(r.Bricks) > 1 {
+		slots = make([]int64, 0, len(r.Bricks))
 	}
 	for bi := range r.Bricks {
-		b := &r.Bricks[bi]
-		ls := f.rs.SlotOn(b.Brick, r.Server)
+		ls := f.rs.SlotOn(r.Bricks[bi].Brick, r.Server)
 		if ls < 0 {
 			return fmt.Errorf("dpfs: %s: brick %d has no replica on server %s",
-				f.info.Path, b.Brick, f.info.Servers[r.Server])
+				f.info.Path, r.Bricks[bi].Brick, f.info.Servers[r.Server])
 		}
-		base := ls * slot
-		if write && len(b.Segs) == 0 {
-			continue // nothing to send: not the whole brick a read of it would ask for
-		}
-		lo, hi := f.spanOf(b, fill)
-		n, sieve := hi-lo, false // what the brick's extent moves
-		ordered := b.Segs
-		var runs []stripe.Run
-		overlap := false
-		if !fill {
-			ordered = brickOrder(b.Segs)
-			runs, overlap = stripe.Runs(ordered, lo, hi)
-		}
-		switch {
-		case write && overlap:
-			// Pieces that share bytes (a tangled view) have no selection,
-			// and the caller holds no bytes for the span around them: they
-			// go one extent each, in brick order.
-			for _, seg := range ordered {
-				addExtent(base+seg.BrickOff, seg.Len)
-			}
-			n = b.Bytes()
-		case runs == nil:
-			addExtent(base+lo, hi-lo)
-		default:
-			wruns = wruns[:0]
-			for _, run := range runs {
-				wruns = append(wruns, wire.Run(run))
-			}
-			exts = append(exts, wire.Extent{Off: base + lo, Len: hi - lo})
-			sel = wire.AppendSelection(sel, len(exts)-1, wruns)
-			sieved = true
-			n, sieve = b.Bytes(), true
-		}
-		if write {
-			for _, seg := range ordered {
-				segs = append(segs, buf[seg.MemOff:seg.MemOff+seg.Len])
-			}
-		} else {
-			got = append(got, fetched{lo: lo, n: n, sieved: sieve})
-		}
-		moved += n
+		slots = append(slots, ls)
 	}
+	x, got := layExtents(&f.info.Geometry, r.Bricks, slots, fill, buf, write, oneGot[:0])
+	moved := x.moved
 
 	op := wire.OpRead
 	if write {
@@ -757,7 +652,7 @@ func (f *File) doRequest(ctx context.Context, r *stripe.Request, buf []byte, wri
 	if err != nil {
 		return err
 	}
-	req := &wire.Request{Op: op, Path: f.info.Path, Gen: f.info.Generation, Extents: exts, Sel: sel, Segments: segs}
+	req := &wire.Request{Op: op, Path: f.info.Path, Gen: f.info.Generation, Extents: x.exts, Sel: x.sel, Segments: x.segs}
 	if tc := sp.Context(); tc.TraceID != 0 {
 		// Propagate trace identity so the server's handler spans join
 		// this trace; its span tree comes back in the RESP frame.
@@ -788,7 +683,7 @@ func (f *File) doRequest(ctx context.Context, r *stripe.Request, buf []byte, wri
 	f.stats.requests.Add(1)
 	f.stats.transferred.Add(moved)
 	if sp != nil {
-		sp.Extents = len(exts)
+		sp.Extents = len(x.exts)
 		sp.Bytes = moved
 		if len(resp.Trace) > 0 {
 			// Stitch the server's spans under this RPC span. resp.Trace
@@ -832,25 +727,6 @@ func (f *File) doRequest(ctx context.Context, r *stripe.Request, buf []byte, wri
 		}
 	}
 	return nil
-}
-
-// brickOrder returns the segments sorted by brick offset (plans sort
-// by memory offset). The common aligned cases are already in brick
-// order, so the copy is skipped when possible.
-func brickOrder(segs []stripe.Segment) []stripe.Segment {
-	sorted := true
-	for i := 1; i < len(segs); i++ {
-		if segs[i].BrickOff < segs[i-1].BrickOff {
-			sorted = false
-			break
-		}
-	}
-	if sorted {
-		return segs
-	}
-	out := append([]stripe.Segment(nil), segs...)
-	sort.Slice(out, func(i, j int) bool { return out[i].BrickOff < out[j].BrickOff })
-	return out
 }
 
 // importChunk is the transfer unit of Import/Export.

@@ -161,10 +161,10 @@ type Replica struct {
 	conns     map[*mdbnet.ReplConn]struct{} // accepted, still-open connections
 
 	// Primary state.
-	shipSeq  int64           // last committed (and buffered) sequence number
-	tail     []record        // recent records; tail[0].seq..shipSeq contiguous
-	acked    map[int]int64   // per-follower durable watermark
-	ackWake  chan struct{}   // closed+replaced whenever acked/role changes
+	shipSeq  int64         // last committed (and buffered) sequence number
+	tail     []record      // recent records; tail[0].seq..shipSeq contiguous
+	acked    map[int]int64 // per-follower durable watermark
+	ackWake  chan struct{} // closed+replaced whenever acked/role changes
 	shippers map[int]*shipper
 
 	// Follower state. Acknowledgements must never over-report

@@ -239,7 +239,7 @@ func (r *Replica) tailCovers(seq, lastEpoch int64) bool {
 	return i < len(r.tail) && r.tail[i].seq == seq && r.tail[i].epoch == lastEpoch
 }
 
-func itoa(v int) string     { return itoa64(int64(v)) }
+func itoa(v int) string { return itoa64(int64(v)) }
 func itoa64(v int64) string {
 	if v == 0 {
 		return "0"

@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh — the repo's full verification gate:
 #   1. tier-1: go build ./... && go test ./...
-#   2. go vet ./...
+#   2. gofmt -l . lists nothing (every Go file, benchmark/ included, is
+#      gofmt-formatted), then go vet ./...
 #   3. govulncheck (soft-fail: warns when the tool or network is absent)
 #   4. race-enabled test suite
 #   5. seeded chaos suite under -race (fault injection e2e), plus a
@@ -31,6 +32,13 @@ echo "== tier-1: go build ./... =="
 go build ./...
 echo "== tier-1: go test ./... =="
 go test ./...
+echo "== gofmt -l . =="
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files are not formatted (run gofmt -w on them):" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 echo "== go vet ./... =="
 go vet ./...
 echo "== govulncheck ./... (advisory) =="
