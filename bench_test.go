@@ -1,11 +1,7 @@
-// Benchmarks regenerating every figure of the paper's evaluation
-// (Section 8) plus the ablations of DESIGN.md and micro-benchmarks of
-// the substrates. Each figure bar is a sub-benchmark reporting MB/s;
-// cmd/dpfs-bench prints the same data as tables.
-//
-// The array is scaled down from the paper's 32K x 32K (see
-// EXPERIMENTS.md for the calibration argument); ratios between bars,
-// not absolute MB/s, carry the paper's claims.
+// Micro-benchmarks of the substrates under every figure: the striping
+// math, the placement algorithm, the catalog, the wire codec and the
+// raw I/O server. The figures and ablations themselves run through
+// cmd/dpfs-bench (internal/bench).
 package dpfs_test
 
 import (
@@ -14,167 +10,12 @@ import (
 	"fmt"
 	"testing"
 
-	"dpfs/internal/bench"
 	"dpfs/internal/core"
 	"dpfs/internal/metadb"
-	"dpfs/internal/netsim"
 	"dpfs/internal/server"
 	"dpfs/internal/stripe"
 	"dpfs/internal/wire"
 )
-
-// benchConfig scales the figure benchmarks down so the full -bench=.
-// run finishes in minutes.
-func benchConfig(b *testing.B) bench.Config {
-	return bench.Config{N: 256, Dir: b.TempDir(), Reps: 1}
-}
-
-func reportLevel(b *testing.B, np, io int, class netsim.Params, lc bench.LevelCase) {
-	b.Helper()
-	cfg := benchConfig(b)
-	ctx := context.Background()
-	var mbps float64
-	for i := 0; i < b.N; i++ {
-		m, err := bench.RunLevelCase(ctx, cfg, np, io, class, lc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mbps += m.MBps
-	}
-	b.ReportMetric(mbps/float64(b.N), "MB/s")
-	b.ReportMetric(0, "ns/op")
-}
-
-func reportAlgo(b *testing.B, np, io int, algo string, ac bench.AlgoCase) {
-	b.Helper()
-	cfg := benchConfig(b)
-	ctx := context.Background()
-	var mbps float64
-	for i := 0; i < b.N; i++ {
-		m, err := bench.RunAlgoCase(ctx, cfg, algo, ac, np, io)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mbps += m.MBps
-	}
-	b.ReportMetric(mbps/float64(b.N), "MB/s")
-	b.ReportMetric(0, "ns/op")
-}
-
-// BenchmarkFig11 regenerates Fig. 11: I/O bandwidth of the six file
-// level variants on each storage class, 8 compute nodes, 4 I/O nodes.
-func BenchmarkFig11(b *testing.B) {
-	for _, class := range []netsim.Params{netsim.Class1(), netsim.Class2(), netsim.Class3()} {
-		for _, lc := range bench.LevelCases() {
-			b.Run(class.Name+"/"+lc.Label, func(b *testing.B) {
-				reportLevel(b, 8, 4, class, lc)
-			})
-		}
-	}
-}
-
-// BenchmarkFig12 regenerates Fig. 12: the same comparison at 16
-// compute nodes and 8 I/O nodes.
-func BenchmarkFig12(b *testing.B) {
-	for _, class := range []netsim.Params{netsim.Class1(), netsim.Class2(), netsim.Class3()} {
-		for _, lc := range bench.LevelCases() {
-			b.Run(class.Name+"/"+lc.Label, func(b *testing.B) {
-				reportLevel(b, 16, 8, class, lc)
-			})
-		}
-	}
-}
-
-// BenchmarkFig13 regenerates Fig. 13: round-robin vs greedy placement
-// on half class-1 / half class-3 storage, 8 compute nodes, 8 I/O
-// nodes.
-func BenchmarkFig13(b *testing.B) {
-	for _, algo := range []string{"round-robin", "greedy"} {
-		for _, ac := range bench.AlgoCases() {
-			b.Run(algo+"/"+ac.Label, func(b *testing.B) {
-				reportAlgo(b, 8, 8, algo, ac)
-			})
-		}
-	}
-}
-
-// BenchmarkFig14 regenerates Fig. 14: the same comparison at 16
-// compute nodes and 16 I/O nodes.
-func BenchmarkFig14(b *testing.B) {
-	for _, algo := range []string{"round-robin", "greedy"} {
-		for _, ac := range bench.AlgoCases() {
-			b.Run(algo+"/"+ac.Label, func(b *testing.B) {
-				reportAlgo(b, 16, 16, algo, ac)
-			})
-		}
-	}
-}
-
-// BenchmarkAblationStagger isolates the staggered scheduling half of
-// request combination (Sec. 4.2).
-func BenchmarkAblationStagger(b *testing.B) {
-	runAblation(b, "stagger")
-}
-
-// BenchmarkAblationBrickShape compares tile aspect ratios under column
-// access.
-func BenchmarkAblationBrickShape(b *testing.B) {
-	runAblation(b, "shape")
-}
-
-// BenchmarkAblationServerCount sweeps I/O node count at fixed compute
-// nodes.
-func BenchmarkAblationServerCount(b *testing.B) {
-	runAblation(b, "servers")
-}
-
-// BenchmarkAblationSieve contrasts whole-brick fetching with
-// server-side sieving of exactly the wanted bytes.
-func BenchmarkAblationSieve(b *testing.B) {
-	runAblation(b, "sieve")
-}
-
-// BenchmarkAblationCollective contrasts independent with two-phase
-// collective I/O under an interleaved row pattern.
-func BenchmarkAblationCollective(b *testing.B) {
-	runAblation(b, "collective")
-}
-
-// BenchmarkDispatch contrasts the paper's one-request-at-a-time sweep
-// (MaxInflight 1) with one request per server at once on class-1
-// shaped servers
-// (scripts/bench_smoke.sh runs this one as the quick regression gate).
-func BenchmarkDispatch(b *testing.B) {
-	runAblation(b, "parallel")
-}
-
-func runAblation(b *testing.B, name string) {
-	b.Helper()
-	cfg := benchConfig(b)
-	ctx := context.Background()
-	// Discover the variant labels once.
-	first, err := bench.Ablation(ctx, cfg, name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for vi := range first {
-		vi := vi
-		b.Run(first[vi].Label, func(b *testing.B) {
-			var mbps float64
-			for i := 0; i < b.N; i++ {
-				ms, err := bench.Ablation(ctx, benchConfig(b), name)
-				if err != nil {
-					b.Fatal(err)
-				}
-				mbps += ms[vi].MBps
-			}
-			b.ReportMetric(mbps/float64(b.N), "MB/s")
-			b.ReportMetric(0, "ns/op")
-		})
-	}
-}
-
-// --- substrate micro-benchmarks ---------------------------------------
 
 // BenchmarkPlanSection measures the pure striping math for the three
 // levels (no I/O): the client-side cost of turning a section into a
@@ -277,10 +118,7 @@ func BenchmarkMetaDB(b *testing.B) {
 // lookup + distribution reconstruction) against a live cluster,
 // demonstrating that database overhead sits off the data path.
 func BenchmarkCatalogOpen(b *testing.B) {
-	cfg := benchConfig(b)
-	ctx := context.Background()
-	_ = ctx
-	c, fsys := startBenchCluster(b, cfg)
+	c, fsys := startBenchCluster(b, b.TempDir())
 	defer c()
 	f, err := fsys.Create("/bench-open", 8, []int64{512, 512},
 		core.Hint{Level: stripe.LevelMultidim, Tile: []int64{64, 64}})

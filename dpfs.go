@@ -136,13 +136,6 @@ func NewSection(start, count []int64) Section { return stripe.NewSection(start, 
 // FullSection covers an entire array.
 func FullSection(dims []int64) Section { return stripe.FullSection(dims) }
 
-// ReadStats returns engine-wide traffic counters (request counts,
-// transferred and useful bytes).
-func ReadStats() Stats { return core.ReadStats() }
-
-// ResetStats zeroes the traffic counters.
-func ResetStats() { core.ResetStats() }
-
 // Client is a DPFS mount: one compute process's connection to the
 // metadata database (one or more catalog shards, each possibly a
 // replica group) and, lazily, to the I/O servers.
@@ -282,8 +275,7 @@ func (c *Client) Close() error {
 func (c *Client) Engine() *core.FS { return c.fs }
 
 // Stats returns this client's own traffic counters, isolated from
-// other clients in the process (unlike the package-level ReadStats
-// aggregate).
+// other clients in the process.
 func (c *Client) Stats() Stats { return c.fs.Stats() }
 
 // Create makes and opens a new DPFS file holding an array of the given

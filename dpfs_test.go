@@ -7,16 +7,16 @@ import (
 	"time"
 
 	"dpfs"
-	"dpfs/internal/bench"
 	"dpfs/internal/cluster"
 	"dpfs/internal/core"
 )
 
-// startBenchCluster launches a 4-server unshaped cluster and returns a
-// cleanup func plus an engine (shared by tests and benchmarks).
-func startBenchCluster(tb testing.TB, cfg bench.Config) (func(), *core.FS) {
+// startBenchCluster launches a 4-server unshaped cluster in dir and
+// returns a cleanup func plus an engine (shared by tests and
+// benchmarks).
+func startBenchCluster(tb testing.TB, dir string) (func(), *core.FS) {
 	tb.Helper()
-	c, err := cluster.Start(cluster.Config{Servers: cluster.Uniform(4), Dir: cfg.Dir})
+	c, err := cluster.Start(cluster.Config{Servers: cluster.Uniform(4), Dir: dir})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestPublicAPI(t *testing.T) {
 	ck.Close()
 
 	// Stats counters move.
-	dpfs.ResetStats()
+	before := client.Stats()
 	f2, err := client.Open("/proj/temps")
 	if err != nil {
 		t.Fatal(err)
@@ -159,8 +159,8 @@ func TestPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	f2.Close()
-	if st := dpfs.ReadStats(); st.Requests == 0 || st.BytesUseful == 0 {
-		t.Fatalf("stats = %+v", st)
+	if st := client.Stats(); st.Requests == before.Requests || st.BytesUseful != before.BytesUseful+col.Bytes(8) {
+		t.Fatalf("stats = %+v before %+v", st, before)
 	}
 
 	// Remove everything.
@@ -183,8 +183,7 @@ func TestConnectFailure(t *testing.T) {
 
 // TestWrap exposes an in-process engine through the public client.
 func TestWrap(t *testing.T) {
-	cfg := bench.Config{Dir: t.TempDir()}
-	cleanup, fs := startBenchCluster(t, cfg)
+	cleanup, fs := startBenchCluster(t, t.TempDir())
 	defer cleanup()
 	client := dpfs.Wrap(fs)
 	if client.Engine() != fs {

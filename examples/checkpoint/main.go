@@ -106,7 +106,7 @@ func main() {
 	}
 
 	dump := func(step int) {
-		dpfs.ResetStats()
+		stats := make([]dpfs.Stats, np) // each rank's handle's traffic
 		var wg sync.WaitGroup
 		for _, p := range procs {
 			wg.Add(1)
@@ -125,12 +125,17 @@ func main() {
 				if err := f.WriteSection(ctx, p.section(), p.bytes()); err != nil {
 					log.Fatal(err)
 				}
+				stats[p.rank] = f.Stats()
 			}(p)
 		}
 		wg.Wait()
-		st := dpfs.ReadStats()
+		var requests, useful int64
+		for _, st := range stats {
+			requests += st.Requests
+			useful += st.BytesUseful
+		}
 		fmt.Printf("step %d: dumped %d MiB in %d requests (%.1f req/rank)\n",
-			step, st.BytesUseful>>20, st.Requests, float64(st.Requests)/np)
+			step, useful>>20, requests, float64(requests)/np)
 	}
 
 	for s := 1; s <= steps; s++ {

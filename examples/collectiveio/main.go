@@ -15,7 +15,6 @@ import (
 	"sync"
 	"time"
 
-	"dpfs"
 	"dpfs/internal/cluster"
 	"dpfs/internal/collective"
 	"dpfs/internal/core"
@@ -95,7 +94,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		dpfs.ResetStats()
 		start := time.Now()
 		var wg sync.WaitGroup
 		for r := 0; r < np; r++ {
@@ -122,9 +120,16 @@ func main() {
 		}
 		wg.Wait()
 		elapsed := time.Since(start)
-		st := dpfs.ReadStats()
-		mbps := float64(st.BytesUseful) / (1 << 20) / elapsed.Seconds()
-		fmt.Printf("%-22s %10d %12v %10.1f\n", label, st.Requests, elapsed.Round(time.Millisecond), mbps)
+		// Each mode's handles are its own: they count its every request,
+		// the aggregators' included.
+		var requests, useful int64
+		for _, f := range files[path] {
+			st := f.Stats()
+			requests += st.Requests
+			useful += st.BytesUseful
+		}
+		mbps := float64(useful) / (1 << 20) / elapsed.Seconds()
+		fmt.Printf("%-22s %10d %12v %10.1f\n", label, requests, elapsed.Round(time.Millisecond), mbps)
 	}
 
 	runMode("independent", "/indep", false)

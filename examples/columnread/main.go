@@ -117,33 +117,16 @@ func main() {
 }
 
 // moveColumns has np goroutines each read, or write, its (*, BLOCK)
-// column slice.
+// column slice, and sums their handles' traffic.
 func moveColumns(ctx context.Context, clu *cluster.Cluster, path string, cacheBytes int64, write bool) (reqs, moved, useful int64, elapsed time.Duration) {
-	dpfs.ResetStats()
 	start := time.Now()
+	stats := make([]dpfs.Stats, np)
 	done := make(chan error, np)
 	for r := 0; r < np; r++ {
 		go func(rank int) {
-			fs, err := clu.NewFS(rank, core.Options{Combine: true, Stagger: true, CacheBytes: cacheBytes})
-			if err != nil {
-				done <- err
-				return
-			}
-			defer fs.Close()
-			f, err := fs.Open(path)
-			if err != nil {
-				done <- err
-				return
-			}
-			defer f.Close()
-			w := int64(n / np)
-			sec := dpfs.NewSection([]int64{0, int64(rank) * w}, []int64{n, w})
-			buf := make([]byte, sec.Bytes(8))
-			if write {
-				done <- f.WriteSection(ctx, sec, buf)
-			} else {
-				done <- f.ReadSection(ctx, sec, buf)
-			}
+			var err error
+			stats[rank], err = moveSlice(ctx, clu, rank, path, cacheBytes, write)
+			done <- err
 		}(r)
 	}
 	for i := 0; i < np; i++ {
@@ -152,6 +135,34 @@ func moveColumns(ctx context.Context, clu *cluster.Cluster, path string, cacheBy
 		}
 	}
 	elapsed = time.Since(start)
-	st := dpfs.ReadStats()
-	return st.Requests, st.BytesTransferred, st.BytesUseful, elapsed
+	for _, st := range stats {
+		reqs += st.Requests
+		moved += st.BytesTransferred
+		useful += st.BytesUseful
+	}
+	return reqs, moved, useful, elapsed
+}
+
+// moveSlice has rank read, or write, its column slice through an engine
+// of its own, and returns the handle's traffic.
+func moveSlice(ctx context.Context, clu *cluster.Cluster, rank int, path string, cacheBytes int64, write bool) (dpfs.Stats, error) {
+	fs, err := clu.NewFS(rank, core.Options{Combine: true, Stagger: true, CacheBytes: cacheBytes})
+	if err != nil {
+		return dpfs.Stats{}, err
+	}
+	defer fs.Close()
+	f, err := fs.Open(path)
+	if err != nil {
+		return dpfs.Stats{}, err
+	}
+	defer f.Close()
+	w := int64(n / np)
+	sec := dpfs.NewSection([]int64{0, int64(rank) * w}, []int64{n, w})
+	buf := make([]byte, sec.Bytes(8))
+	if write {
+		err = f.WriteSection(ctx, sec, buf)
+	} else {
+		err = f.ReadSection(ctx, sec, buf)
+	}
+	return f.Stats(), err
 }

@@ -79,13 +79,14 @@ func main() {
 	// multidimensional striping.
 	col := dpfs.NewSection([]int64{0, 256}, []int64{1024, 128})
 	buf := make([]byte, col.Bytes(8))
-	dpfs.ResetStats()
+	before := f.Stats()
 	if err := f.ReadSection(ctx, col, buf); err != nil {
 		log.Fatal(err)
 	}
-	st := dpfs.ReadStats()
+	st := f.Stats()
 	fmt.Printf("column read: %d KiB useful in %d requests, %d KiB moved\n",
-		st.BytesUseful>>10, st.Requests, st.BytesTransferred>>10)
+		(st.BytesUseful-before.BytesUseful)>>10, st.Requests-before.Requests,
+		(st.BytesTransferred-before.BytesTransferred)>>10)
 
 	// Verify a slice against what we wrote.
 	want := data[(0*1024+256)*8 : (0*1024+256+128)*8]

@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"dpfs/internal/cluster"
@@ -25,54 +24,11 @@ import (
 // 0 and convoy.
 func AblationStagger(ctx context.Context, cfg Config, np, io int) ([]Measurement, error) {
 	cfg = cfg.WithDefaults()
-	var out []Measurement
-	for _, stagger := range []bool{false, true} {
-		c, err := cluster.Start(cluster.Config{
-			Servers:       cluster.UniformClass(io, netsim.Class1()),
-			Dir:           caseDir(cfg.Dir),
-			RefBrickBytes: cfg.Tile * cfg.Tile * elemSize,
-		})
-		if err != nil {
-			return nil, err
-		}
-		m, err := runStaggerCase(ctx, cfg, c, np, stagger)
-		c.Close()
-		if err != nil {
-			return nil, err
-		}
-		m.Figure = "AblStagger"
-		m.Class = "class1"
-		if stagger {
-			m.Label = "Combined+Stagger"
-		} else {
-			m.Label = "Combined, no stagger"
-		}
-		out = append(out, m)
-	}
-	return out, nil
-}
-
-func runStaggerCase(ctx context.Context, cfg Config, c *cluster.Cluster, np int, stagger bool) (Measurement, error) {
-	dims := []int64{cfg.N, cfg.N}
-	path := "/abl-stagger.dat"
-	fs, err := c.NewFS(0, core.Options{Combine: true})
-	if err != nil {
-		return Measurement{}, err
-	}
-	f, err := fs.Create(path, elemSize, dims,
-		core.Hint{Level: stripe.LevelLinear, BrickBytes: cfg.Tile * cfg.Tile * elemSize})
-	if err != nil {
-		fs.Close()
-		return Measurement{}, err
-	}
-	f.Close()
-	fs.Close()
-	if err := fill(ctx, c, path, dims); err != nil {
-		return Measurement{}, err
-	}
-	opts := cfg.withDispatch(core.Options{Combine: true, Stagger: stagger})
-	return measure(ctx, cfg, c, np, opts, path,
-		func(rank int) stripe.Section { return colSection(cfg.N, np, rank) }, false)
+	linear := cfg.hintFor(stripe.LevelLinear, np)
+	return sweep(ctx, cfg, "AblStagger", netsim.Class1(), io, np, colBlocks(cfg.N, np), []variant{
+		{"Combined, no stagger", linear, withDispatch(core.Options{Combine: true})},
+		{"Combined+Stagger", linear, withDispatch(core.Options{Combine: true, Stagger: true})},
+	})
 }
 
 // AblationBrickShape compares multidim tile aspect ratios (square,
@@ -81,61 +37,28 @@ func runStaggerCase(ctx context.Context, cfg Config, c *cluster.Cluster, np int,
 // match the access pattern.
 func AblationBrickShape(ctx context.Context, cfg Config, np, io int) ([]Measurement, error) {
 	cfg = cfg.WithDefaults()
-	t := cfg.Tile
-	shapes := []struct {
+	return sweep(ctx, cfg, "AblShape", netsim.Class1(), io, np, colBlocks(cfg.N, np), cfg.tileShapes())
+}
+
+// tileShapes are the rows of the shape ablation that fit the array.
+func (c Config) tileShapes() []variant {
+	t := c.Tile
+	var out []variant
+	for _, sh := range []struct {
 		label string
 		tile  []int64
 	}{
 		{"square tile", []int64{t, t}},
 		{"row tile", []int64{t / 4, t * 4}},
 		{"column tile", []int64{t * 4, t / 4}},
-	}
-	var out []Measurement
-	for _, sh := range shapes {
-		if sh.tile[0] < 1 || sh.tile[1] < 1 || sh.tile[0] > cfg.N || sh.tile[1] > cfg.N {
+	} {
+		if sh.tile[0] < 1 || sh.tile[1] < 1 || sh.tile[0] > c.N || sh.tile[1] > c.N {
 			continue
 		}
-		c, err := cluster.Start(cluster.Config{
-			Servers:       cluster.UniformClass(io, netsim.Class1()),
-			Dir:           caseDir(cfg.Dir),
-			RefBrickBytes: cfg.Tile * cfg.Tile * elemSize,
-		})
-		if err != nil {
-			return nil, err
-		}
-		m, err := runShapeCase(ctx, cfg, c, np, sh.tile)
-		c.Close()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", sh.label, err)
-		}
-		m.Figure = "AblShape"
-		m.Class = "class1"
-		m.Label = sh.label
-		out = append(out, m)
+		out = append(out, variant{sh.label, core.Hint{Level: stripe.LevelMultidim, Tile: sh.tile},
+			withDispatch(core.Options{Combine: true, Stagger: true})})
 	}
-	return out, nil
-}
-
-func runShapeCase(ctx context.Context, cfg Config, c *cluster.Cluster, np int, tile []int64) (Measurement, error) {
-	dims := []int64{cfg.N, cfg.N}
-	path := "/abl-shape.dat"
-	fs, err := c.NewFS(0, core.Options{Combine: true})
-	if err != nil {
-		return Measurement{}, err
-	}
-	f, err := fs.Create(path, elemSize, dims, core.Hint{Level: stripe.LevelMultidim, Tile: tile})
-	if err != nil {
-		fs.Close()
-		return Measurement{}, err
-	}
-	f.Close()
-	fs.Close()
-	if err := fill(ctx, c, path, dims); err != nil {
-		return Measurement{}, err
-	}
-	opts := cfg.withDispatch(core.Options{Combine: true, Stagger: true})
-	return measure(ctx, cfg, c, np, opts, path,
-		func(rank int) stripe.Section { return colSection(cfg.N, np, rank) }, false)
+	return out
 }
 
 // AblationServerCount sweeps the I/O node count at a fixed compute
@@ -148,14 +71,13 @@ func AblationServerCount(ctx context.Context, cfg Config, np int, ios []int) ([]
 	}
 	var out []Measurement
 	for _, io := range ios {
-		m, err := RunLevelCase(ctx, cfg, np, io, netsim.Class1(),
-			LevelCase{Label: "Combined Multi-dim", Level: stripe.LevelMultidim, Combine: true})
+		ms, err := sweep(ctx, cfg, "AblServers", netsim.Class1(), io, np, colBlocks(cfg.N, np), []variant{
+			{fmt.Sprintf("%d I/O nodes", io), cfg.hintFor(stripe.LevelMultidim, np), cfg.figureOpts(true)},
+		})
 		if err != nil {
-			return nil, fmt.Errorf("io=%d: %w", io, err)
+			return nil, err
 		}
-		m.Figure = "AblServers"
-		m.Label = fmt.Sprintf("%d I/O nodes", io)
-		out = append(out, m)
+		out = append(out, ms...)
 	}
 	return out, nil
 }
@@ -169,58 +91,11 @@ func AblationServerCount(ctx context.Context, cfg Config, np int, ios []int) ([]
 // the same in both rows, so the difference is the discarded data.
 func AblationSieve(ctx context.Context, cfg Config, np, io int) ([]Measurement, error) {
 	cfg = cfg.WithDefaults()
-	var out []Measurement
-	for _, mode := range []struct {
-		label      string
-		cacheBytes int64
-	}{
-		{"Linear, whole bricks", cfg.N * cfg.N * elemSize},
-		{"Linear, sieved", 0},
-	} {
-		c, err := cluster.Start(cluster.Config{
-			Servers:       cluster.UniformClass(io, netsim.Class2()),
-			Dir:           caseDir(cfg.Dir),
-			RefBrickBytes: cfg.Tile * cfg.Tile * elemSize,
-		})
-		if err != nil {
-			return nil, err
-		}
-		m, err := runSieveCase(ctx, cfg, c, np, mode.cacheBytes)
-		c.Close()
-		if err != nil {
-			return nil, err
-		}
-		m.Figure = "AblSieve"
-		m.Class = "class2"
-		m.Label = mode.label
-		out = append(out, m)
-	}
-	return out, nil
-}
-
-// runSieveCase measures one row of AblationSieve.
-func runSieveCase(ctx context.Context, cfg Config, c *cluster.Cluster, np int, cacheBytes int64) (Measurement, error) {
-	dims := []int64{cfg.N, cfg.N}
-	path := "/abl-sieve.dat"
-	fs, err := c.NewFS(0, core.Options{Combine: true})
-	if err != nil {
-		return Measurement{}, err
-	}
-	f, err := fs.Create(path, elemSize, dims,
-		core.Hint{Level: stripe.LevelLinear, BrickBytes: cfg.Tile * cfg.Tile * elemSize})
-	if err != nil {
-		fs.Close()
-		return Measurement{}, err
-	}
-	f.Close()
-	fs.Close()
-	if err := fill(ctx, c, path, dims); err != nil {
-		return Measurement{}, err
-	}
-	opts := cfg.withDispatch(core.Options{Combine: true, Stagger: true})
-	opts.CacheBytes = cacheBytes
-	return measure(ctx, cfg, c, np, opts, path,
-		func(rank int) stripe.Section { return colSection(cfg.N, np, rank) }, false)
+	linear := cfg.hintFor(stripe.LevelLinear, np)
+	return sweep(ctx, cfg, "AblSieve", netsim.Class2(), io, np, colBlocks(cfg.N, np), []variant{
+		{"Linear, whole bricks", linear, cfg.figureOpts(true)},
+		{"Linear, sieved", linear, withDispatch(core.Options{Combine: true, Stagger: true})},
+	})
 }
 
 // The three ways the collective ablation writes a rank's interleaved
@@ -242,52 +117,18 @@ func AblationCollective(ctx context.Context, cfg Config, np, io int) ([]Measurem
 	cfg = cfg.WithDefaults()
 	var out []Measurement
 	for _, mode := range []string{collPerRow, collTyped, collTwoPhase} {
-		c, err := cluster.Start(cluster.Config{
-			Servers:       cluster.UniformClass(io, netsim.Class1()),
-			Dir:           caseDir(cfg.Dir),
-			RefBrickBytes: cfg.Tile * cfg.Tile * elemSize,
+		m, err := onCluster(cfg, cluster.Config{Servers: cluster.UniformClass(io, netsim.Class1())}, func(c *cluster.Cluster) (Measurement, error) {
+			if err := newArray(ctx, cfg, c, cfg.hintFor(stripe.LevelMultidim, np), false); err != nil {
+				return Measurement{}, err
+			}
+			return median(cfg.Reps, func() (Measurement, error) { return measureCollective(ctx, cfg, c, np, mode) })
 		})
 		if err != nil {
 			return nil, err
 		}
-		m, err := runCollectiveCase(ctx, cfg, c, np, mode)
-		c.Close()
-		if err != nil {
-			return nil, err
-		}
-		m.Figure = "AblColl"
-		m.Class = "class1"
-		m.Label = mode
-		out = append(out, m)
+		out = append(out, m.tag("AblColl", "class1", mode))
 	}
 	return out, nil
-}
-
-func runCollectiveCase(ctx context.Context, cfg Config, c *cluster.Cluster, np int, mode string) (Measurement, error) {
-	dims := []int64{cfg.N, cfg.N}
-	path := "/abl-coll.dat"
-	admin, err := c.NewFS(0, core.Options{Combine: true})
-	if err != nil {
-		return Measurement{}, err
-	}
-	f, err := admin.Create(path, elemSize, dims, core.Hint{Level: stripe.LevelMultidim, Tile: []int64{cfg.Tile, cfg.Tile}})
-	if err != nil {
-		admin.Close()
-		return Measurement{}, err
-	}
-	f.Close()
-	admin.Close()
-
-	runs := make([]Measurement, 0, cfg.Reps)
-	for rep := 0; rep < cfg.Reps; rep++ {
-		m, err := measureCollective(ctx, c, cfg, np, path, mode)
-		if err != nil {
-			return Measurement{}, err
-		}
-		runs = append(runs, m)
-	}
-	sortMeasurements(runs)
-	return runs[len(runs)/2], nil
 }
 
 // cyclicRows returns the file and memory types of one access to all of
@@ -299,90 +140,46 @@ func cyclicRows(np, rounds int, rowBytes int64) (ftype, mtype datatype.Type) {
 		datatype.Bytes(int64(rounds) * rowBytes)
 }
 
-// measureCollective has every rank write rowsPerRank interleaved
-// single rows ((CYCLIC, *)): independently row by row, independently
-// in one access, or row by row through a collective group.
-func measureCollective(ctx context.Context, c *cluster.Cluster, cfg Config, np int, path, mode string) (Measurement, error) {
-	files := make([]*core.File, np)
-	fss := make([]*core.FS, np)
-	for r := 0; r < np; r++ {
-		fs, err := c.NewFS(r, cfg.withDispatch(core.Options{Combine: true, Stagger: true}))
-		if err != nil {
-			return Measurement{}, err
-		}
-		fss[r] = fs
-		f, err := fs.Open(path)
-		if err != nil {
-			return Measurement{}, err
-		}
-		files[r] = f
+// measureCollective has every rank write one tile-row's worth of
+// interleaved single rows ((CYCLIC, *)): independently row by row,
+// independently in one access, or row by row through a collective
+// group.
+func measureCollective(ctx context.Context, cfg Config, c *cluster.Cluster, np int, mode string) (Measurement, error) {
+	t, err := newTeam(c, np, withDispatch(core.Options{Combine: true, Stagger: true}), arrayPath)
+	if err != nil {
+		return Measurement{}, err
 	}
-	defer func() {
-		for r := 0; r < np; r++ {
-			if files[r] != nil {
-				files[r].Close()
-			}
-			if fss[r] != nil {
-				fss[r].Close()
-			}
-		}
-	}()
-
-	rounds := int(cfg.Tile) // one tile-row of interleaved rows
+	defer t.close()
+	rounds := int(cfg.Tile)
 	rowBytes := cfg.N * elemSize
-	data := make([]byte, rowBytes)
 	g, err := collective.NewGroup(np)
 	if err != nil {
 		return Measurement{}, err
 	}
-
-	core.ResetStats()
-	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make(chan error, np)
-	for r := 0; r < np; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			if mode == collTyped {
-				ftype, mtype := cyclicRows(np, rounds, rowBytes)
-				if err := files[rank].WriteAtTyped(ctx, int64(rank)*rowBytes, ftype, mtype, make([]byte, mtype.Size())); err != nil {
-					errs <- err
-				}
-				return
+	elapsed, err := together(np, func(rank int) error {
+		if mode == collTyped {
+			ftype, mtype := cyclicRows(np, rounds, rowBytes)
+			return t.files[rank].WriteAtTyped(ctx, int64(rank)*rowBytes, ftype, mtype, make([]byte, mtype.Size()))
+		}
+		buf := make([]byte, rowBytes)
+		for round := 0; round < rounds; round++ {
+			sec := stripe.NewSection([]int64{int64(round*np + rank), 0}, []int64{1, cfg.N})
+			var err error
+			if mode == collTwoPhase {
+				err = g.WriteAll(ctx, rank, t.files[rank], sec, buf)
+			} else {
+				err = t.files[rank].WriteSection(ctx, sec, buf)
 			}
-			buf := append([]byte(nil), data...)
-			for round := 0; round < rounds; round++ {
-				row := int64(round*np + rank)
-				sec := stripe.NewSection([]int64{row, 0}, []int64{1, cfg.N})
-				var err error
-				if mode == collTwoPhase {
-					err = g.WriteAll(ctx, rank, files[rank], sec, buf)
-				} else {
-					err = files[rank].WriteSection(ctx, sec, buf)
-				}
-				if err != nil {
-					errs <- err
-					return
-				}
+			if err != nil {
+				return err
 			}
-		}(r)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(errs)
-	for err := range errs {
+		}
+		return nil
+	})
+	if err != nil {
 		return Measurement{}, err
 	}
-	useful := int64(np*rounds) * rowBytes
-	st := core.ReadStats()
-	return Measurement{
-		Elapsed:  elapsed,
-		MBps:     float64(useful) / (1 << 20) / elapsed.Seconds(),
-		Requests: st.Requests,
-		MovedMB:  float64(st.BytesTransferred) / (1 << 20),
-		UsefulMB: float64(useful) / (1 << 20),
-	}, nil
+	return t.measurement(int64(np*rounds)*rowBytes, elapsed), nil
 }
 
 // AblationParallel isolates the client's dispatch loop: a combined
@@ -397,51 +194,11 @@ func measureCollective(ctx context.Context, c *cluster.Cluster, cfg Config, np i
 // 7:4 (1.75x) aggregate bandwidth gap on the class-1 shaped cluster.
 func AblationParallel(ctx context.Context, cfg Config, np, io int) ([]Measurement, error) {
 	cfg = cfg.WithDefaults()
-	var out []Measurement
-	for _, inflight := range []int{1, 0} {
-		c, err := cluster.Start(cluster.Config{
-			Servers:       cluster.UniformClass(io, netsim.Class1()),
-			Dir:           caseDir(cfg.Dir),
-			RefBrickBytes: cfg.Tile * cfg.Tile * elemSize,
-		})
-		if err != nil {
-			return nil, err
-		}
-		m, err := runParallelCase(ctx, cfg, c, np, inflight)
-		c.Close()
-		if err != nil {
-			return nil, err
-		}
-		m.Figure = "AblParallel"
-		m.Class = "class1"
-		m.Label = fmt.Sprintf("MaxInflight %d", inflight)
-		out = append(out, m)
-	}
-	return out, nil
-}
-
-func runParallelCase(ctx context.Context, cfg Config, c *cluster.Cluster, np, inflight int) (Measurement, error) {
-	dims := []int64{cfg.N, cfg.N}
-	path := "/abl-parallel.dat"
-	fs, err := c.NewFS(0, core.Options{Combine: true})
-	if err != nil {
-		return Measurement{}, err
-	}
-	f, err := fs.Create(path, elemSize, dims,
-		core.Hint{Level: stripe.LevelMultidim, Tile: []int64{cfg.Tile, cfg.Tile}})
-	if err != nil {
-		fs.Close()
-		return Measurement{}, err
-	}
-	f.Close()
-	fs.Close()
-	if err := fill(ctx, c, path, dims); err != nil {
-		return Measurement{}, err
-	}
-	opts := cfg.withDispatch(core.Options{Combine: true})
-	opts.MaxInflight = inflight // the one variable of this ablation
-	return measure(ctx, cfg, c, np, opts, path,
-		func(rank int) stripe.Section { return rowSection(cfg.N, np, rank) }, false)
+	multidim := cfg.hintFor(stripe.LevelMultidim, np)
+	return sweep(ctx, cfg, "AblParallel", netsim.Class1(), io, np, rowBlocks(cfg.N, np), []variant{
+		{"MaxInflight 1", multidim, withDispatch(core.Options{Combine: true})},
+		{"MaxInflight 0", multidim, core.Options{Combine: true}},
+	})
 }
 
 // AblationCache isolates the client-side cache (internal/cache): a
@@ -454,200 +211,109 @@ func AblationCache(ctx context.Context, cfg Config, np, io int) ([]Measurement, 
 	cfg = cfg.WithDefaults()
 	var out []Measurement
 	for _, cached := range []bool{false, true} {
-		c, err := cluster.Start(cluster.Config{
-			Servers:       cluster.UniformClass(io, netsim.Class1()),
-			Dir:           caseDir(cfg.Dir),
-			RefBrickBytes: cfg.Tile * cfg.Tile * elemSize,
+		state := "cache off"
+		if cached {
+			state = "cache on"
+		}
+		ms, err := onCluster(cfg, cluster.Config{Servers: cluster.UniformClass(io, netsim.Class1())}, func(c *cluster.Cluster) ([]Measurement, error) {
+			reread, err := runCacheReRead(ctx, cfg, c, np, cacheOpts(core.Options{Combine: true, Stagger: true}, cached))
+			if err != nil {
+				return nil, err
+			}
+			opens, err := runCacheOpens(cfg, c, cacheOpts(core.Options{Combine: true}, cached))
+			if err != nil {
+				return nil, err
+			}
+			return []Measurement{
+				reread.tag("AblCache", "class1", "Re-read, "+state),
+				opens.tag("AblCache", "class1", "Open-heavy, "+state),
+			}, nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		m, err := runCacheReRead(ctx, cfg, c, np, cached)
-		if err == nil {
-			m.Figure = "AblCache"
-			m.Class = "class1"
-			if cached {
-				m.Label = "Re-read, cache on"
-			} else {
-				m.Label = "Re-read, cache off"
-			}
-			out = append(out, m)
-			m, err = runCacheOpens(ctx, cfg, c, cached)
-		}
-		c.Close()
-		if err != nil {
-			return nil, err
-		}
-		m.Figure = "AblCache"
-		m.Class = "class1"
-		if cached {
-			m.Label = "Open-heavy, cache on"
-		} else {
-			m.Label = "Open-heavy, cache off"
-		}
-		out = append(out, m)
+		out = append(out, ms...)
 	}
 	return out, nil
 }
 
-// cacheOpts are the engine options of the cache-on ablation variants:
-// generous data budget, a TTL comfortably longer than a measurement,
-// and a modest readahead depth.
-func (c Config) cacheOpts(opts core.Options) core.Options {
-	opts = c.withDispatch(opts)
-	if opts.CacheBytes == 0 {
-		opts.CacheBytes = 256 << 20
-	}
-	if opts.MetaTTL == 0 {
-		opts.MetaTTL = time.Minute
-	}
-	if opts.Readahead == 0 {
-		opts.Readahead = 2
+// cacheOpts are the engine options of the cache ablation's variants:
+// with the cache on, a generous data budget, a TTL comfortably longer
+// than a measurement, and a modest readahead depth.
+func cacheOpts(opts core.Options, cached bool) core.Options {
+	opts = withDispatch(opts)
+	if cached {
+		opts.CacheBytes, opts.MetaTTL, opts.Readahead = 256<<20, time.Minute, 2
 	}
 	return opts
 }
 
-func runCacheReRead(ctx context.Context, cfg Config, c *cluster.Cluster, np int, cached bool) (Measurement, error) {
-	dims := []int64{cfg.N, cfg.N}
-	path := "/abl-cache.dat"
-	admin, err := c.NewFS(0, core.Options{Combine: true})
-	if err != nil {
+// runCacheReRead has np ranks read their (BLOCK, *) slices of a filled
+// array once to warm the engines, then times cfg.Reps more passes and
+// reports the median with the requests its engines issued during it.
+func runCacheReRead(ctx context.Context, cfg Config, c *cluster.Cluster, np int, opts core.Options) (Measurement, error) {
+	if err := newArray(ctx, cfg, c, cfg.hintFor(stripe.LevelMultidim, np), true); err != nil {
 		return Measurement{}, err
 	}
-	f, err := admin.Create(path, elemSize, dims,
-		core.Hint{Level: stripe.LevelMultidim, Tile: []int64{cfg.Tile, cfg.Tile}})
-	if err != nil {
-		admin.Close()
-		return Measurement{}, err
-	}
-	f.Close()
-	admin.Close()
-	if err := fill(ctx, c, path, dims); err != nil {
-		return Measurement{}, err
-	}
-
-	opts := cfg.withDispatch(core.Options{Combine: true, Stagger: true})
-	if cached {
-		opts = cfg.cacheOpts(core.Options{Combine: true, Stagger: true})
-	}
-
-	// Unlike measure(), the engines persist across the warm and timed
+	// Unlike measure, the engines persist across the warm and timed
 	// passes: the cache lives in the engine, and the point is the warm
 	// hit. Reps share the engines too — every timed pass after the first
 	// is equally warm, and the median damps scheduling noise.
-	runs := make([]Measurement, 0, cfg.Reps)
-	err = func() error {
-		fss := make([]*core.FS, np)
-		files := make([]*core.File, np)
-		bufs := make([][]byte, np)
-		var useful int64
-		defer func() {
-			for p := 0; p < np; p++ {
-				if files[p] != nil {
-					files[p].Close()
-				}
-				if fss[p] != nil {
-					fss[p].Close()
-				}
-			}
-		}()
-		for p := 0; p < np; p++ {
-			fs, err := c.NewFS(p, opts)
-			if err != nil {
-				return err
-			}
-			fss[p] = fs
-			f, err := fs.Open(path)
-			if err != nil {
-				return err
-			}
-			files[p] = f
-			sec := rowSection(cfg.N, np, p)
-			bufs[p] = make([]byte, sec.Bytes(elemSize))
-			useful += int64(len(bufs[p]))
-		}
-		pass := func() (time.Duration, error) {
-			start := time.Now()
-			var wg sync.WaitGroup
-			errs := make(chan error, np)
-			for p := 0; p < np; p++ {
-				wg.Add(1)
-				go func(rank int) {
-					defer wg.Done()
-					if err := files[rank].ReadSection(ctx, rowSection(cfg.N, np, rank), bufs[rank]); err != nil {
-						errs <- err
-					}
-				}(p)
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				return 0, err
-			}
-			return time.Since(start), nil
-		}
-		if _, err := pass(); err != nil { // warm (fills caches when on)
-			return err
-		}
-		for rep := 0; rep < cfg.Reps; rep++ {
-			elapsed, err := pass()
-			if err != nil {
-				return err
-			}
-			runs = append(runs, Measurement{
-				Elapsed:  elapsed,
-				MBps:     float64(useful) / (1 << 20) / elapsed.Seconds(),
-				UsefulMB: float64(useful) / (1 << 20),
-			})
-		}
-		return nil
-	}()
+	t, err := newTeam(c, np, opts, arrayPath)
 	if err != nil {
 		return Measurement{}, err
 	}
-	sortMeasurements(runs)
-	return runs[len(runs)/2], nil
+	defer t.close()
+	secFor := rowBlocks(cfg.N, np)
+	bufs, useful := buffers(np, secFor)
+	read := func(rank int) error { return t.files[rank].ReadSection(ctx, secFor(rank), bufs[rank]) }
+	if _, err := together(np, read); err != nil { // warm (fills caches when on)
+		return Measurement{}, err
+	}
+	return median(cfg.Reps, func() (Measurement, error) {
+		before := t.requests()
+		elapsed, err := together(np, read)
+		if err != nil {
+			return Measurement{}, err
+		}
+		m := rate(useful, elapsed)
+		m.Requests = t.requests() - before
+		return m, nil
+	})
 }
 
-// runCacheOpens times repeated Opens of one path through a single
-// engine. The returned Measurement abuses MBps to carry opens per
-// second (UsefulMB stays zero: no data moves).
-func runCacheOpens(ctx context.Context, cfg Config, c *cluster.Cluster, cached bool) (Measurement, error) {
-	_ = ctx
-	path := "/abl-cache.dat" // created by runCacheReRead on the same cluster
-	opts := cfg.withDispatch(core.Options{Combine: true})
-	if cached {
-		opts = cfg.cacheOpts(core.Options{Combine: true})
-	}
+// cacheOpens is how many Opens one open-heavy pass times.
+const cacheOpens = 200
+
+// runCacheOpens times repeated Opens of the array runCacheReRead made on
+// c through a single engine. The returned Measurement abuses MBps to
+// carry opens per second (UsefulMB stays zero: no data moves).
+func runCacheOpens(cfg Config, c *cluster.Cluster, opts core.Options) (Measurement, error) {
 	fs, err := c.NewFS(0, opts)
 	if err != nil {
 		return Measurement{}, err
 	}
 	defer fs.Close()
-	const opens = 200
-	f, err := fs.Open(path) // warm (fills the metadata cache when on)
-	if err != nil {
+	open := func() error {
+		f, err := fs.Open(arrayPath)
+		if err != nil {
+			return err
+		}
+		return f.Close()
+	}
+	if err := open(); err != nil { // warm (fills the metadata cache when on)
 		return Measurement{}, err
 	}
-	f.Close()
-	runs := make([]Measurement, 0, cfg.Reps)
-	for rep := 0; rep < cfg.Reps; rep++ {
+	return median(cfg.Reps, func() (Measurement, error) {
 		start := time.Now()
-		for i := 0; i < opens; i++ {
-			f, err := fs.Open(path)
-			if err != nil {
+		for i := 0; i < cacheOpens; i++ {
+			if err := open(); err != nil {
 				return Measurement{}, err
 			}
-			f.Close()
 		}
 		elapsed := time.Since(start)
-		runs = append(runs, Measurement{
-			Elapsed: elapsed,
-			MBps:    float64(opens) / elapsed.Seconds(), // opens/s
-		})
-	}
-	sortMeasurements(runs)
-	return runs[len(runs)/2], nil
+		return Measurement{Elapsed: elapsed, MBps: cacheOpens / elapsed.Seconds()}, nil
+	})
 }
 
 // AblationReplica isolates brick replication: R=2 against the R=1
@@ -663,16 +329,9 @@ func AblationReplica(ctx context.Context, cfg Config, np, io int) ([]Measurement
 	cfg = cfg.WithDefaults()
 	var out []Measurement
 	for _, rep := range []int{1, 2} {
-		c, err := cluster.Start(cluster.Config{
-			Servers:       cluster.UniformClass(io, netsim.Class1()),
-			Dir:           caseDir(cfg.Dir),
-			RefBrickBytes: cfg.Tile * cfg.Tile * elemSize,
+		ms, err := onCluster(cfg, cluster.Config{Servers: cluster.UniformClass(io, netsim.Class1())}, func(c *cluster.Cluster) ([]Measurement, error) {
+			return runReplicaCase(ctx, cfg, c, np, rep)
 		})
-		if err != nil {
-			return nil, err
-		}
-		ms, err := runReplicaCase(ctx, cfg, c, np, rep)
-		c.Close()
 		if err != nil {
 			return nil, err
 		}
@@ -681,53 +340,36 @@ func AblationReplica(ctx context.Context, cfg Config, np, io int) ([]Measurement
 	return out, nil
 }
 
+// runReplicaCase writes and reads an R=rep array's (BLOCK, *) slices
+// and, replicated, reads them again with c's last server dead.
 func runReplicaCase(ctx context.Context, cfg Config, c *cluster.Cluster, np, rep int) ([]Measurement, error) {
-	dims := []int64{cfg.N, cfg.N}
-	path := "/abl-replica.dat"
-	fs, err := c.NewFS(0, core.Options{Combine: true})
+	hint := cfg.hintFor(stripe.LevelMultidim, np)
+	hint.Replicas = rep
+	opts := withDispatch(core.Options{Combine: true})
+	secFor := rowBlocks(cfg.N, np)
+	tag := func(m Measurement, what string) Measurement {
+		return m.tag("AblReplica", "class1", fmt.Sprintf("R=%d %s", rep, what))
+	}
+	w, err := measureArray(ctx, cfg, c, np, hint, opts, secFor, true)
 	if err != nil {
 		return nil, err
 	}
-	f, err := fs.Create(path, elemSize, dims,
-		core.Hint{Level: stripe.LevelMultidim, Tile: []int64{cfg.Tile, cfg.Tile}, Replicas: rep})
-	if err != nil {
-		fs.Close()
-		return nil, err
-	}
-	f.Close()
-	fs.Close()
-
-	opts := cfg.withDispatch(core.Options{Combine: true})
-	secs := func(rank int) stripe.Section { return rowSection(cfg.N, np, rank) }
-	tag := func(m Measurement, label string) Measurement {
-		m.Figure, m.Class, m.Label = "AblReplica", "class1", label
-		return m
-	}
-	var out []Measurement
-
-	w, err := measure(ctx, cfg, c, np, opts, path, secs, true)
+	r, err := measure(ctx, cfg, c, np, opts, secFor, false)
 	if err != nil {
 		return nil, err
 	}
-	out = append(out, tag(w, fmt.Sprintf("R=%d write", rep)))
-
-	r, err := measure(ctx, cfg, c, np, opts, path, secs, false)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, tag(r, fmt.Sprintf("R=%d read", rep)))
-
+	out := []Measurement{tag(w, "write"), tag(r, "read")}
 	if rep > 1 {
 		// Kill one server; reads whose preferred replica lived there
 		// now fail over to the surviving copy.
 		if err := c.IOServers[len(c.IOServers)-1].Close(); err != nil {
 			return nil, err
 		}
-		fo, err := measure(ctx, cfg, c, np, opts, path, secs, false)
+		fo, err := measure(ctx, cfg, c, np, opts, secFor, false)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, tag(fo, fmt.Sprintf("R=%d read, 1 server dead", rep)))
+		out = append(out, tag(fo, "read, 1 server dead"))
 	}
 	return out, nil
 }
@@ -760,26 +402,19 @@ func AblationMeta(ctx context.Context, cfg Config, np, io int) ([]Measurement, e
 	}
 	var out []Measurement
 	for _, cs := range cases {
-		c, err := cluster.Start(cluster.Config{
+		cc := cluster.Config{
 			Servers:       cluster.Uniform(io),
-			Dir:           caseDir(cfg.Dir),
 			DurableMeta:   true,
 			MetaSync:      true,
 			MetaSyncDelay: 4 * time.Millisecond,
 			MetaShards:    cs.shards,
 			MetaReplicas:  cs.replicas,
-		})
+		}
+		m, err := onCluster(cfg, cc, func(c *cluster.Cluster) (Measurement, error) { return runMetaCreates(ctx, cfg, c, np) })
 		if err != nil {
 			return nil, err
 		}
-		m, err := runMetaCreates(ctx, cfg, c, np)
-		c.Close()
-		if err != nil {
-			return nil, err
-		}
-		m.Figure = "AblMeta"
-		m.Label = cs.label
-		out = append(out, m)
+		out = append(out, m.tag("AblMeta", "", cs.label))
 	}
 	return out, nil
 }
@@ -792,46 +427,26 @@ func AblationMeta(ctx context.Context, cfg Config, np, io int) ([]Measurement, e
 // returned Measurement abuses MBps to carry creates per second.
 func runMetaCreates(ctx context.Context, cfg Config, c *cluster.Cluster, np int) (Measurement, error) {
 	const creates = 6 // per client per pass; each costs two durable commits
-	engines := make([]*core.FS, np)
-	for p := range engines {
-		fs, err := c.NewFS(p, core.Options{Combine: true})
-		if err != nil {
-			return Measurement{}, err
-		}
-		engines[p] = fs
+	t, err := newTeam(c, np, core.Options{Combine: true}, "")
+	if err != nil {
+		return Measurement{}, err
 	}
-	defer func() {
-		for _, fs := range engines {
-			fs.Close()
-		}
-	}()
+	defer t.close()
 	hint := core.Hint{Level: stripe.LevelMultidim, Tile: []int64{8, 8}}
-	forAll := func(op func(rank, i int) error) error {
-		var wg sync.WaitGroup
-		errs := make(chan error, np)
-		for p := 0; p < np; p++ {
-			wg.Add(1)
-			go func(rank int) {
-				defer wg.Done()
-				for i := 0; i < creates; i++ {
-					if err := op(rank, i); err != nil {
-						errs <- err
-						return
-					}
-				}
-			}(p)
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			return err
-		}
-		return nil
-	}
 	path := func(rank, i int) string { return fmt.Sprintf("/abl-meta-p%d-f%d.dat", rank, i) }
-	mkFiles := func() error {
-		return forAll(func(rank, i int) error {
-			f, err := engines[rank].Create(path(rank, i), elemSize, []int64{8, 8}, hint)
+	forAll := func(op func(fs *core.FS, path string) error) (time.Duration, error) {
+		return together(np, func(rank int) error {
+			for i := 0; i < creates; i++ {
+				if err := op(t.fss[rank], path(rank, i)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	mkFiles := func() (time.Duration, error) {
+		return forAll(func(fs *core.FS, path string) error {
+			f, err := fs.Create(path, elemSize, []int64{8, 8}, hint)
 			if err != nil {
 				return err
 			}
@@ -839,31 +454,25 @@ func runMetaCreates(ctx context.Context, cfg Config, c *cluster.Cluster, np int)
 		})
 	}
 	rmFiles := func() error {
-		return forAll(func(rank, i int) error { return engines[rank].Remove(ctx, path(rank, i)) })
+		_, err := forAll(func(fs *core.FS, path string) error { return fs.Remove(ctx, path) })
+		return err
 	}
-	if err := mkFiles(); err != nil { // warm: server dials, conn setup
+	if _, err := mkFiles(); err != nil { // warm: server dials, conn setup
 		return Measurement{}, err
 	}
 	if err := rmFiles(); err != nil {
 		return Measurement{}, err
 	}
-	runs := make([]Measurement, 0, cfg.Reps)
-	for rep := 0; rep < cfg.Reps; rep++ {
-		start := time.Now()
-		if err := mkFiles(); err != nil {
+	return median(cfg.Reps, func() (Measurement, error) {
+		elapsed, err := mkFiles()
+		if err != nil {
 			return Measurement{}, err
 		}
-		elapsed := time.Since(start)
 		if err := rmFiles(); err != nil {
 			return Measurement{}, err
 		}
-		runs = append(runs, Measurement{
-			Elapsed: elapsed,
-			MBps:    float64(np*creates) / elapsed.Seconds(), // creates/s
-		})
-	}
-	sortMeasurements(runs)
-	return runs[len(runs)/2], nil
+		return Measurement{Elapsed: elapsed, MBps: float64(np*creates) / elapsed.Seconds()}, nil
+	})
 }
 
 // Ablation dispatches an ablation by name.

@@ -8,6 +8,7 @@ import (
 
 	"dpfs/internal/cluster"
 	"dpfs/internal/core"
+	"dpfs/internal/metadb/mdbnet"
 	"dpfs/internal/netsim"
 	"dpfs/internal/server"
 	"dpfs/internal/stripe"
@@ -149,14 +150,18 @@ func TestFig11TrafficShape(t *testing.T) {
 	// The engine's own default — no cache, so the servers sieve each
 	// brick's span — makes the same requests for the same access and
 	// moves exactly the useful bytes.
-	for _, lc := range LevelCases()[:2] {
-		got, err := runLevelCase(ctx, cfg, np, 4, netsim.Params{}, lc, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.MovedMB != got.UsefulMB || got.Requests != m[lc.Label].Requests {
+	sieved := cfg.fileLevels(np)[:2]
+	for i := range sieved {
+		sieved[i].opts.CacheBytes = 0
+	}
+	got, err := sweep(ctx, cfg, "Fig11", netsim.Params{}, 4, np, colBlocks(cfg.N, np), sieved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range got {
+		if g.MovedMB != g.UsefulMB || g.Requests != m[g.Label].Requests {
 			t.Errorf("%s, sieved: %d requests moved %.2f MB for %.2f useful, want %d requests and no more than useful",
-				lc.Label, got.Requests, got.MovedMB, got.UsefulMB, m[lc.Label].Requests)
+				g.Label, g.Requests, g.MovedMB, g.UsefulMB, m[g.Label].Requests)
 		}
 	}
 }
@@ -276,22 +281,27 @@ func TestAblationShapes(t *testing.T) {
 func TestShapeAblationSweep(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.Reps = 1
+	cfg = cfg.WithDefaults()
 	ctx := ctxT(t)
+	shapes := map[string]variant{}
+	for _, v := range cfg.tileShapes() {
+		shapes[v.label] = v
+	}
 	const wanted = 256 * 256 * 8
 	for _, tc := range []struct {
 		label           string
-		tile            []int64 // AblationBrickShape's at N = 256
 		requests, swept int64
 	}{
-		{"square tile", []int64{32, 32}, 8, wanted},
-		{"row tile", []int64{8, 128}, 16, 16 * (15*8<<10 + 7<<10 + 256)},
+		{"square tile", 8, wanted},
+		{"row tile", 16, 16 * (15*8<<10 + 7<<10 + 256)},
 	} {
 		c, err := cluster.Start(cluster.Config{Servers: cluster.UniformClass(4, netsim.Params{}), Dir: caseDir(cfg.Dir)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		before := subfileBytesRead(c)
-		m, err := runShapeCase(ctx, cfg, c, 8, tc.tile)
+		v := shapes[tc.label]
+		m, err := measureArray(ctx, cfg, c, 8, v.hint, v.opts, colBlocks(cfg.N, 8), false)
 		swept := subfileBytesRead(c) - before
 		c.Close()
 		if err != nil {
@@ -305,12 +315,140 @@ func TestShapeAblationSweep(t *testing.T) {
 }
 
 // subfileBytesRead sums the bytes c's servers have read from subfiles.
-func subfileBytesRead(c *cluster.Cluster) int64 {
+func subfileBytesRead(c *cluster.Cluster) int64 { return ioCounter(c, server.MetricSubfileBytesRead) }
+
+// ioCounter sums one counter over c's I/O servers.
+func ioCounter(c *cluster.Cluster, name string) int64 {
 	var n int64
 	for _, srv := range c.IOServers {
-		n += srv.Metrics().Counter(server.MetricSubfileBytesRead).Value()
+		n += srv.Metrics().Counter(name).Value()
 	}
 	return n
+}
+
+// TestReplicaAblationTraffic pins the replica ablation's traffic on an
+// unshaped four-server cluster. An R=2 write sends every brick to both
+// replicas: twice the bytes of the R=1 write in twice the requests. An
+// R=2 healthy read asks the preferred replica alone: exactly what the
+// R=1 read moves, in as many requests. With one server dead the read
+// still completes and brings back every wanted byte.
+func TestReplicaAblationTraffic(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.Reps = 1
+	cfg = cfg.WithDefaults()
+	ctx := ctxT(t)
+	rows := map[int][]Measurement{}
+	for _, rep := range []int{1, 2} {
+		c, err := cluster.Start(cluster.Config{Servers: cluster.UniformClass(4, netsim.Params{}), Dir: caseDir(cfg.Dir)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows[rep], err = runReplicaCase(ctx, cfg, c, 4, rep)
+		c.Close()
+		if err != nil {
+			t.Fatalf("R=%d: %v", rep, err)
+		}
+	}
+	w1, r1 := rows[1][0], rows[1][1]
+	w2, r2, dead := rows[2][0], rows[2][1], rows[2][2]
+	if w1.MovedMB != w1.UsefulMB || w2.MovedMB != 2*w1.MovedMB || w2.Requests != 2*w1.Requests {
+		t.Errorf("writes: R=1 %d requests moved %.3f MB of %.3f useful, R=2 %d requests moved %.3f MB; want R=2 exactly twice R=1",
+			w1.Requests, w1.MovedMB, w1.UsefulMB, w2.Requests, w2.MovedMB)
+	}
+	if r2.MovedMB != r1.MovedMB || r2.Requests != r1.Requests {
+		t.Errorf("healthy reads: R=1 %d requests moved %.3f MB, R=2 %d requests moved %.3f MB; want the same",
+			r1.Requests, r1.MovedMB, r2.Requests, r2.MovedMB)
+	}
+	if dead.UsefulMB != r1.UsefulMB || dead.MovedMB != dead.UsefulMB {
+		t.Errorf("read with a server dead: moved %.3f MB of %.3f useful, want all %.3f MB",
+			dead.MovedMB, dead.UsefulMB, r1.UsefulMB)
+	}
+}
+
+// TestCacheAblationTraffic pins the cache ablation's traffic on
+// unshaped four-server clusters. A re-read with the cache off issues in
+// each timed pass what one cold pass issues; with the cache on, and
+// readahead off — its background prefetches have no deterministic
+// count — the timed passes issue none. The two clusters otherwise run
+// the same fill and warm pass, so the servers see exactly the uncached
+// timed passes more. After the warm open, the cached engine's opens ask
+// the catalog nothing, and each of the uncached engine's asks it what
+// one open does.
+func TestCacheAblationTraffic(t *testing.T) {
+	cfg := testConfig(t).WithDefaults()
+	ctx := ctxT(t)
+	const np = 4
+	var pass int64             // one cold pass's requests
+	served := map[bool]int64{} // the servers' requests over a re-read
+	for _, cached := range []bool{false, true} {
+		c, err := cluster.Start(cluster.Config{Servers: cluster.UniformClass(4, netsim.Params{}), Dir: caseDir(cfg.Dir)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		opts := cacheOpts(core.Options{Combine: true, Stagger: true}, cached)
+		opts.Readahead = 0
+		before := ioCounter(c, server.MetricRequests)
+		m, err := runCacheReRead(ctx, cfg, c, np, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served[cached] = ioCounter(c, server.MetricRequests) - before
+		want := int64(0)
+		if !cached {
+			cold, err := measure(ctx, cfg, c, np, opts, rowBlocks(cfg.N, np), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pass, want = cold.Requests, cold.Requests
+		}
+		if pass == 0 || m.Requests != want {
+			t.Errorf("re-read, cached %v: a timed pass issued %d requests, want %d", cached, m.Requests, want)
+		}
+
+		first, again := openCost(t, c)
+		before = catalogRequests(c)
+		if _, err := runCacheOpens(cfg, c, cacheOpts(core.Options{Combine: true}, cached)); err != nil {
+			t.Fatal(err)
+		}
+		want = first + int64(cfg.Reps*cacheOpens)*again
+		if cached {
+			want = first
+		}
+		if got := catalogRequests(c) - before; again == 0 || got != want {
+			t.Errorf("opens, cached %v: %d catalog requests, want %d (%d for the warm open, %d for each after)",
+				cached, got, want, first, again)
+		}
+	}
+	if more := served[false] - served[true]; more != int64(cfg.Reps)*pass {
+		t.Errorf("the servers saw %d requests more without the cache, want %d timed passes of %d", more, cfg.Reps, pass)
+	}
+}
+
+// catalogRequests is how many requests c's catalog has served.
+func catalogRequests(c *cluster.Cluster) int64 {
+	return c.MetaSrv.Metrics().Counter(mdbnet.MetricRequests).Value()
+}
+
+// openCost is what opening and closing arrayPath asks of c's catalog,
+// the first time on an engine and again.
+func openCost(t *testing.T, c *cluster.Cluster) (first, again int64) {
+	t.Helper()
+	fs, err := c.NewFS(0, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	cost := func() int64 {
+		before := catalogRequests(c)
+		f, err := fs.Open(arrayPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		return catalogRequests(c) - before
+	}
+	return cost(), cost()
 }
 
 // TestFigureDispatch covers the Figure() entry points and unknown

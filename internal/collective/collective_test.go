@@ -157,7 +157,7 @@ func TestCollectiveReducesRequests(t *testing.T) {
 	}
 
 	// Independent: each rank writes its interleaved rows directly.
-	core.ResetStats()
+	before := requests(files)
 	for round := 0; round < 4; round++ {
 		for r := 0; r < np; r++ {
 			sec := secFor(r, round)
@@ -166,11 +166,11 @@ func TestCollectiveReducesRequests(t *testing.T) {
 			}
 		}
 	}
-	independent := core.ReadStats().Requests
+	independent := requests(files) - before
 
 	// Collective: same traffic through the group.
 	g, _ := NewGroup(np)
-	core.ResetStats()
+	before = requests(files)
 	for round := 0; round < 4; round++ {
 		var wg sync.WaitGroup
 		errs := make(chan error, np)
@@ -189,11 +189,21 @@ func TestCollectiveReducesRequests(t *testing.T) {
 			}
 		}
 	}
-	collective := core.ReadStats().Requests
+	collective := requests(files) - before
 
 	if collective >= independent {
 		t.Fatalf("collective used %d requests, independent %d; collective should be fewer", collective, independent)
 	}
+}
+
+// requests sums the server requests issued through the ranks' handles,
+// the aggregators' included.
+func requests(files []*core.File) int64 {
+	var n int64
+	for _, f := range files {
+		n += f.Stats().Requests
+	}
+	return n
 }
 
 // TestCollectiveOverlappingWrites: overlapping regions resolve without

@@ -267,10 +267,8 @@ func (fs *FS) sample() bool {
 	return rand.Float64() < ts
 }
 
-// Stats returns this engine's own traffic counters. Unlike the
-// package-level ReadStats (a process-wide aggregate kept for
-// compatibility), these cannot be corrupted by other clients in the
-// same process.
+// Stats returns this engine's traffic counters: its own, unless
+// SetMetrics shares its registry with other engines.
 func (fs *FS) Stats() Stats {
 	return Stats{
 		Requests:         fs.reg.Counter(MetricRequests).Value(),

@@ -234,20 +234,18 @@ func TestCombinationReducesRequests(t *testing.T) {
 	}
 
 	f := build(false, "/general")
-	core.ResetStats()
 	if err := f.WriteAt(ctx, make([]byte, 32<<10), 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := core.ReadStats().Requests; got != 8 {
+	if got := f.Stats().Requests; got != 8 {
 		t.Errorf("general approach issued %d requests, want 8", got)
 	}
 
 	f = build(true, "/combined")
-	core.ResetStats()
 	if err := f.WriteAt(ctx, make([]byte, 32<<10), 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := core.ReadStats().Requests; got != 4 {
+	if got := f.Stats().Requests; got != 4 {
 		t.Errorf("combined approach issued %d requests, want 4", got)
 	}
 }

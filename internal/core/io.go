@@ -42,36 +42,6 @@ type fileStats struct {
 	useful      atomic.Int64
 }
 
-// The authoritative counters live on each FS (see FS.Stats) and File
-// (File.Stats); these process-wide atomics remain as a compatibility
-// aggregate behind the package-level ReadStats/ResetStats shims.
-// Single-client callers see identical numbers; multi-client processes
-// should prefer the per-engine accessors, which cannot be corrupted by
-// another client's traffic.
-var (
-	statRequests    atomic.Int64
-	statTransferred atomic.Int64
-	statUseful      atomic.Int64
-)
-
-// ReadStats returns process-wide aggregate traffic counters
-// (compatibility shim; prefer FS.Stats for per-client numbers).
-func ReadStats() Stats {
-	return Stats{
-		Requests:         statRequests.Load(),
-		BytesTransferred: statTransferred.Load(),
-		BytesUseful:      statUseful.Load(),
-	}
-}
-
-// ResetStats zeroes the process-wide aggregate counters. Per-engine
-// registries are unaffected.
-func ResetStats() {
-	statRequests.Store(0)
-	statTransferred.Store(0)
-	statUseful.Store(0)
-}
-
 // WriteSection writes the packed section data into the file region sec.
 // data holds sec's elements in row-major order of the section.
 func (f *File) WriteSection(ctx context.Context, sec stripe.Section, data []byte) error {
@@ -199,7 +169,6 @@ func (f *File) execute(ctx context.Context, plan []stripe.BrickIO, buf []byte, w
 	for _, bio := range plan {
 		useful += bio.Bytes()
 	}
-	statUseful.Add(useful)
 	f.fs.reg.Counter(MetricBytesUseful).Add(useful)
 	f.stats.useful.Add(useful)
 
@@ -676,8 +645,6 @@ func (f *File) doRequest(ctx context.Context, r *stripe.Request, buf []byte, wri
 	if err != nil {
 		return fmt.Errorf("dpfs: %s: %w", f.info.Path, err)
 	}
-	statRequests.Add(1)
-	statTransferred.Add(moved)
 	f.fs.reg.Counter(MetricRequests).Inc()
 	f.fs.reg.Counter(MetricBytesMoved).Add(moved)
 	f.stats.requests.Add(1)

@@ -20,7 +20,7 @@ import (
 // TestParallelDispatchConcurrentClients runs several goroutine clients
 // (the default, overlapped dispatch) against one cluster: every roundtrip must be
 // byte-exact, and the per-file counters must sum to exactly the
-// process-wide aggregate delta (run under -race this also exercises the
+// per-engine counters (run under -race this also exercises the
 // engine's concurrent scatter path).
 func TestParallelDispatchConcurrentClients(t *testing.T) {
 	const np = 4
@@ -28,10 +28,11 @@ func TestParallelDispatchConcurrentClients(t *testing.T) {
 	c := startCluster(t, 4)
 	ctx := ctxT(t)
 
-	before := core.ReadStats()
+	fss := make([]*core.FS, np)
 	files := make([]*core.File, np)
 	for r := 0; r < np; r++ {
 		fs := newFS(t, c, r, core.Options{Combine: true, Stagger: true})
+		fss[r] = fs
 		f, err := fs.Create(fmt.Sprintf("/par-%d.bin", r), 1, []int64{size},
 			core.Hint{Level: stripe.LevelLinear, BrickBytes: 4096, Placement: stripe.RoundRobin{}})
 		if err != nil {
@@ -75,21 +76,18 @@ func TestParallelDispatchConcurrentClients(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	after := core.ReadStats()
-	var perFile core.Stats
-	for _, f := range files {
-		st := f.Stats()
-		perFile.Requests += st.Requests
-		perFile.BytesTransferred += st.BytesTransferred
-		perFile.BytesUseful += st.BytesUseful
+	var perFile, perEngine core.Stats
+	for r := range files {
+		fst, est := files[r].Stats(), fss[r].Stats()
+		perFile.Requests += fst.Requests
+		perFile.BytesTransferred += fst.BytesTransferred
+		perFile.BytesUseful += fst.BytesUseful
+		perEngine.Requests += est.Requests
+		perEngine.BytesTransferred += est.BytesTransferred
+		perEngine.BytesUseful += est.BytesUseful
 	}
-	delta := core.Stats{
-		Requests:         after.Requests - before.Requests,
-		BytesTransferred: after.BytesTransferred - before.BytesTransferred,
-		BytesUseful:      after.BytesUseful - before.BytesUseful,
-	}
-	if perFile != delta {
-		t.Fatalf("per-file sum %+v != process-wide delta %+v", perFile, delta)
+	if perFile != perEngine {
+		t.Fatalf("per-file sum %+v != per-engine sum %+v", perFile, perEngine)
 	}
 	if perFile.BytesUseful != np*2*size {
 		t.Fatalf("useful bytes = %d, want %d", perFile.BytesUseful, np*2*size)

@@ -217,6 +217,13 @@ func TestSelectionRefused(t *testing.T) {
 	exts := []wire.Extent{{Off: 0, Len: 1000}, {Off: 4096, Len: 1000}}
 	good := rawSelection(0, 1, 0, 10, 100, 10) // 100 of the first extent's bytes: 1100 travel
 	neg := func(v int64) uint64 { return uint64(v) }
+	wrapping := func(n int) []wire.Extent {
+		out := make([]wire.Extent, n)
+		for i := range out {
+			out[i] = wire.Extent{Len: 1<<62 + 1}
+		}
+		return out
+	}
 	dataOps := []wire.Op{wire.OpRead, wire.OpWrite}
 	only := func(op wire.Op) []wire.Op { return []wire.Op{op} }
 
@@ -253,6 +260,11 @@ func TestSelectionRefused(t *testing.T) {
 		{name: "extent end overflowing", exts: []wire.Extent{{Off: math.MaxInt64 - 2, Len: 4}}, data: fillByte(4, 9), want: "invalid extent"},
 		{name: "extent end overflowing under a selection", exts: []wire.Extent{{Off: math.MaxInt64 - 2, Len: 4}},
 			sel: rawSelection(0, 1, 0, 1, 2, 2), data: fillByte(2, 9), want: "invalid extent"},
+		// Four lengths past the bound whose sum wraps to 4: the WRITE's
+		// 4-byte payload must not reach the scatter loop, nor a READ sweep
+		// 2^62 bytes an extent, nor a COPY (its extents in pairs).
+		{name: "extent lengths summing past the bound", exts: wrapping(4), data: fillByte(4, 9), want: "out of range"},
+		{name: "copy extent lengths summing past the bound", ops: only(wire.OpCopy), exts: wrapping(8), want: "out of range"},
 		{name: "a write payload short of its selection", ops: only(wire.OpWrite), sel: good, data: fillByte(1099, 9), want: "write carries"},
 		{name: "a write payload long for its selection", ops: only(wire.OpWrite), sel: good, data: fillByte(1101, 9), want: "write carries"},
 		{name: "a write payload sized for the unselected extents", ops: only(wire.OpWrite), sel: good, data: fillByte(2000, 9), want: "write carries"},

@@ -989,6 +989,7 @@ func (s *Server) drop(local string) {
 // they cover. It runs before any buffer is taken or span opened, so
 // the I/O loops below need no early exits for malformed input.
 func checkExtents(op string, exts []wire.Extent) (int64, error) {
+	var total int64
 	for _, e := range exts {
 		// An end past MaxInt64 is refused here, not found by the disk
 		// (a failed pwrite marks the server degraded): every offset the
@@ -996,10 +997,12 @@ func checkExtents(op string, exts []wire.Extent) (int64, error) {
 		if e.Len < 0 || e.Off < 0 || e.Off > math.MaxInt64-e.Len {
 			return 0, fmt.Errorf("invalid extent at %d of %d bytes", e.Off, e.Len)
 		}
-	}
-	total := wire.DataBytes(exts)
-	if total < 0 || total > wire.MaxMessage {
-		return 0, fmt.Errorf("%s of %d bytes out of range", op, total)
+		// The running sum is bounded at every extent, so it cannot wrap
+		// back into range.
+		if e.Len > wire.MaxMessage-total {
+			return 0, fmt.Errorf("%s of more than %d bytes out of range", op, wire.MaxMessage)
+		}
+		total += e.Len
 	}
 	return total, nil
 }

@@ -17,8 +17,7 @@
 #      on what they read) and of FuzzPlan (arbitrary geometries of
 #      every level and arbitrary file and memory runs against the
 #      client's one planner); their seed corpora already ran in tier-1
-#   7. dispatch + replica bench smokes
-#      (BENCH_dispatch.json, BENCH_replica.json)
+#   7. one smoke run of dpfs-bench (-ablation parallel)
 #   8. documentation lint (godoc coverage + markdown links)
 #   9. obslint: metric names vs the frozen manifest + Prometheus
 #      exposition validity (scripts/obslint.sh)
@@ -62,8 +61,8 @@ go test -run '^$' -fuzz '^FuzzScatterWrite$' -fuzztime 10s ./internal/server
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/meta
 go test -run '^$' -fuzz '^FuzzCatalogCodec$' -fuzztime 10s ./internal/meta
 go test -run '^$' -fuzz '^FuzzPlan$' -fuzztime 10s ./internal/stripe
-sh scripts/bench_smoke.sh
-sh scripts/bench_replica.sh
+echo "== bench smoke: dpfs-bench -ablation parallel =="
+go run ./cmd/dpfs-bench -ablation parallel -n 128 -reps 1 -csv > /dev/null
 echo "== benchmark module: go vet + go test =="
 (cd benchmark && go vet . && go test .)
 echo "== all checks passed =="
