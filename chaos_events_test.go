@@ -164,7 +164,7 @@ func TestGossipEventLog(t *testing.T) {
 	waitEvent(obs.EventGossipMemberJoin, "the mesh never converged")
 
 	// The prober's catalog connection must exist before the outage.
-	cat, err := c.NewRouter()
+	cat, err := c.NewCatalog()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestGossipEventLog(t *testing.T) {
 
 	// With the catalog gone too, the probe falls back to the gossip
 	// snapshot and says so.
-	if err := c.StopMetaShard(0); err != nil {
+	if err := c.StopMeta(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.Probe(ctx); err != nil {

@@ -11,8 +11,9 @@
 // this process (DESIGN.md §13): replica 0 serves -addr, the others
 // listen on ephemeral addresses printed at startup, and a commit is
 // acknowledged only once the -repl-ack quorum holds it durably. Point
-// clients at every replica with the printed -meta-addrs value; they
-// follow the primary across failovers by redirect.
+// clients and I/O servers at every replica with the printed -meta
+// value (the group's comma-separated addresses); they follow the
+// primary across failovers by redirect.
 //
 // With -debug-addr the daemon also serves /metrics (Prometheus text),
 // /healthz, /debug/vars (JSON), /debug/trace, /debug/events and
@@ -178,7 +179,7 @@ func runGroup(n int, ack metarepl.Ack, addr string, dbOpts metadb.Options, debug
 	for j := 1; j < n; j++ {
 		fmt.Printf("dpfs-meta: replica %d on %s (replication %s)\n", j, sqlAddrs[j], peers[j])
 	}
-	fmt.Printf("dpfs-meta: clients: -meta-addrs '%s;'\n", strings.Join(sqlAddrs, ","))
+	fmt.Printf("dpfs-meta: clients: -meta '%s'\n", strings.Join(sqlAddrs, ","))
 
 	if debugAddr != "" {
 		regs := map[string]*obs.Registry{"db": dbs[0].Metrics(), "net": srvs[0].Metrics()}

@@ -30,8 +30,6 @@ import (
 	"dpfs"
 	"dpfs/internal/fault"
 	"dpfs/internal/gossip"
-	"dpfs/internal/meta"
-	"dpfs/internal/metadb/mdbnet"
 	"dpfs/internal/netsim"
 	"dpfs/internal/obs"
 	"dpfs/internal/server"
@@ -41,8 +39,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:0", "TCP listen address")
 	root := flag.String("root", "", "directory for subfile storage (required)")
 	name := flag.String("name", "", "server name in the catalog (default: the listen address)")
-	metaAddr := flag.String("meta", "", "metadata server address to register with (optional)")
-	metaAddrs := flag.String("meta-addrs", "", "catalog shard addresses to register with (overrides -meta; the server is recorded on every shard); semicolons separate shards, commas a shard's replicas")
+	metaAddr := flag.String("meta", "", "metadata server address to register with, or one catalog replica group's addresses separated by commas (optional)")
 	className := flag.String("class", "", "simulated storage class: class1, class2 or class3 (default: native speed)")
 	capacity := flag.Int64("capacity", 1<<30, "advertised capacity in bytes")
 	advertise := flag.String("advertise", "", "address to advertise in the catalog (default: the listen address)")
@@ -108,53 +105,22 @@ func main() {
 		adv = srv.Addr()
 	}
 
-	regAddrs := ""
-	if *metaAddrs != "" {
-		regAddrs = *metaAddrs
-	} else if *metaAddr != "" {
-		regAddrs = *metaAddr
-	}
 	registered := false
 	var gossipSeeds []string
-	if regAddrs != "" {
-		// Register with every catalog shard: any shard must be able to
-		// resolve this server for the files it homes. Replicated shards
-		// get a failover connection that follows the group's primary.
-		var clis []interface{ Close() error }
-		shards := make([]meta.Router, 0, 1)
-		for _, group := range dpfs.ParseMetaAddrs(regAddrs) {
-			var (
-				x   meta.Execer
-				err error
-			)
-			if len(group) == 1 {
-				x, err = mdbnet.Dial(group[0])
-			} else {
-				x, err = mdbnet.DialGroup(group, nil)
-			}
-			if err != nil {
-				fatal(fmt.Errorf("register: %w", err))
-			}
-			clis = append(clis, x.(interface{ Close() error }))
-			shards = append(shards, meta.NewCatalog(x))
-		}
-		if len(shards) == 0 {
-			fatal(fmt.Errorf("register: no catalog addresses in %q", regAddrs))
-		}
-		var cat meta.Router = shards[0]
-		if len(shards) > 1 {
-			cat = meta.NewShardRouter(shards...)
-		}
-		if err := cat.Init(); err != nil {
+	if *metaAddr != "" {
+		// A replica group's address list gets a failover connection that
+		// follows the group's primary.
+		client, err := dpfs.Connect(*metaAddr, 0, dpfs.Options{})
+		if err != nil {
 			fatal(fmt.Errorf("register: %w", err))
 		}
-		err = cat.RegisterServer(meta.ServerInfo{
+		err = client.RegisterServer(dpfs.ServerInfo{
 			Name: serverName, Capacity: *capacity, Performance: perf, Addr: adv,
 		})
 		if err == nil && *gossipOn {
 			// The registered server table doubles as the gossip seed
 			// list: every already-known peer bootstraps this node's view.
-			if infos, serr := cat.Servers(); serr == nil {
+			if infos, serr := client.Servers(); serr == nil {
 				for _, si := range infos {
 					if si.Addr != adv {
 						gossipSeeds = append(gossipSeeds, si.Addr)
@@ -162,14 +128,12 @@ func main() {
 				}
 			}
 		}
-		for _, cli := range clis {
-			cli.Close()
-		}
+		client.Close()
 		if err != nil {
 			fatal(fmt.Errorf("register: %w", err))
 		}
 		registered = true
-		fmt.Printf("dpfs-server: registered as %q (perf %d) with %s\n", serverName, perf, regAddrs)
+		fmt.Printf("dpfs-server: registered as %q (perf %d) with %s\n", serverName, perf, *metaAddr)
 	}
 	fmt.Printf("dpfs-server: %q serving %s on %s\n", serverName, *root, srv.Addr())
 
@@ -219,7 +183,7 @@ func main() {
 					"name":             serverName,
 					"addr":             srv.Addr(),
 					"root":             *root,
-					"meta":             regAddrs,
+					"meta":             *metaAddr,
 					"registered":       registered,
 					"disk_errors":      hs.DiskErrors,
 					"copy_peer_errors": hs.CopyPeerErrors,

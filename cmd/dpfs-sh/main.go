@@ -30,8 +30,7 @@ import (
 const traceCap = 256
 
 func main() {
-	metaAddr := flag.String("meta", "127.0.0.1:7700", "metadata server address")
-	metaAddrs := flag.String("meta-addrs", "", "catalog shard addresses, path-hash routed (overrides -meta; every client must list the same order); semicolons separate shards, commas a shard's replicas: 'h1a,h1b;h2a' or legacy comma-only 'h1,h2'")
+	metaAddr := flag.String("meta", "127.0.0.1:7700", "metadata server address, or one catalog replica group's addresses separated by commas")
 	command := flag.String("c", "", "run one command and exit")
 	rank := flag.Int("rank", 0, "compute rank (drives staggered scheduling)")
 	cacheMB := flag.Int64("cache-mb", 0, "client data-cache budget in MiB (0 = cache off)")
@@ -49,11 +48,7 @@ func main() {
 		return
 	}
 
-	groups := [][]string{{*metaAddr}}
-	if *metaAddrs != "" {
-		groups = dpfs.ParseMetaAddrs(*metaAddrs)
-	}
-	client, err := dpfs.ConnectGroups(groups, *rank, dpfs.Options{Combine: true, Stagger: true,
+	client, err := dpfs.Connect(*metaAddr, *rank, dpfs.Options{Combine: true, Stagger: true,
 		CacheBytes: *cacheMB << 20, MetaTTL: *metaTTL, Readahead: *readahead,
 		TraceSample: *traceSample, SlowRequest: time.Duration(*slowMS) * time.Millisecond})
 	if err != nil {

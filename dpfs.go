@@ -28,7 +28,7 @@ package dpfs
 
 import (
 	"context"
-	"errors"
+	"fmt"
 	"io"
 	"strings"
 
@@ -137,125 +137,50 @@ func NewSection(start, count []int64) Section { return stripe.NewSection(start, 
 func FullSection(dims []int64) Section { return stripe.FullSection(dims) }
 
 // Client is a DPFS mount: one compute process's connection to the
-// metadata database (one or more catalog shards, each possibly a
-// replica group) and, lazily, to the I/O servers.
+// metadata catalog (one server, or one replica group) and, lazily, to
+// the I/O servers.
 type Client struct {
-	fs   *core.FS
-	mdbs []interface{ Close() error }
+	fs  *core.FS
+	mdb interface{ Close() error }
 }
 
-// Connect dials the metadata server at metaAddr and returns a client
-// for the given compute rank. Call Close when done.
+// Connect dials the metadata catalog and returns a client for the
+// given compute rank. Call Close when done. metaAddr is one catalog
+// server's address, or the comma-separated SQL addresses of one
+// catalog replica group ("h1:7700,h2:7700,h3:7700", in any order),
+// whose connection follows the group's primary across elections (see
+// internal/metarepl).
 func Connect(metaAddr string, rank int, opts Options) (*Client, error) {
-	return ConnectShards([]string{metaAddr}, rank, opts)
-}
-
-// ParseMetaAddrs parses a -meta-addrs flag value into per-shard
-// replica address lists for ConnectGroups. Semicolons separate
-// shards; commas separate a shard's replicas:
-//
-//	"h1:9000"                      one shard, unreplicated
-//	"h1:9000,h2:9000"              two shards (legacy comma form)
-//	"h1a:9000,h1b:9000;h2a:9000"   shard 0 with two replicas, shard 1 with one
-//	"h1a:9000,h1b:9000;"           one shard with two replicas
-//
-// Without any semicolon the commas keep their historical meaning of
-// separating shards, so existing multi-shard invocations parse
-// unchanged; a single replicated shard therefore needs a trailing
-// semicolon. Empty elements are skipped.
-func ParseMetaAddrs(spec string) [][]string {
-	var groups [][]string
-	if !strings.Contains(spec, ";") {
-		for _, a := range strings.Split(spec, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				groups = append(groups, []string{a})
-			}
-		}
-		return groups
+	if strings.Contains(metaAddr, ";") {
+		return nil, fmt.Errorf("dpfs: catalog address %q holds a ';': catalog shards were removed, so name one catalog or its replica group (commas between replicas)", metaAddr)
 	}
-	for _, g := range strings.Split(spec, ";") {
-		var reps []string
-		for _, a := range strings.Split(g, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				reps = append(reps, a)
-			}
-		}
-		if len(reps) > 0 {
-			groups = append(groups, reps)
+	addrs := strings.Split(metaAddr, ",")
+	for i, a := range addrs {
+		if addrs[i] = strings.TrimSpace(a); addrs[i] == "" {
+			return nil, fmt.Errorf("dpfs: catalog address list %q has an empty element", metaAddr)
 		}
 	}
-	return groups
-}
-
-// ConnectShards dials one catalog shard per address (in shard-index
-// order — every client must list the same addresses in the same
-// order) and returns a client whose catalog operations are path-hash
-// routed across them. One address behaves exactly like Connect.
-func ConnectShards(metaAddrs []string, rank int, opts Options) (*Client, error) {
-	groups := make([][]string, len(metaAddrs))
-	for i, addr := range metaAddrs {
-		groups[i] = []string{addr}
-	}
-	return ConnectGroups(groups, rank, opts)
-}
-
-// ConnectGroups is ConnectShards for replicated catalogs: element i is
-// shard i's full replica address list (every client must list the
-// same shards, in the same order — replica order within a shard does
-// not matter). Shards with one address get a plain connection; shards
-// with several get a failover connection that follows the replica
-// group's primary across elections (see internal/metarepl). Use
-// ParseMetaAddrs to build the address lists from a flag string.
-func ConnectGroups(groups [][]string, rank int, opts Options) (*Client, error) {
-	if len(groups) == 0 {
-		return nil, errors.New("dpfs: ConnectGroups needs at least one metadata shard")
-	}
-	c := &Client{}
-	shards := make([]meta.Router, 0, len(groups))
-	for _, group := range groups {
-		var (
-			x   meta.Execer
-			err error
-		)
-		switch len(group) {
-		case 0:
-			err = errors.New("dpfs: empty replica address list")
-		case 1:
-			x, err = mdbnet.Dial(group[0])
-		default:
-			x, err = mdbnet.DialGroup(group, nil)
+	var (
+		x interface {
+			meta.Execer
+			Close() error
 		}
-		if err != nil {
-			c.closeMeta()
-			return nil, err
-		}
-		c.mdbs = append(c.mdbs, x.(interface{ Close() error }))
-		shards = append(shards, meta.NewCatalog(x))
-	}
-	var cat meta.Router
-	if len(shards) == 1 {
-		cat = shards[0]
+		err error
+	)
+	if len(addrs) == 1 {
+		x, err = mdbnet.Dial(addrs[0])
 	} else {
-		cat = meta.NewShardRouter(shards...)
+		x, err = mdbnet.DialGroup(addrs, nil)
 	}
-	if err := cat.Init(); err != nil {
-		c.closeMeta()
+	if err != nil {
 		return nil, err
 	}
-	c.fs = core.NewFS(cat, rank, opts)
-	return c, nil
-}
-
-// closeMeta drops the catalog connections.
-func (c *Client) closeMeta() error {
-	var first error
-	for _, mdb := range c.mdbs {
-		if err := mdb.Close(); err != nil && first == nil {
-			first = err
-		}
+	cat := meta.NewCatalog(x)
+	if err := cat.Init(); err != nil {
+		x.Close()
+		return nil, err
 	}
-	c.mdbs = nil
-	return first
+	return &Client{fs: core.NewFS(cat, rank, opts), mdb: x}, nil
 }
 
 // Wrap builds a Client around an existing engine (used by in-process
@@ -265,8 +190,11 @@ func Wrap(fs *core.FS) *Client { return &Client{fs: fs} }
 // Close drops all server connections.
 func (c *Client) Close() error {
 	err := c.fs.Close()
-	if cerr := c.closeMeta(); err == nil {
-		err = cerr
+	if c.mdb != nil {
+		if cerr := c.mdb.Close(); err == nil {
+			err = cerr
+		}
+		c.mdb = nil
 	}
 	return err
 }

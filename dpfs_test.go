@@ -3,6 +3,7 @@ package dpfs_test
 import (
 	"bytes"
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -174,10 +175,23 @@ func TestPublicAPI(t *testing.T) {
 	}
 }
 
-// TestConnectFailure: dialing a dead metadata server fails cleanly.
+// TestConnectFailure: a dead address fails to connect, and so do the
+// two catalog address lists Connect refuses before dialling anything,
+// a ';' (the separator of the removed catalog shards) and an empty
+// element.
 func TestConnectFailure(t *testing.T) {
-	if _, err := dpfs.Connect("127.0.0.1:1", 0, dpfs.Options{}); err == nil {
-		t.Fatal("connect to dead address should fail")
+	for _, tc := range []struct{ addr, want string }{
+		{"127.0.0.1:1", ""},
+		{"a;b", "shards were removed"},
+		{"127.0.0.1:1,,127.0.0.1:2", "empty element"},
+	} {
+		_, err := dpfs.Connect(tc.addr, 0, dpfs.Options{})
+		if err == nil {
+			t.Fatalf("Connect(%q) succeeded", tc.addr)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("Connect(%q) = %v, want an error containing %q", tc.addr, err, tc.want)
+		}
 	}
 }
 

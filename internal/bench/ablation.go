@@ -375,30 +375,26 @@ func runReplicaCase(ctx context.Context, cfg Config, c *cluster.Cluster, np, rep
 }
 
 // AblationMeta prices the durable metadata commit pipeline: one
-// catalog shard, path-hash sharding over two (independent commit
-// pipelines), and one shard replicated three ways with majority
+// catalog, and the same catalog replicated three ways with majority
 // acknowledgement (the durability upgrade of DESIGN.md §13). The
 // workload is open-heavy — np clients concurrently create small
 // files, and each create costs two durable catalog transactions
 // (generation allocation plus the create itself) and negligible data
-// I/O. Every variant runs with Sync on and a modeled per-fsync device
+// I/O. Both variants run with Sync on and a modeled per-fsync device
 // cost (cluster.Config.MetaSyncDelay), so the contrast is deterministic
 // across host filesystems; concurrent committers share fsyncs (the
-// WAL's one commit path, DESIGN.md §12), which is why a second shard
-// buys little here. MBps abuses the field to carry creates per second,
-// as runCacheOpens does for opens.
+// WAL's one commit path, DESIGN.md §12). MBps abuses the field to carry
+// creates per second, as runCacheOpens does for opens.
 func AblationMeta(ctx context.Context, cfg Config, np, io int) ([]Measurement, error) {
 	cfg = cfg.WithDefaults()
 	cases := []struct {
 		label    string
-		shards   int
 		replicas int
 	}{
-		{"1 shard", 1, 1},
-		{"2 shards", 2, 1},
+		{"1 catalog", 1},
 		// The replication tax: every create additionally waits for a
 		// majority of the R=3 group to hold it durably (DESIGN.md §13).
-		{"1 shard R=3 majority-ack", 1, 3},
+		{"R=3 majority-ack", 3},
 	}
 	var out []Measurement
 	for _, cs := range cases {
@@ -407,7 +403,6 @@ func AblationMeta(ctx context.Context, cfg Config, np, io int) ([]Measurement, e
 			DurableMeta:   true,
 			MetaSync:      true,
 			MetaSyncDelay: 4 * time.Millisecond,
-			MetaShards:    cs.shards,
 			MetaReplicas:  cs.replicas,
 		}
 		m, err := onCluster(cfg, cc, func(c *cluster.Cluster) (Measurement, error) { return runMetaCreates(ctx, cfg, c, np) })

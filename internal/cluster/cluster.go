@@ -55,22 +55,17 @@ type Config struct {
 	// normalized against the fastest. Defaults to 512 KiB, the
 	// 256x256 float64 tile of Section 8.
 	RefBrickBytes int64
-	// MetaShards is the number of catalog shards to run (each its own
-	// metadata database behind its own TCP server, with paths hash-
-	// routed across them by meta.ShardRouter). 0 or 1 runs the single
-	// catalog exactly as before.
-	MetaShards int
-	// MetaSync makes every shard's commits wait for a WAL fsync
+	// MetaSync makes every catalog commit wait for a WAL fsync
 	// (metadb.Options.Sync; needs DurableMeta).
 	MetaSync bool
 	// MetaSyncDelay models the metadata device's per-fsync cost
 	// (metadb.Options.SyncDelay); benchmarks use it for a
 	// deterministic disk model.
 	MetaSyncDelay time.Duration
-	// MetaReplicas runs every catalog shard as an R-way replica group
+	// MetaReplicas runs the catalog as an R-way replica group
 	// (internal/metarepl): replica 0 bootstraps as primary, the rest
 	// follow as warm standbys, and clients fail over by redirect. 0 or
-	// 1 runs unreplicated shards exactly as before.
+	// 1 runs one unreplicated catalog.
 	MetaReplicas int
 	// MetaReplAck selects the replication acknowledgement quorum
 	// (majority by default).
@@ -79,7 +74,7 @@ type Config struct {
 	// timing; zero uses the metarepl defaults.
 	MetaHeartbeat       time.Duration
 	MetaElectionTimeout time.Duration
-	// MetaEvents receives the replica groups' promotion/step-down/
+	// MetaEvents receives the replica group's promotion/step-down/
 	// resync events (default: the process-wide obs.Events log).
 	MetaEvents *obs.EventLog
 	// Gossip starts a gossip node inside every I/O server (DESIGN.md
@@ -104,28 +99,28 @@ type Config struct {
 
 // Cluster is a running DPFS deployment.
 type Cluster struct {
-	// DB and MetaSrv are shard 0 (replica 0 when replicated), which is
-	// the whole catalog in the default single-shard configuration.
+	// DB and MetaSrv are the catalog's database and SQL server (replica
+	// 0's when replicated).
 	DB        *metadb.DB
 	MetaSrv   *mdbnet.Server
-	DBs       []*metadb.DB
-	MetaSrvs  []*mdbnet.Server
 	IOServers []*server.Server
 	Specs     []ServerSpec
 	// GossipNodes holds each I/O server's gossip node, index-aligned
 	// with IOServers (nil unless Config.Gossip).
 	GossipNodes []*gossip.Node
 
-	// Replica-group state, populated only with Config.MetaReplicas > 1:
-	// index [shard][replica]. DBs[i] and MetaSrvs[i] alias replica 0.
-	// Entries go nil while a replica is killed (KillMetaReplica).
-	Replicas [][]*metarepl.Replica
-	ReplDBs  [][]*metadb.DB
-	ReplSrvs [][]*mdbnet.Server
+	// Replica-group state, indexed by replica. ReplDBs and ReplSrvs
+	// always hold the catalog (one entry when unreplicated; DB and
+	// MetaSrv alias entry 0); Replicas is populated only with
+	// Config.MetaReplicas > 1. Entries go nil while a replica is killed
+	// (KillMetaReplica).
+	Replicas []*metarepl.Replica
+	ReplDBs  []*metadb.DB
+	ReplSrvs []*mdbnet.Server
 
 	cfg       Config
-	replPeers [][]string // replication-stream addresses per shard
-	replSQL   [][]string // client SQL addresses per shard
+	replPeers []string // replication-stream addresses
+	replSQL   []string // client SQL addresses
 
 	mu      sync.Mutex // guards clients and server/replica slice swaps
 	clients []*mdbnet.Client
@@ -148,23 +143,15 @@ func Start(cfg Config) (*Cluster, error) {
 		ref = 512 << 10
 	}
 
-	shards := cfg.MetaShards
-	if shards < 1 {
-		shards = 1
-	}
 	replicas := cfg.MetaReplicas
 	if replicas < 1 {
 		replicas = 1
 	}
 	c := &Cluster{cfg: cfg}
-	for i := 0; i < shards; i++ {
-		if err := c.startMetaGroup(i, shards, replicas); err != nil {
-			c.Close()
-			return nil, err
-		}
+	if err := c.startMeta(replicas); err != nil {
+		c.Close()
+		return nil, err
 	}
-	c.DB = c.DBs[0]
-	c.MetaSrv = c.MetaSrvs[0]
 
 	// Normalize performance numbers across the spec classes.
 	classes := make([]netsim.Params, len(cfg.Servers))
@@ -173,7 +160,7 @@ func Start(cfg Config) (*Cluster, error) {
 	}
 	perf := netsim.NormalizedPerf(classes, ref)
 
-	cat, err := c.NewRouter()
+	cat, err := c.NewCatalog()
 	if err != nil {
 		c.Close()
 		return nil, err
@@ -286,30 +273,42 @@ func (c *Cluster) KillServer(i int) error {
 	return c.IOServers[i].Close()
 }
 
-// metaDBOptions builds shard i, replica j's database options. Durable
-// layouts keep the historical paths (meta, meta<i>) for unreplicated
-// clusters and use meta<i>r<j> per replica otherwise.
-func (c *Cluster) metaDBOptions(i, j, shards, replicas int) metadb.Options {
+// metaDBOptions builds replica j's database options. A durable
+// unreplicated catalog lives in Dir/meta, replica j of a group in
+// Dir/meta-r<j>.
+func (c *Cluster) metaDBOptions(j, replicas int) metadb.Options {
 	opts := metadb.Options{
 		Sync:      c.cfg.MetaSync,
 		SyncDelay: c.cfg.MetaSyncDelay,
 	}
 	if c.cfg.DurableMeta {
-		switch {
-		case shards == 1 && replicas == 1:
-			opts.Dir = filepath.Join(c.cfg.Dir, "meta")
-		case replicas == 1:
-			opts.Dir = filepath.Join(c.cfg.Dir, fmt.Sprintf("meta%d", i))
-		default:
-			opts.Dir = filepath.Join(c.cfg.Dir, fmt.Sprintf("meta%dr%d", i, j))
+		opts.Dir = filepath.Join(c.cfg.Dir, "meta")
+		if replicas > 1 {
+			opts.Dir = filepath.Join(c.cfg.Dir, fmt.Sprintf("meta-r%d", j))
 		}
 	}
 	return opts
 }
 
-// startMetaGroup launches catalog shard i: one database and SQL server
-// when unreplicated, a full metarepl replica group otherwise.
-func (c *Cluster) startMetaGroup(i, shards, replicas int) error {
+// replConfig builds replica j's replication configuration.
+func (c *Cluster) replConfig(j int, db *metadb.DB, lis *mdbnet.ReplListener) metarepl.Config {
+	return metarepl.Config{
+		Name:            "meta",
+		ID:              j,
+		Peers:           c.replPeers,
+		SQLAddrs:        c.replSQL,
+		DB:              db,
+		Listener:        lis,
+		Ack:             c.cfg.MetaReplAck,
+		Heartbeat:       c.cfg.MetaHeartbeat,
+		ElectionTimeout: c.cfg.MetaElectionTimeout,
+		Events:          c.cfg.MetaEvents,
+	}
+}
+
+// startMeta launches the catalog: one database and SQL server when
+// unreplicated, a full metarepl replica group otherwise.
+func (c *Cluster) startMeta(replicas int) error {
 	var (
 		dbs  []*metadb.DB
 		srvs []*mdbnet.Server
@@ -329,7 +328,6 @@ func (c *Cluster) startMetaGroup(i, shards, replicas int) error {
 		}
 		return err
 	}
-	peers := make([]string, 0, replicas)
 	if replicas > 1 {
 		// Replication listeners are bound first so every replica knows
 		// the full peer list before any of them starts.
@@ -339,11 +337,11 @@ func (c *Cluster) startMetaGroup(i, shards, replicas int) error {
 				return fail(err)
 			}
 			liss = append(liss, lis)
-			peers = append(peers, lis.Addr())
+			c.replPeers = append(c.replPeers, lis.Addr())
 		}
 	}
 	for j := 0; j < replicas; j++ {
-		db, err := metadb.Open(c.metaDBOptions(i, j, shards, replicas))
+		db, err := metadb.Open(c.metaDBOptions(j, replicas))
 		if err != nil {
 			return fail(err)
 		}
@@ -353,87 +351,56 @@ func (c *Cluster) startMetaGroup(i, shards, replicas int) error {
 			return fail(err)
 		}
 		srvs = append(srvs, srv)
+		c.replSQL = append(c.replSQL, srv.Addr())
 	}
-	c.DBs = append(c.DBs, dbs[0])
-	c.MetaSrvs = append(c.MetaSrvs, srvs[0])
-	c.ReplDBs = append(c.ReplDBs, dbs)
-	c.ReplSrvs = append(c.ReplSrvs, srvs)
+	c.DB, c.MetaSrv = dbs[0], srvs[0]
+	c.ReplDBs, c.ReplSrvs = dbs, srvs
 	if replicas == 1 {
-		c.Replicas = append(c.Replicas, nil)
-		c.replPeers = append(c.replPeers, nil)
-		c.replSQL = append(c.replSQL, []string{srvs[0].Addr()})
 		return nil
 	}
 
-	sqlAddrs := make([]string, replicas)
-	for j, s := range srvs {
-		sqlAddrs[j] = s.Addr()
-	}
-	reps := make([]*metarepl.Replica, replicas)
+	c.Replicas = make([]*metarepl.Replica, replicas)
 	for j := 0; j < replicas; j++ {
-		rep, err := metarepl.New(metarepl.Config{
-			Name:            fmt.Sprintf("meta%d", i),
-			ID:              j,
-			Peers:           peers,
-			SQLAddrs:        sqlAddrs,
-			DB:              dbs[j],
-			Listener:        liss[j],
-			Ack:             c.cfg.MetaReplAck,
-			Heartbeat:       c.cfg.MetaHeartbeat,
-			ElectionTimeout: c.cfg.MetaElectionTimeout,
-			Events:          c.cfg.MetaEvents,
-		})
+		rep, err := metarepl.New(c.replConfig(j, dbs[j], liss[j]))
 		if err != nil {
 			// Replicas 0..j-1 own their listeners and are closed by
-			// Cluster.Close via the Replicas row below; the rest are
-			// still this call's to release.
+			// Cluster.Close; the rest are still this call's to release.
 			for _, l := range liss[j:] {
 				l.Close()
 			}
-			c.Replicas = append(c.Replicas, reps[:j])
-			c.replPeers = append(c.replPeers, peers)
-			c.replSQL = append(c.replSQL, sqlAddrs)
 			return err
 		}
-		reps[j] = rep
+		c.Replicas[j] = rep
 		srvs[j].SetGate(rep.Gate())
 	}
-	c.Replicas = append(c.Replicas, reps)
-	c.replPeers = append(c.replPeers, peers)
-	c.replSQL = append(c.replSQL, sqlAddrs)
-	// Fresh groups get replica 0 as the first primary; a group restarted
-	// on durable state already has an epoch and lets an election decide.
+	// A fresh group gets replica 0 as the first primary; a group
+	// restarted on durable state already has an epoch and lets an
+	// election decide.
 	if epoch, _ := dbs[0].ReplEpoch(); epoch == 0 {
-		if err := reps[0].Bootstrap(); err != nil {
+		if err := c.Replicas[0].Bootstrap(); err != nil {
 			return err
 		}
 	}
-	for _, rep := range reps {
+	for _, rep := range c.Replicas {
 		rep.Start()
 	}
 	return nil
 }
 
-// NewCatalog opens a fresh catalog connection to shard 0 through the
+// NewCatalog opens a fresh connection to the catalog through the
 // network metadata server (one database session per connection, as the
-// paper's clients each connect to POSTGRES). Single-shard clusters use
-// it as the whole catalog; multi-shard tests use it for direct
-// shard-0 inspection. On a replicated cluster the connection follows
-// the shard's primary across failovers.
+// paper's clients each connect to POSTGRES). On a replicated cluster
+// the connection follows the group's primary across failovers.
 func (c *Cluster) NewCatalog() (*meta.Catalog, error) {
-	x, err := c.dialShard(0, nil)
-	if err != nil {
-		return nil, err
-	}
-	return meta.NewCatalog(x), nil
+	return c.dialCatalog(nil)
 }
 
-// dialShard opens one catalog connection to shard i: a plain client
-// for unreplicated shards, a replica-group client otherwise. The
-// connection is tracked for Close.
-func (c *Cluster) dialShard(i int, dial mdbnet.DialFunc) (meta.Execer, error) {
+// dialCatalog is NewCatalog with a custom transport dialer (fault
+// injectors wrap it in chaos tests); nil uses the default TCP dialer.
+// The connection is tracked for Close.
+func (c *Cluster) dialCatalog(dial mdbnet.DialFunc) (*meta.Catalog, error) {
 	c.mu.Lock()
-	addrs := append([]string(nil), c.replSQL[i]...)
+	addrs := append([]string(nil), c.replSQL...)
 	c.mu.Unlock()
 	if len(addrs) == 1 {
 		var (
@@ -451,7 +418,7 @@ func (c *Cluster) dialShard(i int, dial mdbnet.DialFunc) (meta.Execer, error) {
 		c.mu.Lock()
 		c.clients = append(c.clients, cli)
 		c.mu.Unlock()
-		return cli, nil
+		return meta.NewCatalog(cli), nil
 	}
 	g, err := mdbnet.DialGroup(addrs, dial)
 	if err != nil {
@@ -460,67 +427,12 @@ func (c *Cluster) dialShard(i int, dial mdbnet.DialFunc) (meta.Execer, error) {
 	c.mu.Lock()
 	c.groups = append(c.groups, g)
 	c.mu.Unlock()
-	return g, nil
+	return meta.NewCatalog(g), nil
 }
 
-// MetaAddrs returns every catalog shard's listen address in shard
-// order (replica 0's address on replicated clusters; see
-// MetaGroupAddrs for the full replica lists).
-func (c *Cluster) MetaAddrs() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, len(c.MetaSrvs))
-	for i, s := range c.MetaSrvs {
-		out[i] = s.Addr()
-	}
-	return out
-}
-
-// MetaGroupAddrs returns every catalog shard's full replica address
-// list (client SQL addresses), in shard then replica order — the
-// [][]string shape dpfs.ConnectGroups takes.
-func (c *Cluster) MetaGroupAddrs() [][]string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([][]string, len(c.replSQL))
-	for i, g := range c.replSQL {
-		out[i] = append([]string(nil), g...)
-	}
-	return out
-}
-
-// NewRouter opens one catalog connection per shard and returns the
-// routed catalog surface: the plain catalog itself for one shard
-// (byte-for-byte the pre-sharding path), a meta.ShardRouter otherwise.
-func (c *Cluster) NewRouter() (meta.Router, error) {
-	return c.NewRouterDial(nil)
-}
-
-// NewRouterDial is NewRouter with a custom transport dialer for the
-// catalog connections (fault injectors wrap it in chaos tests); nil
-// uses the default TCP dialer.
-func (c *Cluster) NewRouterDial(dial mdbnet.DialFunc) (meta.Router, error) {
-	c.mu.Lock()
-	n := len(c.replSQL)
-	c.mu.Unlock()
-	shards := make([]meta.Router, n)
-	for i := range shards {
-		x, err := c.dialShard(i, dial)
-		if err != nil {
-			return nil, err
-		}
-		shards[i] = meta.NewCatalog(x)
-	}
-	if len(shards) == 1 {
-		return shards[0], nil
-	}
-	return meta.NewShardRouter(shards...), nil
-}
-
-// NewFS builds a compute-node client with its own catalog
-// connection(s).
+// NewFS builds a compute-node client with its own catalog connection.
 func (c *Cluster) NewFS(rank int, opts core.Options) (*core.FS, error) {
-	cat, err := c.NewRouter()
+	cat, err := c.NewCatalog()
 	if err != nil {
 		return nil, err
 	}
@@ -528,9 +440,9 @@ func (c *Cluster) NewFS(rank int, opts core.Options) (*core.FS, error) {
 }
 
 // NewFSMetaDial is NewFS with a custom transport dialer for the
-// catalog connections (chaos tests inject faults through it).
+// catalog connection (chaos tests inject faults through it).
 func (c *Cluster) NewFSMetaDial(rank int, opts core.Options, dial mdbnet.DialFunc) (*core.FS, error) {
-	cat, err := c.NewRouterDial(dial)
+	cat, err := c.dialCatalog(dial)
 	if err != nil {
 		return nil, err
 	}
@@ -544,7 +456,7 @@ func (c *Cluster) NewFSMetaDial(rank int, opts core.Options, dial mdbnet.DialFun
 // the first still-running node) as the second witness for dead
 // escalation, unless the caller supplied its own gossip view.
 func (c *Cluster) Repair(ctx context.Context, opts repair.Options) (*repair.Report, error) {
-	cat, err := c.NewRouter()
+	cat, err := c.NewCatalog()
 	if err != nil {
 		return nil, err
 	}
@@ -574,59 +486,61 @@ func (c *Cluster) liveGossipNode() *gossip.Node {
 	return nil
 }
 
-// StopMetaShard closes shard i's network server, severing every
-// client connection to it. The shard's database (and its WAL) stays
-// intact — this models a metadata server crash that RestartMetaShard
-// recovers from.
-func (c *Cluster) StopMetaShard(i int) error {
+// StopMeta closes the catalog's network server, severing every client
+// connection to it. The database (and its WAL) stays intact: this
+// models a metadata server crash that RestartMeta recovers from.
+func (c *Cluster) StopMeta() error {
 	c.mu.Lock()
-	srv := c.MetaSrvs[i]
+	srv := c.MetaSrv
 	c.mu.Unlock()
 	return srv.Close()
 }
 
-// RestartMetaShard brings shard i back on its previous address so
-// surviving clients (which redial broken connections lazily)
-// reconnect to the same endpoint.
-func (c *Cluster) RestartMetaShard(i int) error {
+// RestartMeta brings the catalog's SQL server back on its previous
+// address so surviving clients (which redial broken connections
+// lazily) reconnect to the same endpoint. A replica group's servers
+// answer only while their replica's gate admits them, so a replicated
+// catalog restarts replica by replica (RestartMetaReplica) instead.
+func (c *Cluster) RestartMeta() error {
+	if c.cfg.MetaReplicas > 1 {
+		return fmt.Errorf("cluster: the catalog is a replica group; restart it with RestartMetaReplica")
+	}
 	c.mu.Lock()
-	old := c.MetaSrvs[i]
-	db := c.DBs[i]
+	old, db := c.MetaSrv, c.DB
 	c.mu.Unlock()
 	srv, err := mdbnet.Listen(db, old.Addr())
 	if err != nil {
 		return err
 	}
 	c.mu.Lock()
-	c.MetaSrvs[i] = srv
-	if i == 0 {
-		c.MetaSrv = srv
-	}
+	c.MetaSrv = srv
+	c.ReplSrvs[0] = srv
 	c.mu.Unlock()
 	return nil
 }
 
-// KillMetaReplica kills shard i's replica j entirely: replication
-// core, SQL server and database all go down, modeling a metadata
-// server machine crash. With in-memory databases the replica's state
-// dies with it (a restart resyncs by snapshot); durable replicas
-// recover their own WAL. The cluster slot goes nil until
+// KillMetaReplica kills replica j entirely: SQL server, replication
+// core and database all go down, modeling a metadata server machine
+// crash. The SQL server goes first, so no client commits on a replica
+// whose core has stopped shipping. With in-memory databases the
+// replica's state dies with it (a restart resyncs by snapshot); durable
+// replicas recover their own WAL. The cluster slot goes nil until
 // RestartMetaReplica.
-func (c *Cluster) KillMetaReplica(i, j int) error {
+func (c *Cluster) KillMetaReplica(j int) error {
 	c.mu.Lock()
-	rep := c.Replicas[i][j]
-	srv := c.ReplSrvs[i][j]
-	db := c.ReplDBs[i][j]
-	c.Replicas[i][j] = nil
-	c.ReplSrvs[i][j] = nil
-	c.ReplDBs[i][j] = nil
+	rep := c.Replicas[j]
+	srv := c.ReplSrvs[j]
+	db := c.ReplDBs[j]
+	c.Replicas[j] = nil
+	c.ReplSrvs[j] = nil
+	c.ReplDBs[j] = nil
 	c.mu.Unlock()
 	var firstErr error
-	if rep != nil {
-		firstErr = rep.Close()
-	}
 	if srv != nil {
-		if err := srv.Close(); err != nil && firstErr == nil {
+		firstErr = srv.Close()
+	}
+	if rep != nil {
+		if err := rep.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -642,43 +556,29 @@ func (c *Cluster) KillMetaReplica(i, j int) error {
 // replication and SQL addresses. It rejoins as a follower (the durable
 // epoch, or a snapshot resync for in-memory state, catches it up);
 // elections decide whether it ever leads again.
-func (c *Cluster) RestartMetaReplica(i, j int) error {
+func (c *Cluster) RestartMetaReplica(j int) error {
 	c.mu.Lock()
-	shards := len(c.replSQL)
-	peers := c.replPeers[i]
-	sqlAddrs := c.replSQL[i]
-	replicas := len(peers)
+	replicas := len(c.replPeers)
 	c.mu.Unlock()
 	if replicas < 2 {
-		return fmt.Errorf("cluster: shard %d is not replicated", i)
+		return fmt.Errorf("cluster: the catalog is not replicated")
 	}
-	db, err := metadb.Open(c.metaDBOptions(i, j, shards, replicas))
+	db, err := metadb.Open(c.metaDBOptions(j, replicas))
 	if err != nil {
 		return err
 	}
-	lis, err := mdbnet.ListenRepl(peers[j])
+	lis, err := mdbnet.ListenRepl(c.replPeers[j])
 	if err != nil {
 		db.Close()
 		return err
 	}
-	srv, err := mdbnet.Listen(db, sqlAddrs[j])
+	srv, err := mdbnet.Listen(db, c.replSQL[j])
 	if err != nil {
 		lis.Close()
 		db.Close()
 		return err
 	}
-	rep, err := metarepl.New(metarepl.Config{
-		Name:            fmt.Sprintf("meta%d", i),
-		ID:              j,
-		Peers:           peers,
-		SQLAddrs:        sqlAddrs,
-		DB:              db,
-		Listener:        lis,
-		Ack:             c.cfg.MetaReplAck,
-		Heartbeat:       c.cfg.MetaHeartbeat,
-		ElectionTimeout: c.cfg.MetaElectionTimeout,
-		Events:          c.cfg.MetaEvents,
-	})
+	rep, err := metarepl.New(c.replConfig(j, db, lis))
 	if err != nil {
 		srv.Close()
 		lis.Close()
@@ -688,26 +588,22 @@ func (c *Cluster) RestartMetaReplica(i, j int) error {
 	srv.SetGate(rep.Gate())
 	rep.Start()
 	c.mu.Lock()
-	c.Replicas[i][j] = rep
-	c.ReplSrvs[i][j] = srv
-	c.ReplDBs[i][j] = db
+	c.Replicas[j] = rep
+	c.ReplSrvs[j] = srv
+	c.ReplDBs[j] = db
 	if j == 0 {
-		c.DBs[i] = db
-		c.MetaSrvs[i] = srv
-		if i == 0 {
-			c.DB = db
-			c.MetaSrv = srv
-		}
+		c.DB = db
+		c.MetaSrv = srv
 	}
 	c.mu.Unlock()
 	return nil
 }
 
-// MetaPrimary returns shard i's current primary replica ID, or -1
-// while the group has none (mid-election, or unreplicated).
-func (c *Cluster) MetaPrimary(i int) int {
+// MetaPrimary returns the catalog group's current primary replica ID,
+// or -1 while the group has none (mid-election, or unreplicated).
+func (c *Cluster) MetaPrimary() int {
 	c.mu.Lock()
-	reps := c.Replicas[i]
+	reps := append([]*metarepl.Replica(nil), c.Replicas...)
 	c.mu.Unlock()
 	for j, rep := range reps {
 		if rep != nil && rep.Role() == metarepl.Primary {
@@ -727,8 +623,8 @@ func (c *Cluster) ServerNames() []string {
 	return out
 }
 
-// Close shuts everything down: catalog connections, I/O servers,
-// replica groups, the metadata servers and the databases.
+// Close shuts everything down: catalog connections, I/O servers, the
+// replica group, the metadata servers and the databases.
 func (c *Cluster) Close() error {
 	var firstErr error
 	c.mu.Lock()
@@ -761,34 +657,28 @@ func (c *Cluster) Close() error {
 			firstErr = err
 		}
 	}
-	for _, reps := range c.Replicas {
-		for _, rep := range reps {
-			if rep == nil {
-				continue
-			}
-			if err := rep.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
+	for _, rep := range c.Replicas {
+		if rep == nil {
+			continue
+		}
+		if err := rep.Close(); err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
-	for _, srvs := range c.ReplSrvs {
-		for _, srv := range srvs {
-			if srv == nil {
-				continue
-			}
-			if err := srv.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
+	for _, srv := range c.ReplSrvs {
+		if srv == nil {
+			continue
+		}
+		if err := srv.Close(); err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
-	for _, dbs := range c.ReplDBs {
-		for _, db := range dbs {
-			if db == nil {
-				continue
-			}
-			if err := db.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
+	for _, db := range c.ReplDBs {
+		if db == nil {
+			continue
+		}
+		if err := db.Close(); err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	return firstErr

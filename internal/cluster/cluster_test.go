@@ -144,3 +144,41 @@ func TestCloseIdempotent(t *testing.T) {
 		t.Fatalf("double close: %v", err)
 	}
 }
+
+// TestRestartMeta: an unreplicated catalog comes back on its address
+// after StopMeta, while a replica group refuses RestartMeta, which
+// would re-listen replica 0's database without its replication gate
+// and let it take SQL as a non-primary.
+func TestRestartMeta(t *testing.T) {
+	c, err := Start(Config{Servers: Uniform(1), Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	addr := c.MetaSrv.Addr()
+	if err := c.StopMeta(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RestartMeta(); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.MetaSrv.Addr(); got != addr {
+		t.Fatalf("restarted on %s, want %s", got, addr)
+	}
+	cat, err := c.NewCatalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if names, err := cat.Servers(); err != nil || len(names) != 1 {
+		t.Fatalf("Servers after restart = %v, %v", names, err)
+	}
+
+	g, err := Start(Config{Servers: Uniform(1), Dir: t.TempDir(), MetaReplicas: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if err := g.RestartMeta(); err == nil {
+		t.Fatal("RestartMeta on a replica group succeeded")
+	}
+}

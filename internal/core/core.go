@@ -165,10 +165,9 @@ type serverHint struct {
 	state string
 }
 
-// NewFS builds a client around a catalog connection — a single
-// *meta.Catalog or a sharded meta.ShardRouter, the engine cannot tell
-// the difference. rank is the compute-node rank used for staggered
-// scheduling.
+// NewFS builds a client around a catalog connection (a *meta.Catalog
+// over one catalog server or one replica group). rank is the
+// compute-node rank used for staggered scheduling.
 func NewFS(cat meta.Router, rank int, opts Options) *FS {
 	if opts.Owner == "" {
 		opts.Owner = "dpfs"

@@ -282,7 +282,7 @@ func TestGossipKillMetaMidStorm(t *testing.T) {
 
 	// The prober's catalog connection is opened while the metadata
 	// service is still up — the outage below severs it.
-	cat, err := c.NewRouter()
+	cat, err := c.NewCatalog()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestGossipKillMetaMidStorm(t *testing.T) {
 
 	// Meta outage first, server crash second: the crash happens while
 	// nothing central can observe it.
-	if err := c.StopMetaShard(0); err != nil {
+	if err := c.StopMeta(); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.KillServer(3); err != nil {
@@ -344,14 +344,14 @@ func TestGossipKillMetaMidStorm(t *testing.T) {
 	// at suspect — gossip says alive, so the dead escalation is withheld
 	// — while io3, probe-failed AND gossip-corroborated, is buried and
 	// the verdict injected back into the mesh.
-	if err := c.RestartMetaShard(0); err != nil {
+	if err := c.RestartMeta(); err != nil {
 		t.Fatal(err)
 	}
 	probeInj := fault.New(15, fault.Rule{Kind: fault.KindDrop, Prob: 1, Label: "io1"})
 	for i := range addrs {
 		probeInj.SetLabel(addrs[i], c.Specs[i].Name)
 	}
-	cat2, err := c.NewRouter()
+	cat2, err := c.NewCatalog()
 	if err != nil {
 		t.Fatal(err)
 	}

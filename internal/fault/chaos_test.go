@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"reflect"
+	"sort"
 	"strconv"
 	"sync"
 	"testing"
@@ -21,7 +23,6 @@ import (
 	"dpfs/internal/collective"
 	"dpfs/internal/core"
 	"dpfs/internal/fault"
-	"dpfs/internal/meta"
 	"dpfs/internal/metarepl"
 	"dpfs/internal/obs"
 	"dpfs/internal/server"
@@ -566,9 +567,9 @@ func TestChaosCollective(t *testing.T) {
 // only. The mdbnet transport deliberately never replays a statement on
 // a fresh connection (a COMMIT whose ack was lost must not apply
 // twice), so drops and torn frames surface as hard errors to the
-// engine — a different failure class the shard-restart tests cover.
-// Delays exercise the same conns, framing and routing under load
-// without changing op outcomes.
+// engine — a different failure class the catalog-restart tests cover.
+// Delays exercise the same conns and framing under load without
+// changing op outcomes.
 func metaChaosRules() []fault.Rule {
 	return []fault.Rule{
 		{Kind: fault.KindDelay, Prob: 0.2, Delay: 2 * time.Millisecond},
@@ -576,29 +577,13 @@ func metaChaosRules() []fault.Rule {
 	}
 }
 
-// startMetaShardChaosCluster is startChaosCluster with the catalog
-// split over two path-hash-routed shards.
-func startMetaShardChaosCluster(t *testing.T, io int, inj *fault.Injector) *cluster.Cluster {
-	t.Helper()
-	c, err := cluster.Start(cluster.Config{
-		Servers: cluster.Uniform(io), Dir: t.TempDir(), MetaShards: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	for i, srv := range c.IOServers {
-		inj.SetLabel(srv.Addr(), c.Specs[i].Name)
-	}
-	return c
-}
-
-// runMetaShardChaosWorkload drives per-rank files through a 2-shard
-// catalog with fault storms on BOTH conn kinds: the standard storm on
-// the I/O conns (drops, delays, torn frames — absorbed by the retry
-// ladder) and the delay storm on the catalog conns. Every rank
-// creates its own files so the create/open traffic itself is routed
-// across shards, and the final audit checks bytes and routing.
+// runMetaShardChaosWorkload drives per-rank files through the catalog
+// with fault storms on BOTH conn kinds: the standard storm on the I/O
+// conns (drops, delays, torn frames — absorbed by the retry ladder)
+// and the delay storm on the catalog conns. Every rank creates its own
+// file so the create/open traffic itself rides the delayed conns, and
+// the final audit checks bytes and that the catalog lists exactly the
+// ranks' files.
 func runMetaShardChaosWorkload(t *testing.T, c *cluster.Cluster, inj, metaInj *fault.Injector, np int) *obs.Registry {
 	t.Helper()
 	ctx := context.Background()
@@ -667,7 +652,7 @@ func runMetaShardChaosWorkload(t *testing.T, c *cluster.Cluster, inj, metaInj *f
 		t.Fatal(err)
 	}
 
-	// Fault-free audit: stored bytes and shard routing.
+	// Fault-free audit: stored bytes and the catalog's file list.
 	cleanFS, err := c.NewFS(0, core.Options{Combine: true, Stagger: true})
 	if err != nil {
 		t.Fatal(err)
@@ -688,26 +673,27 @@ func runMetaShardChaosWorkload(t *testing.T, c *cluster.Cluster, inj, metaInj *f
 			t.Fatalf("rank %d: stored bytes diverge from fault-free truth", p)
 		}
 	}
-	for s, db := range c.DBs {
-		files, err := meta.NewCatalog(db.Session()).Files()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range files {
-			if home := meta.ShardIndex(p, len(c.DBs)); home != s {
-				t.Fatalf("%s: misrouted onto shard %d (home %d)", p, s, home)
-			}
-		}
+	files, err := cleanFS.Catalog().Files()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]string, np)
+	for p := range want {
+		want[p] = path(p)
+	}
+	sort.Strings(want)
+	if !reflect.DeepEqual(files, want) {
+		t.Fatalf("catalog lists %v, want %v", files, want)
 	}
 	return reg
 }
 
-// TestChaosMetaShard runs the metashard mode once: 2 catalog shards,
-// delay storm on catalog conns, standard storm on I/O conns.
+// TestChaosMetaShard runs the metashard mode once: one catalog, delay
+// storm on catalog conns, standard storm on I/O conns.
 func TestChaosMetaShard(t *testing.T) {
 	inj := fault.New(9, chaosRules()...)
 	metaInj := fault.New(10, metaChaosRules()...)
-	c := startMetaShardChaosCluster(t, 4, inj)
+	c := startChaosCluster(t, 4, inj)
 	reg := runMetaShardChaosWorkload(t, c, inj, metaInj, 4)
 	if inj.Total() == 0 {
 		t.Fatal("the I/O fault schedule never fired")
@@ -745,7 +731,7 @@ func startMetaReplChaosCluster(t *testing.T, io int, inj *fault.Injector) *clust
 
 // runMetaReplChaosWorkload drives per-rank files through a replicated
 // catalog with the standard storm on the I/O conns, the delay storm on
-// the catalog conns, and the shard's primary killed mid-workload. A
+// the catalog conns, and the group's primary killed mid-workload. A
 // failover aborts in-flight catalog transactions (the group client
 // surfaces mdbnet.ErrNotPrimary), so the catalog ops are retried at
 // the workload level with lost-ack tolerance, exactly as a real
@@ -856,7 +842,7 @@ func runMetaReplChaosWorkload(t *testing.T, c *cluster.Cluster, inj, metaInj *fa
 	time.Sleep(20 * time.Millisecond)
 	primary := -1
 	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
-		if primary = c.MetaPrimary(0); primary >= 0 {
+		if primary = c.MetaPrimary(); primary >= 0 {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -864,11 +850,11 @@ func runMetaReplChaosWorkload(t *testing.T, c *cluster.Cluster, inj, metaInj *fa
 	if primary < 0 {
 		t.Fatal("no primary to kill")
 	}
-	if err := c.KillMetaReplica(0, primary); err != nil {
+	if err := c.KillMetaReplica(primary); err != nil {
 		t.Fatal(err)
 	}
 	for deadline := time.Now().Add(10 * time.Second); ; {
-		if cur := c.MetaPrimary(0); cur >= 0 && cur != primary {
+		if cur := c.MetaPrimary(); cur >= 0 && cur != primary {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -876,7 +862,7 @@ func runMetaReplChaosWorkload(t *testing.T, c *cluster.Cluster, inj, metaInj *fa
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if err := c.RestartMetaReplica(0, primary); err != nil {
+	if err := c.RestartMetaReplica(primary); err != nil {
 		t.Fatal(err)
 	}
 
@@ -908,7 +894,7 @@ func runMetaReplChaosWorkload(t *testing.T, c *cluster.Cluster, inj, metaInj *fa
 		}
 	}
 	promotions := int64(0)
-	for _, rep := range c.Replicas[0] {
+	for _, rep := range c.Replicas {
 		if rep != nil {
 			promotions += rep.Metrics().Counter(metarepl.MetricPromotions).Value()
 		}
@@ -967,7 +953,7 @@ func TestChaosSweep(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d-metashard", seed), func(t *testing.T) {
 			inj := fault.New(seed+2000, chaosRules()...)
 			metaInj := fault.New(seed+3000, metaChaosRules()...)
-			c := startMetaShardChaosCluster(t, 4, inj)
+			c := startChaosCluster(t, 4, inj)
 			runMetaShardChaosWorkload(t, c, inj, metaInj, 4)
 		})
 		t.Run(fmt.Sprintf("seed%d-metarepl", seed), func(t *testing.T) {

@@ -259,6 +259,45 @@ type Catalog struct {
 // NewCatalog wraps a SQL connection.
 func NewCatalog(db Execer) *Catalog { return &Catalog{db: db} }
 
+// Router is the catalog surface the engine, the repair runner and the
+// shell (through the engine) consume. One *Catalog serves it, over one
+// connection or one replica group's failover connection.
+type Router interface {
+	// SetTraceSpan forwards the trace parent to the connection; nil
+	// disables propagation.
+	SetTraceSpan(*obs.Span)
+	NextGeneration(path string) (int64, error)
+
+	RegisterServer(s ServerInfo) error
+	Servers() ([]ServerInfo, error)
+	Server(name string) (ServerInfo, error)
+	ReportServerFailure(name string) error
+	SetServerState(name, state string) error
+	ServerHealth() ([]HealthInfo, error)
+
+	Mkdir(path string) error
+	Rmdir(path string) error
+	ReadDir(path string) (dirs, files []string, err error)
+	IsDir(path string) (bool, error)
+
+	CreateReplicated(fi FileInfo, assign [][]int) error
+	LookupReplicated(path string) (FileInfo, *stripe.ReplicaSet, error)
+	UpdateDistribution(path string, servers []string, lists [][]stripe.ReplicaEntry, gen int64) error
+	Files() ([]string, error)
+	Stat(path string) (FileInfo, error)
+	RemoveFile(path string) (FileInfo, error)
+	RenameFile(oldPath, newPath string) (servers []string, gen int64, err error)
+
+	Usage() ([]ServerUsage, error)
+	UsedBytes() (map[string]int64, error)
+	FilesOnServer(server string) ([]FileOnServer, error)
+
+	SetPerm(path string, perm int) error
+	SetOwner(path, owner string) error
+}
+
+var _ Router = (*Catalog)(nil)
+
 // Init creates the DPFS tables, their indexes, the root directory and
 // the generation counter. Every statement is idempotent, so all of them
 // go in one round trip whether the catalog is new or not.
@@ -284,12 +323,9 @@ func (c *Catalog) Init() error {
 // distinct value. Generations only grow, which is what lets the I/O
 // servers order any two distributions of the same path.
 //
-// The path argument exists for Router: a ShardRouter allocates from
-// the path's home shard so every generation ever issued for a path
-// comes from one counter. A single catalog has one catalog-wide
-// counter and ignores it.
+// The counter is catalog-wide and path is ignored; the parameter stays
+// because callers outside this module name the signature.
 func (c *Catalog) NextGeneration(path string) (int64, error) {
-	_ = path // one counter per catalog; routing uses the path upstream
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	res, err := c.atomically(q(sqlBumpGeneration), q(sqlReadGeneration))

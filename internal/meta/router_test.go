@@ -1,11 +1,9 @@
 package meta
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,39 +12,11 @@ import (
 	"dpfs/internal/metadb/mdbnet"
 )
 
-func TestShardIndexDeterministic(t *testing.T) {
-	if got := ShardIndex("/a/b.dat", 1); got != 0 {
-		t.Fatalf("n=1 must route to 0, got %d", got)
-	}
-	if got := ShardIndex("/a/b.dat", 0); got != 0 {
-		t.Fatalf("n=0 must route to 0, got %d", got)
-	}
-	// Path cleaning happens before hashing: spellings of the same path
-	// agree on a home shard.
-	for n := 2; n <= 5; n++ {
-		a := ShardIndex("/a/b.dat", n)
-		for _, alias := range []string{"/a//b.dat", "/a/./b.dat", "/a/c/../b.dat"} {
-			if got := ShardIndex(alias, n); got != a {
-				t.Fatalf("ShardIndex(%q, %d) = %d, want %d (same as /a/b.dat)", alias, n, got, a)
-			}
-		}
-	}
-	// The hash must actually spread paths: with 2 shards and a few
-	// hundred paths, both shards must be hit.
-	hit := make(map[int]int)
-	for i := 0; i < 256; i++ {
-		hit[ShardIndex(fmt.Sprintf("/spread/f%d.dat", i), 2)]++
-	}
-	if hit[0] == 0 || hit[1] == 0 {
-		t.Fatalf("paths did not spread over 2 shards: %v", hit)
-	}
-}
-
 // routerOp is one randomized catalog operation: it runs against a
-// Router and returns a comparable result (any shape) plus the error.
+// catalog and returns a comparable result (any shape) plus the error.
 type routerOp struct {
 	name string
-	run  func(r Router) (any, error)
+	run  func(r *Catalog) (any, error)
 }
 
 // genRouterOp draws one operation from a small path/server vocabulary.
@@ -64,145 +34,145 @@ func genRouterOp(rng *rand.Rand) routerOp {
 	ops := []func() routerOp{
 		func() routerOp {
 			p := dir()
-			return routerOp{"mkdir " + p, func(r Router) (any, error) { return nil, r.Mkdir(p) }}
+			return routerOp{"mkdir " + p, func(r *Catalog) (any, error) { return nil, r.Mkdir(p) }}
 		},
 		func() routerOp {
 			p := dir()
-			return routerOp{"rmdir " + p, func(r Router) (any, error) { return nil, r.Rmdir(p) }}
+			return routerOp{"rmdir " + p, func(r *Catalog) (any, error) { return nil, r.Rmdir(p) }}
 		},
 		func() routerOp {
 			p := dir()
-			return routerOp{"readdir " + p, func(r Router) (any, error) {
+			return routerOp{"readdir " + p, func(r *Catalog) (any, error) {
 				ds, fs, err := r.ReadDir(p)
 				return [2][]string{ds, fs}, err
 			}}
 		},
 		func() routerOp {
 			p := dir()
-			return routerOp{"isdir " + p, func(r Router) (any, error) { return r.IsDir(p) }}
+			return routerOp{"isdir " + p, func(r *Catalog) (any, error) { return r.IsDir(p) }}
 		},
 		func() routerOp {
 			p := file()
 			fi := testFileInfo(p)
 			fi.Servers = []string{"io0", "io1"}
 			assign := [][]int{{0, 1}, {1, 0}, {0}, {1}}
-			return routerOp{"create " + p, func(r Router) (any, error) {
+			return routerOp{"create " + p, func(r *Catalog) (any, error) {
 				return nil, r.CreateReplicated(fi, assign)
 			}}
 		},
 		func() routerOp {
 			p := file()
-			return routerOp{"lookup " + p, func(r Router) (any, error) {
+			return routerOp{"lookup " + p, func(r *Catalog) (any, error) {
 				fi, rs, err := r.LookupReplicated(p)
 				return []any{fi, rs}, err
 			}}
 		},
 		func() routerOp {
 			p := file()
-			return routerOp{"stat " + p, func(r Router) (any, error) { return r.Stat(p) }}
+			return routerOp{"stat " + p, func(r *Catalog) (any, error) { return r.Stat(p) }}
 		},
 		func() routerOp {
-			return routerOp{"files", func(r Router) (any, error) { return r.Files() }}
+			return routerOp{"files", func(r *Catalog) (any, error) { return r.Files() }}
 		},
 		func() routerOp {
 			p := file()
-			return routerOp{"remove " + p, func(r Router) (any, error) { return r.RemoveFile(p) }}
+			return routerOp{"remove " + p, func(r *Catalog) (any, error) { return r.RemoveFile(p) }}
 		},
 		func() routerOp {
 			o, n := file(), file()
-			return routerOp{fmt.Sprintf("rename %s %s", o, n), func(r Router) (any, error) {
+			return routerOp{fmt.Sprintf("rename %s %s", o, n), func(r *Catalog) (any, error) {
 				srvs, gen, err := r.RenameFile(o, n)
 				return []any{srvs, gen}, err
 			}}
 		},
 		func() routerOp {
 			p := file()
-			return routerOp{"nextgen " + p, func(r Router) (any, error) { return r.NextGeneration(p) }}
+			return routerOp{"nextgen " + p, func(r *Catalog) (any, error) { return r.NextGeneration(p) }}
 		},
 		func() routerOp {
 			p, sz := file(), rng.Int63n(1<<20)
-			return routerOp{"setsize " + p, func(r Router) (any, error) { return nil, r.SetSize(p, sz) }}
+			return routerOp{"setsize " + p, func(r *Catalog) (any, error) { return nil, r.SetSize(p, sz) }}
 		},
 		func() routerOp {
 			p, perm := file(), rng.Intn(0o1000)
-			return routerOp{"setperm " + p, func(r Router) (any, error) { return nil, r.SetPerm(p, perm) }}
+			return routerOp{"setperm " + p, func(r *Catalog) (any, error) { return nil, r.SetPerm(p, perm) }}
 		},
 		func() routerOp {
 			p := file()
-			return routerOp{"setowner " + p, func(r Router) (any, error) { return nil, r.SetOwner(p, "u2") }}
+			return routerOp{"setowner " + p, func(r *Catalog) (any, error) { return nil, r.SetOwner(p, "u2") }}
 		},
 		func() routerOp {
 			s := srv()
 			si := ServerInfo{Name: s, Capacity: 1 << 30, Performance: 1 + rng.Intn(3), Addr: s + ":1"}
-			return routerOp{"register " + s, func(r Router) (any, error) { return nil, r.RegisterServer(si) }}
+			return routerOp{"register " + s, func(r *Catalog) (any, error) { return nil, r.RegisterServer(si) }}
 		},
 		func() routerOp {
 			s := srv()
-			return routerOp{"rmserver " + s, func(r Router) (any, error) { return nil, r.RemoveServer(s) }}
+			return routerOp{"rmserver " + s, func(r *Catalog) (any, error) { return nil, r.RemoveServer(s) }}
 		},
 		func() routerOp {
-			return routerOp{"servers", func(r Router) (any, error) { return r.Servers() }}
-		},
-		func() routerOp {
-			s := srv()
-			return routerOp{"failure " + s, func(r Router) (any, error) { return nil, r.ReportServerFailure(s) }}
+			return routerOp{"servers", func(r *Catalog) (any, error) { return r.Servers() }}
 		},
 		func() routerOp {
 			s := srv()
-			return routerOp{"ok " + s, func(r Router) (any, error) { return nil, r.ReportServerOK(s) }}
+			return routerOp{"failure " + s, func(r *Catalog) (any, error) { return nil, r.ReportServerFailure(s) }}
+		},
+		func() routerOp {
+			s := srv()
+			return routerOp{"ok " + s, func(r *Catalog) (any, error) { return nil, r.ReportServerOK(s) }}
 		},
 		func() routerOp {
 			s, st := srv(), states[rng.Intn(len(states))]
-			return routerOp{"setstate " + s, func(r Router) (any, error) { return nil, r.SetServerState(s, st) }}
+			return routerOp{"setstate " + s, func(r *Catalog) (any, error) { return nil, r.SetServerState(s, st) }}
 		},
 		func() routerOp {
-			return routerOp{"health", func(r Router) (any, error) { return r.ServerHealth() }}
+			return routerOp{"health", func(r *Catalog) (any, error) { return r.ServerHealth() }}
 		},
 		func() routerOp {
-			return routerOp{"usage", func(r Router) (any, error) { return r.Usage() }}
+			return routerOp{"usage", func(r *Catalog) (any, error) { return r.Usage() }}
 		},
 		func() routerOp {
-			return routerOp{"usedbytes", func(r Router) (any, error) { return r.UsedBytes() }}
+			return routerOp{"usedbytes", func(r *Catalog) (any, error) { return r.UsedBytes() }}
 		},
 		func() routerOp {
 			s := srv()
-			return routerOp{"filesonserver " + s, func(r Router) (any, error) { return r.FilesOnServer(s) }}
+			return routerOp{"filesonserver " + s, func(r *Catalog) (any, error) { return r.FilesOnServer(s) }}
 		},
 	}
 	return ops[rng.Intn(len(ops))]()
 }
 
-// TestRouterSingleShardEquivalence is the quickcheck satellite: a
-// ShardRouter over one catalog must behave exactly like the bare
-// catalog for every engine-visible operation — same results, same
-// errors — across 500 seeded random operation sequences.
+// TestRouterSingleShardEquivalence is the quickcheck of the catalog's
+// two transports: a catalog over an in-process session and one served
+// over mdbnet must give the same results and the same errors for every
+// engine-visible operation, across 500 seeded random sequences.
 func TestRouterSingleShardEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 500; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 
-		dbA, dbB := metadb.Memory(), metadb.Memory()
-		direct := NewCatalog(dbA.Session())
-		routed := NewShardRouter(NewCatalog(dbB.Session()))
-		if err := direct.Init(); err != nil {
+		dbA := metadb.Memory()
+		local := NewCatalog(dbA.Session())
+		remote, closeRemote := serveCatalog(t)
+		if err := local.Init(); err != nil {
 			t.Fatal(err)
 		}
-		if err := routed.Init(); err != nil {
+		if err := remote.Init(); err != nil {
 			t.Fatal(err)
 		}
 
 		for i := 0; i < 30; i++ {
 			op := genRouterOp(rng)
-			wantRes, wantErr := op.run(direct)
-			gotRes, gotErr := op.run(routed)
+			wantRes, wantErr := op.run(local)
+			gotRes, gotErr := op.run(remote)
 			if errString(wantErr) != errString(gotErr) {
-				t.Fatalf("seed %d op %d %s: direct err %v, routed err %v", seed, i, op.name, wantErr, gotErr)
+				t.Fatalf("seed %d op %d %s: local err %v, remote err %v", seed, i, op.name, wantErr, gotErr)
 			}
 			if !reflect.DeepEqual(wantRes, gotRes) {
-				t.Fatalf("seed %d op %d %s:\ndirect %#v\nrouted %#v", seed, i, op.name, wantRes, gotRes)
+				t.Fatalf("seed %d op %d %s:\nlocal  %#v\nremote %#v", seed, i, op.name, wantRes, gotRes)
 			}
 		}
+		closeRemote()
 		dbA.Close()
-		dbB.Close()
 	}
 }
 
@@ -213,183 +183,136 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// shardFixture is a network-served catalog shard whose server can be
-// killed and revived on the same address.
-type shardFixture struct {
-	db   *metadb.DB
-	srv  *mdbnet.Server
-	addr string
-}
-
-func startShard(t *testing.T) *shardFixture {
+// serveCatalog starts an in-memory database behind an mdbnet server and
+// returns a catalog dialled to it, plus a func that tears all of it
+// down.
+func serveCatalog(t *testing.T) (*Catalog, func()) {
 	t.Helper()
 	db := metadb.Memory()
 	srv, err := mdbnet.Listen(db, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { db.Close() })
-	return &shardFixture{db: db, srv: srv, addr: srv.Addr()}
-}
-
-// TestRouterShardFailureIsolation hammers a 2-shard router while shard
-// 1's server is killed and restarted: operations on paths homed on
-// shard 0 must never see an error, proving a shard failure stays
-// contained to the paths it homes. Run under -race this also shakes
-// out data races between the redialing client and concurrent users.
-func TestRouterShardFailureIsolation(t *testing.T) {
-	sh0, sh1 := startShard(t), startShard(t)
-
-	dialShard := func(f *shardFixture) *Catalog {
-		cli, err := mdbnet.Dial(f.addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { cli.Close() })
-		return NewCatalog(cli)
-	}
-	router := NewShardRouter(dialShard(sh0), dialShard(sh1))
-	if err := router.Init(); err != nil {
+	cli, err := mdbnet.Dial(srv.Addr())
+	if err != nil {
 		t.Fatal(err)
 	}
+	return NewCatalog(cli), func() {
+		cli.Close()
+		srv.Close()
+		db.Close()
+	}
+}
 
-	// Find paths homed on each shard.
-	var p0, p1 string
-	for i := 0; p0 == "" || p1 == ""; i++ {
-		p := fmt.Sprintf("/iso-f%d.dat", i)
-		if ShardIndex(p, 2) == 0 {
-			if p0 == "" {
-				p0 = p
-			}
-		} else if p1 == "" {
-			p1 = p
-		}
+// TestRouterShardFailureIsolation hammers one networked catalog from
+// two goroutines while its server is killed and restarted on the same
+// address: errors are expected mid-outage, but afterwards the lazily
+// redialling client must answer again, and the generations it hands
+// out must still only grow. Run under -race this also shakes out data
+// races between the redialling client and concurrent users.
+func TestRouterShardFailureIsolation(t *testing.T) {
+	db := metadb.Memory()
+	t.Cleanup(func() { db.Close() })
+	srv, err := mdbnet.Listen(db, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := srv.Addr()
+	cli, err := mdbnet.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cli.Close() })
+	cat := NewCatalog(cli)
+	if err := cat.Init(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := cat.NextGeneration("/iso.dat")
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	const iters = 200
 	var wg sync.WaitGroup
-	wg.Add(2)
-	errCh := make(chan error, 1)
-	// Shard-0 hammer: must never fail, whatever happens to shard 1.
-	go func() {
-		defer wg.Done()
-		for i := 0; i < iters; i++ {
-			if _, err := router.NextGeneration(p0); err != nil {
-				select {
-				case errCh <- fmt.Errorf("iter %d: shard-0 op failed during shard-1 outage: %w", i, err):
-				default:
-				}
-				return
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				_, _ = cat.NextGeneration("/iso.dat")
 			}
-		}
-	}()
-	// Shard-1 hammer: errors are expected mid-outage; just keep the
-	// failure path hot so the redial logic runs concurrently.
-	go func() {
-		defer wg.Done()
-		for i := 0; i < iters; i++ {
-			_, _ = router.NextGeneration(p1)
-		}
-	}()
+		}()
+	}
 
-	if err := sh1.srv.Close(); err != nil {
+	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(5 * time.Millisecond) // let hammers run against the dead shard
-	srv, err := mdbnet.Listen(sh1.db, sh1.addr)
+	time.Sleep(5 * time.Millisecond) // let the hammers run against the dead server
+	srv, err = mdbnet.Listen(db, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	defer sh0.srv.Close()
-
 	wg.Wait()
-	select {
-	case err := <-errCh:
-		t.Fatal(err)
-	default:
-	}
 
-	// After the restart the lazily-redialing client must reach shard 1
-	// again (retry: the first call after restart can still consume a
-	// conn broken mid-outage).
-	var lastErr error
+	// Retry: the first call after the restart can still consume a conn
+	// broken mid-outage.
+	var (
+		after   int64
+		lastErr error
+	)
 	for i := 0; i < 50; i++ {
-		if _, lastErr = router.NextGeneration(p1); lastErr == nil {
+		if after, lastErr = cat.NextGeneration("/iso.dat"); lastErr == nil {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	if lastErr != nil {
-		t.Fatalf("shard 1 never recovered after restart: %v", lastErr)
+		t.Fatalf("catalog never answered after its server restarted: %v", lastErr)
+	}
+	if after <= before {
+		t.Fatalf("generation %d after the restart, want > %d", after, before)
 	}
 }
 
-// TestCrossShardRenameTypedError pins the cross-shard rename failure
-// mode: the error must match ErrCrossShardRename via errors.Is and
-// name both paths and both shard indices so operators can see which
-// shards disagree.
+// TestCrossShardRenameTypedError renames /cross/a0.dat to
+// /cross/b0.dat, the pair that hashed to different catalog shards when
+// the catalog could be split by path: with one catalog it is an
+// ordinary rename that keeps the file's servers and generation.
 func TestCrossShardRenameTypedError(t *testing.T) {
-	shards := make([]Router, 2)
-	for i := range shards {
-		db := metadb.Memory()
-		t.Cleanup(func() { db.Close() })
-		c := NewCatalog(db.Session())
-		if err := c.Init(); err != nil {
-			t.Fatal(err)
-		}
-		shards[i] = c
+	c := newCatalog(t)
+	if err := c.Mkdir("/cross"); err != nil {
+		t.Fatal(err)
 	}
-	router := NewShardRouter(shards...)
-
-	// Find a pair of paths homed on different shards.
-	oldPath := "/cross/a0.dat"
-	var newPath string
-	for i := 0; i < 256; i++ {
-		p := fmt.Sprintf("/cross/b%d.dat", i)
-		if ShardIndex(p, 2) != ShardIndex(oldPath, 2) {
-			newPath = p
-			break
-		}
-	}
-	if newPath == "" {
-		t.Fatal("no cross-shard path pair found")
+	const oldPath, newPath = "/cross/a0.dat", "/cross/b0.dat"
+	fi := testFileInfo(oldPath)
+	fi.Generation = 7
+	if err := createFile(c, fi, []int{0, 1, 2, 3}); err != nil {
+		t.Fatal(err)
 	}
 
-	_, _, err := router.RenameFile(oldPath, newPath)
-	if err == nil {
-		t.Fatal("cross-shard rename succeeded")
+	servers, gen, err := c.RenameFile(oldPath, newPath)
+	if err != nil {
+		t.Fatalf("rename %s -> %s: %v", oldPath, newPath, err)
 	}
-	if !errors.Is(err, ErrCrossShardRename) {
-		t.Fatalf("error %v does not match ErrCrossShardRename", err)
+	if !reflect.DeepEqual(servers, fi.Servers) || gen != fi.Generation {
+		t.Fatalf("rename returned servers %v gen %d, want %v gen %d", servers, gen, fi.Servers, fi.Generation)
 	}
-	var cerr *CrossShardRenameError
-	if !errors.As(err, &cerr) {
-		t.Fatalf("error %T is not *CrossShardRenameError", err)
+	if _, err := c.Stat(oldPath); err == nil {
+		t.Fatalf("%s still exists after the rename", oldPath)
 	}
-	if cerr.OldPath != oldPath || cerr.NewPath != newPath {
-		t.Fatalf("error names paths %q -> %q, want %q -> %q", cerr.OldPath, cerr.NewPath, oldPath, newPath)
+	got, err := c.Stat(newPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cerr.OldShard == cerr.NewShard {
-		t.Fatalf("error reports equal shards %d -> %d", cerr.OldShard, cerr.NewShard)
+	if got.Size != fi.Size || got.Owner != fi.Owner {
+		t.Fatalf("renamed file is %+v, want size %d owner %s", got, fi.Size, fi.Owner)
 	}
-	for _, want := range []string{oldPath, newPath, fmt.Sprintf("shard %d", cerr.OldShard), fmt.Sprintf("shard %d", cerr.NewShard)} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("error text %q missing %q", err, want)
-		}
+	_, files, err := c.ReadDir("/cross")
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Same-shard renames must be unaffected by the guard (the catalog
-	// itself then reports the missing file).
-	samePath := ""
-	for i := 0; i < 256; i++ {
-		p := fmt.Sprintf("/cross/c%d.dat", i)
-		if ShardIndex(p, 2) == ShardIndex(oldPath, 2) {
-			samePath = p
-			break
-		}
-	}
-	if _, _, err := router.RenameFile(oldPath, samePath); errors.Is(err, ErrCrossShardRename) {
-		t.Fatalf("same-shard rename reported as cross-shard: %v", err)
+	if !reflect.DeepEqual(files, []string{"b0.dat"}) {
+		t.Fatalf("/cross lists %v, want [b0.dat]", files)
 	}
 }

@@ -10,8 +10,8 @@ import (
 	"dpfs/internal/obs"
 )
 
-// GroupClient is a client for one replicated catalog shard: it holds
-// the shard's full replica address list and keeps statements flowing
+// GroupClient is a client for one replicated catalog: it holds the
+// group's full replica address list and keeps statements flowing
 // to whichever replica currently holds the primary lease (DESIGN.md
 // §13). Failover is driven by the two error classes the servers
 // produce:
@@ -35,10 +35,15 @@ type GroupClient struct {
 	addrs []string
 	dial  DialFunc
 
-	mu     sync.Mutex
-	cur    int     // index of the believed primary
-	cli    *Client // connection to addrs[cur]; nil between failures
-	inTx   bool    // a BEGIN succeeded with no COMMIT/ROLLBACK yet
+	mu   sync.Mutex // serializes requests and guards the fields below it
+	cur  int        // index of the believed primary
+	inTx bool       // a BEGIN succeeded with no COMMIT/ROLLBACK yet
+
+	// cmu guards cli and closed. It is never held across I/O, so Close
+	// does not wait for a statement in flight: it closes the connection
+	// under it, and the statement fails with a *TransportError.
+	cmu    sync.Mutex
+	cli    *Client // connection to addrs[cur]; nil between failures; set with mu and cmu both held
 	closed bool
 }
 
@@ -53,15 +58,16 @@ func DialGroup(addrs []string, dial DialFunc) (*GroupClient, error) {
 	g := &GroupClient{addrs: addrs, dial: dial}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if err := g.connectLocked(); err != nil {
+	if _, err := g.connectLocked(); err != nil {
 		return nil, err
 	}
 	return g, nil
 }
 
 // connectLocked dials addrs[cur], advancing through the list until one
-// replica accepts. Caller holds g.mu.
-func (g *GroupClient) connectLocked() error {
+// replica accepts, and installs the connection unless the client was
+// closed meanwhile. Caller holds g.mu.
+func (g *GroupClient) connectLocked() (*Client, error) {
 	var last error
 	for range g.addrs {
 		var (
@@ -74,23 +80,34 @@ func (g *GroupClient) connectLocked() error {
 			cli, err = Dial(g.addrs[g.cur])
 		}
 		if err == nil {
-			g.cli = cli
 			cli.SetTraceSpan(g.trace.Load())
-			return nil
+			g.cmu.Lock()
+			closed := g.closed
+			if !closed {
+				g.cli = cli
+			}
+			g.cmu.Unlock()
+			if closed {
+				cli.Close()
+				return nil, errClientClosed
+			}
+			return cli, nil
 		}
 		last = err
 		g.cur = (g.cur + 1) % len(g.addrs)
 	}
-	return fmt.Errorf("mdbnet: no replica reachable in %v: %w", g.addrs, last)
+	return nil, fmt.Errorf("mdbnet: no replica reachable in %v: %w", g.addrs, last)
 }
 
 // dropLocked abandons the current connection (aborting any server-side
 // transaction) so the next statement reconnects. Caller holds g.mu.
 func (g *GroupClient) dropLocked() {
+	g.cmu.Lock()
 	if g.cli != nil {
 		g.cli.Close()
 		g.cli = nil
 	}
+	g.cmu.Unlock()
 	g.inTx = false
 }
 
@@ -112,11 +129,11 @@ func (g *GroupClient) retargetLocked(redirect string) {
 // replica connections (same contract as Client.SetTraceSpan).
 func (g *GroupClient) SetTraceSpan(parent *obs.Span) {
 	g.trace.Store(parent)
-	g.mu.Lock()
+	g.cmu.Lock()
 	if g.cli != nil {
 		g.cli.SetTraceSpan(parent)
 	}
-	g.mu.Unlock()
+	g.cmu.Unlock()
 }
 
 // Exec sends one SQL statement to the current primary, following
@@ -130,20 +147,24 @@ func (g *GroupClient) Exec(sql string, args ...metadb.Value) (*metadb.Result, er
 func (g *GroupClient) Batch(stmts []metadb.Stmt) ([]*metadb.Result, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.closed {
-		return nil, errors.New("mdbnet: client closed")
-	}
 	var lastErr error
 	// One redirect per replica plus one rotation covers any single
 	// failover; beyond that the group is unstable and the caller
 	// should see the error.
 	for attempt := 0; attempt <= len(g.addrs); attempt++ {
-		if g.cli == nil {
-			if err := g.connectLocked(); err != nil {
+		g.cmu.Lock()
+		cli, closed := g.cli, g.closed
+		g.cmu.Unlock()
+		if closed {
+			return nil, errClientClosed
+		}
+		if cli == nil {
+			var err error
+			if cli, err = g.connectLocked(); err != nil {
 				return nil, err
 			}
 		}
-		res, err := g.cli.Batch(stmts)
+		res, err := cli.Batch(stmts)
 		if err == nil {
 			g.trackTx(stmts)
 			return res, nil
@@ -195,10 +216,12 @@ func (g *GroupClient) trackTx(ran []metadb.Stmt) {
 	}
 }
 
-// Close tears down the current connection and disables reconnects.
+// Close tears down the current connection and disables reconnects. It
+// does not wait for a statement in flight, which fails with a
+// *TransportError.
 func (g *GroupClient) Close() error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
+	g.cmu.Lock()
+	defer g.cmu.Unlock()
 	if g.closed {
 		return nil
 	}

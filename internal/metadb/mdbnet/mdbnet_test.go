@@ -278,53 +278,72 @@ func TestShutdownDrains(t *testing.T) {
 }
 
 // TestClientCloseInterruptsStatement: Close does not wait for a
-// statement the server never answers. It cuts the connection at once,
-// and the stuck statement fails as a transport error.
+// statement the server never answers, on a plain client or on a
+// replica-group client. It cuts the connection at once, and the stuck
+// statement fails as a transport error.
 func TestClientCloseInterruptsStatement(t *testing.T) {
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	type conn interface {
+		Exec(sql string, args ...metadb.Value) (*metadb.Result, error)
+		Close() error
 	}
-	defer lis.Close()
-	got := make(chan net.Conn, 1)
-	go func() {
-		conn, err := lis.Accept()
-		if err != nil {
-			return
-		}
-		got <- conn
-		io.Copy(io.Discard, conn) // read everything, answer nothing
-	}()
-	c, err := Dial(lis.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if conn := <-got; conn != nil {
-			conn.Close()
-		}
-	}()
-	execErr := make(chan error, 1)
-	go func() {
-		_, err := c.Exec(`SELECT 1 FROM t`)
-		execErr <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // let the statement reach its read
-	closed := make(chan error, 1)
-	go func() { closed <- c.Close() }()
-	select {
-	case <-closed:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Close blocked behind the unanswered statement")
-	}
-	select {
-	case err := <-execErr:
-		var te *TransportError
-		if !errors.As(err, &te) {
-			t.Fatalf("stuck Exec returned %v, want a *TransportError", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Exec still stuck after Close")
+	for _, tc := range []struct {
+		name string
+		dial func(addr string) (conn, error)
+	}{
+		{"Dial", func(addr string) (conn, error) { return Dial(addr) }},
+		{"DialGroup", func(addr string) (conn, error) { return DialGroup([]string{addr}, nil) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lis, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lis.Close()
+			got := make(chan net.Conn, 1)
+			go func() {
+				conn, err := lis.Accept()
+				if err != nil {
+					return
+				}
+				got <- conn
+				io.Copy(io.Discard, conn) // read everything, answer nothing
+			}()
+			c, err := tc.dial(lis.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if conn := <-got; conn != nil {
+					conn.Close()
+				}
+			}()
+			execErr := make(chan error, 1)
+			go func() {
+				_, err := c.Exec(`SELECT 1 FROM t`)
+				execErr <- err
+			}()
+			time.Sleep(20 * time.Millisecond) // let the statement reach its read
+			closed := make(chan error, 1)
+			go func() { closed <- c.Close() }()
+			select {
+			case <-closed:
+			case <-time.After(2 * time.Second):
+				t.Fatal("Close blocked behind the unanswered statement")
+			}
+			select {
+			case err := <-execErr:
+				var te *TransportError
+				if !errors.As(err, &te) {
+					t.Fatalf("stuck Exec returned %v, want a *TransportError", err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("Exec still stuck after Close")
+			}
+			// A closed client stays closed: nothing redials.
+			if _, err := c.Exec(`SELECT 1 FROM t`); !errors.Is(err, errClientClosed) {
+				t.Fatalf("Exec after Close returned %v, want %v", err, errClientClosed)
+			}
+		})
 	}
 }
 

@@ -1,4 +1,4 @@
-// Package metarepl makes each catalog shard an R-way replica group: a
+// Package metarepl makes the catalog an R-way replica group: a
 // small log-replication core in the raft family, specialized to the
 // metadb WAL (DESIGN.md §13).
 //
@@ -92,7 +92,7 @@ const (
 
 // Config describes one replica's place in its group.
 type Config struct {
-	// Name labels the group in events and logs (e.g. "meta0").
+	// Name labels the group in events and logs (e.g. "meta").
 	Name string
 	// ID is this replica's index into Peers/SQLAddrs.
 	ID int
@@ -277,12 +277,13 @@ func (r *Replica) Epoch() (int64, int) {
 }
 
 // Gate returns the admission check for this replica's mdbnet server:
-// nil for the primary, a NotPrimaryError redirect for followers.
+// nil for the primary, a NotPrimaryError redirect for followers and for
+// a closed replica, whose commits would no longer be shipped.
 func (r *Replica) Gate() func() error {
 	return func() error {
 		r.mu.Lock()
 		defer r.mu.Unlock()
-		if r.role == Primary {
+		if r.role == Primary && !r.closed {
 			return nil
 		}
 		addr := ""

@@ -261,7 +261,9 @@ func TestTakeoverTailSeedAvoidsSnapshot(t *testing.T) {
 
 // TestCloseFailsPendingAcks: closing a primary with a commit stuck
 // waiting for its quorum must fail that commit immediately, not spin
-// on the closed stop channel until AckTimeout.
+// on the closed stop channel until AckTimeout, and its gate must admit
+// no more SQL: a closed replica ships nothing, so whatever it
+// committed would be acknowledged unreplicated.
 func TestCloseFailsPendingAcks(t *testing.T) {
 	lis0, err := mdbnet.ListenRepl("")
 	if err != nil {
@@ -307,6 +309,9 @@ func TestCloseFailsPendingAcks(t *testing.T) {
 		}
 	case <-time.After(3 * time.Second):
 		t.Fatal("pending commit still blocked after Close")
+	}
+	if err := rep.Gate()(); err == nil {
+		t.Fatal("a closed primary's gate still admits SQL")
 	}
 }
 

@@ -54,7 +54,7 @@ const (
 	// stitched trace rendering.
 	EventSlowRequest = "slow_request"
 	// EventMetaPromotion fires when a catalog replica wins an election
-	// and takes over as its shard's primary (DESIGN.md §13).
+	// and takes over as its group's primary (DESIGN.md §13).
 	EventMetaPromotion = "meta_promotion"
 	// EventMetaStepDown fires when a catalog primary discovers a
 	// higher epoch and demotes itself to follower.

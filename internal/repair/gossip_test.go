@@ -179,7 +179,7 @@ func TestProbeMetaUnreachableFallback(t *testing.T) {
 	})
 	defer r.Close()
 
-	if err := c.StopMetaShard(0); err != nil {
+	if err := c.StopMeta(); err != nil {
 		t.Fatal(err)
 	}
 	alive, err := r.Probe(ctxT(t))

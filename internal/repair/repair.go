@@ -143,8 +143,7 @@ type Report struct {
 	Files []FileRepair
 }
 
-// Runner executes repair runs against one catalog surface (a single
-// catalog or a shard router).
+// Runner executes repair runs against the catalog.
 type Runner struct {
 	cat     meta.Router
 	opts    Options

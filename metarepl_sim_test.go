@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -21,23 +22,25 @@ import (
 )
 
 // TestMetaReplFailoverSimulation is the deterministic primary-kill
-// harness for replicated metadata shards (DESIGN.md §13): two catalog
-// shards, each a 3-way replica group, serve a seeded concurrent
-// create/write/read workload while each shard's current primary is
-// killed mid-run. Clients ride through the failovers (their group
-// connections chase the primary by redirect), and at the end the test
-// asserts the properties replication must keep:
+// harness for the replicated catalog (DESIGN.md §13): one catalog as a
+// 3-way replica group serves a seeded concurrent create/write/read
+// workload while its current primary is killed mid-run, once per
+// phase. Clients ride through the failovers (their group connections
+// chase the primary by redirect), and at the end the test asserts the
+// properties replication must keep:
 //
 //   - zero lost acknowledged mutations — every file whose create was
-//     acknowledged reads back byte-identical through a fresh client;
-//   - replica convergence — all three replicas of each shard hold
-//     byte-identical table contents once shipping settles;
+//     acknowledged reads back byte-identical through a fresh client,
+//     opened by dpfs.Connect on the group's comma-separated replica
+//     list;
+//   - replica convergence — all three replicas hold byte-identical
+//     table contents once shipping settles;
 //   - observable failover — metarepl_promotions_total > 0 on the
 //     promoted replicas and meta_promotion events served by
 //     /debug/events.
 func TestMetaReplFailoverSimulation(t *testing.T) {
 	const (
-		shards    = 2
+		phases    = 2
 		replicas  = 3
 		np        = 4
 		perPhase  = 3 // files per client per phase
@@ -47,7 +50,6 @@ func TestMetaReplFailoverSimulation(t *testing.T) {
 	c, err := cluster.Start(cluster.Config{
 		Servers:             cluster.Uniform(3),
 		Dir:                 t.TempDir(),
-		MetaShards:          shards,
 		MetaReplicas:        replicas,
 		MetaHeartbeat:       10 * time.Millisecond,
 		MetaElectionTimeout: 80 * time.Millisecond,
@@ -59,6 +61,10 @@ func TestMetaReplFailoverSimulation(t *testing.T) {
 	defer c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
+	addrs := make([]string, replicas)
+	for j, srv := range c.ReplSrvs {
+		addrs[j] = srv.Addr()
+	}
 
 	clients := make([]*core.FS, np)
 	for r := 0; r < np; r++ {
@@ -98,7 +104,7 @@ func TestMetaReplFailoverSimulation(t *testing.T) {
 		return fmt.Errorf("%s: still failing after 2000 attempts: %w", what, err)
 	}
 
-	cat, err := c.NewRouter()
+	cat, err := c.NewCatalog()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,23 +169,52 @@ func TestMetaReplFailoverSimulation(t *testing.T) {
 		return nil
 	}
 
-	waitPrimary := func(shard int) int {
+	waitPrimary := func() int {
 		deadline := time.Now().Add(10 * time.Second)
 		for time.Now().Before(deadline) {
-			if p := c.MetaPrimary(shard); p >= 0 {
+			if p := c.MetaPrimary(); p >= 0 {
 				return p
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
-		t.Fatalf("shard %d never elected a primary", shard)
+		t.Fatal("the catalog group never elected a primary")
 		return -1
 	}
+	// waitConverged waits until every replica is up and has applied
+	// everything the primary committed, and returns the primary and the
+	// replicas' databases.
+	waitConverged := func() (int, []*metadb.DB) {
+		p := waitPrimary()
+		dbs := make([]*metadb.DB, replicas)
+		for j := 0; j < replicas; j++ {
+			dbs[j] = c.ReplDBs[j]
+			if dbs[j] == nil {
+				t.Fatalf("replica %d still down", j)
+			}
+		}
+		wantSeq, _ := dbs[p].ReplState()
+		for j := 0; j < replicas; j++ {
+			deadline := time.Now().Add(10 * time.Second)
+			for {
+				seq, _ := dbs[j].ReplState()
+				if seq >= wantSeq {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("replica %d stuck at seq %d, want %d", j, seq, wantSeq)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		}
+		return p, dbs
+	}
 
-	// One phase per shard: launch the concurrent workload, kill that
-	// shard's current primary mid-run, let the survivors elect and the
-	// clients chase the new primary, then bring the killed replica back
-	// as a follower before the next phase.
-	for phase := 0; phase < shards; phase++ {
+	// Every phase launches the concurrent workload, kills the group's
+	// current primary mid-run, lets the survivors elect and the clients
+	// chase the new primary, then brings the killed replica back as a
+	// follower and lets it catch up before the next phase, so each kill
+	// hits a whole group.
+	for phase := 0; phase < phases; phase++ {
 		var wg sync.WaitGroup
 		errs := make(chan error, np)
 		for r := 0; r < np; r++ {
@@ -192,8 +227,8 @@ func TestMetaReplFailoverSimulation(t *testing.T) {
 			}(r)
 		}
 		time.Sleep(20 * time.Millisecond) // let the workload hit the primary
-		p := waitPrimary(phase)
-		if err := c.KillMetaReplica(phase, p); err != nil {
+		p := waitPrimary()
+		if err := c.KillMetaReplica(p); err != nil {
 			t.Fatal(err)
 		}
 		wg.Wait()
@@ -202,23 +237,25 @@ func TestMetaReplFailoverSimulation(t *testing.T) {
 			t.Fatalf("phase %d: %v", phase, err)
 		}
 		// The survivors must have elected a different primary.
-		if cur := waitPrimary(phase); cur == p {
+		if cur := waitPrimary(); cur == p {
 			t.Fatalf("phase %d: killed primary %d still leads", phase, p)
 		}
-		if err := c.RestartMetaReplica(phase, p); err != nil {
+		if err := c.RestartMetaReplica(p); err != nil {
 			t.Fatal(err)
 		}
+		waitConverged()
 	}
 
-	// Full sweep through a fresh client: every acknowledged create of
-	// every phase must read back byte-identical — zero lost mutations.
-	fresh, err := c.NewFS(np, core.Options{Combine: true})
+	// Full sweep through a fresh public client on the group's replica
+	// list: every acknowledged create of every phase must read back
+	// byte-identical — zero lost mutations.
+	fresh, err := dpfs.Connect(strings.Join(addrs, ","), np, dpfs.Options{Combine: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
 	for rank := 0; rank < np; rank++ {
-		for phase := 0; phase < shards; phase++ {
+		for phase := 0; phase < phases; phase++ {
 			for i := 0; i < perPhase; i++ {
 				p := path(rank, phase, i)
 				f, err := fresh.Open(p)
@@ -239,59 +276,34 @@ func TestMetaReplFailoverSimulation(t *testing.T) {
 	}
 
 	// Replica convergence: wait for shipping to settle, then require all
-	// three replicas of each shard to agree byte-for-byte, table by
-	// table. The restarted ex-primaries resynced by snapshot (their
-	// in-memory state died with them), so this also proves resync.
-	for s := 0; s < shards; s++ {
-		p := waitPrimary(s)
-		dbs := make([]*metadb.DB, replicas)
-		for j := 0; j < replicas; j++ {
-			dbs[j] = c.ReplDBs[s][j]
-			if dbs[j] == nil {
-				t.Fatalf("shard %d replica %d still down", s, j)
-			}
+	// three replicas to agree byte-for-byte, table by table. The
+	// restarted ex-primaries resynced by snapshot (their in-memory state
+	// died with them), so this also proves resync.
+	p, dbs := waitConverged()
+	for _, table := range dbs[p].TableNames() {
+		want, err := dbs[p].Exec("SELECT * FROM " + table)
+		if err != nil {
+			t.Fatal(err)
 		}
-		wantSeq, _ := dbs[p].ReplState()
 		for j := 0; j < replicas; j++ {
-			deadline := time.Now().Add(10 * time.Second)
-			for {
-				seq, _ := dbs[j].ReplState()
-				if seq >= wantSeq {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("shard %d replica %d stuck at seq %d, want %d", s, j, seq, wantSeq)
-				}
-				time.Sleep(5 * time.Millisecond)
+			if j == p {
+				continue
 			}
-		}
-		for _, table := range dbs[p].TableNames() {
-			want, err := dbs[p].Exec("SELECT * FROM " + table)
+			got, err := dbs[j].Exec("SELECT * FROM " + table)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("replica %d table %s: %v", j, table, err)
 			}
-			for j := 0; j < replicas; j++ {
-				if j == p {
-					continue
-				}
-				got, err := dbs[j].Exec("SELECT * FROM " + table)
-				if err != nil {
-					t.Fatalf("shard %d replica %d table %s: %v", s, j, table, err)
-				}
-				if !reflect.DeepEqual(got.Rows, want.Rows) {
-					t.Fatalf("shard %d replica %d table %s diverged from primary %d", s, j, table, p)
-				}
+			if !reflect.DeepEqual(got.Rows, want.Rows) {
+				t.Fatalf("replica %d table %s diverged from primary %d", j, table, p)
 			}
 		}
 	}
 
 	// Observable failover: the promoted replicas counted themselves...
 	promotions := int64(0)
-	for s := 0; s < shards; s++ {
-		for j := 0; j < replicas; j++ {
-			if rep := c.Replicas[s][j]; rep != nil {
-				promotions += rep.Metrics().Counter(metarepl.MetricPromotions).Value()
-			}
+	for _, rep := range c.Replicas {
+		if rep != nil {
+			promotions += rep.Metrics().Counter(metarepl.MetricPromotions).Value()
 		}
 	}
 	if promotions == 0 {

@@ -11,29 +11,27 @@ import (
 	"dpfs"
 	"dpfs/internal/cluster"
 	"dpfs/internal/core"
-	"dpfs/internal/meta"
 )
 
-// TestMetaShardSimulation is the deterministic meta-shard harness: an
-// in-process cluster with three catalog shards serves a seeded
-// concurrent create/write/read workload while individual shards are
-// killed and restarted mid-run. Clients retry through the outages
-// (their catalog connections redial lazily), and at the end the test
-// asserts the two properties sharded metadata must keep: every file
-// reads back byte-identical to the deterministic pattern its writer
-// produced, and every file's catalog rows live on exactly the shard
-// its path hashes to — no op was misrouted, even under failures.
+// TestMetaShardSimulation is the deterministic catalog-outage harness:
+// an in-process cluster serves a seeded concurrent create/write/read
+// workload while its one catalog server is killed and restarted in
+// every phase. Clients retry through the outages (their catalog
+// connections redial lazily), and at the end the test asserts the two
+// properties the catalog must keep: every file reads back
+// byte-identical to the deterministic pattern its writer produced, and
+// the catalog lists exactly the files created, none lost and none
+// doubled by a retried create.
 func TestMetaShardSimulation(t *testing.T) {
 	const (
-		shards    = 3
+		phases    = 3
 		np        = 4
 		perPhase  = 3 // files per client per phase
 		fileBytes = 4096
 	)
 	c, err := cluster.Start(cluster.Config{
-		Servers:    cluster.Uniform(3),
-		Dir:        t.TempDir(),
-		MetaShards: shards,
+		Servers: cluster.Uniform(3),
+		Dir:     t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +62,7 @@ func TestMetaShardSimulation(t *testing.T) {
 	}
 	// retry runs op until it succeeds or the deadline passes; outages
 	// surface as transport errors that a later attempt (against the
-	// restarted shard) resolves.
+	// restarted catalog) resolves.
 	retry := func(what string, op func() error) error {
 		var err error
 		for attempt := 0; attempt < 2000; attempt++ {
@@ -80,9 +78,9 @@ func TestMetaShardSimulation(t *testing.T) {
 		return fmt.Errorf("%s: still failing after 2000 attempts: %w", what, err)
 	}
 
-	// The directory is made once up front (broadcast to all shards)
-	// so phase workloads only exercise file ops.
-	cat, err := c.NewRouter()
+	// The directory is made once up front so phase workloads only
+	// exercise file ops.
+	cat, err := c.NewCatalog()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +94,7 @@ func TestMetaShardSimulation(t *testing.T) {
 			p := path(rank, phase, i)
 			data := pattern(rank, phase, i)
 			// Create with lost-ack tolerance: a retried create whose
-			// earlier attempt committed before the shard died sees
+			// earlier attempt committed before the catalog died sees
 			// "exists" — detect it by opening instead.
 			err := retry("create "+p, func() error {
 				f, err := clients[rank].Create(p, 1, []int64{fileBytes}, hint)
@@ -113,7 +111,7 @@ func TestMetaShardSimulation(t *testing.T) {
 				return err
 			}
 			// Writes are idempotent (same bytes, same extent), so a
-			// mid-write shard outage is retried whole.
+			// mid-write catalog outage is retried whole.
 			err = retry("write "+p, func() error {
 				f, err := clients[rank].Open(p)
 				if err != nil {
@@ -125,7 +123,7 @@ func TestMetaShardSimulation(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			// Read back immediately through the same routed catalog.
+			// Read back immediately through the same catalog connection.
 			err = retry("read "+p, func() error {
 				f, err := clients[rank].Open(p)
 				if err != nil {
@@ -148,11 +146,11 @@ func TestMetaShardSimulation(t *testing.T) {
 		return nil
 	}
 
-	// One phase per shard: kill that shard, run the concurrent phase
-	// workload against the degraded catalog, restart the shard while
-	// clients are still retrying, and wait for every client to finish.
-	for phase := 0; phase < shards; phase++ {
-		if err := c.StopMetaShard(phase); err != nil {
+	// Every phase kills the catalog, runs the concurrent phase workload
+	// against it, restarts it while clients are still retrying, and
+	// waits for every client to finish.
+	for phase := 0; phase < phases; phase++ {
+		if err := c.StopMeta(); err != nil {
 			t.Fatal(err)
 		}
 		var wg sync.WaitGroup
@@ -166,8 +164,8 @@ func TestMetaShardSimulation(t *testing.T) {
 				}
 			}(r)
 		}
-		time.Sleep(30 * time.Millisecond) // let clients hit the dead shard
-		if err := c.RestartMetaShard(phase); err != nil {
+		time.Sleep(30 * time.Millisecond) // let clients hit the dead catalog
+		if err := c.RestartMeta(); err != nil {
 			t.Fatal(err)
 		}
 		wg.Wait()
@@ -184,10 +182,12 @@ func TestMetaShardSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
+	created := make(map[string]bool)
 	for rank := 0; rank < np; rank++ {
-		for phase := 0; phase < shards; phase++ {
+		for phase := 0; phase < phases; phase++ {
 			for i := 0; i < perPhase; i++ {
 				p := path(rank, phase, i)
+				created[p] = true
 				f, err := fresh.Open(p)
 				if err != nil {
 					t.Fatalf("open %s: %v", p, err)
@@ -205,35 +205,17 @@ func TestMetaShardSimulation(t *testing.T) {
 		}
 	}
 
-	// Misrouting audit: inspect each shard's database directly (not
-	// through the router) and require every file's rows to live on
-	// exactly the shard its path hashes to.
-	onShard := make([]map[string]bool, shards)
-	for s := 0; s < shards; s++ {
-		direct := meta.NewCatalog(c.DBs[s].Session())
-		files, err := direct.Files()
-		if err != nil {
-			t.Fatal(err)
-		}
-		onShard[s] = make(map[string]bool, len(files))
-		for _, p := range files {
-			onShard[s][p] = true
-		}
+	// Catalog audit: the catalog lists exactly the created files.
+	files, err := fresh.Catalog().Files()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for rank := 0; rank < np; rank++ {
-		for phase := 0; phase < shards; phase++ {
-			for i := 0; i < perPhase; i++ {
-				p := path(rank, phase, i)
-				home := meta.ShardIndex(p, shards)
-				for s := 0; s < shards; s++ {
-					if s == home && !onShard[s][p] {
-						t.Errorf("%s: missing from home shard %d", p, home)
-					}
-					if s != home && onShard[s][p] {
-						t.Errorf("%s: misrouted onto shard %d (home %d)", p, s, home)
-					}
-				}
-			}
+	if len(files) != len(created) {
+		t.Fatalf("catalog lists %d files, %d were created: %v", len(files), len(created), files)
+	}
+	for _, p := range files {
+		if !created[p] {
+			t.Errorf("catalog lists %s, which no client created", p)
 		}
 	}
 }

@@ -7,7 +7,8 @@
 #   4. race-enabled test suite
 #   5. seeded chaos suite under -race (fault injection e2e), plus a
 #      3-seed DPFS_CHAOS_SWEEP including the replica-failover,
-#      metashard, metarepl and gossip modes
+#      catalog-storm (seed*-metashard: the one catalog under delays on
+#      its connections), metarepl and gossip modes
 #   6. ten seconds each of FuzzSelection and FuzzScatterWrite (arbitrary
 #      selections and, for writes, payloads against the server's read
 #      and write extent loops), of FuzzParse (arbitrary statement text
@@ -18,7 +19,8 @@
 #      every level and arbitrary file and memory runs against the
 #      client's one planner); their seed corpora already ran in tier-1
 #   7. one smoke run of dpfs-bench (-ablation parallel)
-#   8. documentation lint (godoc coverage + markdown links)
+#   8. documentation lint (godoc coverage, markdown links, flag tables
+#      and the flags of documented command lines)
 #   9. obslint: metric names vs the frozen manifest + Prometheus
 #      exposition validity (scripts/obslint.sh)
 #  10. the benchmark module (benchmark/, its own go.mod, so the steps
@@ -46,7 +48,7 @@ if command -v govulncheck >/dev/null 2>&1; then
 else
 	echo "WARNING: govulncheck not installed; skipping the vulnerability scan (go install golang.org/x/vuln/cmd/govulncheck@latest)" >&2
 fi
-echo "== doccheck: godoc coverage + markdown links =="
+echo "== doccheck: godoc, links, flag tables, command lines =="
 go run ./scripts/doccheck
 echo "== obslint: metric-name manifest + Prometheus format =="
 sh scripts/obslint.sh

@@ -1,5 +1,5 @@
 // Command doccheck is the repo's documentation lint, run by `make
-// docs` and scripts/check.sh. It enforces two things with only the
+// docs` and scripts/check.sh. It enforces four things with only the
 // standard library:
 //
 //  1. Godoc coverage: every package under ./ and ./internal/... must
@@ -12,6 +12,10 @@
 //     must have a row in that command's README flag table, and every
 //     row must name a registered flag — stale docs and undocumented
 //     flags both fail.
+//  4. Documented command lines: inside the fenced code blocks of
+//     README, OPERATIONS, DESIGN and EXPERIMENTS, every -flag on a
+//     dpfs-sh, dpfs-server, dpfs-meta or dpfs-bench command line must
+//     name a flag that command registers.
 //
 // Any violation is printed as file:line and the process exits 1.
 package main
@@ -37,6 +41,7 @@ func main() {
 	problems = append(problems, checkGoDocs(root)...)
 	problems = append(problems, checkMarkdownLinks(root)...)
 	problems = append(problems, checkFlagTables(root)...)
+	problems = append(problems, checkCommandLines(root)...)
 	for _, p := range problems {
 		fmt.Println(p)
 	}
@@ -299,6 +304,109 @@ func registeredFlags(dir string, problems *[]string) map[string]string {
 		})
 	}
 	return flags
+}
+
+// commandDocs are the markdown files whose fenced command lines
+// checkCommandLines holds to the commands' registered flags.
+var commandDocs = []string{"README.md", "OPERATIONS.md", "DESIGN.md", "EXPERIMENTS.md"}
+
+// checkCommandLines reports every -flag on a documented command line
+// (a fenced code block's line, continued past lines that end in a
+// backslash) that the command it follows does not register. A command
+// line runs from the command's name, bare or as the last element of a
+// path, to the next shell separator or comment.
+func checkCommandLines(root string) []string {
+	var problems []string
+	registered := map[string]map[string]string{}
+	for _, name := range []string{"dpfs-sh", "dpfs-server", "dpfs-meta", "dpfs-bench"} {
+		registered[name] = registeredFlags(filepath.Join(root, "cmd", name), &problems)
+	}
+	for _, doc := range commandDocs {
+		path := filepath.Join(root, doc)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			problems = append(problems, fmt.Sprintf("%s: %v", path, err))
+			continue
+		}
+		fenced, cmd := false, ""
+		for i, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced, cmd = !fenced, ""
+				continue
+			}
+			if !fenced {
+				continue
+			}
+			var bad []string
+			cmd, bad = unknownFlags(cmd, shellWords(strings.TrimSuffix(line, "\\")), registered)
+			for _, b := range bad {
+				problems = append(problems, fmt.Sprintf("%s:%d: %s", path, i+1, b))
+			}
+			if !strings.HasSuffix(line, "\\") {
+				cmd = "" // the command line ends with its last physical line
+			}
+		}
+	}
+	return problems
+}
+
+// unknownFlags walks one line's words, continuing the command line of
+// cmd ("" for none), and describes each flag that the command it
+// belongs to does not register. It returns the command whose line is
+// still open at the last word.
+func unknownFlags(cmd string, words []string, registered map[string]map[string]string) (string, []string) {
+	var bad []string
+	for _, w := range words {
+		if w == "|" || w == "||" || w == "&&" || w == ";" || w == "&" ||
+			strings.HasPrefix(w, "#") || strings.ContainsAny(w[:1], "<>") || strings.HasPrefix(w, "2>") {
+			cmd = ""
+			continue
+		}
+		w = strings.Trim(w, "[]()")
+		if base := w[strings.LastIndex(w, "/")+1:]; registered[base] != nil {
+			cmd = base
+			continue
+		}
+		name := strings.TrimLeft(w, "-")
+		if cmd == "" || !strings.HasPrefix(w, "-") || name == "" || name[0] < 'a' || name[0] > 'z' {
+			continue
+		}
+		name, _, _ = strings.Cut(name, "=")
+		if _, ok := registered[cmd][name]; !ok && name != "h" && name != "help" {
+			bad = append(bad, fmt.Sprintf("%s does not register -%s", cmd, name))
+		}
+	}
+	return cmd, bad
+}
+
+// shellWords splits a line at blanks outside single and double quotes;
+// quotes stay part of their word, so a quoted argument never reads as
+// a flag.
+func shellWords(line string) []string {
+	var words []string
+	var cur strings.Builder
+	var quote rune
+	for _, r := range line {
+		switch {
+		case quote != 0:
+			if r == quote {
+				quote = 0
+			}
+		case r == '\'' || r == '"':
+			quote = r
+		case r == ' ' || r == '\t':
+			if cur.Len() > 0 {
+				words = append(words, cur.String())
+				cur.Reset()
+			}
+			continue
+		}
+		cur.WriteRune(r)
+	}
+	if cur.Len() > 0 {
+		words = append(words, cur.String())
+	}
+	return words
 }
 
 // mdLink matches inline markdown links; bare URLs and reference-style
