@@ -9,11 +9,14 @@
 //
 // With -repl-factor N the catalog runs as an N-way replica group in
 // this process (DESIGN.md §13): replica 0 serves -addr, the others
-// listen on ephemeral addresses printed at startup, and a commit is
-// acknowledged only once the -repl-ack quorum holds it durably. Point
-// clients and I/O servers at every replica with the printed -meta
-// value (the group's comma-separated addresses); they follow the
-// primary across failovers by redirect.
+// listen on ports picked at first start, and a commit is acknowledged
+// only once the -repl-ack quorum holds it durably. Point clients and
+// I/O servers at every replica with the printed -meta value (the
+// group's comma-separated addresses); they follow the primary across
+// failovers by redirect. With -dir each replica records its addresses
+// in its directory (replica j ≥ 1 stores in <dir>-r<j>), so a restart
+// prints, and serves, the same list. Without -repl-factor the catalog
+// is a group of one: the same startup, with no replication.
 //
 // With -debug-addr the daemon also serves /metrics (Prometheus text),
 // /healthz, /debug/vars (JSON), /debug/trace, /debug/events and
@@ -22,6 +25,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -62,165 +66,58 @@ func main() {
 		fatal(fmt.Errorf("unknown -repl-ack %q (want majority or all)", *replAck))
 	}
 
-	dbOpts := metadb.Options{Dir: *dir, Sync: *sync}
-	if *replFactor > 1 {
-		runGroup(*replFactor, ack, *addr, dbOpts, *debugAddr, *drainTimeout)
-		return
-	}
-
-	db, err := metadb.Open(dbOpts)
+	g, err := metarepl.StartGroup(metarepl.GroupConfig{
+		N: *replFactor, Addr: *addr, DB: metadb.Options{Dir: *dir, Sync: *sync}, Ack: ack,
+	})
 	if err != nil {
 		fatal(err)
 	}
-	defer db.Close()
+	defer g.Close()
+	addrs := g.Addrs()
 
 	// Initialize the DPFS schema so freshly-pointed clients find the
-	// four tables of Fig. 10.
-	cat := meta.NewCatalog(db.Session())
-	if err := cat.Init(); err != nil {
-		fatal(err)
-	}
-
-	srv, err := mdbnet.Listen(db, *addr)
+	// four tables of Fig. 10 (a no-op on a restarted catalog). On a
+	// replica group the commit flows through quorum-acked shipping.
+	cli, err := mdbnet.DialGroup(addrs, nil)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("dpfs-meta: serving DPFS metadata on %s (dir=%q sync=%v)\n", srv.Addr(), *dir, *sync)
+	err = meta.NewCatalog(cli).Init()
+	cli.Close()
+	if err != nil {
+		fatal(err)
+	}
+
+	fmt.Printf("dpfs-meta: serving DPFS metadata on %s (dir=%q sync=%v replicas=%d ack=%s)\n",
+		addrs[0], *dir, *sync, len(addrs), *replAck)
+	for j := 1; j < len(addrs); j++ {
+		fmt.Printf("dpfs-meta: replica %d on %s\n", j, addrs[j])
+	}
+	fmt.Printf("dpfs-meta: clients: -meta '%s'\n", strings.Join(addrs, ","))
 
 	if *debugAddr != "" {
-		regs := map[string]*obs.Registry{"db": db.Metrics(), "net": srv.Metrics()}
-		stopDebug := startDebug(*debugAddr, regs, srv.Traces(), func() obs.Health {
-			return obs.Health{Status: "ok", Detail: map[string]any{
-				"addr":   srv.Addr(),
-				"dir":    *dir,
-				"sync":   *sync,
-				"tables": len(db.TableNames()),
-			}}
-		})
-		defer stopDebug()
-	}
-
-	drain(srv, *drainTimeout)
-}
-
-// runGroup runs the catalog as an n-way replica group inside this
-// process: shared-nothing databases, one SQL server per replica
-// (followers reject with a redirect to the primary), and the metarepl
-// shipping stream between them. Replica 0 bootstraps fresh groups; a
-// restarted durable group elects its primary instead.
-func runGroup(n int, ack metarepl.Ack, addr string, dbOpts metadb.Options, debugAddr string, drainTimeout time.Duration) {
-	liss := make([]*mdbnet.ReplListener, n)
-	peers := make([]string, n)
-	for j := range liss {
-		lis, err := mdbnet.ListenRepl("")
-		if err != nil {
-			fatal(err)
-		}
-		liss[j] = lis
-		peers[j] = lis.Addr()
-	}
-	dbs := make([]*metadb.DB, n)
-	srvs := make([]*mdbnet.Server, n)
-	sqlAddrs := make([]string, n)
-	for j := 0; j < n; j++ {
-		opts := dbOpts
-		if opts.Dir != "" && j > 0 {
-			opts.Dir = fmt.Sprintf("%s-r%d", dbOpts.Dir, j)
-		}
-		db, err := metadb.Open(opts)
-		if err != nil {
-			fatal(err)
-		}
-		dbs[j] = db
-		a := addr
-		if j > 0 {
-			a = "" // followers pick ephemeral ports, printed below
-		}
-		srv, err := mdbnet.Listen(db, a)
-		if err != nil {
-			fatal(err)
-		}
-		srvs[j] = srv
-		sqlAddrs[j] = srv.Addr()
-	}
-	reps := make([]*metarepl.Replica, n)
-	for j := 0; j < n; j++ {
-		rep, err := metarepl.New(metarepl.Config{
-			Name: "meta", ID: j, Peers: peers, SQLAddrs: sqlAddrs,
-			DB: dbs[j], Listener: liss[j], Ack: ack,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		reps[j] = rep
-		srvs[j].SetGate(rep.Gate())
-	}
-	fresh := false
-	if epoch, _ := dbs[0].ReplEpoch(); epoch == 0 {
-		fresh = true
-		if err := reps[0].Bootstrap(); err != nil {
-			fatal(err)
-		}
-	}
-	for _, rep := range reps {
-		rep.Start()
-	}
-	if fresh {
-		// The schema commit itself flows through quorum-acked shipping.
-		// On a durable restart the schema already exists and the elected
-		// primary may not be replica 0, so only fresh groups run Init.
-		if err := meta.NewCatalog(dbs[0].Session()).Init(); err != nil {
-			fatal(err)
-		}
-	}
-
-	fmt.Printf("dpfs-meta: serving DPFS metadata on %s as a %d-way replica group (dir=%q sync=%v ack=%s)\n",
-		srvs[0].Addr(), n, dbOpts.Dir, dbOpts.Sync, ackName(ack))
-	for j := 1; j < n; j++ {
-		fmt.Printf("dpfs-meta: replica %d on %s (replication %s)\n", j, sqlAddrs[j], peers[j])
-	}
-	fmt.Printf("dpfs-meta: clients: -meta '%s'\n", strings.Join(sqlAddrs, ","))
-
-	if debugAddr != "" {
-		regs := map[string]*obs.Registry{"db": dbs[0].Metrics(), "net": srvs[0].Metrics()}
-		for j, rep := range reps {
-			regs[fmt.Sprintf("repl%d", j)] = rep.Metrics()
-		}
-		stopDebug := startDebug(debugAddr, regs, srvs[0].Traces(), func() obs.Health {
-			primary := -1
-			for j, rep := range reps {
-				if rep.Role() == metarepl.Primary {
-					primary = j
-				}
+		regs := map[string]*obs.Registry{"db": g.DB(0).Metrics(), "net": g.Server(0).Metrics()}
+		for j := range addrs {
+			if rep := g.Replica(j); rep != nil {
+				regs[fmt.Sprintf("repl%d", j)] = rep.Metrics()
 			}
-			epoch, _ := reps[0].Epoch()
+		}
+		stopDebug := startDebug(*debugAddr, regs, g.Server(0).Traces(), func() obs.Health {
+			epoch, _ := g.DB(0).ReplEpoch()
 			return obs.Health{Status: "ok", Detail: map[string]any{
-				"addr":     srvs[0].Addr(),
-				"replicas": n,
-				"primary":  primary,
+				"addr":     addrs[0],
+				"dir":      *dir,
+				"sync":     *sync,
+				"replicas": len(addrs),
+				"primary":  g.Primary(),
 				"epoch":    epoch,
+				"tables":   len(g.DB(0).TableNames()),
 			}}
 		})
 		defer stopDebug()
 	}
 
-	drain(srvs[0], drainTimeout)
-	for _, rep := range reps {
-		rep.Close()
-	}
-	for j := 1; j < n; j++ {
-		srvs[j].Close()
-	}
-	for _, db := range dbs {
-		db.Close()
-	}
-}
-
-func ackName(ack metarepl.Ack) string {
-	if ack == metarepl.AckAll {
-		return "all"
-	}
-	return "majority"
+	drain(g, *drainTimeout)
 }
 
 // startDebug brings up the HTTP debug endpoint and returns its closer.
@@ -241,8 +138,8 @@ func startDebug(addr string, regs map[string]*obs.Registry, traces *obs.TraceLog
 }
 
 // drain waits for a shutdown signal, then gives in-flight statements
-// the drain timeout to finish.
-func drain(srv *mdbnet.Server, drainTimeout time.Duration) {
+// on every replica's SQL server the drain timeout to finish.
+func drain(g *metarepl.Group, drainTimeout time.Duration) {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
@@ -252,9 +149,13 @@ func drain(srv *mdbnet.Server, drainTimeout time.Duration) {
 		<-sig
 		cancel()
 	}()
-	err := srv.Shutdown(ctx)
+	var err error
+	for j := range g.Addrs() {
+		err = errors.Join(err, g.Server(j).Shutdown(ctx))
+	}
 	cancel()
 	if err != nil {
+		g.Close()
 		fmt.Fprintln(os.Stderr, "dpfs-meta: forced shutdown:", err)
 		os.Exit(1)
 	}

@@ -141,7 +141,7 @@ func FullSection(dims []int64) Section { return stripe.FullSection(dims) }
 // the I/O servers.
 type Client struct {
 	fs  *core.FS
-	mdb interface{ Close() error }
+	mdb *mdbnet.Client
 }
 
 // Connect dials the metadata catalog and returns a client for the
@@ -160,27 +160,16 @@ func Connect(metaAddr string, rank int, opts Options) (*Client, error) {
 			return nil, fmt.Errorf("dpfs: catalog address list %q has an empty element", metaAddr)
 		}
 	}
-	var (
-		x interface {
-			meta.Execer
-			Close() error
-		}
-		err error
-	)
-	if len(addrs) == 1 {
-		x, err = mdbnet.Dial(addrs[0])
-	} else {
-		x, err = mdbnet.DialGroup(addrs, nil)
-	}
+	cli, err := mdbnet.DialGroup(addrs, nil)
 	if err != nil {
 		return nil, err
 	}
-	cat := meta.NewCatalog(x)
+	cat := meta.NewCatalog(cli)
 	if err := cat.Init(); err != nil {
-		x.Close()
+		cli.Close()
 		return nil, err
 	}
-	return &Client{fs: core.NewFS(cat, rank, opts), mdb: x}, nil
+	return &Client{fs: core.NewFS(cat, rank, opts), mdb: cli}, nil
 }
 
 // Wrap builds a Client around an existing engine (used by in-process

@@ -47,8 +47,8 @@ type Config struct {
 	// Dir is the working directory for server roots and the metadata
 	// database; it must exist.
 	Dir string
-	// DurableMeta stores the metadata database on disk (Dir/meta)
-	// instead of in memory.
+	// DurableMeta stores the metadata database on disk (Dir/meta, and
+	// replica j ≥ 1 of a group in Dir/meta-r<j>) instead of in memory.
 	DurableMeta bool
 	// RefBrickBytes calibrates the normalized performance numbers
 	// (DPFS-SERVER.performance): the per-brick cost of each class is
@@ -101,30 +101,21 @@ type Config struct {
 type Cluster struct {
 	// DB and MetaSrv are the catalog's database and SQL server (replica
 	// 0's when replicated).
-	DB        *metadb.DB
-	MetaSrv   *mdbnet.Server
+	DB      *metadb.DB
+	MetaSrv *mdbnet.Server
+	// Meta is the catalog: a replica group of Config.MetaReplicas, or of
+	// one.
+	Meta      *metarepl.Group
 	IOServers []*server.Server
 	Specs     []ServerSpec
 	// GossipNodes holds each I/O server's gossip node, index-aligned
 	// with IOServers (nil unless Config.Gossip).
 	GossipNodes []*gossip.Node
 
-	// Replica-group state, indexed by replica. ReplDBs and ReplSrvs
-	// always hold the catalog (one entry when unreplicated; DB and
-	// MetaSrv alias entry 0); Replicas is populated only with
-	// Config.MetaReplicas > 1. Entries go nil while a replica is killed
-	// (KillMetaReplica).
-	Replicas []*metarepl.Replica
-	ReplDBs  []*metadb.DB
-	ReplSrvs []*mdbnet.Server
+	cfg Config
 
-	cfg       Config
-	replPeers []string // replication-stream addresses
-	replSQL   []string // client SQL addresses
-
-	mu      sync.Mutex // guards clients and server/replica slice swaps
-	clients []*mdbnet.Client
-	groups  []*mdbnet.GroupClient
+	mu    sync.Mutex // guards conns, gossipCancels and the DB/MetaSrv swap
+	conns []*mdbnet.Client
 
 	gossipCancels []context.CancelFunc // per-node Run cancels
 }
@@ -143,15 +134,22 @@ func Start(cfg Config) (*Cluster, error) {
 		ref = 512 << 10
 	}
 
-	replicas := cfg.MetaReplicas
-	if replicas < 1 {
-		replicas = 1
+	var metaDir string
+	if cfg.DurableMeta {
+		metaDir = filepath.Join(cfg.Dir, "meta")
 	}
-	c := &Cluster{cfg: cfg}
-	if err := c.startMeta(replicas); err != nil {
-		c.Close()
+	g, err := metarepl.StartGroup(metarepl.GroupConfig{
+		N:               cfg.MetaReplicas,
+		DB:              metadb.Options{Dir: metaDir, Sync: cfg.MetaSync, SyncDelay: cfg.MetaSyncDelay},
+		Ack:             cfg.MetaReplAck,
+		Heartbeat:       cfg.MetaHeartbeat,
+		ElectionTimeout: cfg.MetaElectionTimeout,
+		Events:          cfg.MetaEvents,
+	})
+	if err != nil {
 		return nil, err
 	}
+	c := &Cluster{cfg: cfg, Meta: g, DB: g.DB(0), MetaSrv: g.Server(0)}
 
 	// Normalize performance numbers across the spec classes.
 	classes := make([]netsim.Params, len(cfg.Servers))
@@ -273,120 +271,6 @@ func (c *Cluster) KillServer(i int) error {
 	return c.IOServers[i].Close()
 }
 
-// metaDBOptions builds replica j's database options. A durable
-// unreplicated catalog lives in Dir/meta, replica j of a group in
-// Dir/meta-r<j>.
-func (c *Cluster) metaDBOptions(j, replicas int) metadb.Options {
-	opts := metadb.Options{
-		Sync:      c.cfg.MetaSync,
-		SyncDelay: c.cfg.MetaSyncDelay,
-	}
-	if c.cfg.DurableMeta {
-		opts.Dir = filepath.Join(c.cfg.Dir, "meta")
-		if replicas > 1 {
-			opts.Dir = filepath.Join(c.cfg.Dir, fmt.Sprintf("meta-r%d", j))
-		}
-	}
-	return opts
-}
-
-// replConfig builds replica j's replication configuration.
-func (c *Cluster) replConfig(j int, db *metadb.DB, lis *mdbnet.ReplListener) metarepl.Config {
-	return metarepl.Config{
-		Name:            "meta",
-		ID:              j,
-		Peers:           c.replPeers,
-		SQLAddrs:        c.replSQL,
-		DB:              db,
-		Listener:        lis,
-		Ack:             c.cfg.MetaReplAck,
-		Heartbeat:       c.cfg.MetaHeartbeat,
-		ElectionTimeout: c.cfg.MetaElectionTimeout,
-		Events:          c.cfg.MetaEvents,
-	}
-}
-
-// startMeta launches the catalog: one database and SQL server when
-// unreplicated, a full metarepl replica group otherwise.
-func (c *Cluster) startMeta(replicas int) error {
-	var (
-		dbs  []*metadb.DB
-		srvs []*mdbnet.Server
-		liss []*mdbnet.ReplListener
-	)
-	// fail releases everything this call created that the cluster does
-	// not yet own.
-	fail := func(err error) error {
-		for _, l := range liss {
-			l.Close()
-		}
-		for _, s := range srvs {
-			s.Close()
-		}
-		for _, d := range dbs {
-			d.Close()
-		}
-		return err
-	}
-	if replicas > 1 {
-		// Replication listeners are bound first so every replica knows
-		// the full peer list before any of them starts.
-		for j := 0; j < replicas; j++ {
-			lis, err := mdbnet.ListenRepl("")
-			if err != nil {
-				return fail(err)
-			}
-			liss = append(liss, lis)
-			c.replPeers = append(c.replPeers, lis.Addr())
-		}
-	}
-	for j := 0; j < replicas; j++ {
-		db, err := metadb.Open(c.metaDBOptions(j, replicas))
-		if err != nil {
-			return fail(err)
-		}
-		dbs = append(dbs, db)
-		srv, err := mdbnet.Listen(db, "")
-		if err != nil {
-			return fail(err)
-		}
-		srvs = append(srvs, srv)
-		c.replSQL = append(c.replSQL, srv.Addr())
-	}
-	c.DB, c.MetaSrv = dbs[0], srvs[0]
-	c.ReplDBs, c.ReplSrvs = dbs, srvs
-	if replicas == 1 {
-		return nil
-	}
-
-	c.Replicas = make([]*metarepl.Replica, replicas)
-	for j := 0; j < replicas; j++ {
-		rep, err := metarepl.New(c.replConfig(j, dbs[j], liss[j]))
-		if err != nil {
-			// Replicas 0..j-1 own their listeners and are closed by
-			// Cluster.Close; the rest are still this call's to release.
-			for _, l := range liss[j:] {
-				l.Close()
-			}
-			return err
-		}
-		c.Replicas[j] = rep
-		srvs[j].SetGate(rep.Gate())
-	}
-	// A fresh group gets replica 0 as the first primary; a group
-	// restarted on durable state already has an epoch and lets an
-	// election decide.
-	if epoch, _ := dbs[0].ReplEpoch(); epoch == 0 {
-		if err := c.Replicas[0].Bootstrap(); err != nil {
-			return err
-		}
-	}
-	for _, rep := range c.Replicas {
-		rep.Start()
-	}
-	return nil
-}
-
 // NewCatalog opens a fresh connection to the catalog through the
 // network metadata server (one database session per connection, as the
 // paper's clients each connect to POSTGRES). On a replicated cluster
@@ -399,35 +283,14 @@ func (c *Cluster) NewCatalog() (*meta.Catalog, error) {
 // injectors wrap it in chaos tests); nil uses the default TCP dialer.
 // The connection is tracked for Close.
 func (c *Cluster) dialCatalog(dial mdbnet.DialFunc) (*meta.Catalog, error) {
-	c.mu.Lock()
-	addrs := append([]string(nil), c.replSQL...)
-	c.mu.Unlock()
-	if len(addrs) == 1 {
-		var (
-			cli *mdbnet.Client
-			err error
-		)
-		if dial == nil {
-			cli, err = mdbnet.Dial(addrs[0])
-		} else {
-			cli, err = mdbnet.DialWith(addrs[0], dial)
-		}
-		if err != nil {
-			return nil, err
-		}
-		c.mu.Lock()
-		c.clients = append(c.clients, cli)
-		c.mu.Unlock()
-		return meta.NewCatalog(cli), nil
-	}
-	g, err := mdbnet.DialGroup(addrs, dial)
+	cli, err := mdbnet.DialGroup(c.Meta.Addrs(), dial)
 	if err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
-	c.groups = append(c.groups, g)
+	c.conns = append(c.conns, cli)
 	c.mu.Unlock()
-	return meta.NewCatalog(g), nil
+	return meta.NewCatalog(cli), nil
 }
 
 // NewFS builds a compute-node client with its own catalog connection.
@@ -497,121 +360,38 @@ func (c *Cluster) StopMeta() error {
 }
 
 // RestartMeta brings the catalog's SQL server back on its previous
-// address so surviving clients (which redial broken connections
-// lazily) reconnect to the same endpoint. A replica group's servers
-// answer only while their replica's gate admits them, so a replicated
-// catalog restarts replica by replica (RestartMetaReplica) instead.
+// address, on the same database, so surviving clients (which redial
+// broken connections lazily) reconnect to the same endpoint. A replica
+// group restarts replica by replica (RestartMetaReplica) instead.
 func (c *Cluster) RestartMeta() error {
 	if c.cfg.MetaReplicas > 1 {
 		return fmt.Errorf("cluster: the catalog is a replica group; restart it with RestartMetaReplica")
 	}
-	c.mu.Lock()
-	old, db := c.MetaSrv, c.DB
-	c.mu.Unlock()
-	srv, err := mdbnet.Listen(db, old.Addr())
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.MetaSrv = srv
-	c.ReplSrvs[0] = srv
-	c.mu.Unlock()
-	return nil
+	return c.RestartMetaReplica(0)
 }
 
-// KillMetaReplica kills replica j entirely: SQL server, replication
-// core and database all go down, modeling a metadata server machine
-// crash. The SQL server goes first, so no client commits on a replica
-// whose core has stopped shipping. With in-memory databases the
-// replica's state dies with it (a restart resyncs by snapshot); durable
-// replicas recover their own WAL. The cluster slot goes nil until
-// RestartMetaReplica.
-func (c *Cluster) KillMetaReplica(j int) error {
-	c.mu.Lock()
-	rep := c.Replicas[j]
-	srv := c.ReplSrvs[j]
-	db := c.ReplDBs[j]
-	c.Replicas[j] = nil
-	c.ReplSrvs[j] = nil
-	c.ReplDBs[j] = nil
-	c.mu.Unlock()
-	var firstErr error
-	if srv != nil {
-		firstErr = srv.Close()
-	}
-	if rep != nil {
-		if err := rep.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if db != nil {
-		if err := db.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
+// KillMetaReplica kills replica j entirely (metarepl.Group.Kill),
+// modelling a metadata server machine crash.
+func (c *Cluster) KillMetaReplica(j int) error { return c.Meta.Kill(j) }
 
-// RestartMetaReplica brings a killed replica back on its previous
-// replication and SQL addresses. It rejoins as a follower (the durable
-// epoch, or a snapshot resync for in-memory state, catches it up);
-// elections decide whether it ever leads again.
+// RestartMetaReplica brings replica j back on its previous addresses
+// (metarepl.Group.Restart): a killed replica rejoins as a follower, a
+// stopped SQL server comes back on its database.
 func (c *Cluster) RestartMetaReplica(j int) error {
-	c.mu.Lock()
-	replicas := len(c.replPeers)
-	c.mu.Unlock()
-	if replicas < 2 {
-		return fmt.Errorf("cluster: the catalog is not replicated")
-	}
-	db, err := metadb.Open(c.metaDBOptions(j, replicas))
-	if err != nil {
+	if err := c.Meta.Restart(j); err != nil {
 		return err
 	}
-	lis, err := mdbnet.ListenRepl(c.replPeers[j])
-	if err != nil {
-		db.Close()
-		return err
-	}
-	srv, err := mdbnet.Listen(db, c.replSQL[j])
-	if err != nil {
-		lis.Close()
-		db.Close()
-		return err
-	}
-	rep, err := metarepl.New(c.replConfig(j, db, lis))
-	if err != nil {
-		srv.Close()
-		lis.Close()
-		db.Close()
-		return err
-	}
-	srv.SetGate(rep.Gate())
-	rep.Start()
-	c.mu.Lock()
-	c.Replicas[j] = rep
-	c.ReplSrvs[j] = srv
-	c.ReplDBs[j] = db
 	if j == 0 {
-		c.DB = db
-		c.MetaSrv = srv
+		c.mu.Lock()
+		c.DB, c.MetaSrv = c.Meta.DB(0), c.Meta.Server(0)
+		c.mu.Unlock()
 	}
-	c.mu.Unlock()
 	return nil
 }
 
 // MetaPrimary returns the catalog group's current primary replica ID,
-// or -1 while the group has none (mid-election, or unreplicated).
-func (c *Cluster) MetaPrimary() int {
-	c.mu.Lock()
-	reps := append([]*metarepl.Replica(nil), c.Replicas...)
-	c.mu.Unlock()
-	for j, rep := range reps {
-		if rep != nil && rep.Role() == metarepl.Primary {
-			return j
-		}
-	}
-	return -1
-}
+// or -1 while the group has none (mid-election).
+func (c *Cluster) MetaPrimary() int { return c.Meta.Primary() }
 
 // ServerNames returns the registered I/O server names in launch
 // order.
@@ -628,18 +408,11 @@ func (c *Cluster) ServerNames() []string {
 func (c *Cluster) Close() error {
 	var firstErr error
 	c.mu.Lock()
-	clients := c.clients
-	c.clients = nil
-	groups := c.groups
-	c.groups = nil
+	conns := c.conns
+	c.conns = nil
 	c.mu.Unlock()
-	for _, cli := range clients {
+	for _, cli := range conns {
 		if err := cli.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	for _, g := range groups {
-		if err := g.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -657,29 +430,8 @@ func (c *Cluster) Close() error {
 			firstErr = err
 		}
 	}
-	for _, rep := range c.Replicas {
-		if rep == nil {
-			continue
-		}
-		if err := rep.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	for _, srv := range c.ReplSrvs {
-		if srv == nil {
-			continue
-		}
-		if err := srv.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	for _, db := range c.ReplDBs {
-		if db == nil {
-			continue
-		}
-		if err := db.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+	if err := c.Meta.Close(); err != nil && firstErr == nil {
+		firstErr = err
 	}
 	return firstErr
 }

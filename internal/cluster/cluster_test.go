@@ -49,6 +49,14 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Start(Config{Servers: Uniform(1)}); err == nil {
 		t.Fatal("empty dir accepted")
 	}
+	// A synced catalog needs somewhere to sync to: neither knob may
+	// silently run an in-memory catalog.
+	if _, err := Start(Config{Servers: Uniform(1), Dir: t.TempDir(), MetaSync: true}); err == nil {
+		t.Fatal("MetaSync without DurableMeta accepted")
+	}
+	if _, err := Start(Config{Servers: Uniform(1), Dir: t.TempDir(), MetaSyncDelay: time.Millisecond}); err == nil {
+		t.Fatal("MetaSyncDelay without DurableMeta accepted")
+	}
 }
 
 func TestMixedPerfNormalization(t *testing.T) {
@@ -146,9 +154,8 @@ func TestCloseIdempotent(t *testing.T) {
 }
 
 // TestRestartMeta: an unreplicated catalog comes back on its address
-// after StopMeta, while a replica group refuses RestartMeta, which
-// would re-listen replica 0's database without its replication gate
-// and let it take SQL as a non-primary.
+// after StopMeta, while a replica group refuses RestartMeta: it
+// restarts replica by replica (RestartMetaReplica).
 func TestRestartMeta(t *testing.T) {
 	c, err := Start(Config{Servers: Uniform(1), Dir: t.TempDir()})
 	if err != nil {

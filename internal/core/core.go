@@ -673,46 +673,39 @@ func (fs *FS) materialize(fi meta.FileInfo) error {
 // metadata cache when one is enabled.
 func (fs *FS) Open(path string) (*File, error) {
 	defer fs.metaSpan("open", path)()
-	clean, err := meta.CleanPath(path)
+	fi, rs, err := fs.lookup(path)
 	if err != nil {
 		return nil, err
-	}
-	if fs.metaCache != nil {
-		if fi, rs, ok := fs.metaCache.GetFile(clean); ok {
-			return newFile(fs, fi, rs), nil
-		}
-	}
-	fi, rs, err := fs.cat.LookupReplicated(clean)
-	if err != nil {
-		return nil, err
-	}
-	if fs.metaCache != nil {
-		fs.metaCache.PutFile(fi, rs)
 	}
 	return newFile(fs, fi, rs), nil
 }
 
-// Stat returns a file's attributes, served from the metadata cache
-// when one is enabled (a cache miss loads and caches the full record,
-// so a following Open is free too).
+// Stat returns a file's full record, servers and generation included:
+// Open's lookup, so a following Open of a cached record is free.
 func (fs *FS) Stat(path string) (meta.FileInfo, error) {
 	defer fs.metaSpan("stat", path)()
+	fi, _, err := fs.lookup(path)
+	return fi, err
+}
+
+// lookup reads a file's record and replica set in one catalog round
+// trip, or from the metadata cache when one is enabled (a miss fills
+// it).
+func (fs *FS) lookup(path string) (meta.FileInfo, *stripe.ReplicaSet, error) {
 	clean, err := meta.CleanPath(path)
 	if err != nil {
-		return meta.FileInfo{}, err
+		return meta.FileInfo{}, nil, err
 	}
-	if fs.metaCache == nil {
-		return fs.cat.Stat(clean)
-	}
-	if fi, _, ok := fs.metaCache.GetFile(clean); ok {
-		return fi, nil
+	if fs.metaCache != nil {
+		if fi, rs, ok := fs.metaCache.GetFile(clean); ok {
+			return fi, rs, nil
+		}
 	}
 	fi, rs, err := fs.cat.LookupReplicated(clean)
-	if err != nil {
-		return meta.FileInfo{}, err
+	if err == nil && fs.metaCache != nil {
+		fs.metaCache.PutFile(fi, rs)
 	}
-	fs.metaCache.PutFile(fi, rs)
-	return fi, nil
+	return fi, rs, err
 }
 
 // InvalidateMeta drops a path from the metadata cache. Mutations that

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -478,6 +479,36 @@ func TestTypedIO(t *testing.T) {
 	// A memory type reaching past the buffer.
 	if err := f.ReadAtTyped(ctx, 0, corner, sub, out[:40]); err == nil {
 		t.Fatal("memory type past the end of the buffer accepted")
+	}
+}
+
+// TestStatSameRecordWithAndWithoutCache: Stat returns one record,
+// servers and generation included, whether the metadata cache is on or
+// off.
+func TestStatSameRecordWithAndWithoutCache(t *testing.T) {
+	c := startCluster(t, 3)
+	plain := newFS(t, c, 0, core.Options{})
+	cached := newFS(t, c, 1, core.Options{MetaTTL: time.Minute})
+	f, err := plain.Create("/stat", 1, []int64{4096}, core.Hint{BrickBytes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	want, err := plain.Stat("/stat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Servers) != 3 || want.Generation == 0 {
+		t.Fatalf("uncached Stat = %+v, want 3 servers and a generation", want)
+	}
+	for i := 0; i < 2; i++ { // a cache miss, then a hit
+		got, err := cached.Stat("/stat")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("cached Stat #%d = %+v, uncached %+v", i, got, want)
+		}
 	}
 }
 

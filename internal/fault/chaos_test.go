@@ -894,8 +894,8 @@ func runMetaReplChaosWorkload(t *testing.T, c *cluster.Cluster, inj, metaInj *fa
 		}
 	}
 	promotions := int64(0)
-	for _, rep := range c.Replicas {
-		if rep != nil {
+	for j := range c.Meta.Addrs() {
+		if rep := c.Meta.Replica(j); rep != nil {
 			promotions += rep.Metrics().Counter(metarepl.MetricPromotions).Value()
 		}
 	}

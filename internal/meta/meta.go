@@ -20,10 +20,10 @@ import (
 	"dpfs/internal/stripe"
 )
 
-// Execer is the catalog's SQL connection: *metadb.Session,
-// *mdbnet.Client and *mdbnet.GroupClient (and *metadb.DB, whose every
-// call is a session of its own, so a transaction must fit in one Batch)
-// satisfy it. Statements issued between BEGIN and COMMIT must see
+// Execer is the catalog's SQL connection: *metadb.Session and
+// *mdbnet.Client, of one catalog or one replica group (and *metadb.DB,
+// whose every call is a session of its own, so a transaction must fit
+// in one Batch) satisfy it. Statements issued between BEGIN and COMMIT must see
 // connection/session-scoped transaction semantics.
 type Execer interface {
 	// Exec runs one statement with args bound to its '?' placeholders.

@@ -19,12 +19,11 @@ import (
 	"dpfs/internal/stripe"
 )
 
-// One shape, four implementers, no fallback.
+// One shape, three implementers, no fallback.
 var (
 	_ Execer = (*metadb.DB)(nil)
 	_ Execer = (*metadb.Session)(nil)
 	_ Execer = (*mdbnet.Client)(nil)
-	_ Execer = (*mdbnet.GroupClient)(nil)
 )
 
 // catalogStatements lists every statement constant of the package with

@@ -160,8 +160,8 @@ func TestDisconnectMidBatchAborts(t *testing.T) {
 }
 
 // group starts n gated-or-not servers over separate databases holding
-// the same empty table, and a GroupClient over all of them.
-func group(t *testing.T, n int) ([]*Server, []*metadb.DB, *GroupClient) {
+// the same empty table, and one Client over all of them.
+func group(t *testing.T, n int) ([]*Server, []*metadb.DB, *Client) {
 	t.Helper()
 	srvs, dbs, addrs := make([]*Server, n), make([]*metadb.DB, n), make([]string, n)
 	for i := range srvs {

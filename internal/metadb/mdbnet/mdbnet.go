@@ -32,6 +32,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode"
 
 	"dpfs/internal/metadb"
 	"dpfs/internal/obs"
@@ -160,9 +161,10 @@ type connState struct {
 	busy bool
 }
 
-// NewServer starts serving db on lis. It returns immediately; use
-// Close to stop.
-func NewServer(db *metadb.DB, lis net.Listener) *Server {
+// NewServer starts serving db on lis, behind gate when it is non-nil
+// (SetGate, installed before the first request is read). It returns
+// immediately; use Close to stop.
+func NewServer(db *metadb.DB, lis net.Listener, gate func() error) *Server {
 	s := &Server{
 		db:     db,
 		lis:    lis,
@@ -170,6 +172,7 @@ func NewServer(db *metadb.DB, lis net.Listener) *Server {
 		traces: obs.NewTraceLog(serverTraceCap),
 		conns:  make(map[net.Conn]*connState),
 	}
+	s.SetGate(gate)
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s
@@ -192,7 +195,7 @@ func Listen(db *metadb.DB, addr string) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mdbnet: listen: %w", err)
 	}
-	return NewServer(db, lis), nil
+	return NewServer(db, lis, nil), nil
 }
 
 // Addr returns the server's listen address.
@@ -363,24 +366,37 @@ func (s *Server) serve(sess *metadb.Session, req *request) *response {
 	return resp
 }
 
-// Client is a connection to an mdbnet server. A Client owns one
-// database session; it is safe for concurrent use (statements are
-// serialized on the connection). A broken connection heals itself: the
-// statement that observes the break fails, and the next statement
-// redials (getting a fresh server-side session). The failed statement
-// is never resent — a COMMIT whose acknowledgement was lost must not
-// be applied twice.
+// Client is a connection to one catalog: a plain mdbnet server, or the
+// replica group whose SQL addresses it was given (DESIGN.md §13). It is
+// safe for concurrent use; requests are serialized on its one
+// connection, which owns one database session. Two error classes drive
+// reconnection and failover:
+//
+//   - A *TransportError means the request may have executed, in part or
+//     whole, so it is never resent, not even to another replica: a
+//     COMMIT whose acknowledgement was lost must not be applied twice.
+//     The connection is dropped (the server aborts any open
+//     transaction) and the next request dials the next address.
+//   - A NotPrimaryError rejection is a follower's gate refusing a whole
+//     request, so none of it ran: the client follows the redirect (or
+//     rotates to the next address) and resends it. Inside a
+//     transaction it does not: the transaction's earlier statements ran
+//     on the deposed primary and die with the connection, so the
+//     rejection surfaces as "transaction aborted by failover" for the
+//     caller to retry the transaction whole.
 type Client struct {
 	trace atomic.Pointer[obs.Span]
 
-	addr string
-	dial DialFunc
+	addrs []string
+	dial  DialFunc
 
-	mu  sync.Mutex // serializes round trips and guards the fields below it
-	br  *bufio.Reader
-	fw  *wire.FrameWriter
-	tag uint32 // the last request's
-	buf []byte // a request's body, then its response's
+	mu   sync.Mutex // serializes round trips and guards the fields below it
+	cur  int        // index into addrs of the believed primary
+	inTx bool       // a BEGIN ran on this connection with no COMMIT/ROLLBACK yet
+	br   *bufio.Reader
+	fw   *wire.FrameWriter
+	tag  uint32 // the last request's
+	buf  []byte // a request's body, then its response's
 
 	// cmu guards conn and closed. It is never held across I/O, so Close
 	// does not wait for a statement in flight: it closes the connection
@@ -404,32 +420,65 @@ func (c *Client) SetTraceSpan(parent *obs.Span) {
 // fault injectors substitute their own.
 type DialFunc func(addr string) (net.Conn, error)
 
-// Dial connects to an mdbnet server.
+// dialTCP is the default transport: TCP with a 10 s connect bound.
+func dialTCP(addr string) (net.Conn, error) {
+	return (&net.Dialer{Timeout: 10 * time.Second}).Dial("tcp", addr)
+}
+
+// Dial connects to one catalog server.
 func Dial(addr string) (*Client, error) {
-	return DialTimeout(addr, 10*time.Second)
+	return DialGroup([]string{addr}, nil)
 }
 
-// DialTimeout connects with a dial timeout.
-func DialTimeout(addr string, d time.Duration) (*Client, error) {
-	return DialWith(addr, func(a string) (net.Conn, error) {
-		return net.DialTimeout("tcp", a, d)
-	})
-}
-
-// DialWith connects through a custom transport dialer and remembers
-// it for reconnects: when the connection later breaks (server restart,
-// injected fault), the next statement redials before executing.
+// DialWith connects to one catalog server through a custom transport
+// dialer and remembers it for reconnects: when the connection later
+// breaks (server restart, injected fault), the next statement redials
+// before executing.
 func DialWith(addr string, dial DialFunc) (*Client, error) {
-	c := &Client{addr: addr, dial: dial}
-	conn, err := dial(addr)
-	if err != nil {
-		return nil, fmt.Errorf("mdbnet: dial %s: %w", addr, err)
+	return DialGroup([]string{addr}, dial)
+}
+
+// DialGroup connects to a catalog given its SQL address list: one
+// address for a plain catalog, every replica's for a replica group
+// (the same list, in the same order, on every client). A nil dial uses
+// TCP. Dialing succeeds as long as one address accepts; a group's
+// primary is found lazily, by redirect.
+func DialGroup(addrs []string, dial DialFunc) (*Client, error) {
+	if len(addrs) == 0 {
+		return nil, errors.New("mdbnet: empty catalog address list")
 	}
-	c.attach(conn)
+	if dial == nil {
+		dial = dialTCP
+	}
+	c := &Client{addrs: addrs, dial: dial}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.connect(); err != nil {
+		return nil, err
+	}
 	return c, nil
 }
 
 var errClientClosed = errors.New("mdbnet: client closed")
+
+// connect dials addrs[cur], advancing through the list until one
+// address accepts, and installs the connection unless the client was
+// closed meanwhile. Caller holds c.mu.
+func (c *Client) connect() error {
+	var err error
+	for range c.addrs {
+		var conn net.Conn
+		if conn, err = c.dial(c.addrs[c.cur]); err == nil {
+			return c.attach(conn)
+		}
+		err = fmt.Errorf("mdbnet: dial %s: %w", c.addrs[c.cur], err)
+		c.cur = (c.cur + 1) % len(c.addrs)
+	}
+	if len(c.addrs) > 1 {
+		err = fmt.Errorf("mdbnet: no replica reachable in %v: %w", c.addrs, err)
+	}
+	return err
+}
 
 // attach installs a fresh transport connection, unless the client was
 // closed meanwhile. Caller holds c.mu.
@@ -450,15 +499,27 @@ func (c *Client) attach(conn net.Conn) error {
 	return nil
 }
 
-// drop discards a broken connection so the next Exec redials. Caller
+// drop discards the connection, and with it the server-side session
+// and any transaction open on it, so the next request redials. Caller
 // holds c.mu.
 func (c *Client) drop() {
 	c.cmu.Lock()
-	defer c.cmu.Unlock()
 	if c.conn != nil {
 		c.conn.Close()
 		c.conn = nil
 	}
+	c.cmu.Unlock()
+	c.inTx = false
+}
+
+// retarget points the client at a redirect address when it is in the
+// list, or at the next address otherwise. Caller holds c.mu.
+func (c *Client) retarget(redirect string) {
+	if i := slices.Index(c.addrs, redirect); redirect != "" && i >= 0 {
+		c.cur = i
+		return
+	}
+	c.cur = (c.cur + 1) % len(c.addrs)
 }
 
 // Exec sends one SQL statement, with args for its '?' placeholders, and
@@ -494,32 +555,52 @@ func (c *Client) Batch(stmts []metadb.Stmt) ([]*metadb.Result, error) {
 		tc := sp.Context()
 		req.TraceID, req.SpanID, req.Sampled = tc.TraceID, tc.SpanID, tc.Sampled
 	}
-	resp, err := c.roundTrip(&req)
-	if err != nil {
-		return nil, err
-	}
-	if sp != nil && len(resp.Trace) > 0 {
-		if remote, derr := obs.DecodeSpans(resp.Trace); derr == nil {
-			for _, rs := range remote {
-				sp.Adopt(rs)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	// One redirect per address plus one rotation covers any single
+	// failover; beyond that the group is unstable and the caller should
+	// see the error.
+	var rejected string
+	for range len(c.addrs) + 1 {
+		resp, err := c.roundTrip(&req)
+		if err != nil {
+			return nil, err
+		}
+		if sp != nil && len(resp.Trace) > 0 {
+			if remote, derr := obs.DecodeSpans(resp.Trace); derr == nil {
+				for _, rs := range remote {
+					sp.Adopt(rs)
+				}
 			}
 		}
+		if resp.Err == "" {
+			c.trackTx(stmts)
+			return resp.Results, nil
+		}
+		redirect, ok := ParseNotPrimary(resp.Err)
+		if !ok {
+			// An ordinary SQL error: the statements before it ran, and so
+			// did it as far as transaction state goes (a failed COMMIT
+			// still ends the transaction).
+			c.trackTx(stmts[:len(resp.Results)+1])
+			return resp.Results, errors.New(resp.Err)
+		}
+		inTx := c.inTx
+		c.drop()
+		c.retarget(redirect)
+		if inTx {
+			return nil, fmt.Errorf("%w (transaction aborted by failover): %s", ErrNotPrimary, resp.Err)
+		}
+		rejected = resp.Err // never executed: safe to resend at the new target
 	}
-	switch n := len(resp.Results); {
-	case resp.Err != "" && n < len(stmts):
-		return resp.Results, errors.New(resp.Err)
-	case resp.Err == "" && n == len(stmts):
-		return resp.Results, nil
-	default:
-		return nil, fmt.Errorf("mdbnet: malformed response: %d results for %d statements (error %q)", n, len(stmts), resp.Err)
-	}
+	return nil, fmt.Errorf("%w: no stable primary: %s", ErrNotPrimary, rejected)
 }
 
 // roundTrip writes one request and reads its response, redialing first
-// if the previous exchange broke the connection.
+// if the previous exchange broke the connection. A transport failure
+// drops the connection and moves the client on to the next address.
+// Caller holds c.mu.
 func (c *Client) roundTrip(req *request) (*response, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.cmu.Lock()
 	conn, closed := c.conn, c.closed
 	c.cmu.Unlock()
@@ -529,19 +610,18 @@ func (c *Client) roundTrip(req *request) (*response, error) {
 	if conn == nil {
 		// The previous request broke the connection; reconnect with a
 		// fresh server-side session before sending this one.
-		conn, err := c.dial(c.addr)
-		if err != nil {
-			return nil, &TransportError{Op: "redial", Addr: c.addr, Err: err}
-		}
-		if err := c.attach(conn); err != nil {
-			return nil, err
+		if err := c.connect(); err != nil {
+			if errors.Is(err, errClientClosed) {
+				return nil, err
+			}
+			return nil, &TransportError{Op: "redial", Addr: c.addrs[c.cur], Err: err}
 		}
 	}
+	addr := c.addrs[c.cur]
 	c.tag++
 	var err error
 	if c.buf, err = writeRequest(c.fw, c.buf, c.tag, req); err != nil {
-		c.drop()
-		return nil, &TransportError{Op: "send", Addr: c.addr, Err: err}
+		return nil, c.fail("send", addr, err)
 	}
 	h, body, err := readFrame(c.br, wire.FrameSQLResult, c.buf)
 	c.buf = body
@@ -552,37 +632,65 @@ func (c *Client) roundTrip(req *request) (*response, error) {
 	if err == nil {
 		resp, err = decodeResponse(body)
 	}
+	if err == nil {
+		// All results and no error, or the results before the error.
+		if n, want := len(resp.Results), len(req.Stmts); (resp.Err == "") != (n == want) || n > want {
+			err = fmt.Errorf("mdbnet: malformed response: %d results for %d statements (error %q)", n, want, resp.Err)
+		}
+	}
 	if err != nil {
-		c.drop()
-		return nil, &TransportError{Op: "receive", Addr: c.addr, Err: err}
+		return nil, c.fail("receive", addr, err)
 	}
 	return resp, nil
 }
 
-// sqlKeyword returns the statement's leading keyword, lower-cased
-// ("select", "insert", ...), for span labelling.
-func sqlKeyword(sql string) string {
-	f := strings.Fields(sql)
-	if len(f) == 0 {
-		return ""
+// fail drops the connection after a transport failure and rotates to
+// the next address, so only the next request tries another replica.
+// Caller holds c.mu.
+func (c *Client) fail(op, addr string, err error) error {
+	c.drop()
+	c.cur = (c.cur + 1) % len(c.addrs)
+	return &TransportError{Op: op, Addr: addr, Err: err}
+}
+
+// trackTx follows the session's transaction state through the
+// statements that ran, by leading keyword. Caller holds c.mu.
+func (c *Client) trackTx(ran []metadb.Stmt) {
+	for i := range ran {
+		switch kw := keyword(ran[i].SQL); {
+		case strings.EqualFold(kw, "begin"):
+			c.inTx = true
+		case strings.EqualFold(kw, "commit"), strings.EqualFold(kw, "rollback"):
+			c.inTx = false
+		}
 	}
-	return strings.ToLower(f[0])
+}
+
+// keyword returns the statement's leading word as written, without
+// allocating.
+func keyword(sql string) string {
+	sql = strings.TrimLeftFunc(sql, unicode.IsSpace)
+	if i := strings.IndexFunc(sql, unicode.IsSpace); i >= 0 {
+		return sql[:i]
+	}
+	return sql
 }
 
 // batchLabel labels a request's span: its first statement's keyword,
-// and how many more statements ride along ("begin+3").
+// lower-cased, and how many more statements ride along ("begin+3").
 func batchLabel(stmts []metadb.Stmt) string {
 	switch len(stmts) {
 	case 0:
 		return ""
 	case 1:
-		return sqlKeyword(stmts[0].SQL)
+		return strings.ToLower(keyword(stmts[0].SQL))
 	}
-	return fmt.Sprintf("%s+%d", sqlKeyword(stmts[0].SQL), len(stmts)-1)
+	return fmt.Sprintf("%s+%d", strings.ToLower(keyword(stmts[0].SQL)), len(stmts)-1)
 }
 
 // Close tears the connection down (aborting any open transaction on
-// the server side) and disables reconnects.
+// the server side) and disables reconnects. It does not wait for a
+// statement in flight, which fails with a *TransportError.
 func (c *Client) Close() error {
 	c.cmu.Lock()
 	defer c.cmu.Unlock()

@@ -278,20 +278,16 @@ func TestShutdownDrains(t *testing.T) {
 }
 
 // TestClientCloseInterruptsStatement: Close does not wait for a
-// statement the server never answers, on a plain client or on a
-// replica-group client. It cuts the connection at once, and the stuck
-// statement fails as a transport error.
+// statement the server never answers, whichever constructor built the
+// client. It cuts the connection at once, and the stuck statement fails
+// as a transport error.
 func TestClientCloseInterruptsStatement(t *testing.T) {
-	type conn interface {
-		Exec(sql string, args ...metadb.Value) (*metadb.Result, error)
-		Close() error
-	}
 	for _, tc := range []struct {
 		name string
-		dial func(addr string) (conn, error)
+		dial func(addr string) (*Client, error)
 	}{
-		{"Dial", func(addr string) (conn, error) { return Dial(addr) }},
-		{"DialGroup", func(addr string) (conn, error) { return DialGroup([]string{addr}, nil) }},
+		{"Dial", Dial},
+		{"DialGroup", func(addr string) (*Client, error) { return DialGroup([]string{addr}, nil) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			lis, err := net.Listen("tcp", "127.0.0.1:0")

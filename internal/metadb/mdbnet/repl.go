@@ -114,7 +114,7 @@ type ReplConn struct {
 func DialRepl(addr string, dial DialFunc) (*ReplConn, error) {
 	if dial == nil {
 		dial = func(a string) (net.Conn, error) {
-			return net.DialTimeout("tcp", a, 5*time.Second)
+			return (&net.Dialer{Timeout: 5 * time.Second}).Dial("tcp", a)
 		}
 	}
 	conn, err := dial(addr)
@@ -189,8 +189,7 @@ func (l *ReplListener) Close() error { return l.lis.Close() }
 // ErrNotPrimary is the sentinel inside a follower's statement
 // rejection. SQL errors cross the wire as strings, so after a network
 // hop the sentinel is recognized by ParseNotPrimary instead of
-// errors.Is; GroupClient re-wraps with the sentinel on the client
-// side.
+// errors.Is; Client re-wraps with the sentinel on the client side.
 var ErrNotPrimary = errors.New("mdbnet: not primary")
 
 // notPrimaryPrefix is ErrNotPrimary's wire form.

@@ -405,3 +405,49 @@ func TestSnapshotResyncForLaggard(t *testing.T) {
 		t.Fatal("resync event not emitted")
 	}
 }
+
+// TestGroupRestartKeepsAddrs: a durable group brought up again on its
+// directories binds the addresses it handed out, elects a primary and
+// keeps its commits; a group of one builds no Replica.
+func TestGroupRestartKeepsAddrs(t *testing.T) {
+	cfg := GroupConfig{
+		N: 3, DB: metadb.Options{Dir: t.TempDir() + "/meta"},
+		Heartbeat: 10 * time.Millisecond, ElectionTimeout: 60 * time.Millisecond,
+		Events: obs.NewEventLog(128),
+	}
+	g, err := StartGroup(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := g.Addrs()
+	if _, err := g.DB(0).Exec(`CREATE TABLE t (x INT)`); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	g, err = StartGroup(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if got := g.Addrs(); strings.Join(got, ",") != strings.Join(addrs, ",") {
+		t.Fatalf("restarted group on %v, first start on %v", got, addrs)
+	}
+	p := g.Primary()
+	if p < 0 {
+		t.Fatal("no primary after StartGroup returned")
+	}
+	if names := g.DB(p).TableNames(); len(names) != 1 {
+		t.Fatalf("restarted primary holds tables %v", names)
+	}
+
+	one, err := StartGroup(GroupConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer one.Close()
+	if len(one.Addrs()) != 1 || one.Replica(0) != nil || one.Primary() != 0 {
+		t.Fatalf("group of one: addrs %v, replica %v, primary %d", one.Addrs(), one.Replica(0), one.Primary())
+	}
+}

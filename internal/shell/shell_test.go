@@ -133,6 +133,20 @@ func TestCpImportExportCat(t *testing.T) {
 	runErr(t, sh, "cat /nosuch")
 }
 
+// TestLsShowsServers: ls prints each file's real server count, with
+// the shell's metadata cache off.
+func TestLsShowsServers(t *testing.T) {
+	sh, client := newShell(t)
+	f, err := client.Create("/wide", 1, []int64{4096}, core.Hint{BrickBytes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if out := run(t, sh, "ls /"); !strings.Contains(out, "- wide  4096 bytes  linear  3 servers") {
+		t.Fatalf("ls = %q", out)
+	}
+}
+
 func TestDf(t *testing.T) {
 	sh, _ := newShell(t)
 	out := run(t, sh, "df")

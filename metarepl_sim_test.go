@@ -61,10 +61,7 @@ func TestMetaReplFailoverSimulation(t *testing.T) {
 	defer c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	addrs := make([]string, replicas)
-	for j, srv := range c.ReplSrvs {
-		addrs[j] = srv.Addr()
-	}
+	addrs := c.Meta.Addrs()
 
 	clients := make([]*core.FS, np)
 	for r := 0; r < np; r++ {
@@ -187,7 +184,7 @@ func TestMetaReplFailoverSimulation(t *testing.T) {
 		p := waitPrimary()
 		dbs := make([]*metadb.DB, replicas)
 		for j := 0; j < replicas; j++ {
-			dbs[j] = c.ReplDBs[j]
+			dbs[j] = c.Meta.DB(j)
 			if dbs[j] == nil {
 				t.Fatalf("replica %d still down", j)
 			}
@@ -301,8 +298,8 @@ func TestMetaReplFailoverSimulation(t *testing.T) {
 
 	// Observable failover: the promoted replicas counted themselves...
 	promotions := int64(0)
-	for _, rep := range c.Replicas {
-		if rep != nil {
+	for j := range replicas {
+		if rep := c.Meta.Replica(j); rep != nil {
 			promotions += rep.Metrics().Counter(metarepl.MetricPromotions).Value()
 		}
 	}

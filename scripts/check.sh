@@ -9,15 +9,11 @@
 #      3-seed DPFS_CHAOS_SWEEP including the replica-failover,
 #      catalog-storm (seed*-metashard: the one catalog under delays on
 #      its connections), metarepl and gossip modes
-#   6. ten seconds each of FuzzSelection and FuzzScatterWrite (arbitrary
-#      selections and, for writes, payloads against the server's read
-#      and write extent loops), of FuzzParse (arbitrary statement text
-#      against metadb's parser, which reads it off the network), of
-#      FuzzCatalogCodec (arbitrary frame bodies against the catalog
-#      codec's decoders, which mdbnet's SQL and replication ports run
-#      on what they read) and of FuzzPlan (arbitrary geometries of
-#      every level and arbitrary file and memory runs against the
-#      client's one planner); their seed corpora already ran in tier-1
+#   6. five seconds of every Fuzz* target in the module, found per
+#      package with go test -list '^Fuzz': the server's selection and
+#      scatter loops, metadb's parser and catalog codec, the planner,
+#      the data port's frame decoders and the gossip delta decoder;
+#      their seed corpora already ran in tier-1
 #   7. one smoke run of dpfs-bench (-ablation parallel)
 #   8. documentation lint (godoc coverage, markdown links, flag tables
 #      and the flags of documented command lines)
@@ -57,12 +53,12 @@ go test -race ./...
 echo "== chaos: seeded fault-injection suite (-race) =="
 go test -race -count=1 -run Chaos .
 DPFS_CHAOS_SWEEP=3 go test -race -count=1 -run Chaos ./internal/fault
-echo "== fuzz: FuzzSelection, FuzzScatterWrite, FuzzParse, FuzzCatalogCodec, FuzzPlan, 10s each =="
-go test -run '^$' -fuzz '^FuzzSelection$' -fuzztime 10s ./internal/server
-go test -run '^$' -fuzz '^FuzzScatterWrite$' -fuzztime 10s ./internal/server
-go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/meta
-go test -run '^$' -fuzz '^FuzzCatalogCodec$' -fuzztime 10s ./internal/meta
-go test -run '^$' -fuzz '^FuzzPlan$' -fuzztime 10s ./internal/stripe
+echo "== fuzz: every Fuzz* target, 5s each =="
+go test -list '^Fuzz' ./... |
+	awk '/^Fuzz/ { t[n++] = $1; next } /^ok/ { for (i = 0; i < n; i++) print $2, t[i]; n = 0 }' |
+	while read -r pkg target; do
+		go test -run '^$' -fuzz "^${target}\$" -fuzztime 5s "$pkg"
+	done
 echo "== bench smoke: dpfs-bench -ablation parallel =="
 go run ./cmd/dpfs-bench -ablation parallel -n 128 -reps 1 -csv > /dev/null
 echo "== benchmark module: go vet + go test =="
