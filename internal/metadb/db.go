@@ -3,7 +3,6 @@ package metadb
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -184,12 +183,7 @@ func (db *DB) Batch(stmts []Stmt) ([]*Result, error) {
 func (db *DB) TableNames() []string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return db.tableNamesLocked()
 }
 
 // Session is one client's connection to the database, carrying its

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-func mustExec(t *testing.T, s *Session, sql string, args ...Value) *Result {
+func mustExec(t testing.TB, s *Session, sql string, args ...Value) *Result {
 	t.Helper()
 	res, err := s.Exec(sql, args...)
 	if err != nil {

@@ -1,8 +1,6 @@
 package metadb
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
@@ -139,33 +137,22 @@ func (db *DB) GrantVote(epoch, candSeq, candLastEpoch int64) (seq, lastEpoch int
 	return seq, lastEpoch, true, nil
 }
 
-// writeEpochLocked persists "<epoch> <leader>" to <dir>/epoch with an
-// fsync (atomic via rename). In-memory databases keep it in memory
-// only. Caller holds db.mu.
+// writeEpochLocked persists "<epoch> <leader>" to <dir>/epoch: written
+// and fsynced beside it, renamed over it, then the directory fsynced.
+// In-memory databases keep it in memory only. Caller holds db.mu.
 func (db *DB) writeEpochLocked() error {
 	if db.opts.Dir == "" {
 		return nil
 	}
 	tmp := filepath.Join(db.opts.Dir, "epoch.tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
+	if err := writeSynced(tmp, fmt.Appendf(nil, "%d %d\n", db.replEpoch, db.replLeader)); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(f, "%d %d\n", db.replEpoch, db.replLeader); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	if err := os.Rename(tmp, filepath.Join(db.opts.Dir, "epoch")); err != nil {
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(db.opts.Dir, "epoch"))
+	// A lost rename would let the replica vote twice in one epoch.
+	return syncDir(db.opts.Dir)
 }
 
 // loadEpoch restores the durable epoch on open; a missing file means
@@ -236,24 +223,13 @@ func (db *DB) ApplyShipped(streamEpoch, seq, epoch int64, ops []RedoOp) (int64, 
 	if seq != db.replSeq+1 {
 		return 0, &ErrSeqGap{Have: db.replSeq, Want: seq}
 	}
-	if err := db.applyRedo(ops); err != nil {
+	if err := replay(db.tables, ops); err != nil {
 		return 0, fmt.Errorf("metadb: apply shipped record %d: %w", seq, err)
 	}
-	db.replSeq = seq
-	db.replLastEpoch = epoch
-	if db.wal == nil {
-		return 0, nil
-	}
-	db.walMu.Lock()
-	defer db.walMu.Unlock()
-	wait, err := db.wal.append(commitRecord{Seq: seq, Epoch: epoch, Ops: ops})
-	if err != nil {
-		return 0, err
-	}
-	if db.opts.CheckpointBytes > 0 && db.wal.size > db.opts.CheckpointBytes {
-		return 0, db.snapshotLocked()
-	}
-	return wait, nil
+	// The tables hold the record now, so the log position does too,
+	// even if the WAL append fails.
+	db.replSeq, db.replLastEpoch = seq, epoch
+	return db.logLocked(commitRecord{Seq: seq, Epoch: epoch, Ops: ops})
 }
 
 // WaitWAL blocks until the WAL is durable up to the given wait target
@@ -268,31 +244,30 @@ func (db *DB) WaitWAL(wait int64) error {
 	return db.wal.waitDurable(wait)
 }
 
-// StateSnapshot serializes the full database state, including the
+// StateSnapshot returns the full database state, including the
 // replicated-log position, for shipping to a follower that cannot be
-// caught up record by record.
+// caught up record by record: exactly the bytes a checkpoint would
+// write as the snapshot file.
 func (db *DB) StateSnapshot() ([]byte, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.closed {
 		return nil, errors.New("metadb: database closed")
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(db.buildSnapshotLocked()); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return db.snapshotBytesLocked(), nil
 }
 
 // RestoreSnapshot replaces the entire database state with a shipped
-// snapshot, discarding any divergent local history. On a durable
-// database the snapshot is persisted and the WAL reset, so a crash
-// right after restore recovers the restored state. streamEpoch is
-// fenced exactly like ApplyShipped's: a deposed primary must not be
-// able to wipe a follower's state any more than extend its log.
+// snapshot, discarding any divergent local history. Bytes that fail
+// their CRC or do not replay are refused and the tables stay as they
+// were. On a durable database the bytes become the snapshot file and
+// the WAL is reset, so a crash right after restore recovers the
+// restored state. streamEpoch is fenced exactly like ApplyShipped's: a
+// deposed primary must not be able to wipe a follower's state any more
+// than extend its log.
 func (db *DB) RestoreSnapshot(streamEpoch int64, data []byte) error {
-	var rec snapshotRecord
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&rec); err != nil {
+	tables, rec, err := snapshotState(data)
+	if err != nil {
 		return fmt.Errorf("metadb: corrupt shipped snapshot: %w", err)
 	}
 	db.mu.Lock()
@@ -303,25 +278,6 @@ func (db *DB) RestoreSnapshot(streamEpoch int64, data []byte) error {
 	if streamEpoch < db.replEpoch {
 		return &ErrStaleEpoch{Stream: streamEpoch, Current: db.replEpoch}
 	}
-	tables := make(map[string]*Table, len(rec.Tables))
-	for _, dump := range rec.Tables {
-		t, err := NewTable(dump.Name, dump.Cols)
-		if err != nil {
-			return err
-		}
-		for i, rid := range dump.RowIDs {
-			t.insert(dump.Rows[i], rid)
-		}
-		if dump.NextRow > t.nextRow {
-			t.nextRow = dump.NextRow
-		}
-		for _, ix := range dump.Indexes {
-			if err := t.createIndex(ix.Name, ix.Col); err != nil {
-				return err
-			}
-		}
-		tables[dump.Name] = t
-	}
 	db.tables = tables
 	db.replSeq = rec.Seq
 	db.replLastEpoch = rec.Epoch
@@ -330,5 +286,5 @@ func (db *DB) RestoreSnapshot(streamEpoch int64, data []byte) error {
 	}
 	db.walMu.Lock()
 	defer db.walMu.Unlock()
-	return db.writeSnapshotLocked(rec)
+	return db.writeSnapshotLocked(data)
 }

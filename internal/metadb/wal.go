@@ -1,11 +1,10 @@
 package metadb
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -16,46 +15,95 @@ import (
 	"dpfs/internal/obs"
 )
 
-// Durable storage layout:
+// Durable storage layout (DESIGN.md §12):
 //
-//	<dir>/snapshot   full gob dump of all tables (atomic rename)
-//	<dir>/wal        committed transactions appended after the snapshot
+//	<dir>/snapshot   fileHeader, then one record holding the whole state
+//	                 (written to snapshot.tmp, fsynced, renamed)
+//	<dir>/wal        fileHeader, then one record per commit since the
+//	                 snapshot; empty (no header either) after a checkpoint
+//	<dir>/epoch      "<epoch> <leader>" text (repl.go)
 //
-// Each WAL record is an 8-byte little-endian length followed by the gob
-// encoding of a commitRecord (a fresh gob stream per record, so records
-// are independently decodable and a torn tail is detected and
-// discarded).
+// A record is the body's length and the CRC32C (Castagnoli) of the
+// body, 4 little-endian bytes each, then the body: seq and epoch as
+// codec integers, then redo ops in the catalog codec (codec.go). The
+// snapshot's ops are, per table in name order, its create (RowID: the
+// table's next rowid), its inserts in rowid order and its
+// createindexes; its seq/epoch is the log position it covers.
+// Recovery replays the snapshot, then the WAL records whose seq is
+// above the snapshot's, up to the first torn record or CRC mismatch.
+// Files without the header are gob-era and converted on first open
+// (gobconvert.go).
 
+// fileHeader opens every snapshot and every non-empty WAL.
+const fileHeader = "DPFSCAT1"
+
+// recordHeader is a record's length and CRC.
+const recordHeader = 8
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// commitRecord is one catalog record: a commit in the WAL or on the
+// replication stream, or the whole state in a snapshot. Seq is the
+// record's 1-based position in the replicated log and Epoch the primary
+// term that produced it (DESIGN.md §13).
 type commitRecord struct {
-	// Seq is the record's 1-based position in the replicated log and
-	// Epoch the primary term that produced it (DESIGN.md §13). Both are
-	// zero in WALs written before replication existed; recovery treats
-	// that as "counting starts now".
 	Seq   int64
 	Epoch int64
 	Ops   []RedoOp
 }
 
-type snapshotRecord struct {
-	// Seq/Epoch of the last commit record the snapshot covers, so the
-	// replicated-log position survives WAL truncation.
-	Seq    int64
-	Epoch  int64
-	Tables []tableDump
+// appendRecord appends rec in its framed form.
+func appendRecord(b []byte, rec commitRecord) []byte {
+	start := len(b)
+	b = append(b, make([]byte, recordHeader)...)
+	b = binary.AppendVarint(b, rec.Seq)
+	b = binary.AppendVarint(b, rec.Epoch)
+	b = AppendRedoOps(b, rec.Ops)
+	body := b[start+recordHeader:]
+	binary.LittleEndian.PutUint32(b[start:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(b[start+4:], crc32.Checksum(body, castagnoli))
+	return b
 }
 
-type tableDump struct {
-	Name    string
-	Cols    []ColumnDef
-	NextRow int64
-	RowIDs  []int64
-	Rows    [][]Value
-	Indexes []indexDump
+var errTornRecord = errors.New("metadb: torn catalog record")
+
+// decodeRecord reads the record at the front of b and returns it with
+// the number of bytes it took.
+func decodeRecord(b []byte) (commitRecord, int, error) {
+	if len(b) < recordHeader {
+		return commitRecord{}, 0, errTornRecord
+	}
+	n := binary.LittleEndian.Uint32(b)
+	if uint64(n) > uint64(len(b)-recordHeader) {
+		return commitRecord{}, 0, errTornRecord
+	}
+	body := b[recordHeader : recordHeader+int(n)]
+	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(b[4:]) {
+		return commitRecord{}, 0, errors.New("metadb: catalog record fails its CRC")
+	}
+	d := NewDecoder(body)
+	rec := commitRecord{Seq: d.Int(), Epoch: d.Int(), Ops: d.RedoOps()}
+	if err := d.Finish(); err != nil {
+		return commitRecord{}, 0, err
+	}
+	return rec, recordHeader + int(n), nil
 }
 
-type indexDump struct {
-	Name string
-	Col  string
+// snapshotState decodes a snapshot file's (or a shipped snapshot's)
+// bytes and replays them into a fresh table map.
+func snapshotState(b []byte) (map[string]*Table, commitRecord, error) {
+	if string(b[:min(len(b), len(fileHeader))]) != fileHeader {
+		return nil, commitRecord{}, errors.New("metadb: snapshot lacks the format header")
+	}
+	rec, n, err := decodeRecord(b[len(fileHeader):])
+	if err == nil && len(fileHeader)+n != len(b) {
+		err = fmt.Errorf("metadb: %d bytes after the snapshot record", len(b)-len(fileHeader)-n)
+	}
+	tables := make(map[string]*Table)
+	if err == nil {
+		err = replay(tables, rec.Ops)
+	}
+	return tables, rec, err
 }
 
 type walFile struct {
@@ -90,49 +138,39 @@ func openWAL(dir string, sync bool) (*walFile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("metadb: open wal: %w", err)
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &walFile{dir: dir, f: f, sync: sync, size: st.Size()}, nil
+	return &walFile{dir: dir, f: f, sync: sync}, nil
 }
 
 func (w *walFile) close() error { return w.f.Close() }
 
-// append writes one commit record at the end of the WAL; the caller
-// holds walMu. It never fsyncs. With sync set the returned wait target
-// is the sequence number the caller must pass to waitDurable, outside
-// the database write lock, before acknowledging the commit: committers
-// that appended while an fsync was in flight then share the next one.
+// append writes one commit record at the end of the WAL, after the
+// format header when the WAL is empty; the caller holds walMu. It
+// never fsyncs. With sync set the returned wait target is the sequence
+// number the caller must pass to waitDurable, outside the database
+// write lock, before acknowledging the commit: committers that
+// appended while an fsync was in flight then share the next one.
 // Without sync it is 0, nothing to wait for.
 func (w *walFile) append(rec commitRecord) (wait int64, err error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
-		return 0, fmt.Errorf("metadb: encode wal record: %w", err)
+	var b []byte
+	if w.size == 0 {
+		b = []byte(fileHeader)
 	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(buf.Len()))
-	if _, err := w.f.Seek(w.size, io.SeekStart); err != nil {
+	b = appendRecord(b, rec)
+	if _, err := w.f.WriteAt(b, w.size); err != nil {
 		return 0, err
 	}
-	if _, err := w.f.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	if _, err := w.f.Write(buf.Bytes()); err != nil {
-		return 0, err
-	}
-	w.size += 8 + int64(buf.Len())
+	n := int64(len(b))
+	w.size += n
 	if w.reg != nil {
 		w.reg.Counter(MetricWALAppends).Inc()
-		w.reg.Counter(MetricWALBytes).Add(8 + int64(buf.Len()))
+		w.reg.Counter(MetricWALBytes).Add(n)
 	}
 	if !w.sync {
 		return 0, nil
 	}
 	w.gcMu.Lock()
 	defer w.gcMu.Unlock()
-	w.appended += 8 + int64(buf.Len())
+	w.appended += n
 	w.pending++
 	return w.appended, nil
 }
@@ -197,44 +235,6 @@ func (w *walFile) waitDurable(target int64) error {
 	}
 }
 
-// replay streams committed records to apply, stopping cleanly at a torn
-// or corrupt tail (which it truncates away).
-func (w *walFile) replay(apply func(commitRecord) error) error {
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	var good int64
-	for {
-		var hdr [8]byte
-		if _, err := io.ReadFull(w.f, hdr[:]); err != nil {
-			break // EOF or torn header
-		}
-		n := binary.LittleEndian.Uint64(hdr[:])
-		if n == 0 || n > 1<<30 {
-			break // corrupt length
-		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(w.f, body); err != nil {
-			break // torn body
-		}
-		var rec commitRecord
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&rec); err != nil {
-			break // corrupt record
-		}
-		if err := apply(rec); err != nil {
-			return err
-		}
-		good += 8 + int64(n)
-	}
-	if good != w.size {
-		if err := w.f.Truncate(good); err != nil {
-			return err
-		}
-		w.size = good
-	}
-	return nil
-}
-
 // reset truncates the WAL to empty (after a snapshot). Everything
 // appended so far becomes durable — the freshly synced snapshot
 // supersedes the discarded records — so pending waiters are released.
@@ -272,25 +272,32 @@ func (db *DB) logCommit(redo []RedoOp) (int64, int64, error) {
 		return 0, 0, nil
 	}
 	seq := db.replSeq + 1
-	if db.wal == nil {
-		db.replSeq = seq
-		db.replLastEpoch = db.replEpoch
-		return 0, seq, nil
-	}
-	db.walMu.Lock()
-	defer db.walMu.Unlock()
-	wait, err := db.wal.append(commitRecord{Seq: seq, Epoch: db.replEpoch, Ops: redo})
+	wait, err := db.logLocked(commitRecord{Seq: seq, Epoch: db.replEpoch, Ops: redo})
 	if err != nil {
 		return 0, 0, err
 	}
-	db.replSeq = seq
-	db.replLastEpoch = db.replEpoch
-	if db.opts.CheckpointBytes > 0 && db.wal.size > db.opts.CheckpointBytes {
+	return wait, seq, nil
+}
+
+// logLocked appends a record to the WAL of a durable database, moves
+// the log position to it, and checkpoints once the WAL has grown past
+// Options.CheckpointBytes. The wait target is walFile.append's. Caller
+// holds db.mu exclusively.
+func (db *DB) logLocked(rec commitRecord) (wait int64, err error) {
+	if db.wal != nil {
+		db.walMu.Lock()
+		defer db.walMu.Unlock()
+		if wait, err = db.wal.append(rec); err != nil {
+			return 0, err
+		}
+	}
+	db.replSeq, db.replLastEpoch = rec.Seq, rec.Epoch
+	if db.wal != nil && db.opts.CheckpointBytes > 0 && db.wal.size > db.opts.CheckpointBytes {
 		// The snapshot makes every appended record durable, so
 		// committers have nothing to wait for.
-		return 0, seq, db.snapshotLocked()
+		return 0, db.snapshotLocked()
 	}
-	return wait, seq, nil
+	return wait, nil
 }
 
 // checkpointLocked snapshots under db.mu.
@@ -303,61 +310,82 @@ func (db *DB) checkpointLocked() error {
 // snapshotLocked writes the full database state atomically and resets
 // the WAL. Caller holds both db.mu and db.walMu.
 func (db *DB) snapshotLocked() error {
-	return db.writeSnapshotLocked(db.buildSnapshotLocked())
+	return db.writeSnapshotLocked(db.snapshotBytesLocked())
 }
 
-// buildSnapshotLocked captures the full database state as a snapshot
-// record. Caller holds at least db.mu for reading.
-func (db *DB) buildSnapshotLocked() snapshotRecord {
-	rec := snapshotRecord{Seq: db.replSeq, Epoch: db.replLastEpoch}
+// snapshotBytesLocked encodes the full database state as a snapshot
+// file. Caller holds at least db.mu for reading.
+func (db *DB) snapshotBytesLocked() []byte {
+	rec := commitRecord{Seq: db.replSeq, Epoch: db.replLastEpoch}
 	for _, name := range db.tableNamesLocked() {
 		t := db.tables[name]
-		dump := tableDump{Name: t.Name, Cols: t.Cols, NextRow: t.nextRow}
+		rec.Ops = append(rec.Ops, RedoOp{Kind: "create", Table: name, RowID: t.nextRow, Cols: t.Cols})
 		for _, rid := range t.scanIDs() {
-			dump.RowIDs = append(dump.RowIDs, rid)
-			dump.Rows = append(dump.Rows, t.rows[rid])
+			rec.Ops = append(rec.Ops, RedoOp{Kind: "insert", Table: name, RowID: rid, Vals: t.rows[rid]})
 		}
 		ixNames := make([]string, 0, len(t.secondary))
-		for name := range t.secondary {
-			ixNames = append(ixNames, name)
+		for ix := range t.secondary {
+			ixNames = append(ixNames, ix)
 		}
 		sort.Strings(ixNames)
-		for _, name := range ixNames {
-			ix := t.secondary[name]
-			dump.Indexes = append(dump.Indexes, indexDump{Name: name, Col: t.Cols[ix.col].Name})
+		for _, ix := range ixNames {
+			col := t.Cols[t.secondary[ix].col].Name
+			rec.Ops = append(rec.Ops, RedoOp{Kind: "createindex", Table: name, Index: ix, Col: col})
 		}
-		rec.Tables = append(rec.Tables, dump)
 	}
-	return rec
+	return appendRecord([]byte(fileHeader), rec)
 }
 
-// writeSnapshotLocked persists a snapshot record atomically and resets
-// the WAL. Caller holds both db.mu and db.walMu.
-func (db *DB) writeSnapshotLocked(rec snapshotRecord) error {
+// writeSnapshotLocked persists snapshot file bytes atomically and
+// resets the WAL. Caller holds both db.mu and db.walMu.
+func (db *DB) writeSnapshotLocked(snap []byte) error {
 	tmp := filepath.Join(db.wal.dir, "snapshot.tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := gob.NewEncoder(f).Encode(rec); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+	if err := writeSynced(tmp, snap); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, filepath.Join(db.wal.dir, "snapshot")); err != nil {
 		return err
 	}
+	if db.wal.sync {
+		// The rename must be durable before the WAL it supersedes is
+		// cut, or a power loss brings back the old snapshot beside an
+		// empty WAL.
+		if err := syncDir(db.wal.dir); err != nil {
+			return err
+		}
+	}
 	db.reg.Counter(MetricWALCheckpoints).Inc()
 	return db.wal.reset()
+}
+
+// writeSynced writes data to a new file at path and fsyncs it; on
+// failure the file is removed.
+func writeSynced(path string, data []byte) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(path)
+	}
+	return err
+}
+
+// syncDir fsyncs a directory, making the renames inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 func (db *DB) tableNamesLocked() []string {
@@ -365,94 +393,113 @@ func (db *DB) tableNamesLocked() []string {
 	for n := range db.tables {
 		out = append(out, n)
 	}
-	// Deterministic snapshot order.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sort.Strings(out)
 	return out
 }
 
-// recover loads the snapshot (if any) and replays the WAL.
+// recover loads the snapshot and replays the WAL records above it,
+// converting gob-era files first.
 func (db *DB) recover() error {
-	snap := filepath.Join(db.wal.dir, "snapshot")
-	if f, err := os.Open(snap); err == nil {
-		var rec snapshotRecord
-		err := gob.NewDecoder(f).Decode(&rec)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("metadb: corrupt snapshot: %w", err)
-		}
-		for _, dump := range rec.Tables {
-			t, err := NewTable(dump.Name, dump.Cols)
-			if err != nil {
-				return err
-			}
-			for i, rid := range dump.RowIDs {
-				t.insert(dump.Rows[i], rid)
-			}
-			if dump.NextRow > t.nextRow {
-				t.nextRow = dump.NextRow
-			}
-			for _, ix := range dump.Indexes {
-				if err := t.createIndex(ix.Name, ix.Col); err != nil {
-					return err
-				}
-			}
-			db.tables[dump.Name] = t
-		}
-		db.replSeq = rec.Seq
-		db.replLastEpoch = rec.Epoch
-	} else if !errors.Is(err, os.ErrNotExist) {
+	snap, err := os.ReadFile(filepath.Join(db.wal.dir, "snapshot"))
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return err
 	}
-	return db.wal.replay(func(rec commitRecord) error {
-		if rec.Seq > db.replSeq {
-			db.replSeq = rec.Seq
-			db.replLastEpoch = rec.Epoch
-		} else if rec.Seq == 0 {
-			// Pre-replication record: count it so the log position
-			// still reflects every commit.
-			db.replSeq++
-		}
-		return db.applyRedo(rec.Ops)
-	})
+	wal, err := io.ReadAll(db.wal.f)
+	if err != nil {
+		return err
+	}
+	if gobEra(snap) || gobEra(wal) {
+		return db.convertGobEra(snap, wal)
+	}
+	if err := db.loadSnapshot(snap); err != nil {
+		return err
+	}
+	return db.replayWAL(wal)
 }
 
-// applyRedo replays committed operations during recovery.
-func (db *DB) applyRedo(ops []RedoOp) error {
+// loadSnapshot replays a snapshot file's bytes (nil: no snapshot) into
+// the empty database.
+func (db *DB) loadSnapshot(snap []byte) error {
+	if snap == nil {
+		return nil
+	}
+	tables, rec, err := snapshotState(snap)
+	if err != nil {
+		return fmt.Errorf("metadb: corrupt snapshot %s: %w", filepath.Join(db.wal.dir, "snapshot"), err)
+	}
+	db.tables, db.replSeq, db.replLastEpoch = tables, rec.Seq, rec.Epoch
+	return nil
+}
+
+// replayWAL applies the WAL's records above the recovered log position
+// and truncates the WAL after the last whole record with a good CRC.
+func (db *DB) replayWAL(wal []byte) error {
+	good := 0
+	if len(wal) >= len(fileHeader) {
+		good = len(fileHeader)
+		for {
+			rec, n, err := decodeRecord(wal[good:])
+			if err != nil {
+				break // torn or corrupt tail
+			}
+			if err := db.extend(rec); err != nil {
+				return err
+			}
+			good += n
+		}
+	}
+	db.wal.size = int64(good)
+	if good == len(wal) {
+		return nil
+	}
+	return db.wal.f.Truncate(db.wal.size)
+}
+
+// extend applies one recovered WAL record unless the snapshot already
+// holds it.
+func (db *DB) extend(rec commitRecord) error {
+	if rec.Seq <= db.replSeq {
+		return nil
+	}
+	if err := replay(db.tables, rec.Ops); err != nil {
+		return err
+	}
+	db.replSeq, db.replLastEpoch = rec.Seq, rec.Epoch
+	return nil
+}
+
+// replay applies redo ops to a table map: the one path by which
+// snapshots, WAL records, shipped records and converted gob-era files
+// reach the tables. A create's RowID, when set, is the table's next
+// rowid (snapshots carry it).
+func replay(tables map[string]*Table, ops []RedoOp) error {
 	for _, op := range ops {
-		switch op.Kind {
-		case "create":
+		if op.Kind == "create" {
 			t, err := NewTable(op.Table, op.Cols)
 			if err != nil {
 				return err
 			}
-			db.tables[op.Table] = t
-		case "insert":
-			t, err := db.table(op.Table)
-			if err != nil {
-				return err
+			t.nextRow = max(t.nextRow, op.RowID)
+			tables[op.Table] = t
+			continue
+		}
+		t, ok := tables[op.Table]
+		if !ok {
+			return fmt.Errorf("metadb: no such table %q", op.Table)
+		}
+		switch op.Kind {
+		case "insert", "update":
+			if len(op.Vals) != len(t.Cols) {
+				return fmt.Errorf("metadb: %s of %d values into table %q of %d columns", op.Kind, len(op.Vals), t.Name, len(t.Cols))
 			}
-			t.insert(op.Vals, op.RowID)
+			if op.Kind == "insert" {
+				t.insert(op.Vals, op.RowID)
+			} else {
+				t.update(op.RowID, op.Vals)
+			}
 		case "delete":
-			t, err := db.table(op.Table)
-			if err != nil {
-				return err
-			}
 			t.delete(op.RowID)
-		case "update":
-			t, err := db.table(op.Table)
-			if err != nil {
-				return err
-			}
-			t.update(op.RowID, op.Vals)
 		case "createindex":
-			t, err := db.table(op.Table)
-			if err != nil {
-				return err
-			}
 			if err := t.createIndex(op.Index, op.Col); err != nil {
 				return err
 			}

@@ -1,6 +1,7 @@
 package metadb
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -8,18 +9,25 @@ import (
 	"testing"
 )
 
-// walRecordEnds parses the WAL's framing (8-byte little-endian length
-// per record) and returns the end offset of every complete record.
-func walRecordEnds(t *testing.T, wal []byte) []int64 {
+// walRecordEnds parses the WAL's framing (the format header, then per
+// record a 4-byte little-endian length and a 4-byte CRC before the
+// body) and returns the end offset of every complete record.
+func walRecordEnds(t testing.TB, wal []byte) []int64 {
 	t.Helper()
+	if len(wal) == 0 {
+		return nil
+	}
+	if !bytes.HasPrefix(wal, []byte(fileHeader)) {
+		t.Fatalf("WAL starts %q, want the format header %q", wal[:min(len(wal), len(fileHeader))], fileHeader)
+	}
 	var ends []int64
-	off := int64(0)
+	off := int64(len(fileHeader))
 	for off < int64(len(wal)) {
-		if off+8 > int64(len(wal)) {
+		if off+recordHeader > int64(len(wal)) {
 			t.Fatalf("WAL ends mid-header at %d/%d", off, len(wal))
 		}
-		n := binary.LittleEndian.Uint64(wal[off : off+8])
-		off += 8 + int64(n)
+		n := binary.LittleEndian.Uint32(wal[off : off+4])
+		off += recordHeader + int64(n)
 		if off > int64(len(wal)) {
 			t.Fatalf("WAL record overruns file: end %d > size %d", off, len(wal))
 		}
@@ -31,7 +39,7 @@ func walRecordEnds(t *testing.T, wal []byte) []int64 {
 // seedWAL builds a WAL of one CREATE TABLE plus `inserts` single-row
 // commits, crashed without Close (so recovery is WAL-only), and
 // returns the raw WAL bytes.
-func seedWAL(t *testing.T, inserts int) []byte {
+func seedWAL(t testing.TB, inserts int) []byte {
 	t.Helper()
 	dir := t.TempDir()
 	db := openDir(t, dir)
@@ -112,7 +120,7 @@ func TestWALCorruptLengthHeader(t *testing.T) {
 
 	// Corrupt the length of the third record (create + insert0 stay).
 	corrupt := append([]byte(nil), wal...)
-	binary.LittleEndian.PutUint64(corrupt[ends[1]:], 1<<40)
+	binary.LittleEndian.PutUint32(corrupt[ends[1]:], 1<<30)
 
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "wal"), corrupt, 0o644); err != nil {

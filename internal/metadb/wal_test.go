@@ -9,7 +9,7 @@ import (
 	"testing/quick"
 )
 
-func openDir(t *testing.T, dir string) *DB {
+func openDir(t testing.TB, dir string) *DB {
 	t.Helper()
 	db, err := Open(Options{Dir: dir})
 	if err != nil {

@@ -2,7 +2,9 @@
 # check.sh — the repo's full verification gate:
 #   1. tier-1: go build ./... && go test ./...
 #   2. gofmt -l . lists nothing (every Go file, benchmark/ included, is
-#      gofmt-formatted), then go vet ./...
+#      gofmt-formatted); no non-test Go file imports encoding/gob except
+#      metadb's gob-era catalog converter and gossip's transport; then
+#      go vet ./...
 #   3. govulncheck (soft-fail: warns when the tool or network is absent)
 #   4. race-enabled test suite
 #   5. seeded chaos suite under -race (fault injection e2e), plus a
@@ -11,9 +13,9 @@
 #      its connections), metarepl and gossip modes
 #   6. five seconds of every Fuzz* target in the module, found per
 #      package with go test -list '^Fuzz': the server's selection and
-#      scatter loops, metadb's parser and catalog codec, the planner,
-#      the data port's frame decoders and the gossip delta decoder;
-#      their seed corpora already ran in tier-1
+#      scatter loops, metadb's parser, catalog codec and catalog record,
+#      the planner, the data port's frame decoders and the gossip delta
+#      decoder; their seed corpora already ran in tier-1
 #   7. one smoke run of dpfs-bench (-ablation parallel)
 #   8. documentation lint (godoc coverage, markdown links, flag tables
 #      and the flags of documented command lines)
@@ -34,6 +36,14 @@ unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
 	echo "gofmt: these files are not formatted (run gofmt -w on them):" >&2
 	echo "$unformatted" >&2
+	exit 1
+fi
+echo "== encoding/gob: only the gob-era catalog converter and gossip =="
+gobusers=$(grep -rl --include='*.go' '"encoding/gob"' . |
+	grep -v -e '_test\.go$' -e '^\./internal/metadb/gobconvert\.go$' -e '^\./internal/gossip/transport\.go$' || true)
+if [ -n "$gobusers" ]; then
+	echo "encoding/gob: only internal/metadb/gobconvert.go and internal/gossip/transport.go may import it; also:" >&2
+	echo "$gobusers" >&2
 	exit 1
 fi
 echo "== go vet ./... =="
