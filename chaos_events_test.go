@@ -11,7 +11,6 @@ import (
 	"dpfs"
 	"dpfs/internal/cluster"
 	"dpfs/internal/obs"
-	"dpfs/internal/repair"
 	"dpfs/internal/server"
 )
 
@@ -128,11 +127,9 @@ func TestChaosEventLog(t *testing.T) {
 
 // TestGossipEventLog is TestChaosEventLog for the health plane: a
 // gossip-enabled cluster narrates membership convergence into the
-// event log, a killed server produces gossip_suspect from the
-// surviving mesh, and a repair probe that finds the metadata service
-// gone reports its fallback with meta_unreachable — all three new
-// event types queryable alongside the breaker/failover events through
-// /debug/events.
+// event log, and a killed server produces gossip_suspect from the
+// surviving mesh — both event types queryable alongside the
+// breaker/failover events through /debug/events.
 func TestGossipEventLog(t *testing.T) {
 	events := obs.NewEventLog(512)
 	c, err := cluster.Start(cluster.Config{
@@ -146,8 +143,6 @@ func TestGossipEventLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
 	waitEvent := func(typ, what string) {
 		t.Helper()
 		deadline := time.Now().Add(30 * time.Second)
@@ -163,14 +158,6 @@ func TestGossipEventLog(t *testing.T) {
 	// rest as records merge in.
 	waitEvent(obs.EventGossipMemberJoin, "the mesh never converged")
 
-	// The prober's catalog connection must exist before the outage.
-	cat, err := c.NewCatalog()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := repair.New(cat, repair.Options{Gossip: c.GossipNodes[0], Events: events})
-	defer r.Close()
-
 	// A crash (listener and gossip node both gone) makes the survivors
 	// suspect the silent peer.
 	if err := c.KillServer(len(c.IOServers) - 1); err != nil {
@@ -178,22 +165,11 @@ func TestGossipEventLog(t *testing.T) {
 	}
 	waitEvent(obs.EventGossipSuspect, "no survivor suspected the killed server")
 
-	// With the catalog gone too, the probe falls back to the gossip
-	// snapshot and says so.
-	if err := c.StopMeta(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Probe(ctx); err != nil {
-		t.Fatalf("probe did not fall back to the gossip snapshot: %v", err)
-	}
-	waitEvent(obs.EventMetaUnreachable, "the fallback probe stayed quiet")
-
-	// The same three types through the debug endpoint.
+	// The same types through the debug endpoint.
 	h := obs.NewHandler(obs.HandlerConfig{Events: events})
 	srv := httptest.NewServer(h)
 	defer srv.Close()
-	for _, typ := range []string{obs.EventGossipMemberJoin, obs.EventGossipSuspect,
-		obs.EventMetaUnreachable} {
+	for _, typ := range []string{obs.EventGossipMemberJoin, obs.EventGossipSuspect} {
 		resp, err := http.Get(srv.URL + "/debug/events?type=" + typ)
 		if err != nil {
 			t.Fatal(err)

@@ -155,7 +155,6 @@ func main() {
 			Metrics:   srv.Metrics(),
 			Events:    obs.Events(),
 			SelfUpdate: func(rec *gossip.Record) {
-				rec.Gen = srv.GenHighWater()
 				hs := srv.Health()
 				rec.DiskErrors = hs.DiskErrors
 				rec.CopyPeerErrors = hs.CopyPeerErrors

@@ -212,7 +212,7 @@ func Start(cfg Config) (*Cluster, error) {
 
 // startGossip builds and starts one gossip node per I/O server: every
 // node seeds its view with every other server's address, attaches to
-// its server (delta piggybacking, 0xDB connection serving) and runs
+// its server (delta piggybacking, OpGossip serving) and runs
 // jittered rounds until the cluster closes or the server is killed.
 func (c *Cluster) startGossip() error {
 	addrs := make([]string, len(c.IOServers))
@@ -226,7 +226,6 @@ func (c *Cluster) startGossip() error {
 	events := c.cfg.GossipEvents
 	c.gossipCancels = make([]context.CancelFunc, len(c.IOServers))
 	for i, srv := range c.IOServers {
-		srv := srv
 		seeds := make([]string, 0, len(addrs)-1)
 		for j, a := range addrs {
 			if j != i {
@@ -241,9 +240,6 @@ func (c *Cluster) startGossip() error {
 			Transport: &gossip.NetTransport{Dial: c.cfg.GossipDial},
 			Metrics:   srv.Metrics(),
 			Events:    events,
-			SelfUpdate: func(rec *gossip.Record) {
-				rec.Gen = srv.GenHighWater()
-			},
 		})
 		if err != nil {
 			return err

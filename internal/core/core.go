@@ -409,12 +409,13 @@ func (fs *FS) applyServerRecord(rec *gossip.Record) {
 	}
 }
 
-// refreshAddr updates the engine's cached address for a server when a
-// gossip record shows it registered somewhere else, dropping the stale
-// pooled client so the next request dials the new address.
-func (fs *FS) refreshAddr(name, addr string) {
+// refreshAddr updates the engine's cached address for a server that
+// registered somewhere else (a gossip record or its catalog row says
+// so), dropping the stale pooled client so the next request dials the
+// new address. It reports whether the address changed.
+func (fs *FS) refreshAddr(name, addr string) bool {
 	if addr == "" {
-		return
+		return false
 	}
 	fs.mu.Lock()
 	old, ok := fs.addrs[name]
@@ -434,6 +435,16 @@ func (fs *FS) refreshAddr(name, addr string) {
 			fs.metaCache.PutServer(si)
 		}
 	}
+	return ok && old != addr
+}
+
+// readdress re-reads a server's catalog row after an exchange with it
+// failed at the transport level and reports whether the server moved
+// (re-registered under its name at another address, now adopted).
+// Without gossip nothing else tells a long-lived engine.
+func (fs *FS) readdress(name string) bool {
+	si, err := fs.cat.Server(name)
+	return err == nil && fs.refreshAddr(name, si.Addr)
 }
 
 // hintedDead reports whether gossip last marked a server dead. Used by

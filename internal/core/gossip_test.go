@@ -2,11 +2,14 @@ package core_test
 
 import (
 	"bytes"
+	"path/filepath"
 	"testing"
 
+	"dpfs/internal/cluster"
 	"dpfs/internal/core"
 	"dpfs/internal/gossip"
 	"dpfs/internal/obs"
+	"dpfs/internal/server"
 	"dpfs/internal/stripe"
 )
 
@@ -130,5 +133,66 @@ func TestApplyDeltaRobustness(t *testing.T) {
 	}
 	if v := fs.Metrics().Counter(core.MetricDeadHints).Value(); v != 1 {
 		t.Fatalf("duplicate dead record double-counted: %d", v)
+	}
+}
+
+// TestServerMovedWithoutGossip: a server that restarts at a new address
+// and re-registers under its name stays reachable to a long-lived
+// engine with no gossip to tell it. The read that fails at the old
+// address re-reads the server's catalog row, adopts the new address
+// and retries there once.
+func TestServerMovedWithoutGossip(t *testing.T) {
+	dir := t.TempDir()
+	c, err := cluster.Start(cluster.Config{Servers: cluster.Uniform(1), Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fs := newFS(t, c, 0, core.Options{})
+	ctx := ctxT(t)
+
+	f, err := fs.Create("/moved.bin", 1, []int64{1 << 15}, core.Hint{Level: stripe.LevelLinear, BrickBytes: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := pattern(1 << 15)
+	if err := f.WriteAt(ctx, data, 0); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(data))
+	if err := f.ReadAt(ctx, got, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	// The server stops and comes back on the same root (cluster.Start
+	// keeps server NAME under DIR/srv-NAME) at a new port.
+	name := c.ServerNames()[0]
+	if err := c.IOServers[0].Close(); err != nil {
+		t.Fatal(err)
+	}
+	moved, err := server.Listen(server.Config{Root: filepath.Join(dir, "srv-"+name), Name: name}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer moved.Close()
+	cat, err := c.NewCatalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	si, err := cat.Server(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	si.Addr = moved.Addr()
+	if err := cat.RegisterServer(si); err != nil {
+		t.Fatal(err)
+	}
+
+	clear(got)
+	if err := f.ReadAt(ctx, got, 0); err != nil {
+		t.Fatalf("read after the server moved: %v", err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("read after the server moved returned wrong data")
 	}
 }

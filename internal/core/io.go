@@ -412,16 +412,21 @@ var errHintedDead = errors.New("dpfs: preferred server hinted dead by gossip")
 
 // doExchange performs one server exchange and, for reads of a
 // replicated file, fails over to backup replicas when the preferred
-// server fails at the transport level. A preferred server that gossip
-// already marked dead is not even tried: the read goes straight to its
-// backup replicas instead of burning an RPC timeout rediscovering the
-// failure (DESIGN.md §14).
+// server fails at the transport level — unless the server's catalog row
+// shows it moved, in which case the exchange is retried once at the new
+// address first. A preferred server that gossip already marked dead is
+// not even tried: the read goes straight to its backup replicas instead
+// of burning an RPC timeout rediscovering the failure (DESIGN.md §14).
 func (f *File) doExchange(ctx context.Context, r *stripe.Request, buf []byte, write bool, sp *obs.Span) error {
-	if !write && f.rs.Replicas() > 1 && f.fs.hintedDead(f.info.Servers[r.Server]) {
+	name := f.info.Servers[r.Server]
+	if !write && f.rs.Replicas() > 1 && f.fs.hintedDead(name) {
 		f.fs.reg.Counter(MetricDeadHintSkips).Inc()
 		return f.failoverRead(ctx, r, buf, errHintedDead, sp)
 	}
 	err := f.doRequest(ctx, r, buf, write, sp)
+	if transportFailure(ctx, err) && f.fs.readdress(name) {
+		err = f.doRequest(ctx, r, buf, write, sp)
+	}
 	if err == nil || write || f.rs.Replicas() == 1 || !transportFailure(ctx, err) {
 		return err
 	}

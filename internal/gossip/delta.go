@@ -2,6 +2,7 @@ package gossip
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 )
@@ -12,23 +13,24 @@ import (
 // client learns about address changes, drains and confirmed deaths
 // at RPC latency instead of waiting out its metadata-cache TTL.
 //
-// The encoding is deliberately tiny and self-contained (no gob):
+// The encoding is deliberately tiny and self-contained:
 //
-//	4-byte magic "DPgd" | u8 version | u16 count | entries
-//	entry: u8 state | i64 inc | i64 gen | u16 addrLen | addr |
-//	       u16 nameLen | name
+//	4-byte magic "DPgd" | u8 version | u16 count | records
+//	record: u8 state | i64 inc | u16 addrLen | addr | u16 nameLen | name
 //
-// all little-endian. Decoding is strict — any truncation, length
-// overrun or unknown state yields an error — but callers treat a
-// failed decode as "no delta": a damaged piggyback must never fail
-// the RPC that carried it (the same best-effort contract as the
-// response's span trailer).
+// all little-endian. The record is the one gossip exchanges carry too
+// (encodeMessage extends it with the health fields). Decoding is
+// strict — any truncation, length overrun or unknown state yields an
+// error — but callers treat a failed decode as "no delta": a damaged
+// piggyback must never fail the RPC that carried it (the same
+// best-effort contract as the response's span trailer).
 
 // DeltaMagic is the 4-byte marker opening an encoded delta.
 var DeltaMagic = [4]byte{'D', 'P', 'g', 'd'}
 
-// deltaVersion is the current delta encoding version.
-const deltaVersion = 1
+// deltaVersion is the current delta encoding version. Version 1
+// carried a generation mark per record that nothing read.
+const deltaVersion = 2
 
 // Caps on one encoded delta: a piggyback must stay a small fraction
 // of the response it rides.
@@ -39,21 +41,92 @@ const (
 	MaxDeltaBytes = 64 << 10
 )
 
-// deltaStates maps Record.State to its wire byte and back.
-var deltaStates = map[string]byte{
+// stateCodes maps Record.State to its wire byte; stateNames maps back.
+var stateCodes = map[string]byte{
 	StateAlive:    0,
 	StateDraining: 1,
 	StateSuspect:  2,
 	StateDead:     3,
 }
 
-var deltaStateNames = [...]string{StateAlive, StateDraining, StateSuspect, StateDead}
+var stateNames = [...]string{StateAlive, StateDraining, StateSuspect, StateDead}
+
+// maxString is the longest string a u16 length prefix can carry;
+// appendString cuts anything longer.
+const maxString = 0xFFFF
+
+func appendString(b []byte, s string) []byte {
+	s = s[:min(len(s), maxString)]
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(s)))
+	return append(b, s...)
+}
+
+// appendRecord appends r's state, incarnation, address and name — the
+// record encoding deltas and exchanges share. A record without an
+// address or in an unknown state is not encodable: appendRecord then
+// reports false and appends nothing.
+func appendRecord(b []byte, r *Record) ([]byte, bool) {
+	st, ok := stateCodes[r.State]
+	if !ok || r.Addr == "" {
+		return b, false
+	}
+	b = append(b, st)
+	b = binary.LittleEndian.AppendUint64(b, uint64(r.Inc))
+	return appendString(appendString(b, r.Addr), r.Name), true
+}
+
+var errShort = errors.New("truncated")
+
+// decoder reads the little-endian fields both encodings use. The first
+// failure sticks in err; from then on every read returns zeros.
+type decoder struct {
+	b   []byte
+	err error
+}
+
+func (d *decoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf(format, args...)
+	}
+}
+
+func (d *decoder) take(n int) []byte {
+	if d.err == nil && n > len(d.b) {
+		d.err = errShort
+	}
+	if d.err != nil {
+		return make([]byte, min(n, 8)) // zeros for the fixed-size reads
+	}
+	p := d.b[:n]
+	d.b = d.b[n:]
+	return p
+}
+
+func (d *decoder) u8() byte    { return d.take(1)[0] }
+func (d *decoder) u16() int    { return int(binary.LittleEndian.Uint16(d.take(2))) }
+func (d *decoder) i64() int64  { return int64(binary.LittleEndian.Uint64(d.take(8))) }
+func (d *decoder) str() string { return string(d.take(d.u16())) }
+
+// record reads what appendRecord wrote.
+func (d *decoder) record() Record {
+	st, inc, addr, name := d.u8(), d.i64(), d.str(), d.str()
+	switch {
+	case d.err != nil:
+	case int(st) >= len(stateNames):
+		d.fail("unknown state %d", st)
+	case addr == "":
+		d.fail("empty address")
+	default:
+		return Record{Addr: addr, Name: name, Inc: inc, State: stateNames[st]}
+	}
+	return Record{}
+}
 
 // EncodeDelta serializes records into the delta wire format.
 // Observer sets and health counters are dropped — clients need only
-// identity, state, incarnation and the generation mark. Records
-// beyond MaxDeltaRecords or bytes beyond MaxDeltaBytes are truncated
-// (non-alive records are kept preferentially).
+// identity, state and incarnation. Records beyond MaxDeltaRecords or
+// bytes beyond MaxDeltaBytes are truncated (non-alive records are kept
+// preferentially).
 func EncodeDelta(recs []Record) []byte {
 	if len(recs) == 0 {
 		return nil
@@ -67,26 +140,17 @@ func EncodeDelta(recs []Record) []byte {
 	}
 	buf := make([]byte, 0, 64*len(recs)+8)
 	buf = append(buf, DeltaMagic[:]...)
-	buf = append(buf, deltaVersion)
-	buf = binary.LittleEndian.AppendUint16(buf, 0) // count patched below
+	buf = append(buf, deltaVersion, 0, 0) // count patched below
 	count := 0
-	for _, r := range recs {
-		st, ok := deltaStates[r.State]
-		if !ok || r.Addr == "" || len(r.Addr) > 0xFFFF || len(r.Name) > 0xFFFF {
+	for i := range recs {
+		next, ok := appendRecord(buf, &recs[i])
+		if !ok {
 			continue
 		}
-		entry := make([]byte, 0, 24+len(r.Addr)+len(r.Name))
-		entry = append(entry, st)
-		entry = binary.LittleEndian.AppendUint64(entry, uint64(r.Inc))
-		entry = binary.LittleEndian.AppendUint64(entry, uint64(r.Gen))
-		entry = binary.LittleEndian.AppendUint16(entry, uint16(len(r.Addr)))
-		entry = append(entry, r.Addr...)
-		entry = binary.LittleEndian.AppendUint16(entry, uint16(len(r.Name)))
-		entry = append(entry, r.Name...)
-		if len(buf)+len(entry) > MaxDeltaBytes {
+		if len(next) > MaxDeltaBytes {
 			break
 		}
-		buf = append(buf, entry...)
+		buf = next
 		count++
 	}
 	if count == 0 {
@@ -101,58 +165,33 @@ func EncodeDelta(recs []Record) []byte {
 // — returns an error; callers must treat that as "no delta", never
 // as an RPC failure.
 func DecodeDelta(data []byte) ([]Record, error) {
-	if len(data) < 7 {
-		return nil, fmt.Errorf("gossip: delta too short (%d bytes)", len(data))
-	}
 	if len(data) > MaxDeltaBytes {
 		return nil, fmt.Errorf("gossip: delta oversized (%d bytes)", len(data))
 	}
-	if [4]byte(data[0:4]) != DeltaMagic {
-		return nil, fmt.Errorf("gossip: bad delta magic")
+	d := decoder{b: data}
+	magic, version, count := [4]byte(d.take(4)), d.u8(), d.u16()
+	switch {
+	case d.err != nil:
+	case magic != DeltaMagic:
+		d.fail("bad magic")
+	case version != deltaVersion:
+		d.fail("unknown version %d", version)
+	case count == 0 || count > MaxDeltaRecords:
+		d.fail("record count %d out of range", count)
 	}
-	if data[4] != deltaVersion {
-		return nil, fmt.Errorf("gossip: unknown delta version %d", data[4])
+	var recs []Record
+	for i := 0; i < count && d.err == nil; i++ {
+		r := d.record()
+		if r.Name == "" {
+			r.Name = r.Addr
+		}
+		recs = append(recs, r)
 	}
-	count := int(binary.LittleEndian.Uint16(data[5:7]))
-	if count == 0 || count > MaxDeltaRecords {
-		return nil, fmt.Errorf("gossip: delta record count %d out of range", count)
+	if d.err == nil && len(d.b) != 0 {
+		d.fail("%d trailing bytes", len(d.b))
 	}
-	p := 7
-	recs := make([]Record, 0, count)
-	for i := 0; i < count; i++ {
-		if p+21 > len(data) {
-			return nil, fmt.Errorf("gossip: delta truncated in entry %d", i)
-		}
-		st := data[p]
-		if int(st) >= len(deltaStateNames) {
-			return nil, fmt.Errorf("gossip: delta entry %d has unknown state %d", i, st)
-		}
-		inc := int64(binary.LittleEndian.Uint64(data[p+1 : p+9]))
-		gen := int64(binary.LittleEndian.Uint64(data[p+9 : p+17]))
-		alen := int(binary.LittleEndian.Uint16(data[p+17 : p+19]))
-		p += 19
-		if p+alen+2 > len(data) {
-			return nil, fmt.Errorf("gossip: delta entry %d address overruns buffer", i)
-		}
-		addr := string(data[p : p+alen])
-		p += alen
-		nlen := int(binary.LittleEndian.Uint16(data[p : p+2]))
-		p += 2
-		if p+nlen > len(data) {
-			return nil, fmt.Errorf("gossip: delta entry %d name overruns buffer", i)
-		}
-		name := string(data[p : p+nlen])
-		p += nlen
-		if addr == "" {
-			return nil, fmt.Errorf("gossip: delta entry %d has empty address", i)
-		}
-		if name == "" {
-			name = addr
-		}
-		recs = append(recs, Record{Addr: addr, Name: name, Inc: inc, Gen: gen, State: deltaStateNames[st]})
-	}
-	if p != len(data) {
-		return nil, fmt.Errorf("gossip: %d trailing bytes after delta", len(data)-p)
+	if d.err != nil {
+		return nil, fmt.Errorf("gossip: delta: %w", d.err)
 	}
 	return recs, nil
 }

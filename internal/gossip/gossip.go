@@ -12,19 +12,18 @@
 //
 // Riding on the membership exchange is a SWIM-style health table:
 // incarnation-numbered records (alive / suspect / dead / draining)
-// carrying each server's generation high-water mark and health
-// counters. Higher incarnations win; at equal incarnations the more
-// severe state wins and suspect records union their observer sets. A
-// node that hears itself suspected bumps its own incarnation and
-// re-announces — the classic refutation rule that lets a merely
-// slow or partially partitioned server clear its name without any
-// central coordinator.
+// carrying each server's health counters. Higher incarnations win; at
+// equal incarnations the more severe state wins and suspect records
+// union their observer sets. A node that hears itself suspected bumps
+// its own incarnation and re-announces — the classic refutation rule
+// that lets a merely slow or partially partitioned server clear its
+// name without any central coordinator.
 //
 // The gossip table is the second witness for repair's dead
-// escalation (internal/repair), the source of the server-table
+// escalation (internal/repair) and the source of the server-table
 // deltas piggybacked on RPC responses (internal/server, internal/
-// core), and the health plane that keeps failure detection alive
-// while dpfs-meta is unreachable.
+// core). Exchanges between servers ride the data port as
+// wire.OpGossip requests (transport.go).
 package gossip
 
 import (
@@ -76,10 +75,6 @@ type Record struct {
 	// State is one of StateAlive, StateDraining, StateSuspect,
 	// StateDead.
 	State string
-	// Gen is the highest subfile generation the server has observed —
-	// the high-water mark repair planning uses when the catalog is
-	// unreachable.
-	Gen int64
 	// DiskErrors and CopyPeerErrors snapshot the server's health
 	// counters at announcement time.
 	DiskErrors     int64
@@ -137,8 +132,9 @@ const (
 	KindReply = 3
 )
 
-// Message is one gossip exchange payload, gob-encoded on the wire
-// transport and passed by value on the in-memory one.
+// Message is one gossip exchange payload, encoded into an OpGossip
+// request (encodeMessage) on the wire transport and passed by pointer
+// on the in-memory one.
 type Message struct {
 	// Kind is KindPush, KindPull or KindReply.
 	Kind int
@@ -206,8 +202,7 @@ type Config struct {
 	Events  *obs.EventLog
 	// SelfUpdate, when non-nil, is applied to the node's own record
 	// at the start of every Step — the hook a server uses to feed its
-	// generation high-water mark, health counters and draining state
-	// into the gossip plane without polling.
+	// health counters into the gossip plane without polling.
 	SelfUpdate func(*Record)
 }
 
@@ -327,11 +322,9 @@ func (n *Node) ViewIDs() []string {
 	return sortedKeys(n.view)
 }
 
-// UpdateSelf mutates the node's own record under the table lock —
-// the server feeds its generation high-water mark, health counters
-// and draining transitions through this. Entering or leaving
-// StateDraining bumps the incarnation so the announcement beats any
-// circulating record from the previous state.
+// UpdateSelf mutates the node's own record under the table lock.
+// Entering or leaving StateDraining bumps the incarnation so the
+// announcement beats any circulating record from the previous state.
 func (n *Node) UpdateSelf(fn func(*Record)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -687,11 +680,7 @@ func (n *Node) mergeLocked(rec Record) bool {
 	switch {
 	case rec.Inc > cur.Inc:
 		wasSuspect := cur.State == StateSuspect || cur.State == StateDead
-		gen := cur.Gen // the generation high-water mark never regresses
 		*cur = cloneRecord(rec)
-		if gen > cur.Gen {
-			cur.Gen = gen
-		}
 		changed = true
 		if (cur.State == StateSuspect || cur.State == StateDead) && !wasSuspect {
 			n.emit(obs.EventGossipSuspect, map[string]string{
@@ -701,12 +690,8 @@ func (n *Node) mergeLocked(rec Record) bool {
 		}
 	case rec.Inc == cur.Inc:
 		if prec(rec.State) > prec(cur.State) {
-			gen := cur.Gen
 			obsSet := cur.Observers
 			*cur = cloneRecord(rec)
-			if gen > cur.Gen {
-				cur.Gen = gen
-			}
 			if cur.State == StateSuspect {
 				for _, o := range obsSet {
 					addObserver(cur, o)
@@ -725,10 +710,6 @@ func (n *Node) mergeLocked(rec Record) bool {
 					changed = true
 				}
 			}
-		}
-		if rec.Gen > cur.Gen {
-			cur.Gen = rec.Gen
-			changed = true
 		}
 	default:
 		// Stale incarnation: ignore.
@@ -816,7 +797,7 @@ func addObserver(rec *Record, o string) bool {
 // slice, so == does not apply).
 func recordsEqual(a, b Record) bool {
 	if a.Addr != b.Addr || a.Name != b.Name || a.Inc != b.Inc || a.State != b.State ||
-		a.Gen != b.Gen || a.DiskErrors != b.DiskErrors || a.CopyPeerErrors != b.CopyPeerErrors ||
+		a.DiskErrors != b.DiskErrors || a.CopyPeerErrors != b.CopyPeerErrors ||
 		len(a.Observers) != len(b.Observers) {
 		return false
 	}

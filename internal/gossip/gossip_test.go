@@ -166,8 +166,7 @@ func TestFailureDetectionAndRefutation(t *testing.T) {
 }
 
 // TestMergeRules pins the record-merge lattice: incarnation wins,
-// severity breaks ties, observer sets union, generation marks never
-// regress.
+// severity breaks ties, observer sets union.
 func TestMergeRules(t *testing.T) {
 	net := NewMemNet()
 	node, err := NewNode(Config{
@@ -180,8 +179,8 @@ func TestMergeRules(t *testing.T) {
 	}
 
 	peer := "b:1"
-	node.Inject(Record{Addr: peer, Name: "b", Inc: 3, State: StateAlive, Gen: 10})
-	if rec, _ := node.Lookup(peer); rec.State != StateAlive || rec.Gen != 10 {
+	node.Inject(Record{Addr: peer, Name: "b", Inc: 3, State: StateAlive})
+	if rec, _ := node.Lookup(peer); rec.State != StateAlive {
 		t.Fatalf("seed record = %+v", rec)
 	}
 
@@ -208,14 +207,11 @@ func TestMergeRules(t *testing.T) {
 		t.Fatalf("alive overrode suspect at equal incarnation: %+v", rec)
 	}
 
-	// Higher incarnation beats suspect — and keeps the gen HWM.
-	node.Inject(Record{Addr: peer, Name: "b", Inc: 4, State: StateAlive, Gen: 5})
+	// Higher incarnation beats suspect.
+	node.Inject(Record{Addr: peer, Name: "b", Inc: 4, State: StateAlive})
 	rec, _ = node.Lookup(peer)
 	if rec.State != StateAlive || rec.Inc != 4 {
 		t.Fatalf("refutation did not land: %+v", rec)
-	}
-	if rec.Gen != 10 {
-		t.Fatalf("generation high-water mark regressed to %d", rec.Gen)
 	}
 
 	// Dead wins at equal incarnation and evicts from the view.
@@ -270,9 +266,9 @@ func TestUpdateSelfDraining(t *testing.T) {
 		t.Fatal(err)
 	}
 	v0 := node.Version()
-	node.UpdateSelf(func(r *Record) { r.Gen = 42 })
-	if rec, _ := node.Lookup("a:1"); rec.Gen != 42 || rec.Inc != 0 {
-		t.Fatalf("gen update = %+v", rec)
+	node.UpdateSelf(func(r *Record) { r.DiskErrors = 42 })
+	if rec, _ := node.Lookup("a:1"); rec.DiskErrors != 42 || rec.Inc != 0 {
+		t.Fatalf("counter update = %+v", rec)
 	}
 	if node.Version() == v0 {
 		t.Fatal("version did not advance on self update")

@@ -2,23 +2,17 @@ package gossip
 
 import (
 	"context"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
+
+	"dpfs/internal/wire"
 )
 
-// Magic is the first byte of a gossip connection. The I/O server's
-// accept loop sniffs it alongside the frame magic (0xDA) and hands
-// matching connections to the gossip node, so the health plane rides
-// the existing data port.
-const Magic = 0xDB
-
-// maxWireMessage bounds one gob-encoded gossip message on the wire;
-// anything larger is a protocol violation and the connection is
-// dropped.
+// maxWireMessage bounds one encoded gossip message; anything larger
+// is a protocol violation and the exchange fails.
 const maxWireMessage = 1 << 20
 
 // MemNet is a deterministic in-process transport for simulation:
@@ -29,7 +23,6 @@ type MemNet struct {
 	mu    sync.Mutex
 	nodes map[string]*Node
 	fail  func(from, to string) bool
-	sends int64
 }
 
 // NewMemNet returns an empty in-memory network.
@@ -53,18 +46,9 @@ func (m *MemNet) SetFail(fail func(from, to string) bool) {
 	m.fail = fail
 }
 
-// Sends returns how many exchanges were attempted through this
-// network.
-func (m *MemNet) Sends() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.sends
-}
-
 // Exchange implements Transport by calling the target node directly.
 func (m *MemNet) Exchange(_ context.Context, to string, msg *Message) (*Message, error) {
 	m.mu.Lock()
-	m.sends++
 	fail := m.fail
 	target := m.nodes[to]
 	m.mu.Unlock()
@@ -77,9 +61,10 @@ func (m *MemNet) Exchange(_ context.Context, to string, msg *Message) (*Message,
 	return target.HandleMessage(msg), nil
 }
 
-// NetTransport carries gossip exchanges over TCP: one connection per
-// exchange, opened with the gossip magic byte so the server's accept
-// loop routes it, then a gob-encoded Message each way. Dial is
+// NetTransport carries gossip exchanges to the peers' data ports: one
+// wire.OpGossip request per exchange on a connection dialed for it,
+// the encoded Message in Request.Data and a pull's reply in
+// Response.Data. The server hands the request to Node.Answer. Dial is
 // pluggable so internal/fault's injector can storm the gossip plane
 // in chaos tests.
 type NetTransport struct {
@@ -89,8 +74,8 @@ type NetTransport struct {
 	Timeout time.Duration
 }
 
-// Exchange implements Transport over a fresh connection to the
-// peer's data port.
+// Exchange implements Transport with one OpGossip request. A push is
+// answered too (with nothing), so a dropped push surfaces as an error.
 func (t *NetTransport) Exchange(ctx context.Context, to string, msg *Message) (*Message, error) {
 	timeout := t.Timeout
 	if timeout <= 0 {
@@ -98,66 +83,129 @@ func (t *NetTransport) Exchange(ctx context.Context, to string, msg *Message) (*
 	}
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	dial := t.Dial
-	if dial == nil {
-		var d net.Dialer
-		dial = func(ctx context.Context, addr string) (net.Conn, error) {
-			return d.DialContext(ctx, "tcp", addr)
-		}
-	}
-	conn, err := dial(ctx, to)
+	resp, err := wire.Call(ctx, t.Dial, to, &wire.Request{Op: wire.OpGossip, Data: encodeMessage(msg)})
 	if err != nil {
 		return nil, err
 	}
-	defer conn.Close()
-	if dl, ok := ctx.Deadline(); ok {
-		conn.SetDeadline(dl)
-	}
-	if _, err := conn.Write([]byte{Magic}); err != nil {
-		return nil, err
-	}
-	if err := gob.NewEncoder(conn).Encode(msg); err != nil {
-		return nil, err
+	if resp.Err != "" {
+		return nil, fmt.Errorf("gossip: %s", resp.Err)
 	}
 	if msg.Kind != KindPull {
-		// Wait for the receiver to process and close: pushes are
-		// fire-and-forget in spirit, but the close-wait makes a
-		// dropped push surface as an error and keeps tests
-		// deterministic.
-		var one [1]byte
-		conn.Read(one[:])
 		return nil, nil
 	}
-	var reply Message
-	if err := gob.NewDecoder(io.LimitReader(conn, maxWireMessage)).Decode(&reply); err != nil {
-		return nil, err
-	}
-	if len(reply.Recs) > maxRecordsPerMessage || len(reply.IDs) > maxReplyIDs {
-		return nil, fmt.Errorf("gossip: oversized reply from %s", to)
-	}
-	return &reply, nil
+	return decodeMessage(resp.Data)
 }
 
-// ServeConn handles one inbound gossip connection on the server
-// side: the magic byte has already been consumed by the accept
-// loop's sniffer; what remains is one gob-encoded Message, answered
-// with the node's reply when the message is a pull.
-func ServeConn(conn net.Conn, n *Node) error {
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	var msg Message
-	if err := gob.NewDecoder(io.LimitReader(conn, maxWireMessage)).Decode(&msg); err != nil {
-		return fmt.Errorf("gossip: decode: %w", err)
+// Answer serves one OpGossip request on the receiving server: it
+// decodes the message, merges it, and returns the encoded reply (nil
+// for a push).
+func (n *Node) Answer(data []byte) ([]byte, error) {
+	msg, err := decodeMessage(data)
+	if err != nil {
+		return nil, err
 	}
-	if len(msg.Recs) > maxRecordsPerMessage || len(msg.IDs) > maxReplyIDs {
-		return fmt.Errorf("gossip: oversized message from %s", msg.From)
+	if reply := n.HandleMessage(msg); reply != nil {
+		return encodeMessage(reply), nil
 	}
-	reply := n.HandleMessage(&msg)
-	if reply == nil {
+	return nil, nil
+}
+
+// encodeMessage writes m as an OpGossip payload, little-endian:
+//
+//	u8 kind | str from | strs ids | u16 count | records
+//	record: the delta record (appendRecord) | i64 diskErrors |
+//	        i64 copyPeerErrors | strs observers
+//	strs: u16 count | str...   str: u16 length | bytes
+//
+// Records appendRecord refuses and entries past the message caps are
+// left out.
+func encodeMessage(m *Message) []byte {
+	b := appendString([]byte{byte(m.Kind)}, m.From)
+	b = appendStrings(b, m.IDs, maxReplyIDs)
+	at := len(b)
+	b = append(b, 0, 0)
+	count := 0
+	for i := range m.Recs {
+		if count == maxRecordsPerMessage {
+			break
+		}
+		r := &m.Recs[i]
+		next, ok := appendRecord(b, r)
+		if !ok {
+			continue
+		}
+		next = binary.LittleEndian.AppendUint64(next, uint64(r.DiskErrors))
+		next = binary.LittleEndian.AppendUint64(next, uint64(r.CopyPeerErrors))
+		b = appendStrings(next, r.Observers, maxObservers)
+		count++
+	}
+	binary.LittleEndian.PutUint16(b[at:], uint16(count))
+	return b
+}
+
+// appendStrings appends a u16 count and the first max strings of ss.
+func appendStrings(b []byte, ss []string, max int) []byte {
+	ss = ss[:min(len(ss), max)]
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(ss)))
+	for _, s := range ss {
+		b = appendString(b, s)
+	}
+	return b
+}
+
+// minRecord is the smallest encoding of one message record (one-byte
+// address, no name, no observers): a record count is checked against
+// it before anything is allocated for the records.
+const minRecord = 1 + 8 + 3 + 2 + 8 + 8 + 2
+
+// strings reads what appendStrings wrote.
+func (d *decoder) strings(max int) []string {
+	n := d.u16()
+	if n > max || 2*n > len(d.b) {
+		d.fail("list of %d strings out of range", n)
+	}
+	if d.err != nil || n == 0 {
 		return nil
 	}
-	if err := gob.NewEncoder(conn).Encode(reply); err != nil {
-		return fmt.Errorf("gossip: encode reply: %w", err)
+	ss := make([]string, n)
+	for i := range ss {
+		ss[i] = d.str()
 	}
-	return nil
+	return ss
+}
+
+// decodeMessage parses what encodeMessage wrote. It refuses anything
+// encodeMessage would not produce — an unknown kind, an oversized
+// list, an unknown state, trailing bytes — so what decodes re-encodes
+// to the same bytes.
+func decodeMessage(data []byte) (*Message, error) {
+	if len(data) > maxWireMessage {
+		return nil, fmt.Errorf("gossip: message of %d bytes exceeds %d", len(data), maxWireMessage)
+	}
+	d := decoder{b: data}
+	m := &Message{Kind: int(d.u8()), From: d.str(), IDs: d.strings(maxReplyIDs)}
+	n := d.u16()
+	if n > maxRecordsPerMessage || n*minRecord > len(d.b) {
+		d.fail("%d records out of range", n)
+	}
+	if d.err == nil && n > 0 {
+		m.Recs = make([]Record, 0, n)
+	}
+	for i := 0; i < n && d.err == nil; i++ {
+		r := d.record()
+		r.DiskErrors, r.CopyPeerErrors = d.i64(), d.i64()
+		r.Observers = d.strings(maxObservers)
+		m.Recs = append(m.Recs, r)
+	}
+	switch {
+	case d.err != nil:
+	case m.Kind < KindPush || m.Kind > KindReply:
+		d.fail("unknown kind %d", m.Kind)
+	case len(d.b) != 0:
+		d.fail("%d trailing bytes", len(d.b))
+	}
+	if d.err != nil {
+		return nil, fmt.Errorf("gossip: message: %w", d.err)
+	}
+	return m, nil
 }

@@ -62,10 +62,6 @@ const (
 	// EventMetaResync fires when a follower's log cannot be extended
 	// record by record and the primary ships a full snapshot instead.
 	EventMetaResync = "meta_resync"
-	// EventMetaUnreachable fires when the repair prober cannot reach
-	// the catalog and falls back to planning from its last gossip
-	// snapshot (DESIGN.md §14).
-	EventMetaUnreachable = "meta_unreachable"
 	// EventGossipSuspect fires when the gossip health table moves a
 	// server into suspect (or dead), carrying the observer count.
 	EventGossipSuspect = "gossip_suspect"

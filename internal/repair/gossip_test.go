@@ -30,16 +30,6 @@ func (f *fakeGossip) set(rec gossip.Record) {
 	f.recs[rec.Addr] = rec
 }
 
-func (f *fakeGossip) Snapshot() []gossip.Record {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]gossip.Record, 0, len(f.recs))
-	for _, r := range f.recs {
-		out = append(out, r)
-	}
-	return out
-}
-
 func (f *fakeGossip) Lookup(addr string) (gossip.Record, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -152,10 +142,11 @@ func TestTwoWitnessEscalation(t *testing.T) {
 }
 
 // TestProbeMetaUnreachableFallback pins the meta-outage path: when the
-// catalog cannot be reached, Probe answers from the gossip snapshot
-// (emitting meta_unreachable) instead of erroring, and PlanOffline
-// produces an aliveness plan that never declares a merely-partitioned
-// server dead.
+// catalog cannot be reached, Probe returns the catalog's error — even
+// with a gossip table that could have answered — and writes nothing:
+// no health rows, no verdict injected into the mesh, no events.
+// Repair's only commit needs the catalog, so there is nothing to plan
+// without it.
 func TestProbeMetaUnreachableFallback(t *testing.T) {
 	c, err := cluster.Start(cluster.Config{Servers: cluster.Uniform(2), Dir: t.TempDir()})
 	if err != nil {
@@ -183,35 +174,31 @@ func TestProbeMetaUnreachableFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	alive, err := r.Probe(ctxT(t))
-	if err != nil {
-		t.Fatalf("probe with meta down: %v", err)
+	if err == nil {
+		t.Fatalf("probe with meta down succeeded: %v", alive)
 	}
-	if !alive[c.Specs[0].Name] || alive[c.Specs[1].Name] {
-		t.Fatalf("gossip-fallback alive = %v, want %s up and %s down", alive, c.Specs[0].Name, c.Specs[1].Name)
+	if alive != nil {
+		t.Fatalf("probe with meta down answered %v, want nothing", alive)
 	}
-	if evs := events.ByType(obs.EventMetaUnreachable); len(evs) == 0 {
-		t.Fatal("meta outage emitted no meta_unreachable event")
+	if n := fg.injectedCount(); n != 0 {
+		t.Fatalf("probe with meta down injected %d records into the mesh", n)
+	}
+	if evs := events.Events(); len(evs) != 0 {
+		t.Fatalf("probe with meta down emitted %v", evs)
 	}
 
-	// Offline plan: io1's record says dead but the server actually
-	// answers pings (a partition healed, gossip not yet refuted) — the
-	// two-witness plan keeps it alive. A server that is BOTH
-	// gossip-dead and unreachable plans as down.
-	plan, err := r.PlanOffline(ctxT(t))
+	if err := c.RestartMeta(); err != nil {
+		t.Fatal(err)
+	}
+	cat2, err := c.NewCatalog()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plan.Alive[c.Specs[0].Name] || !plan.Alive[c.Specs[1].Name] {
-		t.Fatalf("offline plan = %v, want both alive (io1 still answers pings)", plan.Alive)
-	}
-	if err := c.IOServers[1].Close(); err != nil {
-		t.Fatal(err)
-	}
-	plan, err = r.PlanOffline(ctxT(t))
+	health, err := cat2.ServerHealth()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plan.Alive[c.Specs[0].Name] || plan.Alive[c.Specs[1].Name] {
-		t.Fatalf("offline plan after kill = %v, want only %s alive", plan.Alive, c.Specs[0].Name)
+	if len(health) != 0 {
+		t.Fatalf("probe with meta down left health rows %+v", health)
 	}
 }

@@ -31,10 +31,8 @@ package repair
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"sync"
 	"time"
 
@@ -62,12 +60,8 @@ const (
 )
 
 // GossipView is the slice of a *gossip.Node the repair plane consumes:
-// the second witness consulted before a server may be declared dead,
-// and the membership snapshot used to keep assessing liveness when the
-// metadata service itself is unreachable.
+// the second witness consulted before a server may be declared dead.
 type GossipView interface {
-	// Snapshot returns the node's full health table.
-	Snapshot() []gossip.Record
 	// Lookup returns the health record for one server address.
 	Lookup(addr string) (gossip.Record, bool)
 	// Inject merges a locally-derived record (the prober feeding a
@@ -95,10 +89,8 @@ type Options struct {
 	// Gossip, when non-nil, arms the two-witness rule: a failed central
 	// probe escalates a server to dead only if the gossip plane also
 	// reports it suspect (with at least Witnesses distinct observers)
-	// or dead. It also lets the prober keep assessing liveness from the
-	// gossip snapshot when the metadata service is unreachable, and
-	// receives confirmed deaths back via Inject. Nil restores
-	// probe-only escalation.
+	// or dead, and receives confirmed deaths back via Inject. Nil
+	// restores probe-only escalation.
 	Gossip GossipView
 	// Witnesses is how many distinct gossip observers must corroborate
 	// a suspicion before the prober may escalate a probe-failed server
@@ -187,22 +179,7 @@ func (r *Runner) client(addr string) *server.Client {
 func (r *Runner) ping(ctx context.Context, addr string) error {
 	ctx, cancel := context.WithTimeout(ctx, r.opts.PingTimeout)
 	defer cancel()
-	dial := r.opts.Dial
-	if dial == nil {
-		dial = func(ctx context.Context, addr string) (net.Conn, error) {
-			var d net.Dialer
-			return d.DialContext(ctx, "tcp", addr)
-		}
-	}
-	conn, err := dial(ctx, addr)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	if dl, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(dl)
-	}
-	resp, err := wire.Exchange(conn, &wire.Request{Op: wire.OpPing})
+	resp, err := wire.Call(ctx, r.opts.Dial, addr, &wire.Request{Op: wire.OpPing})
 	if err != nil {
 		return err
 	}
@@ -272,19 +249,12 @@ func (r *Runner) deadConfirmed(addr string) bool {
 // additionally requires the mesh to corroborate (two-witness rule,
 // DESIGN.md §14), so a server only the prober cannot reach is held at
 // suspect instead of being falsely buried. Confirmed deaths are
-// injected back into the gossip mesh. When the metadata service itself
-// is unreachable, the probe falls back to the last gossip snapshot so
-// liveness assessment survives a meta outage (the returned map then
-// reflects gossip state and nothing is written to the catalog).
+// injected back into the gossip mesh. With the catalog unreachable the
+// probe returns the catalog's error: repair's only commit needs the
+// catalog anyway.
 func (r *Runner) Probe(ctx context.Context) (map[string]bool, error) {
 	infos, err := r.cat.Servers()
 	if err != nil {
-		if alive, ok := r.gossipAlive(); ok {
-			r.opts.Events.Emit(obs.EventMetaUnreachable, "repair", map[string]string{
-				"err": err.Error(),
-			})
-			return alive, nil
-		}
 		return nil, err
 	}
 	states := make(map[string]string)
@@ -340,63 +310,6 @@ func (r *Runner) Probe(ctx context.Context) (map[string]bool, error) {
 		}
 	}
 	return alive, nil
-}
-
-// gossipAlive derives a liveness map from the gossip snapshot: alive
-// and draining records count as up, suspect and dead as down. ok is
-// false when no gossip source is configured or its table is empty.
-func (r *Runner) gossipAlive() (map[string]bool, bool) {
-	g := r.opts.Gossip
-	if g == nil {
-		return nil, false
-	}
-	recs := g.Snapshot()
-	if len(recs) == 0 {
-		return nil, false
-	}
-	alive := make(map[string]bool, len(recs))
-	for _, rec := range recs {
-		name := rec.Name
-		if name == "" {
-			name = rec.Addr
-		}
-		alive[name] = rec.State == gossip.StateAlive || rec.State == gossip.StateDraining
-	}
-	return alive, true
-}
-
-// PlanOffline assesses cluster liveness without the metadata service:
-// the server set comes from the gossip snapshot, each server is probed
-// directly (bounded fan-out), and a server counts as down only when
-// BOTH the direct probe failed and gossip does not call it alive — the
-// offline form of the two-witness rule, so a server merely partitioned
-// from this prober is not planned into a repair. The report carries
-// the aliveness assessment; file repair itself still needs the catalog
-// and runs once the metadata service returns.
-func (r *Runner) PlanOffline(ctx context.Context) (*Report, error) {
-	g := r.opts.Gossip
-	if g == nil {
-		return nil, errors.New("repair: no gossip source to plan from")
-	}
-	recs := g.Snapshot()
-	if len(recs) == 0 {
-		return nil, errors.New("repair: gossip snapshot is empty")
-	}
-	addrs := make([]string, len(recs))
-	for i := range recs {
-		addrs[i] = recs[i].Addr
-	}
-	pings := r.pingAll(ctx, addrs)
-	alive := make(map[string]bool, len(recs))
-	for i, rec := range recs {
-		name := rec.Name
-		if name == "" {
-			name = rec.Addr
-		}
-		gossipUp := rec.State == gossip.StateAlive || rec.State == gossip.StateDraining
-		alive[name] = pings[i] == nil || gossipUp
-	}
-	return &Report{Alive: alive}, nil
 }
 
 // RunProber probes all servers every interval until ctx is done — the

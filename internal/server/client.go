@@ -199,10 +199,6 @@ type ClientConfig struct {
 	// Events receives breaker transitions and retry exhaustion as
 	// structured cluster events. Nil uses the process-default log.
 	Events *obs.EventLog
-	// MuxWindow bounds in-flight requests per muxed conn (default
-	// DefaultMuxWindow); a new conn is dialed only when every existing
-	// one is at the window.
-	MuxWindow int
 	// OnDelta, when non-nil, receives the raw gossip server-table
 	// delta piggybacked on a response (wire.Response.Delta) before the
 	// response is returned. Deltas are best-effort: the callback must
@@ -237,7 +233,7 @@ func NewClientWith(addr string, cfg ClientConfig) *Client {
 		events:  cfg.Events,
 		onDelta: cfg.OnDelta,
 	}
-	c.mux = newMux(c, cfg.MuxWindow)
+	c.mux = &mux{c: c, window: DefaultMuxWindow}
 	return c
 }
 

@@ -15,11 +15,11 @@ import (
 	"dpfs/internal/wire"
 )
 
-// DefaultMuxWindow is the per-connection in-flight request bound used
-// when ClientConfig does not specify one. A mux client opens another
-// connection only when every existing one already carries this many
-// outstanding tags, so steady-state fan-out rides one or two conns
-// per server instead of one conn per concurrent request.
+// DefaultMuxWindow is every Client's per-connection in-flight request
+// bound (mux.window; package tests narrow it). A mux client opens
+// another connection only when every existing one already carries this
+// many outstanding tags, so steady-state fan-out rides one or two
+// conns per server instead of one conn per concurrent request.
 const DefaultMuxWindow = 32
 
 // muxReadSlack pads the demux reader's connection read deadline beyond
@@ -93,13 +93,6 @@ type muxCall struct {
 	// never reach data again.
 	landing sync.Mutex
 	data    []byte
-}
-
-func newMux(c *Client, window int) *mux {
-	if window <= 0 {
-		window = DefaultMuxWindow
-	}
-	return &mux{c: c, window: window}
 }
 
 // attempt performs one exchange over a muxed conn: reserve a window

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"dpfs/internal/gossip"
 	"dpfs/internal/wire"
 )
 
@@ -92,7 +94,8 @@ func TestMuxSegmentsRoundtrip(t *testing.T) {
 // concurrent burst must ride a handful of connections (ceil(64/window)
 // plus dial-timing slack), not one conn per request.
 func TestMuxFanInSharesConns(t *testing.T) {
-	srv, cli := startServerV2(t, ClientConfig{MuxWindow: 16})
+	srv, cli := startServerV2(t, ClientConfig{})
+	cli.mux.window = 16
 	ctx := ctxT(t)
 
 	const n = 64
@@ -206,32 +209,67 @@ func TestServerV2SkipsUnknownFrames(t *testing.T) {
 	}
 }
 
-// TestRetiredMagicIsClosed: a conn opening with the retired
-// one-exchange-per-conn protocol's magic (0xD9) — a complete PING in
-// that framing — is closed without a response, and its handler is gone.
+// TestRetiredMagicIsClosed: the data port speaks tagged frames only. A
+// conn opening with a retired protocol's magic — 0xD9, the
+// one-exchange-per-conn protocol (a complete PING in that framing), or
+// 0xDB, the gob-encoded gossip exchange (a well-formed pull, sent to a
+// server with a gossip node attached) — is closed without a response,
+// its handler is gone, and no request was counted.
 func TestRetiredMagicIsClosed(t *testing.T) {
-	srv, _ := startServerV2(t, ClientConfig{})
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
 	ping := []byte{0xD9, 1, byte(wire.OpPing), 0, 18, 0, 0, 0} // header, then an 18-byte body
 	ping = append(ping, make([]byte, 18)...)                   // no path, gen 0, no extents, no data
-	if _, err := conn.Write(ping); err != nil {
+	type gobRecord struct {
+		Addr, Name string
+		Inc        int64
+		State      string
+	}
+	type gobMessage struct {
+		Kind int
+		From string
+		Recs []gobRecord
+	}
+	pull := bytes.NewBuffer([]byte{0xDB})
+	if err := gob.NewEncoder(pull).Encode(gobMessage{Kind: gossip.KindPull, From: "peer:1",
+		Recs: []gobRecord{{Addr: "peer:1", Name: "peer", State: gossip.StateAlive}}}); err != nil {
 		t.Fatal(err)
 	}
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	// A close with the request unread may reach us as a reset: either
-	// way not one byte comes back.
-	if b, _ := io.ReadAll(conn); len(b) != 0 {
-		t.Fatalf("server answered the retired protocol with %d bytes, want a bare close", len(b))
-	}
-	waitFor(t, "the refused conn's handler to exit", func() bool {
-		return srv.Metrics().Gauge(MetricActiveConns).Value() == 0
-	})
-	if got := srv.Metrics().Counter(MetricRequests).Value(); got != 0 {
-		t.Fatalf("requests_total = %d, want 0", got)
+	for _, tc := range []struct {
+		name  string
+		bytes []byte
+	}{
+		{"0xD9 ping", ping},
+		{"0xDB gossip pull", pull.Bytes()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, _ := startServerV2(t, ClientConfig{})
+			node, err := gossip.NewNode(gossip.Config{
+				Self: gossip.Record{Addr: srv.Addr()}, Transport: gossip.NewMemNet(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.SetGossip(node)
+			conn, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(tc.bytes); err != nil {
+				t.Fatal(err)
+			}
+			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			// A close with the request unread may reach us as a reset:
+			// either way not one byte comes back.
+			if b, _ := io.ReadAll(conn); len(b) != 0 {
+				t.Fatalf("server answered the retired protocol with %d bytes, want a bare close", len(b))
+			}
+			waitFor(t, "the refused conn's handler to exit", func() bool {
+				return srv.Metrics().Gauge(MetricActiveConns).Value() == 0
+			})
+			if got := srv.Metrics().Counter(MetricRequests).Value(); got != 0 {
+				t.Fatalf("requests_total = %d, want 0", got)
+			}
+		})
 	}
 }
 
@@ -360,15 +398,15 @@ func (st *stubV2Server) connCount() int {
 // TestMuxConnFaultFailsOnlyItsTags pins the fault boundary: killing
 // one muxed conn mid-exchange fails exactly the tags in flight on that
 // conn; requests on other conns of the same client are untouched, and
-// the client recovers on a fresh conn afterwards. MuxWindow 1 forces
+// the client recovers on a fresh conn afterwards. A mux window of 1 forces
 // the hung tag and the healthy tag onto different conns; retries are
 // disabled so the raw transport error surfaces.
 func TestMuxConnFaultFailsOnlyItsTags(t *testing.T) {
 	st := newStubV2Server(t)
 	cli := NewClientWith(st.lis.Addr().String(), ClientConfig{
-		MuxWindow: 1,
-		Retry:     RetryPolicy{MaxRetries: -1, BreakerThreshold: -1},
+		Retry: RetryPolicy{MaxRetries: -1, BreakerThreshold: -1},
 	})
+	cli.mux.window = 1
 	defer cli.Close()
 	ctx := ctxT(t)
 

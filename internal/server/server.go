@@ -9,7 +9,6 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -97,9 +96,9 @@ type Server struct {
 	draining bool
 	wg       sync.WaitGroup
 
-	// gossip, when set, is the server's membership node: inbound
-	// connections opening with the gossip magic are handed to it, and
-	// table deltas piggyback on outgoing responses (DESIGN.md §14).
+	// gossip, when set, is the server's membership node: OpGossip
+	// requests are handed to it, and table deltas piggyback on outgoing
+	// responses (DESIGN.md §14).
 	gossip atomic.Pointer[gossip.Node]
 
 	ctx    context.Context
@@ -297,32 +296,12 @@ type HealthState struct {
 	CopyPeerErrors int64  `json:"copy_peer_errors"`
 }
 
-// SetGossip attaches a gossip membership node: inbound connections
-// opening with gossip.Magic are routed to it, and table deltas
-// piggyback on outgoing responses so clients track membership at RPC
-// latency. Safe to call at any time; nil detaches.
+// SetGossip attaches a gossip membership node: OpGossip requests are
+// answered by it, and table deltas piggyback on outgoing responses so
+// clients track membership at RPC latency. Safe to call at any time;
+// nil detaches.
 func (s *Server) SetGossip(n *gossip.Node) {
 	s.gossip.Store(n)
-}
-
-// Gossip returns the attached gossip node (nil when gossip is off).
-func (s *Server) Gossip() *gossip.Node {
-	return s.gossip.Load()
-}
-
-// GenHighWater returns the highest subfile generation this server has
-// observed across all bases — the mark gossip spreads so repair can
-// plan without the catalog.
-func (s *Server) GenHighWater() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var hw int64
-	for _, g := range s.gens {
-		if g > hw {
-			hw = g
-		}
-	}
-	return hw
 }
 
 // attachDelta piggybacks a gossip table delta on resp when the table
@@ -399,22 +378,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
-	// The first byte of a connection is the protocol magic: 0xDA opens
-	// a tagged-frame session, 0xDB one gossip exchange — the data path
-	// and the gossip health plane share one port. Anything else (the
-	// retired 0xD9 protocol included) is closed without a response.
-	var first [1]byte
-	if _, err := io.ReadFull(conn, first[:]); err != nil {
-		return
-	}
-	switch first[0] {
-	case wire.Magic2:
-		s.handleFrames(conn)
-	case gossip.Magic:
-		if g := s.gossip.Load(); g != nil {
-			gossip.ServeConn(conn, g)
-		}
-	}
+	s.handleFrames(conn)
 }
 
 // handleFrames serves a tagged-frame session: the read loop decodes
@@ -425,13 +389,14 @@ func (s *Server) handleConn(conn net.Conn) {
 // named tag's context (a client that gives up on a tag says so without
 // giving up the conn; a peer that disconnects entirely ends connCtx via
 // the read loop's exit, so a shaped server's device is released either
-// way). The already-sniffed magic byte is replayed into the frame
-// reader.
+// way). A peer speaking anything but frames (the retired 0xD9
+// protocol, the retired 0xDB gossip exchange) fails the first header
+// read and is closed without a response.
 func (s *Server) handleFrames(conn net.Conn) {
 	// connCtx scopes every op of this connection: it dies with the
 	// server and with the peer.
 	connCtx, cancel := context.WithCancel(s.ctx)
-	br := bufio.NewReaderSize(io.MultiReader(bytes.NewReader([]byte{wire.Magic2}), conn), 64<<10)
+	br := bufio.NewReaderSize(conn, 64<<10)
 	out := &frameOut{fw: wire.NewFrameWriter(conn)}
 	var wg sync.WaitGroup
 	// Handlers must finish (and flush) before handleConn closes the
@@ -546,7 +511,10 @@ func (s *Server) serveTag(ctx context.Context, conn net.Conn, st *connState, out
 		conn.Close()
 		return
 	}
-	s.attachDelta(st, resp)
+	if req.Op != wire.OpGossip {
+		// A gossip exchange carries the table itself.
+		s.attachDelta(st, resp)
+	}
 	out.mu.Lock()
 	err := out.fw.WriteResponse(tag, resp, streamed)
 	out.mu.Unlock()
@@ -664,7 +632,7 @@ func (s *Server) serve(ctx context.Context, req *wire.Request, emit func([]byte)
 	// wrong op, say — and is refused, not ignored.
 	if len(req.Data) > 0 {
 		switch req.Op {
-		case wire.OpWrite, wire.OpRename, wire.OpCopy:
+		case wire.OpWrite, wire.OpRename, wire.OpCopy, wire.OpGossip:
 		default:
 			return nil, fmt.Errorf("%v takes no payload, got %d bytes", req.Op, len(req.Data))
 		}
@@ -691,6 +659,16 @@ func (s *Server) serve(ctx context.Context, req *wire.Request, emit func([]byte)
 		return s.opRename(req)
 	case wire.OpCopy:
 		return s.opCopy(ctx, req)
+	case wire.OpGossip:
+		g := s.gossip.Load()
+		if g == nil {
+			return nil, errors.New("gossip is off")
+		}
+		reply, err := g.Answer(req.Data)
+		if err != nil {
+			return nil, err
+		}
+		return &wire.Response{Data: reply}, nil
 	}
 	return nil, fmt.Errorf("unknown op %v", req.Op)
 }
@@ -772,22 +750,14 @@ func (s *Server) opCopy(ctx context.Context, req *wire.Request) (*wire.Response,
 }
 
 // pullFrom fetches extents of a subfile from a peer server over a
-// dedicated connection. When the surrounding OpCopy request is traced
-// the pull carries the trace context onward, so repair copies appear
-// in the stitched tree as a server.rpc child with the peer's own
-// spans below it.
+// dedicated connection (30 s unless the OpCopy's context is bounded
+// tighter). When the surrounding OpCopy request is traced the pull
+// carries the trace context onward, so repair copies appear in the
+// stitched tree as a server.rpc child with the peer's own spans below
+// it.
 func (s *Server) pullFrom(ctx context.Context, addr, path string, gen int64, exts []wire.Extent) ([]byte, error) {
-	d := net.Dialer{Timeout: 10 * time.Second}
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	if dl, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(dl)
-	} else {
-		_ = conn.SetDeadline(time.Now().Add(30 * time.Second))
-	}
+	ctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+	defer cancel()
 	preq := &wire.Request{Op: wire.OpRead, Path: path, Gen: gen, Extents: exts}
 	var rpc *obs.Span
 	if sp := obs.SpanFromContext(ctx); sp != nil {
@@ -798,7 +768,7 @@ func (s *Server) pullFrom(ctx context.Context, addr, path string, gen int64, ext
 		tc := rpc.Context()
 		preq.TraceID, preq.SpanID, preq.Sampled = tc.TraceID, tc.SpanID, tc.Sampled
 	}
-	resp, err := wire.Exchange(conn, preq)
+	resp, err := wire.Call(ctx, nil, addr, preq)
 	if rpc != nil {
 		rpc.End()
 		if err == nil && len(resp.Trace) > 0 {

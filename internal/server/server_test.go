@@ -292,12 +292,13 @@ func TestConnectionPoolReuse(t *testing.T) {
 }
 
 // TestClientConfigMaxIdleConns: what bounds the conns a client is left
-// holding after a burst is ClientConfig.MuxWindow — a conn is dialed
+// holding after a burst is the mux window — a conn is dialed
 // only when every existing one is at the window — so 8 concurrent
 // requests at window 4 leave at most 2.
 func TestClientConfigMaxIdleConns(t *testing.T) {
 	srv, _ := startServer(t, nil)
-	cli := NewClientWith(srv.Addr(), ClientConfig{MuxWindow: 4})
+	cli := NewClient(srv.Addr())
+	cli.mux.window = 4
 	defer cli.Close()
 	ctx := ctxT(t)
 

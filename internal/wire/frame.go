@@ -10,12 +10,13 @@
 // connection survives. Trace context rides in fixed frame fields (the
 // flags byte and the first 16 bytes of the REQ body).
 //
-// The port is shared with gossip: a server sniffs the first byte of a
-// connection (frame magic 0xDA vs gossip magic 0xDB) and closes
-// anything else. See DESIGN.md "Wire protocol".
+// Every frame header opens with the magic 0xDA, so a peer speaking
+// anything else fails its first header read and is dropped. See
+// DESIGN.md "Wire protocol".
 package wire
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -25,9 +26,9 @@ import (
 )
 
 const (
-	// Magic2 is the first byte of every frame; servers sniff it on a
-	// connection's first byte. (0xD9 was the retired one-exchange-per-
-	// conn protocol and is refused.)
+	// Magic2 is the first byte of every frame. (0xD9 was the retired
+	// one-exchange-per-conn protocol and 0xDB the retired gob gossip
+	// exchange; both are refused.)
 	Magic2   = 0xDA
 	version2 = 2
 	// FrameHeaderLen is the fixed size of a v2 frame header: magic,
@@ -553,7 +554,7 @@ func WriteResponseV2(w io.Writer, tag uint32, resp *Response, streamed int64) er
 }
 
 // ReadResponseV2Into reads DATA frames and the closing RESP frame for
-// tag from a connection carrying exactly one exchange (Exchange and
+// tag from a connection carrying exactly one exchange (Call and
 // tests; the client mux demultiplexes interleaved tags itself). Data
 // accumulates into scratch when it fits, and then aliases it.
 // Unknown frame kinds are skipped; a frame for a different tag is a
@@ -609,11 +610,27 @@ func ReadResponseV2Into(r io.Reader, tag uint32, scratch []byte) (*Response, err
 	}
 }
 
-// Exchange performs one request/response exchange on a connection
-// dedicated to it, under a fixed tag: what a caller that must see the
-// peer as it is right now (a repair pull, a liveness probe) does
-// instead of going through a Client's mux, retries and breaker.
-func Exchange(conn io.ReadWriter, req *Request) (*Response, error) {
+// Call dials addr (a nil dial is a plain TCP dial), runs one exchange
+// under a fixed tag on the new connection, bounded by ctx's deadline,
+// and closes it: what a
+// caller that must see the peer as it is right now (a repair pull, a
+// liveness probe, a gossip exchange) does instead of going through a
+// Client's mux, retries and breaker.
+func Call(ctx context.Context, dial func(context.Context, string) (net.Conn, error), addr string, req *Request) (*Response, error) {
+	if dial == nil {
+		var d net.Dialer
+		dial = func(ctx context.Context, addr string) (net.Conn, error) {
+			return d.DialContext(ctx, "tcp", addr)
+		}
+	}
+	conn, err := dial(ctx, addr)
+	if err != nil {
+		return nil, err
+	}
+	defer conn.Close()
+	if dl, ok := ctx.Deadline(); ok {
+		_ = conn.SetDeadline(dl)
+	}
 	const tag = 1
 	if err := WriteRequestV2(conn, tag, req); err != nil {
 		return nil, err

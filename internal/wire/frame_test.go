@@ -189,7 +189,7 @@ func TestResponseV2MidStreamError(t *testing.T) {
 
 // randomRequest builds a random but valid request for the quickcheck.
 func randomRequest(rng *rand.Rand) *Request {
-	ops := []Op{OpPing, OpRead, OpWrite, OpRemove, OpStat, OpUsage, OpTruncate, OpRename, OpCopy}
+	ops := []Op{OpPing, OpRead, OpWrite, OpRemove, OpStat, OpUsage, OpTruncate, OpRename, OpCopy, OpGossip}
 	req := &Request{
 		Op:   ops[rng.Intn(len(ops))],
 		Path: randString(rng, rng.Intn(64)),

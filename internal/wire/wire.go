@@ -54,6 +54,10 @@ const (
 	// on-disk generations of Path are deleted (sent by repair after the
 	// new generation is committed to the catalog).
 	OpCopy
+	// OpGossip carries one exchange of the servers' gossip mesh
+	// (internal/gossip): Data holds the encoded push or pull message,
+	// and a pull's reply comes back in Response.Data.
+	OpGossip
 )
 
 // String names the op.
@@ -77,6 +81,8 @@ func (o Op) String() string {
 		return "RENAME"
 	case OpCopy:
 		return "COPY"
+	case OpGossip:
+		return "GOSSIP"
 	}
 	return fmt.Sprintf("Op(%d)", uint8(o))
 }

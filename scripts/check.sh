@@ -3,8 +3,8 @@
 #   1. tier-1: go build ./... && go test ./...
 #   2. gofmt -l . lists nothing (every Go file, benchmark/ included, is
 #      gofmt-formatted); no non-test Go file imports encoding/gob except
-#      metadb's gob-era catalog converter and gossip's transport; then
-#      go vet ./...
+#      internal/metadb/gobconvert.go, the one-way reader of gob-era
+#      catalog directories; then go vet ./...
 #   3. govulncheck (soft-fail: warns when the tool or network is absent)
 #   4. race-enabled test suite
 #   5. seeded chaos suite under -race (fault injection e2e), plus a
@@ -15,7 +15,7 @@
 #      package with go test -list '^Fuzz': the server's selection and
 #      scatter loops, metadb's parser, catalog codec and catalog record,
 #      the planner, the data port's frame decoders and the gossip delta
-#      decoder; their seed corpora already ran in tier-1
+#      and message decoders; their seed corpora already ran in tier-1
 #   7. one smoke run of dpfs-bench (-ablation parallel)
 #   8. documentation lint (godoc coverage, markdown links, flag tables
 #      and the flags of documented command lines)
@@ -38,11 +38,11 @@ if [ -n "$unformatted" ]; then
 	echo "$unformatted" >&2
 	exit 1
 fi
-echo "== encoding/gob: only the gob-era catalog converter and gossip =="
+echo "== encoding/gob: only the gob-era catalog converter =="
 gobusers=$(grep -rl --include='*.go' '"encoding/gob"' . |
-	grep -v -e '_test\.go$' -e '^\./internal/metadb/gobconvert\.go$' -e '^\./internal/gossip/transport\.go$' || true)
+	grep -v -e '_test\.go$' -e '^\./internal/metadb/gobconvert\.go$' || true)
 if [ -n "$gobusers" ]; then
-	echo "encoding/gob: only internal/metadb/gobconvert.go and internal/gossip/transport.go may import it; also:" >&2
+	echo "encoding/gob: only internal/metadb/gobconvert.go may import it; also:" >&2
 	echo "$gobusers" >&2
 	exit 1
 fi
