@@ -323,7 +323,9 @@ func (in *Injector) DialContext(ctx context.Context, addr string) (net.Conn, err
 
 // Listener wraps l so every accepted connection carries the label and
 // runs the injector's rules — the server-side mirror of DialContext,
-// behind dpfs-server's -fault-spec flag.
+// behind dpfs-server's -fault-spec flag. Unlike Conn it wraps even
+// without rules: a wrapped conn hides its socket, so the server sends
+// every byte through Write, on the copy path, and never by sendfile.
 func (in *Injector) Listener(l net.Listener, label string) net.Listener {
 	if in == nil {
 		return l
@@ -342,7 +344,7 @@ func (l *listener) Accept() (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return l.in.Conn(c, l.label), nil
+	return &conn{Conn: c, in: l.in, label: l.label}, nil
 }
 
 // conn is a net.Conn with scheduled faults.

@@ -477,3 +477,35 @@ func TestDeepDirectoryTree(t *testing.T) {
 		t.Fatalf("tree not empty: %v", dirs)
 	}
 }
+
+// TestLookupReplicatedAllocs pins what loading a 128-brick, two-way
+// replicated file's layout allocates: the replica set is two flat
+// arrays whatever the brick count, and each server's list parses in one
+// pass, so the count does not grow by two allocations per brick.
+func TestLookupReplicatedAllocs(t *testing.T) {
+	c := newCatalog(t)
+	fi := testFileInfo("/allocs")
+	fi.Geometry.Dims = []int64{512, 1024}
+	fi.Geometry.Tile = []int64{64, 64}
+	fi.Replicas = 2
+	nb := fi.Geometry.NumBricks()
+	if nb != 128 {
+		t.Fatalf("geometry holds %d bricks, want 128", nb)
+	}
+	assign := make([][]int, nb)
+	for b := range assign {
+		assign[b] = []int{b % 4, (b + 1) % 4}
+	}
+	if err := c.CreateReplicated(fi, assign); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := c.LookupReplicated("/allocs"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("LookupReplicated of a %d-brick file: %.0f allocs", nb, allocs)
+	if allocs > 100 {
+		t.Errorf("LookupReplicated of a %d-brick file allocates %.0f times, want at most 100", nb, allocs)
+	}
+}

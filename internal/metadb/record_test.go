@@ -59,6 +59,73 @@ func TestCheckpointCrashBeforeWALReset(t *testing.T) {
 	mustExec(t, db.Session(), `INSERT INTO t VALUES (6, 'v6')`)
 }
 
+// TestRestoreSnapshotCrashBeforeWALReset builds the directory a
+// diverged follower leaves when it crashes inside RestoreSnapshot,
+// between the shipped snapshot's rename and the WAL's reset: its own
+// WAL, holding commits under an old epoch that never reached the new
+// primary, beside the new primary's snapshot. Recovery must land on the
+// snapshot's state and replay none of the diverged commits, even those
+// whose seq is above the snapshot's.
+func TestRestoreSnapshotCrashBeforeWALReset(t *testing.T) {
+	_, records := shipBatch(t, 1) // CREATE and one insert, epoch 1
+
+	// The follower replicates both, then commits two rows of its own
+	// under epoch 1 that no other replica ever sees.
+	dir := t.TempDir()
+	follower := openDir(t, dir)
+	if err := follower.SetReplEpoch(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	applyRecords(t, follower, records, 0)
+	for i := 100; i < 102; i++ {
+		mustExec(t, follower.Session(), fmt.Sprintf(`INSERT INTO t VALUES (%d, 'diverged')`, i))
+	}
+	wal, err := os.ReadFile(filepath.Join(dir, "wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := follower.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The new primary holds the two replicated records and commits one
+	// row of its own under epoch 2: its log ends at seq 3, below the
+	// follower's diverged seq 4.
+	primary, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	applyRecords(t, primary, records, 0)
+	if err := primary.SetReplEpoch(2, 1); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, primary.Session(), `INSERT INTO t VALUES (50, 'epoch 2')`)
+	snap, err := primary.StateSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The crash: the shipped snapshot is in place, the WAL never reset.
+	if err := os.WriteFile(filepath.Join(dir, "snapshot"), snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "wal"), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db := openDir(t, dir)
+	defer db.Close()
+	if got, want := dumpT(t, db), dumpT(t, primary); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered %v, want the restored snapshot's %v", got, want)
+	}
+	if seq, epoch := db.ReplState(); seq != 3 || epoch != 2 {
+		t.Fatalf("recovered to seq %d epoch %d, want the snapshot's 3, 2", seq, epoch)
+	}
+	if st, err := os.Stat(filepath.Join(dir, "wal")); err != nil || st.Size() > int64(len(fileHeader)) {
+		t.Fatalf("superseded WAL records left in place: %v, %v", st.Size(), err)
+	}
+}
+
 // dumpRows reads every table's rows, in table order then rowid order.
 func dumpRows(t testing.TB, db *DB) []string {
 	t.Helper()

@@ -432,15 +432,20 @@ func (db *DB) loadSnapshot(snap []byte) error {
 }
 
 // replayWAL applies the WAL's records above the recovered log position
-// and truncates the WAL after the last whole record with a good CRC.
+// and truncates the WAL after the last whole record with a good CRC. It
+// also stops, and truncates, at the first record whose epoch is below
+// the log position's: log epochs never go down, so such a record is a
+// diverged follower's own history, left behind when a crash fell
+// between RestoreSnapshot's rename and its WAL reset, and the restored
+// snapshot superseded it.
 func (db *DB) replayWAL(wal []byte) error {
 	good := 0
 	if len(wal) >= len(fileHeader) {
 		good = len(fileHeader)
 		for {
 			rec, n, err := decodeRecord(wal[good:])
-			if err != nil {
-				break // torn or corrupt tail
+			if err != nil || rec.Epoch < db.replLastEpoch {
+				break // torn or corrupt tail, or superseded history
 			}
 			if err := db.extend(rec); err != nil {
 				return err

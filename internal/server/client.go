@@ -267,6 +267,11 @@ func (c *Client) do(ctx context.Context, req *wire.Request, scratch []byte) (*wi
 			}
 			c.reg.Counter(MetricClientRetries).Inc()
 		}
+		// A dead context sends nothing: the request never reaches the
+		// server, and the caller's giving up is no verdict on it.
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("dpfs server %s: %w", c.addr, err)
+		}
 		probe, err := c.breakerAllow()
 		if err != nil {
 			return nil, fmt.Errorf("dpfs server %s: %w", c.addr, err)

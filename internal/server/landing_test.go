@@ -359,7 +359,7 @@ func TestReadTailRidesTrailer(t *testing.T) {
 				}
 				emits++
 				return nil
-			})
+			}, nil)
 			if resp.Err != "" {
 				t.Fatal(resp.Err)
 			}
@@ -422,7 +422,7 @@ func TestDataOpErrorsReleaseSpanAndBuffer(t *testing.T) {
 	} {
 		before := ioCount()
 		for _, emit := range []func([]byte) error{nil, func([]byte) error { return nil }} {
-			resp, _ := srv.dispatchEmit(ctx, req, emit)
+			resp, _ := srv.dispatchEmit(ctx, req, emit, nil)
 			if !strings.Contains(resp.Err, "invalid extent") {
 				t.Errorf("%v with a negative offset answered %q", req.Op, resp.Err)
 			}
@@ -449,7 +449,7 @@ func TestDataOpErrorsReleaseSpanAndBuffer(t *testing.T) {
 		req.TraceID, req.SpanID, req.Sampled = tc.TraceID, tc.SpanID, true
 		for _, emit := range []func([]byte) error{nil, func([]byte) error { return nil }} {
 			before, diskBefore := ioCount(), srv.Metrics().Counter(MetricDiskErrors).Value()
-			resp, _ := srv.dispatchEmit(ctx, req, emit)
+			resp, _ := srv.dispatchEmit(ctx, req, emit, nil)
 			if resp.Err == "" {
 				t.Fatalf("%v on a closed handle succeeded", req.Op)
 			}

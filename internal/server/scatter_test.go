@@ -45,11 +45,11 @@ func scatterRef(file []byte, exts []wire.Extent, sels []wire.Selection, payload 
 // byte written past where the reference ends shows as a length mismatch.
 func stored(t testing.TB, srv *Server, path string) []byte {
 	t.Helper()
-	st, _ := srv.dispatchEmit(context.Background(), &wire.Request{Op: wire.OpStat, Path: path}, nil)
+	st, _ := srv.dispatchEmit(context.Background(), &wire.Request{Op: wire.OpStat, Path: path}, nil, nil)
 	if st.Err != "" {
 		t.Fatal(st.Err)
 	}
-	resp, _ := srv.dispatchEmit(context.Background(), &wire.Request{Op: wire.OpRead, Path: path, Extents: []wire.Extent{{Off: 0, Len: st.N}}}, nil)
+	resp, _ := srv.dispatchEmit(context.Background(), &wire.Request{Op: wire.OpRead, Path: path, Extents: []wire.Extent{{Off: 0, Len: st.N}}}, nil, nil)
 	if resp.Err != "" {
 		t.Fatal(resp.Err)
 	}
@@ -153,7 +153,7 @@ func TestScatterWrites(t *testing.T) {
 					if resp, err = cli.Do(ctxT(t), req); err != nil {
 						t.Fatal(err)
 					}
-				} else if resp, _ = srv.dispatchEmit(context.Background(), req, nil); resp.Err != "" {
+				} else if resp, _ = srv.dispatchEmit(context.Background(), req, nil, nil); resp.Err != "" {
 					t.Fatal(resp.Err)
 				}
 				if resp.N != shipped {
@@ -201,7 +201,7 @@ func FuzzScatterWrite(f *testing.F) {
 		base[i] = byte(i*11+i>>8) | 1
 	}
 	must := func(req *wire.Request) {
-		if resp, _ := srv.dispatchEmit(context.Background(), req, nil); resp.Err != "" {
+		if resp, _ := srv.dispatchEmit(context.Background(), req, nil, nil); resp.Err != "" {
 			f.Fatal(resp.Err)
 		}
 	}
@@ -222,7 +222,7 @@ func FuzzScatterWrite(f *testing.F) {
 		for _, data := range [][]byte{payload, fit(payload, shipped)} {
 			must(&wire.Request{Op: wire.OpTruncate, Path: "w", Extents: []wire.Extent{{Len: int64(len(base))}}})
 			must(&wire.Request{Op: wire.OpWrite, Path: "w", Extents: []wire.Extent{{Len: int64(len(base))}}, Data: base})
-			resp, _ := srv.dispatchEmit(context.Background(), &wire.Request{Op: wire.OpWrite, Path: "w", Extents: exts, Sel: sel, Data: data}, nil)
+			resp, _ := srv.dispatchEmit(context.Background(), &wire.Request{Op: wire.OpWrite, Path: "w", Extents: exts, Sel: sel, Data: data}, nil, nil)
 			got := stored(t, srv, "w")
 			if perr != nil || int64(len(data)) != shipped {
 				if resp.Err == "" {

@@ -68,7 +68,7 @@ func readBothForms(t testing.TB, srv *Server, req *wire.Request) (resps [2]*wire
 				return nil
 			}
 		}
-		resp, streamed := srv.dispatchEmit(context.Background(), req, emit)
+		resp, streamed := srv.dispatchEmit(context.Background(), req, emit, nil)
 		if int64(len(got)) != streamed {
 			t.Errorf("streamed count %d, sink saw %d bytes", streamed, len(got))
 		}
@@ -365,7 +365,7 @@ func TestSievedReadCancelledMidStream(t *testing.T) {
 			return gone
 		}
 		return nil
-	})
+	}, nil)
 	if !strings.Contains(resp.Err, gone.Error()) || resp.Data != nil || streamed != chunk {
 		t.Errorf("cancelled read answered %q with %d bytes after %d streamed, want the sink's error after one chunk", resp.Err, len(resp.Data), streamed)
 	}
@@ -398,7 +398,7 @@ func FuzzSelection(f *testing.F) {
 	for i := range file {
 		file[i] = byte(i*11 + i>>8)
 	}
-	if resp, _ := srv.dispatchEmit(context.Background(), &wire.Request{Op: wire.OpWrite, Path: "f", Extents: []wire.Extent{{Off: 0, Len: int64(len(file))}}, Data: file}, nil); resp.Err != "" {
+	if resp, _ := srv.dispatchEmit(context.Background(), &wire.Request{Op: wire.OpWrite, Path: "f", Extents: []wire.Extent{{Off: 0, Len: int64(len(file))}}, Data: file}, nil, nil); resp.Err != "" {
 		f.Fatal(resp.Err)
 	}
 

@@ -22,6 +22,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"dpfs/internal/gossip"
@@ -69,6 +70,10 @@ const (
 	// MetricSubfileBytesRead counts the bytes reads took from subfiles,
 	// shipped or sieved away alike; bytes_out_total counts the shipped.
 	MetricSubfileBytesRead = "subfile_bytes_read_total"
+	// MetricBytesOutZeroCopy counts the part of bytes_out_total that
+	// sendfile moved from subfiles to sockets without a copy through
+	// the server (DESIGN.md "Wire protocol").
+	MetricBytesOutZeroCopy = "bytes_out_zero_copy_total"
 )
 
 // OpMetric names the handler latency histogram for an op.
@@ -119,8 +124,9 @@ type connState struct {
 // subfile is an open local file with a reference to keep handle reuse
 // cheap across requests.
 type subfile struct {
-	mu sync.Mutex // serializes size-extending writes
-	f  *os.File
+	mu  sync.Mutex // serializes size-extending writes
+	f   *os.File
+	raw syscall.RawConn // f's descriptor, for frames sent by sendfile
 }
 
 // Listen starts a server on addr ("" picks an ephemeral loopback
@@ -397,7 +403,7 @@ func (s *Server) handleFrames(conn net.Conn) {
 	// server and with the peer.
 	connCtx, cancel := context.WithCancel(s.ctx)
 	br := bufio.NewReaderSize(conn, 64<<10)
-	out := &frameOut{fw: wire.NewFrameWriter(conn)}
+	out := &frameOut{fw: wire.NewFrameWriter(conn), sender: newFrameSender(conn)}
 	var wg sync.WaitGroup
 	// Handlers must finish (and flush) before handleConn closes the
 	// conn; the read loop's exit cancels connCtx first so ops aborted
@@ -475,19 +481,52 @@ func (s *Server) handleFrames(conn net.Conn) {
 }
 
 // frameOut is the write side of one frame session: mu serializes
-// response frames across the session's tag handlers and guards fw.
+// response frames across the session's tag handlers and guards fw and
+// sender.
 type frameOut struct {
 	mu sync.Mutex
 	fw *wire.FrameWriter
+	// sender sends full DATA frames by sendfile when the conn is a bare
+	// TCP socket, on Linux (sendfile_linux.go); nil keeps every frame on
+	// the copy path.
+	sender *frameSender
+}
+
+// zeroCopy sends one tag's full DATA frames of plain extents straight
+// from the subfile to the conn. A nil *zeroCopy sends none, and every
+// frame is copied through the read buffer instead.
+type zeroCopy struct {
+	out  *frameOut
+	tag  uint32
+	sent int64 // frame bytes sent, zeros completing a short subfile included
+	file int64 // the part of sent that sendfile took from subfiles
+	err  error // a failed send: the stream is desynchronized
+}
+
+// frame sends one DATA frame of StreamChunk bytes of sf from off under
+// the session's write lock, as WriteData would, and returns how many of
+// them sf held.
+func (z *zeroCopy) frame(sf *subfile, off int64) (int64, error) {
+	z.out.mu.Lock()
+	n, err := z.out.sender.send(sf.raw, z.tag, off)
+	z.out.mu.Unlock()
+	z.file += int64(n)
+	if err != nil {
+		z.err = err
+		return int64(n), err
+	}
+	z.sent += wire.StreamChunk
+	return int64(n), nil
 }
 
 // serveTag runs one tagged request and writes its response frames.
 // Read payloads stream as DATA frames chunk by chunk (the write mutex
 // is held per frame, so a large read does not block other tags'
-// responses); the RESP trailer then closes the tag — with the read's
-// last chunk riding in the same write, and carrying the error when the
-// op failed, even mid-stream, which is why a failed read no longer
-// costs the connection.
+// responses); on a session with a frame sender a full frame of a
+// plain extent leaves by sendfile. The RESP trailer then closes the
+// tag — with the read's last chunk riding in the same write, and
+// carrying the error when the op failed, even mid-stream, which is why
+// a failed read no longer costs the connection.
 func (s *Server) serveTag(ctx context.Context, conn net.Conn, st *connState, out *frameOut, tag uint32, req *wire.Request) {
 	var wErr error
 	emit := func(chunk []byte) error {
@@ -499,13 +538,17 @@ func (s *Server) serveTag(ctx context.Context, conn net.Conn, st *connState, out
 		}
 		return err
 	}
-	resp, streamed := s.dispatchEmit(ctx, req, emit)
+	var zc *zeroCopy
+	if out.sender != nil && req.Op == wire.OpRead {
+		zc = &zeroCopy{out: out, tag: tag}
+	}
+	resp, streamed := s.dispatchEmit(ctx, req, emit, zc)
 	if req.Data != nil {
 		// The request payload buffer came from the read pool
 		// (ReadRequestV2's alloc hook) and the op is done with it.
 		putReadBuf(req.Data)
 	}
-	if wErr != nil {
+	if wErr != nil || zc != nil && zc.err != nil {
 		// A failed DATA write may have left a partial frame on the
 		// wire: the stream is desynchronized, kill the session.
 		conn.Close()
@@ -566,10 +609,10 @@ func putReadBuf(b []byte) {
 // dispatchEmit runs one request, with an optional streaming sink: when
 // emit is non-nil, read payloads are pushed through it as chunks instead
 // of being buffered into the response, and the returned streamed count
-// is what went through (the caller folds it into its RESP trailer).
-// Metrics, spans and slow-request accounting cover streamed bytes the
-// same as buffered ones.
-func (s *Server) dispatchEmit(ctx context.Context, req *wire.Request, emit func([]byte) error) (*wire.Response, int64) {
+// is what went through, by emit or by zc's sendfile (the caller folds
+// it into its RESP trailer). Metrics, spans and slow-request accounting
+// cover streamed bytes the same as buffered ones.
+func (s *Server) dispatchEmit(ctx context.Context, req *wire.Request, emit func([]byte) error, zc *zeroCopy) (*wire.Response, int64) {
 	start := time.Now()
 	s.reg.Counter(MetricRequests).Inc()
 	s.reg.Counter(MetricBytesIn).Add(int64(len(req.Data)))
@@ -598,10 +641,14 @@ func (s *Server) dispatchEmit(ctx context.Context, req *wire.Request, emit func(
 			return err
 		}
 	}
-	resp, err := s.serve(ctx, req, count)
+	resp, err := s.serve(ctx, req, count, zc)
 	if err != nil {
 		s.reg.Counter(MetricErrors).Inc()
 		resp = &wire.Response{Err: fmt.Sprintf("%s: %v", s.cfg.Name, err)}
+	}
+	if zc != nil && zc.sent > 0 {
+		streamed += zc.sent
+		s.reg.Counter(MetricBytesOutZeroCopy).Add(zc.file)
 	}
 	elapsed := time.Since(start)
 	if sp != nil {
@@ -626,7 +673,7 @@ func (s *Server) dispatchEmit(ctx context.Context, req *wire.Request, emit func(
 	return resp, streamed
 }
 
-func (s *Server) serve(ctx context.Context, req *wire.Request, emit func([]byte) error) (*wire.Response, error) {
+func (s *Server) serve(ctx context.Context, req *wire.Request, emit func([]byte) error, zc *zeroCopy) (*wire.Response, error) {
 	// Only some ops read a payload, and only the data ops a selection.
 	// Elsewhere one is a client's mistake — a selection sent with the
 	// wrong op, say — and is refused, not ignored.
@@ -644,7 +691,7 @@ func (s *Server) serve(ctx context.Context, req *wire.Request, emit func([]byte)
 	case wire.OpPing:
 		return &wire.Response{}, nil
 	case wire.OpRead:
-		return s.opRead(ctx, req, emit)
+		return s.opRead(ctx, req, emit, zc)
 	case wire.OpWrite:
 		return s.opWrite(ctx, req)
 	case wire.OpRemove:
@@ -724,7 +771,7 @@ func (s *Server) opCopy(ctx context.Context, req *wire.Request) (*wire.Response,
 		// Local generation bump: the source is a superseded generation
 		// of this same subfile, so the read must bypass the generation
 		// check that the entry checkGen above just advanced.
-		data, err = s.readExtents(ctx, srcPath, srcGen, src, nil, total, nil)
+		data, err = s.readExtents(ctx, srcPath, srcGen, src, nil, total, nil, nil)
 		if err != nil {
 			return nil, fmt.Errorf("copy local source: %w", err)
 		}
@@ -940,7 +987,12 @@ func (s *Server) open(p string, create bool) (*subfile, error) {
 	if err != nil {
 		return nil, err
 	}
-	sf := &subfile{f: f}
+	raw, err := f.SyscallConn()
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	sf := &subfile{f: f, raw: raw}
 	s.files[local] = sf
 	return sf, nil
 }
@@ -995,10 +1047,11 @@ func (s *Server) preadFull(sf *subfile, dst []byte, off int64) (int, error) {
 // up to StreamChunk bytes, the only one — is returned as the response's
 // Data, so it leaves in the same write as the RESP trailer; without one
 // the whole payload is. Either way the caller returns Data with
-// putReadBuf. The storage model is charged one positioning per
+// putReadBuf. With zc, full frames of plain extents leave by sendfile
+// (streamExtents). The storage model is charged one positioning per
 // extent and the bytes shipped: a sieved extent is still one positioned
 // sweep of the device, and what it skips never reaches the link.
-func (s *Server) opRead(ctx context.Context, req *wire.Request, emit func([]byte) error) (*wire.Response, error) {
+func (s *Server) opRead(ctx context.Context, req *wire.Request, emit func([]byte) error, zc *zeroCopy) (*wire.Response, error) {
 	if _, err := checkExtents("read", req.Extents); err != nil {
 		return nil, err
 	}
@@ -1012,7 +1065,7 @@ func (s *Server) opRead(ctx context.Context, req *wire.Request, emit func([]byte
 	if err := s.checkGen(req.Path, req.Gen, false); err != nil {
 		return nil, err
 	}
-	tail, err := s.readExtents(ctx, req.Path, req.Gen, req.Extents, sels, total, emit)
+	tail, err := s.readExtents(ctx, req.Path, req.Gen, req.Extents, sels, total, emit, zc)
 	if err != nil {
 		return nil, err
 	}
@@ -1029,7 +1082,7 @@ func (s *Server) opRead(ctx context.Context, req *wire.Request, emit func([]byte
 // holds everything. A missing subfile and bytes past EOF read as zeros,
 // matching hole semantics (client-side geometry guarantees the extents
 // are within the file's logical size).
-func (s *Server) readExtents(ctx context.Context, path string, gen int64, exts []wire.Extent, sels []wire.Selection, total int64, emit func([]byte) error) ([]byte, error) {
+func (s *Server) readExtents(ctx context.Context, path string, gen int64, exts []wire.Extent, sels []wire.Selection, total int64, emit func([]byte) error, zc *zeroCopy) ([]byte, error) {
 	sf, err := s.open(subfileName(path, gen), false)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, err
@@ -1044,7 +1097,7 @@ func (s *Server) readExtents(ctx context.Context, path string, gen int64, exts [
 	if sf == nil {
 		err = out.zeros(total, emit)
 	} else {
-		swept, err = s.streamExtents(sf, exts, sels, &out, emit)
+		swept, err = s.streamExtents(sf, exts, sels, &out, emit, zc)
 	}
 	if sio.sub != nil {
 		sio.sub.Swept = swept
@@ -1069,14 +1122,22 @@ type readSink struct {
 	pend  int
 }
 
+// flush emits chunk if it is full: the caller has more to put in.
+func (o *readSink) flush(emit func([]byte) error) error {
+	if o.pend == len(o.chunk) {
+		if err := emit(o.chunk); err != nil {
+			return err
+		}
+		o.pend = 0
+	}
+	return nil
+}
+
 // room returns the free part of chunk, emitting a full one first; the
 // caller advances pend by what it fills.
 func (o *readSink) room(emit func([]byte) error) ([]byte, error) {
-	if o.pend == len(o.chunk) {
-		if err := emit(o.chunk); err != nil {
-			return nil, err
-		}
-		o.pend = 0
+	if err := o.flush(emit); err != nil {
+		return nil, err
 	}
 	return o.chunk[o.pend:], nil
 }
@@ -1110,12 +1171,16 @@ func (o *readSink) zeros(n int64, emit func([]byte) error) error {
 
 // streamExtents is the one extent loop of every read: it moves exts of
 // sf into out and returns how many bytes it read from the subfile. A
-// plain extent is read straight into out's chunk. An extent narrowed by
-// a selection is sieved: its whole range is read, exactly as if it were
-// plain, through a pooled window of at most StreamChunk, and only the
-// selected pieces are copied on — so memory stays O(StreamChunk)
-// whatever the range or the selection says.
-func (s *Server) streamExtents(sf *subfile, exts []wire.Extent, sels []wire.Selection, out *readSink, emit func([]byte) error) (swept int64, err error) {
+// plain extent is read straight into out's chunk, except that with zc,
+// wherever out is empty and the extent still holds a whole frame, that
+// frame goes from sf to the conn by sendfile and never enters the
+// server's memory; frame boundaries fall exactly where the copy path
+// puts them. An extent narrowed by a selection is sieved: its whole
+// range is read, exactly as if it were plain, through a pooled window
+// of at most StreamChunk, and only the selected pieces are copied on —
+// so memory stays O(StreamChunk) whatever the range or the selection
+// says.
+func (s *Server) streamExtents(sf *subfile, exts []wire.Extent, sels []wire.Selection, out *readSink, emit func([]byte) error, zc *zeroCopy) (swept int64, err error) {
 	var win []byte
 	if len(sels) > 0 {
 		var widest int64
@@ -1128,10 +1193,19 @@ func (s *Server) streamExtents(sf *subfile, exts []wire.Extent, sels []wire.Sele
 	for i, e := range exts {
 		if len(sels) == 0 || sels[0].Extent != i {
 			for off, end := e.Off, e.Off+e.Len; off < end; {
-				dst, err := out.room(emit)
-				if err != nil {
+				if err := out.flush(emit); err != nil {
 					return swept, err
 				}
+				if zc != nil && out.pend == 0 && end-off >= wire.StreamChunk {
+					n, err := zc.frame(sf, off)
+					swept += n
+					if err != nil {
+						return swept, err
+					}
+					off += wire.StreamChunk
+					continue
+				}
+				dst := out.chunk[out.pend:]
 				dst = dst[:min(end-off, int64(len(dst)))]
 				n, err := s.preadFull(sf, dst, off)
 				swept += int64(n)

@@ -133,23 +133,26 @@ func FormatReplicaList(entries []ReplicaEntry) string {
 }
 
 // ParseReplicaList parses the catalog representation produced by
-// FormatReplicaList. Plain entries ("6") are rank 0.
+// FormatReplicaList. Plain entries ("6") are rank 0. The list is
+// walked once, entry by entry, into one slice sized from the comma
+// count.
 func ParseReplicaList(s string) ([]ReplicaEntry, error) {
 	if s == "" {
 		return nil, nil
 	}
-	parts := strings.Split(s, ",")
-	out := make([]ReplicaEntry, 0, len(parts))
-	for _, p := range parts {
+	out := make([]ReplicaEntry, 0, strings.Count(s, ",")+1)
+	for rest, more := s, true; more; {
+		var p string
+		p, rest, more = strings.Cut(rest, ",")
 		p = strings.TrimSpace(p)
 		e := ReplicaEntry{}
-		if i := strings.IndexByte(p, ':'); i >= 0 {
-			r, err := strconv.Atoi(p[i+1:])
+		if brick, rank, ok := strings.Cut(p, ":"); ok {
+			r, err := strconv.Atoi(rank)
 			if err != nil {
 				return nil, fmt.Errorf("stripe: bad replica rank in %q: %w", p, err)
 			}
 			e.Rank = r
-			p = p[:i]
+			p = brick
 		}
 		b, err := strconv.Atoi(p)
 		if err != nil {
@@ -186,12 +189,17 @@ func ReplicaSetFromLists(lists [][]ReplicaEntry, numBricks, replicas int) (*Repl
 		Servers: make([][]int, numBricks),
 		Local:   make([][]int64, numBricks),
 	}
+	// Each brick's row is a capped window of one flat array per field,
+	// so the set costs the same few allocations at any brick count.
+	servers := make([]int, numBricks*replicas)
+	local := make([]int64, numBricks*replicas)
+	for i := range servers {
+		servers[i] = -1
+	}
 	for b := range rs.Servers {
-		rs.Servers[b] = make([]int, replicas)
-		rs.Local[b] = make([]int64, replicas)
-		for r := range rs.Servers[b] {
-			rs.Servers[b][r] = -1
-		}
+		lo, hi := b*replicas, (b+1)*replicas
+		rs.Servers[b] = servers[lo:hi:hi]
+		rs.Local[b] = local[lo:hi:hi]
 	}
 	for s, list := range lists {
 		for j, e := range list {

@@ -117,8 +117,10 @@ type FrameHeader struct {
 	Len   uint32
 }
 
-// putFrameHeader encodes h into b (len(b) >= FrameHeaderLen).
-func putFrameHeader(b []byte, h FrameHeader) {
+// PutFrameHeader encodes h into b (len(b) >= FrameHeaderLen): how a
+// sender that writes a frame's body itself, such as a server sending a
+// DATA frame's bytes by sendfile, frames them.
+func PutFrameHeader(b []byte, h FrameHeader) {
 	b[0] = Magic2
 	b[1] = version2
 	b[2] = byte(h.Kind)
@@ -209,7 +211,7 @@ func (fw *FrameWriter) flush() error {
 func (fw *FrameWriter) header(h FrameHeader) []byte {
 	n := len(fw.meta)
 	fw.meta = fw.meta[:n+FrameHeaderLen]
-	putFrameHeader(fw.meta[n:], h)
+	PutFrameHeader(fw.meta[n:], h)
 	fw.vec = append(fw.vec, fw.meta[n:])
 	return fw.meta[n:]
 }

@@ -12,7 +12,7 @@ import (
 // and announced length.
 func writeFrameHeader(w io.Writer, h FrameHeader) error {
 	var b [FrameHeaderLen]byte
-	putFrameHeader(b[:], h)
+	PutFrameHeader(b[:], h)
 	_, err := w.Write(b[:])
 	return err
 }

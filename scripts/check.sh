@@ -6,7 +6,10 @@
 #      internal/metadb/gobconvert.go, the one-way reader of gob-era
 #      catalog directories; then go vet ./...
 #   3. govulncheck (soft-fail: warns when the tool or network is absent)
-#   4. race-enabled test suite
+#   4. race-enabled test suite, then a short race stress of the two
+#      races closed around cancelled dispatch and the server's sendfile
+#      path: TestParallelDispatchCancellation and the TestZeroCopy
+#      equivalence tests, 50 runs each
 #   5. seeded chaos suite under -race (fault injection e2e), plus a
 #      3-seed DPFS_CHAOS_SWEEP including the replica-failover,
 #      catalog-storm (seed*-metashard: the one catalog under delays on
@@ -60,6 +63,8 @@ echo "== obslint: metric-name manifest + Prometheus format =="
 sh scripts/obslint.sh
 echo "== go test -race ./... =="
 go test -race ./...
+echo "== race stress: cancelled dispatch, zero-copy reads =="
+go test -race -count=50 -run 'TestParallelDispatchCancellation|TestZeroCopy' ./internal/core ./internal/server
 echo "== chaos: seeded fault-injection suite (-race) =="
 go test -race -count=1 -run Chaos .
 DPFS_CHAOS_SWEEP=3 go test -race -count=1 -run Chaos ./internal/fault
