@@ -12,10 +12,16 @@ import (
 type exchange struct {
 	exts []wire.Extent
 	sel  []byte // the selections, encoded
-	// segs is a write's payload: the pieces, brick by brick in brick
-	// order.
+	// segs are the pieces of the caller's buffer, brick by brick in brick
+	// order: a write's payload, and where a read's response lands unless
+	// scatter is set.
 	segs  [][]byte
 	moved int64 // the bytes that travel: a write's payload, a read's response
+	// scatter marks a read whose response cannot land in its pieces: it
+	// fills a cache, or a brick moves bytes no piece takes (a whole brick
+	// with none, a tangled view's shared bytes). It lands in a scratch
+	// and is scattered from there.
+	scatter bool
 }
 
 // fetched is what one brick of a read brings back: n bytes — the brick's
@@ -28,10 +34,11 @@ type fetched struct {
 
 // layExtents lays out one server exchange covering bricks, brick i
 // stored in slot slots[i] of the server's subfile; fill says a data
-// cache will keep what a read brings, and buf is the caller's buffer. A
-// read also gets, appended to got, what each brick's share of the
-// response is. (got stays out of the exchange so that a caller's
-// one-element array for it stays off the heap.)
+// cache will keep what a read brings, and buf is the caller's buffer,
+// whose pieces are appended to segs. A read also gets, appended to got,
+// what each brick's share of the response is. (got and segs stay out of
+// the exchange so that a caller's one-element array for got stays off
+// the heap and its pooled list for segs is reused.)
 //
 // Either direction moves one span per brick: the whole brick when a read
 // fills a cache, else the covering span of the wanted pieces, whose
@@ -54,15 +61,14 @@ type fetched struct {
 // cover travels plain; any other carries one selection, its pieces
 // relative to the extent folded by stripe.Runs. Write payloads are not
 // packed into an intermediate buffer: each memory run rides as a scatter
-// segment that the wire layer flushes with vectored I/O.
-func layExtents(g *stripe.Geometry, bricks []stripe.BrickIO, slots []int64, fill bool, buf []byte, write bool, got []fetched) (exchange, []fetched) {
-	var x exchange
+// segment that the wire layer flushes with vectored I/O, and a read's
+// response lands in the same pieces: a brick's share of it is its pieces
+// in brick order, sieved or not.
+func layExtents(g *stripe.Geometry, bricks []stripe.BrickIO, slots []int64, fill bool, buf []byte, write bool, got []fetched, segs [][]byte) (exchange, []fetched) {
+	x := exchange{segs: segs}
 	j := joiner{exts: make([]wire.Extent, 0, len(bricks))}
 	for bi := range bricks {
 		j.segs += len(bricks[bi].Segs)
-	}
-	if write {
-		x.segs = make([][]byte, 0, j.segs)
 	}
 	slot := g.SlotBytes()
 	for bi := range bricks {
@@ -76,6 +82,7 @@ func layExtents(g *stripe.Geometry, bricks []stripe.BrickIO, slots []int64, fill
 			j.add(base, []stripe.Segment{{Len: n}})
 			got = append(got, fetched{n: n})
 			x.moved += n
+			x.scatter = true
 			continue
 		}
 		ordered := brickOrder(b.Segs)
@@ -93,14 +100,14 @@ func layExtents(g *stripe.Geometry, bricks []stripe.BrickIO, slots []int64, fill
 		case tangled:
 			j.add(base, []stripe.Segment{{BrickOff: lo, Len: hi - lo}})
 			n = hi - lo
+			x.scatter = true
 		default:
 			sieved = j.add(base, ordered) > 0
 		}
-		if write {
-			for _, seg := range ordered {
-				x.segs = append(x.segs, buf[seg.MemOff:seg.MemOff+seg.Len])
-			}
-		} else {
+		for _, seg := range ordered {
+			x.segs = append(x.segs, buf[seg.MemOff:seg.MemOff+seg.Len])
+		}
+		if !write {
 			got = append(got, fetched{lo: lo, n: n, sieved: sieved})
 		}
 		x.moved += n

@@ -99,22 +99,19 @@ func reference(g *stripe.Geometry, bricks []stripe.BrickIO, slots []int64, fill,
 // order; an extent is tight around its pieces and carries a selection
 // only when they leave a hole in it; no gap between two spans of one
 // extent is wider than a hole inside one of its spans; there are never
-// more extents than before joining; a write's payload is each brick's
-// pieces in brick order and a read's per-brick entries add up to what
-// the response carries.
+// more extents than before joining; a write's payload, and a read's
+// landing list unless it scatters, is each brick's pieces in brick order,
+// and a read's per-brick entries add up to what the response carries.
 func checkExchange(t *testing.T, name string, g *stripe.Geometry, bricks []stripe.BrickIO, slots []int64, fill, write bool) (x exchange, parentExts int) {
 	t.Helper()
-	var buf []byte
-	if write {
-		var n int64
-		for _, b := range bricks {
-			for _, s := range b.Segs {
-				n = max(n, s.MemOff+s.Len)
-			}
+	var n int64
+	for _, b := range bricks {
+		for _, s := range b.Segs {
+			n = max(n, s.MemOff+s.Len)
 		}
-		buf = make([]byte, n)
 	}
-	x, got := layExtents(g, bricks, slots, fill, buf, write, nil)
+	buf := make([]byte, n)
+	x, got := layExtents(g, bricks, slots, fill, buf, write, nil, nil)
 	units, parentExts, moved := reference(g, bricks, slots, fill, write)
 
 	sels, total, err := wire.ParseSelections(x.sel, x.exts)
@@ -178,7 +175,19 @@ func checkExchange(t *testing.T, name string, g *stripe.Geometry, bricks []strip
 		t.Fatalf("%s: %d spans fit in no extent", name, len(units)-ui)
 	}
 
-	if write {
+	scatter := !write && fill
+	for _, b := range bricks {
+		var hi int64
+		for i, s := range brickOrder(b.Segs) {
+			scatter = scatter || !write && i > 0 && s.BrickOff < hi
+			hi = max(hi, s.BrickOff+s.Len)
+		}
+		scatter = scatter || !write && len(b.Segs) == 0
+	}
+	if x.scatter != scatter {
+		t.Fatalf("%s: scatter = %v, want %v", name, x.scatter, scatter)
+	}
+	if !scatter {
 		var n int64
 		k := 0
 		for _, b := range bricks {
@@ -193,7 +202,8 @@ func checkExchange(t *testing.T, name string, g *stripe.Geometry, bricks []strip
 		if k != len(x.segs) || n != moved {
 			t.Fatalf("%s: payload of %d pieces, %d bytes; want %d and %d", name, len(x.segs), n, k, moved)
 		}
-	} else {
+	}
+	if !write {
 		var n int64
 		for _, f := range got {
 			n += f.n

@@ -589,6 +589,10 @@ func putScratch(b []byte) {
 	scratchPool.Put(&b)
 }
 
+// piecesPool recycles exchanges' piece lists — a write's payload, a
+// read's landing list — emptied of their references to callers' buffers.
+var piecesPool = sync.Pool{New: func() any { return new([][]byte) }}
+
 // doRequest performs one server exchange covering all bricks of r, laid
 // out by layExtents. sp, when non-nil, is the trace span covering this
 // exchange.
@@ -615,7 +619,13 @@ func (f *File) doRequest(ctx context.Context, r *stripe.Request, buf []byte, wri
 		}
 		slots = append(slots, ls)
 	}
-	x, got := layExtents(&f.info.Geometry, r.Bricks, slots, fill, buf, write, oneGot[:0])
+	pieces := piecesPool.Get().(*[][]byte)
+	x, got := layExtents(&f.info.Geometry, r.Bricks, slots, fill, buf, write, oneGot[:0], (*pieces)[:0])
+	defer func() {
+		clear(x.segs)
+		*pieces = x.segs[:0]
+		piecesPool.Put(pieces)
+	}()
 	moved := x.moved
 
 	op := wire.OpRead
@@ -626,14 +636,19 @@ func (f *File) doRequest(ctx context.Context, r *stripe.Request, buf []byte, wri
 	if err != nil {
 		return err
 	}
-	req := &wire.Request{Op: op, Path: f.info.Path, Gen: f.info.Generation, Extents: x.exts, Sel: x.sel, Segments: x.segs}
+	req := &wire.Request{Op: op, Path: f.info.Path, Gen: f.info.Generation, Extents: x.exts, Sel: x.sel}
+	if write {
+		req.Segments = x.segs
+	}
 	if tc := sp.Context(); tc.TraceID != 0 {
 		// Propagate trace identity so the server's handler spans join
 		// this trace; its span tree comes back in the RESP frame.
 		req.TraceID, req.SpanID, req.Sampled = tc.TraceID, tc.SpanID, tc.Sampled
 	}
+	// A read whose response fits its pieces lands straight in them; one
+	// that scatters lands in a scratch first.
 	var scratch []byte
-	if !write {
+	if !write && x.scatter {
 		scratch = getScratch(moved)
 		defer putScratch(scratch)
 	}
@@ -645,7 +660,12 @@ func (f *File) doRequest(ctx context.Context, r *stripe.Request, buf []byte, wri
 		fillTok = dc.Token()
 	}
 	start := time.Now()
-	resp, err := client.DoScratch(ctx, req, scratch)
+	var resp *wire.Response
+	if write || x.scatter {
+		resp, err = client.DoScratch(ctx, req, scratch)
+	} else {
+		resp, err = client.DoInto(ctx, req, x.segs)
+	}
 	f.fs.reg.Histogram(MetricRequestLatency).Record(time.Since(start).Microseconds())
 	if err != nil {
 		return fmt.Errorf("dpfs: %s: %w", f.info.Path, err)
@@ -669,7 +689,7 @@ func (f *File) doRequest(ctx context.Context, r *stripe.Request, buf []byte, wri
 			}
 		}
 	}
-	if write {
+	if write || !x.scatter {
 		return nil
 	}
 	if int64(len(resp.Data)) != moved {

@@ -311,14 +311,17 @@ func (in *Injector) Conn(c net.Conn, label string) net.Conn {
 // DialContext dials addr over TCP and wraps the connection, labeling
 // it with the server's registered name (SetLabel) or the address. Its
 // signature matches the client engine's dial hook
-// (core.Options.Dial / server.ClientConfig.Dial).
+// (core.Options.Dial / server.ClientConfig.Dial). Like Listener, and
+// unlike Conn, it wraps even without rules: a wrapped conn hides its
+// socket, so the client reads every byte through Read, on its buffered
+// reader, and never by readv.
 func (in *Injector) DialContext(ctx context.Context, addr string) (net.Conn, error) {
 	var d net.Dialer
 	c, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	return in.Conn(c, in.labelFor(addr)), nil
+	return &conn{Conn: c, in: in, label: in.labelFor(addr)}, nil
 }
 
 // Listener wraps l so every accepted connection carries the label and

@@ -90,6 +90,11 @@ const (
 	// least one in-flight request; a whole dispatch burst can ride one
 	// active conn.
 	MetricClientConnsActive = "client_conns_active"
+	// MetricClientBytesLandedDirect counts the response bytes readv(2)
+	// wrote straight from the socket into the memory the caller handed
+	// the client (DoInto's pieces, DoScratch's scratch), past the demux
+	// reader's buffer: the client's twin of bytes_out_zero_copy_total.
+	MetricClientBytesLandedDirect = "client_bytes_landed_direct_total"
 )
 
 // ErrUnhealthy is wrapped into fail-fast errors while a server's
@@ -246,19 +251,30 @@ func (c *Client) Metrics() *obs.Registry { return c.reg }
 // Do performs one request/response exchange, retrying transport
 // failures per the client's RetryPolicy.
 func (c *Client) Do(ctx context.Context, req *wire.Request) (*wire.Response, error) {
-	return c.do(ctx, req, nil)
+	return c.do(ctx, req, nil, nil)
 }
 
 // DoScratch is Do with a caller-supplied response-data buffer: when
 // scratch is large enough for the expected data the demux reader lands
 // it there and the response's Data aliases it instead of a fresh
 // allocation, so the caller must consume Data before reusing scratch.
-// This is the allocation-free read path; see wire.ReadDataInto.
 func (c *Client) DoScratch(ctx context.Context, req *wire.Request, scratch []byte) (*wire.Response, error) {
-	return c.do(ctx, req, scratch)
+	return c.do(ctx, req, scratch, nil)
 }
 
-func (c *Client) do(ctx context.Context, req *wire.Request, scratch []byte) (*wire.Response, error) {
+// DoInto is Do with the response's data landing in pieces, the caller's
+// memory in response order: the demux reader fills them straight from
+// the socket and the response carries no Data. The data must fill the
+// pieces exactly; a response that overruns or falls short of them fails
+// the call. A retried attempt lands again from the first piece.
+func (c *Client) DoInto(ctx context.Context, req *wire.Request, pieces [][]byte) (*wire.Response, error) {
+	if pieces == nil {
+		pieces = [][]byte{} // no data; a nil list would be DoScratch's
+	}
+	return c.do(ctx, req, nil, pieces)
+}
+
+func (c *Client) do(ctx context.Context, req *wire.Request, scratch []byte, pieces [][]byte) (*wire.Response, error) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
@@ -276,7 +292,7 @@ func (c *Client) do(ctx context.Context, req *wire.Request, scratch []byte) (*wi
 		if err != nil {
 			return nil, fmt.Errorf("dpfs server %s: %w", c.addr, err)
 		}
-		resp, err := c.mux.attempt(ctx, req, scratch)
+		resp, err := c.mux.attempt(ctx, req, scratch, pieces)
 		if err == nil {
 			c.breakerResult(probe, true)
 			if len(resp.Delta) > 0 && c.onDelta != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"net"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -143,6 +144,118 @@ func TestMuxAbandonMidFrame(t *testing.T) {
 	}
 }
 
+// TestDirectLandingAbandonMidFrame is TestMuxAbandonMidFrame on a bare
+// conn with a multi-piece landing list: the stalled frame's tail is read
+// by readv, whose kernel writes the race detector cannot see, so a
+// sentinel stands in for it. The caller fills its buffer with the
+// sentinel once the abandoned call returns; after the stalled frame's
+// tail, a second DATA frame of the abandoned tag and its trailer have
+// been sent, and a ping has drained the conn behind them, the buffer
+// must still hold the sentinel everywhere.
+func TestDirectLandingAbandonMidFrame(t *testing.T) {
+	const n = 64 << 10
+	stallOver := make(chan struct{})
+	st := newScriptedV2(t, func(i int, conn net.Conn, tag uint32, req *wire.Request) {
+		switch {
+		case req.Op == wire.OpPing:
+			_ = wire.WriteResponseV2(conn, tag, &wire.Response{}, 0)
+		case i == 1:
+			dataHeader(conn, tag, n/2)
+			_, _ = conn.Write(fillByte(n/4, 0xAA))
+			time.Sleep(150 * time.Millisecond) // well past the caller's 30 ms deadline
+			_, _ = conn.Write(fillByte(n/4, 0xAA))
+			_ = wire.WriteResponseV2(conn, tag, &wire.Response{N: n, Data: fillByte(n/2, 0xAA)}, n/2)
+			close(stallOver)
+		default:
+			_ = wire.WriteResponseV2(conn, tag, &wire.Response{N: n, Data: fillByte(n, 0xBB)}, 0)
+		}
+	})
+	cli := NewClientWith(st.addr, ClientConfig{
+		Retry: RetryPolicy{MaxRetries: -1, BreakerThreshold: -1},
+	})
+	defer cli.Close()
+	ctx := ctxT(t)
+
+	// Four pieces of one buffer, out of memory order and apart.
+	buf := make([]byte, 2*n)
+	pieces := [][]byte{buf[n : n+n/4], buf[0 : n/4], buf[n/2 : n/2+n/4], buf[3*n/2 : 3*n/2+n/4]}
+	req := &wire.Request{Op: wire.OpRead, Path: "f", Extents: []wire.Extent{{Off: 0, Len: n}}}
+	short, cancel := context.WithTimeout(ctx, 30*time.Millisecond)
+	defer cancel()
+	if _, err := cli.DoInto(short, req, pieces); err == nil || short.Err() == nil {
+		t.Fatalf("stalled read returned %v before its deadline", err)
+	}
+	for i := range buf {
+		buf[i] = 0xCC
+	}
+	<-stallOver
+	if err := cli.Ping(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if i := slices.IndexFunc(buf, func(b byte) bool { return b != 0xCC }); i >= 0 {
+		t.Fatalf("byte %d of the buffer changed after the call that lent it returned", i)
+	}
+	if cli.Metrics().Counter(MetricClientBytesLandedDirect).Value() == 0 {
+		t.Error("nothing was read by readv: the stalled frame's tail did not take the direct path")
+	}
+
+	if _, err := cli.DoInto(ctx, req, pieces); err != nil {
+		t.Fatalf("read after the abandoned one: %v", err)
+	}
+	if !bytes.Equal(bytes.Join(pieces, nil), fillByte(n, 0xBB)) {
+		t.Fatal("read after the abandoned one returned wrong bytes")
+	}
+	if got := st.conns.Load(); got != 1 {
+		t.Errorf("stub saw %d conns, want 1: a finite mid-frame stall must not cost the conn", got)
+	}
+	if ev := cli.Metrics().Counter(MetricConnEvictions).Value(); ev != 0 {
+		t.Errorf("%d conns evicted", ev)
+	}
+}
+
+// TestOversizedDataFrameRefused: a DATA header announcing more than
+// StreamChunk is a framing error to both response readers — the mux's
+// demux reader and wire.ReadResponseV2Into behind wire.Call — before any
+// buffer is sized from it. The peer sends a 256 MiB header and hangs up;
+// the call must fail on the header and allocate under 1 MiB.
+func TestOversizedDataFrameRefused(t *testing.T) {
+	st := newScriptedV2(t, func(i int, conn net.Conn, tag uint32, req *wire.Request) {
+		var h [wire.FrameHeaderLen]byte
+		wire.PutFrameHeader(h[:], wire.FrameHeader{Kind: wire.FrameData, Tag: tag, Len: 256 << 20})
+		_, _ = conn.Write(h[:])
+		conn.Close()
+	})
+	req := &wire.Request{Op: wire.OpRead, Path: "f", Extents: []wire.Extent{{Off: 0, Len: 4096}}}
+	for _, tc := range []struct {
+		name string
+		do   func(ctx context.Context) error
+	}{
+		{"mux", func(ctx context.Context) error {
+			cli := NewClientWith(st.addr, ClientConfig{Retry: RetryPolicy{MaxRetries: -1, BreakerThreshold: -1}})
+			defer cli.Close()
+			_, err := cli.DoScratch(ctx, req, nil)
+			return err
+		}},
+		{"wire.Call", func(ctx context.Context) error {
+			_, err := wire.Call(ctx, nil, st.addr, req)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := tc.do(ctxT(t))
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), "DATA frame of 268435456 bytes exceeds") {
+				t.Errorf("a 256 MiB DATA header returned %v, want a framing error", err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+				t.Errorf("a 256 MiB DATA header cost %d bytes of allocation, want under 1 MiB", got)
+			}
+		})
+	}
+}
+
 // TestMuxAbandonWedgedFrame: a peer that stalls mid-frame for good must
 // not hold a cancelled caller hostage — the backstop deadline cuts the
 // conn loose within muxReadSlack.
@@ -172,9 +285,9 @@ func TestMuxAbandonWedgedFrame(t *testing.T) {
 // TestMuxLandingRobustness extends the v2 robustness tables (see
 // internal/wire/robust_test.go) to the landing reader: whatever a
 // server streams — DATA for tags nobody waits for, more bytes than the
-// scratch holds, a trailer that disagrees with what was sent — the
-// caller gets the right bytes or an error, and a well-framed stream
-// never costs the conn.
+// scratch holds, more or fewer than a DoInto call's pieces, a trailer
+// that disagrees with what was sent — the caller gets the right bytes
+// or an error, and a well-framed stream never costs the conn.
 func TestMuxLandingRobustness(t *testing.T) {
 	const n = 4096
 	want := fillByte(n, 0x5A)
@@ -184,40 +297,52 @@ func TestMuxLandingRobustness(t *testing.T) {
 		scratch   int    // capacity of the caller's scratch
 		wantErr   string // substring; "" = success with want
 		connLives bool
+		pieces    []int // when set, DoInto lands in pieces of these sizes
 	}{
 		{"in one frame with the trailer", func(conn net.Conn, tag uint32) {
 			_ = wire.WriteResponseV2(conn, tag, &wire.Response{N: n, Data: want}, 0)
-		}, n + wire.RespOverhead, "", true},
+		}, n + wire.RespOverhead, "", true, nil},
 		{"wrong-tag DATA interleaved", func(conn net.Conn, tag uint32) {
 			_ = wire.NewFrameWriter(conn).WriteData(tag, want[:100])
 			_ = wire.NewFrameWriter(conn).WriteData(tag+77, fillByte(500, 0xEE)) // nobody's: dropped
 			_ = wire.WriteResponseV2(conn, tag, &wire.Response{N: n, Data: want[100:]}, 100)
-		}, n + wire.RespOverhead, "", true},
+		}, n + wire.RespOverhead, "", true, nil},
 		{"scratch too small", func(conn net.Conn, tag uint32) {
 			_ = wire.NewFrameWriter(conn).WriteData(tag, want[:n/2])
 			_ = wire.WriteResponseV2(conn, tag, &wire.Response{N: n, Data: want[n/2:]}, n/2)
-		}, 100, "", true},
+		}, 100, "", true, nil},
 		{"no scratch", func(conn net.Conn, tag uint32) {
 			_ = wire.WriteResponseV2(conn, tag, &wire.Response{N: n, Data: want}, 0)
-		}, 0, "", true},
+		}, 0, "", true, nil},
 		{"DATA overruns the trailer's count", func(conn net.Conn, tag uint32) {
 			_ = wire.NewFrameWriter(conn).WriteData(tag, want)
 			_ = wire.NewFrameWriter(conn).WriteData(tag, want) // twice what RESP announces
 			_ = wire.WriteResponseV2(conn, tag, &wire.Response{N: n}, n)
-		}, n + wire.RespOverhead, "announced", true},
+		}, n + wire.RespOverhead, "announced", true, nil},
 		{"DATA short of the trailer's count", func(conn net.Conn, tag uint32) {
 			_ = wire.NewFrameWriter(conn).WriteData(tag, want[:10])
 			_ = wire.WriteResponseV2(conn, tag, &wire.Response{N: n}, n)
-		}, n + wire.RespOverhead, "announced", true},
+		}, n + wire.RespOverhead, "announced", true, nil},
 		{"error trailer after DATA", func(conn net.Conn, tag uint32) {
 			_ = wire.NewFrameWriter(conn).WriteData(tag, want[:10])
 			_ = wire.WriteResponseV2(conn, tag, &wire.Response{Err: "disk gone"}, 10)
-		}, n + wire.RespOverhead, "disk gone", true},
+		}, n + wire.RespOverhead, "disk gone", true, nil},
 		{"DATA frame cut short by a close", func(conn net.Conn, tag uint32) {
 			dataHeader(conn, tag, n)
 			_, _ = conn.Write(want[:n/3])
 			conn.Close()
-		}, n + wire.RespOverhead, "receive", false},
+		}, n + wire.RespOverhead, "receive", false, nil},
+		{"pieces filled exactly across frames", func(conn net.Conn, tag uint32) {
+			_ = wire.NewFrameWriter(conn).WriteData(tag, want[:n/2+3])
+			_ = wire.WriteResponseV2(conn, tag, &wire.Response{N: n, Data: want[n/2+3:]}, n/2+3)
+		}, 0, "", true, []int{100, 0, n/2 - 100, 1, n/2 - 1}},
+		{"pieces overrun", func(conn net.Conn, tag uint32) {
+			_ = wire.NewFrameWriter(conn).WriteData(tag, want[:n/2])
+			_ = wire.WriteResponseV2(conn, tag, &wire.Response{N: n, Data: want[n/2:]}, n/2)
+		}, 0, "landing pieces", true, []int{n / 4, n / 2}},
+		{"pieces short", func(conn net.Conn, tag uint32) {
+			_ = wire.WriteResponseV2(conn, tag, &wire.Response{N: n, Data: want}, 0)
+		}, 0, "landing pieces", true, []int{n, n}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -233,16 +358,34 @@ func TestMuxLandingRobustness(t *testing.T) {
 			})
 			defer cli.Close()
 			ctx := ctxT(t)
-			var scratch []byte
-			if tc.scratch > 0 {
-				scratch = make([]byte, tc.scratch)
+			req := &wire.Request{Op: wire.OpRead, Path: "f", Extents: []wire.Extent{{Off: 0, Len: n}}}
+			var resp *wire.Response
+			var err error
+			var got []byte
+			if tc.pieces != nil {
+				var pieces [][]byte
+				for _, k := range tc.pieces {
+					pieces = append(pieces, make([]byte, k))
+				}
+				resp, err = cli.DoInto(ctx, req, pieces)
+				got = bytes.Join(pieces, nil)
+				if err == nil && resp.Data != nil {
+					t.Error("a DoInto response carries Data")
+				}
+			} else {
+				var scratch []byte
+				if tc.scratch > 0 {
+					scratch = make([]byte, tc.scratch)
+				}
+				resp, err = cli.DoScratch(ctx, req, scratch)
+				if err == nil {
+					got = resp.Data
+				}
 			}
-			resp, err := cli.DoScratch(ctx, &wire.Request{Op: wire.OpRead, Path: "f",
-				Extents: []wire.Extent{{Off: 0, Len: n}}}, scratch)
 			switch {
 			case tc.wantErr == "" && err != nil:
 				t.Fatalf("read failed: %v", err)
-			case tc.wantErr == "" && !bytes.Equal(resp.Data, want):
+			case tc.wantErr == "" && !bytes.Equal(got, want):
 				t.Fatal("read returned wrong bytes")
 			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
 				t.Fatalf("read returned %v, want an error containing %q", err, tc.wantErr)

@@ -8,10 +8,12 @@ import (
 	"io"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"dpfs/internal/obs"
 	"dpfs/internal/wire"
 )
 
@@ -28,6 +30,12 @@ const DefaultMuxWindow = 32
 // usable); the conn deadline is only the backstop that unwedges a
 // reader whose peer stopped talking entirely.
 const muxReadSlack = 500 * time.Millisecond
+
+// muxReadBuf sizes the demux reader's buffer. It holds a small response
+// whole (a 4 or 8 KiB read lands from it), while the rest of a larger
+// DATA frame is read straight into the caller's memory, so at most this
+// much of a StreamChunk frame is prefetched and copied out.
+const muxReadBuf = 16 << 10
 
 // errClientClosed fails calls in flight when the mux shuts down.
 var errClientClosed = errors.New("dpfs: client closed")
@@ -62,6 +70,11 @@ type muxConn struct {
 	wmu sync.Mutex
 	fw  *wire.FrameWriter
 
+	// recv reads DATA bodies straight into landing lists (recv_linux.go);
+	// nil lands through the reader's buffer. direct counts what it reads.
+	recv   *frameReceiver
+	direct *obs.Counter
+
 	// inflight reserves window slots: incremented under mux.mu when a
 	// caller picks this conn, decremented (atomically, lock-free) when
 	// the call finishes however it finishes.
@@ -82,23 +95,112 @@ type muxCall struct {
 	err      error
 	done     chan struct{}
 
-	// data is the response payload landed so far. It starts as the
-	// caller's scratch, emptied, and the demux reader reads DATA frames
-	// straight into it. The caller takes its scratch back the moment it
-	// gives up on the call, so the reader touches data only under
-	// landing, which it takes (under muxConn.mu, while the tag is still
-	// pending) for the length of one frame body; whoever retires the tag
-	// without the reader — abandon, a conn failure — removes it from
-	// pending and then waits landing out, after which the reader can
-	// never reach data again.
+	// land is where the response payload lands: the caller's memory,
+	// into which the demux reader reads DATA frames. The caller takes
+	// its memory back the moment it gives up on the call, so the reader
+	// touches land only under landing, which it takes (under
+	// muxConn.mu, while the tag is still pending) for the length of one
+	// frame body; whoever retires the tag without the reader — abandon,
+	// a conn failure — removes it from pending and then waits landing
+	// out, after which the reader can never reach the memory again.
 	landing sync.Mutex
-	data    []byte
+	land    landList
+}
+
+// landList is a call's landing list: the pieces of the caller's memory
+// that the response's data fills, in response order. A DoInto list is
+// the caller's pieces, fixed: a response that overruns or falls short
+// of them fails the call. A DoScratch list is one piece, the caller's
+// scratch, grown to fit what arrives (Do's starts empty).
+type landList struct {
+	pieces [][]byte
+	one    [1][]byte // a growable list's one piece
+	grow   bool
+	size   int // a fixed list's bytes
+	n      int // data bytes received, landed or, past a fixed list's end, dropped
+	i, off int // the next byte lands at pieces[i][off]
+}
+
+// init sets the list up over pieces, or over scratch when pieces is nil.
+func (l *landList) init(scratch []byte, pieces [][]byte) {
+	if pieces == nil {
+		l.one[0], l.pieces, l.grow = scratch[:0], l.one[:], true
+		return
+	}
+	l.pieces = pieces
+	for _, p := range pieces {
+		l.size += len(p)
+	}
+}
+
+// next returns the rest of the piece the next byte lands in. Only called
+// with bytes left to land, so it never walks off the list.
+func (l *landList) next() []byte {
+	for l.off == len(l.pieces[l.i]) {
+		l.i, l.off = l.i+1, 0
+	}
+	return l.pieces[l.i][l.off:]
+}
+
+// advance moves the landing point past m landed bytes.
+func (l *landList) advance(m int) {
+	l.n += m
+	for m > 0 {
+		k := min(m, len(l.next()))
+		l.off += k
+		m -= k
+	}
+}
+
+// read lands the next n bytes of r.
+func (l *landList) read(r io.Reader, n int) error {
+	for n > 0 {
+		p := l.next()
+		p = p[:min(len(p), n)]
+		if _, err := io.ReadFull(r, p); err != nil {
+			return err
+		}
+		l.advance(len(p))
+		n -= len(p)
+	}
+	return nil
+}
+
+// land lands the n-byte body of a DATA frame in l, the one routine
+// every body goes through. The part the reader's buffer already holds is
+// copied out of it; the rest is read straight into the pieces — by readv
+// on a bare TCP conn on Linux (recv_linux.go), through the buffered
+// reader anywhere else — so the bytes are the same either way. A frame
+// that would overrun a fixed list is dropped whole, and its call fails
+// when the trailer arrives.
+func (mc *muxConn) land(br *bufio.Reader, l *landList, n int) error {
+	switch {
+	case l.grow:
+		if l.n+n > wire.MaxMessage {
+			return fmt.Errorf("wire: v2 response payload exceeds %d bytes", wire.MaxMessage)
+		}
+		l.pieces[0] = slices.Grow(l.pieces[0][:l.n], n)[:l.n+n]
+	case l.n+n > l.size:
+		l.n += n
+		_, err := br.Discard(n)
+		return err
+	}
+	k := min(br.Buffered(), n)
+	if err := l.read(br, k); err != nil {
+		return err
+	}
+	if mc.recv == nil || k == n {
+		return l.read(br, n-k)
+	}
+	m, err := mc.recv.receive(l, n-k)
+	mc.direct.Add(int64(m))
+	return err
 }
 
 // attempt performs one exchange over a muxed conn: reserve a window
 // slot, register a tag, write the frames, wait for the demux reader to
 // deliver the response (or abandon the tag on timeout/cancel).
-func (m *mux) attempt(ctx context.Context, req *wire.Request, scratch []byte) (*wire.Response, error) {
+func (m *mux) attempt(ctx context.Context, req *wire.Request, scratch []byte, pieces [][]byte) (*wire.Response, error) {
 	mc, err := m.grab(ctx)
 	if err != nil {
 		return nil, err
@@ -111,7 +213,8 @@ func (m *mux) attempt(ctx context.Context, req *wire.Request, scratch []byte) (*
 			deadline, hasDeadline = d, true
 		}
 	}
-	call := &muxCall{data: scratch[:0], done: make(chan struct{})}
+	call := &muxCall{done: make(chan struct{})}
+	call.land.init(scratch, pieces)
 	if hasDeadline {
 		call.deadline = deadline
 	}
@@ -220,7 +323,8 @@ func (m *mux) grab(ctx context.Context) (*muxConn, error) {
 		conn.Close()
 		return nil, errClientClosed
 	}
-	mc := &muxConn{m: m, conn: conn, fw: wire.NewFrameWriter(conn), pending: make(map[uint32]*muxCall)}
+	mc := &muxConn{m: m, conn: conn, fw: wire.NewFrameWriter(conn), pending: make(map[uint32]*muxCall),
+		recv: newFrameReceiver(conn), direct: m.c.reg.Counter(MetricClientBytesLandedDirect)}
 	m.conns = append(m.conns, mc)
 	mc.inflight.Add(1)
 	m.mu.Unlock()
@@ -279,7 +383,7 @@ func (mc *muxConn) register(call *muxCall) (uint32, error) {
 // reports whether the tag was still pending: false means delivery or
 // conn failure claimed it first and the caller must take the result
 // from call.done instead. After a true return the demux reader is done
-// with the caller's scratch for good (see muxCall.landing), so the
+// with the caller's memory for good (see muxCall.landing), so the
 // caller may reuse it at once. A best-effort CANCEL frame tells the
 // server to stop working on the tag; the demux reader discards any
 // frames that were already in flight for it.
@@ -370,7 +474,7 @@ func (mc *muxConn) armLocked(d time.Time) {
 // frames to the waiting callers. Any read or framing error is a conn
 // fault that fails exactly the tags in flight on this conn.
 func (mc *muxConn) readLoop() {
-	br := bufio.NewReaderSize(mc.conn, 64<<10)
+	br := bufio.NewReaderSize(mc.conn, muxReadBuf)
 	for {
 		h, err := wire.ReadFrameHeader(br)
 		if err != nil {
@@ -379,6 +483,10 @@ func (mc *muxConn) readLoop() {
 		}
 		switch h.Kind {
 		case wire.FrameData:
+			if err := wire.CheckDataFrame(h); err != nil {
+				mc.fail(err)
+				return
+			}
 			mc.mu.Lock()
 			call := mc.pending[h.Tag]
 			if call != nil {
@@ -389,10 +497,7 @@ func (mc *muxConn) readLoop() {
 				// Abandoned or unknown tag: drain and drop.
 				err = wire.DiscardFrameBody(br, h)
 			} else {
-				var data []byte
-				if data, err = wire.ReadDataInto(br, call.data, int(h.Len)); err == nil {
-					call.data = data
-				}
+				err = mc.land(br, &call.land, int(h.Len))
 				call.landing.Unlock()
 			}
 			if err != nil {
@@ -439,11 +544,14 @@ func (mc *muxConn) deliver(tag uint32, resp *wire.Response, dataLen int64) {
 	mc.mu.Unlock()
 
 	// An error reported mid-stream abandons whatever data preceded it.
-	if resp.Err == "" {
-		if dataLen != int64(len(call.data)) {
-			call.err = fmt.Errorf("wire: response announced %d data bytes, received %d", dataLen, len(call.data))
-		} else if len(call.data) > 0 {
-			resp.Data = call.data
+	if l := &call.land; resp.Err == "" {
+		switch {
+		case dataLen != int64(l.n):
+			call.err = fmt.Errorf("wire: response announced %d data bytes, received %d", dataLen, l.n)
+		case !l.grow && l.n != l.size:
+			call.err = fmt.Errorf("wire: response of %d data bytes for %d bytes of landing pieces", l.n, l.size)
+		case l.grow && l.n > 0:
+			resp.Data = l.pieces[0][:l.n]
 		}
 	}
 	call.resp = resp
@@ -481,7 +589,7 @@ func (mc *muxConn) failQuiet(err error) bool {
 	mc.m.remove(mc)
 	for _, call := range pending {
 		// Closing the conn has thrown the reader out of any frame it
-		// was landing; wait that out before the caller gets its scratch
+		// was landing; wait that out before the caller gets its memory
 		// back.
 		call.landing.Lock()
 		call.landing.Unlock() //nolint:staticcheck // empty critical section: a barrier, not a guard

@@ -165,6 +165,19 @@ func DiscardFrameBody(r io.Reader, h FrameHeader) error {
 	return err
 }
 
+// CheckDataFrame refuses, as a framing error, a DATA frame whose body
+// exceeds StreamChunk. No sender emits one, and a receiver that sized a
+// buffer from the header alone would let a 12-byte header claim up to
+// MaxMessage of memory before any body arrived; both response readers,
+// ReadResponseV2Into and the client mux's demux reader, check every DATA
+// header with it.
+func CheckDataFrame(h FrameHeader) error {
+	if h.Len > StreamChunk {
+		return fmt.Errorf("wire: DATA frame of %d bytes exceeds the %d-byte chunk", h.Len, StreamChunk)
+	}
+	return nil
+}
+
 // FrameWriter sends v2 frames on one connection. Frame headers and
 // metadata bodies are built in a scratch the writer keeps, and the
 // buffer vector is reused, so a steady-state frame costs no allocation;
@@ -576,8 +589,15 @@ func ReadResponseV2Into(r io.Reader, tag uint32, scratch []byte) (*Response, err
 			if h.Tag != tag {
 				return nil, fmt.Errorf("wire: DATA for unexpected tag %d", h.Tag)
 			}
-			data, err = ReadDataInto(r, data, int(h.Len))
-			if err != nil {
+			if err := CheckDataFrame(h); err != nil {
+				return nil, err
+			}
+			off, n := len(data), int(h.Len)
+			if off+n > MaxMessage {
+				return nil, fmt.Errorf("wire: v2 response payload exceeds %d bytes", MaxMessage)
+			}
+			data = slices.Grow(data, n)[:off+n]
+			if _, err := io.ReadFull(r, data[off:]); err != nil {
 				return nil, err
 			}
 		case FrameResp:
@@ -638,21 +658,4 @@ func Call(ctx context.Context, dial func(context.Context, string) (net.Conn, err
 		return nil, err
 	}
 	return ReadResponseV2Into(conn, tag, nil)
-}
-
-// ReadDataInto appends the n-byte body of a DATA frame from r to data,
-// landing it in data's spare capacity (the caller's scratch) and
-// allocating only when that is too small. Both response readers —
-// ReadResponseV2Into and the client mux's demux reader — land payloads
-// through it.
-func ReadDataInto(r io.Reader, data []byte, n int) ([]byte, error) {
-	off := len(data)
-	if off+n > MaxMessage {
-		return nil, fmt.Errorf("wire: v2 response payload exceeds %d bytes", MaxMessage)
-	}
-	data = slices.Grow(data, n)[:off+n]
-	if _, err := io.ReadFull(r, data[off:]); err != nil {
-		return nil, err
-	}
-	return data, nil
 }

@@ -6,10 +6,11 @@
 #      internal/metadb/gobconvert.go, the one-way reader of gob-era
 #      catalog directories; then go vet ./...
 #   3. govulncheck (soft-fail: warns when the tool or network is absent)
-#   4. race-enabled test suite, then a short race stress of the two
-#      races closed around cancelled dispatch and the server's sendfile
-#      path: TestParallelDispatchCancellation and the TestZeroCopy
-#      equivalence tests, 50 runs each
+#   4. race-enabled test suite, then a short race stress of the races
+#      closed around cancelled dispatch, the server's sendfile path and
+#      the client's readv landing: TestParallelDispatchCancellation, the
+#      TestZeroCopy equivalence tests and the TestDirectLanding
+#      equivalence and ownership tests, 50 runs each
 #   5. seeded chaos suite under -race (fault injection e2e), plus a
 #      3-seed DPFS_CHAOS_SWEEP including the replica-failover,
 #      catalog-storm (seed*-metashard: the one catalog under delays on
@@ -63,8 +64,8 @@ echo "== obslint: metric-name manifest + Prometheus format =="
 sh scripts/obslint.sh
 echo "== go test -race ./... =="
 go test -race ./...
-echo "== race stress: cancelled dispatch, zero-copy reads =="
-go test -race -count=50 -run 'TestParallelDispatchCancellation|TestZeroCopy' ./internal/core ./internal/server
+echo "== race stress: cancelled dispatch, zero-copy reads, direct landing =="
+go test -race -count=50 -run 'TestParallelDispatchCancellation|TestZeroCopy|TestDirectLanding' ./internal/core ./internal/server
 echo "== chaos: seeded fault-injection suite (-race) =="
 go test -race -count=1 -run Chaos .
 DPFS_CHAOS_SWEEP=3 go test -race -count=1 -run Chaos ./internal/fault
