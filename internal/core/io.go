@@ -646,11 +646,13 @@ func (f *File) doRequest(ctx context.Context, r *stripe.Request, buf []byte, wri
 		req.TraceID, req.SpanID, req.Sampled = tc.TraceID, tc.SpanID, tc.Sampled
 	}
 	// A read whose response fits its pieces lands straight in them; one
-	// that scatters lands in a scratch first.
+	// that scatters lands in a scratch, its one piece, first.
 	var scratch []byte
 	if !write && x.scatter {
 		scratch = getScratch(moved)
 		defer putScratch(scratch)
+		clear(x.segs)
+		x.segs = append(x.segs[:0], scratch)
 	}
 	// The fill token is taken before the network exchange: an
 	// invalidation that lands between here and Put poisons the fill, so
@@ -661,8 +663,8 @@ func (f *File) doRequest(ctx context.Context, r *stripe.Request, buf []byte, wri
 	}
 	start := time.Now()
 	var resp *wire.Response
-	if write || x.scatter {
-		resp, err = client.DoScratch(ctx, req, scratch)
+	if write {
+		resp, err = client.Do(ctx, req)
 	} else {
 		resp, err = client.DoInto(ctx, req, x.segs)
 	}
@@ -678,10 +680,7 @@ func (f *File) doRequest(ctx context.Context, r *stripe.Request, buf []byte, wri
 		sp.Extents = len(x.exts)
 		sp.Bytes = moved
 		if len(resp.Trace) > 0 {
-			// Stitch the server's spans under this RPC span. resp.Trace
-			// may alias the pooled scratch buffer, so decode (which
-			// copies) must happen before the deferred putScratch runs —
-			// it does: we are still inside this exchange.
+			// Stitch the server's spans under this RPC span.
 			if remote, derr := obs.DecodeSpans(resp.Trace); derr == nil {
 				for _, rs := range remote {
 					sp.Adopt(rs)
@@ -692,13 +691,10 @@ func (f *File) doRequest(ctx context.Context, r *stripe.Request, buf []byte, wri
 	if write || !x.scatter {
 		return nil
 	}
-	if int64(len(resp.Data)) != moved {
-		return fmt.Errorf("dpfs: %s: server returned %d bytes, want %d", f.info.Path, len(resp.Data), moved)
-	}
 
 	// Scatter the response into the caller's buffer, walking the bricks
 	// in the order their ranges were requested.
-	data := resp.Data
+	data := scratch
 	for bi := range r.Bricks {
 		b, g := &r.Bricks[bi], got[bi]
 		part := data[:g.n]
