@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"dpfs/internal/codec/codectest"
 )
 
 func sampleMessage() *Message {
@@ -43,16 +45,25 @@ func TestMessageRoundtrip(t *testing.T) {
 	}
 }
 
+// messageSeeds are FuzzGossipMessage's seeds.
+func messageSeeds() [][]byte {
+	return [][]byte{
+		encodeMessage(sampleMessage()),
+		encodeMessage(&Message{Kind: KindPull, From: "a:1", Recs: []Record{{Addr: "a:1", State: StateAlive}}}),
+		{KindPush, 0, 0, 0, 0, 0xFF, 0xFF},
+		bytes.Repeat([]byte{0xDB}, 32),
+	}
+}
+
 // FuzzGossipMessage throws arbitrary bytes at the OpGossip payload
 // decoder: it must never panic, must allocate no more than a small
 // multiple of its input (a count prefix cannot reserve room the bytes
 // do not back), and anything it accepts must re-encode to exactly the
 // bytes it came from.
 func FuzzGossipMessage(f *testing.F) {
-	f.Add(encodeMessage(sampleMessage()))
-	f.Add(encodeMessage(&Message{Kind: KindPull, From: "a:1", Recs: []Record{{Addr: "a:1", State: StateAlive}}}))
-	f.Add([]byte{KindPush, 0, 0, 0, 0, 0xFF, 0xFF})
-	f.Add(bytes.Repeat([]byte{0xDB}, 32))
+	for _, seed := range messageSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decodeMessage(data)
 		if alloc := bytesPerRun(100, func() { decodeMessage(data) }); alloc > 32*uint64(len(data))+4096 {
@@ -80,4 +91,25 @@ func bytesPerRun(runs int, f func()) uint64 {
 	}
 	runtime.ReadMemStats(&after)
 	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestDecoderDigests is the differential equivalence gate of the delta
+// and message decoders: each decodes its fuzzer's seeds, every prefix
+// of them and a fixed set of one-byte mutations, and the hash of what
+// it accepted and what it decoded is pinned.
+func TestDecoderDigests(t *testing.T) {
+	cases := []struct {
+		name   string
+		seeds  [][]byte
+		decode func([]byte) (any, error)
+		want   string
+	}{
+		{"delta", deltaSeeds(), func(b []byte) (any, error) { return DecodeDelta(b) }, "9b63219939364c72"},
+		{"message", messageSeeds(), func(b []byte) (any, error) { return decodeMessage(b) }, "8b280b14b43e0a0e"},
+	}
+	for _, c := range cases {
+		if got := codectest.Digest(codectest.Corpus(c.seeds, 2000), c.decode); got != c.want {
+			t.Errorf("%s: digest %s, want %s", c.name, got, c.want)
+		}
+	}
 }

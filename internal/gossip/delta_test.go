@@ -167,14 +167,23 @@ func TestDeltaSince(t *testing.T) {
 	}
 }
 
+// deltaSeeds are FuzzDecodeDelta's seeds.
+func deltaSeeds() [][]byte {
+	return [][]byte{
+		EncodeDelta(sampleRecords()),
+		EncodeDelta([]Record{{Addr: "a:1", State: StateAlive}}),
+		[]byte("DPgd\x02\x00\x00"),
+		bytes.Repeat([]byte{0xDB}, 32),
+	}
+}
+
 // FuzzDecodeDelta throws arbitrary bytes at the delta decoder: it
 // must never panic, and anything it accepts must re-encode and
 // decode to the same records.
 func FuzzDecodeDelta(f *testing.F) {
-	f.Add(EncodeDelta(sampleRecords()))
-	f.Add(EncodeDelta([]Record{{Addr: "a:1", State: StateAlive}}))
-	f.Add([]byte("DPgd\x02\x00\x00"))
-	f.Add(bytes.Repeat([]byte{0xDB}, 32))
+	for _, seed := range deltaSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := DecodeDelta(data)
 		if err != nil {

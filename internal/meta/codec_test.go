@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"dpfs/internal/codec/codectest"
 	"dpfs/internal/metadb"
 	"dpfs/internal/metadb/mdbnet"
 )
@@ -204,22 +205,44 @@ var codecDecoders = []struct {
 		func(v any) []byte { return v.(*mdbnet.ReplMsg).AppendTo(nil) }},
 }
 
+// codecSeeds are FuzzCatalogCodec's seeds: the equivalence corpus.
+func codecSeeds(t testing.TB) [][]byte {
+	var seeds [][]byte
+	db := statementFixture(t)
+	for _, batch := range codecBatches() {
+		seeds = append(seeds, metadb.AppendStmts(nil, batch))
+		sess := db.Session()
+		res, _ := sess.Batch(batch)
+		sess.Abort()
+		seeds = append(seeds, metadb.AppendResults(nil, res))
+	}
+	for _, m := range codecReplMsgs(t) {
+		seeds = append(seeds, m.AppendTo(nil), metadb.AppendRedoOps(nil, m.Ops))
+	}
+	return seeds
+}
+
+// TestCatalogCodecDigests is the differential equivalence gate of the
+// catalog codec's decoders: each decodes FuzzCatalogCodec's seeds,
+// every prefix of them and a fixed set of one-byte mutations, and the
+// hash of what it accepted and what it decoded is pinned.
+func TestCatalogCodecDigests(t *testing.T) {
+	want := map[string]string{"stmts": "7f9598a6af748567", "results": "05c47732036f1580", "redo": "49f05123f45e437d", "repl": "c767f299b3aab11f"}
+	corpus := codectest.Corpus(codecSeeds(t), 4000)
+	for _, c := range codecDecoders {
+		if got := codectest.Digest(corpus, c.decode); got != want[c.name] {
+			t.Errorf("%s: digest %s, want %s", c.name, got, want[c.name])
+		}
+	}
+}
+
 // FuzzCatalogCodec feeds arbitrary bodies to every decoder of the
 // catalog codec: none may panic or allocate more than a small multiple
 // of the body, and whatever decodes must survive encode and decode
 // unchanged. The seeds are the equivalence corpus.
 func FuzzCatalogCodec(f *testing.F) {
-	db := statementFixture(f)
-	for _, batch := range codecBatches() {
-		f.Add(metadb.AppendStmts(nil, batch))
-		sess := db.Session()
-		res, _ := sess.Batch(batch)
-		sess.Abort()
-		f.Add(metadb.AppendResults(nil, res))
-	}
-	for _, m := range codecReplMsgs(f) {
-		f.Add(m.AppendTo(nil))
-		f.Add(metadb.AppendRedoOps(nil, m.Ops))
+	for _, seed := range codecSeeds(f) {
+		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, c := range codecDecoders {

@@ -12,6 +12,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"dpfs/internal/codec/codectest"
 )
 
 // TestCheckpointCrashBeforeWALReset crashes a checkpoint between the
@@ -250,6 +252,39 @@ func TestRestoreSnapshotRefusesCorruption(t *testing.T) {
 	}
 }
 
+// recordSeeds are FuzzCatalogRecord's seeds: seedWAL's records and the
+// snapshot record of the converted parent catalog.
+func recordSeeds(t testing.TB) [][]byte {
+	var seeds [][]byte
+	wal := seedWAL(t, 3)
+	start := int64(len(fileHeader))
+	for _, end := range walRecordEnds(t, wal) {
+		seeds = append(seeds, wal[start:end])
+		start = end
+	}
+	return append(seeds, convertedParentSnapshot(t)[len(fileHeader):])
+}
+
+// TestRecordDecoderDigest is the differential equivalence gate of the
+// record decoder: it decodes FuzzCatalogRecord's seeds, every prefix of
+// them and a fixed set of one-byte mutations, each as it is and with
+// its length and CRC fixed up, and the hash of what it accepted and
+// what it decoded is pinned.
+func TestRecordDecoderDigest(t *testing.T) {
+	decode := func(b []byte) (any, error) {
+		var out []any
+		for _, rec := range [][]byte{b, reframe(b)} {
+			r, n, err := decodeRecord(rec)
+			out = append(out, err == nil, r, n)
+		}
+		return out, nil
+	}
+	const want = "f1b3fd7ad6d10327"
+	if got := codectest.Digest(codectest.Corpus(recordSeeds(t), 2000), decode); got != want {
+		t.Errorf("digest %s, want %s", got, want)
+	}
+}
+
 // FuzzCatalogRecord decodes one framed record and replays it into an
 // empty table map: neither may panic or allocate more than a small
 // multiple of the record, and a record that decodes re-encodes to
@@ -258,13 +293,9 @@ func TestRestoreSnapshotRefusesCorruption(t *testing.T) {
 // seedWAL's records and the snapshot record of the converted parent
 // catalog.
 func FuzzCatalogRecord(f *testing.F) {
-	wal := seedWAL(f, 3)
-	start := int64(len(fileHeader))
-	for _, end := range walRecordEnds(f, wal) {
-		f.Add(wal[start:end])
-		start = end
+	for _, seed := range recordSeeds(f) {
+		f.Add(seed)
 	}
-	f.Add(convertedParentSnapshot(f)[len(fileHeader):])
 	f.Fuzz(func(t *testing.T, b []byte) {
 		for _, rec := range [][]byte{b, reframe(b)} {
 			if n := replayAlloc(rec); n > uint64(64*len(rec)+1<<16) {

@@ -230,21 +230,30 @@ func TestCorruptResponseFrames(t *testing.T) {
 	})
 }
 
+// requestMetaSeeds are FuzzReadRequest's seeds.
+func requestMetaSeeds(t testing.TB) [][]byte {
+	return [][]byte{
+		reqBody(t, &Request{Op: OpPing}),
+		reqBody(t, &Request{Op: OpRead, Path: "/a", Extents: []Extent{{Off: 0, Len: 16}}}),
+		reqBody(t, &Request{Op: OpWrite, Path: "/b",
+			Extents: []Extent{{Off: 4, Len: 2}, {Off: 32, Len: 2}}, Data: []byte("wxyz")}),
+		reqBody(t, &Request{Op: OpRename, Path: "/old", Data: []byte("/new")}),
+		reqBody(t, &Request{Op: OpRead, Path: "/t", Extents: []Extent{{Off: 0, Len: 8}},
+			TraceID: 0x0123456789abcdef, SpanID: 0xfedcba9876543210, Sampled: true}),
+		bytes.Repeat([]byte{0xFF}, 64),
+		{},
+	}
+}
+
 // FuzzReadRequest throws arbitrary bytes at the REQ metadata decoder
 // directly — no frame header to get past first, which is where
 // FuzzReadRequestV2 spends most of its inputs. It must never panic, and
 // a body it accepts (one announcing no payload: there is no stream
 // behind it here) must re-encode to the same request.
 func FuzzReadRequest(f *testing.F) {
-	f.Add(reqBody(f, &Request{Op: OpPing}))
-	f.Add(reqBody(f, &Request{Op: OpRead, Path: "/a", Extents: []Extent{{Off: 0, Len: 16}}}))
-	f.Add(reqBody(f, &Request{Op: OpWrite, Path: "/b",
-		Extents: []Extent{{Off: 4, Len: 2}, {Off: 32, Len: 2}}, Data: []byte("wxyz")}))
-	f.Add(reqBody(f, &Request{Op: OpRename, Path: "/old", Data: []byte("/new")}))
-	f.Add(reqBody(f, &Request{Op: OpRead, Path: "/t", Extents: []Extent{{Off: 0, Len: 8}},
-		TraceID: 0x0123456789abcdef, SpanID: 0xfedcba9876543210, Sampled: true}))
-	f.Add(bytes.Repeat([]byte{0xFF}, 64))
-	f.Add([]byte{})
+	for _, seed := range requestMetaSeeds(f) {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req, err := readReqBody(body)
 		if err != nil {
@@ -260,16 +269,25 @@ func FuzzReadRequest(f *testing.F) {
 	})
 }
 
+// responseMetaSeeds are FuzzReadResponse's seeds.
+func responseMetaSeeds() [][]byte {
+	return [][]byte{
+		appendResponseMeta(nil, &Response{}, 0),
+		appendResponseMeta(nil, &Response{Err: "subfile missing"}, 0),
+		appendResponseMeta(nil, &Response{N: 1 << 40}, 4),
+		appendResponseMeta(nil, &Response{Trace: []byte{1, 0, 0, 9, 9}}, 1),
+		appendResponseMeta(nil, &Response{Delta: []byte("DPgd-delta")}, 1),
+		appendResponseMeta(nil, &Response{Trace: []byte{7}, Delta: []byte("DPgd!")}, 0),
+		bytes.Repeat([]byte{0xFF}, 32),
+	}
+}
+
 // FuzzReadResponse is the response-side mirror: arbitrary bytes at the
 // RESP metadata decoder.
 func FuzzReadResponse(f *testing.F) {
-	f.Add(appendResponseMeta(nil, &Response{}, 0))
-	f.Add(appendResponseMeta(nil, &Response{Err: "subfile missing"}, 0))
-	f.Add(appendResponseMeta(nil, &Response{N: 1 << 40}, 4))
-	f.Add(appendResponseMeta(nil, &Response{Trace: []byte{1, 0, 0, 9, 9}}, 1))
-	f.Add(appendResponseMeta(nil, &Response{Delta: []byte("DPgd-delta")}, 1))
-	f.Add(appendResponseMeta(nil, &Response{Trace: []byte{7}, Delta: []byte("DPgd!")}, 0))
-	f.Add(bytes.Repeat([]byte{0xFF}, 32))
+	for _, seed := range responseMetaSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		resp, dataLen, err := DecodeResponseMetaV2(body)
 		if err != nil {
@@ -526,14 +544,23 @@ func TestResponseV2GarbageBetweenFrames(t *testing.T) {
 	}
 }
 
+// frameHeaderSeeds are FuzzReadFrameHeader's seeds.
+func frameHeaderSeeds() [][]byte {
+	var seed bytes.Buffer
+	_ = writeFrameHeader(&seed, FrameHeader{Kind: FrameReq, Flags: FlagSampled, Tag: 1, Len: 10})
+	return [][]byte{
+		seed.Bytes(),
+		{Magic2, version2, byte(FrameCancel), 0, 1, 0, 0, 0, 0, 0, 0, 0},
+		{Magic2, version2, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F},
+	}
+}
+
 // FuzzReadFrameHeader throws arbitrary bytes at the v2 header decoder:
 // never panic; accepted headers re-encode identically.
 func FuzzReadFrameHeader(f *testing.F) {
-	var seed bytes.Buffer
-	_ = writeFrameHeader(&seed, FrameHeader{Kind: FrameReq, Flags: FlagSampled, Tag: 1, Len: 10})
-	f.Add(seed.Bytes())
-	f.Add([]byte{Magic2, version2, byte(FrameCancel), 0, 1, 0, 0, 0, 0, 0, 0, 0})
-	f.Add([]byte{Magic2, version2, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})
+	for _, seed := range frameHeaderSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := ReadFrameHeader(bytes.NewReader(data))
 		if err != nil {
@@ -550,18 +577,27 @@ func FuzzReadFrameHeader(f *testing.F) {
 	})
 }
 
+// requestV2Seeds are FuzzReadRequestV2's seeds.
+func requestV2Seeds(t testing.TB) [][]byte {
+	return [][]byte{
+		encodeRequestV2(t, 1, &Request{Op: OpPing}),
+		encodeRequestV2(t, 2, &Request{Op: OpRead, Path: "/a", Extents: []Extent{{Off: 0, Len: 16}}}),
+		encodeRequestV2(t, 3, &Request{Op: OpWrite, Path: "/b",
+			Extents: []Extent{{Off: 4, Len: 2}, {Off: 32, Len: 2}}, Data: []byte("wxyz")}),
+		encodeRequestV2(t, 4, &Request{Op: OpRead, Path: "/t", Extents: []Extent{{Off: 0, Len: 8}},
+			TraceID: 0x0123456789abcdef, SpanID: 0xfedcba9876543210, Sampled: true}),
+		encodeRequestV2(t, 5, &Request{Op: OpWrite, Path: "/c", Extents: []Extent{{Off: 0, Len: 12}},
+			Sel: AppendSelection(nil, 0, []Run{{Off: 0, Len: 2, Stride: 10, Count: 2}}), Data: []byte("wxyz")}),
+	}
+}
+
 // FuzzReadRequestV2 fuzzes the full v2 request decode (header,
 // metadata, payload frames): never panic; accepted requests re-encode
 // and decode identically.
 func FuzzReadRequestV2(f *testing.F) {
-	f.Add(encodeRequestV2(f, 1, &Request{Op: OpPing}))
-	f.Add(encodeRequestV2(f, 2, &Request{Op: OpRead, Path: "/a", Extents: []Extent{{Off: 0, Len: 16}}}))
-	f.Add(encodeRequestV2(f, 3, &Request{Op: OpWrite, Path: "/b",
-		Extents: []Extent{{Off: 4, Len: 2}, {Off: 32, Len: 2}}, Data: []byte("wxyz")}))
-	f.Add(encodeRequestV2(f, 4, &Request{Op: OpRead, Path: "/t", Extents: []Extent{{Off: 0, Len: 8}},
-		TraceID: 0x0123456789abcdef, SpanID: 0xfedcba9876543210, Sampled: true}))
-	f.Add(encodeRequestV2(f, 5, &Request{Op: OpWrite, Path: "/c", Extents: []Extent{{Off: 0, Len: 12}},
-		Sel: AppendSelection(nil, 0, []Run{{Off: 0, Len: 2, Stride: 10, Count: 2}}), Data: []byte("wxyz")}))
+	for _, seed := range requestV2Seeds(f) {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := readRequestV2(data)
 		if err != nil {
@@ -581,20 +617,23 @@ func FuzzReadRequestV2(f *testing.F) {
 	})
 }
 
+// responseV2Seeds are FuzzReadResponseV2's seeds.
+func responseV2Seeds(t testing.TB) [][]byte {
+	return [][]byte{
+		encodeResponseV2(t, 1, &Response{}),
+		encodeResponseV2(t, 1, &Response{Err: "subfile missing"}),
+		encodeResponseV2(t, 1, &Response{N: 1 << 40, Data: []byte("data")}),
+		encodeResponseV2(t, 1, &Response{Data: []byte("d"), Trace: []byte{1, 0, 0, 9, 9}}),
+		encodeResponseV2(t, 1, &Response{Data: []byte("d"), Delta: []byte("DPgd-delta")}),
+	}
+}
+
 // FuzzReadResponseV2 is the response-side mirror.
 func FuzzReadResponseV2(f *testing.F) {
-	encode := func(t testing.TB, resp *Response) []byte {
-		var buf bytes.Buffer
-		if err := WriteResponseV2(&buf, 1, resp, 0); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+	for _, seed := range responseV2Seeds(f) {
+		f.Add(seed)
 	}
-	f.Add(encode(f, &Response{}))
-	f.Add(encode(f, &Response{Err: "subfile missing"}))
-	f.Add(encode(f, &Response{N: 1 << 40, Data: []byte("data")}))
-	f.Add(encode(f, &Response{Data: []byte("d"), Trace: []byte{1, 0, 0, 9, 9}}))
-	f.Add(encode(f, &Response{Data: []byte("d"), Delta: []byte("DPgd-delta")}))
+	encode := func(t testing.TB, resp *Response) []byte { return encodeResponseV2(t, 1, resp) }
 	f.Fuzz(func(t *testing.T, data []byte) {
 		resp, err := ReadResponseV2Into(bytes.NewReader(data), 1, nil)
 		if err != nil {
