@@ -17,6 +17,7 @@ import (
 
 	"dpfs"
 	"dpfs/internal/cluster"
+	"dpfs/internal/codec"
 	"dpfs/internal/core"
 )
 
@@ -54,8 +55,9 @@ func (p *process) bytes() []byte {
 }
 
 func (p *process) restore(b []byte) {
+	d := codec.NewDecoder(b)
 	for i := range p.grid {
-		p.grid[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
+		p.grid[i] = math.Float64frombits(d.U64())
 	}
 }
 

@@ -3,7 +3,6 @@ package gossip
 import (
 	"bytes"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"dpfs/internal/codec/codectest"
@@ -66,7 +65,7 @@ func FuzzGossipMessage(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decodeMessage(data)
-		if alloc := bytesPerRun(100, func() { decodeMessage(data) }); alloc > 32*uint64(len(data))+4096 {
+		if alloc := codectest.AllocBytes(func() { decodeMessage(data) }); alloc > 32*uint64(len(data))+4096 {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), alloc)
 		}
 		if err != nil {
@@ -76,21 +75,6 @@ func FuzzGossipMessage(f *testing.F) {
 			t.Fatalf("accepted message re-encodes to %x, was %x", again, data)
 		}
 	})
-}
-
-// bytesPerRun is testing.AllocsPerRun for bytes: what one call of f
-// allocates, averaged over runs at GOMAXPROCS(1) so that allocations
-// of the fuzzing engine's own goroutines wash out.
-func bytesPerRun(runs int, f func()) uint64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	f()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
 // TestDecoderDigests is the differential equivalence gate of the delta

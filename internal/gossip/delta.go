@@ -1,10 +1,13 @@
 package gossip
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
+
+	"dpfs/internal/codec"
 )
 
 // Server-table deltas are the client-facing face of the gossip
@@ -75,47 +78,16 @@ func appendRecord(b []byte, r *Record) ([]byte, bool) {
 	return appendString(appendString(b, r.Addr), r.Name), true
 }
 
-var errShort = errors.New("truncated")
-
-// decoder reads the little-endian fields both encodings use. The first
-// failure sticks in err; from then on every read returns zeros.
-type decoder struct {
-	b   []byte
-	err error
-}
-
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (d *decoder) take(n int) []byte {
-	if d.err == nil && n > len(d.b) {
-		d.err = errShort
-	}
-	if d.err != nil {
-		return make([]byte, min(n, 8)) // zeros for the fixed-size reads
-	}
-	p := d.b[:n]
-	d.b = d.b[n:]
-	return p
-}
-
-func (d *decoder) u8() byte    { return d.take(1)[0] }
-func (d *decoder) u16() int    { return int(binary.LittleEndian.Uint16(d.take(2))) }
-func (d *decoder) i64() int64  { return int64(binary.LittleEndian.Uint64(d.take(8))) }
-func (d *decoder) str() string { return string(d.take(d.u16())) }
-
-// record reads what appendRecord wrote.
-func (d *decoder) record() Record {
-	st, inc, addr, name := d.u8(), d.i64(), d.str(), d.str()
+// readRecord reads what appendRecord wrote.
+func readRecord(d *codec.Decoder) Record {
+	st, inc := d.U8(), int64(d.U64())
+	addr, name := string(d.Bytes(int(d.U16()))), string(d.Bytes(int(d.U16())))
 	switch {
-	case d.err != nil:
+	case d.Err() != nil:
 	case int(st) >= len(stateNames):
-		d.fail("unknown state %d", st)
+		d.Fail(fmt.Errorf("unknown state %d", st))
 	case addr == "":
-		d.fail("empty address")
+		d.Fail(errors.New("empty address"))
 	default:
 		return Record{Addr: addr, Name: name, Inc: inc, State: stateNames[st]}
 	}
@@ -168,30 +140,27 @@ func DecodeDelta(data []byte) ([]Record, error) {
 	if len(data) > MaxDeltaBytes {
 		return nil, fmt.Errorf("gossip: delta oversized (%d bytes)", len(data))
 	}
-	d := decoder{b: data}
-	magic, version, count := [4]byte(d.take(4)), d.u8(), d.u16()
+	d := codec.NewDecoder(data)
+	magic, version, count := d.Bytes(len(DeltaMagic)), d.U8(), int(d.U16())
 	switch {
-	case d.err != nil:
-	case magic != DeltaMagic:
-		d.fail("bad magic")
+	case d.Err() != nil:
+	case !bytes.Equal(magic, DeltaMagic[:]):
+		d.Fail(errors.New("bad magic"))
 	case version != deltaVersion:
-		d.fail("unknown version %d", version)
+		d.Fail(fmt.Errorf("unknown version %d", version))
 	case count == 0 || count > MaxDeltaRecords:
-		d.fail("record count %d out of range", count)
+		d.Fail(fmt.Errorf("record count %d out of range", count))
 	}
 	var recs []Record
-	for i := 0; i < count && d.err == nil; i++ {
-		r := d.record()
+	for i := 0; i < count && d.Err() == nil; i++ {
+		r := readRecord(&d)
 		if r.Name == "" {
 			r.Name = r.Addr
 		}
 		recs = append(recs, r)
 	}
-	if d.err == nil && len(d.b) != 0 {
-		d.fail("%d trailing bytes", len(d.b))
-	}
-	if d.err != nil {
-		return nil, fmt.Errorf("gossip: delta: %w", d.err)
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("gossip: delta: %w", err)
 	}
 	return recs, nil
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"reflect"
 	"testing"
+
+	"dpfs/internal/codec/codectest"
 )
 
 func sampleRecords() []Record {
@@ -178,13 +180,16 @@ func deltaSeeds() [][]byte {
 }
 
 // FuzzDecodeDelta throws arbitrary bytes at the delta decoder: it
-// must never panic, and anything it accepts must re-encode and
-// decode to the same records.
+// must never panic or allocate more than FuzzGossipMessage's bound, and
+// anything it accepts must re-encode and decode to the same records.
 func FuzzDecodeDelta(f *testing.F) {
 	for _, seed := range deltaSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if alloc := codectest.AllocBytes(func() { DecodeDelta(data) }); alloc > 32*uint64(len(data))+4096 {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), alloc)
+		}
 		recs, err := DecodeDelta(data)
 		if err != nil {
 			return

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"dpfs/internal/codec"
 	"dpfs/internal/wire"
 )
 
@@ -158,18 +159,18 @@ func appendStrings(b []byte, ss []string, max int) []byte {
 // it before anything is allocated for the records.
 const minRecord = 1 + 8 + 3 + 2 + 8 + 8 + 2
 
-// strings reads what appendStrings wrote.
-func (d *decoder) strings(max int) []string {
-	n := d.u16()
-	if n > max || 2*n > len(d.b) {
-		d.fail("list of %d strings out of range", n)
+// readStrings reads what appendStrings wrote.
+func readStrings(d *codec.Decoder, max int) []string {
+	n := int(d.U16())
+	if n > max {
+		d.Fail(fmt.Errorf("list of %d strings out of range", n))
 	}
-	if d.err != nil || n == 0 {
+	if n = d.Count(uint64(n), 2); n == 0 {
 		return nil
 	}
 	ss := make([]string, n)
 	for i := range ss {
-		ss[i] = d.str()
+		ss[i] = string(d.Bytes(int(d.U16())))
 	}
 	return ss
 }
@@ -182,30 +183,26 @@ func decodeMessage(data []byte) (*Message, error) {
 	if len(data) > maxWireMessage {
 		return nil, fmt.Errorf("gossip: message of %d bytes exceeds %d", len(data), maxWireMessage)
 	}
-	d := decoder{b: data}
-	m := &Message{Kind: int(d.u8()), From: d.str(), IDs: d.strings(maxReplyIDs)}
-	n := d.u16()
-	if n > maxRecordsPerMessage || n*minRecord > len(d.b) {
-		d.fail("%d records out of range", n)
+	d := codec.NewDecoder(data)
+	m := &Message{Kind: int(d.U8()), From: string(d.Bytes(int(d.U16()))), IDs: readStrings(&d, maxReplyIDs)}
+	n := int(d.U16())
+	if n > maxRecordsPerMessage {
+		d.Fail(fmt.Errorf("%d records out of range", n))
 	}
-	if d.err == nil && n > 0 {
+	if n = d.Count(uint64(n), minRecord); n > 0 {
 		m.Recs = make([]Record, 0, n)
 	}
-	for i := 0; i < n && d.err == nil; i++ {
-		r := d.record()
-		r.DiskErrors, r.CopyPeerErrors = d.i64(), d.i64()
-		r.Observers = d.strings(maxObservers)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		r := readRecord(&d)
+		r.DiskErrors, r.CopyPeerErrors = int64(d.U64()), int64(d.U64())
+		r.Observers = readStrings(&d, maxObservers)
 		m.Recs = append(m.Recs, r)
 	}
-	switch {
-	case d.err != nil:
-	case m.Kind < KindPush || m.Kind > KindReply:
-		d.fail("unknown kind %d", m.Kind)
-	case len(d.b) != 0:
-		d.fail("%d trailing bytes", len(d.b))
+	if d.Err() == nil && (m.Kind < KindPush || m.Kind > KindReply) {
+		d.Fail(fmt.Errorf("unknown kind %d", m.Kind))
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("gossip: message: %w", d.err)
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("gossip: message: %w", err)
 	}
 	return m, nil
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"math"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"dpfs/internal/codec/codectest"
@@ -246,7 +245,7 @@ func FuzzCatalogCodec(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, c := range codecDecoders {
-			if n := decodeAlloc(c.decode, body); n > uint64(64*len(body)+1024) {
+			if n := codectest.AllocBytes(func() { c.decode(body) }); n > uint64(64*len(body)+1024) {
 				t.Fatalf("%s: %d-byte body allocated %d bytes", c.name, len(body), n)
 			}
 			v, err := c.decode(body)
@@ -259,19 +258,4 @@ func FuzzCatalogCodec(f *testing.F) {
 			}
 		}
 	})
-}
-
-// decodeAlloc returns the bytes one decode of body allocates: the least
-// of three measurements, since the heap counters also see whatever
-// other goroutines allocate meanwhile.
-func decodeAlloc(decode func([]byte) (any, error), body []byte) uint64 {
-	least := uint64(math.MaxUint64)
-	for i := 0; i < 3; i++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		decode(body)
-		runtime.ReadMemStats(&after)
-		least = min(least, after.TotalAlloc-before.TotalAlloc)
-	}
-	return least
 }

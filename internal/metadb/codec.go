@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"dpfs/internal/codec"
 )
 
 // The catalog codec: the binary form statements, results and redo
@@ -120,101 +122,51 @@ const (
 	minRedoOp    = 7 // five empty strings, a zero row id, no values, no columns
 )
 
-var errTruncated = errors.New("metadb: truncated catalog codec body")
-
 // A Decoder reads what the Append functions wrote. Errors are sticky:
 // after the first, every read returns a zero value and Finish reports
 // that error.
 type Decoder struct {
-	b   []byte
-	err error
+	d codec.Decoder
 }
 
 // NewDecoder returns a Decoder reading b.
-func NewDecoder(b []byte) *Decoder { return &Decoder{b: b} }
-
-func (d *Decoder) fail(err error) {
-	if d.err == nil {
-		d.err = err
-	}
-	d.b = nil
-}
+func NewDecoder(b []byte) *Decoder { return &Decoder{d: codec.NewDecoder(b)} }
 
 // Finish reports the first decoding error, or an error if bytes remain
 // unread.
 func (d *Decoder) Finish() error {
-	if d.err == nil && len(d.b) > 0 {
-		d.err = fmt.Errorf("metadb: %d trailing bytes in catalog codec body", len(d.b))
+	if err := d.d.Finish(); err != nil {
+		return fmt.Errorf("metadb: catalog codec body: %w", err)
 	}
-	return d.err
-}
-
-// uvarint reads a uvarint.
-func (d *Decoder) uvarint() uint64 {
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.fail(errTruncated)
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
+	return nil
 }
 
 // Int reads a zigzag varint.
-func (d *Decoder) Int() int64 {
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.fail(errTruncated)
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-// byte reads one byte.
-func (d *Decoder) byte() byte {
-	if len(d.b) == 0 {
-		d.fail(errTruncated)
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
+func (d *Decoder) Int() int64 { return d.d.Varint() }
 
 // Bool reads a bool; any byte but 0 or 1 is an error.
 func (d *Decoder) Bool() bool {
-	switch d.byte() {
+	switch d.d.U8() {
 	case 0:
 		return false
 	case 1:
 		return true
 	}
-	d.fail(errors.New("metadb: bad bool in catalog codec body"))
+	d.d.Fail(errors.New("bad bool"))
 	return false
 }
 
 // count reads a count of elements whose encodings take at least min
 // bytes each, refusing one the bytes left cannot hold.
-func (d *Decoder) count(min int) int {
-	n := d.uvarint()
-	if n > uint64(len(d.b)/min) {
-		d.fail(errTruncated)
-		return 0
-	}
-	return int(n)
-}
+func (d *Decoder) count(min int) int { return d.d.Count(d.d.Uvarint(), min) }
 
 // Bytes reads a length-prefixed byte string. The result aliases the
 // decoder's input; an empty one is nil.
 func (d *Decoder) Bytes() []byte {
-	n := d.count(1)
-	if n == 0 {
-		return nil
+	if n := d.count(1); n > 0 {
+		return d.d.Bytes(n)
 	}
-	v := d.b[:n:n]
-	d.b = d.b[n:]
-	return v
+	return nil
 }
 
 // Text reads a string.
@@ -222,7 +174,7 @@ func (d *Decoder) Text() string { return string(d.Bytes()) }
 
 // value reads one SQL value.
 func (d *Decoder) value() Value {
-	switch k := Kind(d.byte()); k {
+	switch k := Kind(d.d.U8()); k {
 	case KindNull:
 		return Value{}
 	case KindInt:
@@ -230,7 +182,7 @@ func (d *Decoder) value() Value {
 	case KindText:
 		return Value{Kind: KindText, Str: d.Text()}
 	default:
-		d.fail(fmt.Errorf("metadb: bad value kind %d in catalog codec body", k))
+		d.d.Fail(fmt.Errorf("bad value kind %d", k))
 		return Value{}
 	}
 }
@@ -289,7 +241,7 @@ func (d *Decoder) Results() []*Result {
 
 // columnDef reads one column definition.
 func (d *Decoder) columnDef() ColumnDef {
-	return ColumnDef{Name: d.Text(), Type: Kind(d.byte()), PrimaryKey: d.Bool(), NotNull: d.Bool()}
+	return ColumnDef{Name: d.Text(), Type: Kind(d.d.U8()), PrimaryKey: d.Bool(), NotNull: d.Bool()}
 }
 
 // RedoOps reads a commit's redo operations.

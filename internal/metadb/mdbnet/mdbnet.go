@@ -97,8 +97,7 @@ func readFrame(r io.Reader, want wire.FrameKind, buf []byte) (wire.FrameHeader, 
 	if h.Kind != want {
 		return h, buf, fmt.Errorf("mdbnet: frame kind %d, want %d", h.Kind, want)
 	}
-	buf = slices.Grow(buf[:0], int(h.Len))[:h.Len]
-	_, err = io.ReadFull(r, buf)
+	buf, err = wire.ReadFrameBody(r, h, buf)
 	return h, buf, err
 }
 

@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"dpfs/internal/metadb"
+	"dpfs/internal/wire"
 )
 
 func startServer(t *testing.T) (*Server, *metadb.DB) {
@@ -415,4 +417,36 @@ func TestParentGobClientsRefused(t *testing.T) {
 			t.Fatal("a gob hello was received as a message")
 		}
 	})
+}
+
+// TestOversizedSQLHeaderRefused: a peer that sends a FrameSQL header
+// announcing 256 MiB and then closes costs the catalog server what
+// arrived, not what was announced.
+func TestOversizedSQLHeaderRefused(t *testing.T) {
+	srv, _ := startServer(t)
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var h [wire.FrameHeaderLen]byte
+	wire.PutFrameHeader(h[:], wire.FrameHeader{Kind: wire.FrameSQL, Tag: 1, Len: 256 << 20})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := conn.Write(h[:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	// The server drops the conn once its body read fails.
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	_, err = conn.Read(make([]byte, 1))
+	runtime.ReadMemStats(&after)
+	if ne, ok := err.(net.Error); err == nil || ok && ne.Timeout() {
+		t.Fatalf("the server kept the conn of a truncated FrameSQL: %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("a 256 MiB FrameSQL header cost %d bytes of allocation, want under 1 MiB", got)
+	}
 }

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -298,8 +297,13 @@ func FuzzCatalogRecord(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		for _, rec := range [][]byte{b, reframe(b)} {
-			if n := replayAlloc(rec); n > uint64(64*len(rec)+1<<16) {
-				t.Fatalf("%d-byte record allocated %d bytes", len(rec), n)
+			alloc := codectest.AllocBytes(func() {
+				if r, _, err := decodeRecord(rec); err == nil {
+					replay(make(map[string]*Table), r.Ops)
+				}
+			})
+			if alloc > uint64(64*len(rec)+1<<16) {
+				t.Fatalf("%d-byte record allocated %d bytes", len(rec), alloc)
 			}
 			r, n, err := decodeRecord(rec)
 			if err != nil {
@@ -322,23 +326,6 @@ func reframe(b []byte) []byte {
 	binary.LittleEndian.PutUint32(b, uint32(len(b)-recordHeader))
 	binary.LittleEndian.PutUint32(b[4:], crc32.Checksum(b[recordHeader:], castagnoli))
 	return b
-}
-
-// replayAlloc returns the bytes one decode and replay of rec allocate:
-// the least of three measurements, since the heap counters also see
-// whatever other goroutines allocate meanwhile.
-func replayAlloc(rec []byte) uint64 {
-	least := uint64(math.MaxUint64)
-	for i := 0; i < 3; i++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if r, _, err := decodeRecord(rec); err == nil {
-			replay(make(map[string]*Table), r.Ops)
-		}
-		runtime.ReadMemStats(&after)
-		least = min(least, after.TotalAlloc-before.TotalAlloc)
-	}
-	return least
 }
 
 // convertedParentSnapshot opens a copy of the gob-era testdata/parent

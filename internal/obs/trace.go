@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"dpfs/internal/codec"
 )
 
 // Span is one timed step of a request. Spans form a tree: the client
@@ -316,6 +318,9 @@ func (l *TraceLog) ByTraceID(id uint64) *Trace {
 const (
 	spanTrailerVersion = 2
 	maxTrailerSpans    = 512
+	// minSpan is the smallest encoding of one span (empty strings): a
+	// span count is checked against it before the spans are allocated.
+	minSpan = 7*8 + 2*4 + 1 + 1 + 2 + 1
 )
 
 // EncodeSpans serializes a span tree (depth-first from root) into the
@@ -370,81 +375,22 @@ var errBadTrailer = errors.New("obs: malformed span trailer")
 // the root spans (spans whose parent is not in the trailer — usually
 // exactly one, the receiving process's topmost span).
 func DecodeSpans(data []byte) ([]*Span, error) {
-	if len(data) < 3 || data[0] != spanTrailerVersion {
+	d := codec.NewDecoder(data)
+	version, n := d.U8(), int(d.U16())
+	if d.Err() != nil || version != spanTrailerVersion || n > maxTrailerSpans {
 		return nil, errBadTrailer
 	}
-	n := int(binary.LittleEndian.Uint16(data[1:3]))
-	if n > maxTrailerSpans {
-		return nil, errBadTrailer
+	spans := make([]*Span, d.Count(uint64(n), minSpan))
+	for i := range spans {
+		spans[i] = &Span{
+			TraceID: d.U64(), SpanID: d.U64(), ParentID: d.U64(),
+			Start: time.Unix(0, int64(d.U64())), Duration: time.Duration(d.U64()),
+			Bytes: int64(d.U64()), Swept: int64(d.U64()), Bricks: int(d.U32()), Extents: int(d.U32()),
+			Name: string(d.Bytes(int(d.U8()))), Op: string(d.Bytes(int(d.U8()))),
+			Path: string(d.Bytes(int(d.U16()))), Server: string(d.Bytes(int(d.U8()))),
+		}
 	}
-	p := 3
-	need := func(k int) bool {
-		if p+k > len(data) {
-			return false
-		}
-		return true
-	}
-	u64 := func() uint64 {
-		v := binary.LittleEndian.Uint64(data[p:])
-		p += 8
-		return v
-	}
-	u32 := func() uint32 {
-		v := binary.LittleEndian.Uint32(data[p:])
-		p += 4
-		return v
-	}
-	spans := make([]*Span, 0, n)
-	for i := 0; i < n; i++ {
-		if !need(8*7 + 4*2) {
-			return nil, errBadTrailer
-		}
-		s := &Span{}
-		s.TraceID = u64()
-		s.SpanID = u64()
-		s.ParentID = u64()
-		s.Start = time.Unix(0, int64(u64()))
-		s.Duration = time.Duration(u64())
-		s.Bytes = int64(u64())
-		s.Swept = int64(u64())
-		s.Bricks = int(u32())
-		s.Extents = int(u32())
-		str8 := func() (string, bool) {
-			if !need(1) {
-				return "", false
-			}
-			k := int(data[p])
-			p++
-			if !need(k) {
-				return "", false
-			}
-			v := string(data[p : p+k])
-			p += k
-			return v, true
-		}
-		var ok bool
-		if s.Name, ok = str8(); !ok {
-			return nil, errBadTrailer
-		}
-		if s.Op, ok = str8(); !ok {
-			return nil, errBadTrailer
-		}
-		if !need(2) {
-			return nil, errBadTrailer
-		}
-		k := int(binary.LittleEndian.Uint16(data[p:]))
-		p += 2
-		if !need(k) {
-			return nil, errBadTrailer
-		}
-		s.Path = string(data[p : p+k])
-		p += k
-		if s.Server, ok = str8(); !ok {
-			return nil, errBadTrailer
-		}
-		spans = append(spans, s)
-	}
-	if p != len(data) {
+	if d.Finish() != nil {
 		return nil, errBadTrailer
 	}
 	// Relink the tree: children attach to their parent span when it is

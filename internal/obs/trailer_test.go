@@ -41,3 +41,32 @@ func TestSpanTrailerDigest(t *testing.T) {
 		t.Errorf("digest %s, want %s", got, want)
 	}
 }
+
+// FuzzDecodeSpans throws arbitrary bytes at the span trailer decoder: it
+// must never panic or allocate more than 64 bytes per input byte plus
+// 1 KiB (a span count cannot reserve room the bytes do not back), and a
+// trailer that decodes must decode to the same spans when each root is
+// encoded and decoded again.
+func FuzzDecodeSpans(f *testing.F) {
+	for _, seed := range trailerSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if alloc := codectest.AllocBytes(func() { DecodeSpans(data) }); alloc > 64*uint64(len(data))+1024 {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), alloc)
+		}
+		roots, err := DecodeSpans(data)
+		if err != nil {
+			return
+		}
+		for _, root := range roots {
+			again, err := DecodeSpans(EncodeSpans(root))
+			if err != nil || len(again) != 1 {
+				t.Fatalf("root %+v re-decodes as %d roots (%v)", root, len(again), err)
+			}
+			if want, got := codectest.Dump(root), codectest.Dump(again[0]); got != want {
+				t.Fatalf("root re-decodes as\n%s\nwant\n%s", got, want)
+			}
+		}
+	})
+}

@@ -613,3 +613,39 @@ func TestDataOpErrorsReleaseSpanAndBuffer(t *testing.T) {
 		}
 	}
 }
+
+// TestOversizedRequestHeaderRefused is the request-side twin: a peer
+// that sends a REQ header announcing 256 MiB of metadata and then
+// closes costs the data server what arrived, not what was announced.
+func TestOversizedRequestHeaderRefused(t *testing.T) {
+	srv, err := Listen(Config{Root: t.TempDir(), Name: "oversized-req"}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var h [wire.FrameHeaderLen]byte
+	wire.PutFrameHeader(h[:], wire.FrameHeader{Kind: wire.FrameReq, Tag: 1, Len: 256 << 20})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := conn.Write(h[:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	// The server drops the conn once its body read fails.
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	_, err = conn.Read(make([]byte, 1))
+	runtime.ReadMemStats(&after)
+	if ne, ok := err.(net.Error); err == nil || ok && ne.Timeout() {
+		t.Fatalf("the server kept the conn of a truncated REQ: %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("a 256 MiB REQ header cost %d bytes of allocation, want under 1 MiB", got)
+	}
+}

@@ -505,8 +505,8 @@ func (mc *muxConn) readLoop() {
 				return
 			}
 		case wire.FrameResp:
-			body := make([]byte, h.Len)
-			if _, err := io.ReadFull(br, body); err != nil {
+			body, err := wire.ReadFrameBody(br, h, nil)
+			if err != nil {
 				mc.fail(err)
 				return
 			}

@@ -23,6 +23,8 @@ import (
 	"io"
 	"net"
 	"slices"
+
+	"dpfs/internal/codec"
 )
 
 const (
@@ -98,15 +100,15 @@ func AppendTrace(b []byte, traceID, spanID uint64, sampled bool) ([]byte, uint8)
 // heads. A zero trace ID means untraced: span ID and sampled then read
 // as zero whatever was sent.
 func ParseTrace(h FrameHeader, body []byte) (traceID, spanID uint64, sampled bool, rest []byte, err error) {
-	if len(body) < TracePrefixLen {
+	d := codec.NewDecoder(body)
+	traceID, spanID = d.U64(), d.U64()
+	if d.Err() != nil {
 		return 0, 0, false, nil, errors.New("wire: frame body shorter than its trace prefix")
 	}
-	traceID = binary.LittleEndian.Uint64(body[:8])
-	if traceID != 0 {
-		spanID = binary.LittleEndian.Uint64(body[8:16])
-		sampled = h.Flags&FlagSampled != 0
+	if traceID == 0 {
+		return 0, 0, false, d.Bytes(d.Len()), nil
 	}
-	return traceID, spanID, sampled, body[TracePrefixLen:], nil
+	return traceID, spanID, h.Flags&FlagSampled != 0, d.Bytes(d.Len()), nil
 }
 
 // FrameHeader is the decoded v2 frame header.
@@ -139,19 +141,44 @@ func ReadFrameHeader(r io.Reader) (FrameHeader, error) {
 	if _, err := io.ReadFull(r, b[:]); err != nil {
 		return FrameHeader{}, err
 	}
-	if b[0] != Magic2 || b[1] != version2 {
-		return FrameHeader{}, fmt.Errorf("wire: bad v2 magic %#x version %d", b[0], b[1])
+	d := codec.NewDecoder(b[:])
+	if magic, version := d.U8(), d.U8(); magic != Magic2 || version != version2 {
+		return FrameHeader{}, fmt.Errorf("wire: bad v2 magic %#x version %d", magic, version)
 	}
-	h := FrameHeader{
-		Kind:  FrameKind(b[2]),
-		Flags: b[3],
-		Tag:   binary.LittleEndian.Uint32(b[4:8]),
-		Len:   binary.LittleEndian.Uint32(b[8:12]),
-	}
+	h := FrameHeader{Kind: FrameKind(d.U8()), Flags: d.U8(), Tag: d.U32(), Len: d.U32()}
 	if h.Len > MaxMessage {
 		return FrameHeader{}, fmt.Errorf("wire: v2 frame of %d bytes exceeds limit", h.Len)
 	}
 	return h, nil
+}
+
+// frameBodyStep bounds what ReadFrameBody sizes from a header before
+// any of the body has arrived, and is the least it grows by after.
+const frameBodyStep = 4 << 10
+
+// ReadFrameBody reads the body of the frame whose header h was just
+// read from r into buf, grown as needed, and returns it. A header can
+// announce up to MaxMessage, so past frameBodyStep the buffer grows only
+// as the bytes actually arrive, at most doubling what is already held:
+// a peer that announces a large body and sends less costs what it sent,
+// not what it claimed.
+func ReadFrameBody(r io.Reader, h FrameHeader, buf []byte) ([]byte, error) {
+	n := int(h.Len)
+	buf = buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), max(len(buf), frameBodyStep)))
+		}
+		k, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			if err == io.EOF && len(buf) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 // DiscardFrameBody consumes and drops the body of a frame whose header
@@ -315,86 +342,42 @@ func ReadRequestV2(r io.Reader, h FrameHeader, alloc func(int64) []byte) (*Reque
 	if h.Kind != FrameReq {
 		return nil, fmt.Errorf("wire: frame kind %d is not a request", h.Kind)
 	}
-	body := make([]byte, h.Len)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := ReadFrameBody(r, h, nil)
+	if err != nil {
 		return nil, err
 	}
 	req := &Request{}
-	var err error
 	req.TraceID, req.SpanID, req.Sampled, body, err = ParseTrace(h, body)
 	if err != nil {
 		return nil, err
 	}
-	p := 0
-	get := func(k int) ([]byte, error) {
-		if p+k > len(body) {
-			return nil, errors.New("wire: truncated v2 request")
-		}
-		b := body[p : p+k]
-		p += k
-		return b, nil
+	d := codec.NewDecoder(body)
+	req.Op = Op(d.U8())
+	d.U8() // reserved
+	req.Path = string(d.Bytes(int(d.U16())))
+	req.Gen = int64(d.U64())
+	if ne := d.U32(); ne > 1<<24 {
+		d.Fail(fmt.Errorf("%d extents exceeds limit", ne))
+	} else {
+		req.Extents = make([]Extent, d.Count(uint64(ne), 16))
 	}
-	b, err := get(2)
-	if err != nil {
-		return nil, err
+	for i := range req.Extents {
+		req.Extents[i] = Extent{Off: int64(d.U64()), Len: int64(d.U64())}
 	}
-	req.Op = Op(b[0])
-	b, err = get(2)
-	if err != nil {
-		return nil, err
-	}
-	plen := int(binary.LittleEndian.Uint16(b))
-	b, err = get(plen)
-	if err != nil {
-		return nil, err
-	}
-	req.Path = string(b)
-	b, err = get(8)
-	if err != nil {
-		return nil, err
-	}
-	req.Gen = int64(binary.LittleEndian.Uint64(b))
-	b, err = get(4)
-	if err != nil {
-		return nil, err
-	}
-	ne := int(binary.LittleEndian.Uint32(b))
-	if ne > 1<<24 {
-		return nil, fmt.Errorf("wire: %d extents exceeds limit", ne)
-	}
-	if ne > (len(body)-p)/16 {
-		// Refused before the slice is made: a count is four bytes, the
-		// slice it asks for up to 256 MiB.
-		return nil, errors.New("wire: truncated v2 request")
-	}
-	req.Extents = make([]Extent, ne)
-	for i := 0; i < ne; i++ {
-		b, err = get(16)
-		if err != nil {
-			return nil, err
-		}
-		req.Extents[i].Off = int64(binary.LittleEndian.Uint64(b[:8]))
-		req.Extents[i].Len = int64(binary.LittleEndian.Uint64(b[8:16]))
-	}
-	b, err = get(4)
-	if err != nil {
-		return nil, err
-	}
-	dlen := int64(binary.LittleEndian.Uint32(b))
+	dlen := int64(d.U32())
 	if dlen > MaxMessage {
-		return nil, fmt.Errorf("wire: v2 payload of %d bytes exceeds limit", dlen)
+		d.Fail(fmt.Errorf("payload of %d bytes exceeds limit", dlen))
 	}
-	if p != len(body) {
+	if left := d.Len(); left > 0 {
 		// The selection section: its length, which is never zero (an
 		// empty selection is no section), then exactly that many bytes.
-		b, err = get(4)
-		if err != nil {
-			return nil, err
+		if slen := d.U32(); slen == 0 || int(slen) != left-4 {
+			d.Fail(fmt.Errorf("selection section of %d bytes in the %d left", slen, left-4))
 		}
-		if slen := int(binary.LittleEndian.Uint32(b)); slen == 0 || slen != len(body)-p {
-			return nil, fmt.Errorf("wire: selection section of %d bytes in the %d left of v2 request metadata", slen, len(body)-p)
-		}
-		req.Sel = body[p:]
+		req.Sel = d.Bytes(d.Len())
+	}
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("wire: v2 request metadata: %w", err)
 	}
 	if dlen == 0 {
 		return req, nil
@@ -465,57 +448,22 @@ func appendResponseMeta(b []byte, resp *Response, dataLen int64) []byte {
 // compare it against what they accumulated (unless Err is set — an
 // error reported mid-stream abandons whatever data preceded it).
 func DecodeResponseMetaV2(body []byte) (resp *Response, dataLen int64, err error) {
-	resp = &Response{}
-	p := 0
-	get := func(k int) ([]byte, error) {
-		if p+k > len(body) {
-			return nil, errors.New("wire: truncated v2 response")
-		}
-		b := body[p : p+k]
-		p += k
-		return b, nil
+	d := codec.NewDecoder(body)
+	resp = &Response{Err: string(d.Bytes(int(d.U16()))), N: int64(d.U64())}
+	dataLen = int64(d.U32())
+	if trace := d.Bytes(int(d.U32())); len(trace) > 0 {
+		resp.Trace = trace
 	}
-	b, err := get(2)
-	if err != nil {
-		return nil, 0, err
-	}
-	elen := int(binary.LittleEndian.Uint16(b))
-	b, err = get(elen)
-	if err != nil {
-		return nil, 0, err
-	}
-	resp.Err = string(b)
-	b, err = get(8)
-	if err != nil {
-		return nil, 0, err
-	}
-	resp.N = int64(binary.LittleEndian.Uint64(b))
-	b, err = get(4)
-	if err != nil {
-		return nil, 0, err
-	}
-	dataLen = int64(binary.LittleEndian.Uint32(b))
-	b, err = get(4)
-	if err != nil {
-		return nil, 0, err
-	}
-	tlen := int(binary.LittleEndian.Uint32(b))
-	b, err = get(tlen)
-	if err != nil {
-		return nil, 0, err
-	}
-	if tlen > 0 {
-		resp.Trace = b
+	if err := d.Err(); err != nil {
+		return nil, 0, fmt.Errorf("wire: v2 response metadata: %w", err)
 	}
 	// Optional delta section: u32 length + bytes, present only when it
 	// fits the remaining body exactly. Any other remainder is ignored
 	// for forward compatibility — the delta, like the trace, is
 	// best-effort and must never fail the response that carries it.
-	if rest := len(body) - p; rest >= 4 {
-		dlen := int(binary.LittleEndian.Uint32(body[p : p+4]))
-		if dlen > 0 && 4+dlen == rest {
-			resp.Delta = body[p+4:]
-		}
+	delta := codec.NewDecoder(d.Bytes(d.Len()))
+	if n := delta.U32(); n > 0 && int(n) == delta.Len() {
+		resp.Delta = delta.Bytes(delta.Len())
 	}
 	return resp, dataLen, nil
 }
@@ -604,8 +552,8 @@ func ReadResponseV2Into(r io.Reader, tag uint32, scratch []byte) (*Response, err
 			if h.Tag != tag {
 				return nil, fmt.Errorf("wire: RESP for unexpected tag %d", h.Tag)
 			}
-			body := make([]byte, h.Len)
-			if _, err := io.ReadFull(r, body); err != nil {
+			body, err := ReadFrameBody(r, h, nil)
+			if err != nil {
 				return nil, err
 			}
 			resp, dataLen, err := DecodeResponseMetaV2(body)

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"reflect"
 	"testing"
+
+	"dpfs/internal/codec/codectest"
 )
 
 // reqBody returns the metadata body of req's REQ frame, without the
@@ -247,14 +249,24 @@ func requestMetaSeeds(t testing.TB) [][]byte {
 
 // FuzzReadRequest throws arbitrary bytes at the REQ metadata decoder
 // directly — no frame header to get past first, which is where
-// FuzzReadRequestV2 spends most of its inputs. It must never panic, and
-// a body it accepts (one announcing no payload: there is no stream
-// behind it here) must re-encode to the same request.
+// FuzzReadRequestV2 spends most of its inputs. It must never panic or
+// allocate more than 64 bytes per input byte plus 1 KiB, and a body it
+// accepts (one announcing no payload: there is no stream behind it
+// here) must re-encode to the same request. The payload buffer, which
+// ReadRequestV2 still sizes from the announced total, is measured only
+// up to the input's length (boundedAlloc): no input can fill more.
 func FuzzReadRequest(f *testing.F) {
 	for _, seed := range requestMetaSeeds(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
+		h := FrameHeader{Kind: FrameReq, Tag: 1, Len: uint32(len(body))}
+		alloc := codectest.AllocBytes(func() {
+			decodeBounded(func() (any, error) { return ReadRequestV2(bytes.NewReader(body), h, boundedAlloc(body)) })
+		})
+		if alloc > 64*uint64(len(body))+1024 {
+			t.Fatalf("decoding %d bytes allocated %d", len(body), alloc)
+		}
 		req, err := readReqBody(body)
 		if err != nil {
 			return
@@ -283,12 +295,15 @@ func responseMetaSeeds() [][]byte {
 }
 
 // FuzzReadResponse is the response-side mirror: arbitrary bytes at the
-// RESP metadata decoder.
+// RESP metadata decoder, with the same allocation bound.
 func FuzzReadResponse(f *testing.F) {
 	for _, seed := range responseMetaSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
+		if alloc := codectest.AllocBytes(func() { DecodeResponseMetaV2(body) }); alloc > 64*uint64(len(body))+1024 {
+			t.Fatalf("decoding %d bytes allocated %d", len(body), alloc)
+		}
 		resp, dataLen, err := DecodeResponseMetaV2(body)
 		if err != nil {
 			return
@@ -592,13 +607,28 @@ func requestV2Seeds(t testing.TB) [][]byte {
 }
 
 // FuzzReadRequestV2 fuzzes the full v2 request decode (header,
-// metadata, payload frames): never panic; accepted requests re-encode
-// and decode identically.
+// metadata, payload frames): never panic; allocate no more than 64
+// bytes per input byte plus the frameBodyStep a header is trusted for
+// before its body arrives, plus 1 KiB (the payload measured as in
+// FuzzReadRequest); accepted requests re-encode and decode identically.
 func FuzzReadRequestV2(f *testing.F) {
 	for _, seed := range requestV2Seeds(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		alloc := codectest.AllocBytes(func() {
+			decodeBounded(func() (any, error) {
+				r := bytes.NewReader(data)
+				h, err := ReadFrameHeader(r)
+				if err != nil {
+					return nil, err
+				}
+				return ReadRequestV2(r, h, boundedAlloc(data))
+			})
+		})
+		if alloc > 64*uint64(len(data))+frameBodyStep+1024 {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), alloc)
+		}
 		req, err := readRequestV2(data)
 		if err != nil {
 			return

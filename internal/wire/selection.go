@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"dpfs/internal/codec"
 )
 
 // Run is a strided series of equal pieces of an extent: Count pieces of
@@ -64,34 +66,29 @@ func ParseSelections(data []byte, exts []Extent) ([]Selection, int64, error) {
 	if len(data) == 0 {
 		return nil, total, nil
 	}
-	le := binary.LittleEndian
 	sels := make([]Selection, 0, len(data)/(selHeaderLen+selRunLen))
 	runs := make([]Run, 0, len(data)/selRunLen)
+	d := codec.NewDecoder(data)
 	next := 0 // lowest extent index the next entry may name
-	for len(data) > 0 {
-		if len(data) < selHeaderLen {
+	for d.Len() > 0 {
+		ext, count := int(d.U32()), d.U32()
+		if d.Err() != nil {
 			return nil, 0, errors.New("wire: truncated selection")
 		}
-		ext, n := int(le.Uint32(data[0:4])), int(le.Uint32(data[4:8]))
-		data = data[selHeaderLen:]
 		if ext < next || ext >= len(exts) {
 			return nil, 0, fmt.Errorf("wire: selection names extent %d, want %d..%d", ext, next, len(exts)-1)
 		}
-		if n == 0 || n > len(data)/selRunLen {
-			return nil, 0, fmt.Errorf("wire: selection of %d runs in %d bytes", n, len(data))
+		left := d.Len()
+		n := d.Count(uint64(count), selRunLen)
+		if n == 0 {
+			return nil, 0, fmt.Errorf("wire: selection of %d runs in %d bytes", count, left)
 		}
 		next = ext + 1
 		span := exts[ext].Len
 		first := len(runs)
 		end := int64(0) // end of the previous run
 		for i := 0; i < n; i++ {
-			r := Run{
-				Off:    int64(le.Uint64(data[0:8])),
-				Len:    int64(le.Uint64(data[8:16])),
-				Stride: int64(le.Uint64(data[16:24])),
-				Count:  int64(le.Uint64(data[24:32])),
-			}
-			data = data[selRunLen:]
+			r := Run{Off: int64(d.U64()), Len: int64(d.U64()), Stride: int64(d.U64()), Count: int64(d.U64())}
 			// Divisions, not products: no field can overflow the checks.
 			if r.Len < 1 || r.Count < 1 || r.Stride < r.Len || r.Off < end ||
 				r.Len > span || r.Off > span-r.Len || r.Count-1 > (span-r.Len-r.Off)/r.Stride {

@@ -4,7 +4,11 @@
 #   2. gofmt -l . lists nothing (every Go file, benchmark/ included, is
 #      gofmt-formatted); no non-test Go file imports encoding/gob except
 #      internal/metadb/gobconvert.go, the one-way reader of gob-era
-#      catalog directories; then go vet ./...
+#      catalog directories; no non-test Go file of the module reads a
+#      little-endian fixed-width field or a varint except through
+#      internal/codec, the one bounded decoder (the CRC record header of
+#      internal/metadb/wal.go and gobconvert.go excepted); then
+#      go vet ./...
 #   3. govulncheck (soft-fail: warns when the tool or network is absent)
 #   4. race-enabled test suite, then a short race stress of the races
 #      closed around cancelled dispatch, the server's sendfile path and
@@ -18,8 +22,9 @@
 #   6. five seconds of every Fuzz* target in the module, found per
 #      package with go test -list '^Fuzz': the server's selection and
 #      scatter loops, metadb's parser, catalog codec and catalog record,
-#      the planner, the data port's frame decoders and the gossip delta
-#      and message decoders; their seed corpora already ran in tier-1
+#      the planner, the data port's frame decoders, the gossip delta
+#      and message decoders and the span trailer decoder; their seed
+#      corpora already ran in tier-1
 #   7. one smoke run of dpfs-bench (-ablation parallel)
 #   8. documentation lint (godoc coverage, markdown links, flag tables
 #      and the flags of documented command lines)
@@ -48,6 +53,16 @@ gobusers=$(grep -rl --include='*.go' '"encoding/gob"' . |
 if [ -n "$gobusers" ]; then
 	echo "encoding/gob: only internal/metadb/gobconvert.go may import it; also:" >&2
 	echo "$gobusers" >&2
+	exit 1
+fi
+echo "== one decoder: fixed-width and varint reads only in internal/codec =="
+rawreads=$(grep -rnE --include='*.go' \
+	'(binary\.(LittleEndian|BigEndian)|\<le)\.Uint(16|32|64)\(|binary\.(Uvarint|Varint|ReadUvarint|ReadVarint|Read)\(' . |
+	grep -v -e '^\./benchmark/' -e '^[^:]*_test\.go:' -e '^\./internal/codec/' \
+		-e '^\./internal/metadb/wal\.go:' -e '^\./internal/metadb/gobconvert\.go:' || true)
+if [ -n "$rawreads" ]; then
+	echo "binary reads: decode through internal/codec's Decoder; these read fields themselves:" >&2
+	echo "$rawreads" >&2
 	exit 1
 fi
 echo "== go vet ./... =="
