@@ -63,8 +63,10 @@ func Corpus(seeds [][]byte, mutations int) [][]byte {
 }
 
 // Digest decodes every input and returns a hash of, per input, whether
-// decode accepted it and, when it did, the decoded value as Dump
-// renders it.
+// decode accepted it and, when it did, the decoded value, rendered
+// deterministically: pointers are followed, nil and empty slices
+// differ, map keys are sorted and unexported fields are included (a
+// time.Location is named, not walked).
 func Digest(inputs [][]byte, decode func([]byte) (any, error)) string {
 	h := sha256.New()
 	for _, in := range inputs {
@@ -73,27 +75,21 @@ func Digest(inputs [][]byte, decode func([]byte) (any, error)) string {
 			fmt.Fprint(h, "refused\n")
 			continue
 		}
-		fmt.Fprintf(h, "accepted %s\n", Dump(v))
+		fmt.Fprintf(h, "accepted %s\n", dump(reflect.ValueOf(v)))
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// Dump renders v deterministically: pointers are followed, nil and
-// empty slices differ, map keys are sorted and unexported fields are
-// included. A time.Location is named, not walked.
-func Dump(v any) string {
-	return dumpValue(reflect.ValueOf(v))
-}
+var locationType = reflect.TypeOf((*time.Location)(nil))
 
-func dumpValue(v reflect.Value) string {
+// dump renders v for Digest.
+func dump(v reflect.Value) string {
 	var b strings.Builder
-	dump(&b, v)
+	write(&b, v)
 	return b.String()
 }
 
-var locationType = reflect.TypeOf((*time.Location)(nil))
-
-func dump(w io.Writer, v reflect.Value) {
+func write(w io.Writer, v reflect.Value) {
 	switch v.Kind() {
 	case reflect.Invalid:
 		fmt.Fprint(w, "nil")
@@ -105,7 +101,7 @@ func dump(w io.Writer, v reflect.Value) {
 			fmt.Fprint(w, "loc")
 		default:
 			fmt.Fprint(w, "&")
-			dump(w, v.Elem())
+			write(w, v.Elem())
 		}
 	case reflect.Slice, reflect.Array:
 		if v.Kind() == reflect.Slice && v.IsNil() {
@@ -114,7 +110,7 @@ func dump(w io.Writer, v reflect.Value) {
 		}
 		fmt.Fprint(w, "[")
 		for i := 0; i < v.Len(); i++ {
-			dump(w, v.Index(i))
+			write(w, v.Index(i))
 			fmt.Fprint(w, ",")
 		}
 		fmt.Fprint(w, "]")
@@ -125,7 +121,7 @@ func dump(w io.Writer, v reflect.Value) {
 		}
 		var entries []string
 		for it := v.MapRange(); it.Next(); {
-			entries = append(entries, dumpValue(it.Key())+":"+dumpValue(it.Value()))
+			entries = append(entries, dump(it.Key())+":"+dump(it.Value()))
 		}
 		sort.Strings(entries)
 		fmt.Fprintf(w, "map%v", entries)
@@ -133,7 +129,7 @@ func dump(w io.Writer, v reflect.Value) {
 		fmt.Fprintf(w, "%s{", v.Type())
 		for i := 0; i < v.NumField(); i++ {
 			fmt.Fprintf(w, "%s:", v.Type().Field(i).Name)
-			dump(w, v.Field(i))
+			write(w, v.Field(i))
 			fmt.Fprint(w, " ")
 		}
 		fmt.Fprint(w, "}")

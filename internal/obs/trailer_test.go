@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -64,8 +65,8 @@ func FuzzDecodeSpans(f *testing.F) {
 			if err != nil || len(again) != 1 {
 				t.Fatalf("root %+v re-decodes as %d roots (%v)", root, len(again), err)
 			}
-			if want, got := codectest.Dump(root), codectest.Dump(again[0]); got != want {
-				t.Fatalf("root re-decodes as\n%s\nwant\n%s", got, want)
+			if !reflect.DeepEqual(again[0], root) {
+				t.Fatalf("root %+v re-decodes as %+v", root, again[0])
 			}
 		}
 	})
