@@ -23,6 +23,9 @@ var refusedStatements = []struct{ sql, token string }{
 	{`SELECT server, COUNT(*) FROM dpfs_file_distribution GROUP BY server HAVING COUNT(*) = 1`, `"HAVING"`},
 	{`SELECT filename FROM dpfs_file_attr LIMIT 1`, `"1"`}, // LIMIT reads as a table alias
 	{`SELECT filename FROM dpfs_file_attr ORDER BY filename DESC`, `"DESC"`},
+	{`SELECT filename, size FROM dpfs_file_attr ORDER BY 2`, `"2"`},
+	{`SELECT filename FROM dpfs_file_attr -- a comment`, `"-"`},
+	{"-- a comment line\nSELECT filename FROM dpfs_file_attr", `"-"`},
 	{`SELECT filename AS f FROM dpfs_file_attr`, `"AS"`},
 	{`DROP TABLE dpfs_file_attr`, `"DROP"`},
 	{`DROP INDEX dist_by_file ON dpfs_file_distribution`, `"DROP"`},

@@ -10,7 +10,6 @@ package meta
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -60,11 +59,14 @@ const (
 		next INT NOT NULL)`
 	sqlIndexDistByFile   = `CREATE INDEX IF NOT EXISTS dist_by_file ON dpfs_file_distribution (filename)`
 	sqlIndexDistByServer = `CREATE INDEX IF NOT EXISTS dist_by_server ON dpfs_file_distribution (server)`
-	sqlCreateDirectory   = `CREATE TABLE IF NOT EXISTS dpfs_directory (
-		main_dir TEXT PRIMARY KEY,
-		sub_dirs TEXT NOT NULL,
-		files TEXT NOT NULL)`
-	sqlCreateAttr = `CREATE TABLE IF NOT EXISTS dpfs_file_attr (
+	// DPFS-DIRECTORY, one row per entry: every directory and file under
+	// its parent directory's path, and the root under ''.
+	sqlCreateEntry = `CREATE TABLE IF NOT EXISTS dpfs_dir_entry (
+		path TEXT PRIMARY KEY,
+		parent TEXT NOT NULL,
+		kind TEXT NOT NULL)`
+	sqlIndexEntryByParent = `CREATE INDEX IF NOT EXISTS entry_by_parent ON dpfs_dir_entry (parent)`
+	sqlCreateAttr         = `CREATE TABLE IF NOT EXISTS dpfs_file_attr (
 		filename TEXT PRIMARY KEY,
 		owner TEXT NOT NULL,
 		permission INT NOT NULL,
@@ -83,7 +85,7 @@ const (
 		server_name TEXT PRIMARY KEY,
 		state TEXT NOT NULL,
 		fails INT NOT NULL)`
-	sqlSeedRoot       = `INSERT OR IGNORE INTO dpfs_directory VALUES ('/', '', '')`
+	sqlSeedRoot       = `INSERT OR IGNORE INTO dpfs_dir_entry VALUES ('/', '', 'dir')`
 	sqlSeedGeneration = `INSERT OR IGNORE INTO dpfs_generation VALUES (0, 0)`
 
 	sqlBumpGeneration = `UPDATE dpfs_generation SET next = next + 1 WHERE id = 0`
@@ -101,11 +103,12 @@ const (
 	sqlSetHealth     = `UPDATE dpfs_server_health SET state = ? WHERE server_name = ?`
 	sqlResetHealth   = `UPDATE dpfs_server_health SET state = ?, fails = 0 WHERE server_name = ?`
 	sqlListHealth    = `SELECT server_name, state, fails FROM dpfs_server_health ORDER BY server_name`
-	sqlInsertDir     = `INSERT INTO dpfs_directory VALUES (?, '', '')`
-	sqlDeleteDir     = `DELETE FROM dpfs_directory WHERE main_dir = ?`
-	sqlReadDir       = `SELECT sub_dirs, files FROM dpfs_directory WHERE main_dir = ?`
-	sqlSetSubDirs    = `UPDATE dpfs_directory SET sub_dirs = ? WHERE main_dir = ?`
-	sqlSetFiles      = `UPDATE dpfs_directory SET files = ? WHERE main_dir = ?`
+	sqlInsertEntry   = `INSERT INTO dpfs_dir_entry VALUES (?, ?, ?)`
+	sqlDeleteEntry   = `DELETE FROM dpfs_dir_entry WHERE path = ?`
+	sqlMoveEntry     = `UPDATE dpfs_dir_entry SET path = ?, parent = ? WHERE path = ?`
+	sqlReadEntry     = `SELECT kind FROM dpfs_dir_entry WHERE path = ?`
+	sqlListDir       = `SELECT path, kind FROM dpfs_dir_entry WHERE parent = ? ORDER BY path`
+	sqlCountDir      = `SELECT COUNT(*) FROM dpfs_dir_entry WHERE parent = ?`
 	sqlInsertAttr    = `INSERT INTO dpfs_file_attr VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)`
 	sqlInsertDist    = `INSERT INTO dpfs_file_distribution VALUES (?, ?, ?, ?, ?, ?)`
 	sqlReadAttr      = `SELECT owner, permission, size, filelevel, elem_size, dims, brick_bytes, tile, pattern, grid, placement, replicas FROM dpfs_file_attr WHERE filename = ?`
@@ -128,7 +131,20 @@ const (
 		FROM dpfs_file_distribution d
 		JOIN dpfs_file_attr a ON d.filename = a.filename
 		WHERE d.server = ? ORDER BY d.filename`
+
+	// Catalogs written before directory entries were rows kept each
+	// directory's children in two comma-joined lists; Init converts them
+	// (convertDirLists) and leaves the table empty.
+	sqlCreateDirLists = `CREATE TABLE IF NOT EXISTS dpfs_directory (
+		main_dir TEXT PRIMARY KEY,
+		sub_dirs TEXT NOT NULL,
+		files TEXT NOT NULL)`
+	sqlReadDirLists  = `SELECT main_dir, sub_dirs, files FROM dpfs_directory`
+	sqlClearDirLists = `DELETE FROM dpfs_directory`
 )
+
+// The kinds of a directory entry.
+const kindDir, kindFile = "dir", "file"
 
 // q pairs a statement text with its arguments.
 func q(sql string, args ...metadb.Value) metadb.Stmt {
@@ -300,20 +316,51 @@ var _ Router = (*Catalog)(nil)
 
 // Init creates the DPFS tables, their indexes, the root directory and
 // the generation counter. Every statement is idempotent, so all of them
-// go in one round trip whether the catalog is new or not.
+// go in one round trip whether the catalog is new or not; the last
+// reads the directory lists an older catalog may still hold, and only
+// then does Init convert them.
 func (c *Catalog) Init() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, err := c.db.Batch([]metadb.Stmt{
+	res, err := c.db.Batch([]metadb.Stmt{
 		q(sqlCreateServer), q(sqlCreateDistribution), q(sqlCreateGeneration),
 		q(sqlIndexDistByFile), q(sqlIndexDistByServer),
-		q(sqlCreateDirectory), q(sqlCreateAttr), q(sqlCreateHealth),
-		q(sqlSeedRoot), q(sqlSeedGeneration),
+		q(sqlCreateEntry), q(sqlIndexEntryByParent), q(sqlCreateDirLists),
+		q(sqlCreateAttr), q(sqlCreateHealth),
+		q(sqlSeedRoot), q(sqlSeedGeneration), q(sqlReadDirLists),
 	})
+	if err == nil && len(res[len(res)-1].Rows) > 0 {
+		err = c.convertDirLists()
+	}
 	if err != nil {
 		return fmt.Errorf("meta: init: %w", err)
 	}
 	return nil
+}
+
+// convertDirLists turns the directory lists of a catalog written before
+// directory entries were rows into one entry per name, and empties the
+// lists, in one transaction: a crash leaves the catalog as it was, and
+// once it commits the next Init finds nothing to convert.
+func (c *Catalog) convertDirLists() error {
+	res, err := c.begin(q(sqlReadDirLists))
+	if err != nil {
+		return err
+	}
+	var writes []metadb.Stmt
+	for _, r := range res[0].Rows {
+		dir := r[0].Str
+		for i, kind := range []string{kindDir, kindFile} {
+			if r[1+i].Str == "" {
+				continue
+			}
+			for _, name := range strings.Split(r[1+i].Str, ",") {
+				path := strings.TrimSuffix(dir, "/") + "/" + name
+				writes = append(writes, q(sqlInsertEntry, str(path), str(dir), str(kind)))
+			}
+		}
+	}
+	return c.commit(append(writes, q(sqlClearDirLists))...)
 }
 
 // NextGeneration allocates a fresh distribution generation from the
@@ -505,20 +552,14 @@ func (c *Catalog) Mkdir(path string) error {
 	if err := validName(name); err != nil {
 		return err
 	}
-	res, err := c.begin(q(sqlReadDir, str(parent)))
+	res, err := c.begin(q(sqlReadEntry, str(parent)))
 	if err != nil {
 		return err
 	}
-	subs, files, err := dirRow(res[0], parent)
-	if err != nil {
+	if err := dirEntry(res[0], parent); err != nil {
 		return c.abort(err)
 	}
-	if contains(subs, name) || contains(files, name) {
-		return c.abort(fmt.Errorf("meta: %s already exists", path))
-	}
-	return c.commit(
-		q(sqlInsertDir, str(path)),
-		q(sqlSetSubDirs, str(joinSorted(subs, name)), str(parent)))
+	return c.commitEntry(path, q(sqlInsertEntry, str(path), str(parent), str(kindDir)))
 }
 
 // Rmdir removes an empty directory.
@@ -532,25 +573,17 @@ func (c *Catalog) Rmdir(path string) error {
 	if path == "/" {
 		return errors.New("meta: cannot remove the root directory")
 	}
-	parent, name := Split(path)
-	res, err := c.begin(q(sqlReadDir, str(path)), q(sqlReadDir, str(parent)))
+	res, err := c.begin(q(sqlReadEntry, str(path)), q(sqlCountDir, str(path)))
 	if err != nil {
 		return err
 	}
-	subs, files, err := dirRow(res[0], path)
-	if err != nil {
+	if err := dirEntry(res[0], path); err != nil {
 		return c.abort(err)
 	}
-	if len(subs) > 0 || len(files) > 0 {
+	if res[1].Rows[0][0].Int > 0 {
 		return c.abort(fmt.Errorf("meta: directory %s not empty", path))
 	}
-	psubs, _, err := dirRow(res[1], parent)
-	if err != nil {
-		return c.abort(err)
-	}
-	return c.commit(
-		q(sqlDeleteDir, str(path)),
-		q(sqlSetSubDirs, str(joinList(remove(psubs, name))), str(parent)))
+	return c.commit(q(sqlDeleteEntry, str(path)))
 }
 
 // ReadDir lists a directory's sub-directories and files, both sorted.
@@ -561,11 +594,22 @@ func (c *Catalog) ReadDir(path string) (dirs, files []string, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := c.db.Exec(sqlReadDir, str(path))
+	res, err := c.db.Batch([]metadb.Stmt{q(sqlReadEntry, str(path)), q(sqlListDir, str(path))})
 	if err != nil {
 		return nil, nil, err
 	}
-	return dirRow(res, path)
+	if err := dirEntry(res[0], path); err != nil {
+		return nil, nil, err
+	}
+	for _, r := range res[1].Rows {
+		_, name := Split(r[0].Str)
+		if r[1].Str == kindDir {
+			dirs = append(dirs, name)
+		} else {
+			files = append(files, name)
+		}
+	}
+	return dirs, files, nil
 }
 
 // IsDir reports whether path names an existing directory.
@@ -576,27 +620,41 @@ func (c *Catalog) IsDir(path string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	res, err := c.db.Exec(sqlReadDir, str(path))
+	res, err := c.db.Exec(sqlReadEntry, str(path))
 	if err != nil {
 		return false, err
 	}
-	return len(res.Rows) > 0, nil
+	return dirEntry(res, path) == nil, nil
 }
 
-// dirRow decodes the result of sqlReadDir for path.
-func dirRow(res *metadb.Result, path string) (subs, files []string, err error) {
-	if len(res.Rows) == 0 {
-		return nil, nil, fmt.Errorf("meta: no such directory %s", path)
+// dirEntry checks that the result of sqlReadEntry for path names a
+// directory.
+func dirEntry(res *metadb.Result, path string) error {
+	if len(res.Rows) == 0 || res.Rows[0][0].Str != kindDir {
+		return fmt.Errorf("meta: no such directory %s", path)
 	}
-	return splitList(res.Rows[0][0].Str), splitList(res.Rows[0][1].Str), nil
+	return nil
+}
+
+// commitEntry commits writes, the first of which gives path its entry.
+// The entry's primary key is the name check: when the commit fails and
+// path has an entry, the error says the name is taken.
+func (c *Catalog) commitEntry(path string, writes ...metadb.Stmt) error {
+	err := c.commit(writes...)
+	if err != nil {
+		if res, rerr := c.db.Exec(sqlReadEntry, str(path)); rerr == nil && len(res.Rows) > 0 {
+			return fmt.Errorf("meta: %s already exists", path)
+		}
+	}
+	return err
 }
 
 // --- files -------------------------------------------------------------
 
 // CreateReplicated atomically records a new file whose bricks carry
-// fi.Replicas replicas each — its DPFS-FILE-ATTR row, one
-// DPFS-FILE-DISTRIBUTION row per server, and the parent directory
-// update; assign maps [brick][rank] to an index into fi.Servers.
+// fi.Replicas replicas each — its directory entry, its DPFS-FILE-ATTR
+// row and one DPFS-FILE-DISTRIBUTION row per server; assign maps
+// [brick][rank] to an index into fi.Servers.
 func (c *Catalog) CreateReplicated(fi FileInfo, assign [][]int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -623,26 +681,24 @@ func (c *Catalog) CreateReplicated(fi FileInfo, assign [][]int) error {
 			return fmt.Errorf("meta: brick %d has %d replicas, want %d", b, len(set), fi.Replicas)
 		}
 	}
-	res, err := c.begin(q(sqlReadDir, str(parent)))
+	res, err := c.begin(q(sqlReadEntry, str(parent)))
 	if err != nil {
 		return err
 	}
-	subs, files, err := dirRow(res[0], parent)
-	if err != nil {
+	if err := dirEntry(res[0], parent); err != nil {
 		return c.abort(err)
 	}
-	if contains(subs, name) || contains(files, name) {
-		return c.abort(fmt.Errorf("meta: %s already exists", path))
-	}
 	g := &fi.Geometry
-	writes := []metadb.Stmt{q(sqlInsertAttr,
-		str(path), str(fi.Owner), num(fi.Perm), num(fi.Size), str(g.Level.String()),
-		num(g.ElemSize), str(joinInts(g.Dims)), num(g.BrickBytes), str(joinInts(g.Tile)),
-		str(joinPattern(g.Pattern)), str(joinInts(g.Grid)), str(fi.Placement),
-		num(g.SlotBytes()), num(fi.Replicas))}
+	writes := []metadb.Stmt{
+		q(sqlInsertEntry, str(path), str(parent), str(kindFile)),
+		q(sqlInsertAttr,
+			str(path), str(fi.Owner), num(fi.Perm), num(fi.Size), str(g.Level.String()),
+			num(g.ElemSize), str(joinInts(g.Dims)), num(g.BrickBytes), str(joinInts(g.Tile)),
+			str(joinPattern(g.Pattern)), str(joinInts(g.Grid)), str(fi.Placement),
+			num(g.SlotBytes()), num(fi.Replicas)),
+	}
 	writes = append(writes, distInserts(path, fi.Servers, stripe.ReplicaLists(assign, len(fi.Servers)), fi.Generation)...)
-	writes = append(writes, q(sqlSetFiles, str(joinSorted(files, name)), str(parent)))
-	return c.commit(writes...)
+	return c.commitEntry(path, writes...)
 }
 
 // distInserts builds one DPFS-FILE-DISTRIBUTION insert per server;
@@ -751,10 +807,6 @@ func (c *Catalog) Stat(path string) (FileInfo, error) {
 	if err != nil {
 		return FileInfo{}, err
 	}
-	return c.statLocked(path)
-}
-
-func (c *Catalog) statLocked(path string) (FileInfo, error) {
 	res, err := c.db.Exec(sqlReadAttr, str(path))
 	if err != nil {
 		return FileInfo{}, err
@@ -821,8 +873,7 @@ func (c *Catalog) RemoveFile(path string) (FileInfo, error) {
 	if err != nil {
 		return FileInfo{}, err
 	}
-	parent, name := Split(path)
-	res, err := c.begin(q(sqlReadAttr, str(path)), q(sqlReadDistHome, str(path)), q(sqlReadDir, str(parent)))
+	res, err := c.begin(q(sqlReadAttr, str(path)), q(sqlReadDistHome, str(path)))
 	if err != nil {
 		return FileInfo{}, err
 	}
@@ -831,14 +882,10 @@ func (c *Catalog) RemoveFile(path string) (FileInfo, error) {
 		return FileInfo{}, c.abort(err)
 	}
 	fi.Servers, fi.Generation = distHome(res[1])
-	_, files, err := dirRow(res[2], parent)
-	if err != nil {
-		return FileInfo{}, c.abort(err)
-	}
 	err = c.commit(
 		q(sqlDeleteAttr, str(path)),
 		q(sqlDeleteDist, str(path)),
-		q(sqlSetFiles, str(joinList(remove(files, name))), str(parent)))
+		q(sqlDeleteEntry, str(path)))
 	if err != nil {
 		return FileInfo{}, err
 	}
@@ -856,7 +903,7 @@ func distHome(res *metadb.Result) (servers []string, gen int64) {
 }
 
 // RenameFile atomically moves a file's catalog records to a new path
-// (attr row, distribution rows, and both directory entries) and
+// (directory entry, attr row and distribution rows) and
 // returns the server list and distribution generation so the caller
 // can rename the subfiles. The destination's parent directory must
 // exist and the destination must not.
@@ -874,14 +921,12 @@ func (c *Catalog) RenameFile(oldPath, newPath string) (servers []string, gen int
 	if oldPath == newPath {
 		return nil, 0, fmt.Errorf("meta: rename %s onto itself", oldPath)
 	}
-	oldParent, oldName := Split(oldPath)
 	newParent, newName := Split(newPath)
 	if err := validName(newName); err != nil {
 		return nil, 0, err
 	}
 	res, err := c.begin(
-		q(sqlReadAttr, str(oldPath)), q(sqlReadDistHome, str(oldPath)),
-		q(sqlReadDir, str(oldParent)), q(sqlReadDir, str(newParent)))
+		q(sqlReadAttr, str(oldPath)), q(sqlReadDistHome, str(oldPath)), q(sqlReadEntry, str(newParent)))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -889,29 +934,14 @@ func (c *Catalog) RenameFile(oldPath, newPath string) (servers []string, gen int
 		return nil, 0, c.abort(err)
 	}
 	servers, gen = distHome(res[1])
-	_, ofiles, err := dirRow(res[2], oldParent)
-	if err != nil {
+	if err := dirEntry(res[2], newParent); err != nil {
 		return nil, 0, c.abort(err)
 	}
-	nsubs, nfiles, err := dirRow(res[3], newParent)
-	if err != nil {
-		return nil, 0, c.abort(err)
-	}
-	if contains(nsubs, newName) || contains(nfiles, newName) {
-		return nil, 0, c.abort(fmt.Errorf("meta: %s already exists", newPath))
-	}
-	writes := []metadb.Stmt{
+	err = c.commitEntry(newPath,
+		q(sqlMoveEntry, str(newPath), str(newParent), str(oldPath)),
 		q(sqlRenameAttr, str(newPath), str(oldPath)),
-		q(sqlRenameDist, str(newPath), str(oldPath)),
-	}
-	if oldParent == newParent {
-		writes = append(writes, q(sqlSetFiles, str(joinSorted(remove(ofiles, oldName), newName)), str(oldParent)))
-	} else {
-		writes = append(writes,
-			q(sqlSetFiles, str(joinList(remove(ofiles, oldName))), str(oldParent)),
-			q(sqlSetFiles, str(joinSorted(nfiles, newName)), str(newParent)))
-	}
-	if err := c.commit(writes...); err != nil {
+		q(sqlRenameDist, str(newPath), str(oldPath)))
+	if err != nil {
 		return nil, 0, err
 	}
 	return servers, gen, nil
@@ -960,10 +990,6 @@ func (c *Catalog) Usage() ([]ServerUsage, error) {
 func (c *Catalog) UsedBytes() (map[string]int64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.usedBytesLocked()
-}
-
-func (c *Catalog) usedBytesLocked() (map[string]int64, error) {
 	res, err := c.db.Exec(sqlUsedBytes)
 	if err != nil {
 		return nil, err
@@ -1083,22 +1109,6 @@ func validName(name string) error {
 	return nil
 }
 
-func splitList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	return strings.Split(s, ",")
-}
-
-func joinList(l []string) string { return strings.Join(l, ",") }
-
-// joinSorted is joinList of l with name added in sorted position.
-func joinSorted(l []string, name string) string {
-	l = append(l, name)
-	sort.Strings(l)
-	return joinList(l)
-}
-
 func joinInts(xs []int64) string {
 	parts := make([]string, len(xs))
 	for i, x := range xs {
@@ -1148,23 +1158,4 @@ func splitPattern(s string) ([]stripe.Dist, error) {
 		}
 	}
 	return out, nil
-}
-
-func contains(list []string, s string) bool {
-	for _, x := range list {
-		if x == s {
-			return true
-		}
-	}
-	return false
-}
-
-func remove(list []string, s string) []string {
-	out := list[:0]
-	for _, x := range list {
-		if x != s {
-			out = append(out, x)
-		}
-	}
-	return out
 }

@@ -43,7 +43,8 @@ var catalogStatements = []struct {
 	{name: "sqlCreateGeneration", sql: sqlCreateGeneration},
 	{name: "sqlIndexDistByFile", sql: sqlIndexDistByFile},
 	{name: "sqlIndexDistByServer", sql: sqlIndexDistByServer},
-	{name: "sqlCreateDirectory", sql: sqlCreateDirectory},
+	{name: "sqlCreateEntry", sql: sqlCreateEntry},
+	{name: "sqlIndexEntryByParent", sql: sqlIndexEntryByParent},
 	{name: "sqlCreateAttr", sql: sqlCreateAttr},
 	{name: "sqlCreateHealth", sql: sqlCreateHealth},
 	{name: "sqlSeedRoot", sql: sqlSeedRoot},
@@ -61,11 +62,12 @@ var catalogStatements = []struct {
 	{name: "sqlSetHealth", sql: sqlSetHealth, args: []metadb.Value{str(StateDead), str("s0")}},
 	{name: "sqlResetHealth", sql: sqlResetHealth, args: []metadb.Value{str(StateAlive), str("s0")}},
 	{name: "sqlListHealth", sql: sqlListHealth, plan: "SCAN dpfs_server_health"},
-	{name: "sqlInsertDir", sql: sqlInsertDir, args: []metadb.Value{str("/e")}},
-	{name: "sqlDeleteDir", sql: sqlDeleteDir, args: []metadb.Value{str("/d")}},
-	{name: "sqlReadDir", sql: sqlReadDir, args: []metadb.Value{str("/d")}, plan: "POINT LOOKUP dpfs_directory BY PRIMARY KEY (main_dir)"},
-	{name: "sqlSetSubDirs", sql: sqlSetSubDirs, args: []metadb.Value{str("d,e"), str("/")}},
-	{name: "sqlSetFiles", sql: sqlSetFiles, args: []metadb.Value{str("f,g"), str("/d")}},
+	{name: "sqlInsertEntry", sql: sqlInsertEntry, args: []metadb.Value{str("/e"), str("/"), str(kindDir)}},
+	{name: "sqlDeleteEntry", sql: sqlDeleteEntry, args: []metadb.Value{str("/d/f")}},
+	{name: "sqlMoveEntry", sql: sqlMoveEntry, args: []metadb.Value{str("/g"), str("/"), str("/d/f")}},
+	{name: "sqlReadEntry", sql: sqlReadEntry, args: []metadb.Value{str("/d")}, plan: "POINT LOOKUP dpfs_dir_entry BY PRIMARY KEY (path)"},
+	{name: "sqlListDir", sql: sqlListDir, args: []metadb.Value{str("/d")}, plan: "INDEX LOOKUP dpfs_dir_entry BY entry_by_parent (parent)"},
+	{name: "sqlCountDir", sql: sqlCountDir, args: []metadb.Value{str("/d")}, plan: "INDEX LOOKUP dpfs_dir_entry BY entry_by_parent (parent)"},
 	{name: "sqlInsertAttr", sql: sqlInsertAttr, args: []metadb.Value{
 		str("/d/g"), str("me"), num(0o644), num(64), str("linear"), num(1), str("64"), num(16), str(""),
 		str(""), str(""), str("roundrobin"), num(16), num(1)}},
@@ -84,6 +86,9 @@ var catalogStatements = []struct {
 	{name: "sqlUsageByServer", sql: sqlUsageByServer, plan: "SCAN dpfs_file_distribution"},
 	{name: "sqlUsedBytes", sql: sqlUsedBytes, plan: "INDEX NESTED LOOP JOIN dpfs_file_attr BY PRIMARY KEY (filename)"},
 	{name: "sqlFilesOnServer", sql: sqlFilesOnServer, args: []metadb.Value{str("s0")}, plan: "INDEX NESTED LOOP JOIN dpfs_file_attr BY PRIMARY KEY (filename)"},
+	{name: "sqlCreateDirLists", sql: sqlCreateDirLists},
+	{name: "sqlReadDirLists", sql: sqlReadDirLists, plan: "SCAN dpfs_directory (0 rows)"},
+	{name: "sqlClearDirLists", sql: sqlClearDirLists},
 }
 
 // statementFixture is a database holding a small catalog with at least

@@ -36,9 +36,8 @@ type Insert struct {
 }
 
 // Select is SELECT items FROM table [JOIN ...] [WHERE] [GROUP BY]
-// [ORDER BY]. GROUP BY takes column references; ORDER BY, which sorts
-// ascending, column references and 1-based output positions (integer
-// literals).
+// [ORDER BY]. GROUP BY and ORDER BY, which sorts ascending, take column
+// references.
 type Select struct {
 	Items   []SelectItem
 	Table   string

@@ -218,9 +218,6 @@ type RedoOp struct {
 	Col   string // indexed column for createindex
 }
 
-// InTx reports whether the session has an open transaction.
-func (s *Session) InTx() bool { return s.tx != nil }
-
 // Exec executes one SQL statement with args bound, in order, to its '?'
 // placeholders. The parsed form comes from the database's plan cache,
 // so a text is parsed once however often and with whatever arguments
@@ -306,11 +303,6 @@ func stmtKind(st Statement) string {
 		return "delete"
 	}
 	return "other"
-}
-
-// ExecStmt executes a parsed statement that has no placeholders.
-func (s *Session) ExecStmt(st Statement) (*Result, error) {
-	return s.run(newPlan(st, 0), nil)
 }
 
 // run executes a planned statement and records its metrics.

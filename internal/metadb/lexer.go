@@ -51,10 +51,6 @@ func lex(src string) ([]token, error) {
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
 			i++
-		case c == '-' && i+1 < n && src[i+1] == '-': // line comment
-			for i < n && src[i] != '\n' {
-				i++
-			}
 		case c == '\'':
 			start := i
 			i++

@@ -451,14 +451,22 @@ func TestOrderByMultipleKeys(t *testing.T) {
 	}
 }
 
+// TestQuotedIdentAndComments: "--" inside a string literal is text, and
+// outside one it starts no comment, which the dialect does not have.
 func TestQuotedIdentAndComments(t *testing.T) {
 	s := newTestDB(t)
-	mustExec(t, s, `CREATE TABLE select_t (id INT) -- trailing comment`)
-	mustExec(t, s, `INSERT INTO select_t VALUES (1)
--- a comment line
-`)
-	if v := cell(t, s, `SELECT COUNT(*) FROM select_t -- 'unterminated`); v.Int != 1 {
-		t.Fatalf("count = %v", v)
+	mustExec(t, s, `CREATE TABLE select_t (id INT, s TEXT)`)
+	mustExec(t, s, `INSERT INTO select_t VALUES (1, '-- it''s text')`)
+	if v := cell(t, s, `SELECT s FROM select_t`); v.Str != "-- it's text" {
+		t.Fatalf("s = %v", v)
+	}
+	for _, sql := range []string{
+		`SELECT COUNT(*) FROM select_t -- a comment`,
+		"-- a comment line\nSELECT COUNT(*) FROM select_t",
+	} {
+		if _, err := s.Exec(sql); err == nil || !strings.Contains(err.Error(), `"-"`) {
+			t.Errorf("Exec(%q): %v, want the error to name \"-\"", sql, err)
+		}
 	}
 }
 
@@ -502,7 +510,7 @@ func TestTableNames(t *testing.T) {
 
 func TestExecStmtUnknown(t *testing.T) {
 	s := newTestDB(t)
-	if _, err := s.ExecStmt(nil); err == nil {
+	if _, err := s.execStmt(nil, nil); err == nil {
 		t.Fatal("nil statement should fail")
 	}
 }

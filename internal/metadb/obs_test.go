@@ -24,7 +24,7 @@ func TestQueryMetrics(t *testing.T) {
 	}
 
 	s := db.Metrics().Snapshot()
-	// The parse error never reaches ExecStmt, so only the three valid
+	// The parse error never reaches the executor, so only the three valid
 	// statements count.
 	if got := s.Counters[MetricQueries]; got != 3 {
 		t.Fatalf("queries_total = %d, want 3", got)

@@ -348,7 +348,7 @@ func (p *parser) selectStmt() (Statement, error) {
 		}
 	}
 	if p.accept(tokKeyword, "ORDER") {
-		if st.OrderBy, err = p.byList(p.orderKey); err != nil {
+		if st.OrderBy, err = p.byList(p.column); err != nil {
 			return nil, err
 		}
 	}
@@ -371,16 +371,6 @@ func (p *parser) byList(item func() (Expr, error)) ([]Expr, error) {
 			return list, nil
 		}
 	}
-}
-
-// orderKey parses one ORDER BY key: a column or a 1-based output
-// position.
-func (p *parser) orderKey() (Expr, error) {
-	if t := p.peek(); t.kind == tokInt {
-		p.next()
-		return intLit(t.text)
-	}
-	return p.column()
 }
 
 func (p *parser) selectItem() (SelectItem, error) {

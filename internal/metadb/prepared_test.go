@@ -60,7 +60,7 @@ func TestPlaceholders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ExecStmt(st); err == nil || !strings.Contains(err.Error(), "placeholder 1 has no argument") {
+	if _, err := s.execStmt(st, nil); err == nil || !strings.Contains(err.Error(), "placeholder 1 has no argument") {
 		t.Fatalf("unbound placeholder: err = %v", err)
 	}
 
@@ -261,8 +261,8 @@ func TestBatch(t *testing.T) {
 		{SQL: ins, Args: []Value{I(4), I(41)}},
 		{SQL: `COMMIT`},
 	})
-	if err == nil || len(res) != 2 || !s.InTx() {
-		t.Fatalf("res = %v, err = %v, inTx = %v", res, err, s.InTx())
+	if err == nil || len(res) != 2 || s.tx == nil {
+		t.Fatalf("res = %v, err = %v, in a transaction = %v", res, err, s.tx != nil)
 	}
 	mustExec(t, s, `ROLLBACK`)
 	if v := cell(t, s, `SELECT COUNT(*) FROM t WHERE id = 4`); v.Int != 0 {

@@ -355,13 +355,6 @@ func (o *outRows) add(items []Expr, ctx *evalCtx) error {
 		r.out[i] = v
 	}
 	for i, k := range o.orderBy {
-		if pos, ok := k.(Lit); ok { // ORDER BY 2: an output position
-			if pos.V.Int < 1 || pos.V.Int > int64(len(r.out)) {
-				return fmt.Errorf("metadb: ORDER BY position %d out of range", pos.V.Int)
-			}
-			r.keys[i] = r.out[pos.V.Int-1]
-			continue
-		}
 		v, err := eval(k, ctx)
 		if err != nil {
 			return err

@@ -117,11 +117,11 @@ func TestGroupByWithJoinAndHaving(t *testing.T) {
 		FROM dist d JOIN srv s ON d.server = s.name
 		WHERE d.filename = '/f1'
 		GROUP BY s.class
-		ORDER BY 2`)
+		ORDER BY s.class`)
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
-	if res.Rows[0][0].Str != "class3" || res.Rows[0][1].Int != 8 || res.Rows[1][0].Str != "class1" || res.Rows[1][1].Int != 24 {
+	if res.Rows[0][0].Str != "class1" || res.Rows[0][1].Int != 24 || res.Rows[1][0].Str != "class3" || res.Rows[1][1].Int != 8 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
 }
@@ -146,15 +146,20 @@ func TestAggregateExpressions(t *testing.T) {
 	}
 }
 
+// TestOrderByPositionAndAlias: ORDER BY takes columns, qualified by
+// an alias too; an output position is refused.
 func TestOrderByPositionAndAlias(t *testing.T) {
 	s := catalogFixture(t)
-	res := mustExec(t, s, `SELECT server, SUM(bricks) FROM dist GROUP BY server ORDER BY 2, 1`)
-	if len(res.Rows) != 4 || res.Rows[0][0].Str != "d" || res.Rows[1][0].Str != "b" || res.Rows[3][0].Str != "a" {
-		t.Fatalf("order by position: %v", res.Rows)
+	res := mustExec(t, s, `SELECT d.server, d.bricks FROM dist d ORDER BY d.bricks, d.server`)
+	if len(res.Rows) != 6 || res.Rows[0][0].Str != "c" || res.Rows[1][0].Str != "d" || res.Rows[5][0].Str != "b" {
+		t.Fatalf("order by alias: %v", res.Rows)
 	}
-	for _, sql := range []string{`SELECT server FROM dist ORDER BY 9`, `SELECT server FROM dist ORDER BY 0`} {
-		if _, err := s.Exec(sql); err == nil {
-			t.Errorf("Exec(%q): out-of-range position should fail", sql)
+	for sql, token := range map[string]string{
+		`SELECT server FROM dist ORDER BY 1`:                                 `"1"`,
+		`SELECT server, SUM(bricks) FROM dist GROUP BY server ORDER BY 2, 1`: `"2"`,
+	} {
+		if _, err := s.Exec(sql); err == nil || !strings.Contains(err.Error(), token) {
+			t.Errorf("Exec(%q): %v, want the error to name %s", sql, err, token)
 		}
 	}
 }
@@ -306,9 +311,9 @@ func TestExplain(t *testing.T) {
 		t.Fatalf("plan = %s", p)
 	}
 	p = plan(`EXPLAIN SELECT s.class, SUM(d.bricks) FROM dist d JOIN srv s ON d.server = s.name
-		WHERE d.bricks = 2 GROUP BY s.class ORDER BY s.class, 2`)
+		WHERE d.bricks = 2 GROUP BY s.class ORDER BY s.class, s.perf`)
 	for _, want := range []string{"SCAN dist", "NESTED LOOP JOIN srv", "FILTER (d.bricks = 2)",
-		"GROUP BY s.class", "SORT BY s.class, 2"} {
+		"GROUP BY s.class", "SORT BY s.class, s.perf"} {
 		if !contains(p, want) {
 			t.Fatalf("plan missing %q: %s", want, p)
 		}

@@ -124,7 +124,7 @@ type connState struct {
 // subfile is an open local file with a reference to keep handle reuse
 // cheap across requests.
 type subfile struct {
-	mu  sync.Mutex // serializes size-extending writes
+	mu  sync.Mutex // serializes truncates; reads and writes are positional and do not take it
 	f   *os.File
 	raw syscall.RawConn // f's descriptor, for frames sent by sendfile
 }

@@ -25,7 +25,9 @@
 #      the planner, the data port's frame decoders, the gossip delta
 #      and message decoders and the span trailer decoder; their seed
 #      corpora already ran in tier-1
-#   7. one smoke run of dpfs-bench (-ablation parallel)
+#   7. two smoke runs of dpfs-bench: -ablation parallel, and -ablation
+#      meta, whose creates go end to end through a durable catalog and
+#      an R=3 metarepl group
 #   8. documentation lint (godoc coverage, markdown links, flag tables
 #      and the flags of documented command lines)
 #   9. obslint: metric names vs the frozen manifest + Prometheus
@@ -90,8 +92,9 @@ go test -list '^Fuzz' ./... |
 	while read -r pkg target; do
 		go test -run '^$' -fuzz "^${target}\$" -fuzztime 5s "$pkg"
 	done
-echo "== bench smoke: dpfs-bench -ablation parallel =="
+echo "== bench smoke: dpfs-bench -ablation parallel, -ablation meta =="
 go run ./cmd/dpfs-bench -ablation parallel -n 128 -reps 1 -csv > /dev/null
+go run ./cmd/dpfs-bench -ablation meta -n 128 -reps 1 -csv > /dev/null
 echo "== benchmark module: go vet + go test =="
 (cd benchmark && go vet . && go test .)
 echo "== all checks passed =="
