@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"testing"
 
+	"dpfs/internal/cluster"
 	"dpfs/internal/core"
 	"dpfs/internal/metadb"
 	"dpfs/internal/server"
@@ -135,6 +136,57 @@ func BenchmarkCatalogOpen(b *testing.B) {
 		}
 		f.Close()
 	}
+}
+
+// BenchmarkCachedRead reads a 4 MiB band, four 1 MiB bricks on four
+// servers, through an engine with a data cache. miss reads two bands by
+// turns through a cache that holds one, so every brick travels and
+// fills the cache; hit rereads one resident band.
+func BenchmarkCachedRead(b *testing.B) {
+	const band = 4 << 20
+	c, err := cluster.Start(cluster.Config{Servers: cluster.Uniform(4), Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	fs, err := c.NewFS(0, core.Options{Combine: true, Stagger: true, CacheBytes: band})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer fs.Close()
+	ctx := context.Background()
+	f, err := fs.Create("/bench-cached", 1, []int64{2 * band}, core.Hint{BrickBytes: 1 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.WriteAt(ctx, make([]byte, 2*band), 0); err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]byte, band)
+	read := func(b *testing.B, off int64) {
+		if err := f.ReadAt(ctx, buf, off); err != nil {
+			b.Fatal(err)
+		}
+	}
+	turn := 0 // counts miss reads across runs, so band turns never repeat
+	b.Run("miss", func(b *testing.B) {
+		b.SetBytes(band)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			read(b, int64(turn%2)*band)
+			turn++
+		}
+	})
+	b.Run("hit", func(b *testing.B) {
+		read(b, 0)
+		b.SetBytes(band)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			read(b, 0)
+		}
+	})
 }
 
 // BenchmarkWireEncode measures the message codec with a combined

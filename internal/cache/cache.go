@@ -200,9 +200,10 @@ type BrickKey struct {
 }
 
 // Data is the brick data cache: an LRU over whole bricks, bounded by a
-// byte budget. Get returns the cached slice itself (never mutated after
-// insertion), so hits copy once into the caller's buffer and nothing
-// else. Safe for concurrent use.
+// byte budget. Put keeps the slice it is given and Get returns that
+// slice itself (never mutated after insertion), so a fill lands once in
+// the brick the cache keeps and a hit copies once into the caller's
+// buffer. Safe for concurrent use.
 type Data struct {
 	capacity int64
 
@@ -280,11 +281,13 @@ func (d *Data) Token() uint64 {
 	return d.seq
 }
 
-// Put inserts a copy of data under k, evicting LRU entries to stay
-// within the byte budget. The fill is dropped (returning false) when k
-// was invalidated after tok was taken — the fetched bytes may predate
-// an acknowledged overlapping write — or when data alone exceeds the
-// whole budget.
+// Put inserts data under k, evicting LRU entries to stay within the
+// byte budget. The cache keeps data itself, not a copy: once Put
+// returns true the slice is the cache's, and the caller must not write
+// it again. The fill is dropped (returning false, and data stays the
+// caller's) when k was invalidated after tok was taken — the fetched
+// bytes may predate an acknowledged overlapping write — or when data
+// alone exceeds the whole budget.
 func (d *Data) Put(k BrickKey, data []byte, tok uint64) bool {
 	n := int64(len(data))
 	if n == 0 || n > d.capacity {
@@ -302,10 +305,10 @@ func (d *Data) Put(k BrickKey, data []byte, tok uint64) bool {
 		// Replace in place (a concurrent fill of the same brick).
 		e := el.Value.(*dataEntry)
 		d.size += n - int64(len(e.data))
-		e.data = append([]byte(nil), data...)
+		e.data = data
 		d.lru.MoveToFront(el)
 	} else {
-		e := &dataEntry{key: k, data: append([]byte(nil), data...)}
+		e := &dataEntry{key: k, data: data}
 		d.m[k] = d.lru.PushFront(e)
 		d.size += n
 	}

@@ -153,14 +153,34 @@ func TestDataLRUEvictionByBytes(t *testing.T) {
 	}
 }
 
+// TestDataPutCopies pins who owns a filled brick: Put keeps the slice
+// it is given, copying nothing, so Get returns the very buffer the fill
+// landed in; a refused Put keeps nothing.
 func TestDataPutCopies(t *testing.T) {
 	d := NewData(1024, nil)
 	src := []byte{1, 2, 3}
-	d.Put(key("/f", 0), src, d.Token())
-	src[0] = 99
+	if !d.Put(key("/f", 0), src, d.Token()) {
+		t.Fatal("Put rejected")
+	}
 	got, ok := d.Get(key("/f", 0))
-	if !ok || got[0] != 1 {
-		t.Fatalf("cache aliased caller buffer: %v %v", got, ok)
+	if !ok || len(got) != len(src) || &got[0] != &src[0] {
+		t.Fatalf("Get returned %v (ok %v), not the slice Put was given", got, ok)
+	}
+	// A replacement keeps its own slice too.
+	again := []byte{4, 5}
+	if !d.Put(key("/f", 0), again, d.Token()) {
+		t.Fatal("replacement rejected")
+	}
+	if got, _ := d.Get(key("/f", 0)); &got[0] != &again[0] || d.Bytes() != 2 {
+		t.Fatalf("replacement: Get returned %v, %d bytes held; want the new slice, 2", got, d.Bytes())
+	}
+	tok := d.Token()
+	d.Invalidate(key("/f", 1))
+	if d.Put(key("/f", 1), []byte{6}, tok) {
+		t.Fatal("poisoned fill accepted")
+	}
+	if _, ok := d.Get(key("/f", 1)); ok || d.Bytes() != 2 {
+		t.Fatalf("a refused Put left its slice in the cache (%d bytes held)", d.Bytes())
 	}
 }
 

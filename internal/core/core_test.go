@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"dpfs/internal/cache"
 	"dpfs/internal/cluster"
 	"dpfs/internal/core"
 	"dpfs/internal/datatype"
@@ -993,6 +994,108 @@ func TestTypedAccessAllocs(t *testing.T) {
 			t.Fatalf("%v: row 2 differs from the memory type's second block", hint.Level)
 		}
 	}
+}
+
+// TestOwnBufferReadAllocs: a read that cannot land in the caller's
+// pieces lands each brick it fills or tangles in one new buffer, and
+// allocates little more. A 4 MiB band that misses an engine's data
+// cache allocates the four 1 MiB bricks the cache then keeps plus a
+// small constant, and a
+// tangled view allocates its bricks' spans plus a small constant (the
+// allocations of the process's in-memory servers included).
+func TestOwnBufferReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops buffers at random")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	c := startCluster(t, 4)
+	ctx := ctxT(t)
+	const mib, slack = 1 << 20, 32 << 10
+	// least runs read six times and returns the least any read after
+	// the first allocated: the first fills the pools the exchanges draw
+	// on, and with the collector off nothing empties them.
+	least := func(read func(i int) error) uint64 {
+		t.Helper()
+		low := uint64(1 << 62)
+		for i := 0; i < 6; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := read(i); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if i > 0 {
+				low = min(low, after.TotalAlloc-before.TotalAlloc)
+			}
+		}
+		return low
+	}
+
+	// The cache holds one band, so reading the two bands by turns misses
+	// every brick every time.
+	cached := newFS(t, c, 0, core.Options{Combine: true, CacheBytes: 4 * mib})
+	band := pattern(8 * mib)
+	f, err := cached.Create("/bands", 1, []int64{8 * mib}, core.Hint{BrickBytes: mib})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.WriteAt(ctx, band, 0); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 4*mib)
+	hits, misses := cached.Metrics().Counter(cache.MetricDataHits), cached.Metrics().Counter(cache.MetricDataMisses)
+	h0, m0 := hits.Value(), misses.Value()
+	got := least(func(i int) error {
+		off := int64(i%2) * 4 * mib
+		if err := f.ReadAt(ctx, buf, off); err != nil {
+			return err
+		}
+		if !bytes.Equal(buf, band[off:off+4*mib]) {
+			return fmt.Errorf("band at %d: wrong bytes", off)
+		}
+		return nil
+	})
+	if h, m := hits.Value()-h0, misses.Value()-m0; h != 0 || m != 6*4 {
+		t.Fatalf("six band reads: %d cache hits and %d misses, want 0 and 24", h, m)
+	}
+	if got > 4*mib+slack {
+		t.Errorf("a cached 4 MiB band miss allocated %d bytes, want at most its four bricks and %d", got, slack)
+	}
+	t.Logf("cached 4 MiB band miss: %d bytes allocated, %d over its four bricks", got, int64(got)-4*mib)
+
+	// Two pieces of each 64 KiB brick share 24 KiB, so the brick moves
+	// its 56 KiB span (whole pages, so that the allocator rounds nothing).
+	plain := newFS(t, c, 1, core.Options{Combine: true})
+	const brick, bricks = 64 << 10, 16
+	data := pattern(bricks * brick)
+	g, err := plain.Create("/tangled", 1, []int64{bricks * brick}, core.Hint{BrickBytes: brick})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.WriteAt(ctx, data, 0); err != nil {
+		t.Fatal(err)
+	}
+	view := datatype.Indexed{Elem: datatype.Bytes(1)}
+	for b := int64(0); b < bricks; b++ {
+		view.Displs = append(view.Displs, b*brick, b*brick+16<<10)
+		view.BlockLens = append(view.BlockLens, 40<<10, 40<<10)
+	}
+	want := gather(view, data)
+	mem := make([]byte, view.Size())
+	got = least(func(int) error {
+		if err := g.ReadAtTyped(ctx, 0, view, datatype.Bytes(len(mem)), mem); err != nil {
+			return err
+		}
+		if !bytes.Equal(mem, want) {
+			return fmt.Errorf("tangled view: wrong bytes")
+		}
+		return nil
+	})
+	const spans = bricks * 56 << 10
+	if got > spans+slack {
+		t.Errorf("a tangled view read allocated %d bytes, want at most its %d bytes of spans and %d", got, spans, slack)
+	}
+	t.Logf("tangled view of %d spans: %d bytes allocated, %d over its spans", bricks, got, int64(got)-spans)
 }
 
 // TestContextCancellation: a shaped (slow) server must not stall a

@@ -12,33 +12,24 @@ import (
 type exchange struct {
 	exts []wire.Extent
 	sel  []byte // the selections, encoded
-	// segs are the pieces of the caller's buffer, brick by brick in brick
-	// order: a write's payload, and where a read's response lands unless
-	// scatter is set.
-	segs  [][]byte
+	// segs are the pieces a write's payload comes from and a read's
+	// response lands in, brick by brick in brick order: the caller's
+	// buffer's, but one buffer of its own for a brick in own.
+	segs [][]byte
+	// own holds, by brick, the buffer a read lands a brick in when no
+	// piece of the caller's can take what it moves: the whole brick when
+	// a data cache will keep it, the span when its pieces share bytes (a
+	// tangled view). A brick that lands in the caller's pieces has none,
+	// and own is nil when no brick has one.
+	own   [][]byte
 	moved int64 // the bytes that travel: a write's payload, a read's response
-	// scatter marks a read whose response cannot land in its pieces: it
-	// fills a cache, or a brick moves bytes no piece takes (a whole brick
-	// with none, a tangled view's shared bytes). It lands in a scratch
-	// and is scattered from there.
-	scatter bool
-}
-
-// fetched is what one brick of a read brings back: n bytes — the brick's
-// stored bytes from lo on, or, when its pieces leave holes in its span,
-// exactly the wanted pieces in brick order.
-type fetched struct {
-	lo, n  int64
-	sieved bool
 }
 
 // layExtents lays out one server exchange covering bricks, brick i
 // stored in slot slots[i] of the server's subfile; fill says a data
 // cache will keep what a read brings, and buf is the caller's buffer,
-// whose pieces are appended to segs. A read also gets, appended to got,
-// what each brick's share of the response is. (got and segs stay out of
-// the exchange so that a caller's one-element array for got stays off
-// the heap and its pooled list for segs is reused.)
+// whose pieces are appended to segs (which stays out of the exchange so
+// that a caller's pooled list is reused).
 //
 // Either direction moves one span per brick: the whole brick when a read
 // fills a cache, else the covering span of the wanted pieces, whose
@@ -62,15 +53,25 @@ type fetched struct {
 // relative to the extent folded by stripe.Runs. Write payloads are not
 // packed into an intermediate buffer: each memory run rides as a scatter
 // segment that the wire layer flushes with vectored I/O, and a read's
-// response lands in the same pieces: a brick's share of it is its pieces
-// in brick order, sieved or not.
-func layExtents(g *stripe.Geometry, bricks []stripe.BrickIO, slots []int64, fill bool, buf []byte, write bool, got []fetched, segs [][]byte) (exchange, []fetched) {
+// response lands in the same pieces, a brick's share of it being its
+// pieces in brick order, sieved or not. A brick a read fills or tangles
+// lands in a new buffer instead, which own keeps.
+func layExtents(g *stripe.Geometry, bricks []stripe.BrickIO, slots []int64, fill bool, buf []byte, write bool, segs [][]byte) exchange {
 	x := exchange{segs: segs}
 	j := joiner{exts: make([]wire.Extent, 0, len(bricks))}
 	for bi := range bricks {
 		j.segs += len(bricks[bi].Segs)
 	}
 	slot := g.SlotBytes()
+	// land gives brick bi a new buffer of n bytes to land in.
+	land := func(bi int, n int64) {
+		if x.own == nil {
+			x.own = make([][]byte, len(bricks))
+		}
+		x.own[bi] = make([]byte, n)
+		x.segs = append(x.segs, x.own[bi])
+		x.moved += n
+	}
 	for bi := range bricks {
 		b := &bricks[bi]
 		base := slots[bi] * slot
@@ -80,9 +81,7 @@ func layExtents(g *stripe.Geometry, bricks []stripe.BrickIO, slots []int64, fill
 			}
 			n := g.BrickBytesOf(b.Brick)
 			j.add(base, []stripe.Segment{{Len: n}})
-			got = append(got, fetched{n: n})
-			x.moved += n
-			x.scatter = true
+			land(bi, n)
 			continue
 		}
 		ordered := brickOrder(b.Segs)
@@ -91,7 +90,6 @@ func layExtents(g *stripe.Geometry, bricks []stripe.BrickIO, slots []int64, fill
 			tangled = tangled || seg.BrickOff < hi
 			hi = max(hi, seg.BrickOff+seg.Len)
 		}
-		n, sieved := b.Bytes(), false // what the brick moves
 		switch {
 		case tangled && write:
 			for i := range ordered {
@@ -99,22 +97,19 @@ func layExtents(g *stripe.Geometry, bricks []stripe.BrickIO, slots []int64, fill
 			}
 		case tangled:
 			j.add(base, []stripe.Segment{{BrickOff: lo, Len: hi - lo}})
-			n = hi - lo
-			x.scatter = true
+			land(bi, hi-lo)
+			continue
 		default:
-			sieved = j.add(base, ordered) > 0
+			j.add(base, ordered)
 		}
 		for _, seg := range ordered {
 			x.segs = append(x.segs, buf[seg.MemOff:seg.MemOff+seg.Len])
 		}
-		if !write {
-			got = append(got, fetched{lo: lo, n: n, sieved: sieved})
-		}
-		x.moved += n
+		x.moved += b.Bytes()
 	}
 	j.close()
 	x.exts, x.sel = j.exts, j.sel
-	return x, got
+	return x
 }
 
 // joiner joins spans into extents for layExtents: the extents and
@@ -132,9 +127,8 @@ type joiner struct {
 }
 
 // add puts the span whose pieces are ps — sorted and disjoint, at
-// base+BrickOff in the subfile — into the open extent or a new one, and
-// returns the widest hole between them.
-func (j *joiner) add(base int64, ps []stripe.Segment) int64 {
+// base+BrickOff in the subfile — into the open extent or a new one.
+func (j *joiner) add(base int64, ps []stripe.Segment) {
 	last := ps[len(ps)-1]
 	lo, hi := base+ps[0].BrickOff, base+last.BrickOff+last.Len
 	var h int64 // the span's own widest hole
@@ -154,7 +148,7 @@ func (j *joiner) add(base int64, ps []stripe.Segment) int64 {
 			}
 			j.total += hi - e.Off - e.Len
 			e.Len = hi - e.Off
-			return h
+			return
 		}
 		j.close()
 	}
@@ -165,7 +159,6 @@ func (j *joiner) add(base int64, ps []stripe.Segment) int64 {
 		j.pieces = j.emptyPieces()
 		j.collect(base, ps)
 	}
-	return h
 }
 
 // emptyPieces returns the pieces emptied, sized for every segment of

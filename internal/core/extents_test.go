@@ -99,9 +99,11 @@ func reference(g *stripe.Geometry, bricks []stripe.BrickIO, slots []int64, fill,
 // order; an extent is tight around its pieces and carries a selection
 // only when they leave a hole in it; no gap between two spans of one
 // extent is wider than a hole inside one of its spans; there are never
-// more extents than before joining; a write's payload, and a read's
-// landing list unless it scatters, is each brick's pieces in brick order,
-// and a read's per-brick entries add up to what the response carries.
+// more extents than before joining; a write's payload and a read's
+// landing list are each brick's pieces in brick order, but a read lands
+// a brick it fills or tangles in one new buffer of exactly the bytes the
+// brick moves, which the exchange keeps by brick; and the pieces add up
+// to what travels.
 func checkExchange(t *testing.T, name string, g *stripe.Geometry, bricks []stripe.BrickIO, slots []int64, fill, write bool) (x exchange, parentExts int) {
 	t.Helper()
 	var n int64
@@ -111,7 +113,7 @@ func checkExchange(t *testing.T, name string, g *stripe.Geometry, bricks []strip
 		}
 	}
 	buf := make([]byte, n)
-	x, got := layExtents(g, bricks, slots, fill, buf, write, nil, nil)
+	x = layExtents(g, bricks, slots, fill, buf, write, nil)
 	units, parentExts, moved := reference(g, bricks, slots, fill, write)
 
 	sels, total, err := wire.ParseSelections(x.sel, x.exts)
@@ -175,42 +177,52 @@ func checkExchange(t *testing.T, name string, g *stripe.Geometry, bricks []strip
 		t.Fatalf("%s: %d spans fit in no extent", name, len(units)-ui)
 	}
 
-	scatter := !write && fill
-	for _, b := range bricks {
-		var hi int64
+	var landed, owned int64
+	k := 0
+	for bi, b := range bricks {
+		var lo, hi int64
+		tangled := false
 		for i, s := range brickOrder(b.Segs) {
-			scatter = scatter || !write && i > 0 && s.BrickOff < hi
+			if i == 0 {
+				lo = s.BrickOff
+			}
+			tangled = tangled || i > 0 && s.BrickOff < hi
 			hi = max(hi, s.BrickOff+s.Len)
 		}
-		scatter = scatter || !write && len(b.Segs) == 0
-	}
-	if x.scatter != scatter {
-		t.Fatalf("%s: scatter = %v, want %v", name, x.scatter, scatter)
-	}
-	if !scatter {
-		var n int64
-		k := 0
-		for _, b := range bricks {
+		var own []byte
+		if bi < len(x.own) {
+			own = x.own[bi]
+		}
+		n := int64(-1) // the bytes of the brick's own buffer; -1 is none
+		switch {
+		case write:
+		case fill || len(b.Segs) == 0:
+			n = g.BrickBytesOf(b.Brick)
+		case tangled:
+			n = hi - lo
+		}
+		if n < 0 {
+			if own != nil {
+				t.Fatalf("%s: brick %d lands in a buffer of its own, want the caller's pieces", name, b.Brick)
+			}
 			for _, s := range brickOrder(b.Segs) {
 				if k >= len(x.segs) || int64(cap(buf)-cap(x.segs[k])) != s.MemOff || int64(len(x.segs[k])) != s.Len {
-					t.Fatalf("%s: payload piece %d is not the brick-ordered segment %+v", name, k, s)
+					t.Fatalf("%s: piece %d is not the brick-ordered segment %+v", name, k, s)
 				}
-				n += s.Len
+				landed += s.Len
 				k++
 			}
+			continue
 		}
-		if k != len(x.segs) || n != moved {
-			t.Fatalf("%s: payload of %d pieces, %d bytes; want %d and %d", name, len(x.segs), n, k, moved)
+		if int64(len(own)) != n || k >= len(x.segs) || len(x.segs[k]) != len(own) || &x.segs[k][0] != &own[0] {
+			t.Fatalf("%s: brick %d lands in %d bytes of its own (piece %d), want a new buffer of %d", name, b.Brick, len(own), k, n)
 		}
+		landed += n
+		owned++
+		k++
 	}
-	if !write {
-		var n int64
-		for _, f := range got {
-			n += f.n
-		}
-		if len(got) != len(bricks) || n != moved {
-			t.Fatalf("%s: %d read entries for %d bricks returning %d bytes, want %d", name, len(got), len(bricks), n, moved)
-		}
+	if k != len(x.segs) || landed != moved || owned == 0 && x.own != nil {
+		t.Fatalf("%s: %d pieces of %d bytes (%d own buffers, own list %v), want %d pieces of %d", name, len(x.segs), landed, owned, x.own != nil, k, moved)
 	}
 	return x, parentExts
 }

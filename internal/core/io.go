@@ -260,11 +260,17 @@ func (f *File) serveFromCache(plan []stripe.BrickIO, buf []byte) []stripe.BrickI
 			rest = append(rest, bio)
 			continue
 		}
-		for _, seg := range bio.Segs {
-			copy(buf[seg.MemOff:seg.MemOff+seg.Len], data[seg.BrickOff:seg.BrickOff+seg.Len])
-		}
+		copySegs(buf, bio.Segs, data, 0)
 	}
 	return rest
+}
+
+// copySegs copies each of segs into its place in buf out of data, which
+// holds the brick's bytes from brick offset lo on.
+func copySegs(buf []byte, segs []stripe.Segment, data []byte, lo int64) {
+	for _, seg := range segs {
+		copy(buf[seg.MemOff:seg.MemOff+seg.Len], data[seg.BrickOff-lo:seg.BrickOff-lo+seg.Len])
+	}
 }
 
 // rpcSpan starts the per-server trace span for one request; nil when
@@ -299,7 +305,7 @@ func (f *File) rpcSpan(root *obs.Span, r *stripe.Request, opName string) *obs.Sp
 // Otherwise each exchange runs on its own goroutine and reports back
 // on a channel; spans are created at launch, so span order is launch
 // order. Requests of one plan cover disjoint bricks, so concurrent
-// scatters into buf touch disjoint regions.
+// landings in buf touch disjoint regions.
 func (f *File) dispatch(ctx context.Context, reqs []stripe.Request, buf []byte, write bool, opName string, root *obs.Span, errs []error) error {
 	limit := f.fs.opts.MaxInflight
 	if limit <= 0 {
@@ -568,27 +574,6 @@ func (f *File) writeReplicated(ctx context.Context, plan []stripe.BrickIO, buf [
 	return nil
 }
 
-// scratchPool recycles response scratch buffers across read exchanges
-// so a steady-state engine reads without per-request body allocations.
-var scratchPool sync.Pool
-
-func getScratch(n int64) []byte {
-	if p, ok := scratchPool.Get().(*[]byte); ok {
-		if int64(cap(*p)) >= n {
-			return (*p)[:n]
-		}
-	}
-	return make([]byte, n)
-}
-
-func putScratch(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	b = b[:0]
-	scratchPool.Put(&b)
-}
-
 // piecesPool recycles exchanges' piece lists — a write's payload, a
 // read's landing list — emptied of their references to callers' buffers.
 var piecesPool = sync.Pool{New: func() any { return new([][]byte) }}
@@ -599,14 +584,11 @@ var piecesPool = sync.Pool{New: func() any { return new([][]byte) }}
 func (f *File) doRequest(ctx context.Context, r *stripe.Request, buf []byte, write bool, sp *obs.Span) error {
 	dc := f.fs.dataCache
 	fill := !write && dc != nil
-	// One element of each keeps a one-brick request's slot and read entry
-	// off the heap; no more than one, because with several exchanges in
-	// flight this frame sits on a fresh goroutine's small stack and a
-	// larger array here made every dispatch pay for growing it.
-	var (
-		oneSlot [1]int64
-		oneGot  [1]fetched
-	)
+	// One element keeps a one-brick request's slot off the heap; no more
+	// than one, because with several exchanges in flight this frame sits
+	// on a fresh goroutine's small stack and a larger array here made
+	// every dispatch pay for growing it.
+	var oneSlot [1]int64
 	slots := oneSlot[:0]
 	if len(r.Bricks) > 1 {
 		slots = make([]int64, 0, len(r.Bricks))
@@ -620,7 +602,7 @@ func (f *File) doRequest(ctx context.Context, r *stripe.Request, buf []byte, wri
 		slots = append(slots, ls)
 	}
 	pieces := piecesPool.Get().(*[][]byte)
-	x, got := layExtents(&f.info.Geometry, r.Bricks, slots, fill, buf, write, oneGot[:0], (*pieces)[:0])
+	x := layExtents(&f.info.Geometry, r.Bricks, slots, fill, buf, write, (*pieces)[:0])
 	defer func() {
 		clear(x.segs)
 		*pieces = x.segs[:0]
@@ -644,15 +626,6 @@ func (f *File) doRequest(ctx context.Context, r *stripe.Request, buf []byte, wri
 		// Propagate trace identity so the server's handler spans join
 		// this trace; its span tree comes back in the RESP frame.
 		req.TraceID, req.SpanID, req.Sampled = tc.TraceID, tc.SpanID, tc.Sampled
-	}
-	// A read whose response fits its pieces lands straight in them; one
-	// that scatters lands in a scratch, its one piece, first.
-	var scratch []byte
-	if !write && x.scatter {
-		scratch = getScratch(moved)
-		defer putScratch(scratch)
-		clear(x.segs)
-		x.segs = append(x.segs[:0], scratch)
 	}
 	// The fill token is taken before the network exchange: an
 	// invalidation that lands between here and Put poisons the fill, so
@@ -688,30 +661,23 @@ func (f *File) doRequest(ctx context.Context, r *stripe.Request, buf []byte, wri
 			}
 		}
 	}
-	if write || !x.scatter {
-		return nil
-	}
-
-	// Scatter the response into the caller's buffer, walking the bricks
-	// in the order their ranges were requested.
-	data := scratch
-	for bi := range r.Bricks {
-		b, g := &r.Bricks[bi], got[bi]
-		part := data[:g.n]
-		data = data[g.n:]
-		if g.sieved {
-			for _, seg := range brickOrder(b.Segs) {
-				copy(buf[seg.MemOff:seg.MemOff+seg.Len], part[:seg.Len])
-				part = part[seg.Len:]
-			}
+	// A brick that landed in a buffer of its own gives the caller its
+	// pieces from there, and a fill's buffer, a whole brick, then
+	// becomes the cache's.
+	for bi, data := range x.own {
+		if data == nil {
 			continue
 		}
-		for _, seg := range b.Segs {
-			copy(buf[seg.MemOff:seg.MemOff+seg.Len], part[seg.BrickOff-g.lo:seg.BrickOff-g.lo+seg.Len])
+		b := &r.Bricks[bi]
+		var lo int64 // a fill's buffer is the whole brick, a tangled brick's its span
+		for i, seg := range b.Segs {
+			if !fill && (i == 0 || seg.BrickOff < lo) {
+				lo = seg.BrickOff
+			}
 		}
+		copySegs(buf, b.Segs, data, lo)
 		if fill {
-			// Put copies: part aliases the pooled scratch.
-			dc.Put(cache.BrickKey{Path: f.info.Path, Gen: f.info.Generation, Brick: b.Brick}, part, fillTok)
+			dc.Put(cache.BrickKey{Path: f.info.Path, Gen: f.info.Generation, Brick: b.Brick}, data, fillTok)
 		}
 	}
 	return nil

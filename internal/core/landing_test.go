@@ -108,10 +108,11 @@ func (p *cutProxy) cut() {
 // reader's buffer. Both must return the reference bytes, byte for byte
 // the same buffers — plain bands, a sieved column, joined extents,
 // typed views through a strided memory type with pieces by the
-// thousand, a tangled view and a cache fill (which land in a scratch
-// and scatter), reads past the subfiles' ends, and an R=2 read whose
-// preferred server dies mid-stream, so failover lands the same bricks
-// into the same buffer again. client_bytes_landed_direct_total moves on
+// thousand, a tangled view and a cache fill (which land in buffers of
+// their own and are copied out of them, the fill's kept by the cache),
+// reads past the subfiles' ends, and an R=2 read whose preferred server
+// dies mid-stream, so failover lands the same bricks into the same
+// buffer again. client_bytes_landed_direct_total moves on
 // the bare side only, and a 4 MiB band lands all of it but the at most
 // 16 KiB per 256 KiB frame the reader's buffer had already taken.
 func TestDirectLandingMatchesCopyPath(t *testing.T) {

@@ -69,9 +69,8 @@ func (f *File) triggerReadahead(plan []stripe.BrickIO) {
 }
 
 // prefetch fetches bricks [start, end] into the data cache. Bricks
-// already cached are skipped. The BrickIOs carry no segments, so the
-// exchanges fill the cache (whole-brick responses) without scattering
-// anywhere.
+// already cached are skipped. The BrickIOs carry no segments, so each
+// brick lands in a buffer the cache then keeps, and nothing is copied.
 func (f *File) prefetch(start, end int) {
 	fs := f.fs
 	gen := f.info.Generation

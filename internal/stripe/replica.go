@@ -269,13 +269,3 @@ func (rs *ReplicaSet) SlotOn(b, s int) int64 {
 	}
 	return -1
 }
-
-// RankOn returns the replica rank brick b has on server s, or -1.
-func (rs *ReplicaSet) RankOn(b, s int) int {
-	for r, held := range rs.Servers[b] {
-		if held == s {
-			return r
-		}
-	}
-	return -1
-}

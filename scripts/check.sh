@@ -14,7 +14,10 @@
 #      closed around cancelled dispatch, the server's sendfile path and
 #      the client's readv landing: TestParallelDispatchCancellation, the
 #      TestZeroCopy equivalence tests and the TestDirectLanding
-#      equivalence and ownership tests, 50 runs each
+#      equivalence and ownership tests, 50 runs each; and of the brick
+#      data cache, which keeps the buffers cache fills land in:
+#      TestDataRace, TestDataInvalidatePoisonsInflightFill and
+#      TestDataPutCopies, 50 runs each
 #   5. seeded chaos suite under -race (fault injection e2e), plus a
 #      3-seed DPFS_CHAOS_SWEEP including the replica-failover,
 #      catalog-storm (seed*-metashard: the one catalog under delays on
@@ -25,9 +28,10 @@
 #      the planner, the data port's frame decoders, the gossip delta
 #      and message decoders and the span trailer decoder; their seed
 #      corpora already ran in tier-1
-#   7. two smoke runs of dpfs-bench: -ablation parallel, and -ablation
+#   7. three smoke runs of dpfs-bench: -ablation parallel; -ablation
 #      meta, whose creates go end to end through a durable catalog and
-#      an R=3 metarepl group
+#      an R=3 metarepl group; and -ablation cache, whose rereads fill
+#      the brick data cache and run readahead end to end
 #   8. documentation lint (godoc coverage, markdown links, flag tables
 #      and the flags of documented command lines)
 #   9. obslint: metric names vs the frozen manifest + Prometheus
@@ -81,8 +85,9 @@ echo "== obslint: metric-name manifest + Prometheus format =="
 sh scripts/obslint.sh
 echo "== go test -race ./... =="
 go test -race ./...
-echo "== race stress: cancelled dispatch, zero-copy reads, direct landing =="
+echo "== race stress: cancelled dispatch, zero-copy reads, direct landing, the data cache =="
 go test -race -count=50 -run 'TestParallelDispatchCancellation|TestZeroCopy|TestDirectLanding' ./internal/core ./internal/server
+go test -race -count=50 -run 'TestDataRace|TestDataInvalidatePoisonsInflightFill|TestDataPutCopies' ./internal/cache
 echo "== chaos: seeded fault-injection suite (-race) =="
 go test -race -count=1 -run Chaos .
 DPFS_CHAOS_SWEEP=3 go test -race -count=1 -run Chaos ./internal/fault
@@ -92,9 +97,10 @@ go test -list '^Fuzz' ./... |
 	while read -r pkg target; do
 		go test -run '^$' -fuzz "^${target}\$" -fuzztime 5s "$pkg"
 	done
-echo "== bench smoke: dpfs-bench -ablation parallel, -ablation meta =="
+echo "== bench smoke: dpfs-bench -ablation parallel, -ablation meta, -ablation cache =="
 go run ./cmd/dpfs-bench -ablation parallel -n 128 -reps 1 -csv > /dev/null
 go run ./cmd/dpfs-bench -ablation meta -n 128 -reps 1 -csv > /dev/null
+go run ./cmd/dpfs-bench -ablation cache -n 128 -reps 1 -csv > /dev/null
 echo "== benchmark module: go vet + go test =="
 (cd benchmark && go vet . && go test .)
 echo "== all checks passed =="
