@@ -1,6 +1,7 @@
 package metarepl
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -449,5 +450,70 @@ func TestGroupRestartKeepsAddrs(t *testing.T) {
 	defer one.Close()
 	if len(one.Addrs()) != 1 || one.Replica(0) != nil || one.Primary() != 0 {
 		t.Fatalf("group of one: addrs %v, replica %v, primary %d", one.Addrs(), one.Replica(0), one.Primary())
+	}
+}
+
+// TestSQLDrainKeepsReplicationStreams: draining a follower's SQL port
+// must not cut the replication stream it receives. A transaction is
+// open on the primary when both followers' SQL servers shut down; its
+// COMMIT still needs a follower's ack, so it succeeds only if the
+// streams outlive the drains, and no ack times out or resyncs.
+func TestSQLDrainKeepsReplicationStreams(t *testing.T) {
+	g, err := StartGroup(GroupConfig{
+		N: 3, DB: metadb.Options{Dir: t.TempDir() + "/meta"},
+		Heartbeat: 10 * time.Millisecond, ElectionTimeout: 60 * time.Millisecond,
+		Events: obs.NewEventLog(128),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	p := g.Primary()
+	cli, err := mdbnet.DialGroup(g.Addrs(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if _, err := cli.Exec(`CREATE TABLE kv (k TEXT)`); err != nil {
+		t.Fatal(err)
+	}
+	// Both followers stream before their SQL ports drain.
+	want, _ := g.DB(p).ReplState()
+	for j := range 3 {
+		waitFor(t, fmt.Sprintf("replica %d at seq %d", j, want), func() bool {
+			seq, _ := g.DB(j).ReplState()
+			return seq == want
+		})
+	}
+	if _, err := cli.Exec(`BEGIN`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.Exec(`INSERT INTO kv (k) VALUES ('a')`); err != nil {
+		t.Fatal(err)
+	}
+	counts := func() (timeouts, resyncs int64) {
+		for j := range 3 {
+			reg := g.Replica(j).Metrics()
+			timeouts += reg.Counter(MetricAckTimeouts).Value()
+			resyncs += reg.Counter(MetricResyncs).Value()
+		}
+		return timeouts, resyncs
+	}
+	timeouts, resyncs := counts()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for j := range 3 {
+		if j == p {
+			continue
+		}
+		if err := g.Server(j).Shutdown(ctx); err != nil {
+			t.Fatalf("replica %d: shutdown: %v", j, err)
+		}
+	}
+	if _, err := cli.Exec(`COMMIT`); err != nil {
+		t.Fatalf("COMMIT after the followers' SQL drains: %v", err)
+	}
+	if gotT, gotR := counts(); gotT != timeouts || gotR != resyncs {
+		t.Fatalf("ack timeouts %d → %d, resyncs %d → %d across the drains", timeouts, gotT, resyncs, gotR)
 	}
 }
