@@ -17,6 +17,10 @@
 // its open transaction. A frame the server cannot read — another
 // protocol, another kind, an undecodable body — drops the connection
 // with nothing executed.
+//
+// The same port carries replication (repl.go): a connection whose first
+// frame is REPL is handed to the server's replica, and a REPL frame
+// anywhere else is one the server cannot read.
 package mdbnet
 
 import (
@@ -41,8 +45,8 @@ import (
 
 // Metadata network server metric names. Latencies are microseconds.
 const (
-	MetricActiveConns = "active_conns"
-	MetricConnsTotal  = "conns_total"
+	MetricActiveConns = wire.MetricActiveConns
+	MetricConnsTotal  = wire.MetricConnsTotal
 	MetricRequests    = "requests_total"
 	MetricErrors      = "errors_total"
 	MetricRequestUS   = "request_us"
@@ -127,15 +131,10 @@ const serverTraceCap = 256
 // Server serves a metadb database to network clients.
 type Server struct {
 	db     *metadb.DB
-	lis    net.Listener
+	conns  *wire.ConnSet
 	reg    *obs.Registry
 	traces *obs.TraceLog
-
-	mu       sync.Mutex
-	conns    map[net.Conn]*connState
-	closed   bool
-	draining bool
-	wg       sync.WaitGroup
+	repl   ReplHandler // nil: a conn opening with REPL is closed
 
 	gate atomic.Pointer[func() error]
 }
@@ -154,26 +153,19 @@ func (s *Server) SetGate(gate func() error) {
 	s.gate.Store(&gate)
 }
 
-// connState tracks whether a connection is mid-statement, so a drain
-// can let it flush its response before closing.
-type connState struct {
-	busy bool
-}
-
 // NewServer starts serving db on lis, behind gate when it is non-nil
-// (SetGate, installed before the first request is read). It returns
-// immediately; use Close to stop.
-func NewServer(db *metadb.DB, lis net.Listener, gate func() error) *Server {
+// (SetGate, installed before the first request is read), and handing
+// replication conns to repl when it is non-nil. It returns immediately;
+// use Close to stop.
+func NewServer(db *metadb.DB, lis net.Listener, gate func() error, repl ReplHandler) *Server {
 	s := &Server{
 		db:     db,
-		lis:    lis,
 		reg:    obs.NewRegistry(),
 		traces: obs.NewTraceLog(serverTraceCap),
-		conns:  make(map[net.Conn]*connState),
+		repl:   repl,
 	}
 	s.SetGate(gate)
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s.conns = wire.Serve(lis, s.reg, s.serveConn)
 	return s
 }
 
@@ -194,144 +186,69 @@ func Listen(db *metadb.DB, addr string) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mdbnet: listen: %w", err)
 	}
-	return NewServer(db, lis, nil), nil
+	return NewServer(db, lis, nil, nil), nil
 }
 
 // Addr returns the server's listen address.
-func (s *Server) Addr() string { return s.lis.Addr().String() }
+func (s *Server) Addr() string { return s.conns.Addr().String() }
 
 // Close stops accepting, drops all connections and waits for handlers.
+// Replication conns already handed to the replica are its to close.
 // The underlying database is not closed.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-
-	err := s.lis.Close()
-	for _, c := range conns {
-		c.Close()
-	}
-	s.wg.Wait()
-	return err
-}
+func (s *Server) Close() error { return s.conns.Close() }
 
 // Shutdown drains the server: it stops accepting, closes idle
 // connections immediately, and lets connections that are mid-statement
-// finish and flush their response before closing. ctx bounds the
-// wait — on expiry the remaining connections are cut and ctx's error
-// returned. The underlying database is not closed.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.draining = true
-	for c, st := range s.conns {
-		if !st.busy {
-			c.Close()
-		}
-	}
-	s.mu.Unlock()
+// finish and flush their response before closing (each batch is one
+// claim, wire.ConnSet). ctx bounds the wait — on expiry the remaining
+// connections are cut and ctx's error returned. Replication conns
+// already handed to the replica are not the server's to drain. The
+// underlying database is not closed.
+func (s *Server) Shutdown(ctx context.Context) error { return s.conns.Shutdown(ctx) }
 
-	err := s.lis.Close()
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		s.mu.Lock()
-		for c := range s.conns {
-			c.Close()
-		}
-		s.mu.Unlock()
-		<-done
-		if err == nil {
-			err = ctx.Err()
-		}
+// serveConn serves one connection; its first frame picks the protocol.
+// A REPL frame hands the conn to the replica (handRepl); otherwise the
+// conn is a SQL session, and a frame of any other kind — REPL
+// included — drops it, aborting its open transaction.
+func (s *Server) serveConn(conn *wire.Conn) {
+	br := bufio.NewReader(conn.Conn)
+	h, err := wire.ReadFrameHeader(br)
+	if err != nil {
+		return
 	}
-	return err
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.lis.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = &connState{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.handle(conn)
+	if h.Kind == wire.FrameRepl {
+		s.handRepl(conn, br, h)
+		return
 	}
-}
-
-func (s *Server) handle(conn net.Conn) {
-	defer s.wg.Done()
-	s.reg.Counter(MetricConnsTotal).Inc()
-	s.reg.Gauge(MetricActiveConns).Inc()
-	defer func() {
-		s.reg.Gauge(MetricActiveConns).Dec()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
-	}()
-
 	sess := s.db.Session()
 	defer sess.Abort() // a dropped connection abandons its transaction
 
-	br := bufio.NewReader(conn)
-	fw := wire.NewFrameWriter(conn)
+	fw := wire.NewFrameWriter(conn.Conn)
 	var buf []byte // each request's body, then its response's
 	for {
-		h, body, err := readFrame(br, wire.FrameSQL, buf)
+		if h.Kind != wire.FrameSQL {
+			return
+		}
+		body, err := wire.ReadFrameBody(br, h, buf)
 		buf = body
 		if err != nil {
 			return
 		}
 		req, err := decodeRequest(h, body)
-		if err != nil {
+		if err != nil || !conn.Claim() {
 			return
 		}
-		s.mu.Lock()
-		st := s.conns[conn]
-		if st == nil || s.draining {
-			s.mu.Unlock()
-			return
-		}
-		st.busy = true
-		s.mu.Unlock()
 		resp := s.serve(sess, req)
 		s.reg.Counter(MetricRequests).Inc()
 		if resp.Err != "" {
 			s.reg.Counter(MetricErrors).Inc()
 		}
 		buf, err = writeResponse(fw, buf, h.Tag, resp)
-		s.mu.Lock()
-		st.busy = false
-		drain := s.draining
-		s.mu.Unlock()
-		if err != nil || drain {
+		conn.Release()
+		if err != nil {
+			return
+		}
+		if h, err = wire.ReadFrameHeader(br); err != nil {
 			return
 		}
 	}
@@ -366,7 +283,7 @@ func (s *Server) serve(sess *metadb.Session, req *request) *response {
 }
 
 // Client is a connection to one catalog: a plain mdbnet server, or the
-// replica group whose SQL addresses it was given (DESIGN.md §13). It is
+// replica group whose addresses it was given (DESIGN.md §13). It is
 // safe for concurrent use; requests are serialized on its one
 // connection, which owns one database session. Two error classes drive
 // reconnection and failover:
@@ -437,7 +354,7 @@ func DialWith(addr string, dial DialFunc) (*Client, error) {
 	return DialGroup([]string{addr}, dial)
 }
 
-// DialGroup connects to a catalog given its SQL address list: one
+// DialGroup connects to a catalog given its address list: one
 // address for a plain catalog, every replica's for a replica group
 // (the same list, in the same order, on every client). A nil dial uses
 // TCP. Dialing succeeds as long as one address accepts; a group's

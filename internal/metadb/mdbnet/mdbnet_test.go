@@ -1,6 +1,7 @@
 package mdbnet
 
 import (
+	"bufio"
 	"context"
 	"encoding/gob"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -354,9 +356,62 @@ type parentRequest struct {
 	Sampled bool
 }
 
-// TestParentGobClientsRefused: a client of the gob-era protocol, on the
-// catalog port or the replication port, has its connection closed
-// after one frame-header read, and nothing it sent takes effect.
+// voter stands in for a catalog replica: it counts the conns a server
+// hands it and grants every vote request.
+type voter struct {
+	conns  wire.ConnSet
+	served atomic.Int64
+}
+
+func (v *voter) ReplConns() *wire.ConnSet { return &v.conns }
+
+func (v *voter) ServeRepl(c *ReplConn, m *ReplMsg) {
+	v.served.Add(1)
+	if m.Kind == ReplVoteReq {
+		_ = c.Send(&ReplMsg{Kind: ReplVote, Epoch: m.Epoch, Ok: true})
+	}
+}
+
+// startReplica starts a catalog server behind gate that hands its
+// replication conns to a voter.
+func startReplica(t *testing.T, gate func() error) (*Server, *metadb.DB, *voter) {
+	t.Helper()
+	db := metadb.Memory()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := &voter{}
+	srv := NewServer(db, lis, gate, v)
+	t.Cleanup(func() {
+		srv.Close()
+		v.conns.Close()
+		db.Close()
+	})
+	return srv, db, v
+}
+
+// vote sends a vote request on a fresh replication conn to addr and
+// returns the answer.
+func vote(addr string) (*ReplMsg, error) {
+	conn, err := DialRepl(addr, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer conn.Close()
+	conn.conn.SetDeadline(time.Now().Add(2 * time.Second))
+	if err := conn.Send(&ReplMsg{Kind: ReplVoteReq, From: 1, Epoch: 2}); err != nil {
+		return nil, err
+	}
+	return conn.Recv()
+}
+
+// TestParentGobClientsRefused: a client of the gob-era protocol, SQL or
+// replication, has its catalog connection closed after one
+// frame-header read, and nothing it sent takes effect. The first frame
+// picks a conn's protocol: REPL on a catalog without a replica, or
+// after SQL frames, drops the conn with nothing handed over, and a
+// follower's gate refusing SQL does not refuse its replication.
 func TestParentGobClientsRefused(t *testing.T) {
 	// gobExchange sends msg gob-encoded on a fresh connection to addr
 	// and requires the connection to end without an answer.
@@ -396,25 +451,85 @@ func TestParentGobClientsRefused(t *testing.T) {
 		}
 	})
 	t.Run("replication", func(t *testing.T) {
-		lis, err := ListenRepl("")
+		srv, _, v := startReplica(t, nil)
+		gobExchange(t, srv.Addr(), ReplMsg{Kind: ReplHello, From: 1, Epoch: 1})
+		if n := v.served.Load(); n != 0 {
+			t.Fatalf("a gob hello was handed to the replica (%d conns)", n)
+		}
+		// The port still serves framed replication.
+		if m, err := vote(srv.Addr()); err != nil || !m.Ok {
+			t.Fatalf("vote after the gob hello: %+v, %v", m, err)
+		}
+	})
+	t.Run("REPL first on a group of one", func(t *testing.T) {
+		srv, db := startServer(t)
+		if m, err := vote(srv.Addr()); err == nil {
+			t.Fatalf("a catalog without a replica answered a vote request: %+v", m)
+		}
+		if n := requests(srv); n != 0 {
+			t.Fatalf("%d requests served", n)
+		}
+		if _, err := dial(t, srv).Exec(`CREATE TABLE t (x INT)`); err != nil {
+			t.Fatal(err)
+		}
+		if names := db.TableNames(); len(names) != 1 {
+			t.Fatalf("tables %v exist", names)
+		}
+	})
+	t.Run("REPL after SQL", func(t *testing.T) {
+		srv, db, v := startReplica(t, nil)
+		if _, err := db.Exec(`CREATE TABLE t (id INT PRIMARY KEY)`); err != nil {
+			t.Fatal(err)
+		}
+		conn, err := net.Dial("tcp", srv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer lis.Close()
-		recvd := make(chan error, 1)
-		go func() {
-			conn, err := lis.Accept()
-			if err != nil {
-				recvd <- err
-				return
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(2 * time.Second))
+		fw, br := wire.NewFrameWriter(conn), bufio.NewReader(conn)
+		for tag, sql := range []string{`BEGIN`, `INSERT INTO t VALUES (1)`} {
+			if _, err := writeRequest(fw, nil, uint32(tag+1), &request{Stmts: []metadb.Stmt{{SQL: sql}}}); err != nil {
+				t.Fatal(err)
 			}
-			defer conn.Close() // what a replica does when Recv fails
-			_, err = conn.Recv()
-			recvd <- err
-		}()
-		gobExchange(t, lis.Addr(), ReplMsg{Kind: ReplHello, From: 1, Epoch: 1})
-		if err := <-recvd; err == nil {
-			t.Fatal("a gob hello was received as a message")
+			_, body, err := readFrame(br, wire.FrameSQLResult, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp, err := decodeResponse(body); err != nil || resp.Err != "" {
+				t.Fatalf("%s: %+v, %v", sql, resp, err)
+			}
+		}
+		m := ReplMsg{Kind: ReplVoteReq, From: 1, Epoch: 2}
+		if err := fw.WriteFrame(wire.FrameHeader{Kind: wire.FrameRepl}, m.AppendTo(nil)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := br.ReadByte(); err != io.EOF {
+			t.Fatalf("read after a REPL frame mid-session = %v, want EOF", err)
+		}
+		if n := v.served.Load(); n != 0 {
+			t.Fatalf("the REPL frame was handed to the replica (%d conns)", n)
+		}
+		// The dropped session's transaction aborted: its row is gone and
+		// its lock free.
+		res, err := dial(t, srv).Exec(`SELECT COUNT(*) FROM t`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := res.Rows[0][0].Int; n != 0 {
+			t.Fatalf("the dropped transaction left %d rows", n)
+		}
+	})
+	t.Run("a refusing gate still votes", func(t *testing.T) {
+		srv, db, _ := startReplica(t, func() error { return NotPrimaryError("", 3) })
+		if _, err := dial(t, srv).Exec(`CREATE TABLE t (x INT)`); !errors.Is(err, ErrNotPrimary) {
+			t.Fatalf("SQL on a follower = %v, want %v", err, ErrNotPrimary)
+		}
+		if names := db.TableNames(); len(names) != 0 {
+			t.Fatalf("tables %v exist", names)
+		}
+		if m, err := vote(srv.Addr()); err != nil || !m.Ok {
+			t.Fatalf("vote on a follower's port: %+v, %v", m, err)
 		}
 	})
 }

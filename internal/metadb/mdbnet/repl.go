@@ -16,12 +16,13 @@ import (
 
 // This file is the wire side of metadata replication (DESIGN.md §13):
 // the long-lived protocol replica-group members speak to each other on
-// their replication port, next to the SQL protocol clients speak. Each
-// message is one wire.FrameRepl whose body is the ReplMsg in the
-// catalog codec. One ReplMsg grammar carries everything — the shipping
-// stream (hello, snapshot, record, heartbeat, ack) and elections
-// (vote-req, vote) — so the whole group protocol is visible in one
-// type.
+// the catalog port, beside the SQL protocol clients speak there. A
+// conn's first frame picks its protocol: the server hands a conn that
+// opens with REPL to its replica. Each message is one wire.FrameRepl
+// whose body is the ReplMsg in the catalog codec. One ReplMsg grammar
+// carries everything — the shipping stream (hello, snapshot, record,
+// heartbeat, ack) and elections (vote-req, vote) — so the whole group
+// protocol is visible in one type.
 
 // ReplMsg kinds.
 const (
@@ -109,8 +110,8 @@ type ReplConn struct {
 	buf []byte
 }
 
-// DialRepl opens a replication connection to a group member's
-// replication address.
+// DialRepl opens a replication connection to a group member's catalog
+// address.
 func DialRepl(addr string, dial DialFunc) (*ReplConn, error) {
 	if dial == nil {
 		dial = func(a string) (net.Conn, error) {
@@ -126,6 +127,36 @@ func DialRepl(addr string, dial DialFunc) (*ReplConn, error) {
 
 func newReplConn(conn net.Conn) *ReplConn {
 	return &ReplConn{conn: conn, br: bufio.NewReader(conn), fw: wire.NewFrameWriter(conn)}
+}
+
+// ReplHandler is the catalog replica behind a Server: the server hands
+// it every conn whose first frame is REPL.
+type ReplHandler interface {
+	// ReplConns is the set that keeps the handed-over conns: draining
+	// the server's port does not cut them, and a closed set refuses
+	// more.
+	ReplConns() *wire.ConnSet
+	// ServeRepl serves one handed-over conn from its first message on.
+	ServeRepl(c *ReplConn, first *ReplMsg)
+}
+
+// handRepl hands a conn whose first frame (header h, read from br) is
+// REPL to the server's replica. Without a replica, or once the server
+// or the replica is closing, the conn closes with nothing served.
+func (s *Server) handRepl(conn *wire.Conn, br *bufio.Reader, h wire.FrameHeader) {
+	if s.repl == nil {
+		return
+	}
+	body, err := wire.ReadFrameBody(br, h, nil)
+	if err != nil {
+		return
+	}
+	m, err := DecodeReplMsg(body)
+	if err != nil {
+		return
+	}
+	rc := &ReplConn{conn: conn.Conn, br: br, fw: wire.NewFrameWriter(conn.Conn)}
+	conn.HandTo(s.repl.ReplConns(), func(*wire.Conn) { s.repl.ServeRepl(rc, m) })
 }
 
 // Send writes one message.
@@ -152,39 +183,6 @@ func (c *ReplConn) Recv() (*ReplMsg, error) {
 
 // Close tears the connection down.
 func (c *ReplConn) Close() error { return c.conn.Close() }
-
-// ReplListener accepts replication connections for one replica.
-type ReplListener struct {
-	lis net.Listener
-}
-
-// ListenRepl starts a replication listener ("" or ":0" picks an
-// ephemeral port).
-func ListenRepl(addr string) (*ReplListener, error) {
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("mdbnet: listen repl: %w", err)
-	}
-	return &ReplListener{lis: lis}, nil
-}
-
-// Addr returns the listen address.
-func (l *ReplListener) Addr() string { return l.lis.Addr().String() }
-
-// Accept waits for the next replication connection.
-func (l *ReplListener) Accept() (*ReplConn, error) {
-	conn, err := l.lis.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return newReplConn(conn), nil
-}
-
-// Close stops the listener.
-func (l *ReplListener) Close() error { return l.lis.Close() }
 
 // ErrNotPrimary is the sentinel inside a follower's statement
 // rejection. SQL errors cross the wire as strings, so after a network

@@ -9,36 +9,16 @@ import (
 	"dpfs/internal/metadb/mdbnet"
 )
 
-// This file is the serving half of a replica: every inbound
-// replication connection is either a vote request (answered and
-// closed) or a shipping stream from the primary (applied until it
-// breaks). Both paths enforce epoch fencing — anything from an epoch
-// older than ours is rejected with the newer epoch so the deposed
+// This file is the serving half of a replica: every replication
+// connection its SQL server hands over is either a vote request
+// (answered and closed) or a shipping stream from the primary (applied
+// until it breaks). Both paths enforce epoch fencing — anything from an
+// epoch older than ours is rejected with the newer epoch so the deposed
 // sender steps down.
 
-func (r *Replica) acceptLoop() {
-	defer r.wg.Done()
-	for {
-		conn, err := r.lis.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		r.wg.Add(1)
-		go r.handleConn(conn)
-	}
-}
-
-func (r *Replica) handleConn(conn *mdbnet.ReplConn) {
-	defer r.wg.Done()
-	defer conn.Close()
-	if !r.track(conn) {
-		return
-	}
-	defer r.untrack(conn)
-	m, err := conn.Recv()
-	if err != nil {
-		return
-	}
+// ServeRepl serves one handed-over replication conn from its first
+// message m on (mdbnet.ReplHandler); the conn closes when it returns.
+func (r *Replica) ServeRepl(conn *mdbnet.ReplConn, m *mdbnet.ReplMsg) {
 	switch m.Kind {
 	case mdbnet.ReplVoteReq:
 		r.handleVote(conn, m)

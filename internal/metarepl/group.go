@@ -18,16 +18,17 @@ import (
 )
 
 // This file is the one bring-up of a catalog: cmd/dpfs-meta and
-// internal/cluster both run their catalog as a Group. A plain catalog is
-// a group of one: its database and SQL server, with no replication
-// listener, no Replica and no gate, so its commits take metadb's
-// unreplicated path.
+// internal/cluster both run their catalog as a Group. Each replica has
+// one address: its SQL server's port, which hands conns that open with
+// REPL to its Replica. A plain catalog is a group of one: its database
+// and SQL server, with no Replica and no gate, so its commits take
+// metadb's unreplicated path and a conn that opens with REPL is closed.
 
 // GroupConfig describes a catalog replica group run in one process.
 type GroupConfig struct {
 	// N is the number of replicas; 0 or 1 runs one plain catalog.
 	N int
-	// Addr is replica 0's SQL address; empty picks a port on first
+	// Addr is replica 0's address; empty picks a port on first
 	// start.
 	Addr string
 	// DB is every replica's database options. Replica 0 stores in
@@ -42,15 +43,16 @@ type GroupConfig struct {
 	Events          *obs.EventLog
 }
 
-// addrsFile records a durable replica's SQL and replication addresses
-// in its directory, so a restart binds the ones clients were given.
+// addrsFile records a durable replica's address in its directory, so a
+// restart binds the one clients were given. A file from before
+// replication moved onto the SQL port holds a second field, the old
+// replication address: it is ignored, and the file rewritten without it.
 const addrsFile = "addrs"
 
 // Group is a running catalog replica group.
 type Group struct {
 	cfg   GroupConfig
-	addrs []string // SQL addresses, the list clients dial
-	peers []string // replication addresses; nil in a group of one
+	addrs []string // one per replica: the list clients dial, and every Replica's Peers
 
 	mu      sync.Mutex // guards members
 	members []member
@@ -60,27 +62,20 @@ type Group struct {
 type member struct {
 	db  *metadb.DB
 	srv *mdbnet.Server
-	rep *Replica // nil in a group of one
-
-	// Bound by bind, handed over to srv and rep by serve.
-	sqlLis  net.Listener
-	replLis *mdbnet.ReplListener
+	rep *Replica     // nil in a group of one
+	lis net.Listener // bound by bind, handed over to srv by serve
 }
 
 // StartGroup brings a catalog up: every replica's database, SQL server
-// and, for N > 1, replication listener, Replica and gate. Then a fresh
-// group bootstraps replica 0 as its first primary, and a group
-// restarted on durable state elects one; StartGroup returns once the
-// group has a primary.
+// and, for N > 1, Replica and gate. Then a fresh group bootstraps
+// replica 0 as its first primary, and a group restarted on durable
+// state elects one; StartGroup returns once the group has a primary.
 func StartGroup(cfg GroupConfig) (*Group, error) {
 	if cfg.DB.Dir == "" && (cfg.DB.Sync || cfg.DB.SyncDelay != 0) {
 		return nil, errors.New("metarepl: a synced catalog needs a durable directory")
 	}
 	n := max(cfg.N, 1)
 	g := &Group{cfg: cfg, addrs: make([]string, n), members: make([]member, n)}
-	if n > 1 {
-		g.peers = make([]string, n)
-	}
 	// Every replica binds before any is built, so each knows all the
 	// group's addresses.
 	for j := range n {
@@ -126,10 +121,10 @@ func (g *Group) dir(j int) string {
 	return fmt.Sprintf("%s-r%d", g.cfg.DB.Dir, j)
 }
 
-// bind opens replica j's database and binds its listeners: on its
-// addresses from an earlier start in this process, else on the ones
-// recorded in its directory (Addr overriding replica 0's SQL address),
-// else on fresh ports, which a durable replica then records.
+// bind opens replica j's database and binds its listener: on its
+// address from an earlier start in this process, else on the one
+// recorded in its directory (Addr overriding replica 0's), else on a
+// fresh port, which a durable replica then records.
 func (g *Group) bind(j int) error {
 	m := &g.members[j]
 	opts := g.cfg.DB
@@ -139,57 +134,42 @@ func (g *Group) bind(j int) error {
 		return err
 	}
 	first := g.addrs[j] == ""
-	addr := []string{g.addrs[j], ""} // SQL, replication
-	if g.peers != nil {
-		addr[1] = g.peers[j]
-	}
+	addr := g.addrs[j]
 	if first && opts.Dir != "" {
 		if data, err := os.ReadFile(filepath.Join(opts.Dir, addrsFile)); err == nil {
-			copy(addr, strings.Fields(string(data)))
+			addr, _, _ = strings.Cut(strings.TrimSpace(string(data)), " ")
 		}
 	}
 	if first && j == 0 && g.cfg.Addr != "" {
-		addr[0] = g.cfg.Addr
+		addr = g.cfg.Addr
 	}
-	if m.sqlLis, err = net.Listen("tcp", cmp.Or(addr[0], "127.0.0.1:0")); err != nil {
+	if m.lis, err = net.Listen("tcp", cmp.Or(addr, "127.0.0.1:0")); err != nil {
 		return fmt.Errorf("metarepl: replica %d: listen: %w", j, err)
-	}
-	addr[0] = m.sqlLis.Addr().String()
-	if g.peers != nil {
-		if m.replLis, err = mdbnet.ListenRepl(addr[1]); err != nil {
-			return fmt.Errorf("metarepl: replica %d: %w", j, err)
-		}
-		addr[1] = m.replLis.Addr()
 	}
 	if !first {
 		return nil
 	}
-	g.addrs[j] = addr[0]
-	if g.peers != nil {
-		g.peers[j] = addr[1]
-	}
+	g.addrs[j] = m.lis.Addr().String()
 	if opts.Dir == "" {
 		return nil
 	}
 	tmp := filepath.Join(opts.Dir, addrsFile+".tmp")
-	if err := os.WriteFile(tmp, []byte(strings.Join(addr, " ")+"\n"), 0o644); err != nil {
+	if err := os.WriteFile(tmp, []byte(g.addrs[j]+"\n"), 0o644); err != nil {
 		return err
 	}
 	return os.Rename(tmp, filepath.Join(opts.Dir, addrsFile))
 }
 
 // serve builds replica j's Replica (in a group of more than one) and
-// starts its SQL server behind the Replica's gate.
+// starts its SQL server.
 func (g *Group) serve(j int) error {
 	m := &g.members[j]
-	if m.replLis != nil {
+	if len(g.addrs) > 1 {
 		rep, err := New(Config{
 			Name:            "meta",
 			ID:              j,
-			Peers:           g.peers,
-			SQLAddrs:        g.addrs,
+			Peers:           g.addrs,
 			DB:              m.db,
-			Listener:        m.replLis,
 			Ack:             g.cfg.Ack,
 			Heartbeat:       g.cfg.Heartbeat,
 			ElectionTimeout: g.cfg.ElectionTimeout,
@@ -198,22 +178,24 @@ func (g *Group) serve(j int) error {
 		if err != nil {
 			return err
 		}
-		m.rep, m.replLis = rep, nil
+		m.rep = rep
 	}
-	m.srv, m.sqlLis = mdbnet.NewServer(m.db, m.sqlLis, m.gate()), nil
+	m.srv, m.lis = m.server(m.lis), nil
 	return nil
 }
 
-// gate is the member's SQL admission check: its Replica's, or none.
-func (m *member) gate() func() error {
+// server starts the member's SQL server on lis: behind its Replica's
+// gate and handing replication conns to it, or plain in a group of
+// one.
+func (m *member) server(lis net.Listener) *mdbnet.Server {
 	if m.rep == nil {
-		return nil
+		return mdbnet.NewServer(m.db, lis, nil, nil)
 	}
-	return m.rep.Gate()
+	return mdbnet.NewServer(m.db, lis, m.rep.Gate(), m.rep)
 }
 
-// Addrs returns the group's SQL addresses: the list every client and
-// I/O server is given.
+// Addrs returns the group's addresses, one per replica: the list every
+// client and I/O server is given.
 func (g *Group) Addrs() []string { return slices.Clone(g.addrs) }
 
 // DB returns replica j's database (nil while it is killed).
@@ -253,8 +235,9 @@ func (g *Group) Primary() int {
 
 // Kill stops replica j entirely, modelling a crash of its machine: the
 // SQL server first, so no client commits on a replica whose core has
-// stopped shipping, then the replication core and the database. In
-// memory its state dies with it; a durable replica keeps its WAL.
+// stopped shipping, then the replication core with the streams its
+// server handed over, and the database. In memory its state dies with
+// it; a durable replica keeps its WAL.
 func (g *Group) Kill(j int) error {
 	g.mu.Lock()
 	m := g.members[j]
@@ -269,14 +252,11 @@ func (m member) close() error {
 	if m.srv != nil {
 		errs = append(errs, m.srv.Close())
 	}
-	if m.sqlLis != nil {
-		errs = append(errs, m.sqlLis.Close())
+	if m.lis != nil {
+		errs = append(errs, m.lis.Close())
 	}
 	if m.rep != nil {
 		errs = append(errs, m.rep.Close())
-	}
-	if m.replLis != nil {
-		errs = append(errs, m.replLis.Close())
 	}
 	if m.db != nil {
 		errs = append(errs, m.db.Close())
@@ -284,11 +264,11 @@ func (m member) close() error {
 	return errors.Join(errs...)
 }
 
-// Restart brings replica j back on its previous addresses. A killed
-// replica reopens its database (its WAL, or a snapshot resync when in
-// memory) and rejoins as a follower; elections decide whether it leads
-// again. A replica whose SQL server alone was closed keeps its database
-// and gets a new server.
+// Restart brings replica j back on its address. A killed replica
+// reopens its database (its WAL, or a snapshot resync when in memory)
+// and rejoins as a follower; elections decide whether it leads again.
+// A replica whose SQL server alone was closed keeps its database and
+// Replica and gets a new server.
 func (g *Group) Restart(j int) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -299,7 +279,7 @@ func (g *Group) Restart(j int) error {
 		if err != nil {
 			return err
 		}
-		m.srv = mdbnet.NewServer(m.db, lis, m.gate())
+		m.srv = m.server(lis)
 		return nil
 	}
 	err := g.bind(j)

@@ -6,10 +6,11 @@
 // It is the only replica whose mdbnet server accepts SQL (the others
 // reject with a redirect), and every transaction it commits is shipped
 // — in commit order, epoch-stamped — to the followers over the mdbnet
-// replication stream. A commit is acknowledged to the client only once
-// enough replicas have it durable (majority by default); followers
-// apply records to their own metadb and WAL, so any of them can take
-// over with a complete acknowledged history.
+// replication stream, which rides each follower's one catalog port. A
+// commit is acknowledged to the client only once enough replicas have
+// it durable (majority by default); followers apply records to their
+// own metadb and WAL, so any of them can take over with a complete
+// acknowledged history.
 //
 // Failover is an election: when a follower stops hearing heartbeats it
 // campaigns at the next epoch, staggered by replica ID so the lowest
@@ -39,6 +40,7 @@ import (
 	"dpfs/internal/metadb"
 	"dpfs/internal/metadb/mdbnet"
 	"dpfs/internal/obs"
+	"dpfs/internal/wire"
 )
 
 // Replication metric names.
@@ -94,20 +96,15 @@ const (
 type Config struct {
 	// Name labels the group in events and logs (e.g. "meta").
 	Name string
-	// ID is this replica's index into Peers/SQLAddrs.
+	// ID is this replica's index into Peers.
 	ID int
-	// Peers lists the replication-stream addresses of every group
-	// member, index-aligned across all replicas.
+	// Peers lists every group member's catalog address, index-aligned
+	// across all replicas: its one port, where clients send SQL and
+	// peers open replication streams. Followers put Peers[leader] in
+	// their redirects.
 	Peers []string
-	// SQLAddrs lists the client-facing mdbnet addresses, index-aligned
-	// with Peers; followers put SQLAddrs[leader] in their redirects.
-	SQLAddrs []string
 	// DB is this replica's database.
 	DB *metadb.DB
-	// Listener, when set, is a pre-bound replication listener (tests
-	// bind ephemeral ports before assembling Peers). Nil listens on
-	// Peers[ID].
-	Listener *mdbnet.ReplListener
 	// Ack is the commit-acknowledgement quorum (default AckMajority).
 	Ack Ack
 	// Heartbeat is the primary's keep-alive interval (default 25ms).
@@ -143,13 +140,14 @@ const tailCap = 4096
 
 // Replica is one member of a catalog replica group. Create with New,
 // then Start (or Bootstrap on the designated first primary of a fresh
-// group), and wire Gate into the replica's mdbnet server.
+// group), and serve its mdbnet server behind Gate with the Replica as
+// its mdbnet.ReplHandler.
 type Replica struct {
-	cfg Config
-	db  *metadb.DB
-	lis *mdbnet.ReplListener
-	reg *obs.Registry
-	ev  *obs.EventLog
+	cfg   Config
+	db    *metadb.DB
+	reg   *obs.Registry
+	ev    *obs.EventLog
+	conns wire.ConnSet // the replication conns the SQL server handed over
 
 	mu        sync.Mutex
 	role      Role
@@ -158,7 +156,6 @@ type Replica struct {
 	lastHeard time.Time
 	closed    bool
 	stop      chan struct{}
-	conns     map[*mdbnet.ReplConn]struct{} // accepted, still-open connections
 
 	// Primary state.
 	shipSeq  int64         // last committed (and buffered) sequence number
@@ -182,9 +179,6 @@ func New(cfg Config) (*Replica, error) {
 	if cfg.ID < 0 || cfg.ID >= len(cfg.Peers) {
 		return nil, fmt.Errorf("metarepl: ID %d outside peer list of %d", cfg.ID, len(cfg.Peers))
 	}
-	if len(cfg.SQLAddrs) != 0 && len(cfg.SQLAddrs) != len(cfg.Peers) {
-		return nil, fmt.Errorf("metarepl: %d SQL addresses for %d peers", len(cfg.SQLAddrs), len(cfg.Peers))
-	}
 	if cfg.DB == nil {
 		return nil, fmt.Errorf("metarepl: nil DB")
 	}
@@ -203,14 +197,6 @@ func New(cfg Config) (*Replica, error) {
 	if cfg.Events == nil {
 		cfg.Events = obs.Events()
 	}
-	lis := cfg.Listener
-	if lis == nil {
-		var err error
-		lis, err = mdbnet.ListenRepl(cfg.Peers[cfg.ID])
-		if err != nil {
-			return nil, err
-		}
-	}
 	epoch, leader := cfg.DB.ReplEpoch()
 	if epoch == 0 {
 		leader = -1 // a group that never had a primary has no leader
@@ -218,7 +204,6 @@ func New(cfg Config) (*Replica, error) {
 	r := &Replica{
 		cfg:       cfg,
 		db:        cfg.DB,
-		lis:       lis,
 		reg:       cfg.Registry,
 		ev:        cfg.Events,
 		role:      Follower,
@@ -226,7 +211,6 @@ func New(cfg Config) (*Replica, error) {
 		leader:    leader,
 		lastHeard: time.Now(),
 		stop:      make(chan struct{}),
-		conns:     make(map[*mdbnet.ReplConn]struct{}),
 		acked:     make(map[int]int64),
 		ackWake:   make(chan struct{}),
 	}
@@ -239,14 +223,14 @@ func New(cfg Config) (*Replica, error) {
 // Metrics returns the replica's metric registry.
 func (r *Replica) Metrics() *obs.Registry { return r.reg }
 
-// Addr returns the replication-stream listen address.
-func (r *Replica) Addr() string { return r.lis.Addr() }
+// ReplConns is the set that keeps the replication conns the replica's
+// SQL server hands over (mdbnet.ReplHandler).
+func (r *Replica) ReplConns() *wire.ConnSet { return &r.conns }
 
-// Start begins serving the replication protocol: accepting streams and
-// votes, and campaigning when the primary goes silent.
+// Start begins campaigning when the primary goes silent. Streams and
+// votes are served from New on, as the SQL server hands them over.
 func (r *Replica) Start() {
-	r.wg.Add(2)
-	go r.acceptLoop()
+	r.wg.Add(1)
 	go r.electionLoop()
 }
 
@@ -287,15 +271,16 @@ func (r *Replica) Gate() func() error {
 			return nil
 		}
 		addr := ""
-		if r.leader >= 0 && r.leader < len(r.cfg.SQLAddrs) && r.leader != r.cfg.ID {
-			addr = r.cfg.SQLAddrs[r.leader]
+		if r.leader >= 0 && r.leader < len(r.cfg.Peers) && r.leader != r.cfg.ID {
+			addr = r.cfg.Peers[r.leader]
 		}
 		return mdbnet.NotPrimaryError(addr, r.epoch)
 	}
 }
 
-// Close stops the replica: listener, shippers, election timer. The
-// database is left open (and with its replication hooks removed).
+// Close stops the replica: shippers, handed-over conns, election
+// timer. The database is left open (and with its replication hooks
+// removed).
 func (r *Replica) Close() error {
 	r.mu.Lock()
 	if r.closed {
@@ -306,44 +291,18 @@ func (r *Replica) Close() error {
 	close(r.stop)
 	shippers := r.shippers
 	r.shippers = nil
-	conns := make([]*mdbnet.ReplConn, 0, len(r.conns))
-	for c := range r.conns {
-		conns = append(conns, c)
-	}
 	r.wake()
 	r.mu.Unlock()
 
 	r.db.SetReplHooks(nil)
-	err := r.lis.Close()
 	for _, s := range shippers {
 		s.halt()
 	}
-	// Accepted streams block in Recv; closing them lets their handlers
-	// drain so Wait below terminates.
-	for _, c := range conns {
-		c.Close()
-	}
+	// Handed-over streams block in Recv; closing them lets their
+	// handlers return.
+	err := r.conns.Close()
 	r.wg.Wait()
 	return err
-}
-
-// track registers an accepted connection for shutdown; it reports
-// false (and closes the connection) when the replica is already
-// closed.
-func (r *Replica) track(c *mdbnet.ReplConn) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return false
-	}
-	r.conns[c] = struct{}{}
-	return true
-}
-
-func (r *Replica) untrack(c *mdbnet.ReplConn) {
-	r.mu.Lock()
-	delete(r.conns, c)
-	r.mu.Unlock()
 }
 
 // wake releases every goroutine waiting on acked/role changes. Caller

@@ -3,6 +3,9 @@ package metarepl
 import (
 	"context"
 	"fmt"
+	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -12,23 +15,39 @@ import (
 	"dpfs/internal/obs"
 )
 
+// listen binds n loopback catalog ports.
+func listen(t *testing.T, n int) ([]net.Listener, []string) {
+	t.Helper()
+	liss := make([]net.Listener, n)
+	addrs := make([]string, n)
+	for i := range liss {
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		liss[i], addrs[i] = lis, lis.Addr().String()
+	}
+	return liss, addrs
+}
+
+// serve starts rep's catalog server on lis, as Group does: SQL behind
+// its gate, replication conns handed to it.
+func serve(db *metadb.DB, lis net.Listener, rep *Replica) *mdbnet.Server {
+	return mdbnet.NewServer(db, lis, rep.Gate(), rep)
+}
+
+// addr is the replica's catalog address.
+func addr(r *Replica) string { return r.cfg.Peers[r.cfg.ID] }
+
 // newGroup builds and starts an n-replica group over in-memory
 // databases with fast timeouts, bootstrapping replica 0 as the first
 // primary. Returned replicas are closed by the test cleanup.
 func newGroup(t *testing.T, n int, ack Ack, ackTimeout time.Duration) ([]*Replica, []*metadb.DB) {
 	t.Helper()
-	liss := make([]*mdbnet.ReplListener, n)
-	peers := make([]string, n)
-	for i := range liss {
-		lis, err := mdbnet.ListenRepl("")
-		if err != nil {
-			t.Fatalf("listen: %v", err)
-		}
-		liss[i] = lis
-		peers[i] = lis.Addr()
-	}
+	liss, peers := listen(t, n)
 	reps := make([]*Replica, n)
 	dbs := make([]*metadb.DB, n)
+	srvs := make([]*mdbnet.Server, n)
 	for i := 0; i < n; i++ {
 		db, err := metadb.Open(metadb.Options{})
 		if err != nil {
@@ -39,7 +58,7 @@ func newGroup(t *testing.T, n int, ack Ack, ackTimeout time.Duration) ([]*Replic
 			ackTimeout = 2 * time.Second
 		}
 		rep, err := New(Config{
-			Name: "g0", ID: i, Peers: peers, DB: db, Listener: liss[i],
+			Name: "g0", ID: i, Peers: peers, DB: db,
 			Ack: ack, Heartbeat: 10 * time.Millisecond,
 			ElectionTimeout: 60 * time.Millisecond,
 			AckTimeout:      ackTimeout,
@@ -49,6 +68,7 @@ func newGroup(t *testing.T, n int, ack Ack, ackTimeout time.Duration) ([]*Replic
 			t.Fatalf("new replica %d: %v", i, err)
 		}
 		reps[i] = rep
+		srvs[i] = serve(db, liss[i], rep)
 	}
 	if err := reps[0].Bootstrap(); err != nil {
 		t.Fatalf("bootstrap: %v", err)
@@ -58,6 +78,7 @@ func newGroup(t *testing.T, n int, ack Ack, ackTimeout time.Duration) ([]*Replic
 	}
 	t.Cleanup(func() {
 		for i, r := range reps {
+			srvs[i].Close()
 			r.Close()
 			dbs[i].Close()
 		}
@@ -152,7 +173,7 @@ func TestStaleEpochStreamFenced(t *testing.T) {
 		epoch, _ := reps[2].Epoch()
 		return epoch >= 1
 	})
-	conn, err := mdbnet.DialRepl(reps[2].Addr(), nil)
+	conn, err := mdbnet.DialRepl(addr(reps[2]), nil)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -179,7 +200,7 @@ func TestSingleVotePerEpoch(t *testing.T) {
 	reps, _ := newGroup(t, 3, AckMajority, 0)
 
 	vote := func(from int, epoch int64) *mdbnet.ReplMsg {
-		conn, err := mdbnet.DialRepl(reps[2].Addr(), nil)
+		conn, err := mdbnet.DialRepl(addr(reps[2]), nil)
 		if err != nil {
 			t.Fatalf("dial: %v", err)
 		}
@@ -211,10 +232,6 @@ func TestSingleVotePerEpoch(t *testing.T) {
 // history and resume streaming even after new commits — instead of
 // eating a full snapshot on every routine failover.
 func TestTakeoverTailSeedAvoidsSnapshot(t *testing.T) {
-	lis, err := mdbnet.ListenRepl("")
-	if err != nil {
-		t.Fatal(err)
-	}
 	db, err := metadb.Open(metadb.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +246,7 @@ func TestTakeoverTailSeedAvoidsSnapshot(t *testing.T) {
 		}
 	}
 	rep, err := New(Config{
-		Name: "g0", ID: 0, Peers: []string{lis.Addr()}, DB: db, Listener: lis,
+		Name: "g0", ID: 0, Peers: []string{"127.0.0.1:0"}, DB: db,
 		ElectionTimeout: time.Hour, Events: obs.NewEventLog(16),
 	})
 	if err != nil {
@@ -266,25 +283,19 @@ func TestTakeoverTailSeedAvoidsSnapshot(t *testing.T) {
 // no more SQL: a closed replica ships nothing, so whatever it
 // committed would be acknowledged unreplicated.
 func TestCloseFailsPendingAcks(t *testing.T) {
-	lis0, err := mdbnet.ListenRepl("")
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The follower address accepts connections but never speaks the
 	// protocol, so no ack ever arrives.
-	lis1, err := mdbnet.ListenRepl("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis1.Close()
+	liss, peers := listen(t, 2)
+	liss[0].Close()
+	defer liss[1].Close()
 	db, err := metadb.Open(metadb.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
 	rep, err := New(Config{
-		Name: "g0", ID: 0, Peers: []string{lis0.Addr(), lis1.Addr()},
-		DB: db, Listener: lis0, ElectionTimeout: time.Hour,
+		Name: "g0", ID: 0, Peers: peers,
+		DB: db, ElectionTimeout: time.Hour,
 		AckTimeout: time.Hour, Events: obs.NewEventLog(16),
 	})
 	if err != nil {
@@ -344,15 +355,7 @@ func TestSnapshotResyncForLaggard(t *testing.T) {
 	// must be resynchronized by snapshot. The primary commits history
 	// before the group exists, so its tail cannot reach back to record
 	// 1 and the empty follower cannot be caught up record by record.
-	lis0, err := mdbnet.ListenRepl("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lis1, err := mdbnet.ListenRepl("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	peers := []string{lis0.Addr(), lis1.Addr()}
+	liss, peers := listen(t, 2)
 	db0, _ := metadb.Open(metadb.Options{})
 	db1, _ := metadb.Open(metadb.Options{})
 	defer db0.Close()
@@ -371,7 +374,7 @@ func TestSnapshotResyncForLaggard(t *testing.T) {
 
 	ev := obs.NewEventLog(64)
 	rep0, err := New(Config{
-		Name: "g0", ID: 0, Peers: peers, DB: db0, Listener: lis0,
+		Name: "g0", ID: 0, Peers: peers, DB: db0,
 		Heartbeat: 10 * time.Millisecond, ElectionTimeout: time.Hour,
 		Events: ev,
 	})
@@ -379,7 +382,7 @@ func TestSnapshotResyncForLaggard(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep1, err := New(Config{
-		Name: "g0", ID: 1, Peers: peers, DB: db1, Listener: lis1,
+		Name: "g0", ID: 1, Peers: peers, DB: db1,
 		Heartbeat: 10 * time.Millisecond, ElectionTimeout: time.Hour,
 		Events: ev,
 	})
@@ -389,10 +392,13 @@ func TestSnapshotResyncForLaggard(t *testing.T) {
 	if err := rep0.Bootstrap(); err != nil {
 		t.Fatal(err)
 	}
+	srv0, srv1 := serve(db0, liss[0], rep0), serve(db1, liss[1], rep1)
 	rep0.Start()
 	rep1.Start()
 	defer rep0.Close()
 	defer rep1.Close()
+	defer srv0.Close()
+	defer srv1.Close()
 
 	wantSeq, _ := db0.ReplState()
 	waitFor(t, "snapshot resync", func() bool {
@@ -409,7 +415,10 @@ func TestSnapshotResyncForLaggard(t *testing.T) {
 
 // TestGroupRestartKeepsAddrs: a durable group brought up again on its
 // directories binds the addresses it handed out, elects a primary and
-// keeps its commits; a group of one builds no Replica.
+// keeps its commits; a group of one builds no Replica. The addrs files
+// are first put in the form an older build wrote, "<sql> <repl>": the
+// restart binds the SQL address, ignores the replication one (held by
+// another listener here) and rewrites each file with one address.
 func TestGroupRestartKeepsAddrs(t *testing.T) {
 	cfg := GroupConfig{
 		N: 3, DB: metadb.Options{Dir: t.TempDir() + "/meta"},
@@ -427,6 +436,14 @@ func TestGroupRestartKeepsAddrs(t *testing.T) {
 	if err := g.Close(); err != nil {
 		t.Fatal(err)
 	}
+	taken, replAddrs := listen(t, 3)
+	for j := range addrs {
+		defer taken[j].Close()
+		old := addrs[j] + " " + replAddrs[j] + "\n"
+		if err := os.WriteFile(filepath.Join(g.dir(j), addrsFile), []byte(old), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	g, err = StartGroup(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -434,6 +451,15 @@ func TestGroupRestartKeepsAddrs(t *testing.T) {
 	defer g.Close()
 	if got := g.Addrs(); strings.Join(got, ",") != strings.Join(addrs, ",") {
 		t.Fatalf("restarted group on %v, first start on %v", got, addrs)
+	}
+	for j := range addrs {
+		data, err := os.ReadFile(filepath.Join(g.dir(j), addrsFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := string(data); got != addrs[j]+"\n" {
+			t.Fatalf("replica %d's addrs file holds %q after the restart, want %q", j, got, addrs[j]+"\n")
+		}
 	}
 	p := g.Primary()
 	if p < 0 {

@@ -53,8 +53,8 @@ type Config struct {
 // histograms record microseconds; the per-op handler histograms are
 // named "op_<name>_us" (op_read_us, op_write_us, ...).
 const (
-	MetricActiveConns    = "active_conns"
-	MetricConnsTotal     = "conns_total"
+	MetricActiveConns    = wire.MetricActiveConns
+	MetricConnsTotal     = wire.MetricConnsTotal
 	MetricRequests       = "requests_total"
 	MetricErrors         = "errors_total"
 	MetricBytesIn        = "bytes_in_total"
@@ -88,18 +88,14 @@ const serverTraceCap = 256
 // Server is one DPFS I/O server instance.
 type Server struct {
 	cfg    Config
-	lis    net.Listener
+	conns  *wire.ConnSet
 	reg    *obs.Registry
 	traces *obs.TraceLog
 	events *obs.EventLog
 
-	mu       sync.Mutex
-	conns    map[net.Conn]*connState
-	files    map[string]*subfile
-	gens     map[string]int64 // local base path → highest generation seen
-	closed   bool
-	draining bool
-	wg       sync.WaitGroup
+	mu    sync.Mutex
+	files map[string]*subfile
+	gens  map[string]int64 // local base path → highest generation seen
 
 	// gossip, when set, is the server's membership node: OpGossip
 	// requests are handed to it, and table deltas piggyback on outgoing
@@ -108,17 +104,6 @@ type Server struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
-}
-
-// connState tracks what Shutdown drains: inflight counts a
-// connection's claimed tags. A connection with any finishes (and
-// flushes) its claimed work; idle ones are closed immediately.
-type connState struct {
-	inflight int
-	// gossipVer is the gossip-table version this connection last saw:
-	// each client conn receives each membership change exactly once,
-	// piggybacked on whatever response goes out next.
-	gossipVer uint64
 }
 
 // subfile is an open local file with a reference to keep handle reuse
@@ -153,11 +138,9 @@ func New(cfg Config, lis net.Listener) (*Server, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:    cfg,
-		lis:    lis,
 		reg:    obs.NewRegistry(),
 		traces: obs.NewTraceLog(serverTraceCap),
 		events: cfg.Events,
-		conns:  make(map[net.Conn]*connState),
 		files:  make(map[string]*subfile),
 		gens:   make(map[string]int64),
 		ctx:    ctx,
@@ -169,13 +152,12 @@ func New(cfg Config, lis net.Listener) (*Server, error) {
 	if cfg.Model != nil {
 		s.reg.RegisterHistogram(MetricNetsimWait, cfg.Model.WaitHistogram())
 	}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s.conns = wire.Serve(lis, s.reg, s.handleFrames)
 	return s, nil
 }
 
 // Addr returns the listen address.
-func (s *Server) Addr() string { return s.lis.Addr().String() }
+func (s *Server) Addr() string { return s.conns.Addr().String() }
 
 // Model returns the server's performance model (may be nil).
 func (s *Server) Model() *netsim.Model { return s.cfg.Model }
@@ -202,24 +184,8 @@ func (s *Server) component() string {
 // connection are torn down without waiting for in-flight requests. Use
 // Shutdown for a graceful drain.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-
 	s.cancel()
-	err := s.lis.Close()
-	for _, c := range conns {
-		c.Close()
-	}
-	s.wg.Wait()
+	err := s.conns.Close()
 	s.closeFiles()
 	return err
 }
@@ -232,48 +198,19 @@ func (s *Server) Close() error {
 // torn down Close-style. Either way the listener is closed and all
 // handler goroutines have exited on return.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if !s.conns.Drain() {
 		return nil
 	}
-	s.closed = true
-	s.draining = true
-	for c, st := range s.conns {
-		if st.inflight == 0 {
-			c.Close()
-		}
-	}
-	s.mu.Unlock()
 	s.events.Emit(obs.EventDrainBegin, s.component(), nil)
-
-	forced := false
-	err := s.lis.Close()
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		// Deadline: abandon the drain and force-close what remains.
-		forced = true
-		s.cancel()
-		s.mu.Lock()
-		for c := range s.conns {
-			c.Close()
-		}
-		s.mu.Unlock()
-		<-done
-		if err == nil {
-			err = ctx.Err()
-		}
-	}
+	// Deadline: abandon the drain, cancelling every op as the conns
+	// left are cut.
+	stop := context.AfterFunc(ctx, s.cancel)
+	err := s.conns.Shutdown(ctx)
+	stop()
 	s.cancel()
 	s.closeFiles()
 	s.events.Emit(obs.EventDrainEnd, s.component(),
-		map[string]string{"forced": strconv.FormatBool(forced)})
+		map[string]string{"forced": strconv.FormatBool(err != nil)})
 	return err
 }
 
@@ -287,11 +224,7 @@ func (s *Server) closeFiles() {
 }
 
 // Draining reports whether a graceful Shutdown is in progress or done.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
+func (s *Server) Draining() bool { return s.conns.Draining() }
 
 // HealthState summarizes the server's degraded-state signals for a
 // health endpoint: cumulative local disk I/O failures and failures
@@ -311,26 +244,21 @@ func (s *Server) SetGossip(n *gossip.Node) {
 }
 
 // attachDelta piggybacks a gossip table delta on resp when the table
-// advanced past what this connection last saw. Best-effort: the
-// response goes out unchanged when gossip is off or the table is
-// quiet.
-func (s *Server) attachDelta(st *connState, resp *wire.Response) {
+// advanced past what this session last saw. Best-effort: the response
+// goes out unchanged when gossip is off or the table is quiet.
+func (s *Server) attachDelta(out *frameOut, resp *wire.Response) {
 	g := s.gossip.Load()
-	if g == nil || st == nil || resp == nil {
+	if g == nil || resp == nil {
 		return
 	}
-	s.mu.Lock()
-	last := st.gossipVer
-	s.mu.Unlock()
+	last := out.gossipVer.Load()
 	delta, v := g.DeltaSince(last)
 	if v == last {
 		return
 	}
-	s.mu.Lock()
-	if st.gossipVer < v {
-		st.gossipVer = v
+	for cur := last; cur < v && !out.gossipVer.CompareAndSwap(cur, v); {
+		cur = out.gossipVer.Load()
 	}
-	s.mu.Unlock()
 	if delta != nil {
 		resp.Delta = delta
 		s.reg.Counter(MetricGossipDeltasSent).Inc()
@@ -353,40 +281,6 @@ func (s *Server) Health() HealthState {
 	return h
 }
 
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.lis.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = &connState{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.handleConn(conn)
-	}
-}
-
-func (s *Server) handleConn(conn net.Conn) {
-	defer s.wg.Done()
-	s.reg.Counter(MetricConnsTotal).Inc()
-	s.reg.Gauge(MetricActiveConns).Inc()
-	defer func() {
-		s.reg.Gauge(MetricActiveConns).Dec()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
-	}()
-	s.handleFrames(conn)
-}
-
 // handleFrames serves a tagged-frame session: the read loop decodes
 // frames, each REQ frame spawns a handler goroutine for its tag, and
 // responses are written back in completion order — frames of different
@@ -398,14 +292,14 @@ func (s *Server) handleConn(conn net.Conn) {
 // way). A peer speaking anything but frames (the retired 0xD9
 // protocol, the retired 0xDB gossip exchange) fails the first header
 // read and is closed without a response.
-func (s *Server) handleFrames(conn net.Conn) {
+func (s *Server) handleFrames(conn *wire.Conn) {
 	// connCtx scopes every op of this connection: it dies with the
 	// server and with the peer.
 	connCtx, cancel := context.WithCancel(s.ctx)
-	br := bufio.NewReaderSize(conn, 64<<10)
-	out := &frameOut{fw: wire.NewFrameWriter(conn), sender: newFrameSender(conn)}
+	br := bufio.NewReaderSize(conn.Conn, 64<<10)
+	out := &frameOut{fw: wire.NewFrameWriter(conn.Conn), sender: newFrameSender(conn.Conn)}
 	var wg sync.WaitGroup
-	// Handlers must finish (and flush) before handleConn closes the
+	// Handlers must finish (and flush) before the conn set closes the
 	// conn; the read loop's exit cancels connCtx first so ops aborted
 	// by a disconnect don't run to completion against a dead peer.
 	defer wg.Wait()
@@ -426,10 +320,7 @@ func (s *Server) handleFrames(conn net.Conn) {
 			// Claim the tag against a concurrent drain: claimed tags run
 			// to completion and flush, a refused claim drops the conn
 			// (its client retries or fails over).
-			s.mu.Lock()
-			st := s.conns[conn]
-			if s.draining || st == nil {
-				s.mu.Unlock()
+			if !conn.Claim() {
 				if req.Data != nil {
 					putReadBuf(req.Data)
 				}
@@ -439,8 +330,6 @@ func (s *Server) handleFrames(conn net.Conn) {
 				wg.Wait()
 				return
 			}
-			st.inflight++
-			s.mu.Unlock()
 			reqCtx, reqCancel := context.WithCancel(connCtx)
 			cmu.Lock()
 			tagCancels[h.Tag] = reqCancel
@@ -448,12 +337,12 @@ func (s *Server) handleFrames(conn net.Conn) {
 			wg.Add(1)
 			go func(tag uint32, req *wire.Request) {
 				defer wg.Done()
-				s.serveTag(reqCtx, conn, st, out, tag, req)
+				s.serveTag(reqCtx, conn, out, tag, req)
 				reqCancel()
 				cmu.Lock()
 				delete(tagCancels, tag)
 				cmu.Unlock()
-				s.release(conn, st)
+				conn.Release()
 			}(h.Tag, req)
 		case wire.FrameCancel:
 			// Cancel the tag's in-flight op; a CANCEL for an unknown
@@ -490,6 +379,10 @@ type frameOut struct {
 	// TCP socket, on Linux (sendfile_linux.go); nil keeps every frame on
 	// the copy path.
 	sender *frameSender
+	// gossipVer is the gossip-table version this session last saw: each
+	// client conn receives each membership change exactly once,
+	// piggybacked on whatever response goes out next.
+	gossipVer atomic.Uint64
 }
 
 // zeroCopy sends one tag's full DATA frames of plain extents straight
@@ -527,7 +420,7 @@ func (z *zeroCopy) frame(sf *subfile, off int64) (int64, error) {
 // tag — with the read's last chunk riding in the same write, and
 // carrying the error when the op failed, even mid-stream, which is why
 // a failed read no longer costs the connection.
-func (s *Server) serveTag(ctx context.Context, conn net.Conn, st *connState, out *frameOut, tag uint32, req *wire.Request) {
+func (s *Server) serveTag(ctx context.Context, conn *wire.Conn, out *frameOut, tag uint32, req *wire.Request) {
 	var wErr error
 	emit := func(chunk []byte) error {
 		out.mu.Lock()
@@ -556,7 +449,7 @@ func (s *Server) serveTag(ctx context.Context, conn net.Conn, st *connState, out
 	}
 	if req.Op != wire.OpGossip {
 		// A gossip exchange carries the table itself.
-		s.attachDelta(st, resp)
+		s.attachDelta(out, resp)
 	}
 	out.mu.Lock()
 	err := out.fw.WriteResponse(tag, resp, streamed)
@@ -565,20 +458,6 @@ func (s *Server) serveTag(ctx context.Context, conn net.Conn, st *connState, out
 		putReadBuf(resp.Data)
 	}
 	if err != nil {
-		conn.Close()
-	}
-}
-
-// release returns a tag's drain claim. The read loop can be blocked
-// in a frame read and so cannot poll the drain flag; the last handler
-// to finish on a draining conn closes it, which both unblocks that
-// read and signals the client.
-func (s *Server) release(conn net.Conn, st *connState) {
-	s.mu.Lock()
-	st.inflight--
-	drainClose := s.draining && st.inflight == 0
-	s.mu.Unlock()
-	if drainClose {
 		conn.Close()
 	}
 }

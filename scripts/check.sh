@@ -7,17 +7,26 @@
 #      catalog directories; no non-test Go file of the module reads a
 #      little-endian fixed-width field or a varint except through
 #      internal/codec, the one bounded decoder (the CRC record header of
-#      internal/metadb/wal.go and gobconvert.go excepted); then
-#      go vet ./...
+#      internal/metadb/wal.go and gobconvert.go excepted); no non-test Go
+#      file outside benchmark/ calls .Accept() except
+#      internal/wire/conns.go, the one connection lifecycle (wire.ConnSet),
+#      and internal/fault's wrapping Listener; then go vet ./...
 #   3. govulncheck (soft-fail: warns when the tool or network is absent)
 #   4. race-enabled test suite, then a short race stress of the races
 #      closed around cancelled dispatch, the server's sendfile path and
 #      the client's readv landing: TestParallelDispatchCancellation, the
 #      TestZeroCopy equivalence tests and the TestDirectLanding
-#      equivalence and ownership tests, 50 runs each; and of the brick
+#      equivalence and ownership tests, 50 runs each; of the brick
 #      data cache, which keeps the buffers cache fills land in:
 #      TestDataRace, TestDataInvalidatePoisonsInflightFill and
-#      TestDataPutCopies, 50 runs each
+#      TestDataPutCopies, 50 runs each; and of the connection lifecycle
+#      both ports share (claim, release, drain, close, hand-over):
+#      the I/O server's TestShutdownDrainsInflight,
+#      TestShutdownDeadlineForces, TestShutdownIdle and TestServerClose,
+#      the catalog's TestServerClose, TestShutdownDrains and
+#      TestClientCloseInterruptsStatement, and the replica's
+#      TestCloseFailsPendingAcks and TestSQLDrainKeepsReplicationStreams,
+#      20 runs each
 #   5. seeded chaos suite under -race (fault injection e2e), plus a
 #      3-seed DPFS_CHAOS_SWEEP including the replica-failover,
 #      catalog-storm (seed*-metashard: the one catalog under delays on
@@ -71,6 +80,15 @@ if [ -n "$rawreads" ]; then
 	echo "$rawreads" >&2
 	exit 1
 fi
+echo "== one connection lifecycle: .Accept() only in wire.ConnSet and internal/fault =="
+accepts=$(grep -rn --include='*.go' '\.Accept()' . |
+	grep -v -e '^\./benchmark/' -e '^[^:]*_test\.go:' \
+		-e '^\./internal/wire/conns\.go:' -e '^\./internal/fault/fault\.go:' || true)
+if [ -n "$accepts" ]; then
+	echo "accept loops: serve conns through wire.Serve (internal/wire/conns.go); these accept themselves:" >&2
+	echo "$accepts" >&2
+	exit 1
+fi
 echo "== go vet ./... =="
 go vet ./...
 echo "== govulncheck ./... (advisory) =="
@@ -85,9 +103,11 @@ echo "== obslint: metric-name manifest + Prometheus format =="
 sh scripts/obslint.sh
 echo "== go test -race ./... =="
 go test -race ./...
-echo "== race stress: cancelled dispatch, zero-copy reads, direct landing, the data cache =="
+echo "== race stress: cancelled dispatch, zero-copy reads, direct landing, the data cache, the conn lifecycle =="
 go test -race -count=50 -run 'TestParallelDispatchCancellation|TestZeroCopy|TestDirectLanding' ./internal/core ./internal/server
 go test -race -count=50 -run 'TestDataRace|TestDataInvalidatePoisonsInflightFill|TestDataPutCopies' ./internal/cache
+go test -race -count=20 -run '^(TestShutdownDrainsInflight|TestShutdownDeadlineForces|TestShutdownIdle|TestServerClose|TestShutdownDrains|TestClientCloseInterruptsStatement|TestCloseFailsPendingAcks|TestSQLDrainKeepsReplicationStreams)$' \
+	./internal/server ./internal/metadb/mdbnet ./internal/metarepl
 echo "== chaos: seeded fault-injection suite (-race) =="
 go test -race -count=1 -run Chaos .
 DPFS_CHAOS_SWEEP=3 go test -race -count=1 -run Chaos ./internal/fault
