@@ -21,7 +21,8 @@
 #      TestDataRace, TestDataInvalidatePoisonsInflightFill and
 #      TestDataPutCopies, 50 runs each; and of the connection lifecycle
 #      both ports share (claim, release, drain, close, hand-over):
-#      the I/O server's TestShutdownDrainsInflight,
+#      wire.ConnSet's own TestConnSet* tests, the I/O server's
+#      TestShutdownDrainsInflight,
 #      TestShutdownDeadlineForces, TestShutdownIdle and TestServerClose,
 #      the catalog's TestServerClose, TestShutdownDrains and
 #      TestClientCloseInterruptsStatement, and the replica's
@@ -106,8 +107,8 @@ go test -race ./...
 echo "== race stress: cancelled dispatch, zero-copy reads, direct landing, the data cache, the conn lifecycle =="
 go test -race -count=50 -run 'TestParallelDispatchCancellation|TestZeroCopy|TestDirectLanding' ./internal/core ./internal/server
 go test -race -count=50 -run 'TestDataRace|TestDataInvalidatePoisonsInflightFill|TestDataPutCopies' ./internal/cache
-go test -race -count=20 -run '^(TestShutdownDrainsInflight|TestShutdownDeadlineForces|TestShutdownIdle|TestServerClose|TestShutdownDrains|TestClientCloseInterruptsStatement|TestCloseFailsPendingAcks|TestSQLDrainKeepsReplicationStreams)$' \
-	./internal/server ./internal/metadb/mdbnet ./internal/metarepl
+go test -race -count=20 -run '^(TestConnSet.*|TestShutdownDrainsInflight|TestShutdownDeadlineForces|TestShutdownIdle|TestServerClose|TestShutdownDrains|TestClientCloseInterruptsStatement|TestCloseFailsPendingAcks|TestSQLDrainKeepsReplicationStreams)$' \
+	./internal/wire ./internal/server ./internal/metadb/mdbnet ./internal/metarepl
 echo "== chaos: seeded fault-injection suite (-race) =="
 go test -race -count=1 -run Chaos .
 DPFS_CHAOS_SWEEP=3 go test -race -count=1 -run Chaos ./internal/fault
