@@ -100,22 +100,16 @@ func (s *ConnSet) run(c *Conn, serve func(*Conn)) {
 		s.reg.Gauge(MetricActiveConns).Inc()
 	}
 	serve(c)
-	if s.remove(c) {
-		c.Close()
-	}
-}
-
-// remove forgets c and reports whether the set still held it (it does
-// not after a hand-over).
-func (s *ConnSet) remove(c *Conn) bool {
 	s.mu.Lock()
-	_, held := s.conns[c]
+	_, held := s.conns[c] // not after a hand-over
 	delete(s.conns, c)
 	s.mu.Unlock()
-	if held && s.reg != nil {
-		s.reg.Gauge(MetricActiveConns).Dec()
+	if held {
+		if s.reg != nil {
+			s.reg.Gauge(MetricActiveConns).Dec()
+		}
+		c.Close()
 	}
-	return held
 }
 
 // HandTo moves c to dst, which serves it with serve on a goroutine of
