@@ -996,6 +996,67 @@ func TestTypedAccessAllocs(t *testing.T) {
 	}
 }
 
+// TestCachedColumnReadAllocs: a column block read wholly out of the
+// engine's data cache allocates a fixed number of times, however many
+// rows and bricks it touches. The 64-column block of a linear float64
+// file with 32 KiB bricks (column-class2's reread) is read at 512 rows,
+// 64 bricks, and at 4 096 rows, 512 bricks: the two reads must allocate
+// equally often.
+func TestCachedColumnReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops buffers at random")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	c := startCluster(t, 2)
+	ctx := ctxT(t)
+	const cols, elem, brick = 512, 8, 32 << 10
+	mallocs := func(rows int64) uint64 {
+		t.Helper()
+		fs := newFS(t, c, 0, core.Options{Combine: true, CacheBytes: 2 * rows * cols * elem})
+		f, err := fs.Create(fmt.Sprintf("/column-%d", rows), elem, []int64{rows, cols}, core.Hint{Level: stripe.LevelLinear, BrickBytes: brick})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := pattern(rows * cols * elem)
+		if err := f.WriteAt(ctx, data, 0); err != nil {
+			t.Fatal(err)
+		}
+		sec := stripe.NewSection([]int64{0, 64}, []int64{rows, 64})
+		buf := make([]byte, sec.Bytes(elem))
+		if err := f.ReadSection(ctx, sec, buf); err != nil { // fills the cache
+			t.Fatal(err)
+		}
+		hits := fs.Metrics().Counter(cache.MetricDataHits)
+		h0, requests := hits.Value(), fs.Stats().Requests
+		least := uint64(1 << 62)
+		for i := 0; i < 6; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := f.ReadSection(ctx, sec, buf); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.Mallocs-before.Mallocs)
+		}
+		bricks := rows * cols * elem / brick
+		if h, r := hits.Value()-h0, fs.Stats().Requests-requests; h != 6*bricks || r != 0 {
+			t.Fatalf("%d rows: six rereads hit %d bricks and sent %d requests, want %d and 0", rows, h, r, 6*bricks)
+		}
+		for row := int64(0); row < rows; row++ {
+			off := (row*cols + 64) * elem
+			if !bytes.Equal(buf[row*64*elem:(row+1)*64*elem], data[off:off+64*elem]) {
+				t.Fatalf("%d rows: row %d of the block differs from the file", rows, row)
+			}
+		}
+		return least
+	}
+	short, tall := mallocs(512), mallocs(4096)
+	if short != tall {
+		t.Errorf("a cached column block allocates %d times at 512 rows and %d at 4 096, want equal", short, tall)
+	}
+	t.Logf("cached 64-column block: %d allocations at 512 rows, %d at 4 096", short, tall)
+}
+
 // TestOwnBufferReadAllocs: a read that cannot land in the caller's
 // pieces lands each brick it fills or tangles in one new buffer, and
 // allocates little more. A 4 MiB band that misses an engine's data

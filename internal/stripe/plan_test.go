@@ -352,3 +352,44 @@ func FuzzPlan(f *testing.F) {
 		}
 	})
 }
+
+// TestPlanAllocs: planning the benchmark's accesses through the
+// engine's path (a section's subarray runs, then Plan) allocates a fixed
+// number of times, however many rows or bricks the access touches. A
+// column block of 4 096 rows costs what one of 512 rows costs, and the
+// other three shapes stay within what the per-brick grouping took.
+func TestPlanAllocs(t *testing.T) {
+	allocs := func(g *Geometry, file []Extent) float64 {
+		t.Helper()
+		if _, err := g.Plan(file, nil); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() { g.Plan(file, nil) })
+	}
+	column := func(rows int64) float64 {
+		g := &Geometry{Level: LevelLinear, ElemSize: 8, Dims: []int64{rows, 512}, BrickBytes: 32 << 10}
+		return allocs(g, subarrayRuns(g, Section{Start: []int64{0, 64}, Count: []int64{rows, 64}}))
+	}
+	short, tall := column(512), column(4096)
+	if short != tall {
+		t.Errorf("a 64-column block allocates %v times at 512 rows and %v at 4 096, want equal", short, tall)
+	}
+	band := &Geometry{Level: LevelMultidim, ElemSize: 8, Dims: []int64{2048, 2048}, Tile: []int64{256, 256}}
+	whole := &Geometry{Level: LevelMultidim, ElemSize: 8, Dims: []int64{64, 64}, Tile: []int64{32, 32}}
+	small := &Geometry{Level: LevelLinear, ElemSize: 1, Dims: []int64{8 << 20}, BrickBytes: 64 << 10}
+	for _, c := range []struct {
+		name string
+		got  float64
+		max  float64
+	}{
+		{"bulk-native band", allocs(band, subarrayRuns(band, Section{Start: []int64{512, 0}, Count: []int64{256, 2048}})), 79},
+		{"meta-native whole file", allocs(whole, subarrayRuns(whole, FullSection(whole.Dims))), 30},
+		{"4 KiB range", allocs(small, []Extent{{Off: 3 << 20, Len: 4 << 10}}), 2},
+	} {
+		if c.got > c.max {
+			t.Errorf("%s: Plan allocates %v times, want at most %v", c.name, c.got, c.max)
+		}
+		t.Logf("%s: %v allocations", c.name, c.got)
+	}
+	t.Logf("64-column block: %v allocations at 512 rows, %v at 4 096", short, tall)
+}
