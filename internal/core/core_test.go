@@ -1001,7 +1001,9 @@ func TestTypedAccessAllocs(t *testing.T) {
 // rows and bricks it touches. The 64-column block of a linear float64
 // file with 32 KiB bricks (column-class2's reread) is read at 512 rows,
 // 64 bricks, and at 4 096 rows, 512 bricks: the two reads must allocate
-// equally often.
+// equally often, and no more than the dozen times the access's fixed
+// parts take (the boxed types, the listed runs, the plan's arrays, the
+// list of bricks the cache did not hold).
 func TestCachedColumnReadAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops buffers at random")
@@ -1051,8 +1053,8 @@ func TestCachedColumnReadAllocs(t *testing.T) {
 		return least
 	}
 	short, tall := mallocs(512), mallocs(4096)
-	if short != tall {
-		t.Errorf("a cached column block allocates %d times at 512 rows and %d at 4 096, want equal", short, tall)
+	if short != tall || tall > 12 {
+		t.Errorf("a cached column block allocates %d times at 512 rows and %d at 4 096, want equal and at most 12", short, tall)
 	}
 	t.Logf("cached 64-column block: %d allocations at 512 rows, %d at 4 096", short, tall)
 }

@@ -131,11 +131,12 @@ func (f *File) access(ctx context.Context, off int64, ftype, mtype datatype.Type
 // runs lists the runs t selects, shifted by off.
 func runs(t datatype.Type, off int64) []stripe.Extent {
 	segs := datatype.Segments(t)
-	out := make([]stripe.Extent, len(segs))
-	for i, s := range segs {
-		out[i] = stripe.Extent{Off: off + s.Off, Len: s.Len}
+	if off != 0 {
+		for i := range segs {
+			segs[i].Off += off
+		}
 	}
-	return out
+	return segs
 }
 
 // ExecutePlan ships a raw brick plan against the file: every segment

@@ -38,9 +38,10 @@ type Segment struct {
 }
 
 // Segments materializes the type's layout as a list of contiguous runs
-// in the type's order, runs adjacent in that order merged.
+// in the type's order, runs adjacent in that order merged. The list is
+// counted before it is filled, so it is allocated once.
 func Segments(t Type) []Segment {
-	var out []Segment
+	out := make([]Segment, 0, numSegments(t))
 	t.segments(0, func(off, n int64) {
 		if len(out) > 0 && out[len(out)-1].Off+out[len(out)-1].Len == off {
 			out[len(out)-1].Len += n
@@ -49,6 +50,32 @@ func Segments(t Type) []Segment {
 		out = append(out, Segment{Off: off, Len: n})
 	})
 	return out
+}
+
+// numSegments counts the runs Segments lists for a well-formed t. A
+// subarray's runs follow from its shape: one per position of the
+// dimensions before the last one it does not cover whole. Any other
+// type is walked once.
+func numSegments(t Type) int {
+	if s, ok := t.(Subarray); ok {
+		k := len(s.Dims) - 1
+		for k > 0 && s.Count[k] == s.Dims[k] {
+			k--
+		}
+		n := 1
+		for _, c := range s.Count[:k] {
+			n *= int(c)
+		}
+		return n
+	}
+	n, end := 0, int64(-1)
+	t.segments(0, func(off, l int64) {
+		if off != end {
+			n++
+		}
+		end = off + l
+	})
+	return n
 }
 
 // Validate reports whether t is well formed, through every type it is

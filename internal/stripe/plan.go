@@ -4,6 +4,8 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+
+	"dpfs/internal/datatype"
 )
 
 // Segment describes one contiguous byte run to move between a brick's
@@ -35,15 +37,14 @@ func (b *BrickIO) Bytes() int64 {
 }
 
 // Extent is a contiguous byte run: of a file's logical byte space, or of
-// a caller's buffer.
-type Extent struct {
-	Off int64
-	Len int64
-}
+// a caller's buffer. It is the run a datatype lists, so the runs of an
+// access's file and memory types are planned as they are listed.
+type Extent = datatype.Segment
 
 // PlanSection plans an access to the array section sec through a packed
 // buffer holding its elements in row-major order of the section: one
-// file run per row of the section along the last dimension.
+// file run per row of the section along the last dimension, rows that
+// continue each other joined.
 func (g *Geometry) PlanSection(sec Section) ([]BrickIO, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -51,17 +52,22 @@ func (g *Geometry) PlanSection(sec Section) ([]BrickIO, error) {
 	if err := sec.Validate(g.Dims); err != nil {
 		return nil, err
 	}
-	var p planner
-	p.init(g, nil)
 	nd := len(g.Dims)
+	row := sec.Count[nd-1] * g.ElemSize
+	runs := make([]Extent, 0, prod(sec.Count[:nd-1]))
 	abs := make([]int64, nd)
 	iterOuter(sec.Count, func(pos []int64) {
 		for d := range abs {
 			abs[d] = sec.Start[d] + pos[d]
 		}
-		p.put(rowMajorOffset(abs, g.Dims)*g.ElemSize, sec.Count[nd-1]*g.ElemSize)
+		off := rowMajorOffset(abs, g.Dims) * g.ElemSize
+		if k := len(runs); k > 0 && runs[k-1].Off+runs[k-1].Len == off {
+			runs[k-1].Len += row
+			return
+		}
+		runs = append(runs, Extent{Off: off, Len: row})
 	})
-	return p.finish(), nil
+	return g.Plan(runs, nil)
 }
 
 // PlanExtents plans a byte access: the file's extents, in order, through
@@ -80,17 +86,27 @@ func (g *Geometry) PlanExtents(exts []Extent) ([]BrickIO, error) { return g.Plan
 // in ascending order, each brick's segments in ascending MemOff order
 // with neighbours adjacent in both spaces merged, so an access plans the
 // same however its runs are cut.
+//
+// A plan costs a fixed number of allocations however many pieces and
+// bricks it holds: the pieces are counted from the runs and the brick
+// edges they cross before any is placed, every brick's segments share
+// one backing array, and each BrickIO's Segs is capped at its own
+// length, so appending to it never writes into another brick's.
 func (g *Geometry) Plan(file, mem []Extent) ([]BrickIO, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
+	var p planner
+	p.init(g, mem)
 	size := g.Size()
 	var n int64
+	pieces := int64(len(mem)) // a memory run's end cuts at most one more piece
 	for _, e := range file {
 		if e.Off < 0 || e.Len < 0 || e.Len > size-e.Off {
 			return nil, fmt.Errorf("stripe: extent [%d,%d) outside file of %d bytes", e.Off, e.Off+e.Len, size)
 		}
 		n += e.Len
+		pieces += p.cuts(e.Off, e.Len)
 	}
 	var m int64
 	for _, e := range mem {
@@ -102,27 +118,25 @@ func (g *Geometry) Plan(file, mem []Extent) ([]BrickIO, error) {
 	if mem != nil && m != n {
 		return nil, fmt.Errorf("stripe: memory runs hold %d bytes, file runs %d", m, n)
 	}
-	var p planner
-	p.init(g, mem)
+	p.segs = make([]Segment, 0, pieces)
 	for _, e := range file {
 		p.put(e.Off, e.Len)
 	}
 	return p.finish(), nil
 }
 
-// planner accumulates a plan's segments brick by brick.
+// planner cuts an access into pieces, one per brick each run crosses,
+// and groups them by brick.
 type planner struct {
-	g      *Geometry
-	bricks []BrickIO
-	at     map[int]int // brick id -> index in bricks, once there are several
-	// recent caches at for the bricks placed last, by id modulo its
-	// size: consecutive rows cross the same few bricks over and over.
-	recent [8]struct{ id, i int }
+	g *Geometry
 
-	// The tiled levels. Per dimension: the bricks' extent and count, and
-	// for the row (along the last dimension) the last piece fell in, the
-	// brick it lies in and its offset inside that brick.
-	ext, cnt, brick, rel []int64
+	// The tiled levels, seen with every trailing dimension whose bricks
+	// span it whole folded into the one before it: a brick stores the
+	// rows of such a dimension back to back, so they are one longer row.
+	// Per dimension of that view: its length and its bricks' extent and
+	// count, and for the row the last piece fell in, the brick it lies
+	// in and its offset inside that brick.
+	dims, ext, cnt, brick, rel []int64
 	// That row's logical byte range, the id of its first brick and its
 	// row index inside the bricks it crosses.
 	rowOff, rowEnd, rowBrick, rowInner int64
@@ -130,6 +144,13 @@ type planner struct {
 	// The piece placed last and its brick (-1: none yet).
 	last      Segment
 	lastBrick int
+
+	// The pieces placed before it, in placement order, and their bricks,
+	// all of them between lo and hi. ids stays nil while every piece lies
+	// in one brick, lo.
+	segs   []Segment
+	ids    []int
+	lo, hi int
 
 	// The memory runs (nil: the packed buffer), the one in use and how
 	// many of its bytes are taken.
@@ -140,18 +161,40 @@ type planner struct {
 
 func (p *planner) init(g *Geometry, mem []Extent) {
 	p.g, p.lastBrick, p.mem = g, -1, mem
-	for i := range p.recent {
-		p.recent[i].id = -1
+	if g.Level == LevelLinear {
+		return
 	}
-	if g.Level != LevelLinear {
-		nd := len(g.Dims)
-		v := make([]int64, 4*nd)
-		p.ext, p.cnt, p.brick, p.rel = v[:nd], v[nd:2*nd], v[2*nd:3*nd], v[3*nd:]
-		for d := range g.Dims {
-			p.ext[d], p.cnt[d] = g.tiling(d)
-		}
-		p.seekRow(0)
+	nd := len(g.Dims)
+	v := make([]int64, 5*nd)
+	p.dims, p.ext, p.cnt, p.brick, p.rel = v[:nd], v[nd:2*nd], v[2*nd:3*nd], v[3*nd:4*nd], v[4*nd:]
+	for d := range g.Dims {
+		p.dims[d] = g.Dims[d]
+		p.ext[d], p.cnt[d] = g.tiling(d)
 	}
+	for ; nd > 1 && p.ext[nd-1] == p.dims[nd-1]; nd-- {
+		p.dims[nd-2] *= p.dims[nd-1]
+		p.ext[nd-2] *= p.dims[nd-1]
+	}
+	p.dims, p.ext, p.cnt, p.brick, p.rel = p.dims[:nd], p.ext[:nd], p.cnt[:nd], p.brick[:nd], p.rel[:nd]
+	p.seekRow(0)
+}
+
+// cuts counts the pieces place cuts the file run [off, off+n) into.
+func (p *planner) cuts(off, n int64) int64 {
+	if n == 0 {
+		return 0
+	}
+	g, end := p.g, off+n-1
+	if g.Level == LevelLinear {
+		return end/g.BrickBytes - off/g.BrickBytes + 1
+	}
+	last := len(p.dims) - 1
+	rowBytes, extBytes := p.dims[last]*g.ElemSize, p.ext[last]*g.ElemSize
+	r0, c0, r1, c1 := off/rowBytes, off%rowBytes/extBytes, end/rowBytes, end%rowBytes/extBytes
+	if r0 == r1 {
+		return c1 - c0 + 1
+	}
+	return (r1-r0)*p.cnt[last] - c0 + c1 + 1
 }
 
 // put places the file run [off, off+n), paired with the next n bytes of
@@ -186,9 +229,9 @@ func (p *planner) place(off, mem, n int64) {
 		}
 		return
 	}
-	last := len(g.Dims) - 1
+	last := len(p.dims) - 1
 	es := g.ElemSize
-	rowBytes, extBytes := g.Dims[last]*es, p.ext[last]*es
+	rowBytes, extBytes := p.dims[last]*es, p.ext[last]*es
 	for n > 0 {
 		switch {
 		case off >= p.rowOff && off < p.rowEnd:
@@ -203,7 +246,7 @@ func (p *planner) place(off, mem, n int64) {
 			lay := p.ext[last]
 			if g.Level == LevelArray {
 				// A chunk stores its own clipped shape, a tile its full one.
-				lay = min(lay, g.Dims[last]-bc*p.ext[last])
+				lay = min(lay, p.dims[last]-bc*p.ext[last])
 			}
 			k := min(n, min(origin+extBytes, rowBytes)-col)
 			p.add(int(p.rowBrick+bc), Segment{BrickOff: p.rowInner*lay*es + col - origin, MemOff: mem, Len: k})
@@ -216,13 +259,12 @@ func (p *planner) place(off, mem, n int64) {
 // seekRow points the row cache at row r of the file, its index over all
 // but the last dimension.
 func (p *planner) seekRow(r int64) {
-	g := p.g
-	last := len(g.Dims) - 1
-	rowBytes := g.Dims[last] * g.ElemSize
+	last := len(p.dims) - 1
+	rowBytes := p.dims[last] * p.g.ElemSize
 	p.rowOff, p.rowEnd = r*rowBytes, (r+1)*rowBytes
 	for d := last - 1; d >= 0; d-- {
-		c := r % g.Dims[d]
-		r /= g.Dims[d]
+		c := r % p.dims[d]
+		r /= p.dims[d]
 		p.brick[d], p.rel[d] = c/p.ext[d], c%p.ext[d]
 	}
 	p.rowIDs()
@@ -230,10 +272,9 @@ func (p *planner) seekRow(r int64) {
 
 // nextRow steps the row cache on to the following row.
 func (p *planner) nextRow() {
-	g := p.g
-	d := len(g.Dims) - 2
+	d := len(p.dims) - 2
 	p.rowOff, p.rowEnd = p.rowEnd, 2*p.rowEnd-p.rowOff
-	if d >= 0 && p.rel[d]+1 < p.ext[d] && p.brick[d]*p.ext[d]+p.rel[d]+1 < g.Dims[d] {
+	if d >= 0 && p.rel[d]+1 < p.ext[d] && p.brick[d]*p.ext[d]+p.rel[d]+1 < p.dims[d] {
 		// One row further into the same bricks.
 		p.rel[d]++
 		p.rowInner++
@@ -243,7 +284,7 @@ func (p *planner) nextRow() {
 		if p.rel[d]++; p.rel[d] == p.ext[d] {
 			p.brick[d], p.rel[d] = p.brick[d]+1, 0
 		}
-		if p.brick[d]*p.ext[d]+p.rel[d] < g.Dims[d] {
+		if p.brick[d]*p.ext[d]+p.rel[d] < p.dims[d] {
 			break
 		}
 		p.brick[d], p.rel[d] = 0, 0
@@ -253,13 +294,12 @@ func (p *planner) nextRow() {
 
 // rowIDs derives the cached row's first brick and its row inside it.
 func (p *planner) rowIDs() {
-	g := p.g
-	last := len(g.Dims) - 1
+	last := len(p.dims) - 1
 	var id, inner int64
 	for d := 0; d < last; d++ {
 		lay := p.ext[d]
-		if g.Level == LevelArray {
-			lay = min(lay, g.Dims[d]-p.brick[d]*p.ext[d])
+		if p.g.Level == LevelArray {
+			lay = min(lay, p.dims[d]-p.brick[d]*p.ext[d])
 		}
 		id = id*p.cnt[d] + p.brick[d]
 		inner = inner*lay + p.rel[d]
@@ -268,7 +308,7 @@ func (p *planner) rowIDs() {
 }
 
 // add places one piece. A piece continuing the last one in both spaces
-// extends it; the last piece joins its brick only once another comes.
+// extends it; the last piece joins the list only once another comes.
 func (p *planner) add(brick int, s Segment) {
 	if brick == p.lastBrick && s.MemOff == p.last.MemOff+p.last.Len && s.BrickOff == p.last.BrickOff+p.last.Len {
 		p.last.Len += s.Len
@@ -278,43 +318,115 @@ func (p *planner) add(brick int, s Segment) {
 	p.lastBrick, p.last = brick, s
 }
 
-// flush appends the last piece to its brick's segments.
+// flush appends the last piece to the list, noting its brick.
 func (p *planner) flush() {
 	brick := p.lastBrick
 	if brick < 0 {
 		return
 	}
-	c := &p.recent[uint(brick)%uint(len(p.recent))]
-	if c.id != brick {
-		i, ok := p.at[brick]
-		if !ok {
-			i = len(p.bricks)
-			p.bricks = append(p.bricks, BrickIO{Brick: brick})
-			if i == 1 {
-				// A lone brick never leaves recent; the map starts with two.
-				p.at = map[int]int{p.bricks[0].Brick: 0}
-			}
-			if i > 0 {
-				p.at[brick] = i
-			}
+	switch {
+	case len(p.segs) == 0:
+		p.lo, p.hi = brick, brick
+	case p.ids == nil && brick != p.lo:
+		// A second brick: from now on every piece notes its own.
+		p.ids = make([]int, len(p.segs), cap(p.segs))
+		for i := range p.ids {
+			p.ids[i] = p.lo
 		}
-		c.id, c.i = brick, i
 	}
-	p.bricks[c.i].Segs = append(p.bricks[c.i].Segs, p.last)
+	if p.ids != nil {
+		p.ids = append(p.ids, brick)
+		p.lo, p.hi = min(p.lo, brick), max(p.hi, brick)
+	}
+	p.segs = append(p.segs, p.last)
 }
 
-// finish orders the plan and merges each brick's neighbours.
+// finish groups the pieces by brick in ascending order, keeping their
+// placement order inside a brick, then orders and merges each brick's
+// segments.
 func (p *planner) finish() []BrickIO {
 	p.flush()
-	byMem := func(a, b Segment) int { return cmp.Compare(a.MemOff, b.MemOff) }
-	for i, b := range p.bricks {
-		if !slices.IsSortedFunc(b.Segs, byMem) {
-			slices.SortFunc(b.Segs, byMem)
-		}
-		p.bricks[i].Segs = coalesce(b.Segs)
+	segs, ids := p.segs, p.ids
+	switch {
+	case len(segs) == 0:
+		return nil
+	case ids == nil:
+		return []BrickIO{brickIO(p.lo, segs)}
+	case !slices.IsSorted(ids):
+		segs = p.group()
 	}
-	slices.SortFunc(p.bricks, func(a, b BrickIO) int { return a.Brick - b.Brick })
-	return p.bricks
+	n := 1
+	for i := 1; i < len(ids); i++ {
+		if ids[i] != ids[i-1] {
+			n++
+		}
+	}
+	bricks := make([]BrickIO, 0, n)
+	for i := 0; i < len(ids); {
+		j := i + 1
+		for j < len(ids) && ids[j] == ids[i] {
+			j++
+		}
+		bricks = append(bricks, brickIO(ids[i], segs[i:j]))
+		i = j
+	}
+	return bricks
+}
+
+// group returns the pieces reordered by brick, in a new array, and
+// sorts ids to match; pieces of one brick keep their placement order.
+// Bricks within a few per piece of each other are counted into place;
+// ids spread wider (an access touching bricks far apart) are sorted.
+func (p *planner) group() []Segment {
+	segs, ids, lo := p.segs, p.ids, p.lo
+	out := make([]Segment, len(segs))
+	if span := p.hi - lo + 1; span <= 4*len(segs) {
+		// at[k] counts brick lo+k's pieces, then holds where they go.
+		var small [64]int
+		at := small[:0]
+		if span < len(small) {
+			at = small[:span+1]
+		} else {
+			at = make([]int, span+1)
+		}
+		for _, id := range ids {
+			at[id-lo+1]++
+		}
+		for k := 1; k <= span; k++ {
+			at[k] += at[k-1]
+		}
+		for i, id := range ids {
+			out[at[id-lo]] = segs[i]
+			at[id-lo]++
+		}
+		for k, i := 0, 0; k < span; k++ {
+			for ; i < at[k]; i++ {
+				ids[i] = lo + k
+			}
+		}
+		return out
+	}
+	type keyed struct{ id, i int }
+	order := make([]keyed, len(ids))
+	for i, id := range ids {
+		order[i] = keyed{id, i}
+	}
+	slices.SortFunc(order, func(a, b keyed) int { return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.i, b.i)) })
+	for j, o := range order {
+		out[j], ids[j] = segs[o.i], o.id
+	}
+	return out
+}
+
+// brickIO makes one brick's access of its segments: sorted by MemOff,
+// neighbours merged, capped at its length.
+func brickIO(brick int, segs []Segment) BrickIO {
+	byMem := func(a, b Segment) int { return cmp.Compare(a.MemOff, b.MemOff) }
+	if !slices.IsSortedFunc(segs, byMem) {
+		slices.SortFunc(segs, byMem)
+	}
+	segs = coalesce(segs)
+	return BrickIO{Brick: brick, Segs: segs[:len(segs):len(segs)]}
 }
 
 // coalesce merges segments that are contiguous in both brick storage

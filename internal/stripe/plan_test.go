@@ -273,8 +273,8 @@ func FuzzPlan(f *testing.F) {
 		}
 	}
 	md := &Geometry{Level: LevelMultidim, ElemSize: 2, Dims: []int64{6, 7}, Tile: []int64{4, 3}}
-	for _, mem := range [][]Extent{{{40, 10}, {0, 14}}, {{3, 24}}, {{0, 30}}} {
-		data, _ := encodePlanInput(md, []Extent{{10, 20}, {60, 4}}, mem)
+	for _, mem := range [][]Extent{{{Off: 40, Len: 10}, {Off: 0, Len: 14}}, {{Off: 3, Len: 24}}, {{Off: 0, Len: 30}}} {
+		data, _ := encodePlanInput(md, []Extent{{Off: 10, Len: 20}, {Off: 60, Len: 4}}, mem)
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -508,7 +508,7 @@ func TestPlanSectionErrors(t *testing.T) {
 	}
 	// A byte range of a tiled file plans like the section it covers.
 	md := &Geometry{Level: LevelMultidim, ElemSize: 1, Dims: []int64{2, 8}, Tile: []int64{2, 3}}
-	got, err := md.PlanExtents([]Extent{{6, 4}})
+	got, err := md.PlanExtents([]Extent{{Off: 6, Len: 4}})
 	if err != nil {
 		t.Fatalf("PlanExtents on a multidim file: %v", err)
 	}
@@ -517,7 +517,7 @@ func TestPlanSectionErrors(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("PlanExtents on a multidim file = %+v, want %+v", got, want)
 	}
-	if _, err := md.PlanExtents([]Extent{{12, 5}}); err == nil {
+	if _, err := md.PlanExtents([]Extent{{Off: 12, Len: 5}}); err == nil {
 		t.Error("extent past the end of a multidim file should fail")
 	}
 	if _, err := g.PlanExtents([]Extent{{Off: 4, Len: 10}}); err == nil {
@@ -675,7 +675,7 @@ func TestPlanExtentsRoundtrip(t *testing.T) {
 	g := &Geometry{Level: LevelLinear, ElemSize: 1, Dims: []int64{100}, BrickBytes: 8}
 	full := arrayBytes(g.Dims, 1)
 	st := newBrickStore(g)
-	plan, err := g.PlanExtents([]Extent{{0, 100}})
+	plan, err := g.PlanExtents([]Extent{{Off: 0, Len: 100}})
 	if err != nil {
 		t.Fatal(err)
 	}
