@@ -208,10 +208,14 @@ type Data struct {
 	capacity int64
 
 	mu   sync.Mutex
-	reg  *obs.Registry
 	size int64
 	lru  *list.List // front = most recent; values are *dataEntry
 	m    map[BrickKey]*list.Element
+
+	// The registry's counters and gauge the cache updates, looked up
+	// once per registry (SetMetrics swaps them).
+	hits, misses, evictions *obs.Counter
+	bytes                   *obs.Gauge
 
 	// Fill poisoning: seq counts invalidations; a fill's token is the
 	// seq observed before its network fetch began, and Put refuses the
@@ -239,13 +243,14 @@ func NewData(capacity int64, reg *obs.Registry) *Data {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	return &Data{
+	d := &Data{
 		capacity: capacity,
-		reg:      reg,
 		lru:      list.New(),
 		m:        make(map[BrickKey]*list.Element),
 		poison:   make(map[BrickKey]uint64),
 	}
+	d.useMetrics(reg)
+	return d
 }
 
 // SetMetrics redirects the cache's counters to reg.
@@ -254,8 +259,13 @@ func (d *Data) SetMetrics(reg *obs.Registry) {
 		return
 	}
 	d.mu.Lock()
-	d.reg = reg
+	d.useMetrics(reg)
 	d.mu.Unlock()
+}
+
+func (d *Data) useMetrics(reg *obs.Registry) {
+	d.hits, d.misses = reg.Counter(MetricDataHits), reg.Counter(MetricDataMisses)
+	d.evictions, d.bytes = reg.Counter(MetricDataEvictions), reg.Gauge(MetricDataBytes)
 }
 
 // Get returns the cached brick and promotes it. The returned slice is
@@ -265,11 +275,11 @@ func (d *Data) Get(k BrickKey) ([]byte, bool) {
 	defer d.mu.Unlock()
 	el, ok := d.m[k]
 	if !ok {
-		d.reg.Counter(MetricDataMisses).Inc()
+		d.misses.Inc()
 		return nil, false
 	}
 	d.lru.MoveToFront(el)
-	d.reg.Counter(MetricDataHits).Inc()
+	d.hits.Inc()
 	return el.Value.(*dataEntry).data, true
 }
 
@@ -318,9 +328,9 @@ func (d *Data) Put(k BrickKey, data []byte, tok uint64) bool {
 			break
 		}
 		d.removeLocked(back)
-		d.reg.Counter(MetricDataEvictions).Inc()
+		d.evictions.Inc()
 	}
-	d.reg.Gauge(MetricDataBytes).Set(d.size)
+	d.bytes.Set(d.size)
 	return true
 }
 
@@ -329,7 +339,7 @@ func (d *Data) Invalidate(k BrickKey) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.invalidateLocked(k)
-	d.reg.Gauge(MetricDataBytes).Set(d.size)
+	d.bytes.Set(d.size)
 }
 
 // InvalidatePath drops every cached brick of a path (any generation)
@@ -354,7 +364,7 @@ func (d *Data) InvalidatePath(path string) {
 	d.seq++
 	d.clearSeq = d.seq
 	d.poison = make(map[BrickKey]uint64)
-	d.reg.Gauge(MetricDataBytes).Set(d.size)
+	d.bytes.Set(d.size)
 }
 
 func (d *Data) invalidateLocked(k BrickKey) {

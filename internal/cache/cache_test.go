@@ -153,6 +153,37 @@ func TestDataLRUEvictionByBytes(t *testing.T) {
 	}
 }
 
+// TestDataSetMetrics: the data cache counts into the registry it was
+// last given, every metric of it, and nothing more into the one before.
+func TestDataSetMetrics(t *testing.T) {
+	first, second := obs.NewRegistry(), obs.NewRegistry()
+	d := NewData(50, first)
+	d.Get(key("/f", 0)) // miss
+	d.SetMetrics(second)
+	d.Put(key("/f", 0), make([]byte, 30), d.Token())
+	d.Get(key("/f", 0))                              // hit
+	d.Get(key("/f", 1))                              // miss
+	d.Put(key("/f", 1), make([]byte, 30), d.Token()) // evicts brick 0
+	for _, c := range []struct {
+		reg  *obs.Registry
+		name string
+		want int64
+	}{
+		{first, MetricDataMisses, 1},
+		{first, MetricDataHits, 0},
+		{second, MetricDataMisses, 1},
+		{second, MetricDataHits, 1},
+		{second, MetricDataEvictions, 1},
+	} {
+		if got := c.reg.Counter(c.name).Value(); got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, got, c.want)
+		}
+	}
+	if got := second.Gauge(MetricDataBytes).Value(); got != 30 {
+		t.Errorf("%s = %d, want 30", MetricDataBytes, got)
+	}
+}
+
 // TestDataPutCopies pins who owns a filled brick: Put keeps the slice
 // it is given, copying nothing, so Get returns the very buffer the fill
 // landed in; a refused Put keeps nothing.

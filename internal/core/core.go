@@ -135,6 +135,7 @@ type FS struct {
 	opts Options
 
 	reg    *obs.Registry
+	m      engineMetrics
 	traces *obs.TraceLog // nil unless EnableTracing was called
 	events *obs.EventLog
 
@@ -159,6 +160,25 @@ type FS struct {
 	hints  map[string]serverHint
 }
 
+// engineMetrics are the registry's metrics every access updates,
+// looked up once per registry (SetMetrics swaps them).
+type engineMetrics struct {
+	useful, requests, moved *obs.Counter
+	inflight                *obs.Gauge
+	latency                 *obs.Histogram
+}
+
+func (fs *FS) useMetrics(reg *obs.Registry) {
+	fs.reg = reg
+	fs.m = engineMetrics{
+		useful:   reg.Counter(MetricBytesUseful),
+		requests: reg.Counter(MetricRequests),
+		moved:    reg.Counter(MetricBytesMoved),
+		inflight: reg.Gauge(MetricInflight),
+		latency:  reg.Histogram(MetricRequestLatency),
+	}
+}
+
 // serverHint is the engine's view of one server's gossip health record.
 type serverHint struct {
 	inc   int64
@@ -176,7 +196,6 @@ func NewFS(cat meta.Router, rank int, opts Options) *FS {
 		cat:     cat,
 		rank:    rank,
 		opts:    opts,
-		reg:     obs.NewRegistry(),
 		events:  opts.Events,
 		clients: make(map[string]*server.Client),
 		addrs:   make(map[string]string),
@@ -185,6 +204,7 @@ func NewFS(cat meta.Router, rank int, opts Options) *FS {
 	if fs.events == nil {
 		fs.events = obs.Events()
 	}
+	fs.useMetrics(obs.NewRegistry())
 	if opts.MetaTTL > 0 {
 		fs.metaCache = cache.NewMeta(opts.MetaTTL, fs.reg)
 	}
@@ -206,7 +226,7 @@ func (fs *FS) SetMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	fs.reg = reg
+	fs.useMetrics(reg)
 	if fs.metaCache != nil {
 		fs.metaCache.SetMetrics(reg)
 	}

@@ -170,7 +170,7 @@ func (f *File) execute(ctx context.Context, plan []stripe.BrickIO, buf []byte, w
 	for _, bio := range plan {
 		useful += bio.Bytes()
 	}
-	f.fs.reg.Counter(MetricBytesUseful).Add(useful)
+	f.fs.m.useful.Add(useful)
 	f.stats.useful.Add(useful)
 
 	// Serve read bricks held by the data cache locally; only the
@@ -314,7 +314,7 @@ func (f *File) dispatch(ctx context.Context, reqs []stripe.Request, buf []byte, 
 	}
 	limit = max(1, min(limit, len(reqs)))
 	failFast := errs == nil
-	gauge := f.fs.reg.Gauge(MetricInflight)
+	gauge := f.fs.m.inflight
 
 	if limit == 1 {
 		for i := range reqs {
@@ -642,12 +642,12 @@ func (f *File) doRequest(ctx context.Context, r *stripe.Request, buf []byte, wri
 	} else {
 		resp, err = client.DoInto(ctx, req, x.segs)
 	}
-	f.fs.reg.Histogram(MetricRequestLatency).Record(time.Since(start).Microseconds())
+	f.fs.m.latency.Record(time.Since(start).Microseconds())
 	if err != nil {
 		return fmt.Errorf("dpfs: %s: %w", f.info.Path, err)
 	}
-	f.fs.reg.Counter(MetricRequests).Inc()
-	f.fs.reg.Counter(MetricBytesMoved).Add(moved)
+	f.fs.m.requests.Inc()
+	f.fs.m.moved.Add(moved)
 	f.stats.requests.Add(1)
 	f.stats.transferred.Add(moved)
 	if sp != nil {
