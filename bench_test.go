@@ -12,6 +12,7 @@ import (
 
 	"dpfs/internal/cluster"
 	"dpfs/internal/core"
+	"dpfs/internal/datatype"
 	"dpfs/internal/metadb"
 	"dpfs/internal/server"
 	"dpfs/internal/stripe"
@@ -20,7 +21,10 @@ import (
 
 // BenchmarkPlanSection measures the pure striping math for the three
 // levels (no I/O): the client-side cost of turning a section into a
-// brick plan.
+// brick plan. The sub-benchmarks named after the benchmark's workloads
+// plan each one's access the way the engine does: a section lists its
+// file runs through a subarray datatype, a byte range is its own one
+// run, and Plan plans the runs.
 func BenchmarkPlanSection(b *testing.B) {
 	geoms := map[string]*stripe.Geometry{
 		"linear":   {Level: stripe.LevelLinear, ElemSize: 8, Dims: []int64{4096, 4096}, BrickBytes: 512 << 10},
@@ -33,6 +37,36 @@ func BenchmarkPlanSection(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := g.PlanSection(sec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+
+	section := func(g *stripe.Geometry, start, count []int64) func() []stripe.Extent {
+		return func() []stripe.Extent {
+			return datatype.Segments(datatype.Subarray{ElemSize: g.ElemSize, Dims: g.Dims, Start: start, Count: count})
+		}
+	}
+	column := &stripe.Geometry{Level: stripe.LevelLinear, ElemSize: 8, Dims: []int64{512, 512}, BrickBytes: 32 << 10}
+	band := &stripe.Geometry{Level: stripe.LevelMultidim, ElemSize: 8, Dims: []int64{2048, 2048}, Tile: []int64{256, 256}}
+	small := &stripe.Geometry{Level: stripe.LevelLinear, ElemSize: 1, Dims: []int64{8 << 20}, BrickBytes: 64 << 10}
+	whole := &stripe.Geometry{Level: stripe.LevelMultidim, ElemSize: 8, Dims: []int64{64, 64}, Tile: []int64{32, 32}}
+	page := []stripe.Extent{{Off: 3 << 20, Len: 4 << 10}}
+	for _, w := range []struct {
+		name string
+		g    *stripe.Geometry
+		runs func() []stripe.Extent
+	}{
+		{"column-class2", column, section(column, []int64{0, 192}, []int64{512, 64})},
+		{"bulk-native", band, section(band, []int64{512, 0}, []int64{256, 2048})},
+		{"smallio-native", small, func() []stripe.Extent { return page }},
+		{"meta-native", whole, section(whole, []int64{0, 0}, []int64{64, 64})},
+	} {
+		b.Run("engine/"+w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := w.g.Plan(w.runs(), nil); err != nil {
 					b.Fatal(err)
 				}
 			}

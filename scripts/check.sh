@@ -1,6 +1,9 @@
 #!/bin/sh
 # check.sh — the repo's full verification gate:
-#   1. tier-1: go build ./... && go test ./...
+#   1. tier-1: go build ./... && go test ./..., then every Benchmark
+#      function of the module run once (-benchtime 1x): tier-1 compiles
+#      them but never runs one, so a benchmark that panics or fails is
+#      caught only here
 #   2. gofmt -l . lists nothing (every Go file, benchmark/ included, is
 #      gofmt-formatted); no non-test Go file imports encoding/gob except
 #      internal/metadb/gobconvert.go, the one-way reader of gob-era
@@ -56,6 +59,8 @@ echo "== tier-1: go build ./... =="
 go build ./...
 echo "== tier-1: go test ./... =="
 go test ./...
+echo "== every Benchmark once: go test -run '^$' -bench . -benchtime 1x ./... =="
+go test -run '^$' -bench . -benchtime 1x ./...
 echo "== gofmt -l . =="
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
