@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"os"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -260,7 +261,8 @@ func whereIs(g *Geometry, off int64) (int, int64) {
 // arbitrary file and memory runs. It must never panic; it must accept
 // every well-formed input, and plan it so that every requested byte,
 // paired with its memory byte, is moved exactly once, inside its brick,
-// in a plan ordered and merged the way plans are.
+// in a plan ordered and merged the way plans are, each brick's segments
+// capped at their length.
 func FuzzPlan(f *testing.F) {
 	for _, c := range loadGolden(f) {
 		g := c.geometry()
@@ -327,6 +329,9 @@ func FuzzPlan(f *testing.F) {
 			if b.Brick < 0 || b.Brick >= g.NumBricks() || k > 0 && plan[k-1].Brick >= b.Brick {
 				t.Fatalf("%+v file %v mem %v: brick %d out of range or order", g, file, mem, b.Brick)
 			}
+			if cap(b.Segs) != len(b.Segs) {
+				t.Fatalf("%+v file %v mem %v: brick %d's segments have room for %d more: an append would write past them", g, file, mem, b.Brick, cap(b.Segs)-len(b.Segs))
+			}
 			for i, s := range b.Segs {
 				if s.Len <= 0 || s.BrickOff < 0 || s.BrickOff+s.Len > g.BrickBytesOf(b.Brick) {
 					t.Fatalf("%+v file %v mem %v: segment %+v outside brick %d", g, file, mem, s, b.Brick)
@@ -392,4 +397,21 @@ func TestPlanAllocs(t *testing.T) {
 		t.Logf("%s: %v allocations", c.name, c.got)
 	}
 	t.Logf("64-column block: %v allocations at 512 rows, %v at 4 096", short, tall)
+
+	// A brick that spans its rows whole stores them back to back, so a
+	// run over them is one piece per brick, not one per row: the whole of
+	// a (BLOCK, *) array of 65 536 rows of three float64s plans in a few
+	// hundred bytes, not in the megabytes a piece per row would take.
+	narrow := &Geometry{Level: LevelArray, ElemSize: 8, Dims: []int64{1 << 16, 3},
+		Pattern: []Dist{DistBlock, DistStar}, Grid: []int64{8, 1}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	plan, err := narrow.Plan([]Extent{{Off: 0, Len: narrow.Size()}}, nil)
+	runtime.ReadMemStats(&after)
+	if err != nil || len(plan) != 8 {
+		t.Fatalf("whole (BLOCK, *) array: %d bricks, %v; want 8", len(plan), err)
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b > 4<<10 {
+		t.Errorf("whole (BLOCK, *) array of 65 536 rows: Plan allocated %d bytes, want at most 4 KiB", b)
+	}
 }
