@@ -168,6 +168,7 @@ type engineMetrics struct {
 	latency                 *obs.Histogram
 }
 
+// useMetrics points the engine at reg and looks its engineMetrics up.
 func (fs *FS) useMetrics(reg *obs.Registry) {
 	fs.reg = reg
 	fs.m = engineMetrics{

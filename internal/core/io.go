@@ -131,10 +131,8 @@ func (f *File) access(ctx context.Context, off int64, ftype, mtype datatype.Type
 // runs lists the runs t selects, shifted by off.
 func runs(t datatype.Type, off int64) []stripe.Extent {
 	segs := datatype.Segments(t)
-	if off != 0 {
-		for i := range segs {
-			segs[i].Off += off
-		}
+	for i := range segs {
+		segs[i].Off += off
 	}
 	return segs
 }

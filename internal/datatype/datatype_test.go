@@ -187,13 +187,18 @@ func TestQuickPackUnpackIdentity(t *testing.T) {
 }
 
 // Property: Segments covers exactly Size() bytes, runs are in
-// non-overlapping ascending memory order for monotone types, and every
-// run is inside the extent.
+// non-overlapping ascending memory order for monotone types, every run
+// is inside the extent, and the list was counted exactly before it was
+// filled.
 func TestQuickSegmentsConsistent(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		typ := randomType(r, 2)
 		segs := Segments(typ)
+		if cap(segs) != len(segs) {
+			t.Logf("seed %d: %d runs listed into room for %d", seed, len(segs), cap(segs))
+			return false
+		}
 		var total int64
 		pos := int64(-1)
 		for _, s := range segs {
