@@ -141,16 +141,13 @@ type planner struct {
 	// row index inside the bricks it crosses.
 	rowOff, rowEnd, rowBrick, rowInner int64
 
-	// The piece placed last and its brick (-1: none yet).
-	last      Segment
+	// The pieces placed so far, in placement order, and their bricks,
+	// all of them between lo and hi; ids stays nil while every piece lies
+	// in one brick, lo. lastBrick is the last piece's.
+	segs      []Segment
+	ids       []int
+	lo, hi    int
 	lastBrick int
-
-	// The pieces placed before it, in placement order, and their bricks,
-	// all of them between lo and hi. ids stays nil while every piece lies
-	// in one brick, lo.
-	segs   []Segment
-	ids    []int
-	lo, hi int
 
 	// The memory runs (nil: the packed buffer), the one in use and how
 	// many of its bytes are taken.
@@ -160,7 +157,7 @@ type planner struct {
 }
 
 func (p *planner) init(g *Geometry, mem []Extent) {
-	p.g, p.lastBrick, p.mem = g, -1, mem
+	p.g, p.mem = g, mem
 	if g.Level == LevelLinear {
 		return
 	}
@@ -240,7 +237,7 @@ func (p *planner) place(off, mem, n int64) {
 		default:
 			p.seekRow(off / rowBytes)
 		}
-		col := off - p.rowOff
+		col, first, inner := off-p.rowOff, p.rowBrick, p.rowInner*es
 		for bc := col / extBytes; n > 0 && col < rowBytes; bc++ {
 			origin := bc * extBytes
 			lay := p.ext[last]
@@ -249,7 +246,7 @@ func (p *planner) place(off, mem, n int64) {
 				lay = min(lay, p.dims[last]-bc*p.ext[last])
 			}
 			k := min(n, min(origin+extBytes, rowBytes)-col)
-			p.add(int(p.rowBrick+bc), Segment{BrickOff: p.rowInner*lay*es + col - origin, MemOff: mem, Len: k})
+			p.add(int(first+bc), Segment{BrickOff: inner*lay + col - origin, MemOff: mem, Len: k})
 			col, mem, n = col+k, mem+k, n-k
 		}
 		off = p.rowOff + col
@@ -308,53 +305,114 @@ func (p *planner) rowIDs() {
 }
 
 // add places one piece. A piece continuing the last one in both spaces
-// extends it; the last piece joins the list only once another comes.
+// extends it.
 func (p *planner) add(brick int, s Segment) {
-	if brick == p.lastBrick && s.MemOff == p.last.MemOff+p.last.Len && s.BrickOff == p.last.BrickOff+p.last.Len {
-		p.last.Len += s.Len
-		return
-	}
-	p.flush()
-	p.lastBrick, p.last = brick, s
-}
-
-// flush appends the last piece to the list, noting its brick.
-func (p *planner) flush() {
-	brick := p.lastBrick
-	if brick < 0 {
-		return
+	if k := len(p.segs) - 1; k >= 0 && brick == p.lastBrick {
+		if last := &p.segs[k]; s.MemOff == last.MemOff+last.Len && s.BrickOff == last.BrickOff+last.Len {
+			last.Len += s.Len
+			return
+		}
 	}
 	switch {
+	case p.ids != nil:
+		p.ids = append(p.ids, brick)
+		p.lo, p.hi = min(p.lo, brick), max(p.hi, brick)
 	case len(p.segs) == 0:
 		p.lo, p.hi = brick, brick
-	case p.ids == nil && brick != p.lo:
+	case brick != p.lo:
 		// A second brick: from now on every piece notes its own.
 		p.ids = make([]int, len(p.segs), cap(p.segs))
 		for i := range p.ids {
 			p.ids[i] = p.lo
 		}
-	}
-	if p.ids != nil {
 		p.ids = append(p.ids, brick)
 		p.lo, p.hi = min(p.lo, brick), max(p.hi, brick)
 	}
-	p.segs = append(p.segs, p.last)
+	p.segs = append(p.segs, s)
+	p.lastBrick = brick
 }
 
 // finish groups the pieces by brick in ascending order, keeping their
 // placement order inside a brick, then orders and merges each brick's
-// segments.
+// segments. Pieces already in brick order stay where they are; others
+// are moved to their places in the same array, found by a count when
+// the bricks lie within a few per piece of each other, by a sort when
+// they spread wider (an access touching bricks far apart).
 func (p *planner) finish() []BrickIO {
-	p.flush()
-	segs, ids := p.segs, p.ids
+	segs, ids, lo := p.segs, p.ids, p.lo
 	switch {
 	case len(segs) == 0:
 		return nil
 	case ids == nil:
-		return []BrickIO{brickIO(p.lo, segs)}
-	case !slices.IsSorted(ids):
-		segs = p.group()
+		return []BrickIO{brickIO(lo, segs)}
+	case slices.IsSorted(ids):
+		return byBrick(segs, ids)
 	}
+	span := p.hi - lo + 1
+	if span > 4*len(segs) {
+		type keyed struct{ id, i int }
+		order := make([]keyed, len(ids))
+		for i, id := range ids {
+			order[i] = keyed{id, i}
+		}
+		slices.SortFunc(order, func(a, b keyed) int { return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.i, b.i)) })
+		for j, o := range order {
+			ids[o.i] = j
+		}
+		permute(segs, ids)
+		for j, o := range order {
+			ids[j] = o.id
+		}
+		return byBrick(segs, ids)
+	}
+	// at[k] counts brick lo+k's pieces, then holds where the next goes.
+	var small [64]int
+	at := small[:0]
+	if span < len(small) {
+		at = small[:span+1]
+	} else {
+		at = make([]int, span+1)
+	}
+	for _, id := range ids {
+		at[id-lo+1]++
+	}
+	n := 0
+	for k := 1; k <= span; k++ {
+		if at[k] > 0 {
+			n++
+		}
+		at[k] += at[k-1]
+	}
+	for i, id := range ids {
+		ids[i] = at[id-lo]
+		at[id-lo]++
+	}
+	permute(segs, ids)
+	bricks := make([]BrickIO, 0, n)
+	for k, from := 0, 0; k < span; k++ {
+		if at[k] > from {
+			bricks = append(bricks, brickIO(lo+k, segs[from:at[k]]))
+			from = at[k]
+		}
+	}
+	return bricks
+}
+
+// permute moves each segs[i] to segs[dest[i]], in place; dest must be
+// a permutation, and is left the identity.
+func permute(segs []Segment, dest []int) {
+	for i := range segs {
+		for dest[i] != i {
+			j := dest[i]
+			segs[i], segs[j] = segs[j], segs[i]
+			dest[i], dest[j] = dest[j], j
+		}
+	}
+}
+
+// byBrick makes the plan of pieces already grouped by brick, ids
+// ascending.
+func byBrick(segs []Segment, ids []int) []BrickIO {
 	n := 1
 	for i := 1; i < len(ids); i++ {
 		if ids[i] != ids[i-1] {
@@ -371,51 +429,6 @@ func (p *planner) finish() []BrickIO {
 		i = j
 	}
 	return bricks
-}
-
-// group returns the pieces reordered by brick, in a new array, and
-// sorts ids to match; pieces of one brick keep their placement order.
-// Bricks within a few per piece of each other are counted into place;
-// ids spread wider (an access touching bricks far apart) are sorted.
-func (p *planner) group() []Segment {
-	segs, ids, lo := p.segs, p.ids, p.lo
-	out := make([]Segment, len(segs))
-	if span := p.hi - lo + 1; span <= 4*len(segs) {
-		// at[k] counts brick lo+k's pieces, then holds where they go.
-		var small [64]int
-		at := small[:0]
-		if span < len(small) {
-			at = small[:span+1]
-		} else {
-			at = make([]int, span+1)
-		}
-		for _, id := range ids {
-			at[id-lo+1]++
-		}
-		for k := 1; k <= span; k++ {
-			at[k] += at[k-1]
-		}
-		for i, id := range ids {
-			out[at[id-lo]] = segs[i]
-			at[id-lo]++
-		}
-		for k, i := 0, 0; k < span; k++ {
-			for ; i < at[k]; i++ {
-				ids[i] = lo + k
-			}
-		}
-		return out
-	}
-	type keyed struct{ id, i int }
-	order := make([]keyed, len(ids))
-	for i, id := range ids {
-		order[i] = keyed{id, i}
-	}
-	slices.SortFunc(order, func(a, b keyed) int { return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.i, b.i)) })
-	for j, o := range order {
-		out[j], ids[j] = segs[o.i], o.id
-	}
-	return out
 }
 
 // brickIO makes one brick's access of its segments: sorted by MemOff,
