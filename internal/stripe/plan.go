@@ -313,20 +313,18 @@ func (p *planner) add(brick int, s Segment) {
 			return
 		}
 	}
-	switch {
-	case p.ids != nil:
-		p.ids = append(p.ids, brick)
-		p.lo, p.hi = min(p.lo, brick), max(p.hi, brick)
-	case len(p.segs) == 0:
-		p.lo, p.hi = brick, brick
-	case brick != p.lo:
+	if p.ids == nil && len(p.segs) > 0 && brick != p.lo {
 		// A second brick: from now on every piece notes its own.
 		p.ids = make([]int, len(p.segs), cap(p.segs))
 		for i := range p.ids {
 			p.ids[i] = p.lo
 		}
+	}
+	if p.ids != nil {
 		p.ids = append(p.ids, brick)
 		p.lo, p.hi = min(p.lo, brick), max(p.hi, brick)
+	} else {
+		p.lo, p.hi = brick, brick
 	}
 	p.segs = append(p.segs, s)
 	p.lastBrick = brick
